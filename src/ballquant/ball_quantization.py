@@ -393,10 +393,26 @@ class QmmReport:
     failures: list
 
 
+class TruncationOrderError(ValueError):
+    """A truncation order that is not a non-negative integer."""
+
+
 def resolve_truncation_order(order: int | None) -> int:
-    if order is not None:
-        return order
-    return int(os.environ.get(TRUNCATION_ENV, str(DEFAULT_TRUNCATION)))
+    """The given order, else BALLQUANT_TRUNCATION_ORDER, else 12; raises
+    TruncationOrderError naming the source unless it is an integer >= 0."""
+    source = "the order argument"
+    if order is None:
+        source = TRUNCATION_ENV
+        raw = os.environ.get(TRUNCATION_ENV, str(DEFAULT_TRUNCATION))
+        try:
+            order = int(raw)
+        except ValueError:
+            order = raw
+    if not isinstance(order, int) or order < 0:
+        raise TruncationOrderError(
+            f"truncation order from {source} must be a non-negative integer, got {order!r}"
+        )
+    return order
 
 
 def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") -> QmmReport:

@@ -13,11 +13,13 @@ import sys
 import time
 
 from .ball_quantization import (
+    TruncationOrderError,
     build_qmm,
     fundamental_field,
     mutate_add_nu_const,
     mutate_drop_nu2,
     qmm_table_to_json,
+    resolve_truncation_order,
     verify_qmm,
 )
 from .ce_cohomology import (
@@ -109,6 +111,7 @@ def _suite_su1n(args) -> tuple:
 
 
 def _suite_qmm(args) -> tuple:
+    order = resolve_truncation_order(args.order)
     alpha = parse_frac(args.alpha) if args.alpha is not None else None
     table = build_qmm(args.N, alpha)
     if args.mutate == "drop-nu2":
@@ -117,7 +120,7 @@ def _suite_qmm(args) -> tuple:
         if args.label is None or args.value is None:
             raise SystemExit(2)
         table = mutate_add_nu_const(table, args.label, parse_frac(args.value))
-    report = verify_qmm(table, args.order, pairs=args.pairs)
+    report = verify_qmm(table, order, pairs=args.pairs)
     return report.ok, {
         "suite": "qmm",
         "N": args.N,
@@ -132,9 +135,9 @@ def _suite_qmm(args) -> tuple:
 
 
 def _suite_retract(args) -> tuple:
+    order = resolve_truncation_order(4 if args.order is None else args.order)
     model = build_su1n(args.N)
     closure = check_reduction_closure(model)
-    order = args.order if args.order is not None else 4
     table = build_qmm(args.N, parse_frac(args.alpha) if args.alpha else None)
     chart = table.chart
     one = NuSeries.from_coef(CoefFn.const(chart.nv, parse_frac("1")), order)
@@ -200,8 +203,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_retract_residual(args) -> int:
+    order = None if args.order is None else resolve_truncation_order(args.order)
     theta = xifn_from_json(json.loads(args.theta_json))
-    wv, om = radial_pde_residual(theta, args.n, order=args.order)
+    wv, om = radial_pde_residual(theta, args.n, order=order)
     _emit({"n": args.n, "wv": xifn_to_json(wv), "omega": xifn_to_json(om)})
     return 0
 
@@ -267,9 +271,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        return args.func(args)
-    finally:
-        sys.stderr.write(f"elapsed {time.perf_counter() - start:.3f}s\n")
+        code = args.func(args)
+    except TruncationOrderError as exc:
+        sys.stderr.write(f"ballquant: error: {exc}\n")
+        return 2
+    sys.stderr.write(f"elapsed {time.perf_counter() - start:.3f}s\n")
+    return code
 
 
 if __name__ == "__main__":

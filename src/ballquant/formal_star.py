@@ -12,16 +12,19 @@ transvection operators
                 Lambda^{u_1 w_1} .. Lambda^{u_m w_m} d_u f d_w g
 
 terminate on this ring because every nonzero Lambda entry differentiates
-a polynomial variable on at least one side.  Star products are computed
-as truncated series in the deformation parameter; the exact flag records
-whether anything nonzero was dropped by the truncation.
+a polynomial variable on at least one side.  One walk, transvection_terms,
+enumerates the multisets of directed pairs behind C_m and is shared by
+c_operator here and by the retract operator: it stops a branch as soon as
+the derivative of the first argument vanishes, because every longer
+multiset differentiates that derivative further.  Star products are
+computed as truncated series in the deformation parameter; the exact flag
+records whether anything nonzero was dropped by the truncation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, perm, prod
 
 from .lie_core import LieAlgebra
 from .scalars import frac_str, parse_frac
@@ -88,41 +91,30 @@ class CoefFn:
                     out.pop(key, None)
         return CoefFn(self.nv, out)
 
-    def diff_a(self) -> CoefFn:
-        return CoefFn(
-            self.nv, {key: c * key[0] for key, c in self.terms.items() if key[0]}
-        )
-
-    def diff_v(self, i: int) -> CoefFn:
+    def diff(self, index) -> CoefFn:
+        """Apply d_a^i_0 d_v1^i_1 .. d_z^i_last for a multi-index over
+        (a, v_1 .. v_nv, z)."""
+        if not any(index):
+            return self
+        ia, iv, iz = index[0], index[1:-1], index[-1]
         out = {}
         for (p, k, s, q), c in self.terms.items():
-            if k[i]:
-                k2 = k[:i] + (k[i] - 1,) + k[i + 1 :]
-                out[(p, k2, s, q)] = out.get((p, k2, s, q), Fraction(0)) + c * k[i]
-        return CoefFn(self.nv, {key: c for key, c in out.items() if c})
+            factor = p**ia * perm(q, iz) * prod(map(perm, k, iv))
+            if factor:
+                out[(p, tuple(a - b for a, b in zip(k, iv)), s, q - iz)] = c * factor
+        return CoefFn(self.nv, out)
+
+    def diff_coord(self, coord: int) -> CoefFn:
+        return self.diff(tuple(int(c == coord) for c in range(self.nv + 2)))
+
+    def diff_a(self) -> CoefFn:
+        return self.diff_coord(0)
+
+    def diff_v(self, i: int) -> CoefFn:
+        return self.diff_coord(i + 1)
 
     def diff_z(self) -> CoefFn:
-        return CoefFn(
-            self.nv,
-            {
-                (p, k, s, q - 1): c * q
-                for (p, k, s, q), c in self.terms.items()
-                if q
-            },
-        )
-
-    def diff_coord(self, coord: int, times: int = 1) -> CoefFn:
-        f = self
-        for _ in range(times):
-            if f.is_zero():
-                break
-            if coord == 0:
-                f = f.diff_a()
-            elif coord == self.nv + 1:
-                f = f.diff_z()
-            else:
-                f = f.diff_v(coord - 1)
-        return f
+        return self.diff_coord(self.nv + 1)
 
     def antiderivative_a(self) -> CoefFn:
         out = {}
@@ -199,30 +191,45 @@ class PoissonStructure:
         ]
 
 
+def transvection_terms(f: CoefFn, P: PoissonStructure, m: int):
+    """Walk the multisets of m directed pairs of P, one pair index at a time.
+
+    Yields (w, d^u f, weight) for every multiset whose derivative d^u f is
+    nonzero, where u and w are the derivative multi-indices it puts on the
+    first and second argument and weight = prod val^c / c! over its pairs,
+    so that (1/m!) C_m(f, g) = sum weight * d^u f * d^w g.  A branch is
+    dropped once d^u f vanishes: no longer multiset can then be nonzero.
+    """
+    pairs = P.directed_pairs
+    dim = P.nv + 2
+    steps = [tuple(int(c == u) for c in range(dim)) for u, _, _ in pairs]
+
+    def walk(start, left, df, w, weight):
+        if not left:
+            yield w, df, weight
+            return
+        for idx in range(start, len(pairs)):
+            _, v, val = pairs[idx]
+            d, wt, wv = df, weight, list(w)
+            for c in range(1, left + 1):
+                d = d.diff(steps[idx])
+                if d.is_zero():
+                    break
+                wt = wt * val / c
+                wv[v] += 1
+                yield from walk(idx + 1, left - c, d, tuple(wv), wt)
+
+    yield from walk(0, m, f, (0,) * dim, Fraction(1))
+
+
 def c_operator(f: CoefFn, g: CoefFn, P: PoissonStructure, m: int) -> CoefFn:
     """The m-th transvection C_m(f, g) for the constant structure P."""
-    if m == 0:
-        return f.mul(g)
     total = CoefFn.zero(f.nv)
-    npairs = len(P.directed_pairs)
-    for combo in combinations_with_replacement(range(npairs), m):
-        counts: dict = {}
-        for idx in combo:
-            counts[idx] = counts.get(idx, 0) + 1
-        weight = Fraction(factorial(m))
-        df, dg = f, g
-        for idx, c in counts.items():
-            u, w, val = P.directed_pairs[idx]
-            weight *= val**c / factorial(c)
-            df = df.diff_coord(u, c)
-            if df.is_zero():
-                break
-            dg = dg.diff_coord(w, c)
-            if dg.is_zero():
-                break
-        if df.is_zero() or dg.is_zero():
-            continue
-        total = total.add(df.mul(dg).scale(weight))
+    m_fact = factorial(m)
+    for w, df, weight in transvection_terms(f, P, m):
+        dg = g.diff(w)
+        if not dg.is_zero():
+            total = total.add(df.mul(dg).scale(weight * m_fact))
     return total
 
 

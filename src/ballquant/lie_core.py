@@ -76,7 +76,7 @@ class LieAlgebra:
     basis vector k in [e_i, e_j].
     """
 
-    def __init__(self, dim: int, labels: list, structure: dict, _validated=False):
+    def __init__(self, dim: int, labels: list, structure: dict):
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
         clean = {}
@@ -89,12 +89,9 @@ class LieAlgebra:
         self.dim = dim
         self.labels = list(labels)
         self.structure = clean
-        if not _validated:
-            rep = jacobi_report(dim, clean)
-            if not rep.ok:
-                raise ValueError(
-                    f"Jacobi identity fails on basis triple {rep.worst_triple}"
-                )
+        rep = jacobi_report(dim, clean)
+        if not rep.ok:
+            raise ValueError(f"Jacobi identity fails on basis triple {rep.worst_triple}")
 
     def basis_vector(self, i: int) -> Vector:
         e = zeros(self.dim)
@@ -199,26 +196,6 @@ def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
     return Subspace(algebra, vecs)
 
 
-def center(algebra: LieAlgebra) -> Subspace:
-    rows = []
-    for j in range(algebra.dim):
-        adj = algebra.ad(algebra.basis_vector(j))
-        # x central iff ad_x = 0 iff for all j, [x, e_j] = 0; build rows of the
-        # linear system in x by transposing the structure action
-        for k in range(algebra.dim):
-            row = zeros(algebra.dim)
-            for i in range(algebra.dim):
-                row[i] = algebra.bracket(algebra.basis_vector(i), algebra.basis_vector(j))[k]
-            rows.append(row)
-    return Subspace(algebra, nullspace(rows, algebra.dim))
-
-
-def _quotient_rows(sub: Subspace):
-    """Coordinates that survive reduction modulo the subspace."""
-    red, pivots = rref(sub.basis) if sub.basis else ([], [])
-    return red, pivots
-
-
 def _reduce_mod(sub_red, pivots, v: Vector) -> Vector:
     w = v[:]
     for r, c in enumerate(pivots):
@@ -230,7 +207,7 @@ def _reduce_mod(sub_red, pivots, v: Vector) -> Vector:
 
 def normalizer(algebra: LieAlgebra, sub: Subspace) -> Subspace:
     """Largest subspace n with [n, sub] inside sub."""
-    red, pivots = _quotient_rows(sub)
+    red, pivots = rref(sub.basis) if sub.basis else ([], [])
     rows = []
     for s in (sub.basis or []):
         # condition on x: [x, s] reduces to zero mod sub
@@ -255,6 +232,12 @@ def centralizer(algebra: LieAlgebra, sub: Subspace) -> Subspace:
     if not rows:
         return Subspace(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
     return Subspace(algebra, nullspace(rows, algebra.dim))
+
+
+def center(algebra: LieAlgebra) -> Subspace:
+    """The centralizer of the whole algebra."""
+    whole = Subspace(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
+    return centralizer(algebra, whole)
 
 
 def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:

@@ -38,10 +38,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
-
-
 def vec_add(u: Vec, v: Vec) -> Vec:
     return [a + b for a, b in zip(u, v)]
 

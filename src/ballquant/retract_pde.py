@@ -11,6 +11,11 @@ For X in m the corrections vanish and D_X is the fundamental field, so
 m-invariant functions are exactly the functions of (a, r^2, z) with
 r^2 = (v|v); radial_reduce rewrites them in that form.
 
+retract_operator buckets the transvection walk of formal_star by the
+derivative multi-index each term puts on the argument.  The walk stops
+wherever the derivative of mu_X vanishes, and whether it yields anything
+at the first odd order past the truncation decides the exact flag.
+
 After a partial Fourier transform in z the operator for sigma(v0),
 applied to a radial symbol theta(a, r, xi), closes on coefficients
 generated by e^{ka}, integer powers of r and xi, and half powers of
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import count
 from math import factorial
 
 from .ball_quantization import (
@@ -32,7 +37,7 @@ from .ball_quantization import (
     inner_square,
     resolve_truncation_order,
 )
-from .formal_star import CoefFn, NuSeries
+from .formal_star import CoefFn, NuSeries, transvection_terms
 from .lie_core import span_subspace
 from .linalg import solve_in_span, solve_linear, vec_add
 from .scalars import GScalar, frac_str, parse_frac
@@ -284,10 +289,14 @@ def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict
     """The action (1/(2 nu)) [mu_x, - ]_star as a differential operator.
 
     Keys are derivative multi-indices over the chart coordinates
-    (a, v_1 .. v_nv, z); values are the NuSeries coefficients, exact up
-    to the requested truncation order.  Only odd Moyal terms survive the
-    commutator, and the term of order m contributes at nu^{m-1}, so the
-    sum below is finite.
+    (a, v_1 .. v_nv, z); values are the NuSeries coefficients up to the
+    requested truncation order.  Only odd Moyal terms survive the
+    commutator, and the term of order m on mu_x's nu^i coefficient
+    contributes at nu^(i+m-1).  All series share one exact flag, true only
+    if for every nu^i the walk yields nothing at the first odd m past the
+    truncation.  Every longer multiset contains one of that size, so then
+    no term was dropped, not even from a key that lies wholly past the
+    truncation and so is absent from the result.
     """
     order = resolve_truncation_order(order)
     coords = solve_in_span(table.basis, [Fraction(c) for c in x])
@@ -298,56 +307,35 @@ def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict
     for c, mom in zip(coords, table.moments):
         if c:
             mu = mu.add(mom.scale(c))
-    pairs = table.P.directed_pairs
+    exact = mu.exact
     buckets: dict = {}
-    for m in range(1, order + 2, 2):
-        for combo in combinations_with_replacement(range(len(pairs)), m):
-            counts: dict = {}
-            for idx in combo:
-                counts[idx] = counts.get(idx, 0) + 1
-            weight = Fraction(1)
-            u_times = [0] * (nv + 2)
-            w_key = [0] * (nv + 2)
-            for idx, c in counts.items():
-                u, w, val = pairs[idx]
-                weight *= val**c / factorial(c)
-                u_times[u] += c
-                w_key[w] += c
-            for i, coef in enumerate(mu.coeffs):
-                t = i + m - 1
-                if t > order or coef.is_zero():
-                    continue
-                d = coef
-                for coord, times in enumerate(u_times):
-                    if times and not d.is_zero():
-                        d = d.diff_coord(coord, times)
-                if d.is_zero():
-                    continue
-                key = tuple(w_key)
-                if key not in buckets:
-                    buckets[key] = [CoefFn.zero(nv) for _ in range(order + 1)]
-                buckets[key][t] = buckets[key][t].add(d.scale(weight))
-    out = {}
-    for key, coeffs in buckets.items():
-        if any(not c.is_zero() for c in coeffs):
-            out[key] = NuSeries(order, coeffs, True)
-    return out
+    for i, coef in enumerate(mu.coeffs):
+        if coef.is_zero():
+            continue
+        for m in count(1, 2):
+            t = i + m - 1
+            terms = transvection_terms(coef, table.P, m)
+            if t > order:
+                exact = exact and next(terms, None) is None
+                break
+            for w, d, weight in terms:
+                coeffs = buckets.setdefault(w, [CoefFn.zero(nv)] * (order + 1))
+                coeffs[t] = coeffs[t].add(d.scale(weight))
+    return {
+        w: NuSeries(order, coeffs, exact)
+        for w, coeffs in buckets.items()
+        if any(not c.is_zero() for c in coeffs)
+    }
 
 
 def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSeries:
     """Apply a differential operator from retract_operator to a series."""
     order = resolve_truncation_order(order)
     base = theta.resize(order)
-    nv = base.coeffs[0].nv
-    out = NuSeries.zero(nv, order)
+    out = NuSeries.zero(base.coeffs[0].nv, order)
     for key, series in op.items():
-        dcoeffs = []
-        for c in base.coeffs:
-            for coord, times in enumerate(key):
-                if times and not c.is_zero():
-                    c = c.diff_coord(coord, times)
-            dcoeffs.append(c)
-        out = out.add(series.resize(order).mul(NuSeries(order, dcoeffs, base.exact)))
+        dtheta = NuSeries(order, [c.diff(key) for c in base.coeffs], base.exact)
+        out = out.add(series.resize(order).mul(dtheta))
     return out
 
 

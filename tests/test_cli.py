@@ -68,6 +68,28 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, env, source",
+    [
+        (["verify", "--suite", "qmm", "--N", "1", "--order", "-3"], None, "order argument"),
+        (["verify", "--suite", "retract", "--N", "2", "--order", "-1"], None, "order argument"),
+        (["retract-residual", "--order", "-1"], None, "order argument"),
+        (["verify", "--suite", "qmm", "--N", "1"], "x", "BALLQUANT_TRUNCATION_ORDER"),
+        (["verify", "--suite", "qmm", "--N", "1"], "-2", "BALLQUANT_TRUNCATION_ORDER"),
+    ],
+    ids=["qmm-order", "retract-order", "residual-order", "env-text", "env-negative"],
+)
+def test_bad_truncation_order_is_a_usage_error(capsys, monkeypatch, argv, env, source):
+    if env is not None:
+        monkeypatch.setenv("BALLQUANT_TRUNCATION_ORDER", env)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and source in lines[0]
+
+
 def test_su1n_export(capsys):
     code, out = run(capsys, ["su1n-export", "--N", "1"])
     assert code == 0

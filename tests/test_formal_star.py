@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
+from ballquant.ball_quantization import build_chart, poisson_structure
 from ballquant.formal_star import (
     CoefFn,
     NuSeries,
@@ -63,6 +66,8 @@ def test_coef_arithmetic_and_diff():
     assert fg.diff_z().terms == {(-1, (1, 0), 0, 1): F(2)}
     assert fg.diff_v(0).terms == {(-1, (0, 0), 0, 2): F(1)}
     assert fg.diff_v(1).is_zero()
+    assert fg.diff((1, 1, 0, 2)).terms == {(-1, (0, 0), 0, 0): F(-2)}
+    assert fg.diff((0, 0, 0, 3)).is_zero()
     assert f.add(f.neg()).is_zero()
 
 
@@ -115,6 +120,38 @@ def test_c_operator_antisymmetry_pattern():
                 assert lhs.add(rhs).is_zero()
             else:
                 assert lhs.sub(rhs).is_zero()
+
+
+def c_operator_oracle(f: CoefFn, g: CoefFn, P: PoissonStructure, m: int) -> CoefFn:
+    """C_m(f, g) summed over every multiset of m directed pairs, with no
+    pruning: the reference the pruned walk in c_operator must match."""
+    total = CoefFn.zero(f.nv)
+    for combo in combinations_with_replacement(range(len(P.directed_pairs)), m):
+        weight = F(factorial(m))
+        df, dg = f, g
+        for idx in set(combo):
+            u, w, val = P.directed_pairs[idx]
+            c = combo.count(idx)
+            weight *= val**c / factorial(c)
+            for _ in range(c):
+                df, dg = df.diff_coord(u), dg.diff_coord(w)
+        total = total.add(df.mul(dg).scale(weight))
+    return total
+
+
+def test_c_operator_matches_unpruned_enumeration():
+    rng = random.Random(3)
+    dense = [[F(0)] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            dense[i][j] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            dense[j][i] = -dense[i][j]
+    structures = [poisson_structure(build_chart(2)), PoissonStructure(2, dense)]
+    for P in structures:
+        for _ in range(2):
+            f, g = rand_fn(2, rng, terms=4), rand_fn(2, rng, terms=4)
+            for m in range(6):
+                assert c_operator(f, g, P, m).terms == c_operator_oracle(f, g, P, m).terms
 
 
 def test_moyal_flat_pair_frozen():

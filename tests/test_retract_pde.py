@@ -19,7 +19,8 @@ from ballquant.ball_quantization import (
     fundamental_field,
     inner_square,
 )
-from ballquant.formal_star import CoefFn, NuSeries
+from ballquant.formal_star import CoefFn, NuSeries, half_commutator
+from ballquant.linalg import solve_in_span
 from ballquant.retract_pde import (
     XiFn,
     apply_operator,
@@ -230,6 +231,49 @@ def test_retract_operator_commutators():
             )
             rhs = apply_operator(bracket_op, theta, order)
             assert lhs.sub(rhs).is_zero()
+
+
+def test_retract_operator_exact_flag_is_sound():
+    """exact at order K means the recomputation at K + 4 has the same
+    keys, equal coefficients up to K and zeros beyond."""
+    table = build_qmm(2, alpha=Fraction(1))
+    labels, kvecs = k_basis(table.chart)
+    exact_labels = set()
+    for K in (0, 1, 2, 4):
+        for label, x in zip(labels, kvecs):
+            op = retract_operator(table, x, order=K)
+            if not all(s.exact for s in op.values()):
+                continue
+            exact_labels.add((label, K))
+            big = retract_operator(table, x, order=K + 4)
+            assert set(big) == set(op)
+            for key, series in op.items():
+                coeffs = big[key].coeffs
+                assert all(a.terms == b.terms for a, b in zip(coeffs, series.coeffs))
+                assert all(c.is_zero() for c in coeffs[K + 1 :])
+    assert ("m1", 2) in exact_labels and ("kf1", 2) not in exact_labels
+
+
+def test_apply_operator_is_the_half_commutator():
+    table = build_qmm(2, alpha=Fraction(1))
+    order = 4
+    rng = random.Random(17)
+    theta = CoefFn.zero(2)
+    for _ in range(4):
+        k = (rng.randint(0, 2), rng.randint(0, 2))
+        theta = theta.add(
+            CoefFn.monomial(2, rng.randint(-2, 2), k, 0, rng.randint(0, 3), Fraction(rng.randint(1, 5)))
+        )
+    theta = NuSeries.from_coef(theta, order)
+    for x in k_basis(table.chart)[1]:
+        coords = solve_in_span(table.basis, x)
+        mu = NuSeries.zero(2, order)
+        for c, mom in zip(coords, table.moments):
+            if c:
+                mu = mu.add(mom.resize(order).scale(c))
+        got = apply_operator(retract_operator(table, x, order), theta, order)
+        want = half_commutator(mu, theta, table.P, order)
+        assert all(a.terms == b.terms for a, b in zip(got.coeffs, want.coeffs))
 
 
 def test_radial_pde_zero_and_linearity():
