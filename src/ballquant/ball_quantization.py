@@ -319,6 +319,16 @@ class QmmTable:
     moments: list
 
 
+def qmm_labels(N: int) -> list:
+    """Labels of the moment table basis of su(1, N), in table order: H,
+    the short root vectors f, E, the basis of m, then sigma of f and E."""
+    nv, dm = 2 * (N - 1), (N - 1) ** 2
+    return (
+        ["H"] + [f"f{i + 1}" for i in range(nv)] + ["E"] + [f"m{i + 1}" for i in range(dm)]
+        + [f"sf{j + 1}" for j in range(nv)] + ["sE"]
+    )
+
+
 def build_qmm(
     N: int,
     alpha: Fraction | None = None,
@@ -336,7 +346,7 @@ def build_qmm(
     model = chart.model
     zero_k = (0,) * nv
 
-    labels = ["H"] + [f"f{i + 1}" for i in range(nv)] + ["E"]
+    labels = qmm_labels(N)
     basis = [chart.H] + [f[:] for f in chart.fs] + [chart.E]
     moments = [
         NuSeries.from_coef(classical_moment(chart, x, P), 2) for x in basis
@@ -345,7 +355,6 @@ def build_qmm(
     zeta = _solve_zeta(chart)
     alpha_fn = CoefFn.monomial(nv, 0, zero_k, 1, 0, Fraction(1))
     for i, y in enumerate(chart.m_basis):
-        labels.append(f"m{i + 1}")
         basis.append(y[:])
         mu = classical_moment(chart, y, P).add(alpha_fn.scale(zeta[i]))
         moments.append(NuSeries.from_coef(mu, 2))
@@ -356,7 +365,6 @@ def build_qmm(
     e2a = CoefFn.monomial(nv, 2, zero_k, 0, 0, Fraction(1))
 
     for j in range(nv):
-        labels.append(f"sf{j + 1}")
         basis.append(model.apply_sigma(chart.fs[j]))
         pairing = CoefFn.zero(nv)
         omega_j = CoefFn.zero(nv)
@@ -369,7 +377,6 @@ def build_qmm(
         mu = pairing.mul(z1).scale(Fraction(4)).sub(vv_alpha.mul(omega_j)).mul(ea)
         moments.append(NuSeries.from_coef(mu, 2))
 
-    labels.append("sE")
     basis.append(model.apply_sigma(chart.E))
     z2 = CoefFn.monomial(nv, 0, zero_k, 0, 2, Fraction(4))
     mu0 = z2.add(vv_alpha.mul(vv_alpha)).mul(e2a)

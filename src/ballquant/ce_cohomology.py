@@ -124,32 +124,21 @@ def _d2_row(algebra: LieAlgebra, pidx: dict, i: int, j: int, k: int) -> dict:
     return {key: v for key, v in row.items() if v}
 
 
-def h2_dimension(algebra: LieAlgebra) -> int:
-    """dim H^2(g) = dim C^2 - rank(delta_2) - rank(delta_1), all exact."""
+def _d2_rows(algebra: LieAlgebra, pidx: dict) -> list:
+    """The nonzero rows of the degree-two differential, one per triple."""
     n = algebra.dim
-    pairs, pidx = _pair_index(n)
-    d1_rows = [dict(coeffs) for coeffs in algebra.structure.values()]
-    d2_rows = []
+    rows = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 row = _d2_row(algebra, pidx, i, j, k)
                 if row:
-                    d2_rows.append(row)
-    return len(pairs) - rank_sparse(d2_rows) - rank_sparse(d1_rows)
+                    rows.append(row)
+    return rows
 
 
-def cocycle_space(algebra: LieAlgebra) -> list:
-    """Basis of the closed two-cochains, as full antisymmetric matrices."""
-    n = algebra.dim
-    pairs, pidx = _pair_index(n)
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                sparse = _d2_row(algebra, pidx, i, j, k)
-                if sparse:
-                    rows.append([sparse.get(t, Fraction(0)) for t in range(len(pairs))])
+def _kernel_cochains(n: int, pairs: list, rows: list) -> list:
+    """The two-cochains whose pair coordinates span the kernel of rows."""
     out = []
     for vec in nullspace(rows, len(pairs)):
         c = zero_two_cochain(n)
@@ -158,6 +147,19 @@ def cocycle_space(algebra: LieAlgebra) -> list:
             c.data[j][i] = -vec[t]
         out.append(c)
     return out
+
+
+def h2_dimension(algebra: LieAlgebra) -> int:
+    """dim H^2(g) = dim C^2 - rank(delta_2) - rank(delta_1), all exact."""
+    pairs, pidx = _pair_index(algebra.dim)
+    d1_rows = [dict(coeffs) for coeffs in algebra.structure.values()]
+    return len(pairs) - rank_sparse(_d2_rows(algebra, pidx)) - rank_sparse(d1_rows)
+
+
+def cocycle_space(algebra: LieAlgebra) -> list:
+    """Basis of the closed two-cochains, as full antisymmetric matrices."""
+    pairs, pidx = _pair_index(algebra.dim)
+    return _kernel_cochains(algebra.dim, pairs, _d2_rows(algebra, pidx))
 
 
 @dataclass
@@ -275,44 +277,22 @@ def invariant_cocycle_space(model: Su1nModel):
     g = sub.algebra
     n = g.dim
     pairs, pidx = _pair_index(n)
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                sparse = _d2_row(g, pidx, i, j, k)
-                if sparse:
-                    rows.append([sparse.get(t, Fraction(0)) for t in range(len(pairs))])
+    rows = _d2_rows(g, pidx)
     for z in model.k_space.basis:
         acted = []
         for u in range(n):
             xs, _ = iwasawa_project(model, model.algebra.bracket(z, sub.embedding[u]))
             acted.append(sub.to_sub(xs))
         for u, v in pairs:
-            row = [Fraction(0)] * len(pairs)
-
-            def add(x: list, fixed: int, side: int):
-                # side 0: c(x, e_fixed), side 1: c(e_fixed, x)
+            row: dict = {}
+            # c([[Z, e_u]]_s, e_v) - c([[Z, e_v]]_s, e_u)
+            for x, fixed, sign in ((acted[u], v, 1), (acted[v], u, -1)):
                 for p, xp in enumerate(x):
-                    if not xp or p == fixed:
-                        continue
-                    a, b = (p, fixed) if side == 0 else (fixed, p)
-                    if a < b:
-                        row[pidx[(a, b)]] += xp
-                    else:
-                        row[pidx[(b, a)]] -= xp
-
-            add(acted[u], v, 0)
-            add(acted[v], u, 1)
-            if any(row):
-                rows.append(row)
-    basis = []
-    for vec in nullspace(rows, len(pairs)):
-        c = zero_two_cochain(n)
-        for t, (i, j) in enumerate(pairs):
-            c.data[i][j] = vec[t]
-            c.data[j][i] = -vec[t]
-        basis.append(c)
-    return sub, basis
+                    if xp and p != fixed:
+                        key = pidx[(min(p, fixed), max(p, fixed))]
+                        row[key] = row.get(key, 0) + (sign if p < fixed else -sign) * xp
+            rows.append(row)
+    return sub, _kernel_cochains(n, pairs, rows)
 
 
 def pullback_cochain(c: Cochain, images: list) -> Cochain:

@@ -18,6 +18,7 @@ from .ball_quantization import (
     fundamental_field,
     mutate_add_nu_const,
     mutate_drop_nu2,
+    qmm_labels,
     qmm_table_to_json,
     resolve_truncation_order,
     verify_qmm,
@@ -54,16 +55,55 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _parse_blocks(text: str) -> list:
-    return [int(x) for x in text.split(",") if x]
+class UsageError(Exception):
+    """A malformed option value; main reports it on one line and exits 2."""
+
+
+def _check_args(args) -> None:
+    """Validate and parse every option value before any work starts.
+
+    Raises UsageError, or TruncationOrderError for an order, naming the
+    option.  Parsed values: --blocks in place, --alpha and --value as
+    alpha_q and value_q, --theta-json as theta, orders resolved.
+    """
+    opts = vars(args)
+    for name in ("N", "su1n", "r"):
+        if opts.get(name) is not None and opts[name] < 1:
+            raise UsageError(f"--{name} must be at least 1, got {opts[name]}")
+    for name in ("alpha", "value"):
+        try:
+            opts[f"{name}_q"] = None if opts.get(name) is None else parse_frac(opts[name])
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--{name} must be a rational number, got {opts[name]!r}") from None
+    if opts.get("blocks") is not None:
+        parts = [x for x in args.blocks.split(",") if x]
+        if len(parts) != args.r or not all(x.isdecimal() and int(x) >= 1 for x in parts):
+            raise UsageError("--blocks must list one positive dimension per block of --r")
+        args.blocks = [int(x) for x in parts]
+    if args.command == "h2" and args.su1n is None and args.blocks is None:
+        raise UsageError("h2 needs either --su1n N or --r R --blocks n1,..,nR")
+    if args.command == "verify":
+        if args.label is not None and args.label not in qmm_labels(args.N):
+            raise UsageError(f"--label {args.label!r} is not a moment label of su(1,{args.N})")
+        if args.mutate == "add-nu-const" and (args.label is None or args.value is None):
+            raise UsageError("--mutate add-nu-const needs --label and --value")
+    if args.command == "verify" and args.suite in ("qmm", "retract"):
+        default = 4 if args.suite == "retract" else None
+        args.order = resolve_truncation_order(default if args.order is None else args.order)
+    elif opts.get("order") is not None:
+        resolve_truncation_order(args.order)
+    if args.command == "retract-residual":
+        try:
+            args.theta = xifn_from_json(json.loads(args.theta_json))
+            ok = all(type(e) is int for key in args.theta.terms for e in key)
+        except (ValueError, KeyError, TypeError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise UsageError('--theta-json must look like {"terms": [[k, m, n, h, j, re, im]]}')
 
 
 def _cmd_build_psd(args) -> int:
-    blocks = _parse_blocks(args.blocks)
-    if len(blocks) != args.r:
-        sys.stderr.write("--blocks must list one dimension per block\n")
-        return 2
-    spec = PsdSpec(args.r, blocks)
+    spec = PsdSpec(args.r, args.blocks)
     psd = build_psd(spec)
     _emit(
         {
@@ -83,15 +123,8 @@ def _cmd_su1n_export(args) -> int:
 def _cmd_h2(args) -> int:
     if args.su1n is not None:
         algebra = build_su1n(args.su1n).algebra
-    elif args.r is not None and args.blocks is not None:
-        blocks = _parse_blocks(args.blocks)
-        if len(blocks) != args.r:
-            sys.stderr.write("--blocks must list one dimension per block\n")
-            return 2
-        algebra = build_psd(PsdSpec(args.r, blocks)).algebra
     else:
-        sys.stderr.write("h2 needs either --su1n N or --r R --blocks n1,..,nR\n")
-        return 2
+        algebra = build_psd(PsdSpec(args.r, args.blocks)).algebra
     _emit({"dim": algebra.dim, "h2": h2_dimension(algebra)})
     return 0
 
@@ -111,20 +144,16 @@ def _suite_su1n(args) -> tuple:
 
 
 def _suite_qmm(args) -> tuple:
-    order = resolve_truncation_order(args.order)
-    alpha = parse_frac(args.alpha) if args.alpha is not None else None
-    table = build_qmm(args.N, alpha)
+    table = build_qmm(args.N, args.alpha_q)
     if args.mutate == "drop-nu2":
         table = mutate_drop_nu2(table)
     elif args.mutate == "add-nu-const":
-        if args.label is None or args.value is None:
-            raise SystemExit(2)
-        table = mutate_add_nu_const(table, args.label, parse_frac(args.value))
-    report = verify_qmm(table, order, pairs=args.pairs)
+        table = mutate_add_nu_const(table, args.label, args.value_q)
+    report = verify_qmm(table, args.order, pairs=args.pairs)
     return report.ok, {
         "suite": "qmm",
         "N": args.N,
-        "alpha": "symbolic" if alpha is None else args.alpha,
+        "alpha": "symbolic" if args.alpha is None else args.alpha,
         "mutation": args.mutate,
         "ok": report.ok,
         "order": report.order,
@@ -135,10 +164,10 @@ def _suite_qmm(args) -> tuple:
 
 
 def _suite_retract(args) -> tuple:
-    order = resolve_truncation_order(4 if args.order is None else args.order)
+    order = args.order
     model = build_su1n(args.N)
     closure = check_reduction_closure(model)
-    table = build_qmm(args.N, parse_frac(args.alpha) if args.alpha else None)
+    table = build_qmm(args.N, args.alpha_q)
     chart = table.chart
     one = NuSeries.from_coef(CoefFn.const(chart.nv, parse_frac("1")), order)
     constants_ok = True
@@ -203,16 +232,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_retract_residual(args) -> int:
-    order = None if args.order is None else resolve_truncation_order(args.order)
-    theta = xifn_from_json(json.loads(args.theta_json))
-    wv, om = radial_pde_residual(theta, args.n, order=order)
+    wv, om = radial_pde_residual(args.theta, args.n, order=args.order)
     _emit({"n": args.n, "wv": xifn_to_json(wv), "omega": xifn_to_json(om)})
     return 0
 
 
 def _cmd_qmm_export(args) -> int:
-    alpha = parse_frac(args.alpha) if args.alpha is not None else None
-    _emit(qmm_table_to_json(build_qmm(args.N, alpha)))
+    _emit(qmm_table_to_json(build_qmm(args.N, args.alpha_q)))
     return 0
 
 
@@ -271,10 +297,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        code = args.func(args)
-    except TruncationOrderError as exc:
+        _check_args(args)
+    except (UsageError, TruncationOrderError) as exc:
         sys.stderr.write(f"ballquant: error: {exc}\n")
         return 2
+    code = args.func(args)
     sys.stderr.write(f"elapsed {time.perf_counter() - start:.3f}s\n")
     return code
 

@@ -162,15 +162,11 @@ class Subspace:
 
     def __init__(self, algebra: LieAlgebra, vectors: list):
         self.algebra = algebra
-        red, _ = rref([list(map(Fraction, v)) for v in vectors]) if vectors else ([], [])
-        self.basis = red
-        self.dim = len(red)
+        self.basis, _ = rref(vectors)
+        self.dim = len(self.basis)
 
     def contains(self, v: Vector) -> bool:
         return solve_in_span(self.basis, v) is not None
-
-    def coords_of(self, v: Vector):
-        return solve_in_span(self.basis, v)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.basis == other.basis
@@ -196,42 +192,29 @@ def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
     return Subspace(algebra, vecs)
 
 
-def _reduce_mod(sub_red, pivots, v: Vector) -> Vector:
-    w = v[:]
-    for r, c in enumerate(pivots):
-        if w[c]:
-            f = w[c]
-            w = [a - f * b for a, b in zip(w, sub_red[r])]
-    return w
+def _killed_by(algebra: LieAlgebra, sub: Subspace, functionals: list) -> Subspace:
+    """The x with f([x, s]) = 0 for every s in sub and f in functionals.
+
+    Functionals are sparse dicts k -> coefficient of coordinate k.
+    """
+    rows = []
+    for s in sub.basis:
+        cols = [algebra.bracket(algebra.basis_vector(i), s) for i in range(algebra.dim)]
+        for f in functionals:
+            rows.append([sum(c * col[k] for k, c in f.items()) for col in cols])
+    return Subspace(algebra, nullspace(rows, algebra.dim))
 
 
 def normalizer(algebra: LieAlgebra, sub: Subspace) -> Subspace:
-    """Largest subspace n with [n, sub] inside sub."""
-    red, pivots = rref(sub.basis) if sub.basis else ([], [])
-    rows = []
-    for s in (sub.basis or []):
-        # condition on x: [x, s] reduces to zero mod sub
-        cols = []
-        for i in range(algebra.dim):
-            cols.append(_reduce_mod(red, pivots, algebra.bracket(algebra.basis_vector(i), s)))
-        for k in range(algebra.dim):
-            if k in pivots:
-                continue
-            rows.append([cols[i][k] for i in range(algebra.dim)])
-    if not rows:
-        return Subspace(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
-    return Subspace(algebra, nullspace(rows, algebra.dim))
+    """Largest subspace n with [n, sub] inside sub: the annihilator of sub
+    vanishes on [n, sub]."""
+    annihilator = [{k: c for k, c in enumerate(f) if c} for f in nullspace(sub.basis, algebra.dim)]
+    return _killed_by(algebra, sub, annihilator)
 
 
 def centralizer(algebra: LieAlgebra, sub: Subspace) -> Subspace:
-    rows = []
-    for s in (sub.basis or []):
-        cols = [algebra.bracket(algebra.basis_vector(i), s) for i in range(algebra.dim)]
-        for k in range(algebra.dim):
-            rows.append([cols[i][k] for i in range(algebra.dim)])
-    if not rows:
-        return Subspace(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
-    return Subspace(algebra, nullspace(rows, algebra.dim))
+    """Largest subspace c with [c, sub] = 0: every coordinate vanishes."""
+    return _killed_by(algebra, sub, [{k: Fraction(1)} for k in range(algebra.dim)])
 
 
 def center(algebra: LieAlgebra) -> Subspace:

@@ -1,14 +1,20 @@
 """Exact rational linear algebra.
 
 Everything here works over ``fractions.Fraction`` and is fully exact.
-Dense reduced row echelon form gives canonical subspace bases; the
-sparse fraction-free elimination computes ranks of the large integer
-matrices that show up in cohomology without ever leaving the integers.
+There is one elimination, ``_echelon``: a sparse fraction-free forward
+elimination that scales each row to coprime integers and never leaves
+the integers (rows are divided by the gcd of their entries, not, as in
+Bareiss's method, by the previous pivot, so no determinant survives;
+``_det`` keeps its own loop).  The rank is the number of pivot rows.
+Back substitution on those rows, divided by the pivots, gives the
+reduced row echelon form; it is unique, so ``rref`` writes it out densely
+as canonical subspace bases and ``nullspace`` reads the kernel off the
+sparse form.  Solving and inversion go through ``rref``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = list
 Mat = list
@@ -51,50 +57,94 @@ def is_zero_vec(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
+def _combine(row: dict, pv: int, coef: int, pivot: dict) -> dict:
+    """Primitive integer row pv * row - coef * pivot, zeros dropped."""
+    new = {j: row.get(j, 0) * pv - coef * pivot.get(j, 0) for j in row.keys() | pivot.keys()}
+    return _primitive({j: v for j, v in new.items() if v})
+
+
+def _echelon(rows) -> list[dict[int, int]]:
+    """Fraction-free sparse forward elimination.
+
+    Rows are dicts column -> scalar or dense lists.  Each nonzero row is
+    scaled to coprime integers; rows are then eliminated by integer cross
+    multiplication (pv * row - coef * pivot, divided by the gcd of its
+    entries), so every intermediate value stays an exact integer.
+    Returns integer pivot rows in order of increasing leading column.
+    """
+    pending = []
+    for row in rows:
+        items = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
+        if items:
+            denom = lcm(*(x.denominator for _, x in items))
+            row = {j: x.numerator * (denom // x.denominator) for j, x in items}
+            pending.append(_primitive(row))
+    out = []
+    while pending:
+        # sparsest row among those with the smallest leading column
+        lead = min(min(r) for r in pending)
+        pivot = min((r for r in pending if lead in r), key=len)
+        pending.remove(pivot)
+        out.append(pivot)
+        pending = [_combine(r, pivot[lead], r[lead], pivot) if lead in r else r for r in pending]
+        pending = [r for r in pending if r]
+    return out
+
+
+def _reduced(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Sparse reduced echelon form and its pivot columns.
+
+    Back substitution on the echelon rows, last row first: each row
+    eliminates the later pivot columns with the rows already reduced,
+    still fraction-free, and is divided by its pivot at the end.
+    """
+    ech = _echelon(rows)
+    pivots = [min(r) for r in ech]
+    for i in range(len(ech) - 2, -1, -1):
+        row = ech[i]
+        for k in range(i + 1, len(ech)):
+            coef = row.get(pivots[k])
+            if coef:
+                row = _combine(row, ech[k][pivots[k]], coef, ech[k])
+        ech[i] = row
+    red = [{j: Fraction(v, row[p]) for j, v in row.items()} for row, p in zip(ech, pivots)]
+    return red, pivots
+
+
 def rref(rows: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form.
 
     Returns the nonzero rows (canonical form, pivots equal to one) and
-    the list of pivot column indices.
+    the list of pivot column indices.  It is the sparse reduced form of
+    the fraction-free elimination, written out as dense rows; the form
+    is unique, so subspace bases and everything printed from them do
+    not depend on the pivot order the elimination chose.
     """
-    m = [row[:] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pick = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pick = i
-                break
-        if pick is None:
-            continue
-        m[r], m[pick] = m[pick], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    red, pivots = _reduced(rows)
+    ncols = len(rows[0]) if rows else 0
+    zero = Fraction(0)
+    return [[row.get(j, zero) for j in range(ncols)] for row in red], pivots
 
 
-def nullspace(rows: Mat, ncols: int) -> Mat:
-    """Canonical basis of the right kernel of the row matrix."""
-    red, pivots = rref(rows)
+def nullspace(rows, ncols: int) -> Mat:
+    """Canonical basis of the right kernel of the row matrix.
+
+    Rows are dense lists or sparse dicts column -> scalar.
+    """
+    red, pivots = _reduced(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fcol in free:
         v = zeros(ncols)
         v[fcol] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -red[r][fcol]
+        for row, pcol in zip(red, pivots):
+            if fcol in row:
+                v[pcol] = -row[fcol]
         basis.append(v)
     return basis
 
@@ -132,62 +182,12 @@ def mat_inverse(a: Mat) -> Mat:
     return [row[n:] for row in red]
 
 
-def _int_rows(rows_sparse) -> list[dict[int, int]]:
-    out = []
-    for row in rows_sparse:
-        if not row:
-            continue
-        denom = 1
-        for x in row.values():
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = {j: int(x * denom) for j, x in row.items() if x}
-        if not ints:
-            continue
-        g = 0
-        for v in ints.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = {j: v // g for j, v in ints.items()}
-        out.append(ints)
-    return out
-
-
 def rank_sparse(rows_sparse) -> int:
-    """Rank of a sparse rational matrix via fraction-free elimination.
+    """Rank of a rational matrix: the number of echelon rows.
 
-    Rows are dicts column -> Fraction.  Rows are scaled to coprime
-    integers and eliminated with integer cross multiplication, keeping
-    every intermediate value exact.
+    Rows are dicts column -> Fraction (or dense lists).
     """
-    pending = _int_rows(rows_sparse)
-    rank = 0
-    while pending:
-        # sparsest row among those with the smallest leading column
-        lead = min(min(r) for r in pending)
-        pivot = min((r for r in pending if r.get(lead)), key=len)
-        pending.remove(pivot)
-        rank += 1
-        pv = pivot[lead]
-        nxt = []
-        for r in pending:
-            coef = r.get(lead)
-            if coef:
-                new = {}
-                for j in r.keys() | pivot.keys():
-                    val = r.get(j, 0) * pv - coef * pivot.get(j, 0)
-                    if val:
-                        new[j] = val
-                if new:
-                    g = 0
-                    for v in new.values():
-                        g = gcd(g, abs(v))
-                    if g > 1:
-                        new = {j: v // g for j, v in new.items()}
-                    nxt.append(new)
-            else:
-                nxt.append(r)
-        pending = nxt
-    return rank
+    return len(_echelon(rows_sparse))
 
 
 def leading_principal_minors(a: Mat) -> list[Fraction]:

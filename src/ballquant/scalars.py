@@ -56,5 +56,3 @@ class GScalar:
 
 
 G_ZERO = GScalar.of(0, 0)
-G_ONE = GScalar.of(1, 0)
-G_I = GScalar.of(0, 1)

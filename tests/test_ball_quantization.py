@@ -29,6 +29,7 @@ from ballquant.ball_quantization import (
     mutate_add_nu_const,
     mutate_drop_nu2,
     poisson_structure,
+    qmm_labels,
     qmm_table_to_json,
     verify_qmm,
 )
@@ -260,3 +261,31 @@ def test_qmm_json():
     assert payload["N"] == 1 and payload["labels"] == ["H", "E", "sE"]
     sym = qmm_table_to_json(build_qmm(1))
     assert sym["alpha"] == "symbolic"
+
+
+def test_verify_qmm_exact_flag_is_sound():
+    """A report exact at order K fails on the same pairs as the report at
+    K + 4, with residuals that agree up to K and vanish beyond."""
+    exact_orders = set()
+    base = build_qmm(2, alpha=F(1))
+    tables = [base, build_qmm(2), mutate_drop_nu2(base), mutate_add_nu_const(base, "m1", F(1))]
+    for table in tables:
+        for K in range(5):
+            small = verify_qmm(table, K)
+            if not small.exact:
+                continue
+            exact_orders.add(K)
+            big = verify_qmm(table, K + 4)
+            assert [f[:2] for f in big.failures] == [f[:2] for f in small.failures]
+            for (_, _, res), (_, _, res_big) in zip(small.failures, big.failures):
+                assert all(a.terms == b.terms for a, b in zip(res_big.coeffs, res.coeffs))
+                assert all(c.is_zero() for c in res_big.coeffs[K + 1 :])
+    assert exact_orders == {2, 3, 4}
+
+
+def test_qmm_labels_name_the_table_basis():
+    for N in (1, 2):
+        table = build_qmm(N, alpha=F(1))
+        assert table.labels == qmm_labels(N)
+        assert len(table.basis) == len(table.labels) == build_su1n(N).algebra.dim
+    assert len(set(qmm_labels(3))) == build_su1n(3).algebra.dim == 15

@@ -1,0 +1,44 @@
+"""The benchmark's tracer binds package functions by name.
+
+``perfbench/tracer.py`` wraps every ``(module, attr)`` in its ``TARGETS``
+and ``COUNT_ONLY`` lists; a refactor that renames or removes one of them
+breaks traced benchmark runs.  This test fails first.
+"""
+from __future__ import annotations
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    """Execute the tracer source without importing perfbench as a package
+    (and without writing a bytecode cache next to it)."""
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+tracer = load_tracer()
+
+
+@pytest.mark.parametrize(
+    "module, attr",
+    tracer.TARGETS + tracer.COUNT_ONLY,
+    ids=[f"{m}.{a}" for m, a in tracer.TARGETS + tracer.COUNT_ONLY],
+)
+def test_traced_function_resolves(module, attr):
+    owner = importlib.import_module(f"ballquant.{module}")
+    *classes, name = attr.split(".")
+    for cls in classes:
+        owner = getattr(owner, cls)
+    assert callable(owner.__dict__.get(name))
+
+
+def test_every_hook_has_a_traced_function():
+    traced = {f"{m}.{a}" for m, a in tracer.TARGETS + tracer.COUNT_ONLY}
+    assert set(tracer.HOOKS) <= traced

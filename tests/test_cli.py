@@ -82,12 +82,58 @@ def test_usage_error_exit_code():
 def test_bad_truncation_order_is_a_usage_error(capsys, monkeypatch, argv, env, source):
     if env is not None:
         monkeypatch.setenv("BALLQUANT_TRUNCATION_ORDER", env)
+    assert_usage_error(capsys, argv, source)
+
+
+def assert_usage_error(capsys, argv, source):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and source in lines[0]
+
+
+QMM = ["verify", "--suite", "qmm", "--N", "1"]
+ADD_CONST = QMM + ["--mutate", "add-nu-const"]
+
+
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (["verify", "--suite", "su1n", "--N", "0"], "--N"),
+        (["su1n-export", "--N", "0"], "--N"),
+        (["qmm-export", "--N", "-1"], "--N"),
+        (["h2", "--su1n", "0"], "--su1n"),
+        (QMM + ["--alpha", "1/0"], "--alpha"),
+        (QMM + ["--alpha", "abc"], "--alpha"),
+        (["qmm-export", "--alpha", "1/0"], "--alpha"),
+        (ADD_CONST + ["--label", "H", "--value", "x"], "--value"),
+        (ADD_CONST + ["--label", "bogus", "--value", "1"], "--label"),
+        (ADD_CONST + ["--value", "1"], "--label"),
+        (ADD_CONST + ["--label", "H"], "--value"),
+        (["retract-residual", "--theta-json", "{bad"], "--theta-json"),
+        (["retract-residual", "--theta-json", "{}"], "--theta-json"),
+        (
+            ["retract-residual", "--theta-json", '{"terms": [[0, 0, 0, 0, "x", "1", "0"]]}'],
+            "--theta-json",
+        ),
+        (["h2", "--r", "2", "--blocks", "2,x"], "--blocks"),
+        (["h2", "--r", "2", "--blocks", "2"], "--blocks"),
+        (["build-psd", "--r", "1", "--blocks", "0"], "--blocks"),
+        (["build-psd", "--r", "0", "--blocks", ""], "--r"),
+        (["h2"], "h2 needs"),
+        (["verify", "--suite", "su1n", "--N", "1", "--order", "-1"], "order argument"),
+    ],
+    ids=[
+        "verify-N", "export-N", "qmm-export-N", "h2-su1n", "alpha-zero-denominator",
+        "alpha-text", "export-alpha", "value-text", "label-unknown", "label-missing",
+        "value-missing", "theta-syntax", "theta-no-terms", "theta-exponent", "blocks-text",
+        "blocks-count", "blocks-zero", "r-zero", "h2-no-target", "su1n-order",
+    ],
+)
+def test_bad_option_is_a_usage_error(capsys, argv, source):
+    assert_usage_error(capsys, argv, source)
 
 
 def test_su1n_export(capsys):

@@ -194,6 +194,36 @@ def test_moyal_exactness_flag_is_sharp():
     assert not t.exact
 
 
+def assert_sound(small, big, K):
+    """small is exact at order K: big, the same product at K + 4, agrees
+    up to K and vanishes beyond."""
+    assert all(a.terms == b.terms for a, b in zip(big.coeffs, small.coeffs))
+    assert all(c.is_zero() for c in big.coeffs[K + 1 :])
+
+
+def rand_series(nv, rng):
+    order = rng.randint(0, 2)
+    coeffs = [rand_fn(nv, rng, terms=rng.randint(0, 2)) for _ in range(order + 1)]
+    return NuSeries(order, coeffs, True)
+
+
+@pytest.mark.parametrize("product", [moyal, star_commutator])
+def test_exact_flag_is_sound(product):
+    """On the calibrated N = 2 structure, a result marked exact at order
+    K is the recomputation at K + 4, truncated; both flags occur."""
+    rng = random.Random(41)
+    P = poisson_structure(build_chart(2))
+    flags = set()
+    for _ in range(40):
+        f, g = rand_series(2, rng), rand_series(2, rng)
+        K = rng.randint(0, 4)
+        small = product(f, g, P, K)
+        flags.add(small.exact)
+        if small.exact:
+            assert_sound(small, product(f, g, P, K + 4), K)
+    assert flags == {True, False}
+
+
 def test_moyal_associativity_random():
     rng = random.Random(23)
     P = std_structure(2)

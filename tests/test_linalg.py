@@ -20,6 +20,70 @@ def frand(rng, lo=-6, hi=6):
     return F(rng.randint(lo, hi), rng.randint(1, 4))
 
 
+def rref_oracle(rows):
+    """Dense Gauss-Jordan reduction over Fraction, independent of the
+    fraction-free elimination in linalg."""
+    m = [row[:] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pick = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                pick = i
+                break
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        inv = F(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def oracle_nullspace(rows, ncols):
+    red, pivots = rref_oracle(rows)
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fcol] = F(1)
+        for r, pcol in enumerate(pivots):
+            v[pcol] = -red[r][fcol]
+        basis.append(v)
+    return basis
+
+
+def random_matrices(seed, count):
+    """Seeded rational matrices: wide and tall shapes, sparse and dense
+    rows, zero rows, duplicate rows and the all-zero matrix."""
+    rng = random.Random(seed)
+    for t in range(count):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice([0.2, 0.5, 1.0])
+        rows = [
+            [frand(rng) if rng.random() < density else F(0) for _ in range(n)] for _ in range(m)
+        ]
+        if t % 5 == 1:
+            rows.insert(rng.randrange(m + 1), [F(0)] * n)
+        if t % 5 == 2:
+            rows.append(rows[rng.randrange(m)][:])
+        if t % 5 == 3:
+            rows.append([F(-3, 2) * x for x in rows[rng.randrange(m)]])
+        if t % 17 == 4:
+            rows = [[F(0)] * n for _ in range(m)]
+        yield rows, n
+
+
 def test_rref_canonical():
     rows = [[F(2), F(4), F(0)], [F(1), F(2), F(1)]]
     red, pivots = rref(rows)
@@ -41,7 +105,7 @@ def test_rref_idempotent_random():
         n = rng.randint(1, 6)
         rows = [[frand(rng) for _ in range(n)] for _ in range(m)]
         red, _ = rref(rows)
-        again, _ = rref([r[:] for r in red])
+        again, _ = rref_oracle([r[:] for r in red])
         assert again == red
 
 
@@ -91,9 +155,34 @@ def test_rank_sparse_matches_dense():
         m = rng.randint(1, 7)
         n = rng.randint(1, 7)
         rows = [[F(rng.randint(-3, 3)) if rng.random() < 0.4 else F(0) for _ in range(n)] for _ in range(m)]
-        dense_rank = len(rref(rows)[0])
+        dense_rank = len(rref_oracle(rows)[0])
         sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
         assert rank_sparse(sparse) == dense_rank
+
+
+def test_elimination_matches_dense_oracle():
+    shapes = set()
+    for rows, n in random_matrices(29, 200):
+        shapes.add((len(rows) < n, len(rows) > n))
+        red, pivots = rref_oracle(rows)
+        assert rref(rows) == (red, pivots)
+        null = oracle_nullspace(rows, n)
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+        assert nullspace(rows, n) == null and nullspace(sparse, n) == null
+        assert rank_sparse(rows) == rank_sparse(sparse) == len(red)
+    assert shapes == {(True, False), (False, True), (False, False)}
+
+
+def test_elimination_edge_cases():
+    zero = [[F(0)] * 3 for _ in range(2)]
+    assert rref(zero) == ([], [])
+    assert rank_sparse(zero) == rank_sparse([{}, {}]) == rank_sparse([]) == 0
+    eye = identity_matrix(3)
+    assert nullspace(zero, 3) == oracle_nullspace(zero, 3) == eye
+    assert rref([]) == ([], []) and nullspace([], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    dup = [[F(1, 2), F(1, 3)], [F(1, 2), F(1, 3)], [F(3), F(2)]]
+    assert rref(dup) == rref_oracle(dup) == ([[F(1), F(2, 3)]], [0])
+    assert rank_sparse([{1: F(2)}, {1: F(-4)}, {0: F(1, 7), 1: F(1)}]) == 2
 
 
 def test_leading_principal_minors():
