@@ -53,14 +53,6 @@ def random_two_cochain(dim: int, rng) -> Cochain:
     return c
 
 
-def _struct(algebra: LieAlgebra, i: int, j: int) -> dict:
-    if i == j:
-        return {}
-    if i < j:
-        return algebra.structure.get((i, j), {})
-    return {k: -v for k, v in algebra.structure.get((j, i), {}).items()}
-
-
 def evaluate_two_cochain(c: Cochain, x: list, y: list) -> Fraction:
     total = Fraction(0)
     for i, xi in enumerate(x):
@@ -85,13 +77,14 @@ def delta(algebra: LieAlgebra, c: Cochain) -> Cochain:
             out.data[j][i] = -v
         return out
     if c.degree == 2:
+        rows = algebra.rows
         data = {}
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     total = Fraction(0)
                     for a, b, other in ((i, j, k), (j, k, i), (k, i, j)):
-                        for t, s in _struct(algebra, a, b).items():
+                        for t, s in rows[a].get(b, {}).items():
                             total += s * c.data[t][other]
                     data[(i, j, k)] = total
         return Cochain(3, n, data)
@@ -115,7 +108,7 @@ def _pair_index(n: int):
 def _d2_row(algebra: LieAlgebra, pidx: dict, i: int, j: int, k: int) -> dict:
     row: dict = {}
     for a, b, other in ((i, j, k), (j, k, i), (k, i, j)):
-        for t, s in _struct(algebra, a, b).items():
+        for t, s in algebra.rows[a].get(b, {}).items():
             if t == other:
                 continue
             key = pidx[(t, other)] if t < other else pidx[(other, t)]
@@ -197,7 +190,7 @@ def check_psd_cocycle_conditions(psd: PsdAlgebra, c: Cochain) -> CocycleReport:
                 return CocycleReport(False, "i")
         for a in vj:
             for b in vj:
-                omega = _struct(g, a, b).get(ej, Fraction(0))
+                omega = g.rows[a].get(b, {}).get(ej, Fraction(0))
                 if 2 * M[a][b] != omega * M[hj][ej]:
                     return CocycleReport(False, "i")
         for k in range(j + 1, psd.spec.r + 1):

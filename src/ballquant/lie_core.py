@@ -1,9 +1,11 @@
 """Finite dimensional Lie algebras with exact rational structure constants.
 
-A ``LieAlgebra`` stores its bracket as a sparse table over ordered basis
-pairs.  Construction validates the Jacobi identity on all basis triples
-and refuses invalid tables, so every instance in the rest of the package
-is an actual Lie algebra.  Subspaces keep a canonical reduced echelon
+A ``LieAlgebra`` stores its bracket as a read-only sparse table over
+ordered basis pairs, also indexed by rows (rows[i][j] = [e_i, e_j]), so
+brackets, ad, the Killing form and the Jacobi check touch only nonzero
+structure constants.  Construction validates the Jacobi identity on all
+basis triples and refuses invalid tables, so every instance in the rest
+of the package is an actual Lie algebra.  Subspaces keep a canonical reduced echelon
 basis, which makes equality of subspaces literal list equality.
 """
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from .linalg import is_zero_vec, nullspace, rref, solve_in_span, zeros
+from .linalg import nullspace, rref, solve_in_span, zeros
 from .scalars import frac_str, parse_frac
 
 Scalar = Fraction
@@ -26,54 +29,57 @@ class JacobiReport:
     residual: Vector | None
 
 
-def _bracket_raw(dim: int, structure: dict, x: Vector, y: Vector) -> Vector:
-    out = zeros(dim)
+def _row_table(dim: int, structure) -> tuple:
+    """Antisymmetric read-only rows: rows[i][j] maps k to the coefficient
+    of e_k in [e_i, e_j] for i != j; pairs with a zero bracket are absent.
+    Row i < j shares its coefficient map with structure[(i, j)]."""
+    rows = [{} for _ in range(dim)]
     for (i, j), coeffs in structure.items():
-        c = x[i] * y[j] - x[j] * y[i]
-        if c:
-            for k, val in coeffs.items():
-                out[k] += c * val
-    return out
+        rows[i][j] = MappingProxyType(coeffs)
+        rows[j][i] = MappingProxyType({k: -v for k, v in coeffs.items()})
+    return tuple(MappingProxyType(r) for r in rows)
 
 
-def jacobi_report(dim: int, structure: dict) -> JacobiReport:
+def jacobi_report(dim: int, structure) -> JacobiReport:
     """Check the Jacobi identity of a raw structure table.
 
-    Returns the first failing basis triple (by the lexicographic order,
-    with the largest residual reported for that triple) so a failed
-    construction can point at the offending relation.
+    Contracts c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m over the basis
+    triples i < j < k in lexicographic order, skipping triples whose three
+    brackets all vanish.  Reports the first failing triple with the
+    residual of that triple as a dense vector, so a failed construction
+    can point at the offending relation.
     """
-    basis = []
+    rows = _row_table(dim, structure)
+    empty = {}
     for i in range(dim):
-        e = zeros(dim)
-        e[i] = Fraction(1)
-        basis.append(e)
-    worst = None
-    worst_res = None
-    for i in range(dim):
+        ri = rows[i]
         for j in range(i + 1, dim):
-            bij = _bracket_raw(dim, structure, basis[i], basis[j])
+            rj = rows[j]
+            cij = ri.get(j)
             for k in range(j + 1, dim):
-                term1 = _bracket_raw(dim, structure, bij, basis[k])
-                bjk = _bracket_raw(dim, structure, basis[j], basis[k])
-                term2 = _bracket_raw(dim, structure, bjk, basis[i])
-                bki = _bracket_raw(dim, structure, basis[k], basis[i])
-                term3 = _bracket_raw(dim, structure, bki, basis[j])
-                res = [a + b + c for a, b, c in zip(term1, term2, term3)]
-                if not is_zero_vec(res):
-                    if worst is None:
-                        worst = (i, j, k)
-                        worst_res = res
-    if worst is None:
-        return JacobiReport(True, None, None)
-    return JacobiReport(False, worst, worst_res)
+                cjk, cki = rj.get(k), rows[k].get(i)
+                if not (cij or cjk or cki):
+                    continue
+                res = {}
+                for c, last in ((cij, k), (cjk, i), (cki, j)):
+                    for l, a in (c or empty).items():
+                        for m, b in rows[l].get(last, empty).items():
+                            res[m] = res.get(m, 0) + a * b
+                if any(res.values()):
+                    residual = zeros(dim)
+                    for m, v in res.items():
+                        residual[m] = v
+                    return JacobiReport(False, (i, j, k), residual)
+    return JacobiReport(True, None, None)
 
 
 class LieAlgebra:
     """Lie algebra given by rational structure constants.
 
     structure maps (i, j) with i < j to a sparse map k -> coefficient of
-    basis vector k in [e_i, e_j].
+    basis vector k in [e_i, e_j]; rows is the same table indexed both
+    ways (see ``_row_table``).  Both are read-only, so the table the
+    bracket reads cannot drift from the one Jacobi validated.
     """
 
     def __init__(self, dim: int, labels: list, structure: dict):
@@ -86,12 +92,13 @@ class LieAlgebra:
             kept = {k: Fraction(v) for k, v in coeffs.items() if Fraction(v) != 0}
             if kept:
                 clean[(i, j)] = kept
-        self.dim = dim
-        self.labels = list(labels)
-        self.structure = clean
         rep = jacobi_report(dim, clean)
         if not rep.ok:
             raise ValueError(f"Jacobi identity fails on basis triple {rep.worst_triple}")
+        self.dim = dim
+        self.labels = list(labels)
+        self.rows = _row_table(dim, clean)
+        self.structure = MappingProxyType({(i, j): self.rows[i][j] for i, j in clean})
 
     def basis_vector(self, i: int) -> Vector:
         e = zeros(self.dim)
@@ -99,31 +106,45 @@ class LieAlgebra:
         return e
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        return _bracket_raw(self.dim, self.structure, x, y)
+        out = zeros(self.dim)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, coeffs in self.rows[i].items():
+                    yj = y[j]
+                    if yj:
+                        c = xi * yj
+                        for k, v in coeffs.items():
+                            out[k] += c * v
+        return out
 
     def ad(self, x: Vector) -> list:
         """Matrix of ad_x in the basis (columns are [x, e_j])."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        out = [zeros(self.dim) for _ in range(self.dim)]
+        for i, xi in enumerate(x):
+            if xi:
+                for j, coeffs in self.rows[i].items():
+                    for k, v in coeffs.items():
+                        out[k][j] += xi * v
+        return out
 
     def check_jacobi(self) -> JacobiReport:
         return jacobi_report(self.dim, self.structure)
 
     def killing_form(self) -> list:
-        ads = [self.ad(self.basis_vector(i)) for i in range(self.dim)]
+        """B_ij = tr(ad e_i ad e_j) = sum over k, l of c_ik^l c_jl^k."""
         n = self.dim
-        k = [[Fraction(0)] * n for _ in range(n)]
+        form = [zeros(n) for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
+                rj = self.rows[j]
                 tr = Fraction(0)
-                a, b = ads[i], ads[j]
-                for r in range(n):
-                    for c in range(n):
-                        if a[r][c] and b[c][r]:
-                            tr += a[r][c] * b[c][r]
-                k[i][j] = tr
-                k[j][i] = tr
-        return k
+                for k, coeffs in self.rows[i].items():
+                    for l, c in coeffs.items():
+                        d = rj.get(l)
+                        if d and k in d:
+                            tr += c * d[k]
+                form[i][j] = form[j][i] = tr
+        return form
 
     def killing(self, x: Vector, y: Vector, _form=None) -> Fraction:
         form = _form if _form is not None else self.killing_form()
@@ -195,13 +216,15 @@ def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
 def _killed_by(algebra: LieAlgebra, sub: Subspace, functionals: list) -> Subspace:
     """The x with f([x, s]) = 0 for every s in sub and f in functionals.
 
-    Functionals are sparse dicts k -> coefficient of coordinate k.
+    Functionals are sparse dicts k -> coefficient of coordinate k.  The
+    row of (s, f) is f applied to the columns [s, e_i] of ad s, which is
+    -f([e_i, s]) and has the same kernel.
     """
     rows = []
     for s in sub.basis:
-        cols = [algebra.bracket(algebra.basis_vector(i), s) for i in range(algebra.dim)]
+        ad_s = algebra.ad(s)
         for f in functionals:
-            rows.append([sum(c * col[k] for k, c in f.items()) for col in cols])
+            rows.append([sum(c * ad_s[k][i] for k, c in f.items()) for i in range(algebra.dim)])
     return Subspace(algebra, nullspace(rows, algebra.dim))
 
 

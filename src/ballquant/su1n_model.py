@@ -24,7 +24,7 @@ from .lie_core import (
     subalgebra,
     subspace_intersection,
 )
-from .linalg import is_zero_vec, nullspace, solve_in_span, vec_scale, zeros
+from .linalg import is_zero_vec, mat_inverse, mat_mul, nullspace, solve_in_span, vec_scale, zeros
 from .scalars import G_ZERO, GScalar, frac_str
 
 
@@ -61,13 +61,43 @@ def _gmat_comm(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
 
 
-def _flatten(m) -> list:
-    out = []
-    for row in m:
-        out.extend(e.re for e in row)
-    for row in m:
-        out.extend(e.im for e in row)
-    return out
+def _flatten(m) -> dict:
+    """Real parts, then imaginary parts, of the entries row by row, as a
+    sparse vector: position -> nonzero value."""
+    flat = [e.re for row in m for e in row] + [e.im for row in m for e in row]
+    return {t: x for t, x in enumerate(flat) if x}
+
+
+def _dual_basis(basis: list) -> dict:
+    """A dual basis of linearly independent sparse rows, by entry.
+
+    The functionals d_k with d_k . basis_l = [k == l] are the rows of
+    G^-1 B for the Gram matrix G = B B^T; entry t maps k to d_k[t].
+    """
+    gram = [[sum(x * v.get(t, 0) for t, x in u.items()) for v in basis] for u in basis]
+    width = 1 + max(t for u in basis for t in u)
+    dense = [[u.get(t, Fraction(0)) for t in range(width)] for u in basis]
+    dual: dict = {}
+    for k, row in enumerate(mat_mul(mat_inverse(gram), dense)):
+        for t, x in enumerate(row):
+            if x:
+                dual.setdefault(t, {})[k] = x
+    return dual
+
+
+def _coordinates(dual: dict, basis: list, v: dict):
+    """Coordinates of the sparse vector v in the rows basis (sparse), or
+    None when v is not rebuilt from them, i.e. lies outside their span."""
+    coords: dict = {}
+    for t, x in v.items():
+        for k, d in dual.get(t, {}).items():
+            coords[k] = coords.get(k, 0) + x * d
+    coords = {k: c for k, c in coords.items() if c}
+    rebuilt: dict = {}
+    for k, c in coords.items():
+        for t, x in basis[k].items():
+            rebuilt[t] = rebuilt.get(t, 0) + c * x
+    return coords if {t: x for t, x in rebuilt.items() if x} == v else None
 
 
 def _check_su1n(m) -> bool:
@@ -169,16 +199,16 @@ def build_su1n(N: int) -> Su1nModel:
         if not _check_su1n(m):
             raise AssertionError("basis matrix leaves su(1,N)")
     flat = [_flatten(m) for m in mats]
+    dual = _dual_basis(flat)
     dim = len(mats)
     structure = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            coords = solve_in_span(flat, _flatten(_gmat_comm(mats[i], mats[j])))
+            coords = _coordinates(dual, flat, _flatten(_gmat_comm(mats[i], mats[j])))
             if coords is None:
                 raise AssertionError("commutator left the spanned space")
-            kept = {k: c for k, c in enumerate(coords) if c}
-            if kept:
-                structure[(i, j)] = kept
+            if coords:
+                structure[(i, j)] = coords
     algebra = LieAlgebra(dim, labels, structure)
 
     h0_index = N  # label P1

@@ -4,15 +4,22 @@ The three dimensional algebra used throughout has basis (H, X, Y) with
 [H, X] = 2X, [H, Y] = -2Y, [X, Y] = H.  Its Killing form value
 kappa(H, H) = 8 is frozen here as an oracle (trace of ad_H squared,
 eigenvalues 2, 0, -2).
+
+The dense oracles below loop over the whole structure table for every
+bracket, as the package did before it indexed the table by rows; the
+sparse kernel in ``lie_core`` must agree with them.
 """
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from ballquant.lie_core import (
+    JacobiReport,
     LieAlgebra,
     Subspace,
     center,
@@ -23,6 +30,63 @@ from ballquant.lie_core import (
     span_subspace,
     subalgebra,
 )
+from ballquant.linalg import is_zero_vec, vec_add, zeros
+from ballquant.psd_builder import PsdSpec, build_psd
+from ballquant.su1n_model import build_su1n
+
+
+def bracket_oracle(dim, structure, x, y):
+    """[x, y] by one pass over every (i, j) < key of the table."""
+    out = zeros(dim)
+    for (i, j), coeffs in structure.items():
+        if not ((x[i] or x[j]) and (y[i] or y[j])):
+            continue
+        c = x[i] * y[j] - x[j] * y[i]
+        if c:
+            for k, val in coeffs.items():
+                out[k] += c * val
+    return out
+
+
+def jacobi_oracle(dim, structure):
+    """Dense Jacobi check: the first basis triple, in lexicographic order,
+    whose cyclic sum of double brackets is nonzero, with that sum."""
+    e = [[F(int(a == b)) for b in range(dim)] for a in range(dim)]
+    pair = {
+        (a, b): bracket_oracle(dim, structure, e[a], e[b])
+        for a in range(dim)
+        for b in range(dim)
+        if a != b
+    }
+    for i, j, k in combinations(range(dim), 3):
+        res = zeros(dim)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            res = vec_add(res, bracket_oracle(dim, structure, pair[(a, b)], e[c]))
+        if not is_zero_vec(res):
+            return JacobiReport(False, (i, j, k), res)
+    return JacobiReport(True, None, None)
+
+
+def killing_oracle(g):
+    """tr(ad e_i ad e_j) from dense ad matrices built by bracket_oracle."""
+    n = g.dim
+    e = [[F(int(a == b)) for b in range(n)] for a in range(n)]
+    ads = []
+    for i in range(n):
+        cols = [bracket_oracle(n, g.structure, e[i], e[j]) for j in range(n)]
+        ads.append([[cols[j][r] for j in range(n)] for r in range(n)])
+    k = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            tr = F(0)
+            a, b = ads[i], ads[j]
+            for r in range(n):
+                for c in range(n):
+                    if a[r][c] and b[c][r]:
+                        tr += a[r][c] * b[c][r]
+            k[i][j] = tr
+            k[j][i] = tr
+    return k
 
 
 def sl2_like():
@@ -155,3 +219,101 @@ def test_normalizer_of_whole_algebra_is_whole():
     g = sl2_like()
     whole = span_subspace(g, [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]])
     assert normalizer(g, whole).dim == 3
+
+
+PSD_SPECS = {
+    "psd_3_2_3": PsdSpec(3, [3, 2, 3]),
+    "psd_3_3_3": PsdSpec(3, [3, 3, 3]),
+    "psd_4_4": PsdSpec(2, [4, 4]),
+    "psd_3": PsdSpec(1, [3]),
+    "psd_cross_action": PsdSpec(2, [2, 1], {(1, 2): {"H": [[F(1), F(0)], [F(0), F(-1)]]}}),
+}
+
+
+def agreement_algebra(name):
+    if name.startswith("su1n_"):
+        return build_su1n(int(name[len("su1n_"):])).algebra
+    return build_psd(PSD_SPECS[name]).algebra
+
+
+def sign_flips(g, seed, count):
+    """Up to count seeded copies of the table, each with one coefficient negated."""
+    entries = sorted((key, k) for key, coeffs in g.structure.items() for k in coeffs)
+    rng = random.Random(seed)
+    for key, k in rng.sample(entries, min(count, len(entries))):
+        flipped = {key: dict(coeffs) for key, coeffs in g.structure.items()}
+        flipped[key][k] = -flipped[key][k]
+        yield flipped
+
+
+def random_vector(rng, n, nonzero):
+    v = [F(0)] * n
+    for t in rng.sample(range(n), nonzero):
+        v[t] = F(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 5))
+    return v
+
+
+@pytest.mark.parametrize("name", [f"su1n_{N}" for N in (1, 2, 3, 4)] + list(PSD_SPECS))
+def test_sparse_kernel_matches_dense_oracles(name):
+    g = agreement_algebra(name)
+    n = g.dim
+    assert jacobi_report(n, g.structure) == jacobi_oracle(n, g.structure)
+    flipped = []
+    for structure in sign_flips(g, seed=n, count=3):
+        rep = jacobi_report(n, structure)
+        assert rep == jacobi_oracle(n, structure)
+        flipped.append(rep.ok)
+    # the seeded flips of the three dimensional su(1, 1) all give Lie
+    # algebras again; on the others at least one must be rejected
+    assert n == 3 or not all(flipped)
+    rng = random.Random(7 * n)
+    for _ in range(12):
+        sparse = [random_vector(rng, n, min(2, n)) for _ in range(2)]
+        dense = [random_vector(rng, n, n) for _ in range(2)]
+        for x, y in (sparse, dense, (sparse[0], dense[1])):
+            assert g.bracket(x, y) == bracket_oracle(n, g.structure, x, y)
+    assert g.killing_form() == killing_oracle(g)
+
+
+@pytest.mark.parametrize("a, b, c", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+def test_jacobi_failure_through_one_bracket(a, b, c):
+    """Triple (0, 1, 2) fails through [[e_a, e_b], e_c] alone: [e_a, e_b] = e_3
+    and [e_3, e_c] = e_3, while the other two brackets of the triple vanish."""
+    structure = {
+        (min(a, b), max(a, b)): {3: F(1 if a < b else -1)},
+        (c, 3): {3: F(-1)},
+    }
+    rep = jacobi_report(4, structure)
+    assert rep == jacobi_oracle(4, structure)
+    assert rep.worst_triple == (0, 1, 2)
+
+
+def test_planted_jacobi_mutation_names_the_oracle_triple():
+    g = build_su1n(3).algebra
+    for structure in sign_flips(g, seed=11, count=len(g.structure)):
+        rep = jacobi_oracle(g.dim, structure)
+        if not rep.ok:
+            break
+    else:
+        pytest.fail("no sign flip of su(1,3) breaks Jacobi")
+    with pytest.raises(ValueError, match=re.escape(f"basis triple {rep.worst_triple}")):
+        LieAlgebra(g.dim, g.labels, structure)
+
+
+def test_cached_structure_is_read_only():
+    g = build_su1n(3).algebra
+    x = [F(i % 4 - 1, 1 + i % 3) for i in range(g.dim)]
+    y = [F(2 - i % 5) for i in range(g.dim)]
+    before = g.bracket(x, y)
+    key = next(iter(g.structure))
+    k = next(iter(g.structure[key]))
+    with pytest.raises(TypeError):
+        g.structure[key] = {k: F(1)}
+    with pytest.raises(TypeError):
+        g.structure[key][k] = F(5)
+    with pytest.raises(TypeError):
+        del g.structure[key]
+    with pytest.raises(TypeError):
+        g.rows[key[1]][key[0]] = {}
+    assert build_su1n(3).algebra.bracket(x, y) == before
+

@@ -14,8 +14,16 @@ import json
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from ballquant.lie_core import normalizer, span_subspace
+from ballquant.scalars import GScalar
 from ballquant.su1n_model import (
+    _basis_matrices,
+    _coordinates,
+    _dual_basis,
+    _flatten,
+    _gmat_mul,
     beta_sigma_gram,
     build_su1n,
     iwasawa_project,
@@ -178,3 +186,39 @@ def test_json_exports():
     assert blob["N"] == 2
     assert blob["algebra"]["dim"] == 8
     assert len(blob["sigma_diagonal"]) == 8
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_killing_form_closed_form(N):
+    """B(X, Y) = 2(N+1) tr(XY) on su(1, N), checked on the basis matrices
+    independently of the structure constants beta is computed from."""
+    model = build_su1n(N)
+    mats = model.matrices
+    for i, mi in enumerate(mats):
+        for j, mj in enumerate(mats):
+            prod = _gmat_mul(mi, mj)
+            assert sum((prod[a][a].im for a in range(N + 1)), F(0)) == 0
+            re_tr = sum((prod[a][a].re for a in range(N + 1)), F(0))
+            assert model.beta[i][j] == 2 * (N + 1) * re_tr
+
+
+def test_dual_basis_coordinates():
+    mats, _, _ = _basis_matrices(2)
+    flat = [_flatten(m) for m in mats]
+    dual = _dual_basis(flat)
+    for k, v in enumerate(flat):
+        assert _coordinates(dual, flat, v) == {k: F(1)}
+    combo = {t: 2 * flat[0].get(t, 0) - flat[5].get(t, 0) for t in set(flat[0]) | set(flat[5])}
+    assert _coordinates(dual, flat, {t: x for t, x in combo.items() if x}) == {0: F(2), 5: F(-1)}
+    # i E_00 is not trace free: its projection onto the span is nonzero
+    # but does not rebuild it
+    corner = [[GScalar.of(0, int(a == b == 0)) for b in range(3)] for a in range(3)]
+    assert any(dual.get(t) for t in _flatten(corner))
+    assert _coordinates(dual, flat, _flatten(corner)) is None
+
+
+def test_su1n_5_builds_and_passes_its_checks():
+    model = build_su1n(5)
+    assert model.algebra.dim == 35
+    assert verify_sigma_pairing(model).ok
+    assert verify_m_orthocomplement(model).ok
