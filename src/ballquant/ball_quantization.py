@@ -31,9 +31,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .formal_star import CoefFn, NuSeries, PoissonStructure, half_commutator
 from .linalg import mat_inverse, solve_in_span
+from .scalars import collect
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
 CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
@@ -155,32 +157,26 @@ def fundamental_field(chart: BallChart, x: list) -> list:
     """
     nv = chart.nv
     c_h, c_f, c_e, c_m = _chart_coords(chart, x)
-    comps = [CoefFn.zero(nv) for _ in range(nv + 2)]
-    zero_k = (0,) * nv
-
-    comps[0] = CoefFn.monomial(nv, 0, zero_k, 0, 0, -c_h)
-    comps[nv + 1] = comps[nv + 1].add(CoefFn.monomial(nv, -2, zero_k, 0, 0, -c_e))
+    zero_k, unit = (0,) * nv, _units(nv)
+    items = [[] for _ in range(nv + 2)]
+    items[0].append(((0, zero_k, 0, 0), -c_h))
+    items[nv + 1].append(((-2, zero_k, 0, 0), -c_e))
     for i, ci in enumerate(c_f):
-        if not ci:
-            continue
-        comps[1 + i] = comps[1 + i].add(CoefFn.monomial(nv, -1, zero_k, 0, 0, -ci))
-        for j in range(nv):
-            if chart.omega[i][j]:
-                k = zero_k[:j] + (1,) + zero_k[j + 1 :]
-                comps[nv + 1] = comps[nv + 1].add(
-                    CoefFn.monomial(nv, -1, k, 0, 0, -ci * chart.omega[i][j] / 2)
-                )
+        if ci:
+            items[1 + i].append(((-1, zero_k, 0, 0), -ci))
+            items[nv + 1] += [
+                ((-1, unit[j], 0, 0), -ci * w / 2) for j, w in enumerate(chart.omega[i]) if w
+            ]
     for a_mat, cm in zip(chart.m_actions, c_m):
-        if not cm:
-            continue
-        for i in range(nv):
-            for j in range(nv):
-                if a_mat[i][j]:
-                    k = zero_k[:j] + (1,) + zero_k[j + 1 :]
-                    comps[1 + i] = comps[1 + i].add(
-                        CoefFn.monomial(nv, 0, k, 0, 0, -cm * a_mat[i][j])
-                    )
-    return comps
+        if cm:
+            for i, row in enumerate(a_mat):
+                items[1 + i] += [((0, unit[j], 0, 0), -cm * a) for j, a in enumerate(row) if a]
+    return [CoefFn(nv, collect(terms)) for terms in items]
+
+
+def _units(nv: int) -> list:
+    """The unit multi-indices over v_1 .. v_nv."""
+    return [tuple(int(i == j) for i in range(nv)) for j in range(nv)]
 
 
 def field_bracket(f1: list, f2: list) -> list:
@@ -211,6 +207,10 @@ def integrate_exact_gradient(components: list) -> CoefFn:
     mismatch when the input is not an exact gradient.
     """
     nv = len(components) - 2
+
+    def residuals(lam: CoefFn) -> list:
+        return [comp.sub(lam.diff_coord(u)) for u, comp in enumerate(components)]
+
     lam = components[-1].antiderivative_z()
     for i in range(nv):
         rem = components[1 + i].sub(lam.diff_v(i))
@@ -218,17 +218,12 @@ def integrate_exact_gradient(components: list) -> CoefFn:
             lam = lam.add(rem.antiderivative_v(i))
     rem_a = components[0].sub(lam.diff_a())
     if any(any(k) or q or p == 0 for (p, k, s, q) in rem_a.terms):
-        residuals = [components[0].sub(lam.diff_a())]
-        residuals += [components[1 + i].sub(lam.diff_v(i)) for i in range(nv)]
-        residuals.append(components[-1].sub(lam.diff_z()))
-        raise IntegrabilityError(residuals)
+        raise IntegrabilityError(residuals(lam))
     if not rem_a.is_zero():
         lam = lam.add(rem_a.antiderivative_a())
-    residuals = [components[0].sub(lam.diff_a())]
-    residuals += [components[1 + i].sub(lam.diff_v(i)) for i in range(nv)]
-    residuals.append(components[-1].sub(lam.diff_z()))
-    if any(not r.is_zero() for r in residuals):
-        raise IntegrabilityError(residuals)
+    mismatch = residuals(lam)
+    if any(not r.is_zero() for r in mismatch):
+        raise IntegrabilityError(mismatch)
     return lam
 
 
@@ -296,17 +291,15 @@ def _solve_zeta(chart: BallChart) -> list:
 
 def inner_square(chart: BallChart) -> CoefFn:
     """(v|v) as a polynomial on the chart."""
-    nv = chart.nv
-    zero_k = (0,) * nv
-    vv = CoefFn.zero(nv)
-    for k in range(nv):
-        for l in range(nv):
-            if chart.gram[k][l]:
-                kk = list(zero_k)
-                kk[k] += 1
-                kk[l] += 1
-                vv = vv.add(CoefFn.monomial(nv, 0, tuple(kk), 0, 0, chart.gram[k][l]))
-    return vv
+    nv, unit = chart.nv, _units(chart.nv)
+    return CoefFn(
+        nv,
+        collect(
+            ((0, tuple(map(add, unit[k], unit[l])), 0, 0), chart.gram[k][l])
+            for k in range(nv)
+            for l in range(nv)
+        ),
+    )
 
 
 @dataclass
@@ -344,7 +337,7 @@ def build_qmm(
     P = poisson_structure(chart, az_weight)
     nv = chart.nv
     model = chart.model
-    zero_k = (0,) * nv
+    zero_k, unit = (0,) * nv, _units(nv)
 
     labels = qmm_labels(N)
     basis = [chart.H] + [f[:] for f in chart.fs] + [chart.E]
@@ -366,14 +359,8 @@ def build_qmm(
 
     for j in range(nv):
         basis.append(model.apply_sigma(chart.fs[j]))
-        pairing = CoefFn.zero(nv)
-        omega_j = CoefFn.zero(nv)
-        for i in range(nv):
-            k = zero_k[:i] + (1,) + zero_k[i + 1 :]
-            if chart.gram[j][i]:
-                pairing = pairing.add(CoefFn.monomial(nv, 0, k, 0, 0, chart.gram[j][i]))
-            if chart.omega[j][i]:
-                omega_j = omega_j.add(CoefFn.monomial(nv, 0, k, 0, 0, chart.omega[j][i]))
+        pairing = CoefFn(nv, collect(((0, k, 0, 0), x) for k, x in zip(unit, chart.gram[j])))
+        omega_j = CoefFn(nv, collect(((0, k, 0, 0), x) for k, x in zip(unit, chart.omega[j])))
         mu = pairing.mul(z1).scale(Fraction(4)).sub(vv_alpha.mul(omega_j)).mul(ea)
         moments.append(NuSeries.from_coef(mu, 2))
 

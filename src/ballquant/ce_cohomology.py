@@ -21,7 +21,7 @@ from fractions import Fraction
 from .lie_core import LieAlgebra
 from .linalg import nullspace, rank_sparse, solve_in_span
 from .psd_builder import PsdAlgebra
-from .scalars import frac_str, parse_frac
+from .scalars import collect, frac_str, parse_frac
 from .su1n_model import Su1nModel, iwasawa_project, s_submodel
 
 
@@ -31,7 +31,7 @@ class Cochain:
 
     data is a Fraction (degree 0), a list (degree 1), a full
     antisymmetric matrix (degree 2) or a dict keyed by strictly
-    increasing index triples (degree 3).
+    increasing index triples (degree 3), where an absent triple means 0.
     """
 
     degree: int
@@ -43,14 +43,19 @@ def zero_two_cochain(dim: int) -> Cochain:
     return Cochain(2, dim, [[Fraction(0)] * dim for _ in range(dim)])
 
 
-def random_two_cochain(dim: int, rng) -> Cochain:
+def _two_cochain(dim: int, values) -> Cochain:
+    """The two-cochain with c(e_i, e_j) = v = -c(e_j, e_i) for each
+    ((i, j), v) in values, zero elsewhere."""
     c = zero_two_cochain(dim)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v = Fraction(rng.randint(-4, 4))
-            c.data[i][j] = v
-            c.data[j][i] = -v
+    for (i, j), v in values:
+        c.data[i][j] = v
+        c.data[j][i] = -v
     return c
+
+
+def random_two_cochain(dim: int, rng) -> Cochain:
+    pairs, _ = _pair_index(dim)
+    return _two_cochain(dim, ((p, Fraction(rng.randint(-4, 4))) for p in pairs))
 
 
 def evaluate_two_cochain(c: Cochain, x: list, y: list) -> Fraction:
@@ -70,23 +75,20 @@ def delta(algebra: LieAlgebra, c: Cochain) -> Cochain:
     if c.degree == 0:
         return Cochain(1, n, [Fraction(0)] * n)
     if c.degree == 1:
-        out = zero_two_cochain(n)
-        for (i, j), coeffs in algebra.structure.items():
-            v = sum((s * c.data[t] for t, s in coeffs.items()), Fraction(0))
-            out.data[i][j] = v
-            out.data[j][i] = -v
-        return out
+        values = (
+            (p, sum((s * c.data[t] for t, s in coeffs.items()), Fraction(0)))
+            for p, coeffs in algebra.structure.items()
+        )
+        return _two_cochain(n, values)
     if c.degree == 2:
-        rows = algebra.rows
+        pairs, pidx = _pair_index(n)
         data = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    total = Fraction(0)
-                    for a, b, other in ((i, j, k), (j, k, i), (k, i, j)):
-                        for t, s in rows[a].get(b, {}).items():
-                            total += s * c.data[t][other]
-                    data[(i, j, k)] = total
+        for triple in _bracket_triples(algebra):
+            total = Fraction(0)
+            for p, v in _d2_row(algebra, pidx, *triple).items():
+                a, b = pairs[p]
+                total += v * c.data[a][b]
+            data[triple] = total
         return Cochain(3, n, data)
     raise ValueError("differential implemented for degrees 0..2 only")
 
@@ -106,40 +108,36 @@ def _pair_index(n: int):
 
 
 def _d2_row(algebra: LieAlgebra, pidx: dict, i: int, j: int, k: int) -> dict:
-    row: dict = {}
-    for a, b, other in ((i, j, k), (j, k, i), (k, i, j)):
-        for t, s in algebra.rows[a].get(b, {}).items():
-            if t == other:
-                continue
-            key = pidx[(t, other)] if t < other else pidx[(other, t)]
-            sign = s if t < other else -s
-            row[key] = row.get(key, Fraction(0)) + sign
-    return {key: v for key, v in row.items() if v}
+    return collect(
+        (pidx[(t, other)], s) if t < other else (pidx[(other, t)], -s)
+        for a, b, other in ((i, j, k), (j, k, i), (k, i, j))
+        for t, s in algebra.rows[a].get(b, {}).items()
+        if t != other
+    )
+
+
+def _bracket_triples(algebra: LieAlgebra) -> list:
+    """The triples i < j < k, in lexicographic order, with a nonzero
+    bracket among two of their elements; the degree-two differential
+    vanishes on every other triple."""
+    triples = {
+        tuple(sorted((i, j, k)))
+        for i, j in algebra.structure
+        for k in range(algebra.dim)
+        if k not in (i, j)
+    }
+    return sorted(triples)
 
 
 def _d2_rows(algebra: LieAlgebra, pidx: dict) -> list:
     """The nonzero rows of the degree-two differential, one per triple."""
-    n = algebra.dim
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                row = _d2_row(algebra, pidx, i, j, k)
-                if row:
-                    rows.append(row)
-    return rows
+    rows = (_d2_row(algebra, pidx, *triple) for triple in _bracket_triples(algebra))
+    return [row for row in rows if row]
 
 
 def _kernel_cochains(n: int, pairs: list, rows: list) -> list:
     """The two-cochains whose pair coordinates span the kernel of rows."""
-    out = []
-    for vec in nullspace(rows, len(pairs)):
-        c = zero_two_cochain(n)
-        for t, (i, j) in enumerate(pairs):
-            c.data[i][j] = vec[t]
-            c.data[j][i] = -vec[t]
-        out.append(c)
-    return out
+    return [_two_cochain(n, zip(pairs, vec)) for vec in nullspace(rows, len(pairs))]
 
 
 def h2_dimension(algebra: LieAlgebra) -> int:
@@ -277,27 +275,23 @@ def invariant_cocycle_space(model: Su1nModel):
             xs, _ = iwasawa_project(model, model.algebra.bracket(z, sub.embedding[u]))
             acted.append(sub.to_sub(xs))
         for u, v in pairs:
-            row: dict = {}
             # c([[Z, e_u]]_s, e_v) - c([[Z, e_v]]_s, e_u)
-            for x, fixed, sign in ((acted[u], v, 1), (acted[v], u, -1)):
-                for p, xp in enumerate(x):
-                    if xp and p != fixed:
-                        key = pidx[(min(p, fixed), max(p, fixed))]
-                        row[key] = row.get(key, 0) + (sign if p < fixed else -sign) * xp
-            rows.append(row)
+            rows.append(
+                collect(
+                    (pidx[(p, fixed)], sign * xp) if p < fixed else (pidx[(fixed, p)], -sign * xp)
+                    for x, fixed, sign in ((acted[u], v, 1), (acted[v], u, -1))
+                    for p, xp in enumerate(x)
+                    if xp and p != fixed
+                )
+            )
     return sub, _kernel_cochains(n, pairs, rows)
 
 
 def pullback_cochain(c: Cochain, images: list) -> Cochain:
     """Pull a two-cochain back along the map sending basis i to images[i]."""
-    m = len(images)
-    out = zero_two_cochain(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = evaluate_two_cochain(c, images[i], images[j])
-            out.data[i][j] = v
-            out.data[j][i] = -v
-    return out
+    pairs, _ = _pair_index(len(images))
+    values = (((i, j), evaluate_two_cochain(c, images[i], images[j])) for i, j in pairs)
+    return _two_cochain(len(images), values)
 
 
 def cochain_to_json(c: Cochain) -> dict:

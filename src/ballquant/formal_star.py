@@ -16,26 +16,42 @@ a polynomial variable on at least one side.  One walk, transvection_terms,
 enumerates the multisets of directed pairs behind C_m and is shared by
 c_operator here and by the retract operator: it stops a branch as soon as
 the derivative of the first argument vanishes, because every longer
-multiset differentiates that derivative further.  Star products are
-computed as truncated series in the deformation parameter; the exact flag
-records whether anything nonzero was dropped by the truncation.
+multiset differentiates that derivative further.
+
+CoefFn takes its ring arithmetic (sums with cancellation, scaling,
+products by adding exponents) from the SparseSum core of scalars and adds
+only the rules of its own axes: derivatives and antiderivatives.  Star
+products are truncated series in the deformation parameter, a NuSeries
+holding one CoefFn per power of nu.  The series product, moyal and
+star_commutator all run one kernel, _truncated_product, and every term it
+computes lands through NuSeries.place: the one point where a nonzero term
+past the order is dropped and clears the exact flag.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, perm, prod
+from operator import add
 
 from .lie_core import LieAlgebra
-from .scalars import frac_str, parse_frac
+from .scalars import SparseSum, collect, frac_str, parse_frac
 
 
 @dataclass(frozen=True)
-class CoefFn:
+class CoefFn(SparseSum):
     """Finite sum of monomials, keyed (p, k, alpha power, z power)."""
 
     nv: int
     terms: dict = field(default_factory=dict)
+
+    def _new(self, terms: dict) -> CoefFn:
+        return CoefFn(self.nv, terms)
+
+    @staticmethod
+    def _key_mul(k1, k2):
+        (p1, v1, s1, q1), (p2, v2, s2, q2) = k1, k2
+        return (p1 + p2, tuple(map(add, v1, v2)), s1 + s2, q1 + q2)
 
     @classmethod
     def zero(cls, nv: int) -> CoefFn:
@@ -54,42 +70,6 @@ class CoefFn:
         if not c:
             return cls(nv, {})
         return cls(nv, {(int(p), k, int(alpha), int(q)): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: CoefFn) -> CoefFn:
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return CoefFn(self.nv, out)
-
-    def neg(self) -> CoefFn:
-        return CoefFn(self.nv, {key: -c for key, c in self.terms.items()})
-
-    def sub(self, other: CoefFn) -> CoefFn:
-        return self.add(other.neg())
-
-    def scale(self, c: Fraction) -> CoefFn:
-        if not c:
-            return CoefFn.zero(self.nv)
-        return CoefFn(self.nv, {key: c * v for key, v in self.terms.items()})
-
-    def mul(self, other: CoefFn) -> CoefFn:
-        out: dict = {}
-        for (p1, k1, s1, q1), c1 in self.terms.items():
-            for (p2, k2, s2, q2), c2 in other.terms.items():
-                key = (p1 + p2, tuple(a + b for a, b in zip(k1, k2)), s1 + s2, q1 + q2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return CoefFn(self.nv, out)
 
     def diff(self, index) -> CoefFn:
         """Apply d_a^i_0 d_v1^i_1 .. d_z^i_last for a multi-index over
@@ -137,37 +117,19 @@ class CoefFn:
             {(p, k, s, q + 1): c / (q + 1) for (p, k, s, q), c in self.terms.items()},
         )
 
-    def v_degree(self) -> int:
-        return max((sum(k) for (_, k, _, _) in self.terms), default=0)
-
-    def z_degree(self) -> int:
-        return max((q for (_, _, _, q) in self.terms), default=0)
+    def degree(self) -> int:
+        """Largest total degree in the polynomial coordinates v and z."""
+        return max((sum(k) + q for (_, k, _, q) in self.terms), default=0)
 
     def origin_part(self) -> CoefFn:
         """Value at a = 0, v = 0, z = 0, kept as a polynomial in alpha."""
-        out: dict = {}
-        zero_k = (0,) * self.nv
-        for (p, k, s, q), c in self.terms.items():
-            if q or any(k):
-                continue
-            key = (0, zero_k, s, 0)
-            v = out.get(key, Fraction(0)) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return CoefFn(self.nv, out)
+        zero_k, terms = (0,) * self.nv, self.terms.items()
+        items = (((0, zero_k, s, 0), c) for (_, k, s, q), c in terms if k == zero_k and not q)
+        return self._new(collect(items))
 
     def substitute_alpha(self, value: Fraction) -> CoefFn:
-        out: dict = {}
-        for (p, k, s, q), c in self.terms.items():
-            key = (p, k, 0, q)
-            v = out.get(key, Fraction(0)) + c * value**s
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return CoefFn(self.nv, out)
+        items = (((p, k, 0, q), c * value**s) for (p, k, s, q), c in self.terms.items())
+        return self._new(collect(items))
 
 
 class PoissonStructure:
@@ -243,6 +205,8 @@ class NuSeries:
 
     coeffs[i] multiplies nu^i; exact means no nonzero coefficient was
     dropped past the truncation order by the operations that built it.
+    place is the one point where a term lands or, past the order, is
+    dropped and clears exact.
     """
 
     order: int
@@ -251,28 +215,28 @@ class NuSeries:
 
     @classmethod
     def from_coef(cls, f: CoefFn, order: int, exact: bool = True) -> NuSeries:
-        coeffs = [f] + [CoefFn.zero(f.nv) for _ in range(order)]
-        return cls(order, coeffs, exact)
+        return cls(order, [f] + [CoefFn.zero(f.nv)] * order, exact)
 
     @classmethod
-    def zero(cls, nv: int, order: int) -> NuSeries:
-        return cls(order, [CoefFn.zero(nv) for _ in range(order + 1)], True)
+    def zero(cls, nv: int, order: int, exact: bool = True) -> NuSeries:
+        return cls(order, [CoefFn.zero(nv)] * (order + 1), exact)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def lift(self, order: int) -> NuSeries:
-        if order < self.order:
-            raise ValueError("lift cannot lower the truncation order")
-        nv = self.coeffs[0].nv
-        pad = [CoefFn.zero(nv) for _ in range(order - self.order)]
-        return NuSeries(order, list(self.coeffs) + pad, self.exact)
+    def place(self, t: int, c: CoefFn) -> None:
+        """Add c at nu^t; past the order a nonzero c is dropped and clears
+        exact."""
+        if t <= self.order:
+            self.coeffs[t] = self.coeffs[t].add(c)
+        elif not c.is_zero():
+            self.exact = False
 
     def resize(self, order: int) -> NuSeries:
-        if order >= self.order:
-            return self.lift(order)
-        dropped_zero = all(c.is_zero() for c in self.coeffs[order + 1 :])
-        return NuSeries(order, self.coeffs[: order + 1], self.exact and dropped_zero)
+        out = NuSeries.zero(self.coeffs[0].nv, order, self.exact)
+        for t, c in enumerate(self.coeffs):
+            out.place(t, c)
+        return out
 
     def add(self, other: NuSeries) -> NuSeries:
         if self.order != other.order:
@@ -295,71 +259,52 @@ class NuSeries:
     def mul(self, other: NuSeries) -> NuSeries:
         if self.order != other.order:
             raise ValueError("series orders differ")
-        nv = self.coeffs[0].nv
-        out = [CoefFn.zero(nv) for _ in range(self.order + 1)]
-        exact = self.exact and other.exact
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+        return _truncated_product(
+            self, other, self.order, lambda f, g: (0,), lambda f, g, m: f.mul(g)
+        )
+
+
+def _truncated_product(F: NuSeries, G: NuSeries, order: int, ms, term) -> NuSeries:
+    """Sum of nu^(i+j+m) term(F_i, G_j, m) over i, j and m in ms(F_i, G_j),
+    placed in a series of the given order.
+
+    Every term vanishes when F_i or G_j does.  ms must be increasing: once
+    exact has cleared, a term past the order can change nothing, so the
+    rest of that (i, j) is skipped without computing it.
+    """
+    out = NuSeries.zero(F.coeffs[0].nv, order, F.exact and G.exact)
+    for i, f in enumerate(F.coeffs):
+        for j, g in enumerate(G.coeffs):
+            if f.is_zero() or g.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                if i + j <= self.order:
-                    out[i + j] = out[i + j].add(a.mul(b))
-                else:
-                    exact = False
-        return NuSeries(self.order, out, exact)
+            for m in ms(f, g):
+                if i + j + m > order and not out.exact:
+                    break
+                out.place(i + j + m, term(f, g, m))
+    return out
 
 
-def _degree_bound(f: CoefFn, g: CoefFn) -> int:
-    return f.z_degree() + g.z_degree() + f.v_degree() + g.v_degree()
+def _transvection_series(F, G, P, order, first, step, weight) -> NuSeries:
+    """Sum of nu^m (weight / m!) C_m(F, G) over m = first, first + step, ..;
+    C_m vanishes once m exceeds the joint polynomial degree, because each
+    Lambda entry differentiates a polynomial coordinate on one side."""
+    return _truncated_product(
+        F,
+        G,
+        order,
+        lambda f, g: range(first, f.degree() + g.degree() + 1, step),
+        lambda f, g, m: c_operator(f, g, P, m).scale(Fraction(weight, factorial(m))),
+    )
 
 
 def moyal(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
     """Truncated star product sum_m nu^m / m! C_m, extended bilinearly."""
-    nv = P.nv
-    out = [CoefFn.zero(nv) for _ in range(order + 1)]
-    exact = F.exact and G.exact
-    for i, fi in enumerate(F.coeffs):
-        if fi.is_zero():
-            continue
-        for j, gj in enumerate(G.coeffs):
-            if gj.is_zero():
-                continue
-            if i + j > order:
-                exact = False  # the monomial ring has no zero divisors
-                continue
-            for m in range(_degree_bound(fi, gj) + 1):
-                cm = c_operator(fi, gj, P, m)
-                if cm.is_zero():
-                    continue
-                if i + j + m <= order:
-                    out[i + j + m] = out[i + j + m].add(cm.scale(Fraction(1, factorial(m))))
-                else:
-                    exact = False
-    return NuSeries(order, out, exact)
+    return _transvection_series(F, G, P, order, 0, 1, 1)
 
 
 def star_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
     """F * G - G * F, using that even transvections are symmetric."""
-    nv = P.nv
-    out = [CoefFn.zero(nv) for _ in range(order + 1)]
-    exact = F.exact and G.exact
-    for i, fi in enumerate(F.coeffs):
-        if fi.is_zero():
-            continue
-        for j, gj in enumerate(G.coeffs):
-            if gj.is_zero():
-                continue
-            for m in range(1, _degree_bound(fi, gj) + 1, 2):
-                cm = c_operator(fi, gj, P, m)
-                if cm.is_zero():
-                    continue
-                if i + j + m <= order:
-                    out[i + j + m] = out[i + j + m].add(cm.scale(Fraction(2, factorial(m))))
-                else:
-                    exact = False
-    return NuSeries(order, out, exact)
+    return _transvection_series(F, G, P, order, 1, 2, 2)
 
 
 def half_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
@@ -367,11 +312,7 @@ def half_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -
     comm = star_commutator(F, G, P, order + 1)
     if not comm.coeffs[0].is_zero():
         raise AssertionError("star commutator has a constant-order part")
-    return NuSeries(
-        order,
-        [comm.coeffs[t + 1].scale(Fraction(1, 2)) for t in range(order + 1)],
-        comm.exact,
-    )
+    return NuSeries(order, [c.scale(Fraction(1, 2)) for c in comm.coeffs[1:]], comm.exact)
 
 
 @dataclass

@@ -14,14 +14,19 @@ r^2 = (v|v); radial_reduce rewrites them in that form.
 retract_operator buckets the transvection walk of formal_star by the
 derivative multi-index each term puts on the argument.  The walk stops
 wherever the derivative of mu_X vanishes, and whether it yields anything
-at the first odd order past the truncation decides the exact flag.
+at the first odd order past the truncation decides one exact flag for
+the whole operator; the walk never reaches past the order, so no single
+series drops a term of its own.
 
 After a partial Fourier transform in z the operator for sigma(v0),
 applied to a radial symbol theta(a, r, xi), closes on coefficients
 generated by e^{ka}, integer powers of r and xi, and half powers of
-1 - nu^2 xi^2.  XiFn implements that coefficient calculus exactly and
-radial_pde_residual evaluates the operator, split along the two
-covectors (w|v) and Omega(w, v) of the direction vector w.
+1 - nu^2 xi^2.  XiFn implements that coefficient calculus exactly: its
+ring arithmetic is the SparseSum core of scalars, shared with CoefFn,
+and it adds only the rules of the half-power axis (diff_xi, canonical,
+expand_nu and a zero test through canonical).  radial_pde_residual
+evaluates the operator, split along the two covectors (w|v) and
+Omega(w, v) of the direction vector w.
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import factorial
+from operator import add
 
 from .ball_quantization import (
     BallChart,
@@ -40,7 +46,7 @@ from .ball_quantization import (
 from .formal_star import CoefFn, NuSeries, transvection_terms
 from .lie_core import span_subspace
 from .linalg import solve_in_span, solve_linear, vec_add
-from .scalars import GScalar, frac_str, parse_frac
+from .scalars import GScalar, SparseSum, collect, frac_str, parse_frac
 from .su1n_model import Su1nModel
 
 
@@ -52,17 +58,8 @@ def _binom(e: Fraction, t: int) -> Fraction:
     return out / factorial(t)
 
 
-def _merge(acc: dict, key: tuple, val: GScalar) -> None:
-    cur = acc.get(key)
-    cur = val if cur is None else cur + val
-    if cur.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = cur
-
-
 @dataclass
-class XiFn:
+class XiFn(SparseSum):
     """Coefficient function of (a, r, xi) in the radial calculus.
 
     terms maps (k, m, n, h, j) to a Gaussian rational multiplying
@@ -76,54 +73,29 @@ class XiFn:
 
     terms: dict
 
-    def add(self, other: XiFn) -> XiFn:
-        acc = dict(self.terms)
-        for key, val in other.terms.items():
-            _merge(acc, key, val)
-        return XiFn(acc)
+    def _new(self, terms: dict) -> XiFn:
+        return XiFn(terms)
 
-    def neg(self) -> XiFn:
-        return XiFn({key: -val for key, val in self.terms.items()})
-
-    def sub(self, other: XiFn) -> XiFn:
-        return self.add(other.neg())
-
-    def scale(self, c: GScalar) -> XiFn:
-        if c.is_zero():
-            return XiFn({})
-        return XiFn({key: val * c for key, val in self.terms.items()})
-
-    def mul(self, other: XiFn) -> XiFn:
-        acc: dict = {}
-        for (k1, m1, n1, h1, j1), c1 in self.terms.items():
-            for (k2, m2, n2, h2, j2), c2 in other.terms.items():
-                _merge(acc, (k1 + k2, m1 + m2, n1 + n2, h1 + h2, j1 + j2), c1 * c2)
-        return XiFn(acc)
+    @staticmethod
+    def _key_mul(k1, k2):
+        return tuple(map(add, k1, k2))
 
     def diff_a(self) -> XiFn:
-        acc: dict = {}
-        for (k, m, n, h, j), c in self.terms.items():
-            if k:
-                _merge(acc, (k, m, n, h, j), c.scale(Fraction(k)))
-        return XiFn(acc)
+        return XiFn({key: c.scale(key[0]) for key, c in self.terms.items() if key[0]})
 
     def diff_r(self) -> XiFn:
-        acc: dict = {}
-        for (k, m, n, h, j), c in self.terms.items():
-            if m:
-                _merge(acc, (k, m - 1, n, h, j), c.scale(Fraction(m)))
-        return XiFn(acc)
+        return XiFn(
+            {(k, m - 1, n, h, j): c.scale(m) for (k, m, n, h, j), c in self.terms.items() if m}
+        )
 
     def diff_xi(self) -> XiFn:
         """d/dxi; the square root factor differentiates to
         -h nu^2 xi (1 - nu^2 xi^2)^{(h-2)/2}."""
-        acc: dict = {}
+        items = []
         for (k, m, n, h, j), c in self.terms.items():
-            if n:
-                _merge(acc, (k, m, n - 1, h, j), c.scale(Fraction(n)))
-            if h:
-                _merge(acc, (k, m, n + 1, h - 2, j + 2), c.scale(Fraction(-h)))
-        return XiFn(acc)
+            items.append(((k, m, n - 1, h, j), c.scale(n)))
+            items.append(((k, m, n + 1, h - 2, j + 2), c.scale(-h)))
+        return XiFn(collect(items))
 
     def canonical(self) -> XiFn:
         """Push every even half-power to a common exponent and every odd
@@ -132,15 +104,12 @@ class XiFn:
         even = [h for (_, _, _, h, _) in self.terms if h % 2 == 0]
         target_odd = min(odd) if odd else 0
         target_even = min([0] + even)
-        acc: dict = {}
-        for (k, m, n, h, j), c in self.terms.items():
-            target = target_odd if h % 2 else target_even
-            d = (h - target) // 2
-            for t in range(d + 1):
-                coeff = c.scale(_binom(Fraction(d), t) * (-1) ** t)
-                if not coeff.is_zero():
-                    _merge(acc, (k, m, n + 2 * t, target, j + 2 * t), coeff)
-        return XiFn(acc)
+        items = []
+        for key, c in self.terms.items():
+            target = target_odd if key[3] % 2 else target_even
+            d = (key[3] - target) // 2
+            items += _binomial_terms(key, c, Fraction(d), target, d + 1)
+        return XiFn(collect(items))
 
     def is_zero(self) -> bool:
         return not self.canonical().terms
@@ -148,21 +117,23 @@ class XiFn:
     def expand_nu(self, order: int) -> XiFn:
         """Expand the square root factors into nu series, truncated past
         nu^order.  Integer powers terminate on their own."""
-        acc: dict = {}
-        for (k, m, n, h, j), c in self.terms.items():
-            if j > order:
-                continue
-            if h == 0:
-                _merge(acc, (k, m, n, 0, j), c)
-                continue
-            e = Fraction(h, 2)
-            t = 0
-            while j + 2 * t <= order:
-                coeff = c.scale(_binom(e, t) * (-1) ** t)
-                if not coeff.is_zero():
-                    _merge(acc, (k, m, n + 2 * t, 0, j + 2 * t), coeff)
-                t += 1
-        return XiFn(acc)
+        items = []
+        for key, c in self.terms.items():
+            _, _, _, h, j = key
+            if j <= order:
+                count = (order - j) // 2 + 1 if h else 1
+                items += _binomial_terms(key, c, Fraction(h, 2), 0, count)
+        return XiFn(collect(items))
+
+
+def _binomial_terms(key: tuple, c: GScalar, e: Fraction, h: int, count: int) -> list:
+    """The first count terms of c (1 - nu^2 xi^2)^e times the monomial of
+    key, with its half power replaced by h."""
+    k, m, n, _, j = key
+    return [
+        ((k, m, n + 2 * t, h, j + 2 * t), c.scale(_binom(e, t) * (-1) ** t))
+        for t in range(count)
+    ]
 
 
 def xifn_to_json(f: XiFn) -> dict:
@@ -319,13 +290,8 @@ def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict
                 exact = exact and next(terms, None) is None
                 break
             for w, d, weight in terms:
-                coeffs = buckets.setdefault(w, [CoefFn.zero(nv)] * (order + 1))
-                coeffs[t] = coeffs[t].add(d.scale(weight))
-    return {
-        w: NuSeries(order, coeffs, exact)
-        for w, coeffs in buckets.items()
-        if any(not c.is_zero() for c in coeffs)
-    }
+                buckets.setdefault(w, NuSeries.zero(nv, order)).place(t, d.scale(weight))
+    return {w: NuSeries(order, s.coeffs, exact) for w, s in buckets.items() if not s.is_zero()}
 
 
 def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSeries:

@@ -1,9 +1,14 @@
-"""Exact scalar types.
+"""Exact scalar types and the sparse sums built on them.
 
 Rational scalars are plain ``fractions.Fraction``.  Gaussian rationals
 (rational real and imaginary parts) carry the complex matrix entries of
 the pseudo-unitary model before everything is realified into rational
-structure constants.
+structure constants; both are falsy exactly when zero.
+
+SparseSum is the ring arithmetic shared by the chart functions of
+formal_star and the radial coefficients of retract_pde: a finite sum of
+monomials keyed by exponent tuples, added with cancellation and
+multiplied by adding exponents.
 """
 from __future__ import annotations
 
@@ -51,8 +56,57 @@ class GScalar:
     def scale(self, c: Fraction) -> "GScalar":
         return GScalar(self.re * c, self.im * c)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
 
 
 G_ZERO = GScalar.of(0, 0)
+
+
+def collect(items, into=None) -> dict:
+    """Sum (key, value) items by key onto a copy of into; a key whose sum
+    is zero is dropped."""
+    out = dict(into or {})
+    for key, v in items:
+        s = out.get(key)
+        s = v if s is None else s + v
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+class SparseSum:
+    """A finite sum of monomials: terms maps an exponent key to a nonzero
+    coefficient.  Subclasses say how to build an instance from terms
+    (_new) and how exponents combine under multiplication (_key_mul)."""
+
+    terms: dict
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def add(self, other):
+        if not self.terms:
+            return other
+        return self._new(collect(other.terms.items(), self.terms))
+
+    def neg(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def scale(self, c):
+        return self._new({key: v * c for key, v in self.terms.items()} if c else {})
+
+    def mul(self, other):
+        key_mul = self._key_mul
+        return self._new(
+            collect(
+                (key_mul(k1, k2), c1 * c2)
+                for k1, c1 in self.terms.items()
+                for k2, c2 in other.terms.items()
+            )
+        )

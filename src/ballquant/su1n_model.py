@@ -25,7 +25,7 @@ from .lie_core import (
     subspace_intersection,
 )
 from .linalg import is_zero_vec, mat_inverse, mat_mul, nullspace, solve_in_span, vec_scale, zeros
-from .scalars import G_ZERO, GScalar, frac_str
+from .scalars import G_ZERO, GScalar, collect, frac_str
 
 
 def _gmat_zero(n: int):
@@ -48,9 +48,9 @@ def _gmat_mul(a, b):
     for i in range(n):
         for k in range(n):
             x = a[i][k]
-            if not x.is_zero():
+            if x:
                 for j in range(n):
-                    if not b[k][j].is_zero():
+                    if b[k][j]:
                         out[i][j] = out[i][j] + x * b[k][j]
     return out
 
@@ -88,16 +88,9 @@ def _dual_basis(basis: list) -> dict:
 def _coordinates(dual: dict, basis: list, v: dict):
     """Coordinates of the sparse vector v in the rows basis (sparse), or
     None when v is not rebuilt from them, i.e. lies outside their span."""
-    coords: dict = {}
-    for t, x in v.items():
-        for k, d in dual.get(t, {}).items():
-            coords[k] = coords.get(k, 0) + x * d
-    coords = {k: c for k, c in coords.items() if c}
-    rebuilt: dict = {}
-    for k, c in coords.items():
-        for t, x in basis[k].items():
-            rebuilt[t] = rebuilt.get(t, 0) + c * x
-    return coords if {t: x for t, x in rebuilt.items() if x} == v else None
+    coords = collect((k, x * d) for t, x in v.items() for k, d in dual.get(t, {}).items())
+    rebuilt = collect((t, c * x) for k, c in coords.items() for t, x in basis[k].items())
+    return coords if rebuilt == v else None
 
 
 def _check_su1n(m) -> bool:
@@ -105,7 +98,7 @@ def _check_su1n(m) -> bool:
     tr = GScalar.of(0)
     for i in range(n):
         tr = tr + m[i][i]
-    if not tr.is_zero():
+    if tr:
         return False
     # X^* J + J X = 0 with J = diag(-1, 1, ..., 1)
     for i in range(n):
@@ -113,7 +106,7 @@ def _check_su1n(m) -> bool:
             ji = Fraction(-1) if i == 0 else Fraction(1)
             jj = Fraction(-1) if j == 0 else Fraction(1)
             val = m[j][i].conj().scale(jj) + m[i][j].scale(ji)
-            if not val.is_zero():
+            if val:
                 return False
     return True
 
@@ -165,7 +158,7 @@ class RootDatum:
 class Su1nModel:
     N: int
     algebra: LieAlgebra
-    sigma_diagonal: list
+    sigma_diagonal: tuple
     k_space: Subspace
     p_space: Subspace
     a_space: Subspace
@@ -174,9 +167,9 @@ class Su1nModel:
     s_space: Subspace
     roots: list
     H0: list
-    beta: list
+    beta: tuple
     beta_H0: Fraction
-    matrices: list
+    matrices: tuple
 
     def apply_sigma(self, x: list) -> list:
         return [s * xi for s, xi in zip(self.sigma_diagonal, x)]
@@ -190,8 +183,10 @@ class Su1nModel:
 
 @lru_cache(maxsize=None)
 def build_su1n(N: int) -> Su1nModel:
-    """Construct the su(1, N) model; results are cached and must be
-    treated as immutable by callers."""
+    """Construct the su(1, N) model; results are cached.  The structure
+    table, beta, sigma_diagonal and matrices are read-only at every level;
+    the subspace bases, H0 and roots are lists that callers must not
+    mutate."""
     if N < 1:
         raise ValueError("N must be at least 1")
     mats, labels, signs = _basis_matrices(N)
@@ -246,7 +241,7 @@ def build_su1n(N: int) -> Su1nModel:
     return Su1nModel(
         N=N,
         algebra=algebra,
-        sigma_diagonal=signs,
+        sigma_diagonal=tuple(signs),
         k_space=k_space,
         p_space=p_space,
         a_space=a_space,
@@ -255,9 +250,9 @@ def build_su1n(N: int) -> Su1nModel:
         s_space=s_space,
         roots=roots,
         H0=H0,
-        beta=beta,
+        beta=tuple(map(tuple, beta)),
         beta_H0=beta_H0,
-        matrices=mats,
+        matrices=tuple(tuple(map(tuple, m)) for m in mats),
     )
 
 

@@ -7,8 +7,10 @@ errors.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +275,19 @@ def test_qmm_export_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["labels"] == ["H", "E", "sE"]
     assert json.dumps(payload, sort_keys=True) + "\n" == out1
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+def test_readme_commands_match_recorded_fingerprints(capsys, monkeypatch):
+    """Every README command recorded by the benchmark prints the same
+    bytes and exits with the same code, run in-process at the default
+    truncation order."""
+    monkeypatch.delenv("BALLQUANT_TRUNCATION_ORDER", raising=False)
+    commands = json.loads(EXPECTED.read_text())["cli"]
+    assert commands
+    for cmd in commands:
+        code, out = run(capsys, list(cmd["argv"]))
+        assert code == cmd["exit"], cmd["argv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == cmd["sha256"], cmd["argv"]

@@ -1,0 +1,87 @@
+"""Property tests: ring laws of the shared sparse core, the Leibniz rule
+of the Poisson bracket and the Jacobi identity of the star commutator.
+
+Examples are drawn deterministically (derandomize=True), so a failure
+reproduces on every run.
+"""
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ballquant.ball_quantization import build_chart, poisson_structure
+from ballquant.formal_star import CoefFn, NuSeries, poisson, star_commutator
+from ballquant.retract_pde import XiFn
+from ballquant.scalars import GScalar
+
+NV = 2
+P = poisson_structure(build_chart(2))
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+def sum_of(fns) -> CoefFn:
+    total = CoefFn.zero(NV)
+    for f in fns:
+        total = total.add(f)
+    return total
+
+
+small = st.integers(-2, 2)
+degree = st.integers(0, 2)
+monomials = st.builds(
+    CoefFn.monomial,
+    st.just(NV),
+    small,
+    st.tuples(degree, degree),
+    st.integers(0, 1),
+    degree,
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+)
+coef_fns = st.lists(monomials, max_size=3).map(sum_of)
+nonzero_fns = coef_fns.filter(lambda f: not f.is_zero())
+xi_fns = st.dictionaries(
+    st.tuples(small, small, degree, small, st.sampled_from([0, 2])),
+    st.builds(GScalar.of, st.integers(-2, 2), st.integers(-1, 1)).filter(bool),
+    max_size=3,
+).map(XiFn)
+
+
+@PROPERTY
+@given(coef_fns, coef_fns, coef_fns)
+def test_coef_ring_laws(a, b, c):
+    assert a.mul(b.add(c)).terms == a.mul(b).add(a.mul(c)).terms
+    assert a.mul(b).terms == b.mul(a).terms
+    assert a.sub(a).is_zero()
+
+
+@PROPERTY
+@given(xi_fns, xi_fns, xi_fns)
+def test_xifn_ring_laws(a, b, c):
+    assert a.mul(b.add(c)).sub(a.mul(b).add(a.mul(c))).is_zero()
+    assert a.mul(b).sub(b.mul(a)).is_zero()
+    assert a.sub(a).is_zero()
+
+
+@PROPERTY
+@given(coef_fns, coef_fns, coef_fns)
+def test_poisson_leibniz(f, g, h):
+    lhs = poisson(f, g.mul(h), P)
+    rhs = poisson(f, g, P).mul(h).add(g.mul(poisson(f, h, P)))
+    assert lhs.terms == rhs.terms
+
+
+@PROPERTY
+@given(nonzero_fns, nonzero_fns, nonzero_fns)
+def test_star_commutator_jacobi(f, g, h):
+    """[F, [G, H]] + [G, [H, F]] + [H, [F, G]] = 0 through order K on the
+    calibrated N = 2 structure."""
+    K = 3
+    F_, G_, H_ = (NuSeries.from_coef(x, K) for x in (f, g, h))
+
+    def br(x, y):
+        return star_commutator(x, y, P, K)
+
+    total = br(F_, br(G_, H_)).add(br(G_, br(H_, F_))).add(br(H_, br(F_, G_)))
+    assert total.is_zero()

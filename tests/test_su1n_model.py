@@ -222,3 +222,24 @@ def test_su1n_5_builds_and_passes_its_checks():
     assert model.algebra.dim == 35
     assert verify_sigma_pairing(model).ok
     assert verify_m_orthocomplement(model).ok
+
+
+def test_cached_model_arrays_are_read_only():
+    model = build_su1n(2)
+    fresh = build_su1n.__wrapped__(2)
+    writes = [
+        (model.beta, 0, ()),
+        (model.beta[0], 0, F(7)),
+        (model.sigma_diagonal, 0, F(-1)),
+        (model.matrices, 0, ()),
+        (model.matrices[0], 0, ()),
+        (model.matrices[0][0], 0, GScalar.of(7)),
+    ]
+    for target, index, value in writes:
+        with pytest.raises(TypeError):
+            target[index] = value
+    again = build_su1n(2)
+    assert again.beta == fresh.beta
+    assert again.sigma_diagonal == fresh.sigma_diagonal
+    assert again.matrices == fresh.matrices
+    assert model_to_json(again) == model_to_json(fresh)
