@@ -29,12 +29,12 @@ grid and a unique pair survives, (1/2, 1/2).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
 
 from .formal_star import CoefFn, NuSeries, PoissonStructure, half_commutator
-from .linalg import mat_inverse, solve_in_span
+from .linalg import Frame, mat_inverse, solve_in_span  # noqa: F401, callers read it here
 from .scalars import collect
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
@@ -57,6 +57,7 @@ class BallChart:
     gram: list
     m_basis: list
     m_actions: list
+    frame: Frame
 
 
 def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallChart:
@@ -73,16 +74,18 @@ def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallC
         [inner_scale * model.beta_sigma(u, w) / model.beta_H0 for w in fs] for u in fs
     ]
     m_basis = [b[:] for b in model.m_space.basis]
+    fs_frame = Frame(fs)
     m_actions = []
     for y in m_basis:
         cols = []
         for f in fs:
-            c = solve_in_span(fs, model.algebra.bracket(y, f))
+            c = fs_frame.coords(model.algebra.bracket(y, f))
             if c is None:
                 raise AssertionError("m does not preserve the short root space")
             cols.append(c)
         m_actions.append([[cols[j][i] for j in range(nv)] for i in range(nv)])
-    return BallChart(model, inner_scale, H, fs, E, nv, omega, gram, m_basis, m_actions)
+    frame = Frame([H] + fs + [E] + m_basis)
+    return BallChart(model, inner_scale, H, fs, E, nv, omega, gram, m_basis, m_actions, frame)
 
 
 def poisson_structure(
@@ -141,8 +144,7 @@ def group_inverse(chart: BallChart, g: GroupElement) -> GroupElement:
 
 
 def _chart_coords(chart: BallChart, x: list) -> tuple:
-    basis = [chart.H] + chart.fs + [chart.E] + chart.m_basis
-    coords = solve_in_span(basis, x)
+    coords = chart.frame.coords(x)
     if coords is None:
         raise ValueError("element lies outside the solvable part plus m")
     nv = chart.nv
@@ -254,38 +256,39 @@ def _solve_zeta(chart: BallChart) -> list:
 
     Defined by zeta([m, m]) = 0 together with
     zeta([f_i, sigma f_j]_m) = -Omega_ij; both families are solved as
-    one exact linear system and the solution is checked to be unique.
+    one exact linear system, read as coordinates against the columns of
+    its matrix; independent columns make the solution unique.
     """
-    from .linalg import nullspace, solve_linear
-
     model = chart.model
     dm = len(chart.m_basis)
     if dm == 0:
         return []
+    am_frame = Frame([chart.H] + chart.m_basis)
     rows = []
     rhs = []
     for i in range(dm):
         for j in range(i + 1, dm):
             br = model.algebra.bracket(chart.m_basis[i], chart.m_basis[j])
-            coords = solve_in_span(chart.m_basis, br)
+            coords = model.m_space.frame.coords(br)
             if coords is None:
                 raise AssertionError("m is not bracket closed")
             rows.append(coords)
             rhs.append(Fraction(0))
-    am_basis = [chart.H] + chart.m_basis
     for i in range(chart.nv):
         for j in range(chart.nv):
             br = model.algebra.bracket(chart.fs[i], model.apply_sigma(chart.fs[j]))
-            coords = solve_in_span(am_basis, br)
+            coords = am_frame.coords(br)
             if coords is None:
                 raise AssertionError("[V, sigma V] left a + m")
             rows.append(coords[1:])
             rhs.append(-chart.omega[i][j])
-    sol = solve_linear(rows, rhs)
+    try:
+        columns = Frame([[row[k] for row in rows] for k in range(dm)])
+    except ValueError:
+        raise AssertionError("correction functional is underdetermined") from None
+    sol = columns.coords(rhs)
     if sol is None:
         raise AssertionError("correction functional equations are inconsistent")
-    if nullspace(rows, dm):
-        raise AssertionError("correction functional is underdetermined")
     return sol
 
 
@@ -309,6 +312,7 @@ class QmmTable:
     alpha: Fraction | None
     labels: list
     basis: list
+    frame: Frame
     moments: list
 
 
@@ -375,7 +379,7 @@ def build_qmm(
             NuSeries(s.order, [c.substitute_alpha(alpha) for c in s.coeffs], s.exact)
             for s in moments
         ]
-    return QmmTable(chart, P, alpha, labels, basis, moments)
+    return QmmTable(chart, P, alpha, labels, basis, Frame(basis), moments)
 
 
 @dataclass
@@ -432,7 +436,7 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
         for j in idx[pos + 1 :]:
             checked += 1
             br = algebra.bracket(table.basis[i], table.basis[j])
-            coords = solve_in_span(table.basis, br)
+            coords = table.frame.coords(br)
             if coords is None:
                 raise AssertionError("bracket left the table basis span")
             lhs = NuSeries.zero(table.chart.nv, order)
@@ -454,7 +458,7 @@ def mutate_drop_nu2(table: QmmTable) -> QmmTable:
         NuSeries(s.order, s.coeffs[:2] + [CoefFn.zero(nv)] * (s.order - 1), s.exact)
         for s in table.moments
     ]
-    return QmmTable(table.chart, table.P, table.alpha, table.labels, table.basis, moments)
+    return replace(table, moments=moments)
 
 
 def mutate_add_nu_const(table: QmmTable, label: str, value: Fraction) -> QmmTable:
@@ -466,7 +470,7 @@ def mutate_add_nu_const(table: QmmTable, label: str, value: Fraction) -> QmmTabl
     coeffs = list(s.coeffs)
     coeffs[1] = coeffs[1].add(CoefFn.const(nv, value))
     moments[idx] = NuSeries(s.order, coeffs, s.exact)
-    return QmmTable(table.chart, table.P, table.alpha, table.labels, table.basis, moments)
+    return replace(table, moments=moments)
 
 
 @dataclass

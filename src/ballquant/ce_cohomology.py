@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie_core import LieAlgebra
-from .linalg import nullspace, rank_sparse, solve_in_span
+from .linalg import Frame, nullspace, rank_sparse
 from .psd_builder import PsdAlgebra
 from .scalars import collect, frac_str, parse_frac
 from .su1n_model import Su1nModel, iwasawa_project, s_submodel
@@ -247,9 +247,10 @@ def coboundary_primitive_roots(model: Su1nModel, c: Cochain) -> Cochain:
         for x in basis:
             adapted.append(x)
             values.append(evaluate_two_cochain(c, sub.H, x) / t)
+    frame = Frame(adapted)
     alpha = []
     for l in range(g.dim):
-        coords = solve_in_span(adapted, g.basis_vector(l))
+        coords = frame.coords(g.basis_vector(l))
         if coords is None:
             raise AssertionError("root spaces do not span the solvable part")
         alpha.append(sum((w * v for w, v in zip(coords, values)), Fraction(0)))

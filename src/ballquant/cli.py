@@ -170,14 +170,14 @@ def _suite_retract(args) -> tuple:
     table = build_qmm(args.N, args.alpha_q)
     chart = table.chart
     one = NuSeries.from_coef(CoefFn.const(chart.nv, parse_frac("1")), order)
+    # k_basis lists the m generators first, so their operators lead ops
+    ops = [retract_operator(table, x, order=order) for x in k_basis(chart)[1]]
     constants_ok = True
-    for x in k_basis(chart)[1]:
-        op = retract_operator(table, x, order=order)
+    for op in ops:
         if tuple([0] * (chart.nv + 2)) in op or not apply_operator(op, one, order).is_zero():
             constants_ok = False
     fields_ok = True
-    for y in chart.m_basis:
-        op = retract_operator(table, y, order=order)
+    for y, op in zip(chart.m_basis, ops):
         comps = fundamental_field(chart, y)
         for coord, comp in enumerate(comps):
             key = tuple(1 if c == coord else 0 for c in range(chart.nv + 2))

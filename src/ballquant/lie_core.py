@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
-from .linalg import nullspace, rref, solve_in_span, zeros
+from .linalg import Frame, nullspace, rref, zeros
 from .scalars import frac_str, parse_frac
 
 Scalar = Fraction
@@ -186,8 +187,12 @@ class Subspace:
         self.basis, _ = rref(vectors)
         self.dim = len(self.basis)
 
+    @cached_property
+    def frame(self) -> Frame:
+        return Frame(self.basis)
+
     def contains(self, v: Vector) -> bool:
-        return solve_in_span(self.basis, v) is not None
+        return self.frame.coords(v) is not None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.basis == other.basis
@@ -279,7 +284,7 @@ def subalgebra(algebra: LieAlgebra, sub: Subspace, labels=None):
     for i in range(n):
         for j in range(i + 1, n):
             b = algebra.bracket(basis[i], basis[j])
-            coords = solve_in_span(basis, b)
+            coords = sub.frame.coords(b)
             if coords is None:
                 raise ValueError("subspace is not bracket closed")
             kept = {k: c for k, c in enumerate(coords) if c}

@@ -4,17 +4,20 @@ Everything here works over ``fractions.Fraction`` and is fully exact.
 There is one elimination, ``_echelon``: a sparse fraction-free forward
 elimination that scales each row to coprime integers and never leaves
 the integers (rows are divided by the gcd of their entries, not, as in
-Bareiss's method, by the previous pivot, so no determinant survives;
-``_det`` keeps its own loop).  The rank is the number of pivot rows.
-Back substitution on those rows, divided by the pivots, gives the
-reduced row echelon form; it is unique, so ``rref`` writes it out densely
-as canonical subspace bases and ``nullspace`` reads the kernel off the
-sparse form.  Solving and inversion go through ``rref``.
+Bareiss's method, by the previous pivot).  The rank is the number of
+pivot rows.  Back substitution on those rows, divided by the pivots,
+gives the reduced row echelon form; it is unique, so ``rref`` writes it
+out densely as canonical subspace bases and ``nullspace`` reads the
+kernel off the sparse form.  Coordinates against a basis, inverses
+included, come from a ``Frame``, which reduces the basis once and reads
+every later vector off its dual; ``solve_linear`` goes through ``rref``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .scalars import collect
 
 Vec = list
 Mat = list
@@ -26,22 +29,6 @@ def zeros(n: int) -> Vec:
 
 def identity_matrix(n: int) -> Mat:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += x * bk[j]
-    return out
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -164,22 +151,61 @@ def solve_linear(a: Mat, b: Vec):
     return x
 
 
+def _sparse(v) -> dict:
+    """A dense list or a dict column -> scalar as a dict of its nonzeros."""
+    return {j: x for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+
+
+class Frame:
+    """Exact coordinates against one basis, from a single reduction.
+
+    Rows are dense lists or sparse dicts column -> scalar.  [B | I] is
+    reduced once to [R | M], so R = M B is the reduced form of B.  A
+    vector v in the span is the sum of v[p] R_p over the pivot columns p,
+    and its coordinates are the sum of v[p] M_p.  ``dual`` keeps each
+    sparse M_p beside p, as tuples.  Dependent rows put a pivot inside
+    the identity block and raise ValueError.
+    """
+
+    __slots__ = ("basis", "dual")
+
+    def __init__(self, basis):
+        rows = [_sparse(b) for b in basis]
+        width = 1 + max((j for r in rows for j in r), default=-1)
+        red, pivots = _reduced([{**r, width + k: 1} for k, r in enumerate(rows)])
+        if pivots and pivots[-1] >= width:
+            raise ValueError("basis rows are linearly dependent")
+        self.basis = tuple(tuple(r.items()) for r in rows)
+        self.dual = tuple(
+            (p, tuple((j - width, x) for j, x in row.items() if j >= width))
+            for row, p in zip(red, pivots)
+        )
+
+    def coords(self, v):
+        """Dense coordinates of v, or None when the basis does not rebuild
+        v, i.e. v lies outside the span."""
+        v = _sparse(v)
+        c = zeros(len(self.basis))
+        for p, m in self.dual:
+            x = v.get(p)
+            if x:
+                for k, d in m:
+                    c[k] += x * d
+        rebuilt = collect((j, ck * b) for ck, row in zip(c, self.basis) if ck for j, b in row)
+        return c if rebuilt == v else None
+
+
 def solve_in_span(basis: Mat, target: Vec):
-    """Coordinates of target in span(basis rows), or None."""
-    if not basis:
-        return [] if is_zero_vec(target) else None
-    n = len(target)
-    cols = [[basis[k][i] for k in range(len(basis))] for i in range(n)]
-    return solve_linear(cols, target)
+    """Coordinates of target in span(basis rows), or None; the rows must be
+    linearly independent."""
+    return Frame(basis).coords(target)
 
 
 def mat_inverse(a: Mat) -> Mat:
-    n = len(a)
-    aug = [a[i][:] + identity_matrix(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    """Inverse of a square matrix, read row by row as the coordinates of
+    the unit vectors against its rows; ValueError when it is singular."""
+    frame = Frame(a)
+    return [frame.coords(e) for e in identity_matrix(len(a))]
 
 
 def rank_sparse(rows_sparse) -> int:
@@ -188,37 +214,3 @@ def rank_sparse(rows_sparse) -> int:
     Rows are dicts column -> Fraction (or dense lists).
     """
     return len(_echelon(rows_sparse))
-
-
-def leading_principal_minors(a: Mat) -> list[Fraction]:
-    """Determinants of the k x k leading blocks for k = 1..n."""
-    n = len(a)
-    out = []
-    for k in range(1, n + 1):
-        block = [row[:k] for row in a[:k]]
-        out.append(_det(block))
-    return out
-
-
-def _det(a: Mat) -> Fraction:
-    m = [row[:] for row in a]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pick = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pick = i
-                break
-        if pick is None:
-            return Fraction(0)
-        if pick != c:
-            m[c], m[pick] = m[pick], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det

@@ -45,7 +45,7 @@ from .ball_quantization import (
 )
 from .formal_star import CoefFn, NuSeries, transvection_terms
 from .lie_core import span_subspace
-from .linalg import solve_in_span, solve_linear, vec_add
+from .linalg import Frame, vec_add
 from .scalars import GScalar, SparseSum, collect, frac_str, parse_frac
 from .su1n_model import Su1nModel
 
@@ -226,14 +226,10 @@ def radial_reduce(chart: BallChart, f: CoefFn) -> dict:
         powers = [CoefFn.const(nv, Fraction(1))]
         for _ in range(deg // 2):
             powers.append(powers[-1].mul(u))
-        monos = {k for pw in powers for (_, k, _, _) in pw.terms}
-        monos.update(vterms)
-        rows = []
-        rhs = []
-        for k in sorted(monos):
-            rows.append([pw.terms.get((0, k, 0, 0), Fraction(0)) for pw in powers])
-            rhs.append(vterms.get(k, Fraction(0)))
-        sol = solve_linear(rows, rhs)
+        monos = {k for pw in powers for (_, k, _, _) in pw.terms} | set(vterms)
+        index = {k: r for r, k in enumerate(sorted(monos))}
+        frame = Frame([{index[k]: c for (_, k, _, _), c in pw.terms.items()} for pw in powers])
+        sol = frame.coords({index[k]: c for k, c in vterms.items()})
         if sol is None:
             raise ValueError("not a polynomial in the squared radius")
         for s, c in enumerate(sol):
@@ -270,7 +266,7 @@ def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict
     truncation and so is absent from the result.
     """
     order = resolve_truncation_order(order)
-    coords = solve_in_span(table.basis, [Fraction(c) for c in x])
+    coords = table.frame.coords([Fraction(c) for c in x])
     if coords is None:
         raise ValueError("vector lies outside the moment table")
     nv = table.chart.nv

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .lie_core import (
     LieAlgebra,
@@ -24,119 +24,61 @@ from .lie_core import (
     subalgebra,
     subspace_intersection,
 )
-from .linalg import is_zero_vec, mat_inverse, mat_mul, nullspace, solve_in_span, vec_scale, zeros
-from .scalars import G_ZERO, GScalar, collect, frac_str
+from .linalg import Frame, is_zero_vec, nullspace, vec_scale, zeros
+from .scalars import G_ZERO, GScalar, frac_str
 
 
-def _gmat_zero(n: int):
-    return [[G_ZERO for _ in range(n)] for _ in range(n)]
+def _comm(a: dict, b: dict) -> dict:
+    """ab - ba for sparse matrices (row, col) -> GScalar, zeros dropped."""
+    out = {}
+    for (i, k), x in a.items():
+        for (l, j), y in b.items():
+            if k == l:
+                out[(i, j)] = out.get((i, j), G_ZERO) + x * y
+            if j == i:
+                out[(l, k)] = out.get((l, k), G_ZERO) - y * x
+    return {e: x for e, x in out.items() if x}
 
 
-def _gmat_unit(n: int, i: int, j: int, value: GScalar):
-    m = _gmat_zero(n)
-    m[i][j] = value
-    return m
+def _flatten(m: dict, n: int) -> dict:
+    """Real parts, then imaginary parts, of the entries of an n x n sparse
+    matrix row by row, as a sparse vector: position -> nonzero value."""
+    flat = {i * n + j: e.re for (i, j), e in m.items()}
+    flat.update({n * n + i * n + j: e.im for (i, j), e in m.items()})
+    return {t: x for t, x in flat.items() if x}
 
 
-def _gmat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _gmat_mul(a, b):
-    n = len(a)
-    out = _gmat_zero(n)
-    for i in range(n):
-        for k in range(n):
-            x = a[i][k]
-            if x:
-                for j in range(n):
-                    if b[k][j]:
-                        out[i][j] = out[i][j] + x * b[k][j]
-    return out
-
-
-def _gmat_comm(a, b):
-    ab = _gmat_mul(a, b)
-    ba = _gmat_mul(b, a)
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
-
-
-def _flatten(m) -> dict:
-    """Real parts, then imaginary parts, of the entries row by row, as a
-    sparse vector: position -> nonzero value."""
-    flat = [e.re for row in m for e in row] + [e.im for row in m for e in row]
-    return {t: x for t, x in enumerate(flat) if x}
-
-
-def _dual_basis(basis: list) -> dict:
-    """A dual basis of linearly independent sparse rows, by entry.
-
-    The functionals d_k with d_k . basis_l = [k == l] are the rows of
-    G^-1 B for the Gram matrix G = B B^T; entry t maps k to d_k[t].
-    """
-    gram = [[sum(x * v.get(t, 0) for t, x in u.items()) for v in basis] for u in basis]
-    width = 1 + max(t for u in basis for t in u)
-    dense = [[u.get(t, Fraction(0)) for t in range(width)] for u in basis]
-    dual: dict = {}
-    for k, row in enumerate(mat_mul(mat_inverse(gram), dense)):
-        for t, x in enumerate(row):
-            if x:
-                dual.setdefault(t, {})[k] = x
-    return dual
-
-
-def _coordinates(dual: dict, basis: list, v: dict):
-    """Coordinates of the sparse vector v in the rows basis (sparse), or
-    None when v is not rebuilt from them, i.e. lies outside their span."""
-    coords = collect((k, x * d) for t, x in v.items() for k, d in dual.get(t, {}).items())
-    rebuilt = collect((t, c * x) for k, c in coords.items() for t, x in basis[k].items())
-    return coords if rebuilt == v else None
-
-
-def _check_su1n(m) -> bool:
-    n = len(m)
-    tr = GScalar.of(0)
-    for i in range(n):
-        tr = tr + m[i][i]
-    if tr:
+def _check_su1n(m: dict) -> bool:
+    """Trace free with X^* J + J X = 0 for J = diag(-1, 1, ..., 1)."""
+    if sum((e for (i, j), e in m.items() if i == j), G_ZERO):
         return False
-    # X^* J + J X = 0 with J = diag(-1, 1, ..., 1)
-    for i in range(n):
-        for j in range(n):
-            ji = Fraction(-1) if i == 0 else Fraction(1)
-            jj = Fraction(-1) if j == 0 else Fraction(1)
-            val = m[j][i].conj().scale(jj) + m[i][j].scale(ji)
-            if val:
-                return False
-    return True
+    sign = lambda i: -1 if i == 0 else 1
+    return not any(
+        m.get((j, i), G_ZERO).conj().scale(sign(j)) + m.get((i, j), G_ZERO).scale(sign(i))
+        for i, j in set(m) | {(j, i) for i, j in m}
+    )
 
 
 def _basis_matrices(N: int):
-    n = N + 1
     one = GScalar.of(1)
     im = GScalar.of(0, 1)
     mats, labels, signs = [], [], []
-    for j in range(N):
-        m = _gmat_add(_gmat_unit(n, j, j, im), _gmat_unit(n, j + 1, j + 1, -im))
+
+    def add(label, sign, m):
         mats.append(m)
-        labels.append(f"D{j}")
-        signs.append(Fraction(1))
+        labels.append(label)
+        signs.append(Fraction(sign))
+
+    for j in range(N):
+        add(f"D{j}", 1, {(j, j): im, (j + 1, j + 1): -im})
     for k in range(1, N + 1):
-        mats.append(_gmat_add(_gmat_unit(n, 0, k, one), _gmat_unit(n, k, 0, one)))
-        labels.append(f"P{k}")
-        signs.append(Fraction(-1))
+        add(f"P{k}", -1, {(0, k): one, (k, 0): one})
     for k in range(1, N + 1):
-        mats.append(_gmat_add(_gmat_unit(n, 0, k, im), _gmat_unit(n, k, 0, -im)))
-        labels.append(f"Q{k}")
-        signs.append(Fraction(-1))
+        add(f"Q{k}", -1, {(0, k): im, (k, 0): -im})
     for j in range(1, N + 1):
         for k in range(j + 1, N + 1):
-            mats.append(_gmat_add(_gmat_unit(n, j, k, one), _gmat_unit(n, k, j, -one)))
-            labels.append(f"R{j}_{k}")
-            signs.append(Fraction(1))
-            mats.append(_gmat_add(_gmat_unit(n, j, k, im), _gmat_unit(n, k, j, im)))
-            labels.append(f"S{j}_{k}")
-            signs.append(Fraction(1))
+            add(f"R{j}_{k}", 1, {(j, k): one, (k, j): -one})
+            add(f"S{j}_{k}", 1, {(j, k): im, (k, j): im})
     return mats, labels, signs
 
 
@@ -180,6 +122,11 @@ class Su1nModel:
     def beta_sigma(self, x: list, y: list) -> Fraction:
         return -self.beta_form(x, self.apply_sigma(y))
 
+    @cached_property
+    def iwasawa_frame(self) -> Frame:
+        """Coordinates along the direct sum g = s + k, s basis first."""
+        return Frame(self.s_space.basis + self.k_space.basis)
+
 
 @lru_cache(maxsize=None)
 def build_su1n(N: int) -> Su1nModel:
@@ -190,20 +137,20 @@ def build_su1n(N: int) -> Su1nModel:
     if N < 1:
         raise ValueError("N must be at least 1")
     mats, labels, signs = _basis_matrices(N)
-    for m in mats:
-        if not _check_su1n(m):
-            raise AssertionError("basis matrix leaves su(1,N)")
-    flat = [_flatten(m) for m in mats]
-    dual = _dual_basis(flat)
+    if not all(_check_su1n(m) for m in mats):
+        raise AssertionError("basis matrix leaves su(1,N)")
+    n = N + 1
+    frame = Frame([_flatten(m, n) for m in mats])
     dim = len(mats)
     structure = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            coords = _coordinates(dual, flat, _flatten(_gmat_comm(mats[i], mats[j])))
+            coords = frame.coords(_flatten(_comm(mats[i], mats[j]), n))
             if coords is None:
                 raise AssertionError("commutator left the spanned space")
-            if coords:
-                structure[(i, j)] = coords
+            kept = {k: x for k, x in enumerate(coords) if x}
+            if kept:
+                structure[(i, j)] = kept
     algebra = LieAlgebra(dim, labels, structure)
 
     h0_index = N  # label P1
@@ -252,7 +199,9 @@ def build_su1n(N: int) -> Su1nModel:
         H0=H0,
         beta=tuple(map(tuple, beta)),
         beta_H0=beta_H0,
-        matrices=tuple(tuple(map(tuple, m)) for m in mats),
+        matrices=tuple(
+            tuple(tuple(m.get((a, b), G_ZERO) for b in range(n)) for a in range(n)) for m in mats
+        ),
     )
 
 
@@ -283,9 +232,10 @@ def adapted_s_basis(model: Su1nModel):
 
     short = [r for r in model.roots if r.lambda_of_H[0] == 1]
     rem = [v[:] for v in short[0].space.basis] if short else []
+    top_line = Frame([E])
 
     def bform(x, y):
-        coeff = solve_in_span([E], model.algebra.bracket(x, y))
+        coeff = top_line.coords(model.algebra.bracket(x, y))
         if coeff is None:
             raise AssertionError("short-root bracket left the top root line")
         return coeff[0]
@@ -390,40 +340,37 @@ def verify_m_orthocomplement(model: Su1nModel) -> CheckReport:
 
 def iwasawa_project(model: Su1nModel, x: list):
     """Split x = x_s + x_k along the direct sum g = s + k."""
-    spanning = model.s_space.basis + model.k_space.basis
-    coords = solve_in_span(spanning, x)
+    frame = model.iwasawa_frame
+    coords = frame.coords(x)
     if coords is None:
         raise ValueError("vector outside the algebra span")
-    ns = len(model.s_space.basis)
     xs = zeros(model.algebra.dim)
-    xk = zeros(model.algebra.dim)
-    for i, c in enumerate(coords):
-        if not c:
-            continue
-        target = xs if i < ns else xk
-        b = spanning[i]
-        for t in range(model.algebra.dim):
-            target[t] += c * b[t]
-    return xs, xk
+    for c, row in zip(coords[: model.s_space.dim], frame.basis):
+        for t, b in row:
+            xs[t] += c * b
+    return xs, [a - b for a, b in zip(x, xs)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SSubmodel:
     """The solvable part a + n as a Lie algebra in its own coordinates.
 
-    embedding rows express the submodel basis inside the parent algebra;
-    H is the restricted-root generator, and each entry of roots is a pair
-    (root value on H, root space basis) in submodel coordinates.
+    embedding rows express the submodel basis inside the parent algebra,
+    and frame reads coordinates against them; H is the restricted-root
+    generator, and each entry of roots is a pair (root value on H, root
+    space basis) in submodel coordinates.  All of them are tuples, since
+    s_submodel caches one instance per N.
     """
 
     algebra: LieAlgebra
-    embedding: list
-    H: list
-    roots: list
+    embedding: tuple
+    frame: Frame
+    H: tuple
+    roots: tuple
     beta_H0: Fraction
 
     def to_sub(self, x: list) -> list:
-        coords = solve_in_span(self.embedding, x)
+        coords = self.frame.coords(x)
         if coords is None:
             raise ValueError("vector does not lie in the solvable part")
         return coords
@@ -440,17 +387,18 @@ def s_submodel(model: Su1nModel) -> SSubmodel:
         model.s_space,
         labels=[f"s{i}" for i in range(model.s_space.dim)],
     )
-    to_sub = lambda x: solve_in_span(embedding, x)
-    roots = []
-    for r in model.roots:
-        if r.lambda_of_H[0] <= 0:
-            continue
-        roots.append((r.lambda_of_H[0], [to_sub(b) for b in r.space.basis]))
+    frame = model.s_space.frame
+    to_sub = lambda x: tuple(frame.coords(x))
     out = SSubmodel(
         algebra=sub,
-        embedding=embedding,
+        embedding=tuple(map(tuple, embedding)),
+        frame=frame,
         H=to_sub(model.H0),
-        roots=roots,
+        roots=tuple(
+            (r.lambda_of_H[0], tuple(map(to_sub, r.space.basis)))
+            for r in model.roots
+            if r.lambda_of_H[0] > 0
+        ),
         beta_H0=model.beta_H0,
     )
     _S_SUBMODELS[model.N] = out

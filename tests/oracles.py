@@ -1,0 +1,70 @@
+"""Dense reference computations the tests check the package against.
+
+Each is a plain textbook loop over Fraction, written independently of
+the sparse fraction-free elimination in ``ballquant.linalg``.
+"""
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+
+def rref_oracle(rows):
+    """Dense Gauss-Jordan reduction over Fraction, independent of the
+    fraction-free elimination in linalg."""
+    m = [row[:] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pick = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                pick = i
+                break
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        inv = F(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def mat_mul(a, b):
+    """Dense matrix product."""
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)] for row in a]
+
+
+def det(a) -> F:
+    """Determinant by Gaussian elimination with row swaps."""
+    m = [row[:] for row in a]
+    n = len(m)
+    out = F(1)
+    for c in range(n):
+        pick = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pick is None:
+            return F(0)
+        if pick != c:
+            m[c], m[pick] = m[pick], m[c]
+            out = -out
+        out *= m[c][c]
+        inv = F(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return out
+
+
+def leading_principal_minors(a) -> list:
+    """Determinants of the k x k leading blocks for k = 1..n."""
+    return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]

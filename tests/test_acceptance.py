@@ -37,7 +37,6 @@ from ballquant.ce_cohomology import (
 )
 from ballquant.cli import main as cli_main
 from ballquant.formal_star import CoefFn, NuSeries
-from ballquant.linalg import leading_principal_minors
 from ballquant.psd_builder import PsdSpec, build_psd
 from ballquant.retract_pde import (
     XiFn,
@@ -56,6 +55,8 @@ from ballquant.su1n_model import (
     verify_m_orthocomplement,
     verify_sigma_pairing,
 )
+
+from oracles import leading_principal_minors
 
 
 def _verdict(num: int, ok: bool, desc: str, start: float) -> None:

@@ -6,49 +6,18 @@ from fractions import Fraction as F
 
 from ballquant.linalg import (
     identity_matrix,
-    leading_principal_minors,
     mat_inverse,
-    mat_mul,
     nullspace,
     rank_sparse,
     rref,
     solve_linear,
 )
 
+from oracles import leading_principal_minors, mat_mul, rref_oracle
+
 
 def frand(rng, lo=-6, hi=6):
     return F(rng.randint(lo, hi), rng.randint(1, 4))
-
-
-def rref_oracle(rows):
-    """Dense Gauss-Jordan reduction over Fraction, independent of the
-    fraction-free elimination in linalg."""
-    m = [row[:] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pick = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pick = i
-                break
-        if pick is None:
-            continue
-        m[r], m[pick] = m[pick], m[r]
-        inv = F(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
 
 
 def oracle_nullspace(rows, ncols):

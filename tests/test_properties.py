@@ -1,5 +1,6 @@
 """Property tests: ring laws of the shared sparse core, the Leibniz rule
-of the Poisson bracket and the Jacobi identity of the star commutator.
+of the Poisson bracket, the Jacobi identity of the star commutator and
+the coordinates a linalg Frame reads against the dense rref oracle.
 
 Examples are drawn deterministically (derandomize=True), so a failure
 reproduces on every run.
@@ -8,13 +9,17 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballquant.ball_quantization import build_chart, poisson_structure
 from ballquant.formal_star import CoefFn, NuSeries, poisson, star_commutator
+from ballquant.linalg import Frame
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import GScalar
+
+from oracles import rref_oracle
 
 NV = 2
 P = poisson_structure(build_chart(2))
@@ -85,3 +90,38 @@ def test_star_commutator_jacobi(f, g, h):
 
     total = br(F_, br(G_, H_)).add(br(G_, br(H_, F_))).add(br(H_, br(F_, G_)))
     assert total.is_zero()
+
+
+entries = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def frame_cases(draw):
+    """A basis of up to 4 rows in up to 4 columns, a vector of the same
+    width and 4 candidate coordinates."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(entries, min_size=n, max_size=n)
+    coords = st.lists(entries, min_size=4, max_size=4)
+    return draw(st.lists(vec, max_size=4)), draw(vec), draw(coords)
+
+
+def _rank(rows) -> int:
+    return len(rref_oracle(rows)[0])
+
+
+@PROPERTY
+@given(frame_cases())
+def test_frame_matches_rref_oracle(case):
+    basis, v, c = case
+    if _rank(basis) < len(basis):
+        with pytest.raises(ValueError):
+            Frame(basis)
+        return
+    frame = Frame(basis)
+    c = c[: len(basis)]
+    combo = [sum((ck * b[t] for ck, b in zip(c, basis)), F(0)) for t in range(len(v))]
+    assert frame.coords(combo) == c
+    got = frame.coords(v)
+    assert (got is not None) == (_rank(basis + [v]) == len(basis))
+    if got is not None:
+        assert [sum((g * b[t] for g, b in zip(got, basis)), F(0)) for t in range(len(v))] == v

@@ -20,19 +20,34 @@ from ballquant.lie_core import normalizer, span_subspace
 from ballquant.scalars import GScalar
 from ballquant.su1n_model import (
     _basis_matrices,
-    _coordinates,
-    _dual_basis,
     _flatten,
-    _gmat_mul,
     beta_sigma_gram,
     build_su1n,
     iwasawa_project,
     model_to_json,
     root_table_json,
+    s_submodel,
     verify_m_orthocomplement,
     verify_sigma_pairing,
 )
-from ballquant.linalg import is_zero_vec, leading_principal_minors, vec_add, vec_scale
+from ballquant.linalg import Frame, is_zero_vec, vec_add, vec_scale
+from ballquant.scalars import G_ZERO
+
+from oracles import leading_principal_minors, rref_oracle
+
+
+def _gmat_mul(a, b):
+    """Dense product of square Gaussian-rational matrices."""
+    n = len(a)
+    out = [[G_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            x = a[i][k]
+            if x:
+                for j in range(n):
+                    if b[k][j]:
+                        out[i][j] = out[i][j] + x * b[k][j]
+    return out
 
 
 def test_dimensions():
@@ -204,17 +219,44 @@ def test_killing_form_closed_form(N):
 
 def test_dual_basis_coordinates():
     mats, _, _ = _basis_matrices(2)
-    flat = [_flatten(m) for m in mats]
-    dual = _dual_basis(flat)
+    flat = [_flatten(m, 3) for m in mats]
+    frame = Frame(flat)
     for k, v in enumerate(flat):
-        assert _coordinates(dual, flat, v) == {k: F(1)}
+        assert frame.coords(v) == [F(int(i == k)) for i in range(8)]
     combo = {t: 2 * flat[0].get(t, 0) - flat[5].get(t, 0) for t in set(flat[0]) | set(flat[5])}
-    assert _coordinates(dual, flat, {t: x for t, x in combo.items() if x}) == {0: F(2), 5: F(-1)}
+    assert frame.coords(combo) == [F(2), 0, 0, 0, 0, F(-1), 0, 0]
     # i E_00 is not trace free: its projection onto the span is nonzero
     # but does not rebuild it
-    corner = [[GScalar.of(0, int(a == b == 0)) for b in range(3)] for a in range(3)]
-    assert any(dual.get(t) for t in _flatten(corner))
-    assert _coordinates(dual, flat, _flatten(corner)) is None
+    corner = _flatten({(0, 0): GScalar.of(0, 1)}, 3)
+    assert any(p in corner for p, _ in frame.dual)
+    assert frame.coords(corner) is None
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_structure_constants_match_dense_commutators(N):
+    """Each bracket of the table is the dense commutator of the basis
+    matrices, solved against their realified entries by the dense oracle."""
+    model = build_su1n(N)
+    mats = model.matrices
+    dim = len(mats)
+
+    def real_entries(m):
+        return [e.re for row in m for e in row] + [e.im for row in m for e in row]
+
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    targets = []
+    for i, j in pairs:
+        ab, ba = _gmat_mul(mats[i], mats[j]), _gmat_mul(mats[j], mats[i])
+        targets.append(real_entries([[x - y for x, y in zip(r, q)] for r, q in zip(ab, ba)]))
+    # one reduction of [basis columns | every commutator]: the pivots stay
+    # among the basis columns exactly when each commutator is in the span
+    columns = [real_entries(m) for m in mats] + targets
+    aug = [[col[t] for col in columns] for t in range(2 * (N + 1) ** 2)]
+    red, pivots = rref_oracle(aug)
+    assert pivots == list(range(dim))
+    for c, (i, j) in enumerate(pairs):
+        want = {k: row[dim + c] for k, row in enumerate(red) if row[dim + c]}
+        assert dict(model.algebra.structure.get((i, j), {})) == want
 
 
 def test_su1n_5_builds_and_passes_its_checks():
@@ -235,9 +277,23 @@ def test_cached_model_arrays_are_read_only():
         (model.matrices[0], 0, ()),
         (model.matrices[0][0], 0, GScalar.of(7)),
     ]
+    sub = s_submodel(model)
+    writes += [
+        (sub.embedding, 0, ()),
+        (sub.embedding[0], 0, F(7)),
+        (sub.H, 0, F(7)),
+        (sub.roots, 0, ()),
+        (sub.roots[0][1], 0, ()),
+        (sub.roots[0][1][0], 0, F(7)),
+        (sub.frame.basis, 0, ()),
+        (sub.frame.dual, 0, ()),
+        (sub.frame.dual[0][1], 0, (0, F(7))),
+    ]
     for target, index, value in writes:
         with pytest.raises(TypeError):
             target[index] = value
+    with pytest.raises(AttributeError):
+        sub.H = ()
     again = build_su1n(2)
     assert again.beta == fresh.beta
     assert again.sigma_diagonal == fresh.sigma_diagonal
