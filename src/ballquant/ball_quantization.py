@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
 
-from .formal_star import CoefFn, NuSeries, PoissonStructure, half_commutator
+from .formal_star import CoefFn, NuSeries, PoissonStructure, StarOperand, half_commutator
 from .linalg import Frame, mat_inverse, solve_in_span  # noqa: F401, callers read it here
 from .scalars import collect
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
@@ -397,7 +397,8 @@ class TruncationOrderError(ValueError):
 
 def resolve_truncation_order(order: int | None) -> int:
     """The given order, else BALLQUANT_TRUNCATION_ORDER, else 12; raises
-    TruncationOrderError naming the source unless it is an integer >= 0."""
+    TruncationOrderError naming the source unless it is an integer >= 0
+    (a bool is not)."""
     source = "the order argument"
     if order is None:
         source = TRUNCATION_ENV
@@ -406,7 +407,7 @@ def resolve_truncation_order(order: int | None) -> int:
             order = int(raw)
         except ValueError:
             order = raw
-    if not isinstance(order, int) or order < 0:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise TruncationOrderError(
             f"truncation order from {source} must be a non-negative integer, got {order!r}"
         )
@@ -419,6 +420,12 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     pairs selects "all" basis pairs or only "s" (the solvable chart
     part).  Residuals are reported per failing pair; exact records
     whether every star commutator terminated inside the truncation.
+
+    Each lifted moment is wrapped once in a StarOperand, so its walk (as
+    the first factor) and its derivatives (as the second) are computed at
+    most once and reused by every pair it enters.  The memo is keyed by
+    table position (moment, power of nu, then m or multi-index) and is
+    dropped on return: no state outlives the call.
     """
     order = resolve_truncation_order(order)
     if pairs == "all":
@@ -431,7 +438,7 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     failures = []
     checked = 0
     exact = True
-    lifted = [m.resize(order) for m in table.moments]
+    lifted = [StarOperand(m.resize(order), table.P) for m in table.moments]
     for pos, i in enumerate(idx):
         for j in idx[pos + 1 :]:
             checked += 1
@@ -442,7 +449,7 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
             lhs = NuSeries.zero(table.chart.nv, order)
             for c, m in zip(coords, lifted):
                 if c:
-                    lhs = lhs.add(m.scale(c))
+                    lhs = lhs.add(m.series.scale(c))
             rhs = half_commutator(lifted[i], lifted[j], table.P, order)
             exact = exact and rhs.exact
             res = lhs.sub(rhs)

@@ -18,6 +18,16 @@ c_operator here and by the retract operator: it stops a branch as soon as
 the derivative of the first argument vanishes, because every longer
 multiset differentiates that derivative further.
 
+C_m(f, g) thus splits into the walk of f, a list of (w, d^u f, weight)
+per m, and the derivatives d^w g of g.  c_operator is the one
+contraction of the two.  A Walked memo computes each half once for one
+CoefFn, and a StarOperand holds one Walked per power of nu, so a caller
+that takes many star products of the same series (verify_qmm over every
+pair of the moment table) walks each coefficient once per m and
+differentiates it once per multi-index.  Plain CoefFn and NuSeries
+arguments get a fresh memo per call; a memo lives as long as the
+operand holding it.
+
 CoefFn takes its ring arithmetic (sums with cancellation, scaling,
 products by adding exponents) from the SparseSum core of scalars and adds
 only the rules of its own axes: derivatives and antiderivatives.  Star
@@ -31,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, perm, prod
+from math import factorial, perm
 from operator import add
 
 from .lie_core import LieAlgebra
@@ -73,15 +83,24 @@ class CoefFn(SparseSum):
 
     def diff(self, index) -> CoefFn:
         """Apply d_a^i_0 d_v1^i_1 .. d_z^i_last for a multi-index over
-        (a, v_1 .. v_nv, z)."""
+        (a, v_1 .. v_nv, z); only the v coordinates it differentiates are
+        visited, since the walk's steps are mostly single coordinates."""
         if not any(index):
             return self
-        ia, iv, iz = index[0], index[1:-1], index[-1]
+        ia, iz = index[0], index[-1]
+        v_steps = [(i, n) for i, n in enumerate(index[1:-1]) if n]
         out = {}
         for (p, k, s, q), c in self.terms.items():
-            factor = p**ia * perm(q, iz) * prod(map(perm, k, iv))
+            factor = p**ia * perm(q, iz)
+            for i, n in v_steps:
+                factor *= perm(k[i], n)
             if factor:
-                out[(p, tuple(a - b for a, b in zip(k, iv)), s, q - iz)] = c * factor
+                if v_steps:
+                    k = list(k)
+                    for i, n in v_steps:
+                        k[i] -= n
+                    k = tuple(k)
+                out[(p, k, s, q - iz)] = c * factor
         return CoefFn(self.nv, out)
 
     def diff_coord(self, coord: int) -> CoefFn:
@@ -184,11 +203,47 @@ def transvection_terms(f: CoefFn, P: PoissonStructure, m: int):
     yield from walk(0, m, f, (0,) * dim, Fraction(1))
 
 
-def c_operator(f: CoefFn, g: CoefFn, P: PoissonStructure, m: int) -> CoefFn:
-    """The m-th transvection C_m(f, g) for the constant structure P."""
-    total = CoefFn.zero(f.nv)
+class Walked:
+    """A CoefFn with both halves of its transvections for P memoized: its
+    walk as the first argument of C_m, per m, and its derivative as the
+    second argument, per multi-index.  Each is computed on first use."""
+
+    def __init__(self, f: CoefFn, P: PoissonStructure):
+        self.f, self.P = f, P
+        self._walks: dict = {}
+        self._diffs: dict = {}
+
+    def walk(self, m: int) -> list:
+        walk = self._walks.get(m)
+        if walk is None:
+            walk = self._walks[m] = list(transvection_terms(self.f, self.P, m))
+        return walk
+
+    def diff(self, w: tuple) -> CoefFn:
+        d = self._diffs.get(w)
+        if d is None:
+            d = self._diffs[w] = self.f.diff(w)
+        return d
+
+
+def _memo(x, cls, P: PoissonStructure):
+    """x as a memo of class cls over P: x itself, or a fresh one."""
+    if not isinstance(x, cls):
+        return cls(x, P)
+    if x.P is not P:
+        raise ValueError("operand was walked for another Poisson structure")
+    return x
+
+
+def c_operator(f, g, P: PoissonStructure, m: int) -> CoefFn:
+    """The m-th transvection C_m(f, g) for the constant structure P.
+
+    f and g are CoefFn, or Walked memos over P that keep the walk of f and
+    the derivatives of g for the next call."""
+    f, g = _memo(f, Walked, P), _memo(g, Walked, P)
+    total = CoefFn.zero(f.f.nv)
     m_fact = factorial(m)
-    for w, df, weight in transvection_terms(f, P, m):
+    for w, df, weight in f.walk(m):
         dg = g.diff(w)
         if not dg.is_zero():
             total = total.add(df.mul(dg).scale(weight * m_fact))
@@ -260,12 +315,16 @@ class NuSeries:
         if self.order != other.order:
             raise ValueError("series orders differ")
         return _truncated_product(
-            self, other, self.order, lambda f, g: (0,), lambda f, g, m: f.mul(g)
+            self,
+            other,
+            self.order,
+            lambda f, g: (0,),
+            lambda i, j, m: self.coeffs[i].mul(other.coeffs[j]),
         )
 
 
 def _truncated_product(F: NuSeries, G: NuSeries, order: int, ms, term) -> NuSeries:
-    """Sum of nu^(i+j+m) term(F_i, G_j, m) over i, j and m in ms(F_i, G_j),
+    """Sum of nu^(i+j+m) term(i, j, m) over i, j and m in ms(F_i, G_j),
     placed in a series of the given order.
 
     Every term vanishes when F_i or G_j does.  ms must be increasing: once
@@ -273,41 +332,63 @@ def _truncated_product(F: NuSeries, G: NuSeries, order: int, ms, term) -> NuSeri
     rest of that (i, j) is skipped without computing it.
     """
     out = NuSeries.zero(F.coeffs[0].nv, order, F.exact and G.exact)
+    gs = [(j, g) for j, g in enumerate(G.coeffs) if not g.is_zero()]
     for i, f in enumerate(F.coeffs):
-        for j, g in enumerate(G.coeffs):
-            if f.is_zero() or g.is_zero():
-                continue
+        if f.is_zero():
+            continue
+        for j, g in gs:
             for m in ms(f, g):
                 if i + j + m > order and not out.exact:
                     break
-                out.place(i + j + m, term(f, g, m))
+                out.place(i + j + m, term(i, j, m))
     return out
+
+
+class StarOperand:
+    """A NuSeries read by the transvection series: one Walked memo per
+    power of nu, for the Poisson structure P.  Passing the same operand to
+    several products walks and differentiates each coefficient once; the
+    memo lives as long as the operand."""
+
+    def __init__(self, series: NuSeries, P: PoissonStructure):
+        self.series, self.P = series, P
+        self.walked = [Walked(c, P) for c in series.coeffs]
 
 
 def _transvection_series(F, G, P, order, first, step, weight) -> NuSeries:
     """Sum of nu^m (weight / m!) C_m(F, G) over m = first, first + step, ..;
     C_m vanishes once m exceeds the joint polynomial degree, because each
-    Lambda entry differentiates a polynomial coordinate on one side."""
+    Lambda entry differentiates a polynomial coordinate on one side.
+    F and G are NuSeries, or StarOperand memos over P."""
+    A, B = _memo(F, StarOperand, P), _memo(G, StarOperand, P)
     return _truncated_product(
-        F,
-        G,
+        A.series,
+        B.series,
         order,
         lambda f, g: range(first, f.degree() + g.degree() + 1, step),
-        lambda f, g, m: c_operator(f, g, P, m).scale(Fraction(weight, factorial(m))),
+        lambda i, j, m: c_operator(A.walked[i], B.walked[j], P, m).scale(
+            Fraction(weight, factorial(m))
+        ),
     )
 
 
-def moyal(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
+def moyal(
+    F: NuSeries | StarOperand, G: NuSeries | StarOperand, P: PoissonStructure, order: int
+) -> NuSeries:
     """Truncated star product sum_m nu^m / m! C_m, extended bilinearly."""
     return _transvection_series(F, G, P, order, 0, 1, 1)
 
 
-def star_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
+def star_commutator(
+    F: NuSeries | StarOperand, G: NuSeries | StarOperand, P: PoissonStructure, order: int
+) -> NuSeries:
     """F * G - G * F, using that even transvections are symmetric."""
     return _transvection_series(F, G, P, order, 1, 2, 2)
 
 
-def half_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
+def half_commutator(
+    F: NuSeries | StarOperand, G: NuSeries | StarOperand, P: PoissonStructure, order: int
+) -> NuSeries:
     """(1 / (2 nu)) [F, G]; the commutator has no order-zero part."""
     comm = star_commutator(F, G, P, order + 1)
     if not comm.coeffs[0].is_zero():

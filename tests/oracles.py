@@ -1,11 +1,17 @@
-"""Dense reference computations the tests check the package against.
+"""Reference computations the tests check the package against.
 
-Each is a plain textbook loop over Fraction, written independently of
-the sparse fraction-free elimination in ``ballquant.linalg``.
+The linear-algebra oracles are plain textbook loops over Fraction,
+written independently of the sparse fraction-free elimination in
+``ballquant.linalg``.  verify_qmm_oracle checks the moment identity one
+pair at a time with a fresh star product per pair, as the package did
+before it reused each moment's transvection data across pairs.
 """
 from __future__ import annotations
 
 from fractions import Fraction as F
+
+from ballquant.ball_quantization import QmmReport, resolve_truncation_order
+from ballquant.formal_star import NuSeries, half_commutator
 
 
 def rref_oracle(rows):
@@ -68,3 +74,29 @@ def det(a) -> F:
 def leading_principal_minors(a) -> list:
     """Determinants of the k x k leading blocks for k = 1..n."""
     return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+
+
+def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:
+    """verify_qmm with plain half_commutator calls: every pair walks and
+    differentiates both of its moments from scratch."""
+    order = resolve_truncation_order(order)
+    size = len(table.basis) if pairs == "all" else 2 + table.chart.nv
+    algebra = table.chart.model.algebra
+    lifted = [m.resize(order) for m in table.moments]
+    failures = []
+    checked = 0
+    exact = True
+    for i in range(size):
+        for j in range(i + 1, size):
+            checked += 1
+            coords = table.frame.coords(algebra.bracket(table.basis[i], table.basis[j]))
+            lhs = NuSeries.zero(table.chart.nv, order)
+            for c, m in zip(coords, lifted):
+                if c:
+                    lhs = lhs.add(m.scale(c))
+            rhs = half_commutator(lifted[i], lifted[j], table.P, order)
+            exact = exact and rhs.exact
+            res = lhs.sub(rhs)
+            if not res.is_zero():
+                failures.append((table.labels[i], table.labels[j], res))
+    return QmmReport(not failures, order, exact, checked, failures)

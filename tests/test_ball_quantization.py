@@ -14,8 +14,10 @@ from fractions import Fraction as F
 import pytest
 
 from ballquant.ball_quantization import (
+    TRUNCATION_ENV,
     GroupElement,
     IntegrabilityError,
+    TruncationOrderError,
     build_chart,
     build_qmm,
     calibrate,
@@ -31,13 +33,14 @@ from ballquant.ball_quantization import (
     poisson_structure,
     qmm_labels,
     qmm_table_to_json,
+    resolve_truncation_order,
     verify_qmm,
 )
 from ballquant.formal_star import CoefFn, poisson
 from ballquant.linalg import solve_in_span
 from ballquant.su1n_model import build_su1n
 
-from oracles import leading_principal_minors
+from oracles import leading_principal_minors, verify_qmm_oracle
 
 
 def test_chart_frozen_n2():
@@ -283,6 +286,89 @@ def test_verify_qmm_exact_flag_is_sound():
                 assert all(a.terms == b.terms for a, b in zip(res_big.coeffs, res.coeffs))
                 assert all(c.is_zero() for c in res_big.coeffs[K + 1 :])
     assert exact_orders == {2, 3, 4}
+
+
+def assert_same_report(rep, ref):
+    """Equal ok, order, exact, checked, failure labels and residuals,
+    compared coefficient by coefficient."""
+    assert (rep.ok, rep.order, rep.exact, rep.checked) == (
+        ref.ok,
+        ref.order,
+        ref.exact,
+        ref.checked,
+    )
+    assert [f[:2] for f in rep.failures] == [f[:2] for f in ref.failures]
+    for (_, _, res), (_, _, res_ref) in zip(rep.failures, ref.failures):
+        assert (res.order, res.exact) == (res_ref.order, res_ref.exact)
+        assert [c.terms for c in res.coeffs] == [c.terms for c in res_ref.coeffs]
+
+
+def oracle_tables(N: int) -> dict:
+    """The symbolic and alpha = 1 tables and two mutations of the latter;
+    N = 1 has no m1, so its constant shift lands on H."""
+    base = build_qmm(N, alpha=F(1))
+    return {
+        "symbolic": build_qmm(N),
+        "alpha1": base,
+        "drop-nu2": mutate_drop_nu2(base),
+        "add-nu-const": mutate_add_nu_const(base, "m1" if N >= 2 else "H", F(1)),
+    }
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_verify_qmm_matches_per_pair_oracle(N):
+    for table in oracle_tables(N).values():
+        for K in range(7):
+            for pairs in ("all", "s"):
+                rep = verify_qmm(table, K, pairs)
+                assert_same_report(rep, verify_qmm_oracle(table, K, pairs))
+
+
+def test_verify_qmm_matches_per_pair_oracle_n3():
+    table = build_qmm(3)
+    assert_same_report(verify_qmm(table, 12), verify_qmm_oracle(table, 12))
+
+
+def test_verify_qmm_keeps_no_state_between_calls():
+    """Interleaved calls on a table, on its mutations (which share CoefFn
+    objects with it) and on the symbolic table (the same positions with
+    other coefficients) report what fresh tables do."""
+    base = build_qmm(2, alpha=F(1))
+    calls = [
+        ("symbolic", build_qmm(2)),
+        ("alpha1", base),
+        ("add-nu-const", mutate_add_nu_const(base, "m1", F(1))),
+        ("drop-nu2", mutate_drop_nu2(base)),
+        ("alpha1", base),
+    ]
+    for name, table in calls:
+        rep = verify_qmm(table, 6)
+        fresh = oracle_tables(2)[name]
+        assert_same_report(rep, verify_qmm(fresh, 6))
+        assert_same_report(rep, verify_qmm_oracle(fresh, 6))
+    # Each table is dropped after its call, so the next one may reuse the
+    # addresses of its objects: a memo keyed by id() would read stale walks.
+    for alpha in (F(1), F(2), F(1), F(-3), F(1, 2), None, F(1)):
+        rep = verify_qmm(build_qmm(2, alpha), 6)
+        assert rep.ok and rep.exact and rep.checked == 28
+
+
+@pytest.mark.parametrize("N, pairs", [(3, 105), (4, 276)])
+def test_full_moment_identity_at_default_order(N, pairs, monkeypatch):
+    monkeypatch.delenv(TRUNCATION_ENV, raising=False)
+    rep = verify_qmm(build_qmm(N))
+    assert rep.ok and rep.exact and rep.order == 12 and rep.checked == pairs
+
+
+@pytest.mark.parametrize("bad", [True, False, -1, 1.5, "3"])
+def test_resolve_truncation_order_rejects(bad):
+    with pytest.raises(TruncationOrderError):
+        resolve_truncation_order(bad)
+
+
+def test_resolve_truncation_order_accepts():
+    assert resolve_truncation_order(0) == 0
+    assert resolve_truncation_order(12) == 12
 
 
 def test_qmm_labels_name_the_table_basis():

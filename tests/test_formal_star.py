@@ -18,6 +18,8 @@ from ballquant.formal_star import (
     CoefFn,
     NuSeries,
     PoissonStructure,
+    StarOperand,
+    Walked,
     c_operator,
     check_poisson_covariance,
     coef_from_json,
@@ -236,6 +238,35 @@ def test_moyal_associativity_random():
         right = moyal(f, moyal(g, h, P, K), P, K)
         for i in range(K + 1):
             assert left.coeffs[i].sub(right.coeffs[i]).is_zero()
+
+
+def test_star_operand_reuse_matches_fresh_products():
+    """One StarOperand per series, reused across every product it enters,
+    gives the products of the plain series, exact flag included."""
+    rng = random.Random(11)
+    P = std_structure(2)
+    K = 4
+    series = [
+        NuSeries(K, [rand_fn(2, rng) for _ in range(2)] + [CoefFn.zero(2)] * (K - 1))
+        for _ in range(3)
+    ]
+    ops = [StarOperand(s, P) for s in series]
+    for product in (moyal, star_commutator, half_commutator):
+        for a in range(3):
+            for b in range(3):
+                got = product(ops[a], ops[b], P, K)
+                want = product(series[a], series[b], P, K)
+                assert got.exact == want.exact
+                assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
+
+
+def test_memo_is_bound_to_its_structure():
+    P, Q = std_structure(2), std_structure(2, p=F(1))
+    f = mono(2, p=1, k=(1, 0), q=1)
+    with pytest.raises(ValueError):
+        c_operator(Walked(f, P), f, Q, 1)
+    with pytest.raises(ValueError):
+        moyal(NuSeries.from_coef(f, 2), StarOperand(NuSeries.from_coef(f, 2), P), Q, 2)
 
 
 def test_half_commutator():

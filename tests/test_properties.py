@@ -1,6 +1,7 @@
 """Property tests: ring laws of the shared sparse core, the Leibniz rule
-of the Poisson bracket, the Jacobi identity of the star commutator and
-the coordinates a linalg Frame reads against the dense rref oracle.
+of the Poisson bracket, the associativity of the Moyal product, the
+Jacobi identity of the star commutator and the coordinates a linalg
+Frame reads against the dense rref oracle.
 
 Examples are drawn deterministically (derandomize=True), so a failure
 reproduces on every run.
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballquant.ball_quantization import build_chart, poisson_structure
-from ballquant.formal_star import CoefFn, NuSeries, poisson, star_commutator
+from ballquant.formal_star import CoefFn, NuSeries, moyal, poisson, star_commutator
 from ballquant.linalg import Frame
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import GScalar
@@ -75,6 +76,20 @@ def test_poisson_leibniz(f, g, h):
     lhs = poisson(f, g.mul(h), P)
     rhs = poisson(f, g, P).mul(h).add(g.mul(poisson(f, h, P)))
     assert lhs.terms == rhs.terms
+
+
+@PROPERTY
+@given(coef_fns, coef_fns, coef_fns)
+def test_moyal_associativity(f, g, h):
+    """(F * G) * H = F * (G * H) coefficient by coefficient on the
+    calibrated N = 2 structure.  Each C_m lowers the polynomial degree by
+    at least m, so at K = the sum of the degrees nothing is truncated."""
+    K = f.degree() + g.degree() + h.degree()
+    F_, G_, H_ = (NuSeries.from_coef(x, K) for x in (f, g, h))
+    left = moyal(moyal(F_, G_, P, K), H_, P, K)
+    right = moyal(F_, moyal(G_, H_, P, K), P, K)
+    assert left.exact and right.exact
+    assert [c.terms for c in left.coeffs] == [c.terms for c in right.coeffs]
 
 
 @PROPERTY
