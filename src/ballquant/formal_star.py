@@ -20,13 +20,15 @@ multiset differentiates that derivative further.
 
 C_m(f, g) thus splits into the walk of f, a list of (w, d^u f, weight)
 per m, and the derivatives d^w g of g.  c_operator is the one
-contraction of the two.  A Walked memo computes each half once for one
-CoefFn, and a StarOperand holds one Walked per power of nu, so a caller
-that takes many star products of the same series (verify_qmm over every
-pair of the moment table) walks each coefficient once per m and
-differentiates it once per multi-index.  Plain CoefFn and NuSeries
-arguments get a fresh memo per call; a memo lives as long as the
-operand holding it.
+contraction of the two.  It scales each walk term once, by m! when it
+returns C_m itself and by the series weight when a star product series
+asks for (weight / m!) C_m, whose 1/m! the walk weights already carry.
+A Walked memo computes each half once for one CoefFn, and a StarOperand
+holds one Walked per power of nu, so a caller that takes many star
+products of the same series (verify_qmm over every pair of the moment
+table) walks each coefficient once per m and differentiates it once per
+multi-index.  Plain CoefFn and NuSeries arguments get a fresh memo per
+call; a memo lives as long as the operand holding it.
 
 CoefFn takes its ring arithmetic (sums with cancellation, scaling,
 products by adding exponents) from the SparseSum core of scalars and adds
@@ -45,7 +47,7 @@ from math import factorial, perm
 from operator import add
 
 from .lie_core import LieAlgebra
-from .scalars import SparseSum, collect, frac_str, parse_frac
+from .scalars import SparseSum, accumulate, collect, frac_str, parse_frac
 
 
 @dataclass(frozen=True)
@@ -235,19 +237,22 @@ def _memo(x, cls, P: PoissonStructure):
     return x
 
 
-def c_operator(f, g, P: PoissonStructure, m: int) -> CoefFn:
-    """The m-th transvection C_m(f, g) for the constant structure P.
+def c_operator(f, g, P: PoissonStructure, m: int, weight=None) -> CoefFn:
+    """The m-th transvection C_m(f, g) for the constant structure P, or
+    (weight / m!) C_m(f, g) when a weight is given, as the star product
+    series take it.
 
     f and g are CoefFn, or Walked memos over P that keep the walk of f and
-    the derivatives of g for the next call."""
+    the derivatives of g for the next call.  Each walk term is scaled once
+    and its products are accumulated in place."""
     f, g = _memo(f, Walked, P), _memo(g, Walked, P)
-    total = CoefFn.zero(f.f.nv)
-    m_fact = factorial(m)
-    for w, df, weight in f.walk(m):
+    scale = factorial(m) if weight is None else weight
+    total: dict = {}
+    for w, df, wt in f.walk(m):
         dg = g.diff(w)
-        if not dg.is_zero():
-            total = total.add(df.mul(dg).scale(weight * m_fact))
-    return total
+        if dg.terms:
+            accumulate(total, df.mul_items(dg, wt * scale))
+    return CoefFn(f.f.nv, total)
 
 
 def poisson(f: CoefFn, g: CoefFn, P: PoissonStructure) -> CoefFn:
@@ -366,9 +371,7 @@ def _transvection_series(F, G, P, order, first, step, weight) -> NuSeries:
         B.series,
         order,
         lambda f, g: range(first, f.degree() + g.degree() + 1, step),
-        lambda i, j, m: c_operator(A.walked[i], B.walked[j], P, m).scale(
-            Fraction(weight, factorial(m))
-        ),
+        lambda i, j, m: c_operator(A.walked[i], B.walked[j], P, m, weight),
     )
 
 
@@ -393,7 +396,8 @@ def half_commutator(
     comm = star_commutator(F, G, P, order + 1)
     if not comm.coeffs[0].is_zero():
         raise AssertionError("star commutator has a constant-order part")
-    return NuSeries(order, [c.scale(Fraction(1, 2)) for c in comm.coeffs[1:]], comm.exact)
+    half = Fraction(1, 2)
+    return NuSeries(order, [c.scale(half) if c.terms else c for c in comm.coeffs[1:]], comm.exact)
 
 
 @dataclass

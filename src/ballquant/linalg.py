@@ -4,11 +4,13 @@ Everything here works over ``fractions.Fraction`` and is fully exact.
 There is one elimination, ``_echelon``: a sparse fraction-free forward
 elimination that scales each row to coprime integers and never leaves
 the integers (rows are divided by the gcd of their entries, not, as in
-Bareiss's method, by the previous pivot).  The rank is the number of
-pivot rows.  Back substitution on those rows, divided by the pivots,
-gives the reduced row echelon form; it is unique, so ``rref`` writes it
-out densely as canonical subspace bases and ``nullspace`` reads the
-kernel off the sparse form.  Coordinates against a basis, inverses
+Bareiss's method, by the previous pivot).  Its pending rows sit in
+buckets by leading column, so a pivot step touches only the rows that
+hold the pivot column.  The rank is the number of pivot rows.  Back
+substitution on those rows, divided by the pivots, gives the reduced
+row echelon form; it is unique, so ``rref`` writes it out densely as
+canonical subspace bases and ``nullspace`` reads the kernel off the
+sparse form.  Coordinates against a basis, inverses
 included, come from a ``Frame``, which reduces the basis once and reads
 every later vector off its dual; ``solve_linear`` goes through ``rref``.
 """
@@ -62,24 +64,29 @@ def _echelon(rows) -> list[dict[int, int]]:
     scaled to coprime integers; rows are then eliminated by integer cross
     multiplication (pv * row - coef * pivot, divided by the gcd of its
     entries), so every intermediate value stays an exact integer.
+    Pending rows wait in buckets keyed by their leading column: the pivot
+    is the sparsest row of the lowest bucket, only the rest of that bucket
+    holds its column, and each row that survives elimination moves to the
+    bucket of its new leading column.
     Returns integer pivot rows in order of increasing leading column.
     """
-    pending = []
+    buckets: dict[int, list] = {}
     for row in rows:
         items = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
         if items:
             denom = lcm(*(x.denominator for _, x in items))
-            row = {j: x.numerator * (denom // x.denominator) for j, x in items}
-            pending.append(_primitive(row))
+            row = _primitive({j: x.numerator * (denom // x.denominator) for j, x in items})
+            buckets.setdefault(min(row), []).append(row)
     out = []
-    while pending:
-        # sparsest row among those with the smallest leading column
-        lead = min(min(r) for r in pending)
-        pivot = min((r for r in pending if lead in r), key=len)
-        pending.remove(pivot)
+    while buckets:
+        lead = min(buckets)
+        bucket = buckets.pop(lead)
+        pivot = bucket.pop(min(range(len(bucket)), key=lambda k: len(bucket[k])))
         out.append(pivot)
-        pending = [_combine(r, pivot[lead], r[lead], pivot) if lead in r else r for r in pending]
-        pending = [r for r in pending if r]
+        for r in bucket:
+            r = _combine(r, pivot[lead], r[lead], pivot)
+            if r:
+                buckets.setdefault(min(r), []).append(r)
     return out
 
 

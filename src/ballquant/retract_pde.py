@@ -16,7 +16,10 @@ derivative multi-index each term puts on the argument.  The walk stops
 wherever the derivative of mu_X vanishes, and whether it yields anything
 at the first odd order past the truncation decides one exact flag for
 the whole operator; the walk never reaches past the order, so no single
-series drops a term of its own.
+series drops a term of its own.  apply_operator differentiates each
+nonzero coefficient of its argument once per key and accumulates every
+product in place, one term dict per power of nu; its exact flag is the
+one that resizing both sides to the order and multiplying would give.
 
 After a partial Fourier transform in z the operator for sigma(v0),
 applied to a radial symbol theta(a, r, xi), closes on coefficients
@@ -24,7 +27,9 @@ generated by e^{ka}, integer powers of r and xi, and half powers of
 1 - nu^2 xi^2.  XiFn implements that coefficient calculus exactly: its
 ring arithmetic is the SparseSum core of scalars, shared with CoefFn,
 and it adds only the rules of the half-power axis (diff_xi, canonical,
-expand_nu and a zero test through canonical).  radial_pde_residual
+expand_nu and a zero test through canonical).  The binomial series of a
+half power is summed by the ratio of consecutive coefficients, one
+multiplication per term.  radial_pde_residual
 evaluates the operator, split along the two covectors (w|v) and
 Omega(w, v) of the direction vector w.
 """
@@ -33,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import factorial
 from operator import add
 
 from .ball_quantization import (
@@ -46,16 +50,8 @@ from .ball_quantization import (
 from .formal_star import CoefFn, NuSeries, transvection_terms
 from .lie_core import span_subspace
 from .linalg import Frame, vec_add
-from .scalars import GScalar, SparseSum, collect, frac_str, parse_frac
+from .scalars import GScalar, SparseSum, accumulate, collect, frac_str, parse_frac
 from .su1n_model import Su1nModel
-
-
-def _binom(e: Fraction, t: int) -> Fraction:
-    """Binomial coefficient with an arbitrary rational top entry."""
-    out = Fraction(1)
-    for s in range(t):
-        out *= e - s
-    return out / factorial(t)
 
 
 @dataclass
@@ -128,12 +124,14 @@ class XiFn(SparseSum):
 
 def _binomial_terms(key: tuple, c: GScalar, e: Fraction, h: int, count: int) -> list:
     """The first count terms of c (1 - nu^2 xi^2)^e times the monomial of
-    key, with its half power replaced by h."""
+    key, with its half power replaced by h.  The signed coefficients
+    b_t = (-1)^t binom(e, t) follow b_{t+1} = b_t (t - e) / (t + 1)."""
     k, m, n, _, j = key
-    return [
-        ((k, m, n + 2 * t, h, j + 2 * t), c.scale(_binom(e, t) * (-1) ** t))
-        for t in range(count)
-    ]
+    out, b = [], Fraction(1)
+    for t in range(count):
+        out.append(((k, m, n + 2 * t, h, j + 2 * t), c.scale(b)))
+        b = b * (t - e) / (t + 1)
+    return out
 
 
 def xifn_to_json(f: XiFn) -> dict:
@@ -291,14 +289,28 @@ def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict
 
 
 def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSeries:
-    """Apply a differential operator from retract_operator to a series."""
+    """Apply a differential operator from retract_operator to a series.
+
+    exact clears where resizing both sides to the order and multiplying
+    would: when either has a nonzero coefficient past the order, or when a
+    product of nonzero coefficients, itself nonzero because chart
+    functions form an integral domain, falls past it.  An empty operator
+    gives the exact zero series.
+    """
     order = resolve_truncation_order(order)
-    base = theta.resize(order)
-    out = NuSeries.zero(base.coeffs[0].nv, order)
+    exact = theta.exact and not any(c.terms for c in theta.coeffs[order + 1 :])
+    thetas = [(j, c) for j, c in enumerate(theta.coeffs[: order + 1]) if c.terms]
+    acc = [{} for _ in range(order + 1)]
     for key, series in op.items():
-        dtheta = NuSeries(order, [c.diff(key) for c in base.coeffs], base.exact)
-        out = out.add(series.resize(order).mul(dtheta))
-    return out
+        exact = exact and series.exact and not any(f.terms for f in series.coeffs[order + 1 :])
+        dthetas = [(j, d) for j, c in thetas if (d := c.diff(key)).terms]
+        for i, f in enumerate(series.coeffs[: order + 1]):
+            for j, d in dthetas if f.terms else ():
+                if i + j > order:
+                    exact = False
+                    break
+                accumulate(acc[i + j], f.mul_items(d))
+    return NuSeries(order, [CoefFn(theta.coeffs[0].nv, t) for t in acc], exact or not op)
 
 
 def _xt(k=0, m=0, n=0, h=0, j=0, re=0, im=0):

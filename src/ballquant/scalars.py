@@ -8,7 +8,10 @@ structure constants; both are falsy exactly when zero.
 SparseSum is the ring arithmetic shared by the chart functions of
 formal_star and the radial coefficients of retract_pde: a finite sum of
 monomials keyed by exponent tuples, added with cancellation and
-multiplied by adding exponents.
+multiplied by adding exponents.  accumulate adds items into one term
+dict in place, so a long sum of products (an operator applied to a
+series, a transvection contraction) fills one dict instead of copying
+the partial sum once per summand.
 """
 from __future__ import annotations
 
@@ -63,10 +66,9 @@ class GScalar:
 G_ZERO = GScalar.of(0, 0)
 
 
-def collect(items, into=None) -> dict:
-    """Sum (key, value) items by key onto a copy of into; a key whose sum
-    is zero is dropped."""
-    out = dict(into or {})
+def accumulate(out: dict, items) -> dict:
+    """Sum (key, value) items by key into out, in place, and return it; a
+    key whose sum is zero is dropped."""
     for key, v in items:
         s = out.get(key)
         s = v if s is None else s + v
@@ -75,6 +77,12 @@ def collect(items, into=None) -> dict:
         else:
             out.pop(key, None)
     return out
+
+
+def collect(items, into=None) -> dict:
+    """Sum (key, value) items by key onto a copy of into; a key whose sum
+    is zero is dropped."""
+    return accumulate(dict(into or {}), items)
 
 
 class SparseSum:
@@ -101,12 +109,13 @@ class SparseSum:
     def scale(self, c):
         return self._new({key: v * c for key, v in self.terms.items()} if c else {})
 
-    def mul(self, other):
+    def mul_items(self, other, c=None):
+        """The (key, coefficient) items of c * self * other, like terms not
+        yet collected; pass them to accumulate to add the product in place."""
         key_mul = self._key_mul
-        return self._new(
-            collect(
-                (key_mul(k1, k2), c1 * c2)
-                for k1, c1 in self.terms.items()
-                for k2, c2 in other.terms.items()
-            )
-        )
+        left = self.terms.items() if c is None else [(k, v * c) for k, v in self.terms.items()]
+        right = other.terms.items()
+        return ((key_mul(k1, k2), c1 * c2) for k1, c1 in left for k2, c2 in right)
+
+    def mul(self, other):
+        return self._new(collect(self.mul_items(other)))

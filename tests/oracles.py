@@ -5,10 +5,15 @@ written independently of the sparse fraction-free elimination in
 ``ballquant.linalg``.  verify_qmm_oracle checks the moment identity one
 pair at a time with a fresh star product per pair, as the package did
 before it reused each moment's transvection data across pairs.
+apply_operator_oracle applies a retract operator through whole-series
+resize, product and sum, as the package did before it accumulated the
+products in place, and binom_oracle is the binomial coefficient as a
+full falling-factorial product.
 """
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import factorial
 
 from ballquant.ball_quantization import QmmReport, resolve_truncation_order
 from ballquant.formal_star import NuSeries, half_commutator
@@ -100,3 +105,24 @@ def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:
             if not res.is_zero():
                 failures.append((table.labels[i], table.labels[j], res))
     return QmmReport(not failures, order, exact, checked, failures)
+
+
+def apply_operator_oracle(op: dict, theta: NuSeries, order=None) -> NuSeries:
+    """Apply a retract operator key by key: resize both sides to the order,
+    differentiate every coefficient of theta, multiply the series and add
+    the partial sums."""
+    order = resolve_truncation_order(order)
+    base = theta.resize(order)
+    out = NuSeries.zero(base.coeffs[0].nv, order)
+    for key, series in op.items():
+        dtheta = NuSeries(order, [c.diff(key) for c in base.coeffs], base.exact)
+        out = out.add(series.resize(order).mul(dtheta))
+    return out
+
+
+def binom_oracle(e: F, t: int) -> F:
+    """Binomial coefficient with an arbitrary rational top entry."""
+    out = F(1)
+    for s in range(t):
+        out *= e - s
+    return out / factorial(t)

@@ -8,6 +8,8 @@ transcribed independently in oracle_wv0 / oracle_om0.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from ballquant.formal_star import CoefFn, NuSeries, half_commutator
 from ballquant.linalg import solve_in_span
 from ballquant.retract_pde import (
     XiFn,
+    _binomial_terms,
     apply_operator,
     check_reduction_closure,
     k_basis,
@@ -35,6 +38,8 @@ from ballquant.retract_pde import (
 )
 from ballquant.scalars import GScalar
 from ballquant.su1n_model import build_su1n
+
+from oracles import apply_operator_oracle, binom_oracle
 
 
 def term(k=0, m=0, n=0, h=0, j=0, re=0, im=0):
@@ -274,6 +279,147 @@ def test_apply_operator_is_the_half_commutator():
         got = apply_operator(retract_operator(table, x, order), theta, order)
         want = half_commutator(mu, theta, table.P, order)
         assert all(a.terms == b.terms for a, b in zip(got.coeffs, want.coeffs))
+
+
+def rand_series(rng: random.Random, nv: int, order: int, top: int) -> NuSeries:
+    """A series of the given order with a nonzero chart polynomial at every
+    power of nu up to top and zeros past it."""
+    coeffs = []
+    for t in range(order + 1):
+        f = CoefFn.zero(nv)
+        while t <= top and len(f.terms) < 2:
+            k = tuple(rng.randint(0, 2) for _ in range(nv))
+            c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+            p, alpha, q = rng.randint(-2, 2), rng.randint(0, 1), rng.randint(0, 2)
+            f = f.add(CoefFn.monomial(nv, p, k, alpha, q, c))
+        coeffs.append(f)
+    return NuSeries(order, coeffs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_apply_operator_matches_oracle(n):
+    """Term by term and on exact, against whole-series resize, product and
+    sum, for operators built at order 8 and at the application order K,
+    on series that fill nu^0 .. nu^K or reach one power past K.  The kE
+    operators are also taken with every series marked exact, so that a
+    coefficient or a product past K is the only thing that clears the
+    flag."""
+    table = build_qmm(n, alpha=None)
+    nv = table.chart.nv
+    kvecs = k_basis(table.chart)[1]
+    high = [retract_operator(table, x, order=8) for x in kvecs]
+    rng = random.Random(29 + n)
+    flags = set()
+    for K in range(9):
+        low = [retract_operator(table, x, order=K) for x in kvecs]
+        full = rand_series(rng, nv, K, K)
+        over = rand_series(rng, nv, K + 1, K + 1)
+        marked = [
+            {k: NuSeries(v.order, v.coeffs) for k, v in op.items()} for op in (high[-1], low[-1])
+        ]
+        cases = [(op, full) for op in high + low + marked]
+        cases += [(op, over) for op in high[:2]] + [({}, over)]
+        for op, theta in cases:
+            got = apply_operator(op, theta, K)
+            want = apply_operator_oracle(op, theta, K)
+            assert got.order == want.order == K
+            assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
+            assert got.exact == want.exact
+            flags.add(got.exact)
+    assert flags == {True, False}
+
+
+def test_apply_operator_is_the_moment_action_n3():
+    """D_X mu_Y = mu_[X, Y] for every k basis vector X and every table
+    moment mu_Y at N = 3, order 8."""
+    table = build_qmm(3, alpha=None)
+    algebra = table.chart.model.algebra
+    nv = table.chart.nv
+    order = 8
+    lifted = [m.resize(order) for m in table.moments]
+    for x in k_basis(table.chart)[1]:
+        op = retract_operator(table, x, order=order)
+        for y, mom in zip(table.basis, table.moments):
+            want = NuSeries.zero(nv, order)
+            for c, m in zip(table.frame.coords(algebra.bracket(x, y)), lifted):
+                if c:
+                    want = want.add(m.scale(c))
+            assert apply_operator(op, mom, order).sub(want).is_zero()
+
+
+def test_apply_operator_exact_flag_is_sound():
+    """exact at order K means the recomputation at K + 4 agrees up to nu^K
+    and vanishes past it."""
+    table = build_qmm(2, alpha=Fraction(1))
+    labels, kvecs = k_basis(table.chart)
+    rng = random.Random(31)
+    flags = set()
+    for K in (0, 1, 2, 4):
+        for top in (0, K):
+            theta = rand_series(rng, 2, K, top)
+            for label, x in zip(labels, kvecs):
+                got = apply_operator(retract_operator(table, x, order=K), theta, K)
+                flags.add((label, got.exact))
+                if not got.exact:
+                    continue
+                big = apply_operator(retract_operator(table, x, order=K + 4), theta, K + 4)
+                assert all(a.terms == b.terms for a, b in zip(big.coeffs, got.coeffs))
+                assert all(c.is_zero() for c in big.coeffs[K + 1 :])
+    assert ("m1", True) in flags and ("kf1", False) in flags
+
+
+@pytest.mark.parametrize("e2", range(-7, 8))
+def test_binomial_terms_follow_the_oracle(e2):
+    """The recurrence gives (-1)^t binom(e, t) for e = e2 / 2."""
+    e = Fraction(e2, 2)
+    key, c = (1, 2, 3, 5, 4), GScalar.of(2, -3)
+    for count in range(11):
+        want = [
+            ((1, 2, 3 + 2 * t, 1, 4 + 2 * t), c.scale(binom_oracle(e, t) * (-1) ** t))
+            for t in range(count)
+        ]
+        assert _binomial_terms(key, c, e, 1, count) == want
+
+
+def test_binom_oracle_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for e2 in range(-7, 8):
+        for t in range(10):
+            b = sympy.binomial(sympy.Rational(e2, 2), t)
+            assert binom_oracle(Fraction(e2, 2), t) == Fraction(int(b.p), int(b.q))
+
+
+FROZEN_SYMBOLS = {
+    "one": ONE,
+    "r2": term(m=2, re=1),
+    "mixed": term(k=1, m=2, n=1, h=1, re=3)
+    .add(term(k=-1, m=1, h=-1, j=2, im=Fraction(1, 2)))
+    .add(term(n=2, h=3, re=-2, im=1)),
+}
+
+# sha256 prefixes of the JSON of (wv, om) at order 12, as computed with the
+# falling-factorial binomials of binom_oracle.
+FROZEN_PDE_DIGESTS = {
+    ("one", 2): "ef93d0c7400f0dc6",
+    ("one", 3): "ef93d0c7400f0dc6",
+    ("one", 4): "ef93d0c7400f0dc6",
+    ("one", 5): "ef93d0c7400f0dc6",
+    ("r2", 2): "148494256aeb864a",
+    ("r2", 3): "a07a598a8fb6684f",
+    ("r2", 4): "31614d621c8e3dbc",
+    ("r2", 5): "a3a352c9101c546d",
+    ("mixed", 2): "7c1ff3747becad16",
+    ("mixed", 3): "0f19e25ebb004eee",
+    ("mixed", 4): "a5e96c6ae8b4dac9",
+    ("mixed", 5): "0acdce4da5e0aebb",
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(FROZEN_PDE_DIGESTS))
+def test_radial_pde_truncated_output_is_frozen(name, n):
+    wv, om = radial_pde_residual(FROZEN_SYMBOLS[name], n, order=12)
+    doc = json.dumps([xifn_to_json(wv), xifn_to_json(om)], sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == FROZEN_PDE_DIGESTS[(name, n)]
 
 
 def test_radial_pde_zero_and_linearity():
