@@ -102,7 +102,7 @@ class CoefFn(SparseSum):
                     for i, n in v_steps:
                         k[i] -= n
                     k = tuple(k)
-                out[(p, k, s, q - iz)] = c * factor
+                out[(p, k, s, q - iz)] = c if factor == 1 else c * factor
         return CoefFn(self.nv, out)
 
     def diff_coord(self, coord: int) -> CoefFn:
@@ -183,26 +183,29 @@ def transvection_terms(f: CoefFn, P: PoissonStructure, m: int):
     so that (1/m!) C_m(f, g) = sum weight * d^u f * d^w g.  A branch is
     dropped once d^u f vanishes: no longer multiset can then be nonzero.
     """
-    pairs = P.directed_pairs
     dim = P.nv + 2
-    steps = [tuple(int(c == u) for c in range(dim)) for u, _, _ in pairs]
+    steps = [tuple(int(c == u) for c in range(dim)) for u, _, _ in P.directed_pairs]
+    yield from _walk(P.directed_pairs, steps, 0, m, f, (0,) * dim, Fraction(1))
 
-    def walk(start, left, df, w, weight):
-        if not left:
-            yield w, df, weight
-            return
-        for idx in range(start, len(pairs)):
-            _, v, val = pairs[idx]
-            d, wt, wv = df, weight, list(w)
-            for c in range(1, left + 1):
-                d = d.diff(steps[idx])
-                if d.is_zero():
-                    break
-                wt = wt * val / c
-                wv[v] += 1
-                yield from walk(idx + 1, left - c, d, tuple(wv), wt)
 
-    yield from walk(0, m, f, (0,) * dim, Fraction(1))
+def _walk(pairs, steps, start, left, df, w, weight):
+    """The multisets that extend one prefix of the walk by left more
+    pairs, all of index start or later; df, w and weight are the
+    prefix's.  steps[idx] is the unit multi-index of pairs[idx]'s first
+    coordinate."""
+    if not left:
+        yield w, df, weight
+        return
+    for idx in range(start, len(pairs)):
+        _, v, val = pairs[idx]
+        d, wt, wv = df, weight, list(w)
+        for c in range(1, left + 1):
+            d = d.diff(steps[idx])
+            if d.is_zero():
+                break
+            wt = wt * val / c
+            wv[v] += 1
+            yield from _walk(pairs, steps, idx + 1, left - c, d, tuple(wv), wt)
 
 
 class Walked:

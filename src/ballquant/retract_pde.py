@@ -28,15 +28,24 @@ generated by e^{ka}, integer powers of r and xi, and half powers of
 ring arithmetic is the SparseSum core of scalars, shared with CoefFn,
 and it adds only the rules of the half-power axis (diff_xi, canonical,
 expand_nu and a zero test through canonical).  The binomial series of a
-half power is summed by the ratio of consecutive coefficients, one
-multiplication per term.  radial_pde_residual
-evaluates the operator, split along the two covectors (w|v) and
-Omega(w, v) of the direction vector w.
+half power is summed by the ratio of consecutive coefficients, one row
+per exponent and length, reused by every term that needs it.
+
+radial_pde_residual evaluates the operator, split along the two
+covectors (w|v) and Omega(w, v) of the direction vector w.  Each call
+builds the operator once as a table from each derivative of theta
+(theta, d_a, d_r, d_rr, d_rrr, d_a d_r, d_xi and d_xi d_r) to its pair of
+XiFn coefficients, takes each derivative once, and accumulates every
+coefficient-derivative product in place into one term dict per
+covector.  Products of XiFn only add exponent keys, so grouping the
+constant factors this way gives the very terms of the operator written
+term by term.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from operator import add
 
@@ -122,16 +131,23 @@ class XiFn(SparseSum):
         return XiFn(collect(items))
 
 
+@lru_cache(maxsize=256)
+def _binomial_row(e: Fraction, count: int) -> tuple:
+    """The signed coefficients b_t = (-1)^t binom(e, t) for t < count, by
+    b_{t+1} = b_t (t - e) / (t + 1)."""
+    row, b = [], Fraction(1)
+    for t in range(count):
+        row.append(b)
+        b = b * (t - e) / (t + 1)
+    return tuple(row)
+
+
 def _binomial_terms(key: tuple, c: GScalar, e: Fraction, h: int, count: int) -> list:
     """The first count terms of c (1 - nu^2 xi^2)^e times the monomial of
-    key, with its half power replaced by h.  The signed coefficients
-    b_t = (-1)^t binom(e, t) follow b_{t+1} = b_t (t - e) / (t + 1)."""
+    key, with its half power replaced by h."""
     k, m, n, _, j = key
-    out, b = [], Fraction(1)
-    for t in range(count):
-        out.append(((k, m, n + 2 * t, h, j + 2 * t), c.scale(b)))
-        b = b * (t - e) / (t + 1)
-    return out
+    row = _binomial_row(e, count)
+    return [((k, m, n + 2 * t, h, j + 2 * t), c.scale(b)) for t, b in enumerate(row)]
 
 
 def xifn_to_json(f: XiFn) -> dict:
@@ -317,52 +333,62 @@ def _xt(k=0, m=0, n=0, h=0, j=0, re=0, im=0):
     return XiFn({(k, m, n, h, j): GScalar.of(re, im)})
 
 
+# One step of a derivative of theta in the radial table.
+_STEPS = {"a": XiFn.diff_a, "r": XiFn.diff_r, "xi": XiFn.diff_xi}
+
+
+def _radial_table(n: int) -> dict:
+    """The radial operator for sigma(v0) in dimension n as a table.
+
+    Each derivative of theta, written as its steps d_a, d_r, d_xi applied
+    left to right, maps to its pair of XiFn coefficients along (w|v) and
+    Omega(w, v).  Every derivative follows one already in the table, so
+    the table can be walked in order, one step per entry.  S is the half
+    power (1 - nu^2 xi^2)^{1/2} and n_w = 2n - 3.
+    """
+    one, s = _xt(re=1), _xt(h=1, re=1)
+    s_minus = s.sub(one)
+    lift = one.add(s).mul(_xt(m=2, re=1)).add(_xt(re=2))  # (1 + S) r^2 + 2
+    e_plus = _xt(k=1, re=-1).mul(one.add(s))  # -e^a (1 + S)
+    front = _xt(k=1, n=-1, im=1).mul(s_minus)  # i e^a (S - 1) / xi
+    back = _xt(k=1, m=-1, n=-2, re=Fraction(1, 2)).mul(s_minus)  # e^a (S - 1) / (2 r xi^2)
+    n_w = 2 * n - 3
+    drag = _xt(k=1, m=1, re=1).mul(s_minus).add(_xt(k=-1, re=-1))  # (e^a (S - 1) - e^{-a} / r) r
+    om_r = drag.add(_xt(k=1, m=-1, re=Fraction(1, 2)).mul(lift)).add(back.mul(_xt(m=-2, re=n_w)))
+    none = XiFn({})
+    return {
+        (): (_xt(k=1, n=1, im=1).mul(lift).add(_xt(n=2, re=-2)), e_plus),
+        ("a",): (none, e_plus),
+        ("r",): (front.mul(_xt(m=-1, re=-(n_w + 2))), om_r),
+        ("r", "r"): (front, back.mul(_xt(m=-1, re=-n_w))),
+        ("r", "r", "r"): (none, back.neg()),
+        ("r", "a"): (front.mul(_xt(m=-1, re=-2)), none),
+        ("xi",): (none, _xt(k=1, n=1, h=1, re=-2)),
+        ("r", "xi"): (_xt(k=1, m=-1, h=1, im=-4), none),
+    }
+
+
 def radial_pde_residual(theta: XiFn, n: int, order: int | None = None):
     """Radial operator for the direction sigma(v0) applied to theta.
 
     theta is a radial symbol theta(a, r, xi) and n the complex dimension
     of the domain.  Returns the exact pair of XiFn coefficients along
     (w|v) and Omega(w, v); pass order to expand the square root factors
-    into truncated nu series instead.
+    into truncated nu series instead.  An order is checked as
+    resolve_truncation_order checks it; n must be an integer.
     """
-    th_a = theta.diff_a()
-    th_r = theta.diff_r()
-    th_rr = th_r.diff_r()
-    th_rrr = th_rr.diff_r()
-    th_xi = theta.diff_xi()
-    th_ar = th_r.diff_a()
-    th_xir = th_r.diff_xi()
-
-    one_plus = _xt(re=1).add(_xt(h=1, re=1))
-    s_minus = _xt(h=1, re=1).sub(_xt(re=1))
-    n_weight = GScalar.of(2 * n - 3)
-
-    wv = XiFn({})
-    bulk = one_plus.mul(_xt(m=2, re=1)).add(_xt(re=2)).add(_xt(k=-1, n=1, im=2))
-    wv = wv.add(_xt(k=1, n=1, im=1).mul(bulk).mul(theta))
-    front = _xt(k=1, n=-1, im=1).mul(s_minus)
-    radial_pair = th_rr.add(_xt(m=-1, re=1).scale(n_weight).mul(th_r))
-    wv = wv.sub(front.mul(radial_pair))
-    wv = wv.add(front.scale(GScalar.of(2)).mul(th_rr))
-    wv = wv.sub(front.scale(GScalar.of(2)).mul(_xt(m=-1, re=1)).mul(th_r))
-    wv = wv.sub(front.scale(GScalar.of(2)).mul(_xt(m=-1, re=1)).mul(th_ar))
-    wv = wv.sub(_xt(k=1, m=-1, h=1, im=4).mul(th_xir))
-
-    om = XiFn({})
-    om = om.sub(_xt(k=1, re=1).mul(one_plus).mul(theta))
-    om = om.sub(_xt(k=1, re=1).mul(one_plus).mul(th_a))
-    drag = _xt(k=1, re=1).mul(s_minus).sub(_xt(k=-1, m=-1, re=1))
-    om = om.add(drag.mul(_xt(m=1, re=1)).mul(th_r))
-    lift = one_plus.mul(_xt(m=2, re=1)).add(_xt(re=2))
-    om = om.add(_xt(k=1, re=1).mul(lift).mul(_xt(m=-1, re=Fraction(1, 2))).mul(th_r))
-    om = om.sub(_xt(k=1, n=1, h=1, re=2).mul(th_xi))
-    tail = _xt(m=-1, re=1).scale(n_weight).mul(th_rr)
-    tail = tail.sub(_xt(m=-2, re=1).scale(n_weight).mul(th_r))
-    tail = tail.add(th_rrr)
-    om = om.sub(
-        _xt(k=1, n=-2, re=1).mul(s_minus).mul(_xt(m=-1, re=Fraction(1, 2))).mul(tail)
-    )
-
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"the dimension n must be an integer, got {n!r}")
+    if order is not None:
+        order = resolve_truncation_order(order)
+    derivs = {(): theta}
+    wv, om = {}, {}
+    for path, (c_wv, c_om) in _radial_table(n).items():
+        if path:
+            derivs[path] = _STEPS[path[-1]](derivs[path[:-1]])
+        accumulate(wv, c_wv.mul_items(derivs[path]))
+        accumulate(om, c_om.mul_items(derivs[path]))
+    wv, om = XiFn(wv), XiFn(om)
     if order is not None:
         return wv.expand_nu(order), om.expand_nu(order)
     return wv, om

@@ -48,16 +48,29 @@ class GScalar:
         return GScalar(-self.re, -self.im)
 
     def __mul__(self, other: "GScalar") -> "GScalar":
-        return GScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        """The product; a purely real or purely imaginary factor takes two
+        Fraction products instead of four."""
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            return other.scale(a)
+        if not d:
+            return self.scale(c)
+        if not a:
+            return GScalar(-b * d, b * c)
+        if not c:
+            return GScalar(-b * d, a * d)
+        return GScalar(a * c - b * d, a * d + b * c)
 
     def conj(self) -> "GScalar":
         return GScalar(self.re, -self.im)
 
     def scale(self, c: Fraction) -> "GScalar":
-        return GScalar(self.re * c, self.im * c)
+        """The product with a rational; a zero part stays as it is and a
+        unit factor returns self."""
+        if c == 1:
+            return self
+        re, im = self.re, self.im
+        return GScalar(re * c if re else re, im * c if im else im)
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)

@@ -8,7 +8,10 @@ before it reused each moment's transvection data across pairs.
 apply_operator_oracle applies a retract operator through whole-series
 resize, product and sum, as the package did before it accumulated the
 products in place, and binom_oracle is the binomial coefficient as a
-full falling-factorial product.
+full falling-factorial product.  radial_pde_residual_oracle evaluates
+the radial operator as the package did before it built one coefficient
+table per call: each term a chain of XiFn products through its constant
+factors.
 """
 from __future__ import annotations
 
@@ -17,6 +20,8 @@ from math import factorial
 
 from ballquant.ball_quantization import QmmReport, resolve_truncation_order
 from ballquant.formal_star import NuSeries, half_commutator
+from ballquant.retract_pde import XiFn
+from ballquant.scalars import GScalar
 
 
 def rref_oracle(rows):
@@ -126,3 +131,54 @@ def binom_oracle(e: F, t: int) -> F:
     for s in range(t):
         out *= e - s
     return out / factorial(t)
+
+
+def _xt(k=0, m=0, n=0, h=0, j=0, re=0, im=0):
+    return XiFn({(k, m, n, h, j): GScalar.of(re, im)})
+
+
+def radial_pde_residual_oracle(theta: XiFn, n: int, order: int | None = None):
+    """The radial operator for sigma(v0) applied to theta, term by term:
+    the pair of XiFn coefficients along (w|v) and Omega(w, v), expanded
+    to order when one is given."""
+    th_a = theta.diff_a()
+    th_r = theta.diff_r()
+    th_rr = th_r.diff_r()
+    th_rrr = th_rr.diff_r()
+    th_xi = theta.diff_xi()
+    th_ar = th_r.diff_a()
+    th_xir = th_r.diff_xi()
+
+    one_plus = _xt(re=1).add(_xt(h=1, re=1))
+    s_minus = _xt(h=1, re=1).sub(_xt(re=1))
+    n_weight = GScalar.of(2 * n - 3)
+
+    wv = XiFn({})
+    bulk = one_plus.mul(_xt(m=2, re=1)).add(_xt(re=2)).add(_xt(k=-1, n=1, im=2))
+    wv = wv.add(_xt(k=1, n=1, im=1).mul(bulk).mul(theta))
+    front = _xt(k=1, n=-1, im=1).mul(s_minus)
+    radial_pair = th_rr.add(_xt(m=-1, re=1).scale(n_weight).mul(th_r))
+    wv = wv.sub(front.mul(radial_pair))
+    wv = wv.add(front.scale(GScalar.of(2)).mul(th_rr))
+    wv = wv.sub(front.scale(GScalar.of(2)).mul(_xt(m=-1, re=1)).mul(th_r))
+    wv = wv.sub(front.scale(GScalar.of(2)).mul(_xt(m=-1, re=1)).mul(th_ar))
+    wv = wv.sub(_xt(k=1, m=-1, h=1, im=4).mul(th_xir))
+
+    om = XiFn({})
+    om = om.sub(_xt(k=1, re=1).mul(one_plus).mul(theta))
+    om = om.sub(_xt(k=1, re=1).mul(one_plus).mul(th_a))
+    drag = _xt(k=1, re=1).mul(s_minus).sub(_xt(k=-1, m=-1, re=1))
+    om = om.add(drag.mul(_xt(m=1, re=1)).mul(th_r))
+    lift = one_plus.mul(_xt(m=2, re=1)).add(_xt(re=2))
+    om = om.add(_xt(k=1, re=1).mul(lift).mul(_xt(m=-1, re=F(1, 2))).mul(th_r))
+    om = om.sub(_xt(k=1, n=1, h=1, re=2).mul(th_xi))
+    tail = _xt(m=-1, re=1).scale(n_weight).mul(th_rr)
+    tail = tail.sub(_xt(m=-2, re=1).scale(n_weight).mul(th_r))
+    tail = tail.add(th_rrr)
+    om = om.sub(
+        _xt(k=1, n=-2, re=1).mul(s_minus).mul(_xt(m=-1, re=F(1, 2))).mul(tail)
+    )
+
+    if order is not None:
+        return wv.expand_nu(order), om.expand_nu(order)
+    return wv, om

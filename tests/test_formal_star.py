@@ -6,6 +6,7 @@ the standard symplectic matrix.
 """
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
@@ -13,7 +14,7 @@ from math import factorial
 
 import pytest
 
-from ballquant.ball_quantization import build_chart, poisson_structure
+from ballquant.ball_quantization import build_chart, build_qmm, poisson_structure
 from ballquant.formal_star import (
     CoefFn,
     NuSeries,
@@ -30,6 +31,7 @@ from ballquant.formal_star import (
     series_from_json,
     series_to_json,
     star_commutator,
+    transvection_terms,
 )
 from ballquant.lie_core import LieAlgebra
 
@@ -238,6 +240,19 @@ def test_moyal_associativity_random():
         right = moyal(f, moyal(g, h, P, K), P, K)
         for i in range(K + 1):
             assert left.coeffs[i].sub(right.coeffs[i]).is_zero()
+
+
+def test_transvection_walk_leaves_no_reference_cycle():
+    """A fully consumed walk leaves nothing for the cycle collector."""
+    table = build_qmm(3, None)
+    f = table.moments[table.labels.index("sE")].coeffs[0]
+    gc.collect()
+    gc.disable()
+    try:
+        assert sum(1 for _ in transvection_terms(f, table.P, 3)) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_star_operand_reuse_matches_fresh_products():

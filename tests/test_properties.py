@@ -1,4 +1,5 @@
-"""Property tests: ring laws of the shared sparse core, the Leibniz rule
+"""Property tests: Gaussian rational products against the four-product
+formula, ring laws of the shared sparse core, the Leibniz rule
 of the Poisson bracket, the associativity of the Moyal product, the
 Jacobi identity of the star commutator and the coordinates a linalg
 Frame reads against the dense rref oracle.
@@ -52,6 +53,25 @@ xi_fns = st.dictionaries(
     st.builds(GScalar.of, st.integers(-2, 2), st.integers(-1, 1)).filter(bool),
     max_size=3,
 ).map(XiFn)
+
+
+rationals = st.one_of(st.just(F(0)), st.builds(F, st.integers(-5, 5), st.integers(1, 4)))
+gscalars = st.builds(GScalar, rationals, rationals)
+
+
+def _is_exact(x: GScalar) -> bool:
+    return type(x.re) is F and type(x.im) is F
+
+
+@PROPERTY
+@given(gscalars, gscalars, st.one_of(rationals, st.integers(-3, 3)))
+def test_gscalar_products_follow_the_four_product_formula(x, y, c):
+    """Zero parts take the short paths; the values must not notice."""
+    prod = x * y
+    assert prod == GScalar(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+    assert prod == y * x
+    assert x.scale(c) == GScalar(x.re * c, x.im * c)
+    assert _is_exact(prod) and _is_exact(y * x) and _is_exact(x.scale(c))
 
 
 @PROPERTY

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from ballquant.ball_quantization import (
+    TruncationOrderError,
     build_chart,
     build_qmm,
     fundamental_field,
@@ -39,7 +40,7 @@ from ballquant.retract_pde import (
 from ballquant.scalars import GScalar
 from ballquant.su1n_model import build_su1n
 
-from oracles import apply_operator_oracle, binom_oracle
+from oracles import apply_operator_oracle, binom_oracle, radial_pde_residual_oracle
 
 
 def term(k=0, m=0, n=0, h=0, j=0, re=0, im=0):
@@ -535,3 +536,51 @@ def test_radial_pde_nu0_oracle():
         theta0 = theta.expand_nu(0)
         assert wv.expand_nu(0).sub(oracle_wv0(theta0)).is_zero()
         assert om.expand_nu(0).sub(oracle_om0(theta0)).is_zero()
+
+
+def rand_symbol(rng: random.Random) -> XiFn:
+    """Up to five monomials with exponents of either sign, odd and even
+    half powers, nonzero nu powers and complex rational coefficients."""
+    out = XiFn({})
+    for _ in range(rng.randint(1, 5)):
+        key = (
+            rng.randint(-2, 2),
+            rng.randint(-3, 3),
+            rng.randint(-3, 3),
+            rng.randint(-3, 3),
+            rng.randint(0, 4),
+        )
+        val = GScalar.of(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        )
+        out = out.add(XiFn({key: val}))
+    return out
+
+
+ORACLE_SYMBOLS = [rand_symbol(random.Random(seed)) for seed in range(40)] + [XiFn({})]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("order", [None, 0, 1, 2, 12])
+def test_radial_pde_matches_the_chained_oracle(n, order):
+    """The coefficient table gives the very terms the term-by-term chain
+    of products gives, exact and expanded."""
+    for theta in ORACLE_SYMBOLS:
+        wv, om = radial_pde_residual(theta, n, order)
+        want_wv, want_om = radial_pde_residual_oracle(theta, n, order)
+        assert wv.terms == want_wv.terms
+        assert om.terms == want_om.terms
+
+
+@pytest.mark.parametrize("order", [-1, True, 1.5, "3"])
+def test_radial_pde_rejects_a_bad_order(order):
+    with pytest.raises(TruncationOrderError):
+        radial_pde_residual(ONE, 3, order=order)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, 1.5, "3"])
+def test_radial_pde_rejects_a_non_integer_dimension(n):
+    with pytest.raises(ValueError, match="dimension"):
+        radial_pde_residual(ONE, n)
+
