@@ -34,8 +34,10 @@ from fractions import Fraction
 from operator import add
 
 from .formal_star import CoefFn, NuSeries, PoissonStructure, StarOperand, half_commutator
-from .linalg import Frame, mat_inverse, solve_in_span  # noqa: F401, callers read it here
-from .scalars import collect
+from .lie_core import structure_in
+from .linalg import Frame, bilinear, mat_inverse, split_symplectic
+from .linalg import solve_in_span  # noqa: F401, callers read it here
+from .scalars import accumulate, collect
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
 CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
@@ -65,11 +67,7 @@ def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallC
     model = build_su1n(N)
     H, fs, E = adapted_s_basis(model)
     nv = len(fs)
-    half = nv // 2
-    omega = [[Fraction(0)] * nv for _ in range(nv)]
-    for i in range(half):
-        omega[i][half + i] = Fraction(1)
-        omega[half + i][i] = Fraction(-1)
+    omega = split_symplectic(nv)
     gram = [
         [inner_scale * model.beta_sigma(u, w) / model.beta_H0 for w in fs] for u in fs
     ]
@@ -117,21 +115,10 @@ class GroupElement:
     z: Fraction
 
 
-def _omega_pair(chart: BallChart, v1, v2) -> Fraction:
-    return sum(
-        (
-            chart.omega[i][j] * v1[i] * v2[j]
-            for i in range(chart.nv)
-            for j in range(chart.nv)
-        ),
-        Fraction(0),
-    )
-
-
 def group_mul(chart: BallChart, g1: GroupElement, g2: GroupElement) -> GroupElement:
     t = g1.t * g2.t
     v = tuple(g2.t * a + b for a, b in zip(g1.v, g2.v))
-    z = g2.z + g2.t**2 * g1.z + Fraction(1, 2) * g2.t * _omega_pair(chart, g1.v, g2.v)
+    z = g2.z + g2.t**2 * g1.z + Fraction(1, 2) * g2.t * bilinear(chart.omega, g1.v, g2.v)
     return GroupElement(t, v, z)
 
 
@@ -181,17 +168,19 @@ def _units(nv: int) -> list:
     return [tuple(int(i == j) for i in range(nv)) for j in range(nv)]
 
 
+def apply_field(field: list, f: CoefFn) -> CoefFn:
+    """The derivative of f along the vector field with chart components
+    field: the sum of field[w] d_w f, accumulated in place."""
+    acc = {}
+    for w, comp in enumerate(field):
+        if comp.terms:
+            accumulate(acc, comp.mul_items(f.diff_coord(w)))
+    return CoefFn(f.nv, acc)
+
+
 def field_bracket(f1: list, f2: list) -> list:
     """Commutator of two vector fields given by chart components."""
-    n = len(f1)
-    out = []
-    for u in range(n):
-        acc = CoefFn.zero(f1[0].nv)
-        for w in range(n):
-            acc = acc.add(f1[w].mul(f2[u].diff_coord(w)))
-            acc = acc.sub(f2[w].mul(f1[u].diff_coord(w)))
-        out.append(acc)
-    return out
+    return [apply_field(f1, b).sub(apply_field(f2, a)) for a, b in zip(f1, f2)]
 
 
 class IntegrabilityError(Exception):
@@ -264,16 +253,9 @@ def _solve_zeta(chart: BallChart) -> list:
     if dm == 0:
         return []
     am_frame = Frame([chart.H] + chart.m_basis)
-    rows = []
-    rhs = []
-    for i in range(dm):
-        for j in range(i + 1, dm):
-            br = model.algebra.bracket(chart.m_basis[i], chart.m_basis[j])
-            coords = model.m_space.frame.coords(br)
-            if coords is None:
-                raise AssertionError("m is not bracket closed")
-            rows.append(coords)
-            rhs.append(Fraction(0))
+    m_structure = structure_in(model.m_space.frame, chart.m_basis, model.algebra.bracket)
+    rows = [[coeffs.get(k, 0) for k in range(dm)] for coeffs in m_structure.values()]
+    rhs = [Fraction(0)] * len(rows)
     for i in range(chart.nv):
         for j in range(chart.nv):
             br = model.algebra.bracket(chart.fs[i], model.apply_sigma(chart.fs[j]))
@@ -425,7 +407,9 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     the first factor) and its derivatives (as the second) are computed at
     most once and reused by every pair it enters.  The memo is keyed by
     table position (moment, power of nu, then m or multi-index) and is
-    dropped on return: no state outlives the call.
+    dropped on return: no state outlives the call.  The left sides are
+    read from the structure constants of the checked basis vectors in
+    the table frame, taken once per call by structure_in.
     """
     order = resolve_truncation_order(order)
     if pairs == "all":
@@ -435,6 +419,7 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     else:
         raise ValueError("pairs must be 'all' or 's'")
     algebra = table.chart.model.algebra
+    structure = structure_in(table.frame, table.basis[: len(idx)], algebra.bracket)
     failures = []
     checked = 0
     exact = True
@@ -442,14 +427,9 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     for pos, i in enumerate(idx):
         for j in idx[pos + 1 :]:
             checked += 1
-            br = algebra.bracket(table.basis[i], table.basis[j])
-            coords = table.frame.coords(br)
-            if coords is None:
-                raise AssertionError("bracket left the table basis span")
             lhs = NuSeries.zero(table.chart.nv, order)
-            for c, m in zip(coords, lifted):
-                if c:
-                    lhs = lhs.add(m.series.scale(c))
+            for k, c in structure.get((i, j), {}).items():
+                lhs = lhs.add(lifted[k].series.scale(c))
             rhs = half_commutator(lifted[i], lifted[j], table.P, order)
             exact = exact and rhs.exact
             res = lhs.sub(rhs)

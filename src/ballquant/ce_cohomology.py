@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie_core import LieAlgebra
-from .linalg import Frame, nullspace, rank_sparse
+from .linalg import Frame, bilinear, nullspace, rank_sparse
 from .psd_builder import PsdAlgebra
 from .scalars import collect, frac_str, parse_frac
 from .su1n_model import Su1nModel, iwasawa_project, s_submodel
@@ -59,15 +59,7 @@ def random_two_cochain(dim: int, rng) -> Cochain:
 
 
 def evaluate_two_cochain(c: Cochain, x: list, y: list) -> Fraction:
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = c.data[i]
-        for j, yj in enumerate(y):
-            if yj and row[j]:
-                total += xi * yj * row[j]
-    return total
+    return bilinear(c.data, x, y)
 
 
 def delta(algebra: LieAlgebra, c: Cochain) -> Cochain:
@@ -235,7 +227,9 @@ def coboundary_primitive_roots(model: Su1nModel, c: Cochain) -> Cochain:
 
     On a root vector X of root value t the primitive is
     alpha(X) = c(H_t, X) / t(H_t) = c(H0, X) / t, and alpha vanishes
-    on a.  Expressed on the echelon basis of the submodel.
+    on a.  Expressed on the echelon basis of the submodel: alpha takes
+    these values on the adapted basis (H, root vectors), so it is read as
+    coordinates against the columns of that basis.
     """
     sub = s_submodel(model)
     g = sub.algebra
@@ -247,13 +241,7 @@ def coboundary_primitive_roots(model: Su1nModel, c: Cochain) -> Cochain:
         for x in basis:
             adapted.append(x)
             values.append(evaluate_two_cochain(c, sub.H, x) / t)
-    frame = Frame(adapted)
-    alpha = []
-    for l in range(g.dim):
-        coords = frame.coords(g.basis_vector(l))
-        if coords is None:
-            raise AssertionError("root spaces do not span the solvable part")
-        alpha.append(sum((w * v for w, v in zip(coords, values)), Fraction(0)))
+    alpha = Frame(list(zip(*adapted))).coords(values)
     return Cochain(1, g.dim, alpha)
 
 

@@ -93,6 +93,8 @@ def _check_args(args) -> None:
     elif opts.get("order") is not None:
         resolve_truncation_order(args.order)
     if args.command == "retract-residual":
+        if args.n < 2:
+            raise UsageError(f"--n must be at least 2, got {args.n}")
         try:
             args.theta = xifn_from_json(json.loads(args.theta_json))
             ok = all(type(e) is int for key in args.theta.terms for e in key)

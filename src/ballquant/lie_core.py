@@ -7,6 +7,9 @@ structure constants.  Construction validates the Jacobi identity on all
 basis triples and refuses invalid tables, so every instance in the rest
 of the package is an actual Lie algebra.  Subspaces keep a canonical reduced echelon
 basis, which makes equality of subspaces literal list equality.
+structure_in reads the structure constants of any list of vectors
+against a Frame, for any bracket; the su(1, N) model, subalgebras and
+the moment table all get theirs from it.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .linalg import Frame, nullspace, rref, zeros
+from .linalg import Frame, combine, nullspace, rref, zeros
 from .scalars import frac_str, parse_frac
 
 Scalar = Fraction
@@ -147,17 +150,6 @@ class LieAlgebra:
                 form[i][j] = form[j][i] = tr
         return form
 
-    def killing(self, x: Vector, y: Vector, _form=None) -> Fraction:
-        form = _form if _form is not None else self.killing_form()
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = form[i]
-                for j, yj in enumerate(y):
-                    if yj and row[j]:
-                        total += xi * yj * row[j]
-        return total
-
     def to_json(self) -> str:
         brackets = []
         for (i, j) in sorted(self.structure):
@@ -206,16 +198,9 @@ def span_subspace(algebra: LieAlgebra, vectors: list) -> Subspace:
 
 
 def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
-    vecs = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            coeffs = algebra.structure.get((i, j))
-            if coeffs:
-                v = zeros(algebra.dim)
-                for k, val in coeffs.items():
-                    v[k] = val
-                vecs.append(v)
-    return Subspace(algebra, vecs)
+    """[g, g]: the span of the nonzero brackets of basis vectors."""
+    rows = [[c.get(k, 0) for k in range(algebra.dim)] for c in algebra.structure.values()]
+    return Subspace(algebra, rows)
 
 
 def _killed_by(algebra: LieAlgebra, sub: Subspace, functionals: list) -> Subspace:
@@ -261,14 +246,27 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     rows = []
     for coord in range(n):
         rows.append([a[i][coord] for i in range(len(a))] + [-b[j][coord] for j in range(len(b))])
-    vecs = []
-    for sol in nullspace(rows, len(a) + len(b)):
-        v = zeros(n)
-        for i, c in enumerate(sol[: len(a)]):
-            if c:
-                v = [vi + c * ai for vi, ai in zip(v, a[i])]
-        vecs.append(v)
+    vecs = [combine(sol[: len(a)], a) for sol in nullspace(rows, len(a) + len(b))]
     return Subspace(s1.algebra, vecs)
+
+
+def structure_in(frame: Frame, vectors: list, bracket) -> dict:
+    """Structure constants of vectors read in frame.
+
+    Maps each pair i < j whose bracket is nonzero to its nonzero
+    coordinates {k: c} against the frame basis; raises ValueError naming
+    the pair when a bracket leaves the span.
+    """
+    structure = {}
+    for i, x in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            coords = frame.coords(bracket(x, vectors[j]))
+            if coords is None:
+                raise ValueError(f"the bracket of vectors {i} and {j} leaves the span")
+            kept = {k: c for k, c in enumerate(coords) if c}
+            if kept:
+                structure[(i, j)] = kept
+    return structure
 
 
 def subalgebra(algebra: LieAlgebra, sub: Subspace, labels=None):
@@ -276,20 +274,12 @@ def subalgebra(algebra: LieAlgebra, sub: Subspace, labels=None):
 
     Returns the restricted LieAlgebra together with the embedding basis
     (rows are the canonical basis vectors of the subspace inside the
-    parent coordinates).  Raises when the subspace is not closed.
+    parent coordinates).  Raises ValueError when the subspace is not
+    bracket closed.
     """
     basis = sub.basis
     n = len(basis)
-    structure = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = algebra.bracket(basis[i], basis[j])
-            coords = sub.frame.coords(b)
-            if coords is None:
-                raise ValueError("subspace is not bracket closed")
-            kept = {k: c for k, c in enumerate(coords) if c}
-            if kept:
-                structure[(i, j)] = kept
+    structure = structure_in(sub.frame, basis, algebra.bracket)
     if labels is None:
         labels = [f"b{i}" for i in range(n)]
     return LieAlgebra(n, labels, structure), [row[:] for row in basis]

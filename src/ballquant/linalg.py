@@ -13,6 +13,10 @@ canonical subspace bases and ``nullspace`` reads the kernel off the
 sparse form.  Coordinates against a basis, inverses
 included, come from a ``Frame``, which reduces the basis once and reads
 every later vector off its dual; ``solve_linear`` goes through ``rref``.
+The change-of-basis steps the rest of the package shares live here too:
+``combine`` sums coefficients times vectors, ``bilinear`` evaluates a
+bilinear form on two vectors, and ``split_symplectic`` is the one
+split-half symplectic matrix [[0, I], [-I, 0]].
 """
 from __future__ import annotations
 
@@ -36,14 +40,49 @@ def identity_matrix(n: int) -> Mat:
 def vec_add(u: Vec, v: Vec) -> Vec:
     return [a + b for a, b in zip(u, v)]
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [a - b for a, b in zip(u, v)]
-
 def vec_scale(u: Vec, c: Fraction) -> Vec:
     return [a * c for a in u]
 
 def is_zero_vec(u: Vec) -> bool:
     return all(a == 0 for a in u)
+
+
+def combine(coeffs, vectors) -> Vec:
+    """The dense sum of c * v over coefficients paired with vectors (at
+    least one), skipping zero coefficients and zero entries."""
+    out = zeros(len(vectors[0]))
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for j, x in enumerate(v):
+                if x:
+                    out[j] += c * x
+    return out
+
+
+def bilinear(form: Mat, x: Vec, y: Vec) -> Fraction:
+    """x^T form y, summed over the nonzero entries only."""
+    total = Fraction(0)
+    for xi, row in zip(x, form):
+        if xi:
+            for yj, f in zip(y, row):
+                if yj and f:
+                    total += xi * yj * f
+    return total
+
+
+def split_symplectic(n: int) -> Mat:
+    """The split-half symplectic matrix [[0, I], [-I, 0]] of even size n."""
+    half = n // 2
+    out = [zeros(n) for _ in range(n)]
+    for i in range(half):
+        out[i][half + i] = Fraction(1)
+        out[half + i][i] = Fraction(-1)
+    return out
+
+
+def _sparse(v) -> dict:
+    """A dense list or a dict column -> scalar as a dict of its nonzeros."""
+    return {j: x for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
 
 
 def _primitive(row: dict) -> dict:
@@ -72,10 +111,10 @@ def _echelon(rows) -> list[dict[int, int]]:
     """
     buckets: dict[int, list] = {}
     for row in rows:
-        items = [(j, x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x]
-        if items:
-            denom = lcm(*(x.denominator for _, x in items))
-            row = _primitive({j: x.numerator * (denom // x.denominator) for j, x in items})
+        row = _sparse(row)
+        if row:
+            denom = lcm(*(x.denominator for x in row.values()))
+            row = _primitive({j: x.numerator * (denom // x.denominator) for j, x in row.items()})
             buckets.setdefault(min(row), []).append(row)
     out = []
     while buckets:
@@ -156,11 +195,6 @@ def solve_linear(a: Mat, b: Vec):
             return None
         x[c] = red[r][ncols]
     return x
-
-
-def _sparse(v) -> dict:
-    """A dense list or a dict column -> scalar as a dict of its nonzeros."""
-    return {j: x for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
 
 
 class Frame:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lie_core import LieAlgebra
-from .linalg import is_zero_vec, vec_sub
+from .linalg import combine
 from .scalars import frac_str, parse_frac
 from .su1n_model import Su1nModel, adapted_s_basis
 
@@ -146,10 +146,6 @@ def match_iwasawa(psd: PsdAlgebra, model: Su1nModel) -> MatchReport:
             checked += 1
             lhs = s.bracket(images[i], images[j])
             coeffs = g.bracket(g.basis_vector(i), g.basis_vector(j))
-            rhs = [Fraction(0)] * s.dim
-            for t, c in enumerate(coeffs):
-                if c:
-                    rhs = [r + c * x for r, x in zip(rhs, images[t])]
-            if not is_zero_vec(vec_sub(lhs, rhs)):
+            if lhs != combine(coeffs, images):
                 failures.append((g.labels[i], g.labels[j]))
     return MatchReport(not failures, checked, failures)

@@ -52,6 +52,7 @@ from operator import add
 from .ball_quantization import (
     BallChart,
     QmmTable,
+    apply_field,
     fundamental_field,
     inner_square,
     resolve_truncation_order,
@@ -204,15 +205,7 @@ def check_reduction_closure(model: Su1nModel) -> ClosureReport:
 def m_invariance_residuals(chart: BallChart, f: CoefFn) -> list:
     """Lie derivatives of f along the m fundamental fields, one per
     generator; all zero exactly when f is m-invariant."""
-    out = []
-    for y in chart.m_basis:
-        comps = fundamental_field(chart, y)
-        r = CoefFn.zero(chart.nv)
-        for coord, comp in enumerate(comps):
-            if not comp.is_zero():
-                r = r.add(comp.mul(f.diff_coord(coord)))
-        out.append(r)
-    return out
+    return [apply_field(fundamental_field(chart, y), f) for y in chart.m_basis]
 
 
 def radial_reduce(chart: BallChart, f: CoefFn) -> dict:
@@ -375,10 +368,13 @@ def radial_pde_residual(theta: XiFn, n: int, order: int | None = None):
     of the domain.  Returns the exact pair of XiFn coefficients along
     (w|v) and Omega(w, v); pass order to expand the square root factors
     into truncated nu series instead.  An order is checked as
-    resolve_truncation_order checks it; n must be an integer.
+    resolve_truncation_order checks it; n must be an integer of at least
+    2, since v0 lies in V of dimension 2(n - 1).
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"the dimension n must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"the dimension n must be at least 2, got {n}")
     if order is not None:
         order = resolve_truncation_order(order)
     derivs = {(): theta}

@@ -21,10 +21,11 @@ from .lie_core import (
     Subspace,
     centralizer,
     span_subspace,
+    structure_in,
     subalgebra,
     subspace_intersection,
 )
-from .linalg import Frame, is_zero_vec, nullspace, vec_scale, zeros
+from .linalg import Frame, bilinear, combine, is_zero_vec, nullspace, split_symplectic, vec_scale
 from .scalars import G_ZERO, GScalar, frac_str
 
 
@@ -117,7 +118,7 @@ class Su1nModel:
         return [s * xi for s, xi in zip(self.sigma_diagonal, x)]
 
     def beta_form(self, x: list, y: list) -> Fraction:
-        return self.algebra.killing(x, y, _form=self.beta)
+        return bilinear(self.beta, x, y)
 
     def beta_sigma(self, x: list, y: list) -> Fraction:
         return -self.beta_form(x, self.apply_sigma(y))
@@ -142,15 +143,7 @@ def build_su1n(N: int) -> Su1nModel:
     n = N + 1
     frame = Frame([_flatten(m, n) for m in mats])
     dim = len(mats)
-    structure = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            coords = frame.coords(_flatten(_comm(mats[i], mats[j]), n))
-            if coords is None:
-                raise AssertionError("commutator left the spanned space")
-            kept = {k: x for k, x in enumerate(coords) if x}
-            if kept:
-                structure[(i, j)] = kept
+    structure = structure_in(frame, mats, lambda a, b: _flatten(_comm(a, b), n))
     algebra = LieAlgebra(dim, labels, structure)
 
     h0_index = N  # label P1
@@ -257,16 +250,8 @@ def adapted_s_basis(model: Su1nModel):
         xs.append(x)
         ys.append(y)
     fs = xs + ys
-    m = len(xs)
-    for i, fi in enumerate(fs):
-        for j, fj in enumerate(fs):
-            want = Fraction(0)
-            if j == i + m:
-                want = Fraction(1)
-            elif i == j + m:
-                want = Fraction(-1)
-            if bform(fi, fj) != want:
-                raise AssertionError("symplectic normal form check failed")
+    if [[bform(fi, fj) for fj in fs] for fi in fs] != split_symplectic(len(fs)):
+        raise AssertionError("symplectic normal form check failed")
     return model.H0, fs, E
 
 
@@ -324,14 +309,7 @@ def verify_m_orthocomplement(model: Su1nModel) -> CheckReport:
             model.algebra, [model.algebra.bracket(y, x) for y in model.m_space.basis]
         )
         row = [model.beta_sigma(x, b) for b in basis]
-        coeffs = nullspace([row], len(basis))
-        ortho_vecs = []
-        for c in coeffs:
-            v = zeros(model.algebra.dim)
-            for w, b in zip(c, basis):
-                if w:
-                    v = [vi + w * bi for vi, bi in zip(v, b)]
-            ortho_vecs.append(v)
+        ortho_vecs = [combine(c, basis) for c in nullspace([row], len(basis))]
         ortho = span_subspace(model.algebra, ortho_vecs)
         if bracket_span != ortho:
             failures.append(("orthocomplement", x))
@@ -340,14 +318,10 @@ def verify_m_orthocomplement(model: Su1nModel) -> CheckReport:
 
 def iwasawa_project(model: Su1nModel, x: list):
     """Split x = x_s + x_k along the direct sum g = s + k."""
-    frame = model.iwasawa_frame
-    coords = frame.coords(x)
+    coords = model.iwasawa_frame.coords(x)
     if coords is None:
         raise ValueError("vector outside the algebra span")
-    xs = zeros(model.algebra.dim)
-    for c, row in zip(coords[: model.s_space.dim], frame.basis):
-        for t, b in row:
-            xs[t] += c * b
+    xs = combine(coords[: model.s_space.dim], model.s_space.basis)
     return xs, [a - b for a, b in zip(x, xs)]
 
 

@@ -11,7 +11,8 @@ products in place, and binom_oracle is the binomial coefficient as a
 full falling-factorial product.  radial_pde_residual_oracle evaluates
 the radial operator as the package did before it built one coefficient
 table per call: each term a chain of XiFn products through its constant
-factors.
+factors.  field_bracket_oracle is the commutator of two vector fields as
+a whole-CoefFn sum over every pair of components.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from fractions import Fraction as F
 from math import factorial
 
 from ballquant.ball_quantization import QmmReport, resolve_truncation_order
-from ballquant.formal_star import NuSeries, half_commutator
+from ballquant.formal_star import CoefFn, NuSeries, half_commutator
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import GScalar
 
@@ -122,6 +123,20 @@ def apply_operator_oracle(op: dict, theta: NuSeries, order=None) -> NuSeries:
     for key, series in op.items():
         dtheta = NuSeries(order, [c.diff(key) for c in base.coeffs], base.exact)
         out = out.add(series.resize(order).mul(dtheta))
+    return out
+
+
+def field_bracket_oracle(f1: list, f2: list) -> list:
+    """Commutator of two vector fields given by chart components: for each
+    component u the sum over w of f1[w] d_w f2[u] - f2[w] d_w f1[u]."""
+    n = len(f1)
+    out = []
+    for u in range(n):
+        acc = CoefFn.zero(f1[0].nv)
+        for w in range(n):
+            acc = acc.add(f1[w].mul(f2[u].diff_coord(w)))
+            acc = acc.sub(f2[w].mul(f1[u].diff_coord(w)))
+        out.append(acc)
     return out
 
 

@@ -40,7 +40,7 @@ from ballquant.formal_star import CoefFn, poisson
 from ballquant.linalg import solve_in_span
 from ballquant.su1n_model import build_su1n
 
-from oracles import leading_principal_minors, verify_qmm_oracle
+from oracles import field_bracket_oracle, leading_principal_minors, verify_qmm_oracle
 
 
 def test_chart_frozen_n2():
@@ -377,3 +377,14 @@ def test_qmm_labels_name_the_table_basis():
         assert table.labels == qmm_labels(N)
         assert len(table.basis) == len(table.labels) == build_su1n(N).algebra.dim
     assert len(set(qmm_labels(3))) == build_su1n(3).algebra.dim == 15
+
+
+def test_field_bracket_matches_the_oracle_loop():
+    chart = build_chart(3)
+    basis = [chart.H] + chart.fs + [chart.E] + chart.m_basis
+    fields = [fundamental_field(chart, x) for x in basis]
+    for a in fields:
+        for b in fields:
+            got = field_bracket(a, b)
+            want = field_bracket_oracle(a, b)
+            assert [c.terms for c in got] == [c.terms for c in want]

@@ -126,12 +126,14 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         (["build-psd", "--r", "0", "--blocks", ""], "--r"),
         (["h2"], "h2 needs"),
         (["verify", "--suite", "su1n", "--N", "1", "--order", "-1"], "order argument"),
+        (["retract-residual", "--n", "1"], "--n"),
     ],
     ids=[
         "verify-N", "export-N", "qmm-export-N", "h2-su1n", "alpha-zero-denominator",
         "alpha-text", "export-alpha", "value-text", "label-unknown", "label-missing",
         "value-missing", "theta-syntax", "theta-no-terms", "theta-exponent", "blocks-text",
         "blocks-count", "blocks-zero", "r-zero", "h2-no-target", "su1n-order",
+        "retract-n",
     ],
 )
 def test_bad_option_is_a_usage_error(capsys, argv, source):

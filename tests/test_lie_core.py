@@ -28,9 +28,10 @@ from ballquant.lie_core import (
     jacobi_report,
     normalizer,
     span_subspace,
+    structure_in,
     subalgebra,
 )
-from ballquant.linalg import is_zero_vec, vec_add, zeros
+from ballquant.linalg import Frame, is_zero_vec, vec_add, zeros
 from ballquant.psd_builder import PsdSpec, build_psd
 from ballquant.su1n_model import build_su1n
 
@@ -317,3 +318,22 @@ def test_cached_structure_is_read_only():
         g.rows[key[1]][key[0]] = {}
     assert build_su1n(3).algebra.bracket(x, y) == before
 
+
+
+@pytest.mark.parametrize("name", ["su1n_1", "su1n_2", "su1n_3", "psd_3_2_3", "psd_4_4", "psd_3"])
+def test_structure_in_reads_back_the_structure_table(name):
+    g = agreement_algebra(name)
+    units = [g.basis_vector(i) for i in range(g.dim)]
+    got = structure_in(Frame(units), units, g.bracket)
+    assert got == {key: dict(coeffs) for key, coeffs in g.structure.items()}
+
+
+def test_structure_in_names_a_bracket_that_leaves_the_span():
+    g = build_su1n(2).algebra
+    # the first basis pair whose bracket has a component outside the pair
+    i, j = next(
+        (i, j) for (i, j), coeffs in sorted(g.structure.items()) if set(coeffs) - {i, j}
+    )
+    pair = [g.basis_vector(i), g.basis_vector(j)]
+    with pytest.raises(ValueError, match="vectors 0 and 1"):
+        structure_in(Frame(pair), pair, g.bracket)

@@ -1,8 +1,10 @@
 """Property tests: Gaussian rational products against the four-product
 formula, ring laws of the shared sparse core, the Leibniz rule
 of the Poisson bracket, the associativity of the Moyal product, the
-Jacobi identity of the star commutator and the coordinates a linalg
-Frame reads against the dense rref oracle.
+Jacobi identity of the star commutator, the coordinates a linalg
+Frame reads against the dense rref oracle, and the linalg change-of-basis
+helpers (combine, bilinear, split_symplectic) against dense matrix
+products.
 
 Examples are drawn deterministically (derandomize=True), so a failure
 reproduces on every run.
@@ -12,16 +14,16 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballquant.ball_quantization import build_chart, poisson_structure
 from ballquant.formal_star import CoefFn, NuSeries, moyal, poisson, star_commutator
-from ballquant.linalg import Frame
+from ballquant.linalg import Frame, bilinear, combine, identity_matrix, split_symplectic
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import GScalar
 
-from oracles import rref_oracle
+from oracles import mat_mul, rref_oracle
 
 NV = 2
 P = poisson_structure(build_chart(2))
@@ -160,3 +162,45 @@ def test_frame_matches_rref_oracle(case):
     assert (got is not None) == (_rank(basis + [v]) == len(basis))
     if got is not None:
         assert [sum((g * b[t] for g, b in zip(got, basis)), F(0)) for t in range(len(v))] == v
+
+
+@st.composite
+def matrix_cases(draw):
+    """An r x c matrix with many zero entries, a row vector of length r
+    and a column vector of length c."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    matrix = draw(st.lists(st.lists(rationals, min_size=c, max_size=c), min_size=r, max_size=r))
+    x = draw(st.lists(rationals, min_size=r, max_size=r))
+    y = draw(st.lists(rationals, min_size=c, max_size=c))
+    return matrix, x, y
+
+
+# Two nonzero coefficients meet in each column, so the sums accumulate.
+OVERLAP = ([[F(1), F(2)], [F(3), F(0)]], [F(1), F(-1)], [F(2), F(1)])
+
+
+@PROPERTY
+@given(matrix_cases())
+@example(OVERLAP)
+def test_bilinear_is_x_transpose_m_y(case):
+    matrix, x, y = case
+    assert bilinear(matrix, x, y) == mat_mul([x], mat_mul(matrix, [[v] for v in y]))[0][0]
+
+
+@PROPERTY
+@given(matrix_cases())
+@example(OVERLAP)
+def test_combine_is_a_row_times_a_matrix(case):
+    matrix, x, _ = case
+    assert combine(x, matrix) == mat_mul([x], matrix)[0]
+
+
+@PROPERTY
+@given(st.integers(1, 5))
+def test_split_symplectic_is_antisymmetric_with_square_minus_one(half):
+    n = 2 * half
+    omega = split_symplectic(n)
+    # split-half order: the pairing of e_i with e_(half + i) is +1
+    assert [row[half:] for row in omega[:half]] == identity_matrix(half)
+    assert [list(col) for col in zip(*omega)] == [[-v for v in row] for row in omega]
+    assert mat_mul(omega, omega) == [[-v for v in row] for row in identity_matrix(n)]

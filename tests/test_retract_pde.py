@@ -584,3 +584,10 @@ def test_radial_pde_rejects_a_non_integer_dimension(n):
     with pytest.raises(ValueError, match="dimension"):
         radial_pde_residual(ONE, n)
 
+
+
+@pytest.mark.parametrize("n", [1, 0, -4])
+def test_radial_pde_rejects_a_dimension_below_two(n):
+    # v0 lies in V of dimension 2(n - 1): for n < 2 there is no direction
+    with pytest.raises(ValueError, match="dimension"):
+        radial_pde_residual(ONE, n)
