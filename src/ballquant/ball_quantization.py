@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
 
-from .formal_star import CoefFn, NuSeries, PoissonStructure, StarOperand, half_commutator
+from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, StarOperand, half_commutator
 from .lie_core import structure_in
 from .linalg import Frame, bilinear, mat_inverse, split_symplectic
 from .linalg import solve_in_span  # noqa: F401, callers read it here
@@ -226,14 +226,10 @@ def classical_moment(chart: BallChart, x: list, P: PoissonStructure) -> CoefFn:
     with H (where no bracket identity pins the constant).
     """
     field = fundamental_field(chart, x)
-    lam_matrix = [[-c for c in row] for row in mat_inverse(P.matrix)]
     grad = []
-    for u in range(chart.nv + 2):
-        acc = CoefFn.zero(chart.nv)
-        for w in range(chart.nv + 2):
-            if lam_matrix[u][w]:
-                acc = acc.add(field[w].scale(lam_matrix[u][w]))
-        grad.append(acc)
+    for row in mat_inverse(P.matrix):
+        items = (kv for c, comp in zip(row, field) if c for kv in comp.scale(-c).terms.items())
+        grad.append(CoefFn(chart.nv, collect(items)))
     lam = integrate_exact_gradient(grad)
     if all(c == 0 for c in chart.model.algebra.bracket(chart.H, x)):
         lam = lam.sub(lam.origin_part())
@@ -427,12 +423,12 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     for pos, i in enumerate(idx):
         for j in idx[pos + 1 :]:
             checked += 1
-            lhs = NuSeries.zero(table.chart.nv, order)
+            lhs = NuSum(table.chart.nv, order)
             for k, c in structure.get((i, j), {}).items():
-                lhs = lhs.add(lifted[k].series.scale(c))
+                lhs.add(lifted[k].series, c)
             rhs = half_commutator(lifted[i], lifted[j], table.P, order)
             exact = exact and rhs.exact
-            res = lhs.sub(rhs)
+            res = lhs.add(rhs, -1).series()
             if not res.is_zero():
                 failures.append((table.labels[i], table.labels[j], res))
     return QmmReport(not failures, order, exact, checked, failures)
@@ -453,10 +449,9 @@ def mutate_add_nu_const(table: QmmTable, label: str, value: Fraction) -> QmmTabl
     nv = table.chart.nv
     idx = table.labels.index(label)
     moments = list(table.moments)
-    s = moments[idx]
-    coeffs = list(s.coeffs)
-    coeffs[1] = coeffs[1].add(CoefFn.const(nv, value))
-    moments[idx] = NuSeries(s.order, coeffs, s.exact)
+    shifted = NuSum(nv, moments[idx].order).add(moments[idx])
+    shifted.land(1, CoefFn.const(nv, value).terms.items())
+    moments[idx] = shifted.series()
     return replace(table, moments=moments)
 
 

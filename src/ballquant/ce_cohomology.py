@@ -168,10 +168,6 @@ def check_psd_cocycle_conditions(psd: PsdAlgebra, c: Cochain) -> CocycleReport:
     """
     g = psd.algebra
     M = c.data
-
-    def on_vector(h: int, w: list) -> Fraction:
-        return sum((wt * M[h][t] for t, wt in enumerate(w) if wt), Fraction(0))
-
     for j in range(1, psd.spec.r + 1):
         bj = psd.blocks[j]
         hj, ej, vj = bj["H"], bj["E"], bj["V"]
@@ -190,8 +186,8 @@ def check_psd_cocycle_conditions(psd: PsdAlgebra, c: Cochain) -> CocycleReport:
                 if M[x][ej] != 0:
                     return CocycleReport(False, "ii")
                 for a in vj:
-                    w = g.bracket(g.basis_vector(x), g.basis_vector(a))
-                    if M[x][a] != on_vector(hj, w):
+                    bracket = g.rows[x].get(a, {})  # [X, v] as a sparse vector
+                    if M[x][a] != sum((s * M[hj][t] for t, s in bracket.items()), Fraction(0)):
                         return CocycleReport(False, "ii'")
             for a in bk["V"]:
                 if M[a][hj] != 0:

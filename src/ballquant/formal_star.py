@@ -34,13 +34,15 @@ CoefFn takes its ring arithmetic (sums with cancellation, scaling,
 products by adding exponents) from the SparseSum core of scalars and adds
 only the rules of its own axes: derivatives and antiderivatives.  Star
 products are truncated series in the deformation parameter, a NuSeries
-holding one CoefFn per power of nu.  The series product, moyal and
-star_commutator all run one kernel, _truncated_product, and every term it
-computes lands through NuSeries.place: the one point where a nonzero term
-past the order is dropped and clears the exact flag.
+holding one CoefFn per power of nu.  Every series is summed in place in
+a NuSum, and NuSum.land is the one point in the package where a term
+past the order is dropped, clearing the exact flag if it is nonzero: the
+star products and the series product all land there through
+_transvection_series, as do series sums, retract_pde and verify_qmm.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, perm
@@ -268,8 +270,8 @@ class NuSeries:
 
     coeffs[i] multiplies nu^i; exact means no nonzero coefficient was
     dropped past the truncation order by the operations that built it.
-    place is the one point where a term lands or, past the order, is
-    dropped and clears exact.
+    Series are summed term by term in a NuSum, whose land decides what is
+    dropped.
     """
 
     order: int
@@ -287,69 +289,68 @@ class NuSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def place(self, t: int, c: CoefFn) -> None:
-        """Add c at nu^t; past the order a nonzero c is dropped and clears
-        exact."""
-        if t <= self.order:
-            self.coeffs[t] = self.coeffs[t].add(c)
-        elif not c.is_zero():
-            self.exact = False
-
     def resize(self, order: int) -> NuSeries:
-        out = NuSeries.zero(self.coeffs[0].nv, order, self.exact)
-        for t, c in enumerate(self.coeffs):
-            out.place(t, c)
-        return out
+        return NuSum(self.coeffs[0].nv, order).add(self).series()
 
-    def add(self, other: NuSeries) -> NuSeries:
+    def add(self, other: NuSeries, c=1) -> NuSeries:
+        """self + c other, summed in one NuSum."""
         if self.order != other.order:
             raise ValueError("series orders differ")
-        return NuSeries(
-            self.order,
-            [a.add(b) for a, b in zip(self.coeffs, other.coeffs)],
-            self.exact and other.exact,
-        )
-
-    def neg(self) -> NuSeries:
-        return NuSeries(self.order, [c.neg() for c in self.coeffs], self.exact)
+        return NuSum(self.coeffs[0].nv, self.order).add(self).add(other, c).series()
 
     def sub(self, other: NuSeries) -> NuSeries:
-        return self.add(other.neg())
+        return self.add(other, -1)
 
     def scale(self, c: Fraction) -> NuSeries:
         return NuSeries(self.order, [f.scale(c) for f in self.coeffs], self.exact)
 
     def mul(self, other: NuSeries) -> NuSeries:
+        """The product: C_0(f, g) = f g, so this is the star product of
+        the zero Poisson structure, under which every C_m with m > 0
+        vanishes."""
         if self.order != other.order:
             raise ValueError("series orders differ")
-        return _truncated_product(
-            self,
-            other,
-            self.order,
-            lambda f, g: (0,),
-            lambda i, j, m: self.coeffs[i].mul(other.coeffs[j]),
-        )
+        dim = self.coeffs[0].nv + 2
+        return moyal(self, other, PoissonStructure(dim - 2, [[0] * dim] * dim), self.order)
 
 
-def _truncated_product(F: NuSeries, G: NuSeries, order: int, ms, term) -> NuSeries:
-    """Sum of nu^(i+j+m) term(i, j, m) over i, j and m in ms(F_i, G_j),
-    placed in a series of the given order.
+class NuSum:
+    """A NuSeries summed in place: terms maps each power of nu up to the
+    order to its term dict, made when a term first lands there.
 
-    Every term vanishes when F_i or G_j does.  ms must be increasing: once
-    exact has cleared, a term past the order can change nothing, so the
-    rest of that (i, j) is skipped without computing it.
+    land is the one point where a term is dropped: past the order it is
+    not stored, and a nonzero one clears exact.  wants says whether a term
+    at a power can still change the sum, so that a caller can skip
+    computing one that cannot.
     """
-    out = NuSeries.zero(F.coeffs[0].nv, order, F.exact and G.exact)
-    gs = [(j, g) for j, g in enumerate(G.coeffs) if not g.is_zero()]
-    for i, f in enumerate(F.coeffs):
-        if f.is_zero():
-            continue
-        for j, g in gs:
-            for m in ms(f, g):
-                if i + j + m > order and not out.exact:
-                    break
-                out.place(i + j + m, term(i, j, m))
-    return out
+
+    def __init__(self, nv: int, order: int, exact: bool = True):
+        self.nv, self.order, self.exact, self.terms = nv, order, exact, defaultdict(dict)
+
+    def wants(self, t: int) -> bool:
+        return t <= self.order or self.exact
+
+    def land(self, t: int, items) -> None:
+        if t <= self.order:
+            accumulate(self.terms[t], items)
+        elif self.exact and any(c for _, c in items):
+            self.exact = False
+
+    def add(self, s: NuSeries, c=1) -> NuSum:
+        """Land c s coefficient by coefficient and return self; s's exact flag carries over."""
+        self.exact = self.exact and s.exact
+        for t, f in enumerate(s.coeffs):
+            if f.terms:
+                self.land(t, (f if c == 1 else f.scale(c)).terms.items())
+        return self
+
+    def series(self) -> NuSeries:
+        """The sum so far; its zero coefficients share one CoefFn."""
+        zero = CoefFn.zero(self.nv)
+        coeffs = [zero] * (self.order + 1)
+        for t, d in self.terms.items():
+            coeffs[t] = CoefFn(self.nv, d) if d else zero
+        return NuSeries(self.order, coeffs, self.exact)
 
 
 class StarOperand:
@@ -363,19 +364,28 @@ class StarOperand:
         self.walked = [Walked(c, P) for c in series.coeffs]
 
 
-def _transvection_series(F, G, P, order, first, step, weight) -> NuSeries:
-    """Sum of nu^m (weight / m!) C_m(F, G) over m = first, first + step, ..;
-    C_m vanishes once m exceeds the joint polynomial degree, because each
-    Lambda entry differentiates a polynomial coordinate on one side.
-    F and G are NuSeries, or StarOperand memos over P."""
+def _transvection_series(F, G, P, order, first, step, weight, shift=0) -> NuSeries:
+    """Sum of nu^(i+j+m-shift) (weight / m!) C_m(F_i, G_j) over the powers
+    i of F and j of G and over m = first, first + step, .., landed in a
+    NuSum of the given order.  F and G are NuSeries, or StarOperand memos
+    over P.
+
+    C_m(F_i, G_j) vanishes when F_i or G_j does, and once m exceeds their
+    joint polynomial degree, because each Lambda entry differentiates a
+    polynomial coordinate on one side.  Once the sum no longer wants a
+    power of nu, the larger m of that (i, j) are skipped without
+    computing them.
+    """
     A, B = _memo(F, StarOperand, P), _memo(G, StarOperand, P)
-    return _truncated_product(
-        A.series,
-        B.series,
-        order,
-        lambda f, g: range(first, f.degree() + g.degree() + 1, step),
-        lambda i, j, m: c_operator(A.walked[i], B.walked[j], P, m, weight),
-    )
+    out = NuSum(P.nv, order, A.series.exact and B.series.exact)
+    gs = [(j, g) for j, g in enumerate(B.walked) if g.f.terms]
+    for i, f in enumerate(A.walked):
+        for j, g in gs if f.f.terms else ():
+            for m in range(first, f.f.degree() + g.f.degree() + 1, step):
+                if not out.wants(i + j + m - shift):
+                    break
+                out.land(i + j + m - shift, c_operator(f, g, P, m, weight).terms.items())
+    return out.series()
 
 
 def moyal(
@@ -395,12 +405,10 @@ def star_commutator(
 def half_commutator(
     F: NuSeries | StarOperand, G: NuSeries | StarOperand, P: PoissonStructure, order: int
 ) -> NuSeries:
-    """(1 / (2 nu)) [F, G]; the commutator has no order-zero part."""
-    comm = star_commutator(F, G, P, order + 1)
-    if not comm.coeffs[0].is_zero():
-        raise AssertionError("star commutator has a constant-order part")
-    half = Fraction(1, 2)
-    return NuSeries(order, [c.scale(half) if c.terms else c for c in comm.coeffs[1:]], comm.exact)
+    """(1 / (2 nu)) [F, G]: the commutator doubles the odd transvections
+    and cancels the even ones, so this is the sum of nu^(m-1) (1 / m!) C_m
+    over odd m."""
+    return _transvection_series(F, G, P, order, 1, 2, 1, shift=1)
 
 
 @dataclass
@@ -416,15 +424,13 @@ def check_poisson_covariance(
     """Check {m_i, m_j} = m_[e_i, e_j] for every basis pair."""
     failures = []
     checked = 0
-    nv = P.nv
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
             checked += 1
             lhs = poisson(moments[i], moments[j], P)
-            rhs = CoefFn.zero(nv)
-            for t, s in algebra.structure.get((i, j), {}).items():
-                rhs = rhs.add(moments[t].scale(s))
-            if not lhs.sub(rhs).is_zero():
+            coeffs = algebra.structure.get((i, j), {}).items()
+            rhs = collect(kv for t, s in coeffs for kv in moments[t].scale(s).terms.items())
+            if lhs.terms != rhs:
                 failures.append((i, j))
     return CovarianceReport(not failures, checked, failures)
 

@@ -12,14 +12,16 @@ m-invariant functions are exactly the functions of (a, r^2, z) with
 r^2 = (v|v); radial_reduce rewrites them in that form.
 
 retract_operator buckets the transvection walk of formal_star by the
-derivative multi-index each term puts on the argument.  The walk stops
-wherever the derivative of mu_X vanishes, and whether it yields anything
-at the first odd order past the truncation decides one exact flag for
-the whole operator; the walk never reaches past the order, so no single
-series drops a term of its own.  apply_operator differentiates each
-nonzero coefficient of its argument once per key and accumulates every
-product in place, one term dict per power of nu; its exact flag is the
-one that resizing both sides to the order and multiplying would give.
+derivative multi-index each term puts on the argument, one NuSum per
+key.  The walk stops wherever the derivative of mu_X vanishes, and
+whether it yields anything at the first odd order past the truncation
+decides one exact flag for the whole operator; the walk never reaches
+past the order, so no bucket drops a term.  apply_operator
+differentiates each nonzero coefficient of its argument once per key and
+lands every product in one NuSum, whose land is, as for every series of
+formal_star, the one point where a term past the order is dropped; its
+exact flag is the one that resizing both sides to the order and
+multiplying would give.
 
 After a partial Fourier transform in z the operator for sigma(v0),
 applied to a radial symbol theta(a, r, xi), closes on coefficients
@@ -43,6 +45,7 @@ term by term.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,7 +60,7 @@ from .ball_quantization import (
     inner_square,
     resolve_truncation_order,
 )
-from .formal_star import CoefFn, NuSeries, transvection_terms
+from .formal_star import CoefFn, NuSeries, NuSum, transvection_terms
 from .lie_core import span_subspace
 from .linalg import Frame, vec_add
 from .scalars import GScalar, SparseSum, accumulate, collect, frac_str, parse_frac
@@ -277,12 +280,13 @@ def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict
     if coords is None:
         raise ValueError("vector lies outside the moment table")
     nv = table.chart.nv
-    mu = NuSeries.zero(nv, 2)
+    mu = NuSum(nv, 2)
     for c, mom in zip(coords, table.moments):
         if c:
-            mu = mu.add(mom.scale(c))
+            mu.add(mom, c)
+    mu = mu.series()
     exact = mu.exact
-    buckets: dict = {}
+    buckets = defaultdict(lambda: NuSum(nv, order))
     for i, coef in enumerate(mu.coeffs):
         if coef.is_zero():
             continue
@@ -293,33 +297,31 @@ def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict
                 exact = exact and next(terms, None) is None
                 break
             for w, d, weight in terms:
-                buckets.setdefault(w, NuSeries.zero(nv, order)).place(t, d.scale(weight))
-    return {w: NuSeries(order, s.coeffs, exact) for w, s in buckets.items() if not s.is_zero()}
+                buckets[w].land(t, ((k, v * weight) for k, v in d.terms.items()))
+    series = {w: s.series() for w, s in buckets.items()}
+    return {w: NuSeries(order, s.coeffs, exact) for w, s in series.items() if not s.is_zero()}
 
 
 def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSeries:
     """Apply a differential operator from retract_operator to a series.
 
-    exact clears where resizing both sides to the order and multiplying
-    would: when either has a nonzero coefficient past the order, or when a
-    product of nonzero coefficients, itself nonzero because chart
-    functions form an integral domain, falls past it.  An empty operator
-    gives the exact zero series.
+    exact is what resizing both sides to the order and multiplying would
+    give: it needs exact inputs with nothing past the order, and landing
+    clears it when a product of nonzero coefficients, itself nonzero
+    because chart functions form an integral domain, falls past the
+    order.  An empty operator gives the exact zero series.
     """
     order = resolve_truncation_order(order)
-    exact = theta.exact and not any(c.terms for c in theta.coeffs[order + 1 :])
-    thetas = [(j, c) for j, c in enumerate(theta.coeffs[: order + 1]) if c.terms]
-    acc = [{} for _ in range(order + 1)]
+    inputs = [theta, *op.values()]
+    exact = all(s.exact and not any(c.terms for c in s.coeffs[order + 1 :]) for s in inputs)
+    out = NuSum(theta.coeffs[0].nv, order, exact or not op)
+    thetas = [(j, c) for j, c in enumerate(theta.coeffs) if c.terms]
     for key, series in op.items():
-        exact = exact and series.exact and not any(f.terms for f in series.coeffs[order + 1 :])
         dthetas = [(j, d) for j, c in thetas if (d := c.diff(key)).terms]
-        for i, f in enumerate(series.coeffs[: order + 1]):
+        for i, f in enumerate(series.coeffs):
             for j, d in dthetas if f.terms else ():
-                if i + j > order:
-                    exact = False
-                    break
-                accumulate(acc[i + j], f.mul_items(d))
-    return NuSeries(order, [CoefFn(theta.coeffs[0].nv, t) for t in acc], exact or not op)
+                out.land(i + j, f.mul_items(d))
+    return out.series()
 
 
 def _xt(k=0, m=0, n=0, h=0, j=0, re=0, im=0):

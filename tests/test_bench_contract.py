@@ -2,7 +2,10 @@
 
 ``perfbench/tracer.py`` wraps every ``(module, attr)`` in its ``TARGETS``
 and ``COUNT_ONLY`` lists; a refactor that renames or removes one of them
-breaks traced benchmark runs.  This test fails first.
+breaks traced benchmark runs.  This test fails first.  The selectivity
+check plants a delay on ``formal_star.c_operator`` through the same
+rebinding and expects the ``qmm`` workload to feel it, so ``verify_qmm``
+must still reach the star product through that name.
 """
 from __future__ import annotations
 
@@ -42,3 +45,26 @@ def test_traced_function_resolves(module, attr):
 def test_every_hook_has_a_traced_function():
     traced = {f"{m}.{a}" for m, a in tracer.TARGETS + tracer.COUNT_ONLY}
     assert set(tracer.HOOKS) <= traced
+
+
+def test_verify_qmm_calls_the_rebound_c_operator():
+    """verify_qmm reaches c_operator by its module name, for the odd m
+    that half_commutator takes."""
+    from ballquant.ball_quantization import build_qmm, verify_qmm
+
+    calls = []
+
+    def make_wrapper(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args[3])
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    undo = tracer.rebind("formal_star", "c_operator", make_wrapper)
+    try:
+        report = verify_qmm(build_qmm(2))
+    finally:
+        tracer.restore(undo)
+    assert report.ok and report.exact
+    assert calls and all(m % 2 for m in calls)

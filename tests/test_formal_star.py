@@ -18,6 +18,7 @@ from ballquant.ball_quantization import build_chart, build_qmm, poisson_structur
 from ballquant.formal_star import (
     CoefFn,
     NuSeries,
+    NuSum,
     PoissonStructure,
     StarOperand,
     Walked,
@@ -211,7 +212,7 @@ def rand_series(nv, rng):
     return NuSeries(order, coeffs, True)
 
 
-@pytest.mark.parametrize("product", [moyal, star_commutator])
+@pytest.mark.parametrize("product", [moyal, star_commutator, half_commutator])
 def test_exact_flag_is_sound(product):
     """On the calibrated N = 2 structure, a result marked exact at order
     K is the recomputation at K + 4, truncated; both flags occur."""
@@ -306,6 +307,28 @@ def test_nu_series_truncation():
     prod2 = plus2.mul(minus2)
     assert prod2.exact
     assert prod2.coeffs[2].terms == {(0, (0, 0), 0, 2): F(-1)}
+
+
+def test_nu_sum_land_is_the_truncation_point():
+    """land sums in place up to the order; past it nothing is stored, and
+    only a nonzero term clears exact, after which wants refuses every
+    power past the order."""
+    z, one = mono(2, q=1), CoefFn.const(2, F(1))
+    acc = NuSum(2, 1)
+    acc.land(1, [(key, c) for key, c in z.terms.items()] * 2)
+    acc.land(1, z.neg().terms.items())
+    acc.land(0, one.terms.items())
+    acc.land(0, one.neg().terms.items())
+    acc.land(2, [(key, F(0)) for key in z.terms])
+    assert acc.exact and acc.wants(2)
+    s = acc.series()
+    assert (s.order, s.exact) == (1, True)
+    assert s.coeffs[0].is_zero() and s.coeffs[1].terms == z.terms
+    acc.land(3, z.terms.items())
+    assert not acc.exact and acc.wants(1) and not acc.wants(2)
+    assert acc.series().coeffs[1].terms == z.terms
+    assert not NuSum(2, 0).add(NuSeries(1, [one, z], True)).series().exact
+    assert NuSum(2, 0).add(NuSeries(1, [one, CoefFn.zero(2)], True)).series().exact
 
 
 def test_poisson_covariance_check():

@@ -12,6 +12,7 @@ reproduces on every run.
 from __future__ import annotations
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,8 +27,15 @@ from ballquant.scalars import GScalar
 from oracles import mat_mul, rref_oracle
 
 NV = 2
-P = poisson_structure(build_chart(2))
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+@lru_cache(maxsize=None)
+def calibrated_structure():
+    """The calibrated N = 2 Poisson structure, built on first use: a fault
+    in the chart path then fails the tests that use it instead of the
+    collection of the whole module."""
+    return poisson_structure(build_chart(2))
 
 
 def sum_of(fns) -> CoefFn:
@@ -95,6 +103,7 @@ def test_xifn_ring_laws(a, b, c):
 @PROPERTY
 @given(coef_fns, coef_fns, coef_fns)
 def test_poisson_leibniz(f, g, h):
+    P = calibrated_structure()
     lhs = poisson(f, g.mul(h), P)
     rhs = poisson(f, g, P).mul(h).add(g.mul(poisson(f, h, P)))
     assert lhs.terms == rhs.terms
@@ -106,6 +115,7 @@ def test_moyal_associativity(f, g, h):
     """(F * G) * H = F * (G * H) coefficient by coefficient on the
     calibrated N = 2 structure.  Each C_m lowers the polynomial degree by
     at least m, so at K = the sum of the degrees nothing is truncated."""
+    P = calibrated_structure()
     K = f.degree() + g.degree() + h.degree()
     F_, G_, H_ = (NuSeries.from_coef(x, K) for x in (f, g, h))
     left = moyal(moyal(F_, G_, P, K), H_, P, K)
@@ -119,6 +129,7 @@ def test_moyal_associativity(f, g, h):
 def test_star_commutator_jacobi(f, g, h):
     """[F, [G, H]] + [G, [H, F]] + [H, [F, G]] = 0 through order K on the
     calibrated N = 2 structure."""
+    P = calibrated_structure()
     K = 3
     F_, G_, H_ = (NuSeries.from_coef(x, K) for x in (f, g, h))
 

@@ -330,6 +330,22 @@ def test_apply_operator_matches_oracle(n):
     assert flags == {True, False}
 
 
+def test_apply_operator_flags_an_argument_past_the_order():
+    """A nonzero coefficient of the argument past the order clears exact,
+    as resizing the argument first would, even when every key of the
+    operator annihilates it and no product falls past the order."""
+    table = build_qmm(2, alpha=None)
+    nv, K = table.chart.nv, 2
+    op = retract_operator(table, k_basis(table.chart)[1][-1], order=K)
+    op = {key: NuSeries(s.order, s.coeffs) for key, s in op.items()}
+    mu = table.moments[0].coeffs[0]
+    for past, exact in ((CoefFn.zero(nv), True), (CoefFn.const(nv, Fraction(3)), False)):
+        theta = NuSeries(K + 1, [mu] + [CoefFn.zero(nv)] * K + [past])
+        got, want = apply_operator(op, theta, K), apply_operator_oracle(op, theta, K)
+        assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
+        assert got.exact == want.exact == exact
+
+
 def test_apply_operator_is_the_moment_action_n3():
     """D_X mu_Y = mu_[X, Y] for every k basis vector X and every table
     moment mu_Y at N = 3, order 8."""
