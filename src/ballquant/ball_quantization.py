@@ -35,7 +35,7 @@ from operator import add
 
 from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, StarOperand, half_commutator
 from .lie_core import structure_in
-from .linalg import Frame, bilinear, mat_inverse, split_symplectic
+from .linalg import Frame, bilinear, split_symplectic
 from .linalg import solve_in_span  # noqa: F401, callers read it here
 from .scalars import accumulate, collect
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
@@ -227,7 +227,7 @@ def classical_moment(chart: BallChart, x: list, P: PoissonStructure) -> CoefFn:
     """
     field = fundamental_field(chart, x)
     grad = []
-    for row in mat_inverse(P.matrix):
+    for row in P.inverse:
         items = (kv for c, comp in zip(row, field) if c for kv in comp.scale(-c).terms.items())
         grad.append(CoefFn(chart.nv, collect(items)))
     lam = integrate_exact_gradient(grad)
@@ -399,13 +399,16 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     part).  Residuals are reported per failing pair; exact records
     whether every star commutator terminated inside the truncation.
 
-    Each lifted moment is wrapped once in a StarOperand, so its walk (as
-    the first factor) and its derivatives (as the second) are computed at
-    most once and reused by every pair it enters.  The memo is keyed by
-    table position (moment, power of nu, then m or multi-index) and is
-    dropped on return: no state outlives the call.  The left sides are
-    read from the structure constants of the checked basis vectors in
-    the table frame, taken once per call by structure_in.
+    Each lifted moment is wrapped once in a StarOperand, whose memo holds
+    the derivatives of each coefficient per multi-index, on either side
+    of a transvection, keyed by table position (moment, power of nu,
+    multi-index).  Every pair it enters reads them from there, so each
+    is taken at most once per call.  The joint walk of two coefficients
+    is not memoized: half_commutator takes it once per pair and drops it
+    when the pair is summed, and the operands' memo is dropped on
+    return, so no state outlives the call.  The left sides are read from
+    the structure constants of the checked basis vectors in the table
+    frame, taken once per call by structure_in.
     """
     order = resolve_truncation_order(order)
     if pairs == "all":

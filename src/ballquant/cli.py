@@ -83,6 +83,11 @@ def _check_args(args) -> None:
     if args.command == "h2" and args.su1n is None and args.blocks is None:
         raise UsageError("h2 needs either --su1n N or --r R --blocks n1,..,nR")
     if args.command == "verify":
+        if args.mutate is not None and args.suite != "qmm":
+            raise UsageError(f"--mutate applies to --suite qmm only, not {args.suite}")
+        for name in ("label", "value"):
+            if opts[name] is not None and args.mutate != "add-nu-const":
+                raise UsageError(f"--{name} applies with --mutate add-nu-const only")
         if args.label is not None and args.label not in qmm_labels(args.N):
             raise UsageError(f"--label {args.label!r} is not a moment label of su(1,{args.N})")
         if args.mutate == "add-nu-const" and (args.label is None or args.value is None):

@@ -13,22 +13,26 @@ transvection operators
 
 terminate on this ring because every nonzero Lambda entry differentiates
 a polynomial variable on at least one side.  One walk, transvection_terms,
-enumerates the multisets of directed pairs behind C_m and is shared by
-c_operator here and by the retract operator: it stops a branch as soon as
-the derivative of the first argument vanishes, because every longer
-multiset differentiates that derivative further.
+enumerates the multisets of directed pairs behind C_m for every m at
+once, deriving each derivative from its parent by one step.  It is shared
+by c_operator here, which walks an operand pair jointly and drops a
+branch as soon as the derivative of either argument vanishes, and by the
+retract operator, which walks one side only.  Every longer multiset
+differentiates a vanishing derivative further, so the sizes that have a
+multiset run from 0 to a last one, past which every C_m vanishes.
 
-C_m(f, g) thus splits into the walk of f, a list of (w, d^u f, weight)
-per m, and the derivatives d^w g of g.  c_operator is the one
-contraction of the two.  It scales each walk term once, by m! when it
+A Walked memo holds the derivatives of one CoefFn per multi-index, for
+either side of a transvection, and a StarOperand holds one Walked per
+power of nu.  The star product series walk each pair of coefficients
+once, as a PairWalk: c_operator reads C_m off its size-m terms, and the
+series stop at its last size.  A pair's walk lives only while that pair
+is summed; a caller that takes many star products of the same series
+(verify_qmm over every pair of the moment table) differentiates each
+coefficient at most once per multi-index.  Plain CoefFn and NuSeries
+arguments get a fresh memo per call; a memo lives as long as the
+operand holding it.  c_operator scales each term once, by m! when it
 returns C_m itself and by the series weight when a star product series
 asks for (weight / m!) C_m, whose 1/m! the walk weights already carry.
-A Walked memo computes each half once for one CoefFn, and a StarOperand
-holds one Walked per power of nu, so a caller that takes many star
-products of the same series (verify_qmm over every pair of the moment
-table) walks each coefficient once per m and differentiates it once per
-multi-index.  Plain CoefFn and NuSeries arguments get a fresh memo per
-call; a memo lives as long as the operand holding it.
 
 CoefFn takes its ring arithmetic (sums with cancellation, scaling,
 products by adding exponents) from the SparseSum core of scalars and adds
@@ -45,10 +49,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, perm
 from operator import add
 
 from .lie_core import LieAlgebra
+from .linalg import mat_inverse
 from .scalars import SparseSum, accumulate, collect, frac_str, parse_frac
 
 
@@ -156,7 +162,12 @@ class CoefFn(SparseSum):
 
 
 class PoissonStructure:
-    """Constant antisymmetric bivector on the chart coordinates."""
+    """Constant antisymmetric bivector on the chart coordinates.
+
+    units[c] is the unit multi-index of coordinate c, one derivative
+    step of the walk.  inverse is the inverse matrix, taken on first use
+    and kept: a degenerate structure, such as the zero one of
+    NuSeries.mul, is never inverted."""
 
     def __init__(self, nv: int, matrix: list):
         dim = nv + 2
@@ -174,62 +185,29 @@ class PoissonStructure:
             for w in range(dim)
             if self.matrix[u][w]
         ]
+        self.units = [tuple(int(c == u) for c in range(dim)) for u in range(dim)]
 
-
-def transvection_terms(f: CoefFn, P: PoissonStructure, m: int):
-    """Walk the multisets of m directed pairs of P, one pair index at a time.
-
-    Yields (w, d^u f, weight) for every multiset whose derivative d^u f is
-    nonzero, where u and w are the derivative multi-indices it puts on the
-    first and second argument and weight = prod val^c / c! over its pairs,
-    so that (1/m!) C_m(f, g) = sum weight * d^u f * d^w g.  A branch is
-    dropped once d^u f vanishes: no longer multiset can then be nonzero.
-    """
-    dim = P.nv + 2
-    steps = [tuple(int(c == u) for c in range(dim)) for u, _, _ in P.directed_pairs]
-    yield from _walk(P.directed_pairs, steps, 0, m, f, (0,) * dim, Fraction(1))
-
-
-def _walk(pairs, steps, start, left, df, w, weight):
-    """The multisets that extend one prefix of the walk by left more
-    pairs, all of index start or later; df, w and weight are the
-    prefix's.  steps[idx] is the unit multi-index of pairs[idx]'s first
-    coordinate."""
-    if not left:
-        yield w, df, weight
-        return
-    for idx in range(start, len(pairs)):
-        _, v, val = pairs[idx]
-        d, wt, wv = df, weight, list(w)
-        for c in range(1, left + 1):
-            d = d.diff(steps[idx])
-            if d.is_zero():
-                break
-            wt = wt * val / c
-            wv[v] += 1
-            yield from _walk(pairs, steps, idx + 1, left - c, d, tuple(wv), wt)
+    @cached_property
+    def inverse(self) -> tuple:
+        return tuple(map(tuple, mat_inverse(self.matrix)))
 
 
 class Walked:
-    """A CoefFn with both halves of its transvections for P memoized: its
-    walk as the first argument of C_m, per m, and its derivative as the
-    second argument, per multi-index.  Each is computed on first use."""
+    """A CoefFn with its derivatives for P memoized per multi-index over
+    (a, v_1 .. v_nv, z), on whichever side of a transvection the walk
+    reads them.  A derivative is taken on first use, by one step from
+    its parent, so an operand walked against many partners is
+    differentiated at most once per multi-index."""
 
     def __init__(self, f: CoefFn, P: PoissonStructure):
-        self.f, self.P = f, P
-        self._walks: dict = {}
-        self._diffs: dict = {}
+        self.f, self.P, self.degree = f, P, f.degree()
+        self._diffs = {(0,) * (P.nv + 2): f}
 
-    def walk(self, m: int) -> list:
-        walk = self._walks.get(m)
-        if walk is None:
-            walk = self._walks[m] = list(transvection_terms(self.f, self.P, m))
-        return walk
-
-    def diff(self, w: tuple) -> CoefFn:
-        d = self._diffs.get(w)
+    def step(self, index: tuple, parent: CoefFn, unit: tuple) -> CoefFn:
+        """d^index f, given parent = d^(index - unit) f."""
+        d = self._diffs.get(index)
         if d is None:
-            d = self._diffs[w] = self.f.diff(w)
+            d = self._diffs[index] = parent.diff(unit)
         return d
 
 
@@ -242,22 +220,95 @@ def _memo(x, cls, P: PoissonStructure):
     return x
 
 
+def transvection_terms(f, g, P: PoissonStructure, limit: int) -> list:
+    """Walk the multisets of directed pairs of P of every size up to
+    limit at once, one pair index at a time.
+
+    f and g are CoefFn or Walked memos over P; g is None for a one-sided
+    walk.  Returns terms, where terms[m] lists (w, d^u f, d^w g, weight)
+    in walk order for every multiset of m pairs whose derivatives are
+    nonzero (d^w g is None one-sided).  u and w are the derivative
+    multi-indices it puts on the first and second argument and weight =
+    prod val^c / c! over its pairs, so that (1/m!) C_m(f, g) = sum
+    weight * d^u f * d^w g.
+
+    A branch is dropped once d^u f or d^w g vanishes: every longer
+    multiset differentiates that derivative further.  So a recorded
+    multiset contains a recorded one of each smaller size, trailing empty
+    sizes are cut, and len(terms) - 1 is the largest size that has a
+    multiset: C_m vanishes for every larger m.
+    """
+    f = _memo(f, Walked, P)
+    g = None if g is None else _memo(g, Walked, P)
+    dg = None if g is None else g.f
+    zero, one = (0,) * (P.nv + 2), Fraction(1)
+    terms = [[] for _ in range(limit + 1)]
+    if f.f.terms and (g is None or dg.terms):
+        terms[0].append((zero, f.f, dg, one))
+        _extend((P.directed_pairs, P.units, f, g, terms), 0, 0, zero, zero, f.f, dg, one)
+    while terms and not terms[-1]:
+        terms.pop()
+    return terms
+
+
+def _extend(walk, start, size, u, w, df, dg, weight):
+    """Record every multiset that extends one prefix of the given size
+    by pairs of index start or later; u, w, df, dg and weight are the
+    prefix's.  walk holds what the whole walk shares: the directed
+    pairs, the unit multi-index of each coordinate, the two memos and
+    the terms by size, whose length bounds the size."""
+    pairs, units, f, g, terms = walk
+    left = len(terms) - 1 - size
+    for idx in range(start, len(pairs)):
+        a, b, val = pairs[idx]
+        ua, wb, d, e, wt = list(u), list(w), df, dg, weight
+        for c in range(1, left + 1):
+            ua[a] += 1
+            wb[b] += 1
+            uk, wk = tuple(ua), tuple(wb)
+            d = f.step(uk, d, units[a])
+            if not d.terms:
+                break
+            if g is not None:
+                e = g.step(wk, e, units[b])
+                if not e.terms:
+                    break
+            wt = wt * val / c
+            terms[size + c].append((wk, d, e, wt))
+            if c < left:
+                _extend(walk, idx + 1, size + c, uk, wk, d, e, wt)
+
+
+class PairWalk:
+    """An operand pair (f, g) of Walked memos over P and its joint walk,
+    transvection_terms up to limit: C_m(f, g) for every m is read off
+    terms[m].  A series holds one only while it sums that pair."""
+
+    def __init__(self, f: Walked, g: Walked, P: PoissonStructure, limit: int):
+        self.f, self.g, self.P = f, g, P
+        self.terms = transvection_terms(f, g, P, limit)
+
+
 def c_operator(f, g, P: PoissonStructure, m: int, weight=None) -> CoefFn:
     """The m-th transvection C_m(f, g) for the constant structure P, or
     (weight / m!) C_m(f, g) when a weight is given, as the star product
     series take it.
 
-    f and g are CoefFn, or Walked memos over P that keep the walk of f and
-    the derivatives of g for the next call.  Each walk term is scaled once
-    and its products are accumulated in place."""
-    f, g = _memo(f, Walked, P), _memo(g, Walked, P)
+    f and g are CoefFn or Walked memos over P, walked jointly up to size
+    m; or f is the PairWalk of f with its partner g, whose size-m terms
+    are read without walking again.  Each term is scaled once and its
+    products are accumulated in place."""
+    walk = f
+    if not isinstance(walk, PairWalk):
+        f, g = _memo(f, Walked, P), _memo(g, Walked, P)
+        walk = PairWalk(f, g, P, min(m, f.degree + g.degree))
+    elif walk.P is not P or walk.g is not g:
+        raise ValueError("pair walk was taken for another partner or structure")
     scale = factorial(m) if weight is None else weight
     total: dict = {}
-    for w, df, wt in f.walk(m):
-        dg = g.diff(w)
-        if dg.terms:
-            accumulate(total, df.mul_items(dg, wt * scale))
-    return CoefFn(f.f.nv, total)
+    for _, df, dg, wt in walk.terms[m] if m < len(walk.terms) else ():
+        accumulate(total, df.mul_items(dg, wt * scale))
+    return CoefFn(P.nv, total)
 
 
 def poisson(f: CoefFn, g: CoefFn, P: PoissonStructure) -> CoefFn:
@@ -356,8 +407,8 @@ class NuSum:
 class StarOperand:
     """A NuSeries read by the transvection series: one Walked memo per
     power of nu, for the Poisson structure P.  Passing the same operand to
-    several products walks and differentiates each coefficient once; the
-    memo lives as long as the operand."""
+    several products differentiates each coefficient at most once per
+    multi-index; the memo lives as long as the operand."""
 
     def __init__(self, series: NuSeries, P: PoissonStructure):
         self.series, self.P = series, P
@@ -370,21 +421,30 @@ def _transvection_series(F, G, P, order, first, step, weight, shift=0) -> NuSeri
     NuSum of the given order.  F and G are NuSeries, or StarOperand memos
     over P.
 
-    C_m(F_i, G_j) vanishes when F_i or G_j does, and once m exceeds their
-    joint polynomial degree, because each Lambda entry differentiates a
-    polynomial coordinate on one side.  Once the sum no longer wants a
-    power of nu, the larger m of that (i, j) are skipped without
-    computing them.
+    Each pair (F_i, G_j) of nonzero coefficients is walked once, for
+    every m at once, and the m loop ends at the last size of that walk,
+    past which C_m vanishes.  That size is at most their joint polynomial
+    degree, because each Lambda entry differentiates a polynomial
+    coordinate on one side.  The loop does not stop at a zero C_m, which
+    can vanish by cancellation while a larger one does not.  Once the
+    sum no longer wants a power of nu, the larger m of that pair are
+    skipped without computing them, and a sum that is already inexact
+    does not walk past the order.
     """
     A, B = _memo(F, StarOperand, P), _memo(G, StarOperand, P)
     out = NuSum(P.nv, order, A.series.exact and B.series.exact)
     gs = [(j, g) for j, g in enumerate(B.walked) if g.f.terms]
     for i, f in enumerate(A.walked):
         for j, g in gs if f.f.terms else ():
-            for m in range(first, f.f.degree() + g.f.degree() + 1, step):
-                if not out.wants(i + j + m - shift):
+            t = i + j - shift
+            limit = f.degree + g.degree if out.exact else min(f.degree + g.degree, order - t)
+            if limit < first:
+                continue
+            walk = PairWalk(f, g, P, limit)
+            for m in range(first, len(walk.terms), step):
+                if not out.wants(t + m):
                     break
-                out.land(i + j + m - shift, c_operator(f, g, P, m, weight).terms.items())
+                out.land(t + m, c_operator(walk, g, P, m, weight).terms.items())
     return out.series()
 
 

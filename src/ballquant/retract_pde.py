@@ -11,12 +11,15 @@ For X in m the corrections vanish and D_X is the fundamental field, so
 m-invariant functions are exactly the functions of (a, r^2, z) with
 r^2 = (v|v); radial_reduce rewrites them in that form.
 
-retract_operator buckets the transvection walk of formal_star by the
-derivative multi-index each term puts on the argument, one NuSum per
-key.  The walk stops wherever the derivative of mu_X vanishes, and
-whether it yields anything at the first odd order past the truncation
-decides one exact flag for the whole operator; the walk never reaches
-past the order, so no bucket drops a term.  apply_operator
+retract_operator takes the one-sided transvection walk of formal_star
+once per coefficient of mu_X, for every size up to the first odd order
+past the truncation, each derivative of mu_X derived from its parent by
+one step.  It buckets the odd sizes below that one by the derivative
+multi-index each term puts on the argument, one NuSum per key.  The walk
+stops wherever the derivative of mu_X vanishes, and whether it reaches
+that first odd size past the truncation decides one exact flag for the
+whole operator; no bucketed size lands past the order, so no bucket
+drops a term.  apply_operator
 differentiates each nonzero coefficient of its argument once per key and
 lands every product in one NuSum, whose land is, as for every series of
 formal_star, the one point where a term past the order is dropped; its
@@ -49,7 +52,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from operator import add
 
 from .ball_quantization import (
@@ -270,10 +272,11 @@ def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict
     requested truncation order.  Only odd Moyal terms survive the
     commutator, and the term of order m on mu_x's nu^i coefficient
     contributes at nu^(i+m-1).  All series share one exact flag, true only
-    if for every nu^i the walk yields nothing at the first odd m past the
-    truncation.  Every longer multiset contains one of that size, so then
-    no term was dropped, not even from a key that lies wholly past the
-    truncation and so is absent from the result.
+    if for every nu^i the walk, taken once for every size up to the first
+    odd m past the truncation, has no multiset of that size.  Every longer
+    multiset contains one of that size, so then no term was dropped, not
+    even from a key that lies wholly past the truncation and so is absent
+    from the result.
     """
     order = resolve_truncation_order(order)
     coords = table.frame.coords([Fraction(c) for c in x])
@@ -288,16 +291,12 @@ def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict
     exact = mu.exact
     buckets = defaultdict(lambda: NuSum(nv, order))
     for i, coef in enumerate(mu.coeffs):
-        if coef.is_zero():
-            continue
-        for m in count(1, 2):
-            t = i + m - 1
-            terms = transvection_terms(coef, table.P, m)
-            if t > order:
-                exact = exact and next(terms, None) is None
-                break
-            for w, d, weight in terms:
-                buckets[w].land(t, ((k, v * weight) for k, v in d.terms.items()))
+        past = (order - i + 2) | 1  # the first odd m with i + m - 1 > order
+        terms = transvection_terms(coef, None, table.P, past)
+        for m in range(1, min(past, len(terms)), 2):
+            for w, d, _, weight in terms[m]:
+                buckets[w].land(i + m - 1, ((k, v * weight) for k, v in d.terms.items()))
+        exact = exact and len(terms) <= past
     series = {w: s.series() for w, s in buckets.items()}
     return {w: NuSeries(order, s.coeffs, exact) for w, s in series.items() if not s.is_zero()}
 

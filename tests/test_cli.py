@@ -127,13 +127,24 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         (["h2"], "h2 needs"),
         (["verify", "--suite", "su1n", "--N", "1", "--order", "-1"], "order argument"),
         (["retract-residual", "--n", "1"], "--n"),
+        (["verify", "--suite", "su1n", "--N", "1", "--mutate", "drop-nu2"], "--mutate"),
+        (["verify", "--suite", "retract", "--N", "2", "--mutate", "drop-nu2"], "--mutate"),
+        (
+            ["verify", "--suite", "cocycle", "--N", "1", "--mutate", "add-nu-const"]
+            + ["--label", "H", "--value", "1"],
+            "--mutate",
+        ),
+        (QMM + ["--label", "H"], "--label"),
+        (QMM + ["--value", "1"], "--value"),
+        (QMM + ["--mutate", "drop-nu2", "--label", "H", "--value", "1"], "--label"),
     ],
     ids=[
         "verify-N", "export-N", "qmm-export-N", "h2-su1n", "alpha-zero-denominator",
         "alpha-text", "export-alpha", "value-text", "label-unknown", "label-missing",
         "value-missing", "theta-syntax", "theta-no-terms", "theta-exponent", "blocks-text",
         "blocks-count", "blocks-zero", "r-zero", "h2-no-target", "su1n-order",
-        "retract-n",
+        "retract-n", "mutate-su1n", "mutate-retract", "mutate-cocycle", "label-unmutated",
+        "value-unmutated", "label-drop-nu2",
     ],
 )
 def test_bad_option_is_a_usage_error(capsys, argv, source):

@@ -14,11 +14,12 @@ from math import factorial
 
 import pytest
 
-from ballquant.ball_quantization import build_chart, build_qmm, poisson_structure
+from ballquant.ball_quantization import build_chart, build_qmm, poisson_structure, verify_qmm
 from ballquant.formal_star import (
     CoefFn,
     NuSeries,
     NuSum,
+    PairWalk,
     PoissonStructure,
     StarOperand,
     Walked,
@@ -244,16 +245,134 @@ def test_moyal_associativity_random():
 
 
 def test_transvection_walk_leaves_no_reference_cycle():
-    """A fully consumed walk leaves nothing for the cycle collector."""
+    """The walk, one side or both, c_operator, the star product series
+    and a whole verify_qmm leave nothing for the cycle collector."""
     table = build_qmm(3, None)
-    f = table.moments[table.labels.index("sE")].coeffs[0]
+    f = table.moments[table.labels.index("sE")]
+    g = table.moments[table.labels.index("f1")]
+    small = build_qmm(2)
     gc.collect()
     gc.disable()
     try:
-        assert sum(1 for _ in transvection_terms(f, table.P, 3)) > 0
+        assert len(transvection_terms(f.coeffs[0], None, table.P, 3)) == 4
+        assert len(transvection_terms(f.coeffs[0], g.coeffs[0], table.P, 8)) > 1
+        assert not c_operator(f.coeffs[0], g.coeffs[0], table.P, 1).is_zero()
+        assert not half_commutator(f, g, table.P, 4).is_zero()
+        assert verify_qmm(small).ok
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_series_do_not_stop_at_a_zero_transvection():
+    """C_1(v1^2 v2, v1^4 v2^2) cancels to zero while C_3 does not, so
+    the series must run on to the last size of the pair's walk."""
+    P = poisson_structure(build_chart(2))
+    f, g = mono(2, k=(2, 1)), mono(2, k=(4, 2))
+    assert c_operator(f, g, P, 1).is_zero()
+    assert c_operator(f, g, P, 3).terms == {(0, (3, 0), 0, 0): F(-48)}
+    for m in range(9):
+        assert c_operator(f, g, P, m).terms == c_operator_oracle(f, g, P, m).terms
+    h = half_commutator(NuSeries.from_coef(f, 4), NuSeries.from_coef(g, 4), P, 4)
+    assert h.exact
+    assert h.coeffs[2].terms == {(0, (3, 0), 0, 0): F(-8)}
+    assert all(h.coeffs[t].is_zero() for t in (0, 1, 3, 4))
+
+
+def low_degree_series(rng, deg):
+    """A series of order 0 to 2 whose coefficients have polynomial degree
+    at most deg, so that the unpruned oracle stays small."""
+    coeffs = []
+    for _ in range(rng.randint(1, 3)):
+        f = CoefFn.zero(2)
+        for _ in range(rng.randint(1, 3)):
+            k1 = rng.randint(0, deg)
+            k2 = rng.randint(0, deg - k1)
+            q = rng.randint(0, deg - k1 - k2)
+            f = f.add(mono(2, rng.randint(-2, 2), (k1, k2), 0, q, F(rng.randint(-3, 3))))
+        coeffs.append(f)
+    return NuSeries(len(coeffs) - 1, coeffs, True)
+
+
+# (product, first m, step in m, weight, shift of the nu power)
+SERIES_SHAPES = [(moyal, 0, 1, 1, 0), (star_commutator, 1, 2, 2, 0), (half_commutator, 1, 2, 1, 1)]
+
+
+def series_oracle(landed, order, first, step, weight, shift):
+    """Coefficient term dicts and exact flag of sum nu^(s+m-shift)
+    (weight / m!) C_m over the landed (s, m, C_m), for the m the shape
+    takes; exact unless a nonzero term lands past the order."""
+    coeffs, exact = [CoefFn.zero(2)] * (order + 1), True
+    for s, m, c in landed:
+        if m < first or (m - first) % step:
+            continue
+        t, c = s + m - shift, c.scale(F(weight, factorial(m)))
+        if t <= order:
+            coeffs[t] = coeffs[t].add(c)
+        elif not c.is_zero():
+            exact = False
+    return [c.terms for c in coeffs], exact
+
+
+def test_star_products_match_the_unpruned_series():
+    """moyal, star_commutator and half_commutator equal the sum of the
+    unpruned C_m over every m up to the joint degree, exact flag
+    included, at orders 0 to 4; both flags occur."""
+    rng = random.Random(29)
+    dense = [[F(0)] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            dense[i][j] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            dense[j][i] = -dense[i][j]
+    flags = set()
+    for P, deg in ((poisson_structure(build_chart(2)), 3), (PoissonStructure(2, dense), 2)):
+        for _ in range(3):
+            A, B = low_degree_series(rng, deg), low_degree_series(rng, deg)
+            landed = [
+                (i + j, m, c_operator_oracle(f, g, P, m))
+                for i, f in enumerate(A.coeffs)
+                for j, g in enumerate(B.coeffs)
+                for m in range(f.degree() + g.degree() + 1)
+            ]
+            for product, *shape in SERIES_SHAPES:
+                for K in range(5):
+                    got = product(A, B, P, K)
+                    coeffs, exact = series_oracle(landed, K, *shape)
+                    assert [c.terms for c in got.coeffs] == coeffs
+                    assert got.exact == exact
+                    flags.add(exact)
+    assert flags == {True, False}
+
+
+def test_moyal_matches_a_sympy_expansion():
+    """exp(nu Lambda^{uw} d_{x_u} d_{y_w}) f(x) g(y) at y = x, expanded
+    term by term in sympy, is moyal coefficient by coefficient."""
+    sp = pytest.importorskip("sympy")
+    P = poisson_structure(build_chart(2))
+    xs, ys = sp.symbols("a v1 v2 z"), sp.symbols("b w1 w2 y")
+
+    def expr(fn, coords):
+        a, v1, v2, z = coords
+        return sum(
+            sp.Rational(c.numerator, c.denominator) * sp.exp(p * a) * v1**k[0] * v2**k[1] * z**q
+            for (p, k, _, q), c in fn.terms.items()
+        )
+
+    f = mono(2, p=1, k=(1, 0), q=1, c=F(3)).add(mono(2, p=-2, k=(0, 2)))
+    g = mono(2, p=2, q=2).add(mono(2, p=2, k=(1, 1))).add(mono(2, k=(1, 0), c=F(-1, 2)))
+    order = f.degree() + g.degree()
+    got = moyal(NuSeries.from_coef(f, order), NuSeries.from_coef(g, order), P, order)
+    assert got.exact
+    h = expr(f, xs) * expr(g, ys)
+    at_x = dict(zip(ys, xs))
+    for m in range(order + 2):
+        want = sp.expand(h.subs(at_x) / sp.factorial(m))
+        have = expr(got.coeffs[m], xs) if m <= order else 0
+        assert sp.expand(want - have) == 0
+        h = sum(
+            sp.Rational(val.numerator, val.denominator) * sp.diff(h, xs[u], ys[w])
+            for u, w, val in P.directed_pairs
+        )
 
 
 def test_star_operand_reuse_matches_fresh_products():
@@ -283,6 +402,10 @@ def test_memo_is_bound_to_its_structure():
         c_operator(Walked(f, P), f, Q, 1)
     with pytest.raises(ValueError):
         moyal(NuSeries.from_coef(f, 2), StarOperand(NuSeries.from_coef(f, 2), P), Q, 2)
+    walk = PairWalk(Walked(f, P), Walked(f, P), P, 2)
+    with pytest.raises(ValueError):
+        c_operator(walk, Walked(f, P), P, 1)
+    assert c_operator(walk, walk.g, P, 1).is_zero()
 
 
 def test_half_commutator():
