@@ -5,6 +5,11 @@ The chart identifies the group AN, for su(1, N), with coordinates
 basis (H, f_1 .. f_nv, E).  Group elements are stored with t = exp(-a)
 so that the whole group law is rational.
 
+build_chart assembles the adapted basis of the whole algebra once, in
+table order (H, f, E, m, sigma f, sigma E), as copies the chart owns,
+with one Frame over it; every coordinate read on the chart and in the
+moment table, which shares both, goes through that frame.
+
 On this chart every basis element X of the subalgebra spanned by the
 solvable part and the compact centralizer m has a fundamental vector
 field X* = d/dt|_0 of left translation by exp(-tX), and a classical
@@ -59,31 +64,47 @@ class BallChart:
     gram: list
     m_basis: list
     m_actions: list
+    basis: list
     frame: Frame
 
 
 def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallChart:
-    """Adapted chart data for su(1, N), exact over the rationals."""
+    """Adapted chart data for su(1, N), exact over the rationals.
+
+    basis is the adapted basis of the whole algebra in qmm_labels order,
+    (H, f, E, m, sigma f, sigma E), copied so the chart owns it; H, fs, E
+    and m_basis are its entries, and frame reads coordinates against it.
+    """
     model = build_su1n(N)
     H, fs, E = adapted_s_basis(model)
     nv = len(fs)
     omega = split_symplectic(nv)
-    gram = [
-        [inner_scale * model.beta_sigma(u, w) / model.beta_H0 for w in fs] for u in fs
-    ]
     m_basis = [b[:] for b in model.m_space.basis]
-    fs_frame = Frame(fs)
+    sigma = [model.apply_sigma(x) for x in fs + [E]]
+    basis = [H] + fs + [E] + m_basis + sigma
+    frame = Frame(basis)
+    gram = [
+        [-inner_scale * model.beta_form(u, sw) / model.beta_H0 for sw in sigma[:nv]] for u in fs
+    ]
+    what = "m does not preserve the short root space"
     m_actions = []
     for y in m_basis:
-        cols = []
-        for f in fs:
-            c = fs_frame.coords(model.algebra.bracket(y, f))
-            if c is None:
-                raise AssertionError("m does not preserve the short root space")
-            cols.append(c)
+        cols = [_read(frame, model.algebra.bracket(y, f), what, range(1, 1 + nv)) for f in fs]
         m_actions.append([[cols[j][i] for j in range(nv)] for i in range(nv)])
-    frame = Frame([H] + fs + [E] + m_basis)
-    return BallChart(model, inner_scale, H, fs, E, nv, omega, gram, m_basis, m_actions, frame)
+    return BallChart(
+        model, inner_scale, H, fs, E, nv, omega, gram, m_basis, m_actions, basis, frame
+    )
+
+
+def _read(frame: Frame, x: list, what: str, *blocks: range) -> list:
+    """The coordinates of x at the given blocks of positions in the frame
+    basis, in block order; ValueError(what) when x has a nonzero
+    coordinate elsewhere."""
+    coords = frame.require(x, what)
+    kept = [coords[k] for block in blocks for k in block]
+    if sum(map(bool, coords)) != sum(map(bool, kept)):
+        raise ValueError(what)
+    return kept
 
 
 def poisson_structure(
@@ -130,14 +151,6 @@ def group_inverse(chart: BallChart, g: GroupElement) -> GroupElement:
     return GroupElement(1 / g.t, tuple(-a / g.t for a in g.v), -g.z / g.t**2)
 
 
-def _chart_coords(chart: BallChart, x: list) -> tuple:
-    coords = chart.frame.coords(x)
-    if coords is None:
-        raise ValueError("element lies outside the solvable part plus m")
-    nv = chart.nv
-    return coords[0], coords[1 : 1 + nv], coords[1 + nv], coords[2 + nv :]
-
-
 def fundamental_field(chart: BallChart, x: list) -> list:
     """Components (a, v_1 .. v_nv, z) of the fundamental field of x.
 
@@ -145,7 +158,9 @@ def fundamental_field(chart: BallChart, x: list) -> list:
     X -> X* a homomorphism of Lie algebras.
     """
     nv = chart.nv
-    c_h, c_f, c_e, c_m = _chart_coords(chart, x)
+    what = "element lies outside the solvable part plus m"
+    coords = _read(chart.frame, x, what, range(2 + nv + len(chart.m_basis)))
+    c_h, c_f, c_e, c_m = coords[0], coords[1 : 1 + nv], coords[1 + nv], coords[2 + nv :]
     zero_k, unit = (0,) * nv, _units(nv)
     items = [[] for _ in range(nv + 2)]
     items[0].append(((0, zero_k, 0, 0), -c_h))
@@ -240,34 +255,30 @@ def _solve_zeta(chart: BallChart) -> list:
     """The linear functional on m entering the quantum correction.
 
     Defined by zeta([m, m]) = 0 together with
-    zeta([f_i, sigma f_j]_m) = -Omega_ij; both families are solved as
-    one exact linear system, read as coordinates against the columns of
-    its matrix; independent columns make the solution unique.
+    zeta([f_i, sigma f_j]_m) = -Omega_ij; both families are read in the
+    chart frame and solved as one exact linear system, read as
+    coordinates against the columns of its matrix; independent columns
+    make the solution unique.
     """
-    model = chart.model
-    dm = len(chart.m_basis)
-    if dm == 0:
-        return []
-    am_frame = Frame([chart.H] + chart.m_basis)
-    m_structure = structure_in(model.m_space.frame, chart.m_basis, model.algebra.bracket)
-    rows = [[coeffs.get(k, 0) for k in range(dm)] for coeffs in m_structure.values()]
+    nv, dm = chart.nv, len(chart.m_basis)
+    bracket = chart.model.algebra.bracket
+    m_block = range(2 + nv, 2 + nv + dm)
+    m_structure = structure_in(chart.frame, chart.m_basis, bracket).values()
+    if any(k not in m_block for coeffs in m_structure for k in coeffs):
+        raise ValueError("[m, m] left m")
+    rows = [[coeffs.get(k, 0) for k in m_block] for coeffs in m_structure]
     rhs = [Fraction(0)] * len(rows)
-    for i in range(chart.nv):
-        for j in range(chart.nv):
-            br = model.algebra.bracket(chart.fs[i], model.apply_sigma(chart.fs[j]))
-            coords = am_frame.coords(br)
-            if coords is None:
-                raise AssertionError("[V, sigma V] left a + m")
-            rows.append(coords[1:])
+    sigma_fs = chart.basis[-(nv + 1) : -1]
+    for i in range(nv):
+        for j in range(nv):
+            br = bracket(chart.fs[i], sigma_fs[j])
+            rows.append(_read(chart.frame, br, "[V, sigma V] left a + m", range(1), m_block)[1:])
             rhs.append(-chart.omega[i][j])
     try:
         columns = Frame([[row[k] for row in rows] for k in range(dm)])
     except ValueError:
-        raise AssertionError("correction functional is underdetermined") from None
-    sol = columns.coords(rhs)
-    if sol is None:
-        raise AssertionError("correction functional equations are inconsistent")
-    return sol
+        raise ValueError("correction functional is underdetermined") from None
+    return columns.require(rhs, "correction functional equations are inconsistent")
 
 
 def inner_square(chart: BallChart) -> CoefFn:
@@ -318,20 +329,13 @@ def build_qmm(
     chart = build_chart(N, inner_scale)
     P = poisson_structure(chart, az_weight)
     nv = chart.nv
-    model = chart.model
     zero_k, unit = (0,) * nv, _units(nv)
 
-    labels = qmm_labels(N)
-    basis = [chart.H] + [f[:] for f in chart.fs] + [chart.E]
-    moments = [
-        NuSeries.from_coef(classical_moment(chart, x, P), 2) for x in basis
-    ]
-
-    zeta = _solve_zeta(chart)
     alpha_fn = CoefFn.monomial(nv, 0, zero_k, 1, 0, Fraction(1))
-    for i, y in enumerate(chart.m_basis):
-        basis.append(y[:])
-        mu = classical_moment(chart, y, P).add(alpha_fn.scale(zeta[i]))
+    zeta = [0] * (2 + nv) + _solve_zeta(chart)  # zero on s; the zip stops after m
+    moments = []
+    for x, z in zip(chart.basis, zeta):
+        mu = classical_moment(chart, x, P).add(alpha_fn.scale(z))
         moments.append(NuSeries.from_coef(mu, 2))
 
     vv_alpha = inner_square(chart).add(alpha_fn)
@@ -340,13 +344,11 @@ def build_qmm(
     e2a = CoefFn.monomial(nv, 2, zero_k, 0, 0, Fraction(1))
 
     for j in range(nv):
-        basis.append(model.apply_sigma(chart.fs[j]))
         pairing = CoefFn(nv, collect(((0, k, 0, 0), x) for k, x in zip(unit, chart.gram[j])))
         omega_j = CoefFn(nv, collect(((0, k, 0, 0), x) for k, x in zip(unit, chart.omega[j])))
         mu = pairing.mul(z1).scale(Fraction(4)).sub(vv_alpha.mul(omega_j)).mul(ea)
         moments.append(NuSeries.from_coef(mu, 2))
 
-    basis.append(model.apply_sigma(chart.E))
     z2 = CoefFn.monomial(nv, 0, zero_k, 0, 2, Fraction(4))
     mu0 = z2.add(vv_alpha.mul(vv_alpha)).mul(e2a)
     mu2 = e2a.scale(Fraction(N - 1))
@@ -357,7 +359,7 @@ def build_qmm(
             NuSeries(s.order, [c.substitute_alpha(alpha) for c in s.coeffs], s.exact)
             for s in moments
         ]
-    return QmmTable(chart, P, alpha, labels, basis, Frame(basis), moments)
+    return QmmTable(chart, P, alpha, qmm_labels(N), chart.basis, chart.frame, moments)
 
 
 @dataclass

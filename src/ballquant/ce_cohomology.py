@@ -22,7 +22,7 @@ from .lie_core import LieAlgebra
 from .linalg import Frame, bilinear, nullspace, rank_sparse
 from .psd_builder import PsdAlgebra
 from .scalars import collect, frac_str, parse_frac
-from .su1n_model import Su1nModel, iwasawa_project, s_submodel
+from .su1n_model import Su1nModel, s_submodel
 
 
 @dataclass
@@ -254,11 +254,10 @@ def invariant_cocycle_space(model: Su1nModel):
     n = g.dim
     pairs, pidx = _pair_index(n)
     rows = _d2_rows(g, pidx)
+    frame = model.iwasawa_frame
     for z in model.k_space.basis:
-        acted = []
-        for u in range(n):
-            xs, _ = iwasawa_project(model, model.algebra.bracket(z, sub.embedding[u]))
-            acted.append(sub.to_sub(xs))
+        # [[Z, e_u]]_s: the s block of the coordinates of [Z, e_u] along g = s + k
+        acted = [frame.require(model.algebra.bracket(z, e), "outside g")[:n] for e in sub.embedding]
         for u, v in pairs:
             # c([[Z, e_u]]_s, e_v) - c([[Z, e_v]]_s, e_u)
             rows.append(

@@ -50,6 +50,9 @@ from .su1n_model import (
 
 XIFN_ONE = {"terms": [[0, 0, 0, 0, 0, "1/1", "0/1"]]}
 
+# verify options that only some suites read, with those suites
+SUITE_OPTIONS = {"mutate": ("qmm",), "pairs": ("qmm",), "alpha": ("qmm", "retract")}
+
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -63,13 +66,16 @@ def _check_args(args) -> None:
     """Validate and parse every option value before any work starts.
 
     Raises UsageError, or TruncationOrderError for an order, naming the
-    option.  Parsed values: --blocks in place, --alpha and --value as
-    alpha_q and value_q, --theta-json as theta, orders resolved.
+    option; an option that the command would ignore is an error too.
+    Parsed values: --blocks in place, --alpha and --value as alpha_q and
+    value_q, --theta-json as theta, orders resolved.
     """
     opts = vars(args)
     for name in ("N", "su1n", "r"):
         if opts.get(name) is not None and opts[name] < 1:
             raise UsageError(f"--{name} must be at least 1, got {opts[name]}")
+    if args.command == "h2" and args.su1n is not None and (args.r, args.blocks) != (None, None):
+        raise UsageError("--su1n excludes --r and --blocks")
     for name in ("alpha", "value"):
         try:
             opts[f"{name}_q"] = None if opts.get(name) is None else parse_frac(opts[name])
@@ -83,8 +89,10 @@ def _check_args(args) -> None:
     if args.command == "h2" and args.su1n is None and args.blocks is None:
         raise UsageError("h2 needs either --su1n N or --r R --blocks n1,..,nR")
     if args.command == "verify":
-        if args.mutate is not None and args.suite != "qmm":
-            raise UsageError(f"--mutate applies to --suite qmm only, not {args.suite}")
+        for name, suites in SUITE_OPTIONS.items():
+            if opts[name] is not None and args.suite not in suites:
+                only = " or ".join(suites)
+                raise UsageError(f"--{name} applies to --suite {only} only, not {args.suite}")
         for name in ("label", "value"):
             if opts[name] is not None and args.mutate != "add-nu-const":
                 raise UsageError(f"--{name} applies with --mutate add-nu-const only")
@@ -156,7 +164,7 @@ def _suite_qmm(args) -> tuple:
         table = mutate_drop_nu2(table)
     elif args.mutate == "add-nu-const":
         table = mutate_add_nu_const(table, args.label, args.value_q)
-    report = verify_qmm(table, args.order, pairs=args.pairs)
+    report = verify_qmm(table, args.order, pairs=args.pairs or "all")
     return report.ok, {
         "suite": "qmm",
         "N": args.N,
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--alpha", help="rational value, symbolic when omitted")
     p.add_argument("--order", type=int, help="truncation order override")
-    p.add_argument("--pairs", choices=["all", "s"], default="all")
+    p.add_argument("--pairs", choices=["all", "s"], help="qmm pairs, all when omitted")
     p.add_argument("--mutate", choices=["drop-nu2", "add-nu-const"])
     p.add_argument("--label", help="moment label for add-nu-const")
     p.add_argument("--value", help="rational constant for add-nu-const")

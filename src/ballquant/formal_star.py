@@ -53,7 +53,7 @@ from functools import cached_property
 from math import factorial, perm
 from operator import add
 
-from .lie_core import LieAlgebra
+from .lie_core import CheckReport, LieAlgebra
 from .linalg import mat_inverse
 from .scalars import SparseSum, accumulate, collect, frac_str, parse_frac
 
@@ -471,16 +471,9 @@ def half_commutator(
     return _transvection_series(F, G, P, order, 1, 2, 1, shift=1)
 
 
-@dataclass
-class CovarianceReport:
-    ok: bool
-    checked: int
-    failures: list
-
-
 def check_poisson_covariance(
     algebra: LieAlgebra, moments: list, P: PoissonStructure
-) -> CovarianceReport:
+) -> CheckReport:
     """Check {m_i, m_j} = m_[e_i, e_j] for every basis pair."""
     failures = []
     checked = 0
@@ -492,7 +485,7 @@ def check_poisson_covariance(
             rhs = collect(kv for t, s in coeffs for kv in moments[t].scale(s).terms.items())
             if lhs.terms != rhs:
                 failures.append((i, j))
-    return CovarianceReport(not failures, checked, failures)
+    return CheckReport(not failures, checked, failures)
 
 
 def coef_to_json(f: CoefFn) -> dict:

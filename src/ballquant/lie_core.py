@@ -27,6 +27,15 @@ Vector = list
 
 
 @dataclass
+class CheckReport:
+    """A verifier's outcome: ok, the cases checked and the failing ones."""
+
+    ok: bool
+    checked: int
+    failures: list
+
+
+@dataclass
 class JacobiReport:
     ok: bool
     worst_triple: tuple | None

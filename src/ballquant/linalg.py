@@ -12,7 +12,10 @@ row echelon form; it is unique, so ``rref`` writes it out densely as
 canonical subspace bases and ``nullspace`` reads the kernel off the
 sparse form.  Coordinates against a basis, inverses
 included, come from a ``Frame``, which reduces the basis once and reads
-every later vector off its dual; ``solve_linear`` goes through ``rref``.
+every later vector off its dual; ``Frame.require`` is the read for
+vectors that must lie in the span, and raises ValueError with the
+caller's message when one does not.  ``solve_linear`` goes through
+``rref``.
 The change-of-basis steps the rest of the package shares live here too:
 ``combine`` sums coefficients times vectors, ``bilinear`` evaluates a
 bilinear form on two vectors, and ``split_symplectic`` is the one
@@ -234,6 +237,13 @@ class Frame:
                     c[k] += x * d
         rebuilt = collect((j, ck * b) for ck, row in zip(c, self.basis) if ck for j, b in row)
         return c if rebuilt == v else None
+
+    def require(self, v, what: str):
+        """The coordinates of v; ValueError(what) when v lies outside the span."""
+        coords = self.coords(v)
+        if coords is None:
+            raise ValueError(what)
+        return coords
 
 
 def solve_in_span(basis: Mat, target: Vec):

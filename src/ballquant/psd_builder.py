@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lie_core import LieAlgebra
+from .lie_core import CheckReport, LieAlgebra
 from .linalg import combine
 from .scalars import frac_str, parse_frac
 from .su1n_model import Su1nModel, adapted_s_basis
@@ -120,14 +120,7 @@ def psd_spec_from_json(blob: str) -> PsdSpec:
     return PsdSpec(data["r"], list(data["n"]), actions)
 
 
-@dataclass
-class MatchReport:
-    ok: bool
-    checked: int
-    failures: list
-
-
-def match_iwasawa(psd: PsdAlgebra, model: Su1nModel) -> MatchReport:
+def match_iwasawa(psd: PsdAlgebra, model: Su1nModel) -> CheckReport:
     """Match a single block against the solvable part of the ball model.
 
     Maps H to the restricted-root generator, the block V to the
@@ -135,7 +128,7 @@ def match_iwasawa(psd: PsdAlgebra, model: Su1nModel) -> MatchReport:
     normalized top root vector, then compares every structure constant.
     """
     if psd.spec.r != 1 or psd.spec.n != [model.N]:
-        return MatchReport(False, 0, [("shape", psd.spec.r, psd.spec.n, model.N)])
+        return CheckReport(False, 0, [("shape", psd.spec.r, psd.spec.n, model.N)])
     H, fs, E = adapted_s_basis(model)
     images = [H] + fs + [E]
     g, s = psd.algebra, model.algebra
@@ -148,4 +141,4 @@ def match_iwasawa(psd: PsdAlgebra, model: Su1nModel) -> MatchReport:
             coeffs = g.bracket(g.basis_vector(i), g.basis_vector(j))
             if lhs != combine(coeffs, images):
                 failures.append((g.labels[i], g.labels[j]))
-    return MatchReport(not failures, checked, failures)
+    return CheckReport(not failures, checked, failures)

@@ -241,9 +241,9 @@ def radial_reduce(chart: BallChart, f: CoefFn) -> dict:
         monos = {k for pw in powers for (_, k, _, _) in pw.terms} | set(vterms)
         index = {k: r for r, k in enumerate(sorted(monos))}
         frame = Frame([{index[k]: c for (_, k, _, _), c in pw.terms.items()} for pw in powers])
-        sol = frame.coords({index[k]: c for k, c in vterms.items()})
-        if sol is None:
-            raise ValueError("not a polynomial in the squared radius")
+        sol = frame.require(
+            {index[k]: c for k, c in vterms.items()}, "not a polynomial in the squared radius"
+        )
         for s, c in enumerate(sol):
             if c:
                 out[(p, s, q)] = c
@@ -252,15 +252,13 @@ def radial_reduce(chart: BallChart, f: CoefFn) -> dict:
 
 def k_basis(chart: BallChart):
     """Basis of the sigma-fixed subalgebra adapted to the chart: the m
-    generators, then f_i + sigma f_i, then E + sigma E."""
-    model = chart.model
+    generators, then f_i + sigma f_i, then E + sigma E, with the sigma
+    images read from the chart basis."""
     labels = [f"m{i + 1}" for i in range(len(chart.m_basis))]
+    labels += [f"kf{i + 1}" for i in range(chart.nv)] + ["kE"]
+    sigma = chart.basis[-(chart.nv + 1) :]
     vecs = [y[:] for y in chart.m_basis]
-    for i, fvec in enumerate(chart.fs):
-        labels.append(f"kf{i + 1}")
-        vecs.append(vec_add(fvec, model.apply_sigma(fvec)))
-    labels.append("kE")
-    vecs.append(vec_add(chart.E, model.apply_sigma(chart.E)))
+    vecs += [vec_add(x, sx) for x, sx in zip(chart.fs + [chart.E], sigma)]
     return labels, vecs
 
 
@@ -279,9 +277,7 @@ def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict
     from the result.
     """
     order = resolve_truncation_order(order)
-    coords = table.frame.coords([Fraction(c) for c in x])
-    if coords is None:
-        raise ValueError("vector lies outside the moment table")
+    coords = table.frame.require([Fraction(c) for c in x], "vector lies outside the moment table")
     nv = table.chart.nv
     mu = NuSum(nv, 2)
     for c, mom in zip(coords, table.moments):

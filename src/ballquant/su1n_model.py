@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .lie_core import (
+    CheckReport,
     LieAlgebra,
     Subspace,
-    centralizer,
     span_subspace,
     structure_in,
     subalgebra,
@@ -176,7 +176,9 @@ def build_su1n(N: int) -> Su1nModel:
         n_vecs.extend(r.space.basis)
     n_space = span_subspace(algebra, n_vecs)
     s_space = span_subspace(algebra, a_space.basis + n_space.basis)
-    m_space = subspace_intersection(centralizer(algebra, a_space), k_space)
+    # the weight-0 root space is the centralizer of a
+    zero = next(r.space for r in roots if r.lambda_of_H[0] == 0)
+    m_space = subspace_intersection(zero, k_space)
 
     return Su1nModel(
         N=N,
@@ -228,10 +230,8 @@ def adapted_s_basis(model: Su1nModel):
     top_line = Frame([E])
 
     def bform(x, y):
-        coeff = top_line.coords(model.algebra.bracket(x, y))
-        if coeff is None:
-            raise AssertionError("short-root bracket left the top root line")
-        return coeff[0]
+        what = "short-root bracket left the top root line"
+        return top_line.require(model.algebra.bracket(x, y), what)[0]
 
     xs, ys = [], []
     while rem:
@@ -252,14 +252,7 @@ def adapted_s_basis(model: Su1nModel):
     fs = xs + ys
     if [[bform(fi, fj) for fj in fs] for fi in fs] != split_symplectic(len(fs)):
         raise AssertionError("symplectic normal form check failed")
-    return model.H0, fs, E
-
-
-@dataclass
-class CheckReport:
-    ok: bool
-    checked: int
-    failures: list
+    return model.H0[:], fs, E
 
 
 def verify_sigma_pairing(model: Su1nModel) -> CheckReport:
@@ -318,9 +311,7 @@ def verify_m_orthocomplement(model: Su1nModel) -> CheckReport:
 
 def iwasawa_project(model: Su1nModel, x: list):
     """Split x = x_s + x_k along the direct sum g = s + k."""
-    coords = model.iwasawa_frame.coords(x)
-    if coords is None:
-        raise ValueError("vector outside the algebra span")
+    coords = model.iwasawa_frame.require(x, "vector outside the algebra span")
     xs = combine(coords[: model.s_space.dim], model.s_space.basis)
     return xs, [a - b for a, b in zip(x, xs)]
 
@@ -344,10 +335,7 @@ class SSubmodel:
     beta_H0: Fraction
 
     def to_sub(self, x: list) -> list:
-        coords = self.frame.coords(x)
-        if coords is None:
-            raise ValueError("vector does not lie in the solvable part")
-        return coords
+        return self.frame.require(x, "vector does not lie in the solvable part")
 
 
 _S_SUBMODELS: dict = {}

@@ -9,6 +9,7 @@ the value 1 on Y.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,8 @@ from ballquant.ball_quantization import (
     GroupElement,
     IntegrabilityError,
     TruncationOrderError,
+    _read,
+    _solve_zeta,
     build_chart,
     build_qmm,
     calibrate,
@@ -37,8 +40,8 @@ from ballquant.ball_quantization import (
     verify_qmm,
 )
 from ballquant.formal_star import CoefFn, poisson
-from ballquant.linalg import solve_in_span
-from ballquant.su1n_model import build_su1n
+from ballquant.linalg import Frame, solve_in_span
+from ballquant.su1n_model import build_su1n, model_to_json
 
 from oracles import field_bracket_oracle, leading_principal_minors, verify_qmm_oracle
 
@@ -122,6 +125,48 @@ def test_fundamental_field_rejects_outside_sm():
     sigma_e = chart.model.apply_sigma(chart.E)
     with pytest.raises(ValueError):
         fundamental_field(chart, sigma_e)
+
+
+def test_chart_basis_is_the_table_basis_in_label_order():
+    for n in (1, 2, 3):
+        chart = build_chart(n)
+        nv, dm = chart.nv, len(chart.m_basis)
+        sigma = [chart.model.apply_sigma(x) for x in chart.fs + [chart.E]]
+        assert chart.basis == [chart.H] + chart.fs + [chart.E] + chart.m_basis + sigma
+        assert len(chart.basis) == len(qmm_labels(n)) == chart.model.algebra.dim
+        assert chart.frame.basis == Frame(chart.basis).basis
+        assert chart.basis[0] is chart.H and chart.basis[1 + nv] is chart.E
+        assert chart.basis[2 + nv : 2 + nv + dm] == chart.m_basis
+        table = build_qmm(n)
+        assert table.basis is table.chart.basis and table.frame is table.chart.frame
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_chart_and_table_cannot_change_the_cached_model(N):
+    """The chart owns copies of the adapted basis: writing to every table
+    basis vector and to the chart's H leaves the cached model as built."""
+    model = build_su1n(N)
+    before = (model_to_json(model), model.H0[:], qmm_table_to_json(build_qmm(N)))
+    table = build_qmm(N)
+    for v in table.basis:
+        v[:] = [F(7)] * len(v)
+    chart = build_chart(N)
+    chart.H[:] = [F(7)] * len(chart.H)
+    model = build_su1n(N)
+    assert (model_to_json(model), model.H0, qmm_table_to_json(build_qmm(N))) == before
+
+
+def test_chart_reads_name_the_block_a_vector_left():
+    chart = build_chart(2)
+    nv = chart.nv
+    assert _read(chart.frame, chart.E, "unused", range(2 + nv)) == [F(0)] * (1 + nv) + [F(1)]
+    with pytest.raises(ValueError, match="^left s$"):
+        _read(chart.frame, chart.basis[-1], "left s", range(2 + nv))
+    f1, f2 = chart.fs
+    with pytest.raises(ValueError, match=r"^\[m, m\] left m$"):
+        _solve_zeta(replace(chart, m_basis=[f1, f2]))
+    with pytest.raises(ValueError, match=r"^\[V, sigma V\] left a \+ m$"):
+        _solve_zeta(replace(chart, fs=[chart.H, chart.E]))
 
 
 def test_field_homomorphism():
@@ -215,6 +260,11 @@ def test_verify_qmm_n2():
     table = build_qmm(2)
     rep = verify_qmm(table, order=10)
     assert rep.ok and rep.exact and rep.checked == 28
+
+
+def test_verify_qmm_rejects_an_unknown_pair_selection():
+    with pytest.raises(ValueError, match="pairs"):
+        verify_qmm(build_qmm(1), order=1, pairs="x")
 
 
 def test_verify_qmm_numeric_alpha():

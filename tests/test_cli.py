@@ -10,10 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from ballquant import cli
+from ballquant.ce_cohomology import Cochain
 from ballquant.cli import main
 from ballquant.lie_core import LieAlgebra
 from ballquant.psd_builder import psd_spec_from_json, psd_spec_to_json
@@ -137,6 +140,14 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         (QMM + ["--label", "H"], "--label"),
         (QMM + ["--value", "1"], "--value"),
         (QMM + ["--mutate", "drop-nu2", "--label", "H", "--value", "1"], "--label"),
+        (["verify", "--suite", "su1n", "--N", "1", "--alpha", "1"], "--alpha"),
+        (["verify", "--suite", "cocycle", "--N", "1", "--alpha", "1"], "--alpha"),
+        (["verify", "--suite", "su1n", "--N", "1", "--pairs", "all"], "--pairs"),
+        (["verify", "--suite", "retract", "--N", "2", "--pairs", "s"], "--pairs"),
+        (["verify", "--suite", "cocycle", "--N", "1", "--pairs", "all"], "--pairs"),
+        (["h2", "--su1n", "2", "--r", "1", "--blocks", "2"], "--su1n"),
+        (["h2", "--su1n", "2", "--r", "1"], "--su1n"),
+        (["h2", "--su1n", "2", "--blocks", "2"], "--su1n"),
     ],
     ids=[
         "verify-N", "export-N", "qmm-export-N", "h2-su1n", "alpha-zero-denominator",
@@ -144,7 +155,9 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         "value-missing", "theta-syntax", "theta-no-terms", "theta-exponent", "blocks-text",
         "blocks-count", "blocks-zero", "r-zero", "h2-no-target", "su1n-order",
         "retract-n", "mutate-su1n", "mutate-retract", "mutate-cocycle", "label-unmutated",
-        "value-unmutated", "label-drop-nu2",
+        "value-unmutated", "label-drop-nu2", "alpha-su1n", "alpha-cocycle", "pairs-su1n",
+        "pairs-retract", "pairs-cocycle", "h2-su1n-and-blocks", "h2-su1n-and-r",
+        "h2-su1n-and-blocks-only",
     ],
 )
 def test_bad_option_is_a_usage_error(capsys, argv, source):
@@ -304,3 +317,37 @@ def test_readme_commands_match_recorded_fingerprints(capsys, monkeypatch):
         code, out = run(capsys, list(cmd["argv"]))
         assert code == cmd["exit"], cmd["argv"]
         assert hashlib.sha256(out.encode()).hexdigest() == cmd["sha256"], cmd["argv"]
+
+
+RETRACT = ["verify", "--suite", "retract", "--N", "2", "--order", "2"]
+
+
+def assert_failed_suite(capsys, argv, key):
+    code, out = run(capsys, argv)
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False and payload[key] is False
+    return payload
+
+
+def test_verify_retract_reports_constants_not_annihilated(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "apply_operator", lambda op, theta, order: theta)
+    payload = assert_failed_suite(capsys, RETRACT, "constants_annihilated")
+    assert payload["m_fields_match"] is True
+
+
+def test_verify_retract_reports_a_wrong_m_field(capsys, monkeypatch):
+    real = cli.fundamental_field
+    monkeypatch.setattr(
+        cli, "fundamental_field", lambda chart, y: [c.scale(2) for c in real(chart, y)]
+    )
+    payload = assert_failed_suite(capsys, RETRACT, "m_fields_match")
+    assert payload["constants_annihilated"] is True
+
+
+def test_verify_cocycle_reports_a_wrong_primitive(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "coboundary_primitive_roots", lambda model, c: Cochain(1, c.dim, [F(0)] * c.dim)
+    )
+    cocycle = ["verify", "--suite", "cocycle", "--N", "2"]
+    payload = assert_failed_suite(capsys, cocycle, "primitive_ok")
+    assert payload["h2"] == 0 and payload["invariant_dim"] == 1

@@ -4,7 +4,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from ballquant.linalg import (
+    Frame,
     identity_matrix,
     mat_inverse,
     nullspace,
@@ -159,3 +162,11 @@ def test_leading_principal_minors():
     assert leading_principal_minors(m) == [F(2), F(5)]
     m3 = [[F(1), F(0), F(0)], [F(0), F(4), F(2)], [F(0), F(2), F(2)]]
     assert leading_principal_minors(m3) == [F(1), F(4), F(4)]
+
+
+def test_frame_require_reads_the_span_and_names_what_left_it():
+    frame = Frame([[F(1), F(1), F(0)], {2: F(2)}])
+    assert frame.require([F(3), F(3), F(4)], "unused") == [F(3), F(2)]
+    assert frame.require({}, "unused") == [F(0), F(0)]
+    with pytest.raises(ValueError, match="^left the plane$"):
+        frame.require([F(1), F(0), F(0)], "left the plane")

@@ -8,12 +8,14 @@ on the V part of inner blocks through symplectic matrices.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from ballquant.psd_builder import PsdSpec, build_psd, match_iwasawa, psd_spec_from_json, psd_spec_to_json
-from ballquant.su1n_model import build_su1n
+from ballquant.linalg import vec_scale
+from ballquant.su1n_model import build_su1n, model_to_json
 
 
 def test_layout_and_labels():
@@ -101,3 +103,42 @@ def test_match_iwasawa_rejects_wrong_shape():
     psd = build_psd(PsdSpec(1, [2]))
     rep = match_iwasawa(psd, build_su1n(3))
     assert not rep.ok
+
+
+def test_match_iwasawa_reports_a_wrong_generator():
+    model = build_su1n(2)
+    fresh = model_to_json(model), model.H0[:]
+    psd = build_psd(PsdSpec(1, [2]))
+    rep = match_iwasawa(psd, replace(model, H0=vec_scale(model.H0, 2)))
+    assert not rep.ok and rep.failures
+    assert rep.checked == psd.algebra.dim * (psd.algebra.dim - 1) // 2
+    model = build_su1n(2)
+    assert (model_to_json(model), model.H0) == fresh
+    assert match_iwasawa(psd, model).ok
+
+
+ZERO2 = [[F(0), F(0)], [F(0), F(0)]]
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (PsdSpec(0, []), "r >= 1"),
+        (PsdSpec(2, [2]), "r >= 1"),
+        (PsdSpec(2, [2, 0]), "r >= 1"),
+        (PsdSpec(2, [2, 2], {(2, 1): {"H": ZERO2}}), "outer block"),
+        (PsdSpec(2, [2, 2], {(1, 1): {"H": ZERO2}}), "outer block"),
+        (PsdSpec(2, [2, 2], {(1, 3): {"H": ZERO2}}), "outer block"),
+        (PsdSpec(2, [2, 2], {(1, 2): {"X": ZERO2}}), "unknown role"),
+        (PsdSpec(2, [2, 2], {(1, 2): {"v3": ZERO2}}), "unknown role"),
+        (PsdSpec(2, [2, 2], {(1, 2): {"H": [[F(1)]]}}), "wrong shape"),
+        (PsdSpec(2, [2, 2], {(1, 2): {"E": [[F(0), F(0)], [F(0)]]}}), "wrong shape"),
+    ],
+    ids=[
+        "r-zero", "sizes-short", "size-zero", "action-inward", "action-same-block",
+        "action-past-r", "role-unknown", "role-past-v", "matrix-small", "matrix-ragged",
+    ],
+)
+def test_build_psd_rejects_a_bad_spec(spec, message):
+    with pytest.raises(ValueError, match=message):
+        build_psd(spec)

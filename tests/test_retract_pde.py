@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,8 @@ from ballquant.retract_pde import (
     xifn_to_json,
 )
 from ballquant.scalars import GScalar
-from ballquant.su1n_model import build_su1n
+from ballquant.lie_core import Subspace
+from ballquant.su1n_model import build_su1n, model_to_json
 
 from oracles import apply_operator_oracle, binom_oracle, radial_pde_residual_oracle
 
@@ -123,6 +125,16 @@ def test_reduction_closure_dimensions():
     assert rep2.ok and rep2.dim_w == 7 and rep2.dim_filled == 8
     rep3 = check_reduction_closure(build_su1n(3))
     assert rep3.ok and rep3.dim_w == 14 and rep3.dim_filled == 15
+
+
+def test_reduction_closure_fails_without_m():
+    """[n_1, n_-1] lands in a + m, so W without m is not ad_s stable."""
+    model = build_su1n(2)
+    fresh = model_to_json(model)
+    rep = check_reduction_closure(replace(model, m_space=Subspace(model.algebra, [])))
+    assert not rep.ok and rep.failures and rep.dim_w == 6
+    assert model_to_json(build_su1n(2)) == fresh
+    assert check_reduction_closure(build_su1n(2)).ok
 
 
 def test_m_invariance_residuals():

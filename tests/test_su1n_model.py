@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -299,3 +300,27 @@ def test_cached_model_arrays_are_read_only():
     assert again.sigma_diagonal == fresh.sigma_diagonal
     assert again.matrices == fresh.matrices
     assert model_to_json(again) == model_to_json(fresh)
+
+
+def test_sigma_pairing_reports_each_planted_fault():
+    model = build_su1n(2)
+    fresh = model_to_json(model), model.H0[:]
+    flipped = replace(model, sigma_diagonal=tuple(-s for s in model.sigma_diagonal))
+    rep = verify_sigma_pairing(flipped)
+    assert not rep.ok and {kind for kind, _, _ in rep.failures} == {"sign"}
+    doubled = [replace(r, H_lambda=vec_scale(r.H_lambda, 2)) for r in model.roots]
+    rep = verify_sigma_pairing(replace(model, roots=doubled))
+    assert not rep.ok and {kind for kind, _, _ in rep.failures} == {"pairing"}
+    model = build_su1n(2)
+    assert (model_to_json(model), model.H0) == fresh
+    assert verify_sigma_pairing(model).ok
+
+
+def test_m_orthocomplement_reports_a_wrong_m():
+    model = build_su1n(2)
+    fresh = model_to_json(model)
+    rep = verify_m_orthocomplement(replace(model, m_space=model.a_space))
+    assert not rep.ok and rep.failures
+    assert {kind for kind, _ in rep.failures} == {"orthocomplement"}
+    assert model_to_json(build_su1n(2)) == fresh
+    assert verify_m_orthocomplement(build_su1n(2)).ok
