@@ -7,16 +7,18 @@ The differential follows the convention
     (delta c)(X, Y, Z)    = c([X, Y], Z) + c([Y, Z], X) + c([Z, X], Y)
 
 so one-cochain coboundaries pair a bracket against a linear functional.
-Second cohomology dimensions are computed from exact sparse ranks of the
-two differentials.  For the block algebras (psd_builder) and for the
-solvable part of su(1, N) there are closed-form primitives of exact
-two-cocycles; both are implemented here together with the pointwise
-cocycle test they rest on.
+The degree-two differential is built once per algebra, one sparse row
+per basis triple; delta, is_cocycle, the second cohomology dimensions
+(exact sparse ranks) and the cocycle spaces all read that table.  For
+the block algebras (psd_builder) and for the solvable part of su(1, N)
+there are closed-form primitives of exact two-cocycles; both are
+implemented here together with the pointwise cocycle test they rest on.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
 from .lie_core import LieAlgebra
 from .linalg import Frame, bilinear, nullspace, rank_sparse
@@ -73,22 +75,14 @@ def delta(algebra: LieAlgebra, c: Cochain) -> Cochain:
         )
         return _two_cochain(n, values)
     if c.degree == 2:
-        pairs, pidx = _pair_index(n)
-        data = {}
-        for triple in _bracket_triples(algebra):
-            total = Fraction(0)
-            for p, v in _d2_row(algebra, pidx, *triple).items():
-                a, b = pairs[p]
-                total += v * c.data[a][b]
-            data[triple] = total
-        return Cochain(3, n, data)
+        return Cochain(3, n, {t: _pair_sum(row, c.data) for t, row in _d2_table(algebra)})
     raise ValueError("differential implemented for degrees 0..2 only")
 
 
 def is_cocycle(algebra: LieAlgebra, c: Cochain) -> bool:
+    if c.degree == 2:
+        return not any(_pair_sum(row, c.data) for _, row in _d2_table(algebra))
     d = delta(algebra, c)
-    if d.degree == 3:
-        return all(v == 0 for v in d.data.values())
     if d.degree == 2:
         return all(v == 0 for row in d.data for v in row)
     return all(v == 0 for v in d.data)
@@ -121,10 +115,31 @@ def _bracket_triples(algebra: LieAlgebra) -> list:
     return sorted(triples)
 
 
-def _d2_rows(algebra: LieAlgebra, pidx: dict) -> list:
-    """The nonzero rows of the degree-two differential, one per triple."""
-    rows = (_d2_row(algebra, pidx, *triple) for triple in _bracket_triples(algebra))
-    return [row for row in rows if row]
+_D2_TABLES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _d2_table(algebra: LieAlgebra) -> list:
+    """The degree-two differential, built once per algebra (its structure
+    is read-only): (triple, row) for each of _bracket_triples, in order,
+    row the (a, b, s) with (delta c)(triple) = sum of s c(e_a, e_b)."""
+    table = _D2_TABLES.get(algebra)
+    if table is None:
+        pairs, pidx = _pair_index(algebra.dim)
+        table = _D2_TABLES[algebra] = [
+            (t, tuple((*pairs[p], s) for p, s in _d2_row(algebra, pidx, *t).items()))
+            for t in _bracket_triples(algebra)
+        ]
+    return table
+
+
+def _d2_sparse(algebra: LieAlgebra, pidx: dict) -> list:
+    """The nonzero rows of the table over pair indices, for ranks and kernels."""
+    return [{pidx[a, b]: s for a, b, s in row} for _, row in _d2_table(algebra) if row]
+
+
+def _pair_sum(row: tuple, m: list) -> Fraction:
+    """The sum of s m[a][b] over the (a, b, s) of row, zero entries of m skipped."""
+    return sum((s * m[a][b] for a, b, s in row if m[a][b]), Fraction(0))
 
 
 def _kernel_cochains(n: int, pairs: list, rows: list) -> list:
@@ -136,13 +151,13 @@ def h2_dimension(algebra: LieAlgebra) -> int:
     """dim H^2(g) = dim C^2 - rank(delta_2) - rank(delta_1), all exact."""
     pairs, pidx = _pair_index(algebra.dim)
     d1_rows = [dict(coeffs) for coeffs in algebra.structure.values()]
-    return len(pairs) - rank_sparse(_d2_rows(algebra, pidx)) - rank_sparse(d1_rows)
+    return len(pairs) - rank_sparse(_d2_sparse(algebra, pidx)) - rank_sparse(d1_rows)
 
 
 def cocycle_space(algebra: LieAlgebra) -> list:
     """Basis of the closed two-cochains, as full antisymmetric matrices."""
     pairs, pidx = _pair_index(algebra.dim)
-    return _kernel_cochains(algebra.dim, pairs, _d2_rows(algebra, pidx))
+    return _kernel_cochains(algebra.dim, pairs, _d2_sparse(algebra, pidx))
 
 
 @dataclass
@@ -253,7 +268,7 @@ def invariant_cocycle_space(model: Su1nModel):
     g = sub.algebra
     n = g.dim
     pairs, pidx = _pair_index(n)
-    rows = _d2_rows(g, pidx)
+    rows = _d2_sparse(g, pidx)
     frame = model.iwasawa_frame
     for z in model.k_space.basis:
         # [[Z, e_u]]_s: the s block of the coordinates of [Z, e_u] along g = s + k

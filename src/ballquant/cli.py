@@ -105,6 +105,8 @@ def _check_args(args) -> None:
         args.order = resolve_truncation_order(default if args.order is None else args.order)
     elif opts.get("order") is not None:
         resolve_truncation_order(args.order)
+        if args.command == "verify":
+            raise UsageError(f"--order applies to --suite qmm or retract only, not {args.suite}")
     if args.command == "retract-residual":
         if args.n < 2:
             raise UsageError(f"--n must be at least 2, got {args.n}")

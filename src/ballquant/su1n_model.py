@@ -324,7 +324,7 @@ class SSubmodel:
     and frame reads coordinates against them; H is the restricted-root
     generator, and each entry of roots is a pair (root value on H, root
     space basis) in submodel coordinates.  All of them are tuples, since
-    s_submodel caches one instance per N.
+    s_submodel caches one instance per model object.
     """
 
     algebra: LieAlgebra
@@ -338,12 +338,14 @@ class SSubmodel:
         return self.frame.require(x, "vector does not lie in the solvable part")
 
 
+# id(model) -> (model, submodel): Su1nModel is unhashable, and holding
+# the model keeps its id from being reused while the entry lives.
 _S_SUBMODELS: dict = {}
 
 
 def s_submodel(model: Su1nModel) -> SSubmodel:
-    if model.N in _S_SUBMODELS:
-        return _S_SUBMODELS[model.N]
+    if id(model) in _S_SUBMODELS:
+        return _S_SUBMODELS[id(model)][1]
     sub, embedding = subalgebra(
         model.algebra,
         model.s_space,
@@ -363,7 +365,7 @@ def s_submodel(model: Su1nModel) -> SSubmodel:
         ),
         beta_H0=model.beta_H0,
     )
-    _S_SUBMODELS[model.N] = out
+    _S_SUBMODELS[id(model)] = (model, out)
     return out
 
 

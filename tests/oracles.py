@@ -12,15 +12,19 @@ full falling-factorial product.  radial_pde_residual_oracle evaluates
 the radial operator as the package did before it built one coefficient
 table per call: each term a chain of XiFn products through its constant
 factors.  field_bracket_oracle is the commutator of two vector fields as
-a whole-CoefFn sum over every pair of components.
+a whole-CoefFn sum over every pair of components.  delta2_oracle is the
+Chevalley-Eilenberg differential of a two-cochain evaluated on every
+basis triple through the bracket, without any table of the differential.
 """
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import combinations
 from math import factorial
 
 from ballquant.ball_quantization import QmmReport, resolve_truncation_order
 from ballquant.formal_star import CoefFn, NuSeries, half_commutator
+from ballquant.linalg import bilinear
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import GScalar
 
@@ -85,6 +89,18 @@ def det(a) -> F:
 def leading_principal_minors(a) -> list:
     """Determinants of the k x k leading blocks for k = 1..n."""
     return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+
+
+def delta2_oracle(algebra, c) -> dict:
+    """(delta c)(e_i, e_j, e_k) = c([e_i, e_j], e_k) + c([e_j, e_k], e_i)
+    + c([e_k, e_i], e_j) for every triple i < j < k, zeros included."""
+    e = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    out = {}
+    for i, j, k in combinations(range(algebra.dim), 3):
+        out[i, j, k] = F(0)
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            out[i, j, k] += bilinear(c.data, algebra.bracket(e[x], e[y]), e[z])
+    return out
 
 
 def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:

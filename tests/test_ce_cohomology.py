@@ -33,6 +33,23 @@ from ballquant.ce_cohomology import (
 from ballquant.psd_builder import PsdSpec, build_psd
 from ballquant.su1n_model import adapted_s_basis, build_su1n, s_submodel
 
+from oracles import delta2_oracle
+
+# a cross action of block 1 on block 2 through its H direction
+TWIST = {(1, 2): {"H": [[F(1), F(0)], [F(0), F(-1)]]}}
+BLOCK_SPECS = [
+    PsdSpec(1, [1]),
+    PsdSpec(1, [2]),
+    PsdSpec(1, [3]),
+    PsdSpec(2, [1, 1]),
+    PsdSpec(2, [2, 1]),
+    PsdSpec(2, [2, 1], TWIST),
+    PsdSpec(2, [2, 2]),
+    PsdSpec(3, [1, 1, 1]),
+    PsdSpec(3, [1, 2, 1]),
+    PsdSpec(3, [2, 1, 2]),
+]
+
 
 def test_delta_one_cochain_example():
     psd = build_psd(PsdSpec(1, [1]))
@@ -72,7 +89,7 @@ def test_h2_block_algebras_frozen():
 
 
 def test_h2_with_nontrivial_cross_action():
-    spec = PsdSpec(2, [2, 1], {(1, 2): {"H": [[F(1), F(0)], [F(0), F(-1)]]}})
+    spec = PsdSpec(2, [2, 1], TWIST)
     assert h2_dimension(build_psd(spec).algebra) == 1
 
 
@@ -110,12 +127,54 @@ def _sample_cochains(g, basis, rng, count):
     return out
 
 
+def _delta_matches_oracle(g, c):
+    """delta agrees with the oracle on every triple, absent ones being zero,
+    and is_cocycle says whether the oracle vanishes."""
+    d = delta(g, c)
+    want = delta2_oracle(g, c)
+    assert d.degree == 3 and d.dim == g.dim and set(d.data) <= set(want)
+    assert all(d.data.get(t, 0) == v for t, v in want.items())
+    assert is_cocycle(g, c) == (not any(want.values()))
+    return want
+
+
+ORACLE_ALGEBRAS = {
+    **{f"su1n-{n}": lambda n=n: build_su1n(n).algebra for n in (1, 2, 3)},
+    **{f"s-{n}": lambda n=n: s_submodel(build_su1n(n)).algebra for n in (1, 2, 3)},
+    **{f"psd-{k}": lambda s=s: build_psd(s).algebra for k, s in enumerate(BLOCK_SPECS)},
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_ALGEBRAS))
+def test_delta_and_is_cocycle_match_the_oracle(name):
+    g = ORACLE_ALGEBRAS[name]()
+    rng = random.Random(name)
+    closed = cocycle_space(g)
+    cochains = _sample_cochains(g, closed, rng, 6)
+    verdicts = [not any(_delta_matches_oracle(g, c).values()) for c in cochains]
+    assert verdicts[1] and verdicts[4]  # the closed combinations
+    # a random cochain is closed only when every cochain is
+    assert all(verdicts) == (len(closed) == g.dim * (g.dim - 1) // 2)
+
+
+def test_differential_is_kept_per_algebra_object():
+    plain = build_psd(PsdSpec(2, [2, 1])).algebra
+    twisted = build_psd(PsdSpec(2, [2, 1], TWIST)).algebra
+    assert (plain.dim, plain.labels) == (twisted.dim, twisted.labels)
+    rng = random.Random(7)
+    differ = 0
+    for _ in range(4):
+        c = random_two_cochain(plain.dim, rng)
+        differ += _delta_matches_oracle(plain, c) != _delta_matches_oracle(twisted, c)
+    assert differ
+
+
 def test_cocycle_conditions_match_brute_force():
     rng = random.Random(101)
     specs = [
         PsdSpec(1, [2]),
         PsdSpec(2, [1, 1]),
-        PsdSpec(2, [2, 1], {(1, 2): {"H": [[F(1), F(0)], [F(0), F(-1)]]}}),
+        PsdSpec(2, [2, 1], TWIST),
         PsdSpec(3, [1, 2, 1]),
     ]
     for spec in specs:

@@ -148,6 +148,8 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         (["h2", "--su1n", "2", "--r", "1", "--blocks", "2"], "--su1n"),
         (["h2", "--su1n", "2", "--r", "1"], "--su1n"),
         (["h2", "--su1n", "2", "--blocks", "2"], "--su1n"),
+        (["verify", "--suite", "su1n", "--N", "1", "--order", "5"], "--order"),
+        (["verify", "--suite", "cocycle", "--N", "1", "--order", "5"], "--order"),
     ],
     ids=[
         "verify-N", "export-N", "qmm-export-N", "h2-su1n", "alpha-zero-denominator",
@@ -157,7 +159,7 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         "retract-n", "mutate-su1n", "mutate-retract", "mutate-cocycle", "label-unmutated",
         "value-unmutated", "label-drop-nu2", "alpha-su1n", "alpha-cocycle", "pairs-su1n",
         "pairs-retract", "pairs-cocycle", "h2-su1n-and-blocks", "h2-su1n-and-r",
-        "h2-su1n-and-blocks-only",
+        "h2-su1n-and-blocks-only", "order-su1n", "order-cocycle",
     ],
 )
 def test_bad_option_is_a_usage_error(capsys, argv, source):

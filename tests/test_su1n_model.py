@@ -324,3 +324,13 @@ def test_m_orthocomplement_reports_a_wrong_m():
     assert {kind for kind, _ in rep.failures} == {"orthocomplement"}
     assert model_to_json(build_su1n(2)) == fresh
     assert verify_m_orthocomplement(build_su1n(2)).ok
+
+
+def test_s_submodel_is_cached_per_model_not_per_n():
+    model = build_su1n(2)
+    sub = s_submodel(model)
+    top = max(r.lambda_of_H[0] for r in model.roots)
+    dropped = replace(model, roots=tuple(r for r in model.roots if r.lambda_of_H[0] != top))
+    other = s_submodel(dropped)
+    assert [len(s.roots) for s in (sub, other)] == [2, 1]
+    assert s_submodel(dropped) is other and s_submodel(build_su1n(2)) is sub
