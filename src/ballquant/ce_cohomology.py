@@ -75,13 +75,15 @@ def delta(algebra: LieAlgebra, c: Cochain) -> Cochain:
         )
         return _two_cochain(n, values)
     if c.degree == 2:
-        return Cochain(3, n, {t: _pair_sum(row, c.data) for t, row in _d2_table(algebra)})
+        v = _upper(c)
+        return Cochain(3, n, {t: _pair_sum(row, v) for t, row in _d2_table(algebra)})
     raise ValueError("differential implemented for degrees 0..2 only")
 
 
 def is_cocycle(algebra: LieAlgebra, c: Cochain) -> bool:
     if c.degree == 2:
-        return not any(_pair_sum(row, c.data) for _, row in _d2_table(algebra))
+        v = _upper(c)
+        return not any(_pair_sum(row, v) for _, row in _d2_table(algebra))
     d = delta(algebra, c)
     if d.degree == 2:
         return all(v == 0 for row in d.data for v in row)
@@ -121,25 +123,23 @@ _D2_TABLES: WeakKeyDictionary = WeakKeyDictionary()
 def _d2_table(algebra: LieAlgebra) -> list:
     """The degree-two differential, built once per algebra (its structure
     is read-only): (triple, row) for each of _bracket_triples, in order,
-    row the (a, b, s) with (delta c)(triple) = sum of s c(e_a, e_b)."""
+    row the pair index -> s with (delta c)(triple) = sum of s c(pair)."""
     table = _D2_TABLES.get(algebra)
     if table is None:
-        pairs, pidx = _pair_index(algebra.dim)
-        table = _D2_TABLES[algebra] = [
-            (t, tuple((*pairs[p], s) for p, s in _d2_row(algebra, pidx, *t).items()))
-            for t in _bracket_triples(algebra)
-        ]
+        _, pidx = _pair_index(algebra.dim)
+        table = [(t, _d2_row(algebra, pidx, *t)) for t in _bracket_triples(algebra)]
+        _D2_TABLES[algebra] = table
     return table
 
 
-def _d2_sparse(algebra: LieAlgebra, pidx: dict) -> list:
-    """The nonzero rows of the table over pair indices, for ranks and kernels."""
-    return [{pidx[a, b]: s for a, b, s in row} for _, row in _d2_table(algebra) if row]
+def _upper(c: Cochain) -> list:
+    """The pair coordinates c(e_i, e_j), i < j, in _pair_index order."""
+    return [x for i, row in enumerate(c.data) for x in row[i + 1 :]]
 
 
-def _pair_sum(row: tuple, m: list) -> Fraction:
-    """The sum of s m[a][b] over the (a, b, s) of row, zero entries of m skipped."""
-    return sum((s * m[a][b] for a, b, s in row if m[a][b]), Fraction(0))
+def _pair_sum(row: dict, v: list) -> Fraction:
+    """The sum of s v[p] over the (p, s) of row, zero entries of v skipped."""
+    return sum((s * v[p] for p, s in row.items() if v[p]), Fraction(0))
 
 
 def _kernel_cochains(n: int, pairs: list, rows: list) -> list:
@@ -149,15 +149,15 @@ def _kernel_cochains(n: int, pairs: list, rows: list) -> list:
 
 def h2_dimension(algebra: LieAlgebra) -> int:
     """dim H^2(g) = dim C^2 - rank(delta_2) - rank(delta_1), all exact."""
-    pairs, pidx = _pair_index(algebra.dim)
     d1_rows = [dict(coeffs) for coeffs in algebra.structure.values()]
-    return len(pairs) - rank_sparse(_d2_sparse(algebra, pidx)) - rank_sparse(d1_rows)
+    d2_rows = [row for _, row in _d2_table(algebra)]
+    return len(_pair_index(algebra.dim)[0]) - rank_sparse(d2_rows) - rank_sparse(d1_rows)
 
 
 def cocycle_space(algebra: LieAlgebra) -> list:
     """Basis of the closed two-cochains, as full antisymmetric matrices."""
-    pairs, pidx = _pair_index(algebra.dim)
-    return _kernel_cochains(algebra.dim, pairs, _d2_sparse(algebra, pidx))
+    pairs, _ = _pair_index(algebra.dim)
+    return _kernel_cochains(algebra.dim, pairs, [row for _, row in _d2_table(algebra)])
 
 
 @dataclass
@@ -268,7 +268,7 @@ def invariant_cocycle_space(model: Su1nModel):
     g = sub.algebra
     n = g.dim
     pairs, pidx = _pair_index(n)
-    rows = _d2_sparse(g, pidx)
+    rows = [row for _, row in _d2_table(g)]
     frame = model.iwasawa_frame
     for z in model.k_space.basis:
         # [[Z, e_u]]_s: the s block of the coordinates of [Z, e_u] along g = s + k

@@ -12,6 +12,7 @@ computed exactly.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -338,14 +339,16 @@ class SSubmodel:
         return self.frame.require(x, "vector does not lie in the solvable part")
 
 
-# id(model) -> (model, submodel): Su1nModel is unhashable, and holding
-# the model keeps its id from being reused while the entry lives.
+# id(model) -> (weak reference to model, submodel): Su1nModel is
+# unhashable.  An entry is dropped when its model dies, so the cache
+# holds no model alive and an id reused later finds no stale entry.
 _S_SUBMODELS: dict = {}
 
 
 def s_submodel(model: Su1nModel) -> SSubmodel:
-    if id(model) in _S_SUBMODELS:
-        return _S_SUBMODELS[id(model)][1]
+    ref, cached = _S_SUBMODELS.get(id(model), (None, None))
+    if ref is not None and ref() is model:
+        return cached
     sub, embedding = subalgebra(
         model.algebra,
         model.s_space,
@@ -365,7 +368,8 @@ def s_submodel(model: Su1nModel) -> SSubmodel:
         ),
         beta_H0=model.beta_H0,
     )
-    _S_SUBMODELS[id(model)] = (model, out)
+    key = id(model)
+    _S_SUBMODELS[key] = (weakref.ref(model, lambda _: _S_SUBMODELS.pop(key, None)), out)
     return out
 
 

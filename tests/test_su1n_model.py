@@ -20,6 +20,7 @@ import pytest
 from ballquant.lie_core import normalizer, span_subspace
 from ballquant.scalars import GScalar
 from ballquant.su1n_model import (
+    _S_SUBMODELS,
     _basis_matrices,
     _flatten,
     beta_sigma_gram,
@@ -334,3 +335,6 @@ def test_s_submodel_is_cached_per_model_not_per_n():
     other = s_submodel(dropped)
     assert [len(s.roots) for s in (sub, other)] == [2, 1]
     assert s_submodel(dropped) is other and s_submodel(build_su1n(2)) is sub
+    key = id(dropped)
+    del dropped
+    assert key not in _S_SUBMODELS  # the cache does not keep a replaced model alive
