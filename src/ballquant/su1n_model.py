@@ -346,9 +346,8 @@ _S_SUBMODELS: dict = {}
 
 
 def s_submodel(model: Su1nModel) -> SSubmodel:
-    ref, cached = _S_SUBMODELS.get(id(model), (None, None))
-    if ref is not None and ref() is model:
-        return cached
+    if id(model) in _S_SUBMODELS:
+        return _S_SUBMODELS[id(model)][1]
     sub, embedding = subalgebra(
         model.algebra,
         model.s_space,
