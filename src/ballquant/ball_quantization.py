@@ -39,10 +39,11 @@ from fractions import Fraction
 from operator import add
 
 from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, StarOperand, half_commutator
+from .formal_star import series_to_json
 from .lie_core import structure_in
 from .linalg import Frame, bilinear, split_symplectic
 from .linalg import solve_in_span  # noqa: F401, callers read it here
-from .scalars import accumulate, collect
+from .scalars import accumulate, collect, frac_str
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
 CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
@@ -503,9 +504,6 @@ def calibrate(N: int) -> CalibrationResult:
 
 
 def qmm_table_to_json(table: QmmTable) -> dict:
-    from .formal_star import series_to_json
-    from .scalars import frac_str
-
     return {
         "N": table.chart.model.N,
         "alpha": "symbolic" if table.alpha is None else frac_str(table.alpha),

@@ -315,7 +315,5 @@ def cochain_from_json(payload: dict) -> Cochain:
     elif degree == 2:
         data = [[parse_frac(v) for v in row] for row in raw]
     else:
-        data = {
-            tuple(int(t) for t in key.split(",")): parse_frac(v) for key, v in raw.items()
-        }
+        data = collect((tuple(map(int, key.split(","))), parse_frac(v)) for key, v in raw.items())
     return Cochain(degree, payload["dim"], data)

@@ -2,8 +2,9 @@
 
 Each subcommand prints a single JSON document on stdout with sorted
 keys, so repeated runs are byte identical; timing goes to stderr.  The
-exit code is 0 on success, 1 when a verification suite fails and 2 on
-usage errors.
+exporters of the other modules return plain data, and _emit is the one
+place in the package that encodes JSON.  The exit code is 0 on success,
+1 when a verification suite fails and 2 on usage errors.
 """
 from __future__ import annotations
 
@@ -47,8 +48,6 @@ from .su1n_model import (
     verify_m_orthocomplement,
     verify_sigma_pairing,
 )
-
-XIFN_ONE = {"terms": [[0, 0, 0, 0, 0, "1/1", "0/1"]]}
 
 # verify options that only some suites read, with those suites
 SUITE_OPTIONS = {"mutate": ("qmm",), "pairs": ("qmm",), "alpha": ("qmm", "retract")}
@@ -112,11 +111,9 @@ def _check_args(args) -> None:
             raise UsageError(f"--n must be at least 2, got {args.n}")
         try:
             args.theta = xifn_from_json(json.loads(args.theta_json))
-            ok = all(type(e) is int for key in args.theta.terms for e in key)
         except (ValueError, KeyError, TypeError, ZeroDivisionError):
-            ok = False
-        if not ok:
-            raise UsageError('--theta-json must look like {"terms": [[k, m, n, h, j, re, im]]}')
+            shape = '{"terms": [[k, m, n, h, j, re, im]]}'
+            raise UsageError(f"--theta-json must look like {shape}") from None
 
 
 def _cmd_build_psd(args) -> int:
@@ -124,8 +121,8 @@ def _cmd_build_psd(args) -> int:
     psd = build_psd(spec)
     _emit(
         {
-            "spec": json.loads(psd_spec_to_json(spec)),
-            "algebra": json.loads(psd.algebra.to_json()),
+            "spec": psd_spec_to_json(spec),
+            "algebra": psd.algebra.to_json(),
             "blocks": {str(j): roles for j, roles in psd.blocks.items()},
         }
     )
@@ -133,7 +130,7 @@ def _cmd_build_psd(args) -> int:
 
 
 def _cmd_su1n_export(args) -> int:
-    _emit(json.loads(model_to_json(build_su1n(args.N))))
+    _emit(model_to_json(build_su1n(args.N)))
     return 0
 
 
@@ -297,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="expand square roots to this nu order")
     p.add_argument(
         "--theta-json",
-        default=json.dumps(XIFN_ONE),
+        default='{"terms": [[0, 0, 0, 0, 0, "1/1", "0/1"]]}',
         help="radial symbol as JSON, default is the constant 1",
     )
     p.set_defaults(func=_cmd_retract_residual)

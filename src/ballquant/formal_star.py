@@ -497,9 +497,7 @@ def coef_to_json(f: CoefFn) -> dict:
 
 
 def coef_from_json(payload: dict) -> CoefFn:
-    terms = {
-        (p, tuple(k), s, q): parse_frac(c) for p, k, s, q, c in payload["terms"]
-    }
+    terms = collect(((p, tuple(k), s, q), parse_frac(c)) for p, k, s, q, c in payload["terms"])
     return CoefFn(payload["nv"], terms)
 
 

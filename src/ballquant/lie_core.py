@@ -13,7 +13,6 @@ the moment table all get theirs from it.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -159,24 +158,19 @@ class LieAlgebra:
                 form[i][j] = form[j][i] = tr
         return form
 
-    def to_json(self) -> str:
-        brackets = []
-        for (i, j) in sorted(self.structure):
-            coeffs = {str(k): frac_str(v) for k, v in sorted(self.structure[(i, j)].items())}
-            brackets.append({"i": i, "j": j, "coeffs": coeffs})
-        return json.dumps(
-            {"dim": self.dim, "labels": self.labels, "brackets": brackets},
-            sort_keys=True,
-        )
+    def to_json(self) -> dict:
+        brackets = [
+            {"i": i, "j": j, "coeffs": {str(k): frac_str(v) for k, v in coeffs.items()}}
+            for (i, j), coeffs in sorted(self.structure.items())
+        ]
+        return {"dim": self.dim, "labels": list(self.labels), "brackets": brackets}
 
     @staticmethod
-    def from_json(blob: str) -> "LieAlgebra":
-        data = json.loads(blob)
-        structure = {}
-        for item in data["brackets"]:
-            structure[(item["i"], item["j"])] = {
-                int(k): parse_frac(v) for k, v in item["coeffs"].items()
-            }
+    def from_json(data: dict) -> "LieAlgebra":
+        structure = {
+            (item["i"], item["j"]): {int(k): parse_frac(v) for k, v in item["coeffs"].items()}
+            for item in data["brackets"]
+        }
         return LieAlgebra(data["dim"], data["labels"], structure)
 
 

@@ -10,7 +10,6 @@ cross actions are rejected at construction.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -97,26 +96,20 @@ def build_psd(spec: PsdSpec) -> PsdAlgebra:
     return PsdAlgebra(spec, algebra, blocks)
 
 
-def psd_spec_to_json(spec: PsdSpec) -> str:
+def psd_spec_to_json(spec: PsdSpec) -> dict:
     actions = []
-    for (j, k) in sorted(spec.cross_actions or {}):
-        maps = {
-            role: [[frac_str(Fraction(x)) for x in row] for row in mat]
-            for role, mat in sorted(spec.cross_actions[(j, k)].items())
-        }
-        actions.append({"inner": j, "outer": k, "maps": maps})
-    return json.dumps({"r": spec.r, "n": list(spec.n), "cross_actions": actions}, sort_keys=True)
+    for (j, k), maps in sorted((spec.cross_actions or {}).items()):
+        mats = {role: [[frac_str(Fraction(x)) for x in row] for row in m] for role, m in maps.items()}
+        actions.append({"inner": j, "outer": k, "maps": mats})
+    return {"r": spec.r, "n": list(spec.n), "cross_actions": actions}
 
 
-def psd_spec_from_json(blob: str) -> PsdSpec:
-    data = json.loads(blob)
+def psd_spec_from_json(data: dict) -> PsdSpec:
     actions = {}
     for item in data.get("cross_actions", []):
-        maps = {
-            role: [[parse_frac(x) for x in row] for row in mat]
-            for role, mat in item["maps"].items()
+        actions[(item["inner"], item["outer"])] = {
+            role: [[parse_frac(x) for x in row] for row in m] for role, m in item["maps"].items()
         }
-        actions[(item["inner"], item["outer"])] = maps
     return PsdSpec(data["r"], list(data["n"]), actions)
 
 

@@ -165,10 +165,13 @@ def xifn_to_json(f: XiFn) -> dict:
 
 
 def xifn_from_json(data: dict) -> XiFn:
-    acc = {}
-    for k, m, n, h, j, re, im in data["terms"]:
-        acc[(k, m, n, h, j)] = GScalar(parse_frac(re), parse_frac(im))
-    return XiFn(acc)
+    """Sum the listed terms; every exponent must be an int."""
+    items = []
+    for *key, re, im in data["terms"]:
+        if len(key) != 5 or any(type(e) is not int for e in key):
+            raise ValueError(f"XiFn exponents must be five ints, got {key!r}")
+        items.append((tuple(key), GScalar(parse_frac(re), parse_frac(im))))
+    return XiFn(collect(items))
 
 
 @dataclass

@@ -11,7 +11,6 @@ computed exactly.
 """
 from __future__ import annotations
 
-import json
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -380,27 +379,17 @@ def beta_sigma_gram(model: Su1nModel) -> list:
     ]
 
 
-def root_table_json(model: Su1nModel) -> str:
-    rows = []
-    for r in model.roots:
-        rows.append(
-            {
-                "lambda": [frac_str(t) for t in r.lambda_of_H],
-                "dim": r.space.dim,
-                "H_lambda": [frac_str(c) for c in r.H_lambda],
-            }
-        )
-    return json.dumps({"roots": rows}, sort_keys=True)
+def model_to_json(model: Su1nModel) -> dict:
+    def strs(row):
+        return [frac_str(c) for c in row]
 
-
-def model_to_json(model: Su1nModel) -> str:
     def basis_json(space):
-        return [[frac_str(c) for c in row] for row in space.basis]
+        return [strs(row) for row in space.basis]
 
-    payload = {
+    return {
         "N": model.N,
-        "algebra": json.loads(model.algebra.to_json()),
-        "sigma_diagonal": [frac_str(s) for s in model.sigma_diagonal],
+        "algebra": model.algebra.to_json(),
+        "sigma_diagonal": strs(model.sigma_diagonal),
         "subspaces": {
             "k": basis_json(model.k_space),
             "p": basis_json(model.p_space),
@@ -409,6 +398,8 @@ def model_to_json(model: Su1nModel) -> str:
             "m": basis_json(model.m_space),
             "s": basis_json(model.s_space),
         },
-        "roots": json.loads(root_table_json(model))["roots"],
+        "roots": [
+            {"lambda": strs(r.lambda_of_H), "dim": r.space.dim, "H_lambda": strs(r.H_lambda)}
+            for r in model.roots
+        ],
     }
-    return json.dumps(payload, sort_keys=True)

@@ -42,10 +42,10 @@ def test_build_psd_deterministic_and_roundtrip(capsys):
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
-    spec = psd_spec_from_json(json.dumps(payload["spec"], sort_keys=True))
-    assert json.loads(psd_spec_to_json(spec)) == payload["spec"]
-    algebra = LieAlgebra.from_json(json.dumps(payload["algebra"], sort_keys=True))
-    assert json.loads(algebra.to_json()) == payload["algebra"]
+    spec = psd_spec_from_json(payload["spec"])
+    assert psd_spec_to_json(spec) == payload["spec"]
+    algebra = LieAlgebra.from_json(payload["algebra"])
+    assert algebra.to_json() == payload["algebra"]
     assert payload["blocks"]["2"]["V"] == []
     assert payload["blocks"]["1"]["V"] == [3, 4]
 

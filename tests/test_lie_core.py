@@ -213,7 +213,8 @@ def test_json_roundtrip():
     assert g2.dim == g.dim
     assert g2.labels == g.labels
     assert g2.structure == g.structure
-    assert "1/1" in blob or "\"1\"" not in blob  # fraction strings, not bare ints
+    coeffs = [v for item in blob["brackets"] for v in item["coeffs"].values()]
+    assert coeffs and all("/" in v for v in coeffs)  # fraction strings, not bare ints
 
 
 def test_normalizer_of_whole_algebra_is_whole():

@@ -7,7 +7,6 @@ on the V part of inner blocks through symplectic matrices.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -88,7 +87,7 @@ def test_spec_json_roundtrip():
     # default spec roundtrip keeps the empty action table
     plain = psd_spec_from_json(psd_spec_to_json(PsdSpec(1, [2])))
     assert plain.cross_actions == {}
-    assert json.loads(psd_spec_to_json(plain))["n"] == [2]
+    assert psd_spec_to_json(plain)["n"] == [2]
 
 
 def test_match_iwasawa_structure_agreement():

@@ -10,7 +10,6 @@ Frozen oracles:
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -27,7 +26,6 @@ from ballquant.su1n_model import (
     build_su1n,
     iwasawa_project,
     model_to_json,
-    root_table_json,
     s_submodel,
     verify_m_orthocomplement,
     verify_sigma_pairing,
@@ -196,10 +194,9 @@ def test_s_is_spanned_by_projected_k_brackets():
 
 def test_json_exports():
     model = build_su1n(2)
-    table = json.loads(root_table_json(model))
-    assert len(table["roots"]) == 5
-    assert table["roots"][0]["lambda"] == ["2/1"]
-    blob = json.loads(model_to_json(model))
+    blob = model_to_json(model)
+    assert len(blob["roots"]) == 5
+    assert blob["roots"][0]["lambda"] == ["2/1"]
     assert blob["N"] == 2
     assert blob["algebra"]["dim"] == 8
     assert len(blob["sigma_diagonal"]) == 8
