@@ -314,6 +314,10 @@ def cochain_from_json(payload: dict) -> Cochain:
         data = [parse_frac(v) for v in raw]
     elif degree == 2:
         data = [[parse_frac(v) for v in row] for row in raw]
+        n = payload["dim"]
+        square = len(data) == n and all(len(row) == n for row in data)
+        if not square or any(data[i][j] != -data[j][i] for i in range(n) for j in range(i, n)):
+            raise ValueError(f"a two-cochain needs an antisymmetric {n} x {n} matrix")
     else:
         data = collect((tuple(map(int, key.split(","))), parse_frac(v)) for key, v in raw.items())
     return Cochain(degree, payload["dim"], data)

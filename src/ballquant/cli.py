@@ -4,7 +4,8 @@ Each subcommand prints a single JSON document on stdout with sorted
 keys, so repeated runs are byte identical; timing goes to stderr.  The
 exporters of the other modules return plain data, and _emit is the one
 place in the package that encodes JSON.  The exit code is 0 on success,
-1 when a verification suite fails and 2 on usage errors.
+1 when a verification suite fails and 2 on usage errors, each reported
+on one stderr line, the parser's own included.
 """
 from __future__ import annotations
 
@@ -88,6 +89,8 @@ def _check_args(args) -> None:
     if args.command == "h2" and args.su1n is None and args.blocks is None:
         raise UsageError("h2 needs either --su1n N or --r R --blocks n1,..,nR")
     if args.command == "verify":
+        if args.suite == "retract" and args.N < 2:
+            raise UsageError("--N must be at least 2 for --suite retract")
         for name, suites in SUITE_OPTIONS.items():
             if opts[name] is not None and args.suite not in suites:
                 only = " or ".join(suites)
@@ -256,8 +259,15 @@ def _cmd_qmm_export(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line on one stderr line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"ballquant: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ballquant",
         description="Exact checks for the quantization of the rank one domains.",
     )

@@ -23,8 +23,12 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+def parse_frac(s) -> Fraction:
+    """An exact rational from a string such as "-3/4" or "0.1", or from an
+    int; a float or a bool is refused, since its value is not exact."""
+    if isinstance(s, str) or type(s) is int:
+        return Fraction(s)
+    raise ValueError(f"expected a rational as a string or an int, got {s!r}")
 
 
 @dataclass(frozen=True)

@@ -156,18 +156,13 @@ def build_su1n(N: int) -> Su1nModel:
     a_space = span_subspace(algebra, [H0])
 
     ad_h0 = algebra.ad(H0)
-    eigenvalues = [Fraction(2), Fraction(1), Fraction(0), Fraction(-1), Fraction(-2)]
-    if N == 1:
-        eigenvalues = [Fraction(2), Fraction(0), Fraction(-2)]
     roots = []
-    total = 0
-    for t in eigenvalues:
+    for t in map(Fraction, (2, 1, 0, -1, -2)):
         shifted = [[ad_h0[i][j] - (t if i == j else 0) for j in range(dim)] for i in range(dim)]
         space = span_subspace(algebra, nullspace(shifted, dim))
-        coroot = vec_scale(H0, t / beta_H0)
-        roots.append(RootDatum([t], space, coroot))
-        total += space.dim
-    if total != dim:
+        if space.dim:
+            roots.append(RootDatum([t], space, vec_scale(H0, t / beta_H0)))
+    if sum(r.space.dim for r in roots) != dim:
         raise AssertionError("restricted-root spaces do not fill the algebra")
 
     positive = [r for r in roots if r.lambda_of_H[0] > 0]
@@ -332,7 +327,6 @@ class SSubmodel:
     frame: Frame
     H: tuple
     roots: tuple
-    beta_H0: Fraction
 
     def to_sub(self, x: list) -> list:
         return self.frame.require(x, "vector does not lie in the solvable part")
@@ -364,7 +358,6 @@ def s_submodel(model: Su1nModel) -> SSubmodel:
             for r in model.roots
             if r.lambda_of_H[0] > 0
         ),
-        beta_H0=model.beta_H0,
     )
     key = id(model)
     _S_SUBMODELS[key] = (weakref.ref(model, lambda _: _S_SUBMODELS.pop(key, None)), out)

@@ -30,6 +30,8 @@ from ballquant.ce_cohomology import (
     random_two_cochain,
     zero_two_cochain,
 )
+from ballquant.lie_core import derived_subalgebra
+from ballquant.linalg import nullspace
 from ballquant.psd_builder import PsdSpec, build_psd
 from ballquant.su1n_model import adapted_s_basis, build_su1n, s_submodel
 
@@ -73,6 +75,32 @@ def test_delta_zero_cochain():
     g = build_psd(PsdSpec(1, [1])).algebra
     d = delta(g, Cochain(0, g.dim, F(7)))
     assert d.degree == 1 and all(v == 0 for v in d.data)
+
+
+def test_delta_rejects_a_three_cochain():
+    g = build_psd(PsdSpec(1, [2])).algebra
+    with pytest.raises(ValueError, match="degrees 0..2"):
+        delta(g, Cochain(3, g.dim, {(0, 1, 2): F(1)}))
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=str)
+def test_is_cocycle_in_degrees_zero_and_one(spec):
+    """Every zero-cochain is closed; a one-cochain is closed exactly when it
+    vanishes on [g, g]."""
+    g = build_psd(spec).algebra
+    rng = random.Random(g.dim)
+    assert is_cocycle(g, Cochain(0, g.dim, F(rng.randint(1, 9))))
+    derived = derived_subalgebra(g).basis
+    closed = nullspace(derived, g.dim)
+    assert closed and derived
+    samples = closed + [[F(rng.randint(-3, 3)) for _ in range(g.dim)] for _ in range(6)]
+    samples += [[a + b for a, b in zip(closed[0], derived[0])]]
+    seen = set()
+    for values in samples:
+        vanishes = all(sum(a * v for a, v in zip(values, x)) == 0 for x in derived)
+        assert is_cocycle(g, Cochain(1, g.dim, values)) == vanishes
+        seen.add(vanishes)
+    assert seen == {True, False}
 
 
 def test_h2_block_algebras_frozen():
@@ -213,6 +241,19 @@ def test_psd_primitive_requires_vanishing_hh():
         coboundary_primitive_psd(psd, offender)
 
 
+def test_primitives_refuse_a_cochain_that_is_not_closed():
+    psd = build_psd(PsdSpec(2, [2, 1]))
+    c = random_two_cochain(psd.algebra.dim, random.Random(3))
+    assert not is_cocycle(psd.algebra, c)
+    with pytest.raises(ValueError, match="not a cocycle"):
+        coboundary_primitive_psd(psd, c)
+    model = build_su1n(2)
+    c = random_two_cochain(s_submodel(model).algebra.dim, random.Random(3))
+    assert not is_cocycle(s_submodel(model).algebra, c)
+    with pytest.raises(ValueError, match="not a cocycle"):
+        coboundary_primitive_roots(model, c)
+
+
 def test_root_primitive_roundtrip():
     for n in (1, 2, 3):
         model = build_su1n(n)
@@ -282,3 +323,36 @@ def test_cochain_json_roundtrip():
     a = Cochain(1, 3, [F(1, 2), F(0), F(-3)])
     a2 = cochain_from_json(cochain_to_json(a))
     assert a2.data == a.data
+
+
+def test_cochain_json_roundtrip_in_degrees_zero_and_three():
+    z = Cochain(0, 4, F(-5, 3))
+    assert cochain_from_json(cochain_to_json(z)) == z
+    g = build_psd(PsdSpec(2, [2, 1])).algebra
+    t = delta(g, random_two_cochain(g.dim, random.Random(4)))
+    nonzero = {key: v for key, v in t.data.items() if v}
+    assert nonzero and len(nonzero) < len(t.data)
+    # absent triples mean 0, so the importer keeps only the nonzero ones
+    assert cochain_from_json(cochain_to_json(t)) == Cochain(3, g.dim, nonzero)
+
+
+def test_cochain_from_json_sums_repeated_triples():
+    raw = {"0,1,2": "1/2", "0, 1, 2": "1/2", "0,1,3": "1", "0,1, 3": "-1", "1,2,3": "0"}
+    c = cochain_from_json({"degree": 3, "dim": 4, "data": raw})
+    assert c.data == {(0, 1, 2): F(1)}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [["0", "1"], ["0", "0"]],
+        [["1", "0"], ["0", "0"]],
+        [["0", "1"]],
+        [["0", "1"], ["-1"]],
+        [["0", "1", "0"], ["-1", "0", "0"]],
+    ],
+    ids=["not-antisymmetric", "diagonal", "too-few-rows", "short-row", "long-rows"],
+)
+def test_cochain_from_json_refuses_a_bad_matrix(data):
+    with pytest.raises(ValueError, match="antisymmetric 2 x 2"):
+        cochain_from_json({"degree": 2, "dim": 2, "data": data})

@@ -90,6 +90,27 @@ def test_bad_truncation_order_is_a_usage_error(capsys, monkeypatch, argv, env, s
     assert_usage_error(capsys, argv, source)
 
 
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (["verify", "--suite", "qmm", "--N", "x"], "--N"),
+        (["verify", "--suite", "nonsense"], "--suite"),
+        ([], "command"),
+        (["no-such-command"], "no-such-command"),
+        (["su1n-export", "--bogus", "1"], "--bogus"),
+    ],
+    ids=["N-text", "suite-unknown", "no-command", "command-unknown", "option-unknown"],
+)
+def test_parser_usage_error_is_one_line(capsys, argv, source):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ballquant: error: ") and source in lines[0]
+
+
 def assert_usage_error(capsys, argv, source):
     code = main(argv)
     captured = capsys.readouterr()
@@ -100,6 +121,8 @@ def assert_usage_error(capsys, argv, source):
 
 
 QMM = ["verify", "--suite", "qmm", "--N", "1"]
+# a JSON number is a binary float, not the exact 1/10
+THETA_FLOAT = '{"terms": [[0, 0, 0, 0, 0, 0.1, "0"]]}'
 ADD_CONST = QMM + ["--mutate", "add-nu-const"]
 
 
@@ -150,6 +173,16 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         (["h2", "--su1n", "2", "--blocks", "2"], "--su1n"),
         (["verify", "--suite", "su1n", "--N", "1", "--order", "5"], "--order"),
         (["verify", "--suite", "cocycle", "--N", "1", "--order", "5"], "--order"),
+        (
+            ["verify", "--suite", "retract", "--N", "1"],
+            "--N must be at least 2 for --suite retract",
+        ),
+        (["retract-residual", "--n", "2", "--theta-json", THETA_FLOAT], "--theta-json"),
+        (
+            ["retract-residual", "--theta-json", '{"terms": [[true, 0, 0, 0, 0, "1", "0"]]}'],
+            "--theta-json",
+        ),
+        (["retract-residual", "--theta-json", '{"terms": [[0, 0, 0, 0, 0, "1"]]}'], "--theta-json"),
     ],
     ids=[
         "verify-N", "export-N", "qmm-export-N", "h2-su1n", "alpha-zero-denominator",
@@ -159,7 +192,8 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         "retract-n", "mutate-su1n", "mutate-retract", "mutate-cocycle", "label-unmutated",
         "value-unmutated", "label-drop-nu2", "alpha-su1n", "alpha-cocycle", "pairs-su1n",
         "pairs-retract", "pairs-cocycle", "h2-su1n-and-blocks", "h2-su1n-and-r",
-        "h2-su1n-and-blocks-only", "order-su1n", "order-cocycle",
+        "h2-su1n-and-blocks-only", "order-su1n", "order-cocycle", "retract-N1", "theta-float",
+        "theta-bool-exponent", "theta-short-term",
     ],
 )
 def test_bad_option_is_a_usage_error(capsys, argv, source):
@@ -293,6 +327,19 @@ def test_retract_residual_theta_json(capsys):
     wv, om = radial_pde_residual(theta, 2, order=2)
     assert xifn_from_json(payload["wv"]).sub(wv).is_zero()
     assert xifn_from_json(payload["omega"]).sub(om).is_zero()
+
+
+def test_retract_residual_sums_repeated_terms(capsys):
+    def residual(terms):
+        code, out = run(capsys, ["retract-residual", "--n", "2", "--theta-json", terms])
+        assert code == 0
+        return out
+
+    once = residual('{"terms": [[0, 0, 0, 0, 0, "2", "0"]]}')
+    assert residual('{"terms": [[0, 0, 0, 0, 0, "1", "0"], [0, 0, 0, 0, 0, "1", "0"]]}') == once
+    assert once != residual('{"terms": [[0, 0, 0, 0, 0, "1", "0"]]}')
+    # "0.1" as a string is the exact 1/10: twenty of them are the constant 2
+    assert residual(json.dumps({"terms": [[0, 0, 0, 0, 0, "0.1", "0"]] * 20})) == once
 
 
 def test_qmm_export_deterministic(capsys):

@@ -476,6 +476,24 @@ def test_json_roundtrips():
     assert all(a.terms == b.terms for a, b in zip(s.coeffs, s2.coeffs))
 
 
+def test_coef_from_json_sums_repeated_terms():
+    half = [0, [1, 0], 0, 2, "1/2"]
+    f = coef_from_json({"nv": 2, "terms": [half, half, [1, [0, 0], 0, 0, "0"]]})
+    assert f.terms == {(0, (1, 0), 0, 2): F(1)}
+    g = coef_from_json({"nv": 2, "terms": [half, [0, [1, 0], 0, 2, "-1/2"]]})
+    assert g.is_zero()
+
+
+def test_monomial_and_series_shape_errors():
+    with pytest.raises(ValueError, match="multi-index length"):
+        CoefFn.monomial(2, 0, (1,), 0, 0, F(1))
+    short, long = NuSeries.zero(1, 2), NuSeries.zero(1, 3)
+    with pytest.raises(ValueError, match="series orders differ"):
+        short.add(long)
+    with pytest.raises(ValueError, match="series orders differ"):
+        short.mul(long)
+
+
 def test_poisson_structure_validation():
     with pytest.raises(ValueError):
         PoissonStructure(2, [[F(0)] * 3 for _ in range(3)])

@@ -30,6 +30,7 @@ from ballquant.lie_core import (
     span_subspace,
     structure_in,
     subalgebra,
+    subspace_intersection,
 )
 from ballquant.linalg import Frame, is_zero_vec, vec_add, zeros
 from ballquant.psd_builder import PsdSpec, build_psd
@@ -215,6 +216,33 @@ def test_json_roundtrip():
     assert g2.structure == g.structure
     coeffs = [v for item in blob["brackets"] for v in item["coeffs"].values()]
     assert coeffs and all("/" in v for v in coeffs)  # fraction strings, not bare ints
+
+
+def test_construction_rejects_bad_labels_and_keys():
+    with pytest.raises(ValueError, match="label count"):
+        LieAlgebra(3, ["H", "X"], {})
+    for key in ((1, 0), (0, 3), (-1, 1), (1, 1)):
+        with pytest.raises(ValueError, match="bad bracket key"):
+            LieAlgebra(3, ["H", "X", "Y"], {key: {0: F(1)}})
+
+
+def test_intersection_with_an_empty_subspace():
+    g = sl2_like()
+    whole = span_subspace(g, [g.basis_vector(i) for i in range(3)])
+    empty = span_subspace(g, [])
+    for s1, s2 in ((whole, empty), (empty, whole), (empty, empty)):
+        meet = subspace_intersection(s1, s2)
+        assert meet.dim == 0 and meet == empty
+
+
+def test_subspace_hash_agrees_with_equality():
+    g = sl2_like()
+    a = span_subspace(g, [[F(1), F(1), F(0)], [F(0), F(2), F(0)]])
+    b = span_subspace(g, [[F(3), F(0), F(0)], [F(1), F(-1), F(0)]])
+    c = span_subspace(g, [[F(1), F(0), F(0)], [F(0), F(0), F(1)]])
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert {a, b, c} == {a, c} and len({a, b, c}) == 2
 
 
 def test_normalizer_of_whole_algebra_is_whole():

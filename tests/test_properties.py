@@ -19,10 +19,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballquant.ball_quantization import build_chart, poisson_structure
-from ballquant.formal_star import CoefFn, NuSeries, moyal, poisson, star_commutator
+from ballquant.formal_star import (
+    CoefFn,
+    NuSeries,
+    coef_from_json,
+    coef_to_json,
+    moyal,
+    poisson,
+    star_commutator,
+)
 from ballquant.linalg import Frame, bilinear, combine, identity_matrix, split_symplectic
 from ballquant.retract_pde import XiFn
-from ballquant.scalars import GScalar
+from ballquant.scalars import GScalar, frac_str, parse_frac
 
 from oracles import mat_mul, rref_oracle
 
@@ -67,6 +75,27 @@ xi_fns = st.dictionaries(
 
 rationals = st.one_of(st.just(F(0)), st.builds(F, st.integers(-5, 5), st.integers(1, 4)))
 gscalars = st.builds(GScalar, rationals, rationals)
+
+
+@PROPERTY
+@given(rationals)
+def test_parse_frac_reads_frac_str_back(x):
+    assert parse_frac(frac_str(x)) == x
+
+
+def test_parse_frac_takes_strings_and_ints_only():
+    assert parse_frac("0.1") == F(1, 10)
+    assert parse_frac(" -3/4 ") == F(-3, 4) and parse_frac(-3) == -3
+    for bad in (0.5, 0.1, True, False, F(1, 2), None, [1]):
+        with pytest.raises(ValueError):
+            parse_frac(bad)
+
+
+@PROPERTY
+@given(coef_fns)
+def test_coef_from_json_sums_terms_listed_in_halves(f):
+    halves = [t[:-1] + [frac_str(parse_frac(t[-1]) / 2)] for t in coef_to_json(f)["terms"]]
+    assert coef_from_json({"nv": NV, "terms": halves + halves[::-1]}).terms == f.terms
 
 
 def _is_exact(x: GScalar) -> bool:

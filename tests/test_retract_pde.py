@@ -118,6 +118,26 @@ def test_xifn_json_roundtrip():
     assert xifn_from_json(xifn_to_json(f)).sub(f).is_zero()
 
 
+def test_xifn_from_json_sums_terms_and_checks_exponents():
+    one = [0, 0, 0, 0, 0, "1", "0"]
+    zero, tenth = [1, 2, 0, 1, 0, "0", "0"], [0, 1, 0, 0, 0, "0.1", "-2"]
+    f = xifn_from_json({"terms": [one, one, zero, tenth]})
+    assert f.terms == {
+        (0, 0, 0, 0, 0): GScalar.of(2),
+        (0, 1, 0, 0, 0): GScalar.of(Fraction(1, 10), -2),
+    }
+    assert xifn_from_json({"terms": [one, [0, 0, 0, 0, 0, "-1", "0"]]}).terms == {}
+    for bad in (
+        [True, 0, 0, 0, 0, "1", "0"],
+        [0, 0, 1.0, 0, 0, "1", "0"],
+        [0, 0, 0, 0, "1", "0"],
+        [0, 0, 0, 0, 0, 0.1, "0"],
+        [0, 0, 0, 0, 0, "1", False],
+    ):
+        with pytest.raises(ValueError):
+            xifn_from_json({"terms": [bad]})
+
+
 def test_reduction_closure_dimensions():
     """W = s + m + (negative short root space) is ad_s stable and W + [W, W]
     fills the algebra: dimensions 7 -> 8 for N = 2 and 14 -> 15 for N = 3."""
@@ -171,6 +191,17 @@ def test_radial_reduce_rejects_nonradial():
     v1 = CoefFn.monomial(2, 0, (1, 0), 0, 0, Fraction(1))
     with pytest.raises(ValueError):
         radial_reduce(chart, v1)
+
+
+def test_radial_reduce_rejects_alpha_and_odd_degree():
+    chart = build_chart(2)
+    alpha_u = inner_square(chart).mul(CoefFn.monomial(2, 0, (0, 0), 1, 0, Fraction(1)))
+    with pytest.raises(ValueError, match="alpha parameter"):
+        radial_reduce(chart, alpha_u)
+    # without m every polynomial passes the invariance test, so v1 reaches the degree check
+    flat = replace(chart, m_basis=[])
+    with pytest.raises(ValueError, match="odd v-degree"):
+        radial_reduce(flat, CoefFn.monomial(2, 0, (1, 0), 0, 0, Fraction(1)))
 
 
 def test_k_basis_is_sigma_fixed():

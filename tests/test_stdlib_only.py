@@ -5,7 +5,8 @@ the test environment carries third-party packages (pytest, hypothesis),
 so a stray import would pass every other test.  Every module of the
 package is parsed, and each absolute import must name a top-level
 module in ``sys.stdlib_module_names``; relative imports stay inside the
-package.
+package.  The same parse keeps JSON at one boundary: exporters return
+plain data and only ``cli`` imports ``json``.
 """
 from __future__ import annotations
 
@@ -44,3 +45,10 @@ def test_module_imports_only_the_standard_library(path):
 def test_the_guard_sees_a_third_party_import():
     tree = ast.parse("import os\nfrom hypothesis import given\nfrom . import linalg\n")
     assert absolute_imports(tree) == ["os", "hypothesis"]
+
+
+def test_only_cli_imports_json():
+    importers = [
+        path.name for path in MODULES if "json" in absolute_imports(ast.parse(path.read_text()))
+    ]
+    assert importers == ["cli.py"]

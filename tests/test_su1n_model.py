@@ -22,6 +22,7 @@ from ballquant.su1n_model import (
     _S_SUBMODELS,
     _basis_matrices,
     _flatten,
+    _rational_sqrt,
     beta_sigma_gram,
     build_su1n,
     iwasawa_project,
@@ -200,6 +201,22 @@ def test_json_exports():
     assert blob["N"] == 2
     assert blob["algebra"]["dim"] == 8
     assert len(blob["sigma_diagonal"]) == 8
+
+
+def test_root_spaces_are_the_nonempty_eigenspaces():
+    for N, lambdas in ((1, ["2/1", "0/1", "-2/1"]), (2, ["2/1", "1/1", "0/1", "-1/1", "-2/1"])):
+        roots = model_to_json(build_su1n(N))["roots"]
+        assert [r["lambda"] for r in roots] == [[t] for t in lambdas]
+        assert all(r["dim"] > 0 for r in roots)
+
+
+def test_rational_sqrt():
+    assert _rational_sqrt(F(9, 4)) == F(3, 2)
+    for bad in (F(0), F(-4)):
+        with pytest.raises(ValueError, match="nonpositive"):
+            _rational_sqrt(bad)
+    with pytest.raises(ValueError, match="no rational square root"):
+        _rational_sqrt(F(2))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
