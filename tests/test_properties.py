@@ -19,15 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballquant.ball_quantization import build_chart, poisson_structure
-from ballquant.formal_star import (
-    CoefFn,
-    NuSeries,
-    coef_from_json,
-    coef_to_json,
-    moyal,
-    poisson,
-    star_commutator,
-)
+from ballquant.formal_star import CoefFn, NuSeries, moyal, poisson, star_commutator
 from ballquant.linalg import Frame, bilinear, combine, identity_matrix, split_symplectic
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import GScalar, frac_str, parse_frac
@@ -89,13 +81,6 @@ def test_parse_frac_takes_strings_and_ints_only():
     for bad in (0.5, 0.1, True, False, F(1, 2), None, [1]):
         with pytest.raises(ValueError):
             parse_frac(bad)
-
-
-@PROPERTY
-@given(coef_fns)
-def test_coef_from_json_sums_terms_listed_in_halves(f):
-    halves = [t[:-1] + [frac_str(parse_frac(t[-1]) / 2)] for t in coef_to_json(f)["terms"]]
-    assert coef_from_json({"nv": NV, "terms": halves + halves[::-1]}).terms == f.terms
 
 
 def _is_exact(x: GScalar) -> bool:
