@@ -41,7 +41,7 @@ from operator import add
 from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, StarOperand, half_commutator
 from .formal_star import series_to_json
 from .lie_core import structure_in
-from .linalg import Frame, bilinear, split_symplectic
+from .linalg import Frame, bilinear, dense, split_symplectic, transpose
 from .linalg import solve_in_span  # noqa: F401, callers read it here
 from .scalars import accumulate, collect, frac_str
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
@@ -57,9 +57,9 @@ DEFAULT_TRUNCATION = 12
 class BallChart:
     model: Su1nModel
     inner_scale: Fraction
-    H: list
+    H: dict
     fs: list
-    E: list
+    E: dict
     nv: int
     omega: list
     gram: list
@@ -80,7 +80,7 @@ def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallC
     H, fs, E = adapted_s_basis(model)
     nv = len(fs)
     omega = split_symplectic(nv)
-    m_basis = [b[:] for b in model.m_space.basis]
+    m_basis = [dict(b) for b in model.m_space.basis]
     sigma = [model.apply_sigma(x) for x in fs + [E]]
     basis = [H] + fs + [E] + m_basis + sigma
     frame = Frame(basis)
@@ -91,21 +91,19 @@ def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallC
     m_actions = []
     for y in m_basis:
         cols = [_read(frame, model.algebra.bracket(y, f), what, range(1, 1 + nv)) for f in fs]
-        m_actions.append([[cols[j][i] for j in range(nv)] for i in range(nv)])
+        m_actions.append([[cols[j].get(1 + i, Fraction(0)) for j in range(nv)] for i in range(nv)])
     return BallChart(
         model, inner_scale, H, fs, E, nv, omega, gram, m_basis, m_actions, basis, frame
     )
 
 
-def _read(frame: Frame, x: list, what: str, *blocks: range) -> list:
-    """The coordinates of x at the given blocks of positions in the frame
-    basis, in block order; ValueError(what) when x has a nonzero
-    coordinate elsewhere."""
+def _read(frame: Frame, x: dict, what: str, *blocks: range) -> dict:
+    """The coordinates of x in the frame basis; ValueError(what) when x
+    has a nonzero coordinate outside the given blocks of positions."""
     coords = frame.require(x, what)
-    kept = [coords[k] for block in blocks for k in block]
-    if sum(map(bool, coords)) != sum(map(bool, kept)):
+    if not all(any(k in block for block in blocks) for k in coords):
         raise ValueError(what)
-    return kept
+    return coords
 
 
 def poisson_structure(
@@ -140,7 +138,8 @@ class GroupElement:
 def group_mul(chart: BallChart, g1: GroupElement, g2: GroupElement) -> GroupElement:
     t = g1.t * g2.t
     v = tuple(g2.t * a + b for a, b in zip(g1.v, g2.v))
-    z = g2.z + g2.t**2 * g1.z + Fraction(1, 2) * g2.t * bilinear(chart.omega, g1.v, g2.v)
+    vv = bilinear(chart.omega, dict(enumerate(g1.v)), dict(enumerate(g2.v)))
+    z = g2.z + g2.t**2 * g1.z + Fraction(1, 2) * g2.t * vv
     return GroupElement(t, v, z)
 
 
@@ -152,7 +151,7 @@ def group_inverse(chart: BallChart, g: GroupElement) -> GroupElement:
     return GroupElement(1 / g.t, tuple(-a / g.t for a in g.v), -g.z / g.t**2)
 
 
-def fundamental_field(chart: BallChart, x: list) -> list:
+def fundamental_field(chart: BallChart, x: dict) -> list:
     """Components (a, v_1 .. v_nv, z) of the fundamental field of x.
 
     Defined for x in s + m.  The sign convention makes
@@ -161,21 +160,21 @@ def fundamental_field(chart: BallChart, x: list) -> list:
     nv = chart.nv
     what = "element lies outside the solvable part plus m"
     coords = _read(chart.frame, x, what, range(2 + nv + len(chart.m_basis)))
-    c_h, c_f, c_e, c_m = coords[0], coords[1 : 1 + nv], coords[1 + nv], coords[2 + nv :]
     zero_k, unit = (0,) * nv, _units(nv)
     items = [[] for _ in range(nv + 2)]
-    items[0].append(((0, zero_k, 0, 0), -c_h))
-    items[nv + 1].append(((-2, zero_k, 0, 0), -c_e))
-    for i, ci in enumerate(c_f):
-        if ci:
-            items[1 + i].append(((-1, zero_k, 0, 0), -ci))
+    for k, c in coords.items():
+        if k == 0:
+            items[0].append(((0, zero_k, 0, 0), -c))
+        elif k <= nv:
+            items[k].append(((-1, zero_k, 0, 0), -c))
             items[nv + 1] += [
-                ((-1, unit[j], 0, 0), -ci * w / 2) for j, w in enumerate(chart.omega[i]) if w
+                ((-1, unit[j], 0, 0), -c * w / 2) for j, w in enumerate(chart.omega[k - 1]) if w
             ]
-    for a_mat, cm in zip(chart.m_actions, c_m):
-        if cm:
-            for i, row in enumerate(a_mat):
-                items[1 + i] += [((0, unit[j], 0, 0), -cm * a) for j, a in enumerate(row) if a]
+        elif k == nv + 1:
+            items[nv + 1].append(((-2, zero_k, 0, 0), -c))
+        else:
+            for i, row in enumerate(chart.m_actions[k - 2 - nv]):
+                items[1 + i] += [((0, unit[j], 0, 0), -c * a) for j, a in enumerate(row) if a]
     return [CoefFn(nv, collect(terms)) for terms in items]
 
 
@@ -234,7 +233,7 @@ def integrate_exact_gradient(components: list) -> CoefFn:
     return lam
 
 
-def classical_moment(chart: BallChart, x: list, P: PoissonStructure) -> CoefFn:
+def classical_moment(chart: BallChart, x: dict, P: PoissonStructure) -> CoefFn:
     """The function lambda with X* = -Lambda grad lambda.
 
     The additive gauge is fixed by canonical antiderivatives, plus a
@@ -247,7 +246,7 @@ def classical_moment(chart: BallChart, x: list, P: PoissonStructure) -> CoefFn:
         items = (kv for c, comp in zip(row, field) if c for kv in comp.scale(-c).terms.items())
         grad.append(CoefFn(chart.nv, collect(items)))
     lam = integrate_exact_gradient(grad)
-    if all(c == 0 for c in chart.model.algebra.bracket(chart.H, x)):
+    if not chart.model.algebra.bracket(chart.H, x):
         lam = lam.sub(lam.origin_part())
     return lam
 
@@ -267,19 +266,22 @@ def _solve_zeta(chart: BallChart) -> list:
     m_structure = structure_in(chart.frame, chart.m_basis, bracket).values()
     if any(k not in m_block for coeffs in m_structure for k in coeffs):
         raise ValueError("[m, m] left m")
-    rows = [[coeffs.get(k, 0) for k in m_block] for coeffs in m_structure]
-    rhs = [Fraction(0)] * len(rows)
+    rows = [{k - m_block.start: c for k, c in coeffs.items()} for coeffs in m_structure]
+    rhs = {}
     sigma_fs = chart.basis[-(nv + 1) : -1]
     for i in range(nv):
         for j in range(nv):
             br = bracket(chart.fs[i], sigma_fs[j])
-            rows.append(_read(chart.frame, br, "[V, sigma V] left a + m", range(1), m_block)[1:])
-            rhs.append(-chart.omega[i][j])
+            coords = _read(chart.frame, br, "[V, sigma V] left a + m", range(1), m_block)
+            if chart.omega[i][j]:
+                rhs[len(rows)] = -chart.omega[i][j]
+            rows.append({k - m_block.start: c for k, c in coords.items() if k})
     try:
-        columns = Frame([[row[k] for row in rows] for k in range(dm)])
+        columns = Frame(transpose(rows, dm))
     except ValueError:
         raise ValueError("correction functional is underdetermined") from None
-    return columns.require(rhs, "correction functional equations are inconsistent")
+    zeta = columns.require(rhs, "correction functional equations are inconsistent")
+    return dense(zeta, dm)
 
 
 def inner_square(chart: BallChart) -> CoefFn:

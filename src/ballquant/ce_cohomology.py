@@ -21,7 +21,7 @@ from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from .lie_core import LieAlgebra
-from .linalg import Frame, bilinear, nullspace, rank_sparse
+from .linalg import Frame, bilinear, dense, nullspace, rank_sparse, transpose
 from .psd_builder import PsdAlgebra
 from .scalars import collect, frac_str, parse_frac
 from .su1n_model import Su1nModel, s_submodel
@@ -60,7 +60,7 @@ def random_two_cochain(dim: int, rng) -> Cochain:
     return _two_cochain(dim, ((p, Fraction(rng.randint(-4, 4))) for p in pairs))
 
 
-def evaluate_two_cochain(c: Cochain, x: list, y: list) -> Fraction:
+def evaluate_two_cochain(c: Cochain, x: dict, y: dict) -> Fraction:
     return bilinear(c.data, x, y)
 
 
@@ -144,12 +144,15 @@ def _pair_sum(row: dict, v: list) -> Fraction:
 
 def _kernel_cochains(n: int, pairs: list, rows: list) -> list:
     """The two-cochains whose pair coordinates span the kernel of rows."""
-    return [_two_cochain(n, zip(pairs, vec)) for vec in nullspace(rows, len(pairs))]
+    return [
+        _two_cochain(n, ((pairs[p], v) for p, v in vec.items()))
+        for vec in nullspace(rows, len(pairs))
+    ]
 
 
 def h2_dimension(algebra: LieAlgebra) -> int:
     """dim H^2(g) = dim C^2 - rank(delta_2) - rank(delta_1), all exact."""
-    d1_rows = [dict(coeffs) for coeffs in algebra.structure.values()]
+    d1_rows = list(algebra.structure.values())
     d2_rows = [row for _, row in _d2_table(algebra)]
     return len(_pair_index(algebra.dim)[0]) - rank_sparse(d2_rows) - rank_sparse(d1_rows)
 
@@ -246,14 +249,13 @@ def coboundary_primitive_roots(model: Su1nModel, c: Cochain) -> Cochain:
     g = sub.algebra
     if not is_cocycle(g, c):
         raise ValueError("not a cocycle")
-    adapted = [sub.H]
-    values = [Fraction(0)]
-    for t, basis in sub.roots:
-        for x in basis:
-            adapted.append(x)
-            values.append(evaluate_two_cochain(c, sub.H, x) / t)
-    alpha = Frame(list(zip(*adapted))).coords(values)
-    return Cochain(1, g.dim, alpha)
+    roots = [(t, x) for t, basis in sub.roots for x in basis]
+    adapted = [sub.H] + [x for _, x in roots]
+    values = collect(
+        (1 + k, evaluate_two_cochain(c, sub.H, x) / t) for k, (t, x) in enumerate(roots)
+    )
+    alpha = Frame(transpose(adapted, g.dim)).coords(values)
+    return Cochain(1, g.dim, dense(alpha, g.dim))
 
 
 def invariant_cocycle_space(model: Su1nModel):
@@ -271,16 +273,17 @@ def invariant_cocycle_space(model: Su1nModel):
     rows = [row for _, row in _d2_table(g)]
     frame = model.iwasawa_frame
     for z in model.k_space.basis:
-        # [[Z, e_u]]_s: the s block of the coordinates of [Z, e_u] along g = s + k
-        acted = [frame.require(model.algebra.bracket(z, e), "outside g")[:n] for e in sub.embedding]
+        # [[Z, e_u]]_s: the s block, positions below n, of the coordinates of
+        # [Z, e_u] along g = s + k
+        acted = [frame.require(model.algebra.bracket(z, e), "outside g") for e in sub.embedding]
         for u, v in pairs:
             # c([[Z, e_u]]_s, e_v) - c([[Z, e_v]]_s, e_u)
             rows.append(
                 collect(
                     (pidx[(p, fixed)], sign * xp) if p < fixed else (pidx[(fixed, p)], -sign * xp)
                     for x, fixed, sign in ((acted[u], v, 1), (acted[v], u, -1))
-                    for p, xp in enumerate(x)
-                    if xp and p != fixed
+                    for p, xp in x.items()
+                    if p < n and p != fixed
                 )
             )
     return sub, _kernel_cochains(n, pairs, rows)
@@ -306,18 +309,23 @@ def cochain_to_json(c: Cochain) -> dict:
 
 
 def cochain_from_json(payload: dict) -> Cochain:
-    degree = payload["degree"]
+    degree, n = payload["degree"], payload["dim"]
     raw = payload["data"]
     if degree == 0:
         data = parse_frac(raw)
     elif degree == 1:
         data = [parse_frac(v) for v in raw]
+        if len(data) != n:
+            raise ValueError(f"a one-cochain needs {n} values, got {len(data)}")
     elif degree == 2:
         data = [[parse_frac(v) for v in row] for row in raw]
-        n = payload["dim"]
         square = len(data) == n and all(len(row) == n for row in data)
         if not square or any(data[i][j] != -data[j][i] for i in range(n) for j in range(i, n)):
             raise ValueError(f"a two-cochain needs an antisymmetric {n} x {n} matrix")
     else:
-        data = collect((tuple(map(int, key.split(","))), parse_frac(v)) for key, v in raw.items())
-    return Cochain(degree, payload["dim"], data)
+        triples = [tuple(map(int, key.split(","))) for key in raw]
+        for t in triples:
+            if len(t) != 3 or not 0 <= t[0] < t[1] < t[2] < n:
+                raise ValueError(f"a three-cochain key needs i < j < k below {n}, got {t}")
+        data = collect(zip(triples, map(parse_frac, raw.values())))
+    return Cochain(degree, n, data)

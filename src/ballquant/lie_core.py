@@ -3,10 +3,13 @@
 A ``LieAlgebra`` stores its bracket as a read-only sparse table over
 ordered basis pairs, also indexed by rows (rows[i][j] = [e_i, e_j]), so
 brackets, ad, the Killing form and the Jacobi check touch only nonzero
-structure constants.  Construction validates the Jacobi identity on all
-basis triples and refuses invalid tables, so every instance in the rest
-of the package is an actual Lie algebra.  Subspaces keep a canonical reduced echelon
-basis, which makes equality of subspaces literal list equality.
+structure constants.  Vectors are the sparse maps of ``linalg``
+(index -> nonzero coefficient), so a bracket reads only the nonzero
+coordinates of its arguments.  Construction validates the Jacobi
+identity on all basis triples and refuses invalid tables, so every
+instance in the rest of the package is an actual Lie algebra.  Subspaces
+keep a canonical reduced echelon basis, which makes equality of
+subspaces literal list equality.
 structure_in reads the structure constants of any list of vectors
 against a Frame, for any bracket; the su(1, N) model, subalgebras and
 the moment table all get theirs from it.
@@ -18,11 +21,11 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .linalg import Frame, combine, nullspace, rref, zeros
+from .linalg import Frame, nullspace, rref, zeros
 from .scalars import frac_str, parse_frac
 
 Scalar = Fraction
-Vector = list
+Vector = dict
 
 
 @dataclass
@@ -58,8 +61,8 @@ def jacobi_report(dim: int, structure) -> JacobiReport:
     Contracts c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m over the basis
     triples i < j < k in lexicographic order, skipping triples whose three
     brackets all vanish.  Reports the first failing triple with the
-    residual of that triple as a dense vector, so a failed construction
-    can point at the offending relation.
+    residual of that triple as a vector, so a failed construction can
+    point at the offending relation.
     """
     rows = _row_table(dim, structure)
     empty = {}
@@ -78,10 +81,7 @@ def jacobi_report(dim: int, structure) -> JacobiReport:
                         for m, b in rows[l].get(last, empty).items():
                             res[m] = res.get(m, 0) + a * b
                 if any(res.values()):
-                    residual = zeros(dim)
-                    for m, v in res.items():
-                        residual[m] = v
-                    return JacobiReport(False, (i, j, k), residual)
+                    return JacobiReport(False, (i, j, k), {m: v for m, v in res.items() if v})
     return JacobiReport(True, None, None)
 
 
@@ -101,6 +101,8 @@ class LieAlgebra:
         for (i, j), coeffs in structure.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad bracket key {(i, j)}")
+            if not all(k in range(dim) for k in coeffs):
+                raise ValueError(f"bracket {(i, j)} has a coefficient index outside range({dim})")
             kept = {k: Fraction(v) for k, v in coeffs.items() if Fraction(v) != 0}
             if kept:
                 clean[(i, j)] = kept
@@ -113,30 +115,27 @@ class LieAlgebra:
         self.structure = MappingProxyType({(i, j): self.rows[i][j] for i, j in clean})
 
     def basis_vector(self, i: int) -> Vector:
-        e = zeros(self.dim)
-        e[i] = Fraction(1)
-        return e
+        return {i: Fraction(1)}
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        out = zeros(self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, coeffs in self.rows[i].items():
-                    yj = y[j]
-                    if yj:
-                        c = xi * yj
-                        for k, v in coeffs.items():
-                            out[k] += c * v
-        return out
+        out = {}
+        for i, xi in x.items():
+            row = self.rows[i]
+            for j, yj in y.items():
+                coeffs = row.get(j)
+                if coeffs:
+                    c = xi * yj
+                    for k, v in coeffs.items():
+                        out[k] = out.get(k, 0) + c * v
+        return {k: v for k, v in out.items() if v}
 
     def ad(self, x: Vector) -> list:
         """Matrix of ad_x in the basis (columns are [x, e_j])."""
         out = [zeros(self.dim) for _ in range(self.dim)]
-        for i, xi in enumerate(x):
-            if xi:
-                for j, coeffs in self.rows[i].items():
-                    for k, v in coeffs.items():
-                        out[k][j] += xi * v
+        for i, xi in x.items():
+            for j, coeffs in self.rows[i].items():
+                for k, v in coeffs.items():
+                    out[k][j] += xi * v
         return out
 
     def check_jacobi(self) -> JacobiReport:
@@ -193,7 +192,7 @@ class Subspace:
         return isinstance(other, Subspace) and self.basis == other.basis
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.basis))
+        return hash(tuple(frozenset(r.items()) for r in self.basis))
 
 
 def span_subspace(algebra: LieAlgebra, vectors: list) -> Subspace:
@@ -202,8 +201,7 @@ def span_subspace(algebra: LieAlgebra, vectors: list) -> Subspace:
 
 def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
     """[g, g]: the span of the nonzero brackets of basis vectors."""
-    rows = [[c.get(k, 0) for k in range(algebra.dim)] for c in algebra.structure.values()]
-    return Subspace(algebra, rows)
+    return Subspace(algebra, list(algebra.structure.values()))
 
 
 def _killed_by(algebra: LieAlgebra, sub: Subspace, functionals: list) -> Subspace:
@@ -224,8 +222,7 @@ def _killed_by(algebra: LieAlgebra, sub: Subspace, functionals: list) -> Subspac
 def normalizer(algebra: LieAlgebra, sub: Subspace) -> Subspace:
     """Largest subspace n with [n, sub] inside sub: the annihilator of sub
     vanishes on [n, sub]."""
-    annihilator = [{k: c for k, c in enumerate(f) if c} for f in nullspace(sub.basis, algebra.dim)]
-    return _killed_by(algebra, sub, annihilator)
+    return _killed_by(algebra, sub, nullspace(sub.basis, algebra.dim))
 
 
 def centralizer(algebra: LieAlgebra, sub: Subspace) -> Subspace:
@@ -240,24 +237,18 @@ def center(algebra: LieAlgebra) -> Subspace:
 
 
 def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same algebra."""
-    a, b = s1.basis, s2.basis
-    if not a or not b:
-        return Subspace(s1.algebra, [])
-    n = len(a[0])
-    # alpha . a = beta . b  <=>  (alpha, beta) in the kernel of [A^T, -B^T]
-    rows = []
-    for coord in range(n):
-        rows.append([a[i][coord] for i in range(len(a))] + [-b[j][coord] for j in range(len(b))])
-    vecs = [combine(sol[: len(a)], a) for sol in nullspace(rows, len(a) + len(b))]
-    return Subspace(s1.algebra, vecs)
+    """Intersection of two subspaces of the same algebra: the kernel of
+    the functionals that vanish on either of them."""
+    dim = s1.algebra.dim
+    annihilators = nullspace(s1.basis, dim) + nullspace(s2.basis, dim)
+    return Subspace(s1.algebra, nullspace(annihilators, dim))
 
 
 def structure_in(frame: Frame, vectors: list, bracket) -> dict:
     """Structure constants of vectors read in frame.
 
-    Maps each pair i < j whose bracket is nonzero to its nonzero
-    coordinates {k: c} against the frame basis; raises ValueError naming
+    Maps each pair i < j whose bracket is nonzero to its coordinates
+    {k: c} against the frame basis; raises ValueError naming
     the pair when a bracket leaves the span.
     """
     structure = {}
@@ -266,9 +257,8 @@ def structure_in(frame: Frame, vectors: list, bracket) -> dict:
             coords = frame.coords(bracket(x, vectors[j]))
             if coords is None:
                 raise ValueError(f"the bracket of vectors {i} and {j} leaves the span")
-            kept = {k: c for k, c in enumerate(coords) if c}
-            if kept:
-                structure[(i, j)] = kept
+            if coords:
+                structure[(i, j)] = coords
     return structure
 
 
@@ -285,4 +275,4 @@ def subalgebra(algebra: LieAlgebra, sub: Subspace, labels=None):
     structure = structure_in(sub.frame, basis, algebra.bracket)
     if labels is None:
         labels = [f"b{i}" for i in range(n)]
-    return LieAlgebra(n, labels, structure), [row[:] for row in basis]
+    return LieAlgebra(n, labels, structure), [dict(row) for row in basis]

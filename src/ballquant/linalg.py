@@ -1,16 +1,22 @@
 """Exact rational linear algebra.
 
 Everything here works over ``fractions.Fraction`` and is fully exact.
+A vector is a sparse map ``{index: nonzero Fraction}``: an absent index
+is a zero coordinate and no vector stores a zero, so ``not v`` tests
+for the zero vector and two vectors are equal exactly when their maps
+are.  A matrix is a dense list of rows.  ``dense`` writes a vector out
+as a list, for the formats that need one.
+
 There is one elimination, ``_echelon``: a sparse fraction-free forward
 elimination that scales each row to coprime integers and never leaves
 the integers (rows are divided by the gcd of their entries, not, as in
-Bareiss's method, by the previous pivot).  Its pending rows sit in
-buckets by leading column, so a pivot step touches only the rows that
-hold the pivot column.  The rank is the number of pivot rows.  Back
-substitution on those rows, divided by the pivots, gives the reduced
-row echelon form; it is unique, so ``rref`` writes it out densely as
-canonical subspace bases and ``nullspace`` reads the kernel off the
-sparse form.  Coordinates against a basis, inverses
+Bareiss's method, by the previous pivot).  Its rows are vectors or dense
+matrix rows.  Its pending rows sit in buckets by leading column, so a
+pivot step touches only the rows that hold the pivot column.  The rank
+is the number of pivot rows.  Back substitution on those rows, divided
+by the pivots, gives the reduced row echelon form ``rref``; it is
+unique, so its rows are canonical subspace bases and ``nullspace``
+reads the kernel off it.  Coordinates against a basis, inverses
 included, come from a ``Frame``, which reduces the basis once and reads
 every later vector off its dual; ``Frame.require`` is the read for
 vectors that must lie in the span, and raises ValueError with the
@@ -18,59 +24,58 @@ caller's message when one does not.  ``solve_linear`` goes through
 ``rref``.
 The change-of-basis steps the rest of the package shares live here too:
 ``combine`` sums coefficients times vectors, ``bilinear`` evaluates a
-bilinear form on two vectors, and ``split_symplectic`` is the one
-split-half symplectic matrix [[0, I], [-I, 0]].
+bilinear form on two vectors, ``transpose`` reads vectors as the columns
+of a matrix, and ``split_symplectic`` is the one split-half symplectic
+matrix [[0, I], [-I, 0]].
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
 from .scalars import collect
 
-Vec = list
+Vec = dict
 Mat = list
 
 
-def zeros(n: int) -> Vec:
+def zeros(n: int) -> list:
     return [Fraction(0)] * n
 
 
-def identity_matrix(n: int) -> Mat:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+def dense(v: Vec, n: int) -> list:
+    """The vector v written out as a list of its n coordinates."""
+    return [v.get(j, Fraction(0)) for j in range(n)]
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
-    return [a + b for a, b in zip(u, v)]
+    return collect(v.items(), u)
 
 def vec_scale(u: Vec, c: Fraction) -> Vec:
-    return [a * c for a in u]
-
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
+    return {j: a * c for j, a in u.items()} if c else {}
 
 
-def combine(coeffs, vectors) -> Vec:
-    """The dense sum of c * v over coefficients paired with vectors (at
-    least one), skipping zero coefficients and zero entries."""
-    out = zeros(len(vectors[0]))
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for j, x in enumerate(v):
-                if x:
-                    out[j] += c * x
-    return out
+def combine(coeffs: dict, vectors) -> Vec:
+    """The sum of c * vectors[k] over the (k, c) of coeffs."""
+    return collect((j, c * x) for k, c in coeffs.items() for j, x in vectors[k].items())
 
 
 def bilinear(form: Mat, x: Vec, y: Vec) -> Fraction:
     """x^T form y, summed over the nonzero entries only."""
-    total = Fraction(0)
-    for xi, row in zip(x, form):
-        if xi:
-            for yj, f in zip(y, row):
-                if yj and f:
-                    total += xi * yj * f
-    return total
+    return sum(
+        (xi * yj * form[i][j] for i, xi in x.items() for j, yj in y.items() if form[i][j]),
+        Fraction(0),
+    )
+
+
+def transpose(vectors, n: int) -> list:
+    """The n columns of the matrix whose rows are vectors, as vectors."""
+    cols = [{} for _ in range(n)]
+    for i, v in enumerate(vectors):
+        for j, x in v.items():
+            cols[j][i] = x
+    return cols
 
 
 def split_symplectic(n: int) -> Mat:
@@ -84,8 +89,8 @@ def split_symplectic(n: int) -> Mat:
 
 
 def _sparse(v) -> dict:
-    """A dense list or a dict column -> scalar as a dict of its nonzeros."""
-    return {j: x for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+    """A vector or a dense matrix row as a dict of its nonzeros."""
+    return {j: x for j, x in (v.items() if isinstance(v, Mapping) else enumerate(v)) if x}
 
 
 def _primitive(row: dict) -> dict:
@@ -102,7 +107,7 @@ def _combine(row: dict, pv: int, coef: int, pivot: dict) -> dict:
 def _echelon(rows) -> list[dict[int, int]]:
     """Fraction-free sparse forward elimination.
 
-    Rows are dicts column -> scalar or dense lists.  Each nonzero row is
+    Rows are vectors or dense matrix rows.  Each nonzero row is
     scaled to coprime integers; rows are then eliminated by integer cross
     multiplication (pv * row - coef * pivot, divided by the gcd of its
     entries), so every intermediate value stays an exact integer.
@@ -132,12 +137,16 @@ def _echelon(rows) -> list[dict[int, int]]:
     return out
 
 
-def _reduced(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Sparse reduced echelon form and its pivot columns.
+def rref(rows) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form of a matrix given by vectors or dense rows.
 
-    Back substitution on the echelon rows, last row first: each row
-    eliminates the later pivot columns with the rows already reduced,
-    still fraction-free, and is divided by its pivot at the end.
+    Returns the nonzero rows as vectors (canonical form, pivots equal to
+    one) and the list of pivot column indices.  Back substitution runs
+    on the echelon rows, last row first: each row eliminates the later
+    pivot columns with the rows already reduced, still fraction-free,
+    and is divided by its pivot at the end.  The form is unique, so
+    subspace bases and everything printed from them do not depend on the
+    pivot order the elimination chose.
     """
     ech = _echelon(rows)
     pivots = [min(r) for r in ech]
@@ -152,32 +161,15 @@ def _reduced(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
     return red, pivots
 
 
-def rref(rows: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form.
+def nullspace(rows, ncols: int) -> list[Vec]:
+    """Canonical basis of the right kernel of a matrix, as vectors.
 
-    Returns the nonzero rows (canonical form, pivots equal to one) and
-    the list of pivot column indices.  It is the sparse reduced form of
-    the fraction-free elimination, written out as dense rows; the form
-    is unique, so subspace bases and everything printed from them do
-    not depend on the pivot order the elimination chose.
+    Rows are vectors or dense rows.
     """
-    red, pivots = _reduced(rows)
-    ncols = len(rows[0]) if rows else 0
-    zero = Fraction(0)
-    return [[row.get(j, zero) for j in range(ncols)] for row in red], pivots
-
-
-def nullspace(rows, ncols: int) -> Mat:
-    """Canonical basis of the right kernel of the row matrix.
-
-    Rows are dense lists or sparse dicts column -> scalar.
-    """
-    red, pivots = _reduced(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivots = rref(rows)
     basis = []
-    for fcol in free:
-        v = zeros(ncols)
-        v[fcol] = Fraction(1)
+    for fcol in sorted(set(range(ncols)) - set(pivots)):
+        v = {fcol: Fraction(1)}
         for row, pcol in zip(red, pivots):
             if fcol in row:
                 v[pcol] = -row[fcol]
@@ -185,38 +177,37 @@ def nullspace(rows, ncols: int) -> Mat:
     return basis
 
 
-def solve_linear(a: Mat, b: Vec):
-    """One exact solution x of a x = b, or None when inconsistent."""
+def solve_linear(a: Mat, b: list):
+    """One exact solution x of a x = b, as a list, or None when inconsistent."""
     if not a:
-        return [] if is_zero_vec(b) else None
+        return [] if not any(b) else None
     ncols = len(a[0])
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+    red, pivots = rref([row[:] + [b[i]] for i, row in enumerate(a)])
+    if pivots and pivots[-1] == ncols:
+        return None
     x = zeros(ncols)
-    for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        x[c] = red[r][ncols]
+    for row, c in zip(red, pivots):
+        x[c] = row.get(ncols, Fraction(0))
     return x
 
 
 class Frame:
     """Exact coordinates against one basis, from a single reduction.
 
-    Rows are dense lists or sparse dicts column -> scalar.  [B | I] is
-    reduced once to [R | M], so R = M B is the reduced form of B.  A
-    vector v in the span is the sum of v[p] R_p over the pivot columns p,
-    and its coordinates are the sum of v[p] M_p.  ``dual`` keeps each
-    sparse M_p beside p, as tuples.  Dependent rows put a pivot inside
-    the identity block and raise ValueError.
+    The basis rows are vectors.  [B | I] is reduced once to [R | M], so
+    R = M B is the reduced form of B.  A vector v in the span is the sum
+    of v[p] R_p over the pivot columns p, and its coordinates are the
+    sum of v[p] M_p.  ``dual`` keeps each sparse M_p beside p, as
+    tuples.  Dependent rows put a pivot inside the identity block and
+    raise ValueError.
     """
 
     __slots__ = ("basis", "dual")
 
     def __init__(self, basis):
-        rows = [_sparse(b) for b in basis]
+        rows = list(basis)
         width = 1 + max((j for r in rows for j in r), default=-1)
-        red, pivots = _reduced([{**r, width + k: 1} for k, r in enumerate(rows)])
+        red, pivots = rref([{**r, width + k: 1} for k, r in enumerate(rows)])
         if pivots and pivots[-1] >= width:
             raise ValueError("basis rows are linearly dependent")
         self.basis = tuple(tuple(r.items()) for r in rows)
@@ -225,20 +216,15 @@ class Frame:
             for row, p in zip(red, pivots)
         )
 
-    def coords(self, v):
-        """Dense coordinates of v, or None when the basis does not rebuild
-        v, i.e. v lies outside the span."""
-        v = _sparse(v)
-        c = zeros(len(self.basis))
-        for p, m in self.dual:
-            x = v.get(p)
-            if x:
-                for k, d in m:
-                    c[k] += x * d
-        rebuilt = collect((j, ck * b) for ck, row in zip(c, self.basis) if ck for j, b in row)
+    def coords(self, v: Vec):
+        """The coordinates of the vector v, a vector of the spanned space
+        (position k for basis row k), or None when the basis does not
+        rebuild v, i.e. v lies outside the span."""
+        c = collect((k, x * d) for p, m in self.dual if (x := v.get(p)) for k, d in m)
+        rebuilt = collect((j, ck * b) for k, ck in c.items() for j, b in self.basis[k])
         return c if rebuilt == v else None
 
-    def require(self, v, what: str):
+    def require(self, v: Vec, what: str) -> Vec:
         """The coordinates of v; ValueError(what) when v lies outside the span."""
         coords = self.coords(v)
         if coords is None:
@@ -246,22 +232,24 @@ class Frame:
         return coords
 
 
-def solve_in_span(basis: Mat, target: Vec):
-    """Coordinates of target in span(basis rows), or None; the rows must be
-    linearly independent."""
-    return Frame(basis).coords(target)
+def solve_in_span(basis, target: Vec):
+    """Coordinates of the vector target in the span of the basis vectors,
+    written out as a list, or None; the basis must be linearly
+    independent."""
+    coords = Frame(basis).coords(target)
+    return None if coords is None else dense(coords, len(basis))
 
 
 def mat_inverse(a: Mat) -> Mat:
     """Inverse of a square matrix, read row by row as the coordinates of
     the unit vectors against its rows; ValueError when it is singular."""
-    frame = Frame(a)
-    return [frame.coords(e) for e in identity_matrix(len(a))]
+    frame = Frame(map(_sparse, a))
+    return [dense(frame.coords({i: Fraction(1)}), len(a)) for i in range(len(a))]
 
 
 def rank_sparse(rows_sparse) -> int:
     """Rank of a rational matrix: the number of echelon rows.
 
-    Rows are dicts column -> Fraction (or dense lists).
+    Rows are vectors (or dense lists).
     """
     return len(_echelon(rows_sparse))

@@ -190,10 +190,10 @@ def check_reduction_closure(model: Su1nModel) -> ClosureReport:
     fill the whole algebra.
     """
     algebra = model.algebra
-    w_vecs = [list(v) for v in model.s_space.basis + model.m_space.basis]
+    w_vecs = model.s_space.basis + model.m_space.basis
     for r in model.roots:
         if r.lambda_of_H[0] == -1:
-            w_vecs.extend(list(v) for v in r.space.basis)
+            w_vecs += r.space.basis
     w = span_subspace(algebra, w_vecs)
     failures = []
     for i, z in enumerate(model.s_space.basis):
@@ -247,9 +247,8 @@ def radial_reduce(chart: BallChart, f: CoefFn) -> dict:
         sol = frame.require(
             {index[k]: c for k, c in vterms.items()}, "not a polynomial in the squared radius"
         )
-        for s, c in enumerate(sol):
-            if c:
-                out[(p, s, q)] = c
+        for s, c in sol.items():
+            out[(p, s, q)] = c
     return out
 
 
@@ -260,12 +259,12 @@ def k_basis(chart: BallChart):
     labels = [f"m{i + 1}" for i in range(len(chart.m_basis))]
     labels += [f"kf{i + 1}" for i in range(chart.nv)] + ["kE"]
     sigma = chart.basis[-(chart.nv + 1) :]
-    vecs = [y[:] for y in chart.m_basis]
+    vecs = [dict(y) for y in chart.m_basis]
     vecs += [vec_add(x, sx) for x, sx in zip(chart.fs + [chart.E], sigma)]
     return labels, vecs
 
 
-def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict:
+def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict:
     """The action (1/(2 nu)) [mu_x, - ]_star as a differential operator.
 
     Keys are derivative multi-indices over the chart coordinates
@@ -280,12 +279,11 @@ def retract_operator(table: QmmTable, x: list, order: int | None = None) -> dict
     from the result.
     """
     order = resolve_truncation_order(order)
-    coords = table.frame.require([Fraction(c) for c in x], "vector lies outside the moment table")
+    coords = table.frame.require(x, "vector lies outside the moment table")
     nv = table.chart.nv
     mu = NuSum(nv, 2)
-    for c, mom in zip(coords, table.moments):
-        if c:
-            mu.add(mom, c)
+    for k, c in coords.items():
+        mu.add(table.moments[k], c)
     mu = mu.series()
     exact = mu.exact
     buckets = defaultdict(lambda: NuSum(nv, order))

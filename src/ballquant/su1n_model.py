@@ -15,6 +15,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .lie_core import (
     CheckReport,
@@ -25,7 +26,7 @@ from .lie_core import (
     subalgebra,
     subspace_intersection,
 )
-from .linalg import Frame, bilinear, combine, is_zero_vec, nullspace, split_symplectic, vec_scale
+from .linalg import Frame, bilinear, combine, dense, nullspace, split_symplectic, vec_add, vec_scale
 from .scalars import G_ZERO, GScalar, frac_str
 
 
@@ -94,7 +95,7 @@ class RootDatum:
 
     lambda_of_H: list
     space: Subspace
-    H_lambda: list
+    H_lambda: dict
 
 
 @dataclass
@@ -109,18 +110,18 @@ class Su1nModel:
     m_space: Subspace
     s_space: Subspace
     roots: list
-    H0: list
+    H0: dict
     beta: tuple
     beta_H0: Fraction
     matrices: tuple
 
-    def apply_sigma(self, x: list) -> list:
-        return [s * xi for s, xi in zip(self.sigma_diagonal, x)]
+    def apply_sigma(self, x: dict) -> dict:
+        return {j: self.sigma_diagonal[j] * xj for j, xj in x.items()}
 
-    def beta_form(self, x: list, y: list) -> Fraction:
+    def beta_form(self, x: dict, y: dict) -> Fraction:
         return bilinear(self.beta, x, y)
 
-    def beta_sigma(self, x: list, y: list) -> Fraction:
+    def beta_sigma(self, x: dict, y: dict) -> Fraction:
         return -self.beta_form(x, self.apply_sigma(y))
 
     @cached_property
@@ -133,8 +134,8 @@ class Su1nModel:
 def build_su1n(N: int) -> Su1nModel:
     """Construct the su(1, N) model; results are cached.  The structure
     table, beta, sigma_diagonal and matrices are read-only at every level;
-    the subspace bases, H0 and roots are lists that callers must not
-    mutate."""
+    the subspace bases, the vector H0 and roots are mutable, but callers
+    must not mutate them."""
     if N < 1:
         raise ValueError("N must be at least 1")
     mats, labels, signs = _basis_matrices(N)
@@ -221,12 +222,12 @@ def adapted_s_basis(model: Su1nModel):
     E = vec_scale(e_raw, scale)
 
     short = [r for r in model.roots if r.lambda_of_H[0] == 1]
-    rem = [v[:] for v in short[0].space.basis] if short else []
+    rem = [dict(v) for v in short[0].space.basis] if short else []
     top_line = Frame([E])
 
     def bform(x, y):
         what = "short-root bracket left the top root line"
-        return top_line.require(model.algebra.bracket(x, y), what)[0]
+        return top_line.require(model.algebra.bracket(x, y), what).get(0, Fraction(0))
 
     xs, ys = [], []
     while rem:
@@ -237,8 +238,8 @@ def adapted_s_basis(model: Su1nModel):
         reduced = []
         for u in rem:
             bu, bv = bform(x, u), bform(y, u)
-            u2 = [ui - bu * yi + bv * xi for ui, yi, xi in zip(u, y, x)]
-            if is_zero_vec(u2):
+            u2 = combine({0: Fraction(1), 1: -bu, 2: bv}, [u, y, x])
+            if not u2:
                 raise AssertionError("symplectic reduction collapsed a basis vector")
             reduced.append(u2)
         rem = reduced
@@ -247,7 +248,7 @@ def adapted_s_basis(model: Su1nModel):
     fs = xs + ys
     if [[bform(fi, fj) for fj in fs] for fi in fs] != split_symplectic(len(fs)):
         raise AssertionError("symplectic normal form check failed")
-    return model.H0[:], fs, E
+    return dict(model.H0), fs, E
 
 
 def verify_sigma_pairing(model: Su1nModel) -> CheckReport:
@@ -287,10 +288,10 @@ def verify_m_orthocomplement(model: Su1nModel) -> CheckReport:
         return CheckReport(True, 0, [])
     space = short[0].space
     basis = space.basis
-    samples = [b[:] for b in basis]
+    samples = [dict(b) for b in basis]
     if len(basis) >= 2:
-        samples.append([a + b for a, b in zip(basis[0], basis[1])])
-        samples.append([2 * a - 3 * b for a, b in zip(basis[0], basis[1])])
+        samples.append(vec_add(basis[0], basis[1]))
+        samples.append(combine({0: Fraction(2), 1: Fraction(-3)}, basis))
     for x in samples:
         checked += 1
         bracket_span = span_subspace(
@@ -304,11 +305,12 @@ def verify_m_orthocomplement(model: Su1nModel) -> CheckReport:
     return CheckReport(not failures, checked, failures)
 
 
-def iwasawa_project(model: Su1nModel, x: list):
+def iwasawa_project(model: Su1nModel, x: dict):
     """Split x = x_s + x_k along the direct sum g = s + k."""
     coords = model.iwasawa_frame.require(x, "vector outside the algebra span")
-    xs = combine(coords[: model.s_space.dim], model.s_space.basis)
-    return xs, [a - b for a, b in zip(x, xs)]
+    ds = model.s_space.dim
+    xs = combine({k: c for k, c in coords.items() if k < ds}, model.s_space.basis)
+    return xs, vec_add(x, vec_scale(xs, -1))
 
 
 @dataclass(frozen=True)
@@ -318,17 +320,18 @@ class SSubmodel:
     embedding rows express the submodel basis inside the parent algebra,
     and frame reads coordinates against them; H is the restricted-root
     generator, and each entry of roots is a pair (root value on H, root
-    space basis) in submodel coordinates.  All of them are tuples, since
-    s_submodel caches one instance per model object.
+    space basis) in submodel coordinates.  embedding and roots are
+    tuples and every vector is a read-only map, since s_submodel caches
+    one instance per model object.
     """
 
     algebra: LieAlgebra
     embedding: tuple
     frame: Frame
-    H: tuple
+    H: MappingProxyType
     roots: tuple
 
-    def to_sub(self, x: list) -> list:
+    def to_sub(self, x: dict) -> dict:
         return self.frame.require(x, "vector does not lie in the solvable part")
 
 
@@ -347,10 +350,10 @@ def s_submodel(model: Su1nModel) -> SSubmodel:
         labels=[f"s{i}" for i in range(model.s_space.dim)],
     )
     frame = model.s_space.frame
-    to_sub = lambda x: tuple(frame.coords(x))
+    to_sub = lambda x: MappingProxyType(frame.coords(x))
     out = SSubmodel(
         algebra=sub,
-        embedding=tuple(map(tuple, embedding)),
+        embedding=tuple(map(MappingProxyType, embedding)),
         frame=frame,
         H=to_sub(model.H0),
         roots=tuple(
@@ -376,8 +379,11 @@ def model_to_json(model: Su1nModel) -> dict:
     def strs(row):
         return [frac_str(c) for c in row]
 
+    def vec_json(v):
+        return strs(dense(v, model.algebra.dim))
+
     def basis_json(space):
-        return [strs(row) for row in space.basis]
+        return [vec_json(v) for v in space.basis]
 
     return {
         "N": model.N,
@@ -392,7 +398,7 @@ def model_to_json(model: Su1nModel) -> dict:
             "s": basis_json(model.s_space),
         },
         "roots": [
-            {"lambda": strs(r.lambda_of_H), "dim": r.space.dim, "H_lambda": strs(r.H_lambda)}
+            {"lambda": strs(r.lambda_of_H), "dim": r.space.dim, "H_lambda": vec_json(r.H_lambda)}
             for r in model.roots
         ],
     }

@@ -1,9 +1,16 @@
 """Reference computations the tests check the package against.
 
-The linear-algebra oracles are plain textbook loops over Fraction,
-written independently of the sparse fraction-free elimination in
-``ballquant.linalg``.  verify_qmm_oracle checks the moment identity one
-pair at a time with a fresh star product per pair, as the package did
+The package keeps every vector as a sparse map {index: nonzero
+Fraction}; ``dense`` writes one out as a list, so a test can compare it
+with a dense literal or a dense oracle, and ``sparse`` reads a list
+back.
+
+The linear-algebra oracles (rref_oracle, nullspace_oracle read off it,
+det, identity_matrix, mat_mul) are plain textbook loops over Fraction
+on dense lists, written independently of the sparse fraction-free
+elimination in ``ballquant.linalg``.  verify_qmm_oracle checks the
+moment identity one pair at a time with a fresh star product per pair,
+as the package did
 before it reused each moment's transvection data across pairs.
 apply_operator_oracle applies a retract operator through whole-series
 resize, product and sum, as the package did before it accumulated the
@@ -27,6 +34,16 @@ from ballquant.formal_star import CoefFn, NuSeries, half_commutator
 from ballquant.linalg import bilinear
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import GScalar
+
+
+def dense(v: dict, n: int) -> list:
+    """The n coordinates of the sparse vector v as a list."""
+    return [F(v.get(j, 0)) for j in range(n)]
+
+
+def sparse(v: list) -> dict:
+    """The nonzero coordinates of the list v as a sparse vector."""
+    return {j: x for j, x in enumerate(v) if x}
 
 
 def rref_oracle(rows):
@@ -58,6 +75,24 @@ def rref_oracle(rows):
         if r == len(m):
             break
     return m[:r], pivots
+
+
+def nullspace_oracle(rows, ncols):
+    """Canonical kernel basis read off rref_oracle, as dense lists."""
+    red, pivots = rref_oracle(rows)
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[fcol] = F(1)
+        for r, pcol in enumerate(pivots):
+            v[pcol] = -red[r][fcol]
+        basis.append(v)
+    return basis
+
+
+def identity_matrix(n: int) -> list:
+    """The n x n identity matrix as dense rows."""
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -118,9 +153,8 @@ def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:
             checked += 1
             coords = table.frame.coords(algebra.bracket(table.basis[i], table.basis[j]))
             lhs = NuSeries.zero(table.chart.nv, order)
-            for c, m in zip(coords, lifted):
-                if c:
-                    lhs = lhs.add(m.scale(c))
+            for k, c in coords.items():
+                lhs = lhs.add(lifted[k].scale(c))
             rhs = half_commutator(lifted[i], lifted[j], table.P, order)
             exact = exact and rhs.exact
             res = lhs.sub(rhs)

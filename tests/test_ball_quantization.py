@@ -40,7 +40,7 @@ from ballquant.ball_quantization import (
     verify_qmm,
 )
 from ballquant.formal_star import CoefFn, poisson
-from ballquant.linalg import Frame, solve_in_span
+from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
 from ballquant.su1n_model import build_su1n, model_to_json
 
 from oracles import field_bracket_oracle, leading_principal_minors, verify_qmm_oracle
@@ -146,12 +146,13 @@ def test_chart_and_table_cannot_change_the_cached_model(N):
     """The chart owns copies of the adapted basis: writing to every table
     basis vector and to the chart's H leaves the cached model as built."""
     model = build_su1n(N)
-    before = (model_to_json(model), model.H0[:], qmm_table_to_json(build_qmm(N)))
+    before = (model_to_json(model), dict(model.H0), qmm_table_to_json(build_qmm(N)))
     table = build_qmm(N)
+    sevens = {j: F(7) for j in range(model.algebra.dim)}
     for v in table.basis:
-        v[:] = [F(7)] * len(v)
+        v.update(sevens)
     chart = build_chart(N)
-    chart.H[:] = [F(7)] * len(chart.H)
+    chart.H.update(sevens)
     model = build_su1n(N)
     assert (model_to_json(model), model.H0, qmm_table_to_json(build_qmm(N))) == before
 
@@ -159,7 +160,7 @@ def test_chart_and_table_cannot_change_the_cached_model(N):
 def test_chart_reads_name_the_block_a_vector_left():
     chart = build_chart(2)
     nv = chart.nv
-    assert _read(chart.frame, chart.E, "unused", range(2 + nv)) == [F(0)] * (1 + nv) + [F(1)]
+    assert _read(chart.frame, chart.E, "unused", range(2 + nv)) == {1 + nv: F(1)}
     with pytest.raises(ValueError, match="^left s$"):
         _read(chart.frame, chart.basis[-1], "left s", range(2 + nv))
     f1, f2 = chart.fs
@@ -173,14 +174,12 @@ def test_field_homomorphism():
     rng = random.Random(19)
     chart = build_chart(2)
     basis = [chart.H] + chart.fs + [chart.E] + chart.m_basis
-    dim = chart.model.algebra.dim
     for _ in range(8):
-        x = [F(0)] * dim
-        y = [F(0)] * dim
+        x, y = {}, {}
         for b in basis:
             cx, cy = rng.randint(-2, 2), rng.randint(-2, 2)
-            x = [xi + cx * bi for xi, bi in zip(x, b)]
-            y = [yi + cy * bi for yi, bi in zip(y, b)]
+            x = vec_add(x, vec_scale(b, cx))
+            y = vec_add(y, vec_scale(b, cy))
         lhs = field_bracket(fundamental_field(chart, x), fundamental_field(chart, y))
         rhs = fundamental_field(chart, chart.model.algebra.bracket(x, y))
         assert all(a.sub(b).is_zero() for a, b in zip(lhs, rhs))

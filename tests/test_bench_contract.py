@@ -5,17 +5,23 @@ and ``COUNT_ONLY`` lists; a refactor that renames or removes one of them
 breaks traced benchmark runs.  This test fails first.  The selectivity
 check plants a delay on ``formal_star.c_operator`` through the same
 rebinding and expects the ``qmm`` workload to feel it, so ``verify_qmm``
-must still reach the star product through that name.
+must still reach the star product through that name.  The in-process
+workloads of ``perfbench/workloads.py`` call package functions directly
+(``solve_in_span``, ``k_basis``, the table basis) and check every answer;
+one pass of each at seed 1 must report every check ok.
 """
 from __future__ import annotations
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def load_tracer():
@@ -27,6 +33,23 @@ def load_tracer():
 
 
 tracer = load_tracer()
+
+
+def load_workloads():
+    """Execute the workload source the same way, with the tracer loaded
+    above standing in for the ``tracer`` module it imports."""
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(WORKLOADS)
+    saved = sys.modules.get("tracer")
+    sys.modules["tracer"] = tracer
+    try:
+        exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+    finally:
+        if saved is None:
+            del sys.modules["tracer"]
+        else:
+            sys.modules["tracer"] = saved
+    return module
 
 
 @pytest.mark.parametrize(
@@ -68,3 +91,13 @@ def test_verify_qmm_calls_the_rebound_c_operator():
         tracer.restore(undo)
     assert report.ok and report.exact
     assert calls and all(m % 2 for m in calls)
+
+
+@pytest.mark.parametrize("name", ["qmm", "structure", "retract"])
+def test_in_process_workload_checks_pass(name):
+    work = load_workloads().make(name, 1, ROOT)
+    checks = work.setup()
+    for step in work.steps():
+        checks += step()
+    failed = [check for check in checks if not check[1]]
+    assert checks and not failed

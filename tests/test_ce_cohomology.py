@@ -35,7 +35,7 @@ from ballquant.linalg import nullspace
 from ballquant.psd_builder import PsdSpec, build_psd
 from ballquant.su1n_model import adapted_s_basis, build_su1n, s_submodel
 
-from oracles import delta2_oracle
+from oracles import delta2_oracle, dense
 
 # a cross action of block 1 on block 2 through its H direction
 TWIST = {(1, 2): {"H": [[F(1), F(0)], [F(0), F(-1)]]}}
@@ -91,13 +91,13 @@ def test_is_cocycle_in_degrees_zero_and_one(spec):
     rng = random.Random(g.dim)
     assert is_cocycle(g, Cochain(0, g.dim, F(rng.randint(1, 9))))
     derived = derived_subalgebra(g).basis
-    closed = nullspace(derived, g.dim)
+    closed = [dense(v, g.dim) for v in nullspace(derived, g.dim)]
     assert closed and derived
     samples = closed + [[F(rng.randint(-3, 3)) for _ in range(g.dim)] for _ in range(6)]
-    samples += [[a + b for a, b in zip(closed[0], derived[0])]]
+    samples += [[a + b for a, b in zip(closed[0], dense(derived[0], g.dim))]]
     seen = set()
     for values in samples:
-        vanishes = all(sum(a * v for a, v in zip(values, x)) == 0 for x in derived)
+        vanishes = all(sum(values[j] * v for j, v in x.items()) == 0 for x in derived)
         assert is_cocycle(g, Cochain(1, g.dim, values)) == vanishes
         seen.add(vanishes)
     assert seen == {True, False}
@@ -271,9 +271,7 @@ def test_invariant_cocycle_space():
         gen = basis[0]
         # vanishes on a x a
         h = sub.H
-        val = sum(
-            h[i] * h[j] * gen.data[i][j] for i in range(sub.algebra.dim) for j in range(sub.algebra.dim)
-        )
+        val = sum(a * b * gen.data[i][j] for i, a in h.items() for j, b in h.items())
         assert val == 0
         # admits a primitive through the root recipe
         alpha = coboundary_primitive_roots(model, gen)
@@ -290,11 +288,7 @@ def test_invariant_generator_pairing_ratio():
     def ev(x, y):
         cx = sub.to_sub(x)
         cy = sub.to_sub(y)
-        return sum(
-            cx[i] * cy[j] * gen.data[i][j]
-            for i in range(sub.algebra.dim)
-            for j in range(sub.algebra.dim)
-        )
+        return sum(a * b * gen.data[i][j] for i, a in cx.items() for j, b in cy.items())
 
     he = ev(H, E)
     xy = ev(fs[0], fs[1])
@@ -356,3 +350,15 @@ def test_cochain_from_json_sums_repeated_triples():
 def test_cochain_from_json_refuses_a_bad_matrix(data):
     with pytest.raises(ValueError, match="antisymmetric 2 x 2"):
         cochain_from_json({"degree": 2, "dim": 2, "data": data})
+
+
+@pytest.mark.parametrize("data", [["1"], ["1", "0", "0", "0", "0"]], ids=["short", "long"])
+def test_cochain_from_json_refuses_a_one_cochain_of_the_wrong_length(data):
+    with pytest.raises(ValueError, match="one-cochain needs 4 values"):
+        cochain_from_json({"degree": 1, "dim": 4, "data": data})
+
+
+@pytest.mark.parametrize("key", ["2,1,0", "7,8,9", "0,0,1", "0,1", "0,1,2,3"])
+def test_cochain_from_json_refuses_a_bad_triple(key):
+    with pytest.raises(ValueError, match="three-cochain key needs i < j < k below 2"):
+        cochain_from_json({"degree": 3, "dim": 2, "data": {key: "1"}})

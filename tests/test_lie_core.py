@@ -6,8 +6,9 @@ kappa(H, H) = 8 is frozen here as an oracle (trace of ad_H squared,
 eigenvalues 2, 0, -2).
 
 The dense oracles below loop over the whole structure table for every
-bracket, as the package did before it indexed the table by rows; the
-sparse kernel in ``lie_core`` must agree with them.
+bracket, as the package did before it indexed the table by rows, on
+dense lists; the sparse kernel in ``lie_core`` must agree with them,
+vector for vector, once its sparse maps are written out.
 """
 from __future__ import annotations
 
@@ -32,9 +33,11 @@ from ballquant.lie_core import (
     subalgebra,
     subspace_intersection,
 )
-from ballquant.linalg import Frame, is_zero_vec, vec_add, zeros
+from ballquant.linalg import Frame, bilinear, combine, nullspace, zeros
 from ballquant.psd_builder import PsdSpec, build_psd
 from ballquant.su1n_model import build_su1n
+
+from oracles import nullspace_oracle, rref_oracle, sparse
 
 
 def bracket_oracle(dim, structure, x, y):
@@ -63,9 +66,9 @@ def jacobi_oracle(dim, structure):
     for i, j, k in combinations(range(dim), 3):
         res = zeros(dim)
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            res = vec_add(res, bracket_oracle(dim, structure, pair[(a, b)], e[c]))
-        if not is_zero_vec(res):
-            return JacobiReport(False, (i, j, k), res)
+            res = [u + v for u, v in zip(res, bracket_oracle(dim, structure, pair[(a, b)], e[c]))]
+        if any(res):
+            return JacobiReport(False, (i, j, k), sparse(res))
     return JacobiReport(True, None, None)
 
 
@@ -107,13 +110,11 @@ def heisenberg():
 
 def test_bracket_values():
     g = sl2_like()
-    h = [F(1), F(0), F(0)]
-    x = [F(0), F(1), F(0)]
-    y = [F(0), F(0), F(1)]
-    assert g.bracket(h, x) == [F(0), F(2), F(0)]
-    assert g.bracket(x, h) == [F(0), F(-2), F(0)]
-    assert g.bracket(x, y) == [F(1), F(0), F(0)]
-    assert g.bracket(h, h) == [F(0), F(0), F(0)]
+    h, x, y = {0: F(1)}, {1: F(1)}, {2: F(1)}
+    assert g.bracket(h, x) == {1: F(2)}
+    assert g.bracket(x, h) == {1: F(-2)}
+    assert g.bracket(x, y) == {0: F(1)}
+    assert g.bracket(h, h) == {}
 
 
 def test_killing_form_frozen_value():
@@ -130,12 +131,12 @@ def test_killing_ad_invariance_random():
     rng = random.Random(5)
 
     def kform(u, v):
-        return sum(k[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
+        return sum(k[i][j] * a * b for i, a in u.items() for j, b in v.items())
 
     for _ in range(40):
-        x = [F(rng.randint(-4, 4)) for _ in range(3)]
-        y = [F(rng.randint(-4, 4)) for _ in range(3)]
-        z = [F(rng.randint(-4, 4)) for _ in range(3)]
+        x = sparse([F(rng.randint(-4, 4)) for _ in range(3)])
+        y = sparse([F(rng.randint(-4, 4)) for _ in range(3)])
+        z = sparse([F(rng.randint(-4, 4)) for _ in range(3)])
         assert kform(g.bracket(x, y), z) + kform(y, g.bracket(x, z)) == 0
 
 
@@ -160,11 +161,11 @@ def test_check_jacobi_ok():
 
 def test_subspace_canonical_basis():
     g = sl2_like()
-    s = span_subspace(g, [[F(2), F(4), F(0)], [F(1), F(2), F(1)]])
-    assert s.basis == [[F(1), F(2), F(0)], [F(0), F(0), F(1)]]
+    s = span_subspace(g, [{0: F(2), 1: F(4)}, {0: F(1), 1: F(2), 2: F(1)}])
+    assert s.basis == [{0: F(1), 1: F(2)}, {2: F(1)}]
     assert s.dim == 2
-    assert s.contains([F(3), F(6), F(5)])
-    assert not s.contains([F(0), F(1), F(0)])
+    assert s.contains({0: F(3), 1: F(6), 2: F(5)})
+    assert not s.contains({1: F(1)})
     # echelon idempotence: rebuilding from the canonical basis is stable
     assert span_subspace(g, s.basis) == s
 
@@ -174,8 +175,8 @@ def test_derived_and_center():
     assert derived_subalgebra(g).dim == 3
     assert center(g).dim == 0
     h = heisenberg()
-    assert derived_subalgebra(h).basis == [[F(0), F(0), F(1)]]
-    assert center(h).basis == [[F(0), F(0), F(1)]]
+    assert derived_subalgebra(h).basis == [{2: F(1)}]
+    assert center(h).basis == [{2: F(1)}]
 
 
 def test_derived_is_bracket_stable():
@@ -183,27 +184,25 @@ def test_derived_is_bracket_stable():
         d = derived_subalgebra(g)
         for b in d.basis:
             for i in range(g.dim):
-                e = [F(0)] * g.dim
-                e[i] = F(1)
-                assert d.contains(g.bracket(e, b))
+                assert d.contains(g.bracket(g.basis_vector(i), b))
 
 
 def test_normalizer_and_centralizer():
     g = sl2_like()
-    line_x = span_subspace(g, [[F(0), F(1), F(0)]])
+    line_x = span_subspace(g, [{1: F(1)}])
     n = normalizer(g, line_x)
     assert n.dim == 2
-    assert n.contains([F(1), F(0), F(0)]) and n.contains([F(0), F(1), F(0)])
-    c = centralizer(g, span_subspace(g, [[F(1), F(0), F(0)]]))
-    assert c.basis == [[F(1), F(0), F(0)]]
+    assert n.contains({0: F(1)}) and n.contains({1: F(1)})
+    c = centralizer(g, span_subspace(g, [{0: F(1)}]))
+    assert c.basis == [{0: F(1)}]
 
 
 def test_subalgebra_extraction():
     g = sl2_like()
-    s = span_subspace(g, [[F(1), F(0), F(0)], [F(0), F(1), F(0)]])
+    s = span_subspace(g, [{0: F(1)}, {1: F(1)}])
     sub, embedding = subalgebra(g, s, labels=["H", "X"])
     assert sub.dim == 2
-    assert sub.bracket([F(1), F(0)], [F(0), F(1)]) == [F(0), F(2)]
+    assert sub.bracket({0: F(1)}, {1: F(1)}) == {1: F(2)}
     assert embedding == s.basis
 
 
@@ -226,6 +225,16 @@ def test_construction_rejects_bad_labels_and_keys():
             LieAlgebra(3, ["H", "X", "Y"], {key: {0: F(1)}})
 
 
+@pytest.mark.parametrize("dim, key", [(2, 5), (3, -1)])
+def test_construction_rejects_a_coefficient_index_outside_the_basis(dim, key):
+    labels = ["a", "b", "c"][:dim]
+    with pytest.raises(ValueError, match=re.escape("bracket (0, 1) has a coefficient index")):
+        LieAlgebra(dim, labels, {(0, 1): {key: 1}})
+    blob = {"dim": dim, "labels": labels, "brackets": [{"i": 0, "j": 1, "coeffs": {str(key): "1"}}]}
+    with pytest.raises(ValueError, match=re.escape("bracket (0, 1) has a coefficient index")):
+        LieAlgebra.from_json(blob)
+
+
 def test_intersection_with_an_empty_subspace():
     g = sl2_like()
     whole = span_subspace(g, [g.basis_vector(i) for i in range(3)])
@@ -237,9 +246,9 @@ def test_intersection_with_an_empty_subspace():
 
 def test_subspace_hash_agrees_with_equality():
     g = sl2_like()
-    a = span_subspace(g, [[F(1), F(1), F(0)], [F(0), F(2), F(0)]])
-    b = span_subspace(g, [[F(3), F(0), F(0)], [F(1), F(-1), F(0)]])
-    c = span_subspace(g, [[F(1), F(0), F(0)], [F(0), F(0), F(1)]])
+    a = span_subspace(g, [{0: F(1), 1: F(1)}, {1: F(2)}])
+    b = span_subspace(g, [{0: F(3)}, {0: F(1), 1: F(-1)}])
+    c = span_subspace(g, [{0: F(1)}, {2: F(1)}])
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert {a, b, c} == {a, c} and len({a, b, c}) == 2
@@ -247,7 +256,7 @@ def test_subspace_hash_agrees_with_equality():
 
 def test_normalizer_of_whole_algebra_is_whole():
     g = sl2_like()
-    whole = span_subspace(g, [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]])
+    whole = span_subspace(g, [{0: F(1)}, {1: F(1)}, {2: F(1)}])
     assert normalizer(g, whole).dim == 3
 
 
@@ -298,11 +307,45 @@ def test_sparse_kernel_matches_dense_oracles(name):
     assert n == 3 or not all(flipped)
     rng = random.Random(7 * n)
     for _ in range(12):
-        sparse = [random_vector(rng, n, min(2, n)) for _ in range(2)]
-        dense = [random_vector(rng, n, n) for _ in range(2)]
-        for x, y in (sparse, dense, (sparse[0], dense[1])):
-            assert g.bracket(x, y) == bracket_oracle(n, g.structure, x, y)
+        few = [random_vector(rng, n, min(2, n)) for _ in range(2)]
+        full = [random_vector(rng, n, n) for _ in range(2)]
+        for x, y in (few, full, (few[0], full[1])):
+            assert g.bracket(sparse(x), sparse(y)) == sparse(bracket_oracle(n, g.structure, x, y))
     assert g.killing_form() == killing_oracle(g)
+
+
+@pytest.mark.parametrize("name", ["su1n_1", "su1n_2", "su1n_3", "psd_3_2_3", "psd_cross_action"])
+def test_vectors_are_sparse_maps_that_agree_with_dense_oracles(name):
+    """combine, bilinear, nullspace, Subspace.basis, Frame.coords and, on
+    su(1, N), apply_sigma give the dense values as sparse maps.  The
+    oracle side goes through sparse(), which drops zeros, so equality
+    also says that no result stores a zero."""
+    g = agreement_algebra(name)
+    n = g.dim
+    rng = random.Random(3 * n)
+    vecs = [random_vector(rng, n, min(k + 1, n)) for k in range(3)] + [random_vector(rng, n, n)]
+    vecs.append([a + b for a, b in zip(vecs[0], vecs[1])])
+    rows = [sparse(v) for v in vecs]
+    coeffs = [F(1), F(-2), F(0), F(1, 3), F(-1)]
+    combo = [sum((c * v[t] for c, v in zip(coeffs, vecs)), F(0)) for t in range(n)]
+    assert combine(sparse(coeffs), rows) == sparse(combo)
+    assert combine({0: F(1), 1: F(1), 4: F(-1)}, rows) == {}
+    killing = g.killing_form()
+    x, y = vecs[0], vecs[3]
+    want = sum((x[i] * killing[i][j] * y[j] for i in range(n) for j in range(n)), F(0))
+    assert bilinear(killing, sparse(x), sparse(y)) == want
+    ad = g.ad(sparse(x))
+    assert nullspace(ad, n) == [sparse(v) for v in nullspace_oracle(ad, n)]
+    red, _ = rref_oracle(vecs)
+    sub = span_subspace(g, rows)
+    assert sub.basis == [sparse(r) for r in red]
+    c = [F(k - 1, k + 1) for k in range(len(red))]
+    point = [sum((ck * r[t] for ck, r in zip(c, red)), F(0)) for t in range(n)]
+    assert Frame(sub.basis).coords(sparse(point)) == sparse(c)
+    if name.startswith("su1n_"):
+        model = build_su1n(int(name[len("su1n_"):]))
+        flipped = [s * a for s, a in zip(model.sigma_diagonal, combo)]
+        assert model.apply_sigma(sparse(combo)) == sparse(flipped)
 
 
 @pytest.mark.parametrize("a, b, c", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
@@ -332,8 +375,8 @@ def test_planted_jacobi_mutation_names_the_oracle_triple():
 
 def test_cached_structure_is_read_only():
     g = build_su1n(3).algebra
-    x = [F(i % 4 - 1, 1 + i % 3) for i in range(g.dim)]
-    y = [F(2 - i % 5) for i in range(g.dim)]
+    x = sparse([F(i % 4 - 1, 1 + i % 3) for i in range(g.dim)])
+    y = sparse([F(2 - i % 5) for i in range(g.dim)])
     before = g.bracket(x, y)
     key = next(iter(g.structure))
     k = next(iter(g.structure[key]))

@@ -8,31 +8,27 @@ import pytest
 
 from ballquant.linalg import (
     Frame,
-    identity_matrix,
     mat_inverse,
     nullspace,
     rank_sparse,
     rref,
+    solve_in_span,
     solve_linear,
 )
 
-from oracles import leading_principal_minors, mat_mul, rref_oracle
+from oracles import (
+    dense,
+    identity_matrix,
+    leading_principal_minors,
+    mat_mul,
+    nullspace_oracle,
+    rref_oracle,
+    sparse,
+)
 
 
 def frand(rng, lo=-6, hi=6):
     return F(rng.randint(lo, hi), rng.randint(1, 4))
-
-
-def oracle_nullspace(rows, ncols):
-    red, pivots = rref_oracle(rows)
-    basis = []
-    for fcol in (c for c in range(ncols) if c not in pivots):
-        v = [F(0)] * ncols
-        v[fcol] = F(1)
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -red[r][fcol]
-        basis.append(v)
-    return basis
 
 
 def random_matrices(seed, count):
@@ -59,14 +55,14 @@ def random_matrices(seed, count):
 def test_rref_canonical():
     rows = [[F(2), F(4), F(0)], [F(1), F(2), F(1)]]
     red, pivots = rref(rows)
-    assert red == [[F(1), F(2), F(0)], [F(0), F(0), F(1)]]
+    assert red == [{0: F(1), 1: F(2)}, {2: F(1)}]
     assert pivots == [0, 2]
 
 
 def test_rref_drops_zero_rows():
     rows = [[F(1), F(1)], [F(2), F(2)], [F(0), F(0)]]
     red, pivots = rref(rows)
-    assert red == [[F(1), F(1)]]
+    assert red == [{0: F(1), 1: F(1)}]
     assert pivots == [0]
 
 
@@ -76,7 +72,7 @@ def test_rref_idempotent_random():
         m = rng.randint(1, 5)
         n = rng.randint(1, 6)
         rows = [[frand(rng) for _ in range(n)] for _ in range(m)]
-        red, _ = rref(rows)
+        red = [dense(r, n) for r in rref(rows)[0]]
         again, _ = rref_oracle([r[:] for r in red])
         assert again == red
 
@@ -92,7 +88,7 @@ def test_nullspace_orthogonal_to_rows():
         assert len(null) == n - len(red)
         for v in null:
             for r in rows:
-                assert sum(a * b for a, b in zip(r, v)) == 0
+                assert sum(r[j] * x for j, x in v.items()) == 0
 
 
 def test_solve_linear_consistent_and_inconsistent():
@@ -137,11 +133,11 @@ def test_elimination_matches_dense_oracle():
     for rows, n in random_matrices(29, 200):
         shapes.add((len(rows) < n, len(rows) > n))
         red, pivots = rref_oracle(rows)
-        assert rref(rows) == (red, pivots)
-        null = oracle_nullspace(rows, n)
-        sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
-        assert nullspace(rows, n) == null and nullspace(sparse, n) == null
-        assert rank_sparse(rows) == rank_sparse(sparse) == len(red)
+        sparse_rows = [sparse(r) for r in rows]
+        assert rref(rows) == rref(sparse_rows) == ([sparse(r) for r in red], pivots)
+        null = [sparse(v) for v in nullspace_oracle(rows, n)]
+        assert nullspace(rows, n) == null and nullspace(sparse_rows, n) == null
+        assert rank_sparse(rows) == rank_sparse(sparse_rows) == len(red)
     assert shapes == {(True, False), (False, True), (False, False)}
 
 
@@ -150,10 +146,12 @@ def test_elimination_edge_cases():
     assert rref(zero) == ([], [])
     assert rank_sparse(zero) == rank_sparse([{}, {}]) == rank_sparse([]) == 0
     eye = identity_matrix(3)
-    assert nullspace(zero, 3) == oracle_nullspace(zero, 3) == eye
-    assert rref([]) == ([], []) and nullspace([], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert nullspace_oracle(zero, 3) == eye
+    assert nullspace(zero, 3) == [sparse(r) for r in eye]
+    assert rref([]) == ([], []) and nullspace([], 2) == [{0: F(1)}, {1: F(1)}]
     dup = [[F(1, 2), F(1, 3)], [F(1, 2), F(1, 3)], [F(3), F(2)]]
-    assert rref(dup) == rref_oracle(dup) == ([[F(1), F(2, 3)]], [0])
+    assert rref_oracle(dup) == ([[F(1), F(2, 3)]], [0])
+    assert rref(dup) == ([{0: F(1), 1: F(2, 3)}], [0])
     assert rank_sparse([{1: F(2)}, {1: F(-4)}, {0: F(1, 7), 1: F(1)}]) == 2
 
 
@@ -165,8 +163,12 @@ def test_leading_principal_minors():
 
 
 def test_frame_require_reads_the_span_and_names_what_left_it():
-    frame = Frame([[F(1), F(1), F(0)], {2: F(2)}])
-    assert frame.require([F(3), F(3), F(4)], "unused") == [F(3), F(2)]
-    assert frame.require({}, "unused") == [F(0), F(0)]
+    basis = [{0: F(1), 1: F(1)}, {2: F(2)}]
+    frame = Frame(basis)
+    assert frame.require({0: F(3), 1: F(3), 2: F(4)}, "unused") == {0: F(3), 1: F(2)}
+    assert frame.require({}, "unused") == {}
     with pytest.raises(ValueError, match="^left the plane$"):
-        frame.require([F(1), F(0), F(0)], "left the plane")
+        frame.require({0: F(1)}, "left the plane")
+    # solve_in_span writes the coordinates out densely, zeros included
+    assert solve_in_span(basis, {2: F(4)}) == [F(0), F(2)]
+    assert solve_in_span(basis, {0: F(1)}) is None

@@ -4,7 +4,8 @@ of the Poisson bracket, the associativity of the Moyal product, the
 Jacobi identity of the star commutator, the coordinates a linalg
 Frame reads against the dense rref oracle, and the linalg change-of-basis
 helpers (combine, bilinear, split_symplectic) against dense matrix
-products.
+products.  The drawn vectors are dense lists; the package reads and
+returns them as sparse maps, which must match the dense values exactly.
 
 Examples are drawn deterministically (derandomize=True), so a failure
 reproduces on every run.
@@ -20,11 +21,11 @@ from hypothesis import strategies as st
 
 from ballquant.ball_quantization import build_chart, poisson_structure
 from ballquant.formal_star import CoefFn, NuSeries, moyal, poisson, star_commutator
-from ballquant.linalg import Frame, bilinear, combine, identity_matrix, split_symplectic
+from ballquant.linalg import Frame, bilinear, combine, split_symplectic
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import GScalar, frac_str, parse_frac
 
-from oracles import mat_mul, rref_oracle
+from oracles import dense, identity_matrix, mat_mul, rref_oracle, sparse
 
 NV = 2
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
@@ -177,15 +178,17 @@ def test_frame_matches_rref_oracle(case):
     basis, v, c = case
     if _rank(basis) < len(basis):
         with pytest.raises(ValueError):
-            Frame(basis)
+            Frame(map(sparse, basis))
         return
-    frame = Frame(basis)
+    frame = Frame(map(sparse, basis))
     c = c[: len(basis)]
     combo = [sum((ck * b[t] for ck, b in zip(c, basis)), F(0)) for t in range(len(v))]
-    assert frame.coords(combo) == c
-    got = frame.coords(v)
+    assert frame.coords(sparse(combo)) == sparse(c)
+    got = frame.coords(sparse(v))
     assert (got is not None) == (_rank(basis + [v]) == len(basis))
     if got is not None:
+        assert all(got.values())
+        got = dense(got, len(basis))
         assert [sum((g * b[t] for g, b in zip(got, basis)), F(0)) for t in range(len(v))] == v
 
 
@@ -209,7 +212,8 @@ OVERLAP = ([[F(1), F(2)], [F(3), F(0)]], [F(1), F(-1)], [F(2), F(1)])
 @example(OVERLAP)
 def test_bilinear_is_x_transpose_m_y(case):
     matrix, x, y = case
-    assert bilinear(matrix, x, y) == mat_mul([x], mat_mul(matrix, [[v] for v in y]))[0][0]
+    want = mat_mul([x], mat_mul(matrix, [[v] for v in y]))[0][0]
+    assert bilinear(matrix, sparse(x), sparse(y)) == want
 
 
 @PROPERTY
@@ -217,7 +221,8 @@ def test_bilinear_is_x_transpose_m_y(case):
 @example(OVERLAP)
 def test_combine_is_a_row_times_a_matrix(case):
     matrix, x, _ = case
-    assert combine(x, matrix) == mat_mul([x], matrix)[0]
+    got = combine(sparse(x), [sparse(row) for row in matrix])
+    assert got == sparse(mat_mul([x], matrix)[0])
 
 
 @PROPERTY
