@@ -73,14 +73,15 @@ def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallC
     """Adapted chart data for su(1, N), exact over the rationals.
 
     basis is the adapted basis of the whole algebra in qmm_labels order,
-    (H, f, E, m, sigma f, sigma E), copied so the chart owns it; H, fs, E
-    and m_basis are its entries, and frame reads coordinates against it.
+    (H, f, E, m, sigma f, sigma E), a list the chart owns; H, fs, E and
+    m_basis are its entries (H and m_basis the model's read-only vectors),
+    and frame reads coordinates against it.
     """
     model = build_su1n(N)
     H, fs, E = adapted_s_basis(model)
     nv = len(fs)
     omega = split_symplectic(nv)
-    m_basis = [dict(b) for b in model.m_space.basis]
+    m_basis = model.m_space.basis
     sigma = [model.apply_sigma(x) for x in fs + [E]]
     basis = [H] + fs + [E] + m_basis + sigma
     frame = Frame(basis)
@@ -469,16 +470,7 @@ class CalibrationResult:
     tried: int
 
 
-CALIBRATION_GRID = [
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(1, 4),
-    Fraction(-1, 4),
-]
+CALIBRATION_GRID = [s * Fraction(x) for x in (1, 2, "1/2", "1/4") for s in (1, -1)]
 
 
 def calibrate(N: int) -> CalibrationResult:

@@ -8,11 +8,13 @@ The differential follows the convention
 
 so one-cochain coboundaries pair a bracket against a linear functional.
 The degree-two differential is built once per algebra, one sparse row
-per basis triple; delta, is_cocycle, the second cohomology dimensions
-(exact sparse ranks) and the cocycle spaces all read that table.  For
-the block algebras (psd_builder) and for the solvable part of su(1, N)
-there are closed-form primitives of exact two-cocycles; both are
-implemented here together with the pointwise cocycle test they rest on.
+per triple of ``lie_core.bracket_triples``, the walk of the Jacobi check
+(Jacobi is delta delta = 0); delta, is_cocycle, the second cohomology
+dimensions (exact sparse ranks) and the cocycle spaces all read that
+table.  For the block algebras (psd_builder) and for the solvable part
+of su(1, N) there are closed-form primitives of exact two-cocycles;
+both are implemented here together with the pointwise cocycle test they
+rest on.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from weakref import WeakKeyDictionary
 
-from .lie_core import LieAlgebra
+from .lie_core import LieAlgebra, bracket_triples
 from .linalg import Frame, bilinear, dense, nullspace, rank_sparse, transpose
 from .psd_builder import PsdAlgebra
 from .scalars import collect, frac_str, parse_frac
@@ -95,26 +97,15 @@ def _pair_index(n: int):
     return pairs, {p: t for t, p in enumerate(pairs)}
 
 
-def _d2_row(algebra: LieAlgebra, pidx: dict, i: int, j: int, k: int) -> dict:
+def _d2_row(pidx: dict, terms) -> dict:
+    """(delta c) on one triple as pair index -> s: c([e_a, e_b], e_c)
+    summed over the terms ([e_a, e_b], c) of ``bracket_triples``."""
     return collect(
         (pidx[(t, other)], s) if t < other else (pidx[(other, t)], -s)
-        for a, b, other in ((i, j, k), (j, k, i), (k, i, j))
-        for t, s in algebra.rows[a].get(b, {}).items()
+        for coeffs, other in terms
+        for t, s in coeffs.items()
         if t != other
     )
-
-
-def _bracket_triples(algebra: LieAlgebra) -> list:
-    """The triples i < j < k, in lexicographic order, with a nonzero
-    bracket among two of their elements; the degree-two differential
-    vanishes on every other triple."""
-    triples = {
-        tuple(sorted((i, j, k)))
-        for i, j in algebra.structure
-        for k in range(algebra.dim)
-        if k not in (i, j)
-    }
-    return sorted(triples)
 
 
 _D2_TABLES: WeakKeyDictionary = WeakKeyDictionary()
@@ -122,12 +113,13 @@ _D2_TABLES: WeakKeyDictionary = WeakKeyDictionary()
 
 def _d2_table(algebra: LieAlgebra) -> list:
     """The degree-two differential, built once per algebra (its structure
-    is read-only): (triple, row) for each of _bracket_triples, in order,
-    row the pair index -> s with (delta c)(triple) = sum of s c(pair)."""
+    is read-only): (triple, row) for each triple of ``bracket_triples``,
+    in order, row the pair index -> s with (delta c)(triple) = sum of
+    s c(pair)."""
     table = _D2_TABLES.get(algebra)
     if table is None:
         _, pidx = _pair_index(algebra.dim)
-        table = [(t, _d2_row(algebra, pidx, *t)) for t in _bracket_triples(algebra)]
+        table = [(t, _d2_row(pidx, terms)) for t, terms in bracket_triples(algebra.rows)]
         _D2_TABLES[algebra] = table
     return table
 

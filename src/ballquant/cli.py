@@ -79,7 +79,7 @@ def _check_args(args) -> None:
     for name in ("alpha", "value"):
         try:
             opts[f"{name}_q"] = None if opts.get(name) is None else parse_frac(opts[name])
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise UsageError(f"--{name} must be a rational number, got {opts[name]!r}") from None
     if opts.get("blocks") is not None:
         parts = [x for x in args.blocks.split(",") if x]
@@ -114,7 +114,7 @@ def _check_args(args) -> None:
             raise UsageError(f"--n must be at least 2, got {args.n}")
         try:
             args.theta = xifn_from_json(json.loads(args.theta_json))
-        except (ValueError, KeyError, TypeError, ZeroDivisionError):
+        except (ValueError, KeyError, TypeError):
             shape = '{"terms": [[k, m, n, h, j, re, im]]}'
             raise UsageError(f"--theta-json must look like {shape}") from None
 
@@ -189,10 +189,8 @@ def _suite_retract(args) -> tuple:
     one = NuSeries.from_coef(CoefFn.const(chart.nv, parse_frac("1")), order)
     # k_basis lists the m generators first, so their operators lead ops
     ops = [retract_operator(table, x, order=order) for x in k_basis(chart)[1]]
-    constants_ok = True
-    for op in ops:
-        if tuple([0] * (chart.nv + 2)) in op or not apply_operator(op, one, order).is_zero():
-            constants_ok = False
+    zero = (0,) * (chart.nv + 2)
+    constants_ok = all(zero not in op and apply_operator(op, one, order).is_zero() for op in ops)
     fields_ok = True
     for y, op in zip(chart.m_basis, ops):
         comps = fundamental_field(chart, y)
@@ -220,11 +218,9 @@ def _suite_cocycle(args) -> tuple:
     model = build_su1n(args.N)
     h2 = h2_dimension(model.algebra)
     sub, basis = invariant_cocycle_space(model)
-    primitive_ok = True
-    for gen in basis:
-        alpha = coboundary_primitive_roots(model, gen)
-        if delta(sub.algebra, alpha).data != gen.data:
-            primitive_ok = False
+    primitive_ok = all(
+        delta(sub.algebra, coboundary_primitive_roots(model, c)).data == c.data for c in basis
+    )
     ok = h2 == 0 and primitive_ok
     return ok, {
         "suite": "cocycle",

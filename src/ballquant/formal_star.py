@@ -497,8 +497,17 @@ def coef_to_json(f: CoefFn) -> dict:
 
 
 def coef_from_json(payload: dict) -> CoefFn:
-    terms = collect(((p, tuple(k), s, q), parse_frac(c)) for p, k, s, q, c in payload["terms"])
-    return CoefFn(payload["nv"], terms)
+    """Sum the listed terms: int exponents, multi-indices of nv entries."""
+    nv = payload["nv"]
+    if type(nv) is not int or nv < 0:
+        raise ValueError(f"nv must be an int >= 0, got {nv!r}")
+    items = []
+    for p, k, s, q, c in payload["terms"]:
+        k = tuple(k)
+        if len(k) != nv or any(type(e) is not int for e in (p, *k, s, q)):
+            raise ValueError(f"a term needs int exponents and {nv} multi-index entries: {k!r}")
+        items.append(((p, k, s, q), parse_frac(c)))
+    return CoefFn(nv, collect(items))
 
 
 def series_to_json(s: NuSeries) -> dict:
@@ -510,8 +519,13 @@ def series_to_json(s: NuSeries) -> dict:
 
 
 def series_from_json(payload: dict) -> NuSeries:
-    return NuSeries(
-        payload["order"],
-        [coef_from_json(c) for c in payload["coeffs"]],
-        payload["exact"],
-    )
+    """A series of order + 1 coefficients with one nv and a bool exact."""
+    order, exact = payload["order"], payload["exact"]
+    coeffs = [coef_from_json(c) for c in payload["coeffs"]]
+    if type(order) is not int or order < 0 or len(coeffs) != order + 1:
+        raise ValueError(f"order {order!r} needs order + 1 coefficients, got {len(coeffs)}")
+    if any(c.nv != coeffs[0].nv for c in coeffs):
+        raise ValueError("series coefficients differ in nv")
+    if type(exact) is not bool:
+        raise ValueError(f"exact must be a bool, got {exact!r}")
+    return NuSeries(order, coeffs, exact)

@@ -5,11 +5,12 @@ ordered basis pairs, also indexed by rows (rows[i][j] = [e_i, e_j]), so
 brackets, ad, the Killing form and the Jacobi check touch only nonzero
 structure constants.  Vectors are the sparse maps of ``linalg``
 (index -> nonzero coefficient), so a bracket reads only the nonzero
-coordinates of its arguments.  Construction validates the Jacobi
-identity on all basis triples and refuses invalid tables, so every
+coordinates of its arguments and ``ad`` returns sparse rows.
+Construction runs the Jacobi identity over ``bracket_triples``, the walk
+the CE differential also reads, and refuses invalid tables, so every
 instance in the rest of the package is an actual Lie algebra.  Subspaces
-keep a canonical reduced echelon basis, which makes equality of
-subspaces literal list equality.
+keep a canonical reduced echelon basis of read-only vectors, which makes
+equality of subspaces literal list equality.
 structure_in reads the structure constants of any list of vectors
 against a Frame, for any bracket; the su(1, N) model, subalgebras and
 the moment table all get theirs from it.
@@ -21,11 +22,11 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .linalg import Frame, nullspace, rref, zeros
-from .scalars import frac_str, parse_frac
+from .linalg import Frame, combine, nullspace, rref, transpose, zeros
+from .scalars import collect, frac_str, parse_frac
 
-Scalar = Fraction
 Vector = dict
+_EMPTY = MappingProxyType({})
 
 
 @dataclass
@@ -55,33 +56,41 @@ def _row_table(dim: int, structure) -> tuple:
     return tuple(MappingProxyType(r) for r in rows)
 
 
-def jacobi_report(dim: int, structure) -> JacobiReport:
-    """Check the Jacobi identity of a raw structure table.
-
-    Contracts c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m over the basis
-    triples i < j < k in lexicographic order, skipping triples whose three
-    brackets all vanish.  Reports the first failing triple with the
-    residual of that triple as a vector, so a failed construction can
-    point at the offending relation.
-    """
-    rows = _row_table(dim, structure)
-    empty = {}
+def bracket_triples(rows):
+    """The basis triples i < j < k, in lexicographic order, with a nonzero
+    bracket among two of their elements, each with its terms (rows[a][b], c)
+    for (a, b, c) = (i, j, k), (j, k, i), (k, i, j).  The Jacobiator and
+    the degree-two CE differential sum over these terms and vanish on
+    every triple left out."""
+    dim = len(rows)
     for i in range(dim):
         ri = rows[i]
         for j in range(i + 1, dim):
             rj = rows[j]
-            cij = ri.get(j)
+            cij = ri.get(j, _EMPTY)
             for k in range(j + 1, dim):
-                cjk, cki = rj.get(k), rows[k].get(i)
-                if not (cij or cjk or cki):
-                    continue
-                res = {}
-                for c, last in ((cij, k), (cjk, i), (cki, j)):
-                    for l, a in (c or empty).items():
-                        for m, b in rows[l].get(last, empty).items():
-                            res[m] = res.get(m, 0) + a * b
-                if any(res.values()):
-                    return JacobiReport(False, (i, j, k), {m: v for m, v in res.items() if v})
+                cjk, cki = rj.get(k, _EMPTY), rows[k].get(i, _EMPTY)
+                if cij or cjk or cki:
+                    yield (i, j, k), ((cij, k), (cjk, i), (cki, j))
+
+
+def jacobi_report(dim: int, structure) -> JacobiReport:
+    """Check the Jacobi identity of a raw structure table.
+
+    Contracts c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m over the
+    triples of ``bracket_triples``.  Reports the first failing triple
+    with the residual of that triple as a vector, so a failed
+    construction can point at the offending relation.
+    """
+    rows = _row_table(dim, structure)
+    for triple, terms in bracket_triples(rows):
+        res = {}
+        for c, last in terms:
+            for l, a in c.items():
+                for m, b in rows[l].get(last, _EMPTY).items():
+                    res[m] = res.get(m, 0) + a * b
+        if any(res.values()):
+            return JacobiReport(False, triple, {m: v for m, v in res.items() if v})
     return JacobiReport(True, None, None)
 
 
@@ -130,13 +139,9 @@ class LieAlgebra:
         return {k: v for k, v in out.items() if v}
 
     def ad(self, x: Vector) -> list:
-        """Matrix of ad_x in the basis (columns are [x, e_j])."""
-        out = [zeros(self.dim) for _ in range(self.dim)]
-        for i, xi in x.items():
-            for j, coeffs in self.rows[i].items():
-                for k, v in coeffs.items():
-                    out[k][j] += xi * v
-        return out
+        """ad_x as sparse rows: row k maps j to the coefficient of e_k in
+        [x, e_j], the columns [x, e_j] transposed."""
+        return transpose([self.bracket(x, {j: 1}) for j in range(self.dim)], self.dim)
 
     def check_jacobi(self) -> JacobiReport:
         return jacobi_report(self.dim, self.structure)
@@ -166,19 +171,26 @@ class LieAlgebra:
 
     @staticmethod
     def from_json(data: dict) -> "LieAlgebra":
-        structure = {
-            (item["i"], item["j"]): {int(k): parse_frac(v) for k, v in item["coeffs"].items()}
-            for item in data["brackets"]
-        }
+        """The algebra of a to_json dict; repeated pair entries are summed."""
+        if type(data["dim"]) is not int:
+            raise ValueError(f"dim must be an int, got {data['dim']!r}")
+        structure = {}
+        for item in data["brackets"]:
+            key = (item["i"], item["j"])
+            if any(type(x) is not int for x in key):
+                raise ValueError(f"bracket indices must be ints, got {key!r}")
+            coeffs = ((int(k), parse_frac(v)) for k, v in item["coeffs"].items())
+            structure[key] = collect(coeffs, structure.get(key))
         return LieAlgebra(data["dim"], data["labels"], structure)
 
 
 class Subspace:
-    """Subspace of a LieAlgebra with canonical echelon basis."""
+    """Subspace of a LieAlgebra with a canonical echelon basis: a list of
+    read-only vectors, which a cached subspace hands out as they are."""
 
     def __init__(self, algebra: LieAlgebra, vectors: list):
         self.algebra = algebra
-        self.basis, _ = rref(vectors)
+        self.basis = [MappingProxyType(r) for r in rref(vectors)[0]]
         self.dim = len(self.basis)
 
     @cached_property
@@ -208,14 +220,10 @@ def _killed_by(algebra: LieAlgebra, sub: Subspace, functionals: list) -> Subspac
     """The x with f([x, s]) = 0 for every s in sub and f in functionals.
 
     Functionals are sparse dicts k -> coefficient of coordinate k.  The
-    row of (s, f) is f applied to the columns [s, e_i] of ad s, which is
-    -f([e_i, s]) and has the same kernel.
+    row of (s, f) is the combination of the rows of ad s that f weighs,
+    i -> f([s, e_i]), which is -f([e_i, s]) and has the same kernel.
     """
-    rows = []
-    for s in sub.basis:
-        ad_s = algebra.ad(s)
-        for f in functionals:
-            rows.append([sum(c * ad_s[k][i] for k, c in f.items()) for i in range(algebra.dim)])
+    rows = [combine(f, ad_s) for ad_s in map(algebra.ad, sub.basis) for f in functionals]
     return Subspace(algebra, nullspace(rows, algebra.dim))
 
 
@@ -265,14 +273,14 @@ def structure_in(frame: Frame, vectors: list, bracket) -> dict:
 def subalgebra(algebra: LieAlgebra, sub: Subspace, labels=None):
     """Restrict the bracket to a bracket-closed subspace.
 
-    Returns the restricted LieAlgebra together with the embedding basis
-    (rows are the canonical basis vectors of the subspace inside the
-    parent coordinates).  Raises ValueError when the subspace is not
-    bracket closed.
+    Returns the restricted LieAlgebra together with the embedding basis:
+    the read-only canonical basis of the subspace, in parent
+    coordinates.  Raises ValueError when the subspace is not bracket
+    closed.
     """
     basis = sub.basis
     n = len(basis)
     structure = structure_in(sub.frame, basis, algebra.bracket)
     if labels is None:
         labels = [f"b{i}" for i in range(n)]
-    return LieAlgebra(n, labels, structure), [dict(row) for row in basis]
+    return LieAlgebra(n, labels, structure), basis

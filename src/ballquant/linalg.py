@@ -4,8 +4,8 @@ Everything here works over ``fractions.Fraction`` and is fully exact.
 A vector is a sparse map ``{index: nonzero Fraction}``: an absent index
 is a zero coordinate and no vector stores a zero, so ``not v`` tests
 for the zero vector and two vectors are equal exactly when their maps
-are.  A matrix is a dense list of rows.  ``dense`` writes a vector out
-as a list, for the formats that need one.
+are.  A matrix is a list of vector rows (``ad``) or, where a format
+needs one, of dense rows, as ``dense`` writes a vector out.
 
 There is one elimination, ``_echelon``: a sparse fraction-free forward
 elimination that scales each row to coprime integers and never leaves

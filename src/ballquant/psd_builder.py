@@ -34,13 +34,13 @@ class PsdAlgebra:
 
 
 def _block_roles(nj: int):
-    roles = ["H"] + [f"v{i}" for i in range(1, 2 * (nj - 1) + 1)] + ["E"]
-    return roles
+    return ["H"] + [f"v{i}" for i in range(1, 2 * (nj - 1) + 1)] + ["E"]
 
 
 def build_psd(spec: PsdSpec) -> PsdAlgebra:
-    if spec.r < 1 or len(spec.n) != spec.r or any(nj < 1 for nj in spec.n):
-        raise ValueError("spec needs r >= 1 and r block sizes >= 1")
+    sizes_ok = all(type(nj) is int and nj >= 1 for nj in spec.n)
+    if type(spec.r) is not int or spec.r < 1 or len(spec.n) != spec.r or not sizes_ok:
+        raise ValueError(f"spec needs an int r >= 1 and r int block sizes >= 1, got {spec}")
     labels = []
     blocks = {}
     for j in range(spec.r, 0, -1):
@@ -75,7 +75,7 @@ def build_psd(spec: PsdSpec) -> PsdAlgebra:
             put(b["V"][a], b["V"][half + a], b["E"], Fraction(1))
 
     for (j, k), maps in (spec.cross_actions or {}).items():
-        if not (1 <= j < k <= spec.r):
+        if type(j) is not int or type(k) is not int or not (1 <= j < k <= spec.r):
             raise ValueError(f"cross action {(j, k)} must map an outer block to an inner one")
         inner = blocks[j]
         nv = len(inner["V"])

@@ -259,8 +259,7 @@ def k_basis(chart: BallChart):
     labels = [f"m{i + 1}" for i in range(len(chart.m_basis))]
     labels += [f"kf{i + 1}" for i in range(chart.nv)] + ["kE"]
     sigma = chart.basis[-(chart.nv + 1) :]
-    vecs = [dict(y) for y in chart.m_basis]
-    vecs += [vec_add(x, sx) for x, sx in zip(chart.fs + [chart.E], sigma)]
+    vecs = chart.m_basis + [vec_add(x, sx) for x, sx in zip(chart.fs + [chart.E], sigma)]
     return labels, vecs
 
 

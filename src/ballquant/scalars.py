@@ -25,9 +25,13 @@ def frac_str(x: Fraction) -> str:
 
 def parse_frac(s) -> Fraction:
     """An exact rational from a string such as "-3/4" or "0.1", or from an
-    int; a float or a bool is refused, since its value is not exact."""
+    int; a float or a bool is refused, since its value is not exact, and
+    so is a zero denominator."""
     if isinstance(s, str) or type(s) is int:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"{s!r} has a zero denominator") from None
     raise ValueError(f"expected a rational as a string or an int, got {s!r}")
 
 

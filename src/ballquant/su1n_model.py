@@ -95,7 +95,7 @@ class RootDatum:
 
     lambda_of_H: list
     space: Subspace
-    H_lambda: dict
+    H_lambda: MappingProxyType
 
 
 @dataclass
@@ -110,7 +110,7 @@ class Su1nModel:
     m_space: Subspace
     s_space: Subspace
     roots: list
-    H0: dict
+    H0: MappingProxyType
     beta: tuple
     beta_H0: Fraction
     matrices: tuple
@@ -132,10 +132,10 @@ class Su1nModel:
 
 @lru_cache(maxsize=None)
 def build_su1n(N: int) -> Su1nModel:
-    """Construct the su(1, N) model; results are cached.  The structure
-    table, beta, sigma_diagonal and matrices are read-only at every level;
-    the subspace bases, the vector H0 and roots are mutable, but callers
-    must not mutate them."""
+    """Construct the su(1, N) model; results are cached.  Every vector of
+    the model (the subspace bases, H0 and each H_lambda) is a read-only
+    map, and the structure table, beta, sigma_diagonal and matrices are
+    read-only at every level, so callers use them without copying."""
     if N < 1:
         raise ValueError("N must be at least 1")
     mats, labels, signs = _basis_matrices(N)
@@ -148,7 +148,7 @@ def build_su1n(N: int) -> Su1nModel:
     algebra = LieAlgebra(dim, labels, structure)
 
     h0_index = N  # label P1
-    H0 = algebra.basis_vector(h0_index)
+    H0 = MappingProxyType(algebra.basis_vector(h0_index))
     beta = algebra.killing_form()
     beta_H0 = beta[h0_index][h0_index]
 
@@ -159,17 +159,14 @@ def build_su1n(N: int) -> Su1nModel:
     ad_h0 = algebra.ad(H0)
     roots = []
     for t in map(Fraction, (2, 1, 0, -1, -2)):
-        shifted = [[ad_h0[i][j] - (t if i == j else 0) for j in range(dim)] for i in range(dim)]
+        shifted = [vec_add(row, {i: -t}) for i, row in enumerate(ad_h0)]
         space = span_subspace(algebra, nullspace(shifted, dim))
         if space.dim:
-            roots.append(RootDatum([t], space, vec_scale(H0, t / beta_H0)))
+            roots.append(RootDatum([t], space, MappingProxyType(vec_scale(H0, t / beta_H0))))
     if sum(r.space.dim for r in roots) != dim:
         raise AssertionError("restricted-root spaces do not fill the algebra")
 
-    positive = [r for r in roots if r.lambda_of_H[0] > 0]
-    n_vecs = []
-    for r in positive:
-        n_vecs.extend(r.space.basis)
+    n_vecs = [x for r in roots if r.lambda_of_H[0] > 0 for x in r.space.basis]
     n_space = span_subspace(algebra, n_vecs)
     s_space = span_subspace(algebra, a_space.basis + n_space.basis)
     # the weight-0 root space is the centralizer of a
@@ -215,6 +212,7 @@ def adapted_s_basis(model: Su1nModel):
     that -beta(E, sigma E) = 2 beta(H, H).  The short root space is put
     into symplectic normal form for the bracket pairing [x, y] = b(x, y) E,
     ordered split-half so the pairing matrix is [[0, I], [-I, 0]].
+    H, and any short root vector kept as it is, are the model's own.
     """
     top = [r for r in model.roots if r.lambda_of_H[0] == 2][0]
     e_raw = top.space.basis[0]
@@ -222,7 +220,7 @@ def adapted_s_basis(model: Su1nModel):
     E = vec_scale(e_raw, scale)
 
     short = [r for r in model.roots if r.lambda_of_H[0] == 1]
-    rem = [dict(v) for v in short[0].space.basis] if short else []
+    rem = list(short[0].space.basis) if short else []
     top_line = Frame([E])
 
     def bform(x, y):
@@ -248,7 +246,7 @@ def adapted_s_basis(model: Su1nModel):
     fs = xs + ys
     if [[bform(fi, fj) for fj in fs] for fi in fs] != split_symplectic(len(fs)):
         raise AssertionError("symplectic normal form check failed")
-    return dict(model.H0), fs, E
+    return model.H0, fs, E
 
 
 def verify_sigma_pairing(model: Su1nModel) -> CheckReport:
@@ -288,10 +286,9 @@ def verify_m_orthocomplement(model: Su1nModel) -> CheckReport:
         return CheckReport(True, 0, [])
     space = short[0].space
     basis = space.basis
-    samples = [dict(b) for b in basis]
+    samples = list(basis)
     if len(basis) >= 2:
-        samples.append(vec_add(basis[0], basis[1]))
-        samples.append(combine({0: Fraction(2), 1: Fraction(-3)}, basis))
+        samples += [vec_add(basis[0], basis[1]), combine({0: Fraction(2), 1: Fraction(-3)}, basis)]
     for x in samples:
         checked += 1
         bracket_span = span_subspace(
@@ -321,8 +318,9 @@ class SSubmodel:
     and frame reads coordinates against them; H is the restricted-root
     generator, and each entry of roots is a pair (root value on H, root
     space basis) in submodel coordinates.  embedding and roots are
-    tuples and every vector is a read-only map, since s_submodel caches
-    one instance per model object.
+    tuples and every vector is a read-only map (the embedding rows are
+    the model's own s basis vectors), since s_submodel caches one
+    instance per model object.
     """
 
     algebra: LieAlgebra
@@ -353,7 +351,7 @@ def s_submodel(model: Su1nModel) -> SSubmodel:
     to_sub = lambda x: MappingProxyType(frame.coords(x))
     out = SSubmodel(
         algebra=sub,
-        embedding=tuple(map(MappingProxyType, embedding)),
+        embedding=tuple(embedding),
         frame=frame,
         H=to_sub(model.H0),
         roots=tuple(
@@ -368,11 +366,7 @@ def s_submodel(model: Su1nModel) -> SSubmodel:
 
 
 def beta_sigma_gram(model: Su1nModel) -> list:
-    dim = model.algebra.dim
-    return [
-        [-model.beta[i][j] * model.sigma_diagonal[j] for j in range(dim)]
-        for i in range(dim)
-    ]
+    return [[-b * s for b, s in zip(row, model.sigma_diagonal)] for row in model.beta]
 
 
 def model_to_json(model: Su1nModel) -> dict:

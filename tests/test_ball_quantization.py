@@ -143,16 +143,27 @@ def test_chart_basis_is_the_table_basis_in_label_order():
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_chart_and_table_cannot_change_the_cached_model(N):
-    """The chart owns copies of the adapted basis: writing to every table
-    basis vector and to the chart's H leaves the cached model as built."""
+    """The table basis holds the cached model's read-only vectors (H, m)
+    and vectors the chart owns (f, E, sigma images): a write through a
+    model vector raises, a write through a chart vector goes through, and
+    the cached model stays as built either way."""
     model = build_su1n(N)
     before = (model_to_json(model), dict(model.H0), qmm_table_to_json(build_qmm(N)))
     table = build_qmm(N)
+    assert table.chart.H is model.H0
+    shared = [model.H0] + model.m_space.basis + [x for r in model.roots for x in r.space.basis]
     sevens = {j: F(7) for j in range(model.algebra.dim)}
+    owned = 0
     for v in table.basis:
-        v.update(sevens)
-    chart = build_chart(N)
-    chart.H.update(sevens)
+        if any(v is w for w in shared):
+            with pytest.raises((TypeError, AttributeError)):
+                v.update(sevens)
+            with pytest.raises(TypeError):
+                v[0] = F(7)
+        else:
+            v.update(sevens)
+            owned += 1
+    assert owned >= table.chart.nv + 2
     model = build_su1n(N)
     assert (model_to_json(model), model.H0, qmm_table_to_json(build_qmm(N))) == before
 

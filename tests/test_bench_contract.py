@@ -93,6 +93,33 @@ def test_verify_qmm_calls_the_rebound_c_operator():
     assert calls and all(m % 2 for m in calls)
 
 
+def test_h2_dimension_builds_its_rows_through_the_rebound_d2_row():
+    """On a fresh algebra h2_dimension builds one degree-two row per triple
+    of lie_core.bracket_triples through ce_cohomology._d2_row, by module
+    name, so the tracer's ce_cohomology.d2_rows counter sees every row."""
+    from ballquant.ce_cohomology import h2_dimension
+    from ballquant.lie_core import bracket_triples
+    from ballquant.psd_builder import PsdSpec, build_psd
+
+    g = build_psd(PsdSpec(3, [2, 1, 2])).algebra
+    rows = []
+
+    def make_wrapper(original):
+        def wrapper(*args, **kwargs):
+            rows.append(original(*args, **kwargs))
+            return rows[-1]
+
+        return wrapper
+
+    undo = tracer.rebind("ce_cohomology", "_d2_row", make_wrapper)
+    try:
+        h2 = h2_dimension(g)
+    finally:
+        tracer.restore(undo)
+    assert h2 == 3
+    assert len(rows) == len(list(bracket_triples(g.rows))) and any(rows)
+
+
 @pytest.mark.parametrize("name", ["qmm", "structure", "retract"])
 def test_in_process_workload_checks_pass(name):
     work = load_workloads().make(name, 1, ROOT)

@@ -484,6 +484,55 @@ def test_coef_from_json_sums_repeated_terms():
     assert g.is_zero()
 
 
+def test_coef_from_json_refuses_a_multi_index_of_the_wrong_length():
+    """Loaded, [0, [1], 0, 0, "1"] on nv = 2 would multiply with
+    monomial(2, 0, (1, 1), 0, 0, 1) to the key (0, (2,), 0, 0): the
+    multi-indices zip and v_2 drops out."""
+    for k in ([1], [1, 0, 0], []):
+        with pytest.raises(ValueError, match="2 multi-index entries"):
+            coef_from_json({"nv": 2, "terms": [[0, k, 0, 0, "1"]]})
+
+
+@pytest.mark.parametrize("position", range(5))
+@pytest.mark.parametrize("bad", [0.5, True, "1", None])
+def test_coef_from_json_refuses_an_exponent_that_is_not_an_int(position, bad):
+    exponents = [0, 1, 0, 0, 2]  # p, k_1, k_2, alpha power, z power
+    exponents[position] = bad
+    p, k1, k2, s, q = exponents
+    with pytest.raises(ValueError, match="int exponents"):
+        coef_from_json({"nv": 2, "terms": [[p, [k1, k2], s, q, "1"]]})
+
+
+@pytest.mark.parametrize("nv", [-1, True, "2", 2.0, None])
+def test_coef_from_json_refuses_an_nv_that_is_not_an_int_at_least_zero(nv):
+    with pytest.raises(ValueError, match="nv must be an int"):
+        coef_from_json({"nv": nv, "terms": []})
+
+
+def _series_blob(order=1, exact=True, nvs=(2, 2)):
+    return {"order": order, "exact": exact, "coeffs": [{"nv": nv, "terms": []} for nv in nvs]}
+
+
+@pytest.mark.parametrize(
+    "order, nvs", [(1, (2,)), (1, (2, 2, 2)), (0, ()), (-1, ()), (True, (2, 2))]
+)
+def test_series_from_json_refuses_a_coefficient_count_other_than_order_plus_one(order, nvs):
+    with pytest.raises(ValueError, match="order \\+ 1 coefficients"):
+        series_from_json(_series_blob(order=order, nvs=nvs))
+
+
+def test_series_from_json_refuses_coefficients_of_different_nv():
+    with pytest.raises(ValueError, match="differ in nv"):
+        series_from_json(_series_blob(nvs=(2, 3)))
+
+
+@pytest.mark.parametrize("exact", ["no", 1, 0, None])
+def test_series_from_json_refuses_an_exact_flag_that_is_not_a_bool(exact):
+    with pytest.raises(ValueError, match="exact must be a bool"):
+        series_from_json(_series_blob(exact=exact))
+    assert series_from_json(_series_blob(exact=False)).exact is False
+
+
 def test_monomial_and_series_shape_errors():
     with pytest.raises(ValueError, match="multi-index length"):
         CoefFn.monomial(2, 0, (1,), 0, 0, F(1))

@@ -23,6 +23,7 @@ from ballquant.lie_core import (
     JacobiReport,
     LieAlgebra,
     Subspace,
+    bracket_triples,
     center,
     centralizer,
     derived_subalgebra,
@@ -72,14 +73,19 @@ def jacobi_oracle(dim, structure):
     return JacobiReport(True, None, None)
 
 
-def killing_oracle(g):
-    """tr(ad e_i ad e_j) from dense ad matrices built by bracket_oracle."""
+def ad_oracle(g, x):
+    """Dense ad_x from bracket_oracle: entry (r, j) is the coefficient of
+    e_r in [x, e_j]."""
     n = g.dim
     e = [[F(int(a == b)) for b in range(n)] for a in range(n)]
-    ads = []
-    for i in range(n):
-        cols = [bracket_oracle(n, g.structure, e[i], e[j]) for j in range(n)]
-        ads.append([[cols[j][r] for j in range(n)] for r in range(n)])
+    cols = [bracket_oracle(n, g.structure, x, e[j]) for j in range(n)]
+    return [[cols[j][r] for j in range(n)] for r in range(n)]
+
+
+def killing_oracle(g):
+    """tr(ad e_i ad e_j) from the dense ad matrices of ad_oracle."""
+    n = g.dim
+    ads = [ad_oracle(g, [F(int(a == i)) for a in range(n)]) for i in range(n)]
     k = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -235,6 +241,30 @@ def test_construction_rejects_a_coefficient_index_outside_the_basis(dim, key):
         LieAlgebra.from_json(blob)
 
 
+def test_from_json_sums_repeated_pair_entries():
+    """Two entries for (0, 1) add up: opposite ones cancel to an abelian
+    algebra, where the last entry used to win with [e0, e1] = -e1."""
+    def blob(*coeffs):
+        brackets = [{"i": 0, "j": 1, "coeffs": {"1": c}} for c in coeffs]
+        return {"dim": 2, "labels": ["a", "b"], "brackets": brackets}
+
+    assert LieAlgebra.from_json(blob("1", "-1")).structure == {}
+    assert LieAlgebra.from_json(blob("1/2", "1/2")).structure == {(0, 1): {1: F(1)}}
+
+
+@pytest.mark.parametrize(
+    "field, bad", [("i", "0"), ("i", True), ("j", None), ("j", 1.0), ("dim", True), ("dim", "2")]
+)
+def test_from_json_refuses_indices_that_are_not_ints(field, bad):
+    data = {"dim": 2, "labels": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}]}
+    if field == "dim":
+        data["dim"] = bad
+    else:
+        data["brackets"][0][field] = bad
+    with pytest.raises(ValueError, match="must be an int|must be ints"):
+        LieAlgebra.from_json(data)
+
+
 def test_intersection_with_an_empty_subspace():
     g = sl2_like()
     whole = span_subspace(g, [g.basis_vector(i) for i in range(3)])
@@ -314,10 +344,29 @@ def test_sparse_kernel_matches_dense_oracles(name):
     assert g.killing_form() == killing_oracle(g)
 
 
+@pytest.mark.parametrize("name", [f"su1n_{N}" for N in (1, 2, 3, 4)] + list(PSD_SPECS))
+def test_bracket_triples_is_the_brute_force_triple_scan(name):
+    """Every i < j < k in lexicographic order with a nonzero bracket among
+    two of its elements, each with ([e_a, e_b], c) for the cyclic (a, b, c),
+    brackets read off the whole table by bracket_oracle."""
+    g = agreement_algebra(name)
+    e = [[F(int(a == b)) for b in range(g.dim)] for a in range(g.dim)]
+    want = []
+    for i, j, k in combinations(range(g.dim), 3):
+        terms = [
+            (sparse(bracket_oracle(g.dim, g.structure, e[a], e[b])), c)
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+        ]
+        if any(br for br, _ in terms):
+            want.append(((i, j, k), terms))
+    got = [(t, [(dict(br), c) for br, c in terms]) for t, terms in bracket_triples(g.rows)]
+    assert got == want
+
+
 @pytest.mark.parametrize("name", ["su1n_1", "su1n_2", "su1n_3", "psd_3_2_3", "psd_cross_action"])
 def test_vectors_are_sparse_maps_that_agree_with_dense_oracles(name):
-    """combine, bilinear, nullspace, Subspace.basis, Frame.coords and, on
-    su(1, N), apply_sigma give the dense values as sparse maps.  The
+    """combine, bilinear, ad, nullspace, Subspace.basis, Frame.coords and,
+    on su(1, N), apply_sigma give the dense values as sparse maps.  The
     oracle side goes through sparse(), which drops zeros, so equality
     also says that no result stores a zero."""
     g = agreement_algebra(name)
@@ -334,8 +383,9 @@ def test_vectors_are_sparse_maps_that_agree_with_dense_oracles(name):
     x, y = vecs[0], vecs[3]
     want = sum((x[i] * killing[i][j] * y[j] for i in range(n) for j in range(n)), F(0))
     assert bilinear(killing, sparse(x), sparse(y)) == want
-    ad = g.ad(sparse(x))
-    assert nullspace(ad, n) == [sparse(v) for v in nullspace_oracle(ad, n)]
+    ad, dense_ad = g.ad(sparse(x)), ad_oracle(g, x)
+    assert ad == [sparse(row) for row in dense_ad]
+    assert nullspace(ad, n) == [sparse(v) for v in nullspace_oracle(dense_ad, n)]
     red, _ = rref_oracle(vecs)
     sub = span_subspace(g, rows)
     assert sub.basis == [sparse(r) for r in red]

@@ -2,16 +2,18 @@
 formula, ring laws of the shared sparse core, the Leibniz rule
 of the Poisson bracket, the associativity of the Moyal product, the
 Jacobi identity of the star commutator, the coordinates a linalg
-Frame reads against the dense rref oracle, and the linalg change-of-basis
+Frame reads against the dense rref oracle, the linalg change-of-basis
 helpers (combine, bilinear, split_symplectic) against dense matrix
-products.  The drawn vectors are dense lists; the package reads and
-returns them as sparse maps, which must match the dense values exactly.
+products, and the importers on mutated exports.  The drawn vectors are
+dense lists; the package reads and returns them as sparse maps, which
+must match the dense values exactly.
 
 Examples are drawn deterministically (derandomize=True), so a failure
 reproduces on every run.
 """
 from __future__ import annotations
 
+import copy
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -20,8 +22,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballquant.ball_quantization import build_chart, poisson_structure
-from ballquant.formal_star import CoefFn, NuSeries, moyal, poisson, star_commutator
+from ballquant.formal_star import (
+    CoefFn,
+    NuSeries,
+    coef_from_json,
+    coef_to_json,
+    moyal,
+    poisson,
+    series_from_json,
+    series_to_json,
+    star_commutator,
+)
+from ballquant.lie_core import LieAlgebra
 from ballquant.linalg import Frame, bilinear, combine, split_symplectic
+from ballquant.psd_builder import PsdSpec, build_psd, psd_spec_from_json, psd_spec_to_json
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import GScalar, frac_str, parse_frac
 
@@ -79,7 +93,7 @@ def test_parse_frac_reads_frac_str_back(x):
 def test_parse_frac_takes_strings_and_ints_only():
     assert parse_frac("0.1") == F(1, 10)
     assert parse_frac(" -3/4 ") == F(-3, 4) and parse_frac(-3) == -3
-    for bad in (0.5, 0.1, True, False, F(1, 2), None, [1]):
+    for bad in (0.5, 0.1, True, False, F(1, 2), None, [1], "1/0", "-3/0"):
         with pytest.raises(ValueError):
             parse_frac(bad)
 
@@ -234,3 +248,146 @@ def test_split_symplectic_is_antisymmetric_with_square_minus_one(half):
     assert [row[half:] for row in omega[:half]] == identity_matrix(half)
     assert [list(col) for col in zip(*omega)] == [[-v for v in row] for row in omega]
     assert mat_mul(omega, omega) == [[-v for v in row] for row in identity_matrix(n)]
+
+
+# Importers: a valid export with one change either loads a well-formed
+# object, whose export then loads back to the same export, or raises
+# ValueError; any other exception fails.
+
+ODD_LEAVES = [-1, 0, 1, 2, 3, True, False, 0.5, None, "", "x", "1/2", "1/0"]
+TWIST = {(1, 2): {"H": [[F(1), F(0)], [F(0), F(-1)]]}}
+
+
+def _spots(node, path=()):
+    """The path of every list and every scalar leaf inside a JSON value
+    whose root is a dict."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _spots(value, path + (key,))
+        return
+    yield path
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _spots(value, path + (i,))
+
+
+def _parent(data, path: tuple):
+    """The container that holds the entry at path."""
+    for key in path[:-1]:
+        data = data[key]
+    return data
+
+
+def _changed(valid: dict, path: tuple, value) -> dict:
+    """A copy of valid with the entry at path set to value."""
+    data = copy.deepcopy(valid)
+    _parent(data, path)[path[-1]] = value
+    return data
+
+
+@st.composite
+def mutations(draw, valid: dict):
+    """A copy of valid with one change: a scalar leaf replaced by one of
+    ODD_LEAVES, or one entry of a list dropped or repeated."""
+    data = copy.deepcopy(valid)
+    path = draw(st.sampled_from(list(_spots(data))))
+    parent = _parent(data, path)
+    node = parent[path[-1]]
+    if not isinstance(node, list):
+        parent[path[-1]] = draw(st.sampled_from(ODD_LEAVES))
+    elif node:
+        i = draw(st.integers(0, len(node) - 1))
+        if draw(st.booleans()):
+            del node[i]
+        else:
+            node.insert(i, copy.deepcopy(node[i]))
+    return data
+
+
+def _loads_or_refuses(load, export, data):
+    """The loaded object, after checking that its export loads back to the
+    same export, or None when load raises ValueError."""
+    try:
+        obj = load(data)
+    except ValueError:
+        return None
+    assert export(load(export(obj))) == export(obj)
+    return obj
+
+
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+def _psd_spec(data):
+    spec = psd_spec_from_json(data)
+    build_psd(spec)
+    return spec
+
+
+IMPORT_CHECKS = settings(derandomize=True, max_examples=150, deadline=None)
+VALID_COEF = coef_to_json(
+    CoefFn.monomial(2, 1, (1, 0), 0, 2, F(3, 4)).add(CoefFn.const(2, F(-1)))
+)
+VALID_SERIES = series_to_json(
+    NuSeries(2, [coef_from_json(VALID_COEF), CoefFn.zero(2), CoefFn.const(2, F(2))], False)
+)
+VALID_ALGEBRA = build_psd(PsdSpec(2, [2, 1], TWIST)).algebra.to_json()
+VALID_SPEC = psd_spec_to_json(PsdSpec(2, [2, 1], TWIST))
+
+
+def _coef_is_well_formed(f) -> bool:
+    return _is_int(f.nv) and all(
+        len(k) == f.nv and all(map(_is_int, (p, *k, s, q))) for p, k, s, q in f.terms
+    )
+
+
+@IMPORT_CHECKS
+@given(mutations(VALID_COEF))
+@example(_changed(VALID_COEF, ("terms", 0, 4), "1/0"))
+@example(_changed(VALID_COEF, ("terms", 0, 1), [0, 0, 0]))
+@example(_changed(VALID_COEF, ("terms", 0, 0), True))
+def test_coef_from_json_loads_or_refuses(data):
+    f = _loads_or_refuses(coef_from_json, coef_to_json, data)
+    assert f is None or _coef_is_well_formed(f)
+
+
+@IMPORT_CHECKS
+@given(mutations(VALID_SERIES))
+@example(_changed(VALID_SERIES, ("coeffs", 2, "terms", 0, 4), "1/0"))
+@example(_changed(VALID_SERIES, ("order",), -1))
+@example(_changed(VALID_SERIES, ("exact",), -1))
+@example(_changed(VALID_SERIES, ("coeffs", 1, "nv"), 3))
+def test_series_from_json_loads_or_refuses(data):
+    s = _loads_or_refuses(series_from_json, series_to_json, data)
+    if s is not None:
+        assert _is_int(s.order) and len(s.coeffs) == s.order + 1 and type(s.exact) is bool
+        assert all(_coef_is_well_formed(c) and c.nv == s.coeffs[0].nv for c in s.coeffs)
+
+
+@IMPORT_CHECKS
+@given(mutations(VALID_ALGEBRA))
+@example(_changed(VALID_ALGEBRA, ("brackets", 0, "coeffs", "1"), "1/0"))
+@example(_changed(VALID_ALGEBRA, ("brackets", 0, "i"), None))
+@example(_changed(VALID_ALGEBRA, ("brackets", 1), VALID_ALGEBRA["brackets"][0]))
+def test_lie_algebra_from_json_loads_or_refuses(data):
+    g = _loads_or_refuses(LieAlgebra.from_json, LieAlgebra.to_json, data)
+    if g is not None:
+        # entries repeated for one pair are summed
+        entries = [
+            ((b["i"], b["j"], int(k)), parse_frac(v))
+            for b in data["brackets"]
+            for k, v in b["coeffs"].items()
+        ]
+        want = {key: sum(v for other, v in entries if other == key) for key, _ in entries}
+        got = {(i, j, k): v for (i, j), c in g.structure.items() for k, v in c.items()}
+        assert _is_int(g.dim) and got == {key: v for key, v in want.items() if v}
+
+
+@IMPORT_CHECKS
+@given(mutations(VALID_SPEC))
+@example(_changed(VALID_SPEC, ("r",), None))
+@example(_changed(VALID_SPEC, ("cross_actions", 0, "inner"), None))
+@example(_changed(VALID_SPEC, ("n", 1), True))
+def test_psd_spec_from_json_and_build_psd_load_or_refuse(data):
+    _loads_or_refuses(_psd_spec, psd_spec_to_json, data)

@@ -90,6 +90,22 @@ def test_spec_json_roundtrip():
     assert psd_spec_to_json(plain)["n"] == [2]
 
 
+@pytest.mark.parametrize(
+    "r, n", [(True, [1]), ("1", [1]), (1.0, [1]), (1, [True]), (1, ["2"]), (2, [2, 1.0])]
+)
+def test_build_psd_refuses_an_r_or_block_size_that_is_not_an_int(r, n):
+    """n = [True] used to build a block of size 1 and n = ["2"] to raise TypeError."""
+    with pytest.raises(ValueError, match="int r >= 1 and r int block sizes"):
+        build_psd(PsdSpec(r, n))
+
+
+@pytest.mark.parametrize("key", [(True, 2), ("1", 2), (1, None)])
+def test_build_psd_refuses_cross_action_blocks_that_are_not_ints(key):
+    action = {"H": [[F(1), F(0)], [F(0), F(-1)]]}
+    with pytest.raises(ValueError, match="cross action"):
+        build_psd(PsdSpec(2, [2, 1], {key: action}))
+
+
 def test_match_iwasawa_structure_agreement():
     for n in (1, 2, 3):
         psd = build_psd(PsdSpec(1, [n]))

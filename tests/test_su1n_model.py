@@ -293,6 +293,11 @@ def test_cached_model_arrays_are_read_only():
         (model.matrices[0], 0, ()),
         (model.matrices[0][0], 0, GScalar.of(7)),
     ]
+    spaces = [model.k_space, model.p_space, model.a_space, model.n_space, model.m_space]
+    spaces += [model.s_space] + [r.space for r in model.roots]
+    vectors = [v for space in spaces for v in space.basis]
+    vectors += [model.H0] + [r.H_lambda for r in model.roots]
+    writes += [(v, k, F(7)) for v in vectors for k in (0, min(v, default=0))]
     sub = s_submodel(model)
     writes += [
         (sub.embedding, 0, ()),
@@ -315,6 +320,7 @@ def test_cached_model_arrays_are_read_only():
     assert again.sigma_diagonal == fresh.sigma_diagonal
     assert again.matrices == fresh.matrices
     assert model_to_json(again) == model_to_json(fresh)
+    assert again.H0 == fresh.H0
 
 
 def test_sigma_pairing_reports_each_planted_fault():
