@@ -25,7 +25,7 @@ from weakref import WeakKeyDictionary
 from .lie_core import LieAlgebra, bracket_triples
 from .linalg import Frame, bilinear, dense, nullspace, rank_sparse, transpose
 from .psd_builder import PsdAlgebra
-from .scalars import collect, frac_str, parse_frac
+from .scalars import collect, frac_str, parse_frac, shaped
 from .su1n_model import Su1nModel, s_submodel
 
 
@@ -301,20 +301,28 @@ def cochain_to_json(c: Cochain) -> dict:
 
 
 def cochain_from_json(payload: dict) -> Cochain:
-    degree, n = payload["degree"], payload["dim"]
+    """A cochain of int degree 0..3 on an int dim >= 0, its data shaped
+    as the degree needs."""
+    degree, n = shaped(payload, dict, "a cochain")["degree"], payload["dim"]
     raw = payload["data"]
+    if type(degree) is not int or not 0 <= degree <= 3:
+        raise ValueError(f"degree must be an int from 0 to 3, got {degree!r}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"dim must be an int >= 0, got {n!r}")
     if degree == 0:
         data = parse_frac(raw)
     elif degree == 1:
-        data = [parse_frac(v) for v in raw]
+        data = [parse_frac(v) for v in shaped(raw, list, "one-cochain data")]
         if len(data) != n:
             raise ValueError(f"a one-cochain needs {n} values, got {len(data)}")
     elif degree == 2:
-        data = [[parse_frac(v) for v in row] for row in raw]
+        rows = shaped(raw, list, "two-cochain data")
+        data = [[parse_frac(v) for v in shaped(row, list, "a row")] for row in rows]
         square = len(data) == n and all(len(row) == n for row in data)
         if not square or any(data[i][j] != -data[j][i] for i in range(n) for j in range(i, n)):
             raise ValueError(f"a two-cochain needs an antisymmetric {n} x {n} matrix")
     else:
+        raw = shaped(raw, dict, "three-cochain data")
         triples = [tuple(map(int, key.split(","))) for key in raw]
         for t in triples:
             if len(t) != 3 or not 0 <= t[0] < t[1] < t[2] < n:

@@ -55,7 +55,7 @@ from operator import add
 
 from .lie_core import CheckReport, LieAlgebra
 from .linalg import mat_inverse
-from .scalars import SparseSum, accumulate, collect, frac_str, parse_frac
+from .scalars import SparseSum, accumulate, collect, frac_str, parse_frac, shaped
 
 
 @dataclass(frozen=True)
@@ -498,12 +498,13 @@ def coef_to_json(f: CoefFn) -> dict:
 
 def coef_from_json(payload: dict) -> CoefFn:
     """Sum the listed terms: int exponents, multi-indices of nv entries."""
-    nv = payload["nv"]
+    nv = shaped(payload, dict, "a coefficient")["nv"]
     if type(nv) is not int or nv < 0:
         raise ValueError(f"nv must be an int >= 0, got {nv!r}")
     items = []
-    for p, k, s, q, c in payload["terms"]:
-        k = tuple(k)
+    for term in shaped(payload["terms"], list, "terms"):
+        p, k, s, q, c = shaped(term, list, "a term")
+        k = tuple(shaped(k, list, "a multi-index"))
         if len(k) != nv or any(type(e) is not int for e in (p, *k, s, q)):
             raise ValueError(f"a term needs int exponents and {nv} multi-index entries: {k!r}")
         items.append(((p, k, s, q), parse_frac(c)))
@@ -520,8 +521,8 @@ def series_to_json(s: NuSeries) -> dict:
 
 def series_from_json(payload: dict) -> NuSeries:
     """A series of order + 1 coefficients with one nv and a bool exact."""
-    order, exact = payload["order"], payload["exact"]
-    coeffs = [coef_from_json(c) for c in payload["coeffs"]]
+    order, exact = shaped(payload, dict, "a series")["order"], payload["exact"]
+    coeffs = [coef_from_json(c) for c in shaped(payload["coeffs"], list, "coeffs")]
     if type(order) is not int or order < 0 or len(coeffs) != order + 1:
         raise ValueError(f"order {order!r} needs order + 1 coefficients, got {len(coeffs)}")
     if any(c.nv != coeffs[0].nv for c in coeffs):

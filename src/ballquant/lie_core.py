@@ -6,9 +6,14 @@ brackets, ad, the Killing form and the Jacobi check touch only nonzero
 structure constants.  Vectors are the sparse maps of ``linalg``
 (index -> nonzero coefficient), so a bracket reads only the nonzero
 coordinates of its arguments and ``ad`` returns sparse rows.
-Construction runs the Jacobi identity over ``bracket_triples``, the walk
-the CE differential also reads, and refuses invalid tables, so every
-instance in the rest of the package is an actual Lie algebra.  Subspaces
+Every instance in the rest of the package is an actual Lie algebra, by
+one of two routes.  A table given as numbers (the constructor, hence
+``from_json`` and the block algebras of ``psd_builder``) is swept: the
+Jacobi identity runs over ``bracket_triples``, the walk the CE
+differential also reads, and an invalid table is refused.  A table read
+from a bracket that already satisfies Jacobi (``LieAlgebra.read``: the
+matrix commutator of the su(1, N) model, and ``subalgebra`` of an
+algebra) is certified by how it was read and is not swept.  Subspaces
 keep a canonical reduced echelon basis of read-only vectors, which makes
 equality of subspaces literal list equality.
 structure_in reads the structure constants of any list of vectors
@@ -23,7 +28,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .linalg import Frame, combine, nullspace, rref, transpose, zeros
-from .scalars import collect, frac_str, parse_frac
+from .scalars import collect, frac_str, parse_frac, shaped
 
 Vector = dict
 _EMPTY = MappingProxyType({})
@@ -100,12 +105,11 @@ class LieAlgebra:
     structure maps (i, j) with i < j to a sparse map k -> coefficient of
     basis vector k in [e_i, e_j]; rows is the same table indexed both
     ways (see ``_row_table``).  Both are read-only, so the table the
-    bracket reads cannot drift from the one Jacobi validated.
+    bracket reads cannot drift from the one Jacobi validated or ``read``
+    certified.
     """
 
     def __init__(self, dim: int, labels: list, structure: dict):
-        if len(labels) != dim:
-            raise ValueError("label count does not match dimension")
         clean = {}
         for (i, j), coeffs in structure.items():
             if not (0 <= i < j < dim):
@@ -118,10 +122,42 @@ class LieAlgebra:
         rep = jacobi_report(dim, clean)
         if not rep.ok:
             raise ValueError(f"Jacobi identity fails on basis triple {rep.worst_triple}")
+        self._store(dim, labels, clean)
+
+    @classmethod
+    def read(cls, frame: Frame, vectors: list, bracket, labels: list) -> "LieAlgebra":
+        """The algebra on vectors with the table that ``structure_in``
+        reads from bracket against frame, built without the Jacobi sweep.
+
+        Precondition: bracket is a matrix commutator or the bracket of a
+        LieAlgebra, its values written through a linear injective map phi
+        (the identity, or the real and imaginary parts of the matrix
+        entries), and the rows of frame are phi of the vectors.  Such a
+        bracket satisfies Jacobi: a commutator by the associativity of the
+        matrix product, the bracket of a LieAlgebra because that algebra
+        was swept or read this way.
+
+        The table then satisfies it too.  ``Frame.coords`` rebuilds each
+        bracket from the coordinates it returns and compares the two
+        exactly, a bracket that leaves the span raises ValueError, and a
+        Frame refuses dependent rows.  So e_k -> vectors[k] is injective
+        and carries the table's bracket to bracket, and the Jacobiator of
+        a basis triple maps to the Jacobiator of its vectors, which is
+        zero.  The precondition cannot be checked at run time; a test
+        keeps the callers to ``build_su1n`` and ``subalgebra``.
+        """
+        algebra = cls.__new__(cls)
+        algebra._store(len(vectors), labels, structure_in(frame, vectors, bracket))
+        return algebra
+
+    def _store(self, dim: int, labels: list, structure: dict):
+        """Keep a clean table: keys i < j below dim, nonzero Fractions."""
+        if len(labels) != dim:
+            raise ValueError("label count does not match dimension")
         self.dim = dim
         self.labels = list(labels)
-        self.rows = _row_table(dim, clean)
-        self.structure = MappingProxyType({(i, j): self.rows[i][j] for i, j in clean})
+        self.rows = _row_table(dim, structure)
+        self.structure = MappingProxyType({(i, j): self.rows[i][j] for i, j in structure})
 
     def basis_vector(self, i: int) -> Vector:
         return {i: Fraction(1)}
@@ -172,16 +208,17 @@ class LieAlgebra:
     @staticmethod
     def from_json(data: dict) -> "LieAlgebra":
         """The algebra of a to_json dict; repeated pair entries are summed."""
-        if type(data["dim"]) is not int:
+        if type(shaped(data, dict, "an algebra")["dim"]) is not int:
             raise ValueError(f"dim must be an int, got {data['dim']!r}")
         structure = {}
-        for item in data["brackets"]:
-            key = (item["i"], item["j"])
+        for item in shaped(data["brackets"], list, "brackets"):
+            key = (shaped(item, dict, "a bracket")["i"], item["j"])
             if any(type(x) is not int for x in key):
                 raise ValueError(f"bracket indices must be ints, got {key!r}")
-            coeffs = ((int(k), parse_frac(v)) for k, v in item["coeffs"].items())
+            coeffs = shaped(item["coeffs"], dict, "bracket coeffs")
+            coeffs = ((int(k), parse_frac(v)) for k, v in coeffs.items())
             structure[key] = collect(coeffs, structure.get(key))
-        return LieAlgebra(data["dim"], data["labels"], structure)
+        return LieAlgebra(data["dim"], shaped(data["labels"], list, "labels"), structure)
 
 
 class Subspace:
@@ -273,14 +310,12 @@ def structure_in(frame: Frame, vectors: list, bracket) -> dict:
 def subalgebra(algebra: LieAlgebra, sub: Subspace, labels=None):
     """Restrict the bracket to a bracket-closed subspace.
 
-    Returns the restricted LieAlgebra together with the embedding basis:
-    the read-only canonical basis of the subspace, in parent
-    coordinates.  Raises ValueError when the subspace is not bracket
-    closed.
+    Returns the restricted LieAlgebra, read from the parent's bracket
+    (so not swept again), together with the embedding basis: the
+    read-only canonical basis of the subspace, in parent coordinates.
+    Raises ValueError when the subspace is not bracket closed.
     """
     basis = sub.basis
-    n = len(basis)
-    structure = structure_in(sub.frame, basis, algebra.bracket)
     if labels is None:
-        labels = [f"b{i}" for i in range(n)]
-    return LieAlgebra(n, labels, structure), basis
+        labels = [f"b{i}" for i in range(len(basis))]
+    return LieAlgebra.read(sub.frame, basis, algebra.bracket, labels), basis

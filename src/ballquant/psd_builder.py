@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .lie_core import CheckReport, LieAlgebra
 from .linalg import combine
-from .scalars import frac_str, parse_frac
+from .scalars import frac_str, parse_frac, shaped
 from .su1n_model import Su1nModel, adapted_s_basis
 
 
@@ -105,12 +105,16 @@ def psd_spec_to_json(spec: PsdSpec) -> dict:
 
 
 def psd_spec_from_json(data: dict) -> PsdSpec:
+    def matrix(m):
+        rows = shaped(m, list, "a map")
+        return [[parse_frac(x) for x in shaped(row, list, "a row")] for row in rows]
+
     actions = {}
-    for item in data.get("cross_actions", []):
-        actions[(item["inner"], item["outer"])] = {
-            role: [[parse_frac(x) for x in row] for row in m] for role, m in item["maps"].items()
-        }
-    return PsdSpec(data["r"], list(data["n"]), actions)
+    items = shaped(shaped(data, dict, "a spec").get("cross_actions", []), list, "cross_actions")
+    for item in items:
+        maps = shaped(shaped(item, dict, "a cross action")["maps"], dict, "maps")
+        actions[(item["inner"], item["outer"])] = {role: matrix(m) for role, m in maps.items()}
+    return PsdSpec(data["r"], list(shaped(data["n"], list, "n")), actions)
 
 
 def match_iwasawa(psd: PsdAlgebra, model: Su1nModel) -> CheckReport:

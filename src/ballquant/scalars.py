@@ -35,6 +35,15 @@ def parse_frac(s) -> Fraction:
     raise ValueError(f"expected a rational as a string or an int, got {s!r}")
 
 
+def shaped(value, kind: type, what: str):
+    """value when it is a kind (dict, or list, which also takes a tuple),
+    else ValueError naming what: importers check each container they
+    read before they index it."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GScalar:
     """A Gaussian rational re + im*i with exact Fraction parts."""

@@ -22,7 +22,6 @@ from .lie_core import (
     LieAlgebra,
     Subspace,
     span_subspace,
-    structure_in,
     subalgebra,
     subspace_intersection,
 )
@@ -144,8 +143,7 @@ def build_su1n(N: int) -> Su1nModel:
     n = N + 1
     frame = Frame([_flatten(m, n) for m in mats])
     dim = len(mats)
-    structure = structure_in(frame, mats, lambda a, b: _flatten(_comm(a, b), n))
-    algebra = LieAlgebra(dim, labels, structure)
+    algebra = LieAlgebra.read(frame, mats, lambda a, b: _flatten(_comm(a, b), n), labels)
 
     h0_index = N  # label P1
     H0 = MappingProxyType(algebra.basis_vector(h0_index))

@@ -22,6 +22,8 @@ factors.  field_bracket_oracle is the commutator of two vector fields as
 a whole-CoefFn sum over every pair of components.  delta2_oracle is the
 Chevalley-Eilenberg differential of a two-cochain evaluated on every
 basis triple through the bracket, without any table of the differential.
+rebuild_oracle compares each entry of a structure table with the dense
+commutator of the matrices it was read from (gmat_mul products).
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from ballquant.ball_quantization import QmmReport, resolve_truncation_order
 from ballquant.formal_star import CoefFn, NuSeries, half_commutator
 from ballquant.linalg import bilinear
 from ballquant.retract_pde import XiFn
-from ballquant.scalars import GScalar
+from ballquant.scalars import G_ZERO, GScalar
 
 
 def dense(v: dict, n: int) -> list:
@@ -124,6 +126,39 @@ def det(a) -> F:
 def leading_principal_minors(a) -> list:
     """Determinants of the k x k leading blocks for k = 1..n."""
     return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+
+
+def gmat_mul(a, b):
+    """Dense product of square Gaussian-rational matrices."""
+    n = len(a)
+    out = [[G_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            x = a[i][k]
+            if x:
+                for j in range(n):
+                    if b[k][j]:
+                        out[i][j] = out[i][j] + x * b[k][j]
+    return out
+
+
+def rebuild_oracle(matrices, structure) -> list:
+    """The pairs i < j, in order, whose table entry does not rebuild the
+    commutator of their matrices: sum_k c_ij^k M_k != M_i M_j - M_j M_i,
+    on dense Gaussian-rational matrices.  An empty list makes e_k -> M_k
+    a homomorphism, so a table with independent matrices satisfies
+    Jacobi."""
+    n = len(matrices[0])
+    failures = []
+    for i, j in combinations(range(len(matrices)), 2):
+        ab, ba = gmat_mul(matrices[i], matrices[j]), gmat_mul(matrices[j], matrices[i])
+        want = [[x - y for x, y in zip(r, q)] for r, q in zip(ab, ba)]
+        got = [[G_ZERO] * n for _ in range(n)]
+        for k, c in structure.get((i, j), {}).items():
+            got = [[x + y.scale(c) for x, y in zip(r, q)] for r, q in zip(got, matrices[k])]
+        if got != want:
+            failures.append((i, j))
+    return failures
 
 
 def delta2_oracle(algebra, c) -> dict:

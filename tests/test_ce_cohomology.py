@@ -362,3 +362,30 @@ def test_cochain_from_json_refuses_a_one_cochain_of_the_wrong_length(data):
 def test_cochain_from_json_refuses_a_bad_triple(key):
     with pytest.raises(ValueError, match="three-cochain key needs i < j < k below 2"):
         cochain_from_json({"degree": 3, "dim": 2, "data": {key: "1"}})
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"degree": 7, "dim": 3, "data": {}}, "degree must be an int"),
+        ({"degree": True, "dim": 3, "data": ["1", "2", "3"]}, "degree must be an int"),
+        ({"degree": "x", "dim": 2, "data": []}, "degree must be an int"),
+        ({"degree": 1, "dim": "3", "data": ["1", "2", "3"]}, "dim must be an int"),
+        ({"degree": 1, "dim": -1, "data": []}, "dim must be an int"),
+        ({"degree": 1, "dim": 1, "data": "1"}, "one-cochain data must be a list"),
+        ({"degree": 2, "dim": 1, "data": {"0": "0"}}, "two-cochain data must be a list"),
+        ({"degree": 2, "dim": 1, "data": ["0"]}, "a row must be a list"),
+        ({"degree": 3, "dim": 3, "data": [["0,1,2", "1"]]}, "three-cochain data must be a dict"),
+        (5, "a cochain must be a dict"),
+    ],
+    ids=[
+        "degree-7", "degree-bool", "degree-str", "dim-str", "dim-negative",
+        "one-str", "two-dict", "two-str-row", "three-list", "payload-int",
+    ],
+)
+def test_cochain_from_json_refuses_a_bad_degree_dim_or_data_shape(payload, message):
+    """These loaded as Cochain(7, 3, {}) or a one-cochain of degree True,
+    or raised AttributeError or a wrong-length message ("needs 3 values,
+    got 3") before the degree, dim and data shapes were checked."""
+    with pytest.raises(ValueError, match=message):
+        cochain_from_json(payload)

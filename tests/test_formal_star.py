@@ -533,6 +533,23 @@ def test_series_from_json_refuses_an_exact_flag_that_is_not_a_bool(exact):
     assert series_from_json(_series_blob(exact=False)).exact is False
 
 
+@pytest.mark.parametrize(
+    "load, payload, message",
+    [
+        (coef_from_json, {"nv": 2, "terms": 5}, "terms must be a list"),
+        (coef_from_json, {"nv": 2, "terms": [3]}, "a term must be a list"),
+        (coef_from_json, {"nv": 2, "terms": [[0, 1, 0, 0, "1"]]}, "a multi-index must be a list"),
+        (coef_from_json, [2, []], "a coefficient must be a dict"),
+        (series_from_json, {"order": 0, "exact": True, "coeffs": 1}, "coeffs must be a list"),
+        (series_from_json, {"order": 0, "exact": True, "coeffs": ["x"]}, "a coefficient must"),
+    ],
+)
+def test_importers_refuse_a_scalar_in_place_of_a_container(load, payload, message):
+    """coef_from_json({"nv": 2, "terms": 5}) raised TypeError before."""
+    with pytest.raises(ValueError, match=message):
+        load(payload)
+
+
 def test_monomial_and_series_shape_errors():
     with pytest.raises(ValueError, match="multi-index length"):
         CoefFn.monomial(2, 0, (1,), 0, 0, F(1))

@@ -36,9 +36,10 @@ from ballquant.lie_core import (
 )
 from ballquant.linalg import Frame, bilinear, combine, nullspace, zeros
 from ballquant.psd_builder import PsdSpec, build_psd
+from ballquant.scalars import frac_str
 from ballquant.su1n_model import build_su1n
 
-from oracles import nullspace_oracle, rref_oracle, sparse
+from oracles import nullspace_oracle, rebuild_oracle, rref_oracle, sparse
 
 
 def bracket_oracle(dim, structure, x, y):
@@ -265,6 +266,29 @@ def test_from_json_refuses_indices_that_are_not_ints(field, bad):
         LieAlgebra.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("coeffs", 3, "bracket coeffs must be a dict"),
+        ("coeffs", ["1", "1"], "bracket coeffs must be a dict"),
+        ("bracket", "x", "a bracket must be a dict"),
+        ("brackets", 5, "brackets must be a list"),
+        ("labels", None, "labels must be a list"),
+    ],
+)
+def test_from_json_refuses_a_scalar_in_place_of_a_container(field, bad, message):
+    """"coeffs": 3 raised AttributeError before the shapes were checked."""
+    data = {"dim": 2, "labels": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}]}
+    if field == "coeffs":
+        data["brackets"][0][field] = bad
+    elif field == "bracket":
+        data["brackets"][0] = bad
+    else:
+        data[field] = bad
+    with pytest.raises(ValueError, match=message):
+        LieAlgebra.from_json(data)
+
+
 def test_intersection_with_an_empty_subspace():
     g = sl2_like()
     whole = span_subspace(g, [g.basis_vector(i) for i in range(3)])
@@ -421,6 +445,47 @@ def test_planted_jacobi_mutation_names_the_oracle_triple():
         pytest.fail("no sign flip of su(1,3) breaks Jacobi")
     with pytest.raises(ValueError, match=re.escape(f"basis triple {rep.worst_triple}")):
         LieAlgebra(g.dim, g.labels, structure)
+
+
+def test_planted_sign_flip_fails_jacobi_and_the_rebuild_oracle():
+    """Every sign flip of the su(1, 3) table stops rebuilding the matrix
+    commutator of the flipped pair, and of no other.  A flip that breaks
+    Jacobi does so on a triple through an index of that pair, since
+    only such Jacobiators read the flipped entry; the constructor and
+    from_json refuse it, naming that triple."""
+    model = build_su1n(3)
+    g = model.algebra
+    entries = sum(len(coeffs) for coeffs in g.structure.values())
+    broken = 0
+    for structure in sign_flips(g, seed=11, count=entries):
+        pair = next(key for key in structure if structure[key] != g.structure[key])
+        assert rebuild_oracle(model.matrices, structure) == [pair]
+        rep = jacobi_report(g.dim, structure)
+        if rep.ok:
+            continue
+        broken += 1
+        assert set(pair) & set(rep.worst_triple)
+        data = g.to_json()
+        data["brackets"] = [
+            {"i": i, "j": j, "coeffs": {str(k): frac_str(v) for k, v in coeffs.items()}}
+            for (i, j), coeffs in sorted(structure.items())
+        ]
+        message = re.escape(f"basis triple {rep.worst_triple}")
+        with pytest.raises(ValueError, match=message):
+            LieAlgebra.from_json(data)
+        with pytest.raises(ValueError, match=message):
+            LieAlgebra(g.dim, g.labels, structure)
+    assert broken
+
+
+def test_subalgebra_of_a_subspace_that_is_not_closed_is_refused():
+    g = sl2_like()
+    with pytest.raises(ValueError, match="vectors 0 and 1 leaves the span"):
+        subalgebra(g, span_subspace(g, [{1: F(1)}, {2: F(1)}]))
+    model = build_su1n(3)
+    # [p, p] lies in k
+    with pytest.raises(ValueError, match="leaves the span"):
+        subalgebra(model.algebra, model.p_space)
 
 
 def test_cached_structure_is_read_only():

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballquant.ball_quantization import build_chart, poisson_structure
+from ballquant.ce_cohomology import Cochain, cochain_from_json, cochain_to_json
 from ballquant.formal_star import (
     CoefFn,
     NuSeries,
@@ -36,7 +37,7 @@ from ballquant.formal_star import (
 from ballquant.lie_core import LieAlgebra
 from ballquant.linalg import Frame, bilinear, combine, split_symplectic
 from ballquant.psd_builder import PsdSpec, build_psd, psd_spec_from_json, psd_spec_to_json
-from ballquant.retract_pde import XiFn
+from ballquant.retract_pde import XiFn, xifn_from_json, xifn_to_json
 from ballquant.scalars import GScalar, frac_str, parse_frac
 
 from oracles import dense, identity_matrix, mat_mul, rref_oracle, sparse
@@ -259,16 +260,16 @@ TWIST = {(1, 2): {"H": [[F(1), F(0)], [F(0), F(-1)]]}}
 
 
 def _spots(node, path=()):
-    """The path of every list and every scalar leaf inside a JSON value
-    whose root is a dict."""
+    """The path of every entry (list, dict or scalar leaf) below the root
+    of a JSON value whose root is a dict."""
+    if path:
+        yield path
     if isinstance(node, dict):
-        for key, value in node.items():
-            yield from _spots(value, path + (key,))
-        return
-    yield path
-    if isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from _spots(value, path + (i,))
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        yield from _spots(value, path + (key,))
 
 
 def _parent(data, path: tuple):
@@ -287,15 +288,17 @@ def _changed(valid: dict, path: tuple, value) -> dict:
 
 @st.composite
 def mutations(draw, valid: dict):
-    """A copy of valid with one change: a scalar leaf replaced by one of
-    ODD_LEAVES, or one entry of a list dropped or repeated."""
+    """A copy of valid with one change: an entry below the root (a scalar
+    leaf, or a list or dict in place of which a scalar then stands)
+    replaced by one of ODD_LEAVES, or one entry of a list dropped or
+    repeated."""
     data = copy.deepcopy(valid)
     path = draw(st.sampled_from(list(_spots(data))))
     parent = _parent(data, path)
     node = parent[path[-1]]
-    if not isinstance(node, list):
+    if not (isinstance(node, list) and node) or draw(st.booleans()):
         parent[path[-1]] = draw(st.sampled_from(ODD_LEAVES))
-    elif node:
+    else:
         i = draw(st.integers(0, len(node) - 1))
         if draw(st.booleans()):
             del node[i]
@@ -334,6 +337,18 @@ VALID_SERIES = series_to_json(
 )
 VALID_ALGEBRA = build_psd(PsdSpec(2, [2, 1], TWIST)).algebra.to_json()
 VALID_SPEC = psd_spec_to_json(PsdSpec(2, [2, 1], TWIST))
+VALID_XIFN = xifn_to_json(
+    XiFn({(1, 0, 2, 1, 0): GScalar.of(F(3, 4), -1), (0, 1, 0, 0, 2): GScalar.of(2)})
+)
+VALID_COCHAINS = [
+    cochain_to_json(c)
+    for c in (
+        Cochain(0, 3, F(-2, 3)),
+        Cochain(1, 3, [F(1), F(0), F(-1, 2)]),
+        Cochain(2, 2, [[F(0), F(5)], [F(-5), F(0)]]),
+        Cochain(3, 4, {(0, 1, 2): F(1, 3), (1, 2, 3): F(-2)}),
+    )
+]
 
 
 def _coef_is_well_formed(f) -> bool:
@@ -347,6 +362,8 @@ def _coef_is_well_formed(f) -> bool:
 @example(_changed(VALID_COEF, ("terms", 0, 4), "1/0"))
 @example(_changed(VALID_COEF, ("terms", 0, 1), [0, 0, 0]))
 @example(_changed(VALID_COEF, ("terms", 0, 0), True))
+@example(_changed(VALID_COEF, ("terms",), 5))
+@example(_changed(VALID_COEF, ("terms", 0, 1), 0))
 def test_coef_from_json_loads_or_refuses(data):
     f = _loads_or_refuses(coef_from_json, coef_to_json, data)
     assert f is None or _coef_is_well_formed(f)
@@ -358,6 +375,7 @@ def test_coef_from_json_loads_or_refuses(data):
 @example(_changed(VALID_SERIES, ("order",), -1))
 @example(_changed(VALID_SERIES, ("exact",), -1))
 @example(_changed(VALID_SERIES, ("coeffs", 1, "nv"), 3))
+@example(_changed(VALID_SERIES, ("coeffs", 1), 2))
 def test_series_from_json_loads_or_refuses(data):
     s = _loads_or_refuses(series_from_json, series_to_json, data)
     if s is not None:
@@ -370,6 +388,8 @@ def test_series_from_json_loads_or_refuses(data):
 @example(_changed(VALID_ALGEBRA, ("brackets", 0, "coeffs", "1"), "1/0"))
 @example(_changed(VALID_ALGEBRA, ("brackets", 0, "i"), None))
 @example(_changed(VALID_ALGEBRA, ("brackets", 1), VALID_ALGEBRA["brackets"][0]))
+@example(_changed(VALID_ALGEBRA, ("brackets", 0, "coeffs"), 3))
+@example(_changed(VALID_ALGEBRA, ("labels",), "x"))
 def test_lie_algebra_from_json_loads_or_refuses(data):
     g = _loads_or_refuses(LieAlgebra.from_json, LieAlgebra.to_json, data)
     if g is not None:
@@ -385,9 +405,34 @@ def test_lie_algebra_from_json_loads_or_refuses(data):
 
 
 @IMPORT_CHECKS
+@given(mutations(VALID_XIFN))
+@example(_changed(VALID_XIFN, ("terms",), 5))
+@example(_changed(VALID_XIFN, ("terms", 0), "1/2"))
+def test_xifn_from_json_loads_or_refuses(data):
+    f = _loads_or_refuses(xifn_from_json, xifn_to_json, data)
+    if f is not None:
+        assert all(len(key) == 5 and all(map(_is_int, key)) for key in f.terms)
+        assert all(_is_exact(c) and c for c in f.terms.values())
+
+
+@IMPORT_CHECKS
+@given(st.sampled_from(VALID_COCHAINS).flatmap(mutations))
+@example({"degree": 7, "dim": 3, "data": {}})
+@example({"degree": True, "dim": 3, "data": ["1", "2", "3"]})
+@example({"degree": "x", "dim": 2, "data": []})
+@example({"degree": 1, "dim": "3", "data": ["1", "2", "3"]})
+@example(_changed(VALID_COCHAINS[2], ("data", 0), "0"))
+def test_cochain_from_json_loads_or_refuses(data):
+    c = _loads_or_refuses(cochain_from_json, cochain_to_json, data)
+    if c is not None:
+        assert _is_int(c.degree) and 0 <= c.degree <= 3 and _is_int(c.dim) and c.dim >= 0
+
+
+@IMPORT_CHECKS
 @given(mutations(VALID_SPEC))
 @example(_changed(VALID_SPEC, ("r",), None))
 @example(_changed(VALID_SPEC, ("cross_actions", 0, "inner"), None))
 @example(_changed(VALID_SPEC, ("n", 1), True))
+@example(_changed(VALID_SPEC, ("cross_actions", 0, "maps", "H", 0), "1"))
 def test_psd_spec_from_json_and_build_psd_load_or_refuse(data):
     _loads_or_refuses(_psd_spec, psd_spec_to_json, data)

@@ -99,6 +99,25 @@ def test_build_psd_refuses_an_r_or_block_size_that_is_not_an_int(r, n):
         build_psd(PsdSpec(r, n))
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d.update(n=2), "n must be a list"),
+        (lambda d: d.update(cross_actions={}), "cross_actions must be a list"),
+        (lambda d: d["cross_actions"].__setitem__(0, 1), "a cross action must be a dict"),
+        (lambda d: d["cross_actions"][0].update(maps=[]), "maps must be a dict"),
+        (lambda d: d["cross_actions"][0]["maps"].update(H="1"), "a map must be a list"),
+        (lambda d: d["cross_actions"][0]["maps"]["H"].__setitem__(0, "1"), "a row must be"),
+    ],
+)
+def test_psd_spec_from_json_refuses_a_scalar_in_place_of_a_container(change, message):
+    """A row "1" used to load as the row [1], and "n": 2 raised TypeError."""
+    blob = psd_spec_to_json(nontrivial_spec())
+    change(blob)
+    with pytest.raises(ValueError, match=message):
+        psd_spec_from_json(blob)
+
+
 @pytest.mark.parametrize("key", [(True, 2), ("1", 2), (1, None)])
 def test_build_psd_refuses_cross_action_blocks_that_are_not_ints(key):
     action = {"H": [[F(1), F(0)], [F(0), F(-1)]]}

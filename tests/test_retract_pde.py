@@ -138,6 +138,20 @@ def test_xifn_from_json_sums_terms_and_checks_exponents():
             xifn_from_json({"terms": [bad]})
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"terms": 5}, "terms must be a list"),
+        ({"terms": [7]}, "a term must be a list"),
+        ({"terms": ["0000011"]}, "a term must be a list"),
+        ([], "an XiFn must be a dict"),
+    ],
+)
+def test_xifn_from_json_refuses_a_scalar_in_place_of_a_container(payload, message):
+    with pytest.raises(ValueError, match=message):
+        xifn_from_json(payload)
+
+
 def test_reduction_closure_dimensions():
     """W = s + m + (negative short root space) is ad_s stable and W + [W, W]
     fills the algebra: dimensions 7 -> 8 for N = 2 and 14 -> 15 for N = 3."""

@@ -10,13 +10,15 @@ Frozen oracles:
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from ballquant.lie_core import normalizer, span_subspace
+from ballquant.lie_core import jacobi_report, normalizer, span_subspace
 from ballquant.scalars import GScalar
 from ballquant.su1n_model import (
     _S_SUBMODELS,
@@ -32,23 +34,8 @@ from ballquant.su1n_model import (
     verify_sigma_pairing,
 )
 from ballquant.linalg import Frame, vec_add, vec_scale
-from ballquant.scalars import G_ZERO
 
-from oracles import leading_principal_minors, rref_oracle, sparse
-
-
-def _gmat_mul(a, b):
-    """Dense product of square Gaussian-rational matrices."""
-    n = len(a)
-    out = [[G_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            x = a[i][k]
-            if x:
-                for j in range(n):
-                    if b[k][j]:
-                        out[i][j] = out[i][j] + x * b[k][j]
-    return out
+from oracles import gmat_mul, leading_principal_minors, rref_oracle, sparse
 
 
 def test_dimensions():
@@ -227,7 +214,7 @@ def test_killing_form_closed_form(N):
     mats = model.matrices
     for i, mi in enumerate(mats):
         for j, mj in enumerate(mats):
-            prod = _gmat_mul(mi, mj)
+            prod = gmat_mul(mi, mj)
             assert sum((prod[a][a].im for a in range(N + 1)), F(0)) == 0
             re_tr = sum((prod[a][a].re for a in range(N + 1)), F(0))
             assert model.beta[i][j] == 2 * (N + 1) * re_tr
@@ -262,7 +249,7 @@ def test_structure_constants_match_dense_commutators(N):
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     targets = []
     for i, j in pairs:
-        ab, ba = _gmat_mul(mats[i], mats[j]), _gmat_mul(mats[j], mats[i])
+        ab, ba = gmat_mul(mats[i], mats[j]), gmat_mul(mats[j], mats[i])
         targets.append(real_entries([[x - y for x, y in zip(r, q)] for r, q in zip(ab, ba)]))
     # one reduction of [basis columns | every commutator]: the pivots stay
     # among the basis columns exactly when each commutator is in the span
@@ -273,6 +260,32 @@ def test_structure_constants_match_dense_commutators(N):
     for c, (i, j) in enumerate(pairs):
         want = {k: row[dim + c] for k, row in enumerate(red) if row[dim + c]}
         assert dict(model.algebra.structure.get((i, j), {})) == want
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_jacobi_sweep_passes_on_the_built_table(N):
+    """build_su1n no longer sweeps its table: the table is certified by
+    how it is read (LieAlgebra.read).  The sweep stays the oracle."""
+    g = build_su1n(N).algebra
+    assert jacobi_report(g.dim, g.structure).ok
+
+
+# sha256 of json.dumps(model_to_json(build_su1n(N)), sort_keys=True),
+# recorded while build_su1n still swept its table with jacobi_report.
+MODEL_DIGESTS = {
+    1: "8b774c624dd336b194705c335eb3de2fc05ee0e01b73889a819f04116a070fc9",
+    2: "87e36ba696469d79bc8861c02bbda067d54b57f173533de3162e224bf7dfc4ef",
+    3: "d2eefb135c047a9b0ee88ac0eb288a97b11b8abf48a0e07a55744e67a8be5928",
+    4: "20e8600bb5f1e907c8cd30d77d13c071923f98c888461b35d845b587832d7679",
+    5: "cad4e73d9479fb6e0111b5882f70de946f60fedcc115e0ac75944791c1baca2a",
+    6: "50147cb603796beabc65ed5a04bae25be786d58ff5b2d3068ec14ae1893f11bf",
+}
+
+
+@pytest.mark.parametrize("N", sorted(MODEL_DIGESTS))
+def test_model_to_json_bytes_are_frozen(N):
+    doc = json.dumps(model_to_json(build_su1n(N)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == MODEL_DIGESTS[N]
 
 
 def test_su1n_5_builds_and_passes_its_checks():
