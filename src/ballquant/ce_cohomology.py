@@ -25,7 +25,7 @@ from weakref import WeakKeyDictionary
 from .lie_core import LieAlgebra, bracket_triples
 from .linalg import Frame, bilinear, dense, nullspace, rank_sparse, transpose
 from .psd_builder import PsdAlgebra
-from .scalars import collect, frac_str, parse_frac, shaped
+from .scalars import collect, frac_str, keyed, parse_frac, shaped
 from .su1n_model import Su1nModel, s_submodel
 
 
@@ -303,8 +303,7 @@ def cochain_to_json(c: Cochain) -> dict:
 def cochain_from_json(payload: dict) -> Cochain:
     """A cochain of int degree 0..3 on an int dim >= 0, its data shaped
     as the degree needs."""
-    degree, n = shaped(payload, dict, "a cochain")["degree"], payload["dim"]
-    raw = payload["data"]
+    degree, n, raw = keyed(payload, "a cochain", "degree", "dim", "data")
     if type(degree) is not int or not 0 <= degree <= 3:
         raise ValueError(f"degree must be an int from 0 to 3, got {degree!r}")
     if type(n) is not int or n < 0:

@@ -5,7 +5,10 @@ keys, so repeated runs are byte identical; timing goes to stderr.  The
 exporters of the other modules return plain data, and _emit is the one
 place in the package that encodes JSON.  The exit code is 0 on success,
 1 when a verification suite fails and 2 on usage errors, each reported
-on one stderr line, the parser's own included.
+on one stderr line, the parser's own included.  Each command imports the
+modules it runs inside its own function, so a process loads only those:
+build-psd never loads the star product, and the elapsed line on
+stderr includes that command's own module loading.
 """
 from __future__ import annotations
 
@@ -14,41 +17,7 @@ import json
 import sys
 import time
 
-from .ball_quantization import (
-    TruncationOrderError,
-    build_qmm,
-    fundamental_field,
-    mutate_add_nu_const,
-    mutate_drop_nu2,
-    qmm_labels,
-    qmm_table_to_json,
-    resolve_truncation_order,
-    verify_qmm,
-)
-from .ce_cohomology import (
-    coboundary_primitive_roots,
-    delta,
-    h2_dimension,
-    invariant_cocycle_space,
-)
-from .formal_star import CoefFn, NuSeries
-from .psd_builder import PsdSpec, build_psd, psd_spec_to_json
-from .retract_pde import (
-    apply_operator,
-    check_reduction_closure,
-    k_basis,
-    radial_pde_residual,
-    retract_operator,
-    xifn_from_json,
-    xifn_to_json,
-)
 from .scalars import parse_frac
-from .su1n_model import (
-    build_su1n,
-    model_to_json,
-    verify_m_orthocomplement,
-    verify_sigma_pairing,
-)
 
 # verify options that only some suites read, with those suites
 SUITE_OPTIONS = {"mutate": ("qmm",), "pairs": ("qmm",), "alpha": ("qmm", "retract")}
@@ -65,8 +34,8 @@ class UsageError(Exception):
 def _check_args(args) -> None:
     """Validate and parse every option value before any work starts.
 
-    Raises UsageError, or TruncationOrderError for an order, naming the
-    option; an option that the command would ignore is an error too.
+    Raises UsageError naming the option; an option that the command
+    would ignore is an error too.
     Parsed values: --blocks in place, --alpha and --value as alpha_q and
     value_q, --theta-json as theta, orders resolved.
     """
@@ -82,8 +51,12 @@ def _check_args(args) -> None:
         except ValueError:
             raise UsageError(f"--{name} must be a rational number, got {opts[name]!r}") from None
     if opts.get("blocks") is not None:
-        parts = [x for x in args.blocks.split(",") if x]
-        if len(parts) != args.r or not all(x.isdecimal() and int(x) >= 1 for x in parts):
+        parts = args.blocks.split(",")
+        try:
+            ok = len(parts) == args.r and all(x.isdecimal() and int(x) >= 1 for x in parts)
+        except ValueError:  # more digits than int() converts
+            ok = False
+        if not ok:
             raise UsageError("--blocks must list one positive dimension per block of --r")
         args.blocks = [int(x) for x in parts]
     if args.command == "h2" and args.su1n is None and args.blocks is None:
@@ -98,28 +71,45 @@ def _check_args(args) -> None:
         for name in ("label", "value"):
             if opts[name] is not None and args.mutate != "add-nu-const":
                 raise UsageError(f"--{name} applies with --mutate add-nu-const only")
-        if args.label is not None and args.label not in qmm_labels(args.N):
-            raise UsageError(f"--label {args.label!r} is not a moment label of su(1,{args.N})")
+        if args.label is not None:
+            from .ball_quantization import qmm_labels
+
+            if args.label not in qmm_labels(args.N):
+                raise UsageError(f"--label {args.label!r} is not a moment label of su(1,{args.N})")
         if args.mutate == "add-nu-const" and (args.label is None or args.value is None):
             raise UsageError("--mutate add-nu-const needs --label and --value")
     if args.command == "verify" and args.suite in ("qmm", "retract"):
         default = 4 if args.suite == "retract" else None
-        args.order = resolve_truncation_order(default if args.order is None else args.order)
+        args.order = _resolve_order(default if args.order is None else args.order)
     elif opts.get("order") is not None:
-        resolve_truncation_order(args.order)
+        _resolve_order(args.order)
         if args.command == "verify":
             raise UsageError(f"--order applies to --suite qmm or retract only, not {args.suite}")
     if args.command == "retract-residual":
         if args.n < 2:
             raise UsageError(f"--n must be at least 2, got {args.n}")
+        from .retract_pde import xifn_from_json
+
         try:
             args.theta = xifn_from_json(json.loads(args.theta_json))
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, RecursionError):  # RecursionError: JSON nested too deep
             shape = '{"terms": [[k, m, n, h, j, re, im]]}'
             raise UsageError(f"--theta-json must look like {shape}") from None
 
 
+def _resolve_order(order):
+    """resolve_truncation_order, its refusal raised as a UsageError."""
+    from .ball_quantization import TruncationOrderError, resolve_truncation_order
+
+    try:
+        return resolve_truncation_order(order)
+    except TruncationOrderError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _cmd_build_psd(args) -> int:
+    from .psd_builder import PsdSpec, build_psd, psd_spec_to_json
+
     spec = PsdSpec(args.r, args.blocks)
     psd = build_psd(spec)
     _emit(
@@ -133,20 +123,30 @@ def _cmd_build_psd(args) -> int:
 
 
 def _cmd_su1n_export(args) -> int:
+    from .su1n_model import build_su1n, model_to_json
+
     _emit(model_to_json(build_su1n(args.N)))
     return 0
 
 
 def _cmd_h2(args) -> int:
+    from .ce_cohomology import h2_dimension
+
     if args.su1n is not None:
+        from .su1n_model import build_su1n
+
         algebra = build_su1n(args.su1n).algebra
     else:
+        from .psd_builder import PsdSpec, build_psd
+
         algebra = build_psd(PsdSpec(args.r, args.blocks)).algebra
     _emit({"dim": algebra.dim, "h2": h2_dimension(algebra)})
     return 0
 
 
 def _suite_su1n(args) -> tuple:
+    from .su1n_model import build_su1n, verify_m_orthocomplement, verify_sigma_pairing
+
     model = build_su1n(args.N)
     pairing = verify_sigma_pairing(model)
     ortho = verify_m_orthocomplement(model)
@@ -161,6 +161,8 @@ def _suite_su1n(args) -> tuple:
 
 
 def _suite_qmm(args) -> tuple:
+    from .ball_quantization import build_qmm, mutate_add_nu_const, mutate_drop_nu2, verify_qmm
+
     table = build_qmm(args.N, args.alpha_q)
     if args.mutate == "drop-nu2":
         table = mutate_drop_nu2(table)
@@ -181,6 +183,11 @@ def _suite_qmm(args) -> tuple:
 
 
 def _suite_retract(args) -> tuple:
+    from .ball_quantization import build_qmm, fundamental_field
+    from .formal_star import CoefFn, NuSeries
+    from .retract_pde import apply_operator, check_reduction_closure, k_basis, retract_operator
+    from .su1n_model import build_su1n
+
     order = args.order
     model = build_su1n(args.N)
     closure = check_reduction_closure(model)
@@ -215,6 +222,14 @@ def _suite_retract(args) -> tuple:
 
 
 def _suite_cocycle(args) -> tuple:
+    from .ce_cohomology import (
+        coboundary_primitive_roots,
+        delta,
+        h2_dimension,
+        invariant_cocycle_space,
+    )
+    from .su1n_model import build_su1n
+
     model = build_su1n(args.N)
     h2 = h2_dimension(model.algebra)
     sub, basis = invariant_cocycle_space(model)
@@ -245,12 +260,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_retract_residual(args) -> int:
+    from .retract_pde import radial_pde_residual, xifn_to_json
+
     wv, om = radial_pde_residual(args.theta, args.n, order=args.order)
     _emit({"n": args.n, "wv": xifn_to_json(wv), "omega": xifn_to_json(om)})
     return 0
 
 
 def _cmd_qmm_export(args) -> int:
+    from .ball_quantization import build_qmm, qmm_table_to_json
+
     _emit(qmm_table_to_json(build_qmm(args.N, args.alpha_q)))
     return 0
 
@@ -318,7 +337,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         _check_args(args)
-    except (UsageError, TruncationOrderError) as exc:
+    except UsageError as exc:
         sys.stderr.write(f"ballquant: error: {exc}\n")
         return 2
     code = args.func(args)

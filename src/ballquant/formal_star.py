@@ -55,7 +55,7 @@ from operator import add
 
 from .lie_core import CheckReport, LieAlgebra
 from .linalg import mat_inverse
-from .scalars import SparseSum, accumulate, collect, frac_str, parse_frac, shaped
+from .scalars import SparseSum, accumulate, collect, frac_str, keyed, parse_frac, shaped
 
 
 @dataclass(frozen=True)
@@ -498,11 +498,11 @@ def coef_to_json(f: CoefFn) -> dict:
 
 def coef_from_json(payload: dict) -> CoefFn:
     """Sum the listed terms: int exponents, multi-indices of nv entries."""
-    nv = shaped(payload, dict, "a coefficient")["nv"]
+    nv, terms = keyed(payload, "a coefficient", "nv", "terms")
     if type(nv) is not int or nv < 0:
         raise ValueError(f"nv must be an int >= 0, got {nv!r}")
     items = []
-    for term in shaped(payload["terms"], list, "terms"):
+    for term in shaped(terms, list, "terms"):
         p, k, s, q, c = shaped(term, list, "a term")
         k = tuple(shaped(k, list, "a multi-index"))
         if len(k) != nv or any(type(e) is not int for e in (p, *k, s, q)):
@@ -521,8 +521,8 @@ def series_to_json(s: NuSeries) -> dict:
 
 def series_from_json(payload: dict) -> NuSeries:
     """A series of order + 1 coefficients with one nv and a bool exact."""
-    order, exact = shaped(payload, dict, "a series")["order"], payload["exact"]
-    coeffs = [coef_from_json(c) for c in shaped(payload["coeffs"], list, "coeffs")]
+    order, exact, coeffs = keyed(payload, "a series", "order", "exact", "coeffs")
+    coeffs = [coef_from_json(c) for c in shaped(coeffs, list, "coeffs")]
     if type(order) is not int or order < 0 or len(coeffs) != order + 1:
         raise ValueError(f"order {order!r} needs order + 1 coefficients, got {len(coeffs)}")
     if any(c.nv != coeffs[0].nv for c in coeffs):

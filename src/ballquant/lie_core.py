@@ -28,7 +28,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .linalg import Frame, combine, nullspace, rref, transpose, zeros
-from .scalars import collect, frac_str, parse_frac, shaped
+from .scalars import collect, frac_str, keyed, parse_frac, shaped
 
 Vector = dict
 _EMPTY = MappingProxyType({})
@@ -208,17 +208,19 @@ class LieAlgebra:
     @staticmethod
     def from_json(data: dict) -> "LieAlgebra":
         """The algebra of a to_json dict; repeated pair entries are summed."""
-        if type(shaped(data, dict, "an algebra")["dim"]) is not int:
-            raise ValueError(f"dim must be an int, got {data['dim']!r}")
+        dim, labels, brackets = keyed(data, "an algebra", "dim", "labels", "brackets")
+        if type(dim) is not int:
+            raise ValueError(f"dim must be an int, got {dim!r}")
         structure = {}
-        for item in shaped(data["brackets"], list, "brackets"):
-            key = (shaped(item, dict, "a bracket")["i"], item["j"])
+        for item in shaped(brackets, list, "brackets"):
+            i, j, coeffs = keyed(item, "a bracket", "i", "j", "coeffs")
+            key = (i, j)
             if any(type(x) is not int for x in key):
                 raise ValueError(f"bracket indices must be ints, got {key!r}")
-            coeffs = shaped(item["coeffs"], dict, "bracket coeffs")
+            coeffs = shaped(coeffs, dict, "bracket coeffs")
             coeffs = ((int(k), parse_frac(v)) for k, v in coeffs.items())
             structure[key] = collect(coeffs, structure.get(key))
-        return LieAlgebra(data["dim"], shaped(data["labels"], list, "labels"), structure)
+        return LieAlgebra(dim, shaped(labels, list, "labels"), structure)
 
 
 class Subspace:

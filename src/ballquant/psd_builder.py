@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .lie_core import CheckReport, LieAlgebra
 from .linalg import combine
-from .scalars import frac_str, parse_frac, shaped
+from .scalars import frac_str, keyed, parse_frac, shaped
 from .su1n_model import Su1nModel, adapted_s_basis
 
 
@@ -110,11 +110,12 @@ def psd_spec_from_json(data: dict) -> PsdSpec:
         return [[parse_frac(x) for x in shaped(row, list, "a row")] for row in rows]
 
     actions = {}
-    items = shaped(shaped(data, dict, "a spec").get("cross_actions", []), list, "cross_actions")
-    for item in items:
-        maps = shaped(shaped(item, dict, "a cross action")["maps"], dict, "maps")
-        actions[(item["inner"], item["outer"])] = {role: matrix(m) for role, m in maps.items()}
-    return PsdSpec(data["r"], list(shaped(data["n"], list, "n")), actions)
+    r, n = keyed(data, "a spec", "r", "n")
+    for item in shaped(data.get("cross_actions", []), list, "cross_actions"):
+        inner, outer, maps = keyed(item, "a cross action", "inner", "outer", "maps")
+        maps = shaped(maps, dict, "maps")
+        actions[(inner, outer)] = {role: matrix(m) for role, m in maps.items()}
+    return PsdSpec(r, list(shaped(n, list, "n")), actions)
 
 
 def match_iwasawa(psd: PsdAlgebra, model: Su1nModel) -> CheckReport:

@@ -65,7 +65,7 @@ from .ball_quantization import (
 from .formal_star import CoefFn, NuSeries, NuSum, transvection_terms
 from .lie_core import span_subspace
 from .linalg import Frame, vec_add
-from .scalars import GScalar, SparseSum, accumulate, collect, frac_str, parse_frac, shaped
+from .scalars import GScalar, SparseSum, accumulate, collect, frac_str, keyed, parse_frac, shaped
 from .su1n_model import Su1nModel
 
 
@@ -167,7 +167,8 @@ def xifn_to_json(f: XiFn) -> dict:
 def xifn_from_json(data: dict) -> XiFn:
     """Sum the listed terms; every exponent must be an int."""
     items = []
-    for term in shaped(shaped(data, dict, "an XiFn")["terms"], list, "terms"):
+    (terms,) = keyed(data, "an XiFn", "terms")
+    for term in shaped(terms, list, "terms"):
         *key, re, im = shaped(term, list, "a term")
         if len(key) != 5 or any(type(e) is not int for e in key):
             raise ValueError(f"XiFn exponents must be five ints, got {key!r}")

@@ -44,6 +44,16 @@ def shaped(value, kind: type, what: str):
     return value
 
 
+def keyed(data, what: str, *keys) -> list:
+    """The values of keys in data, which must be a dict holding each of
+    them, else ValueError naming what and the first key missing."""
+    shaped(data, dict, what)
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} needs the key {key!r}")
+    return [data[key] for key in keys]
+
+
 @dataclass(frozen=True)
 class GScalar:
     """A Gaussian rational re + im*i with exact Fraction parts."""

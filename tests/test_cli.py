@@ -8,14 +8,18 @@ errors.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ballquant import cli
+from ballquant import ball_quantization, ce_cohomology, retract_pde
 from ballquant.ce_cohomology import Cochain
 from ballquant.cli import main
 from ballquant.lie_core import LieAlgebra
@@ -150,6 +154,9 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         (["h2", "--r", "2", "--blocks", "2"], "--blocks"),
         (["build-psd", "--r", "1", "--blocks", "0"], "--blocks"),
         (["build-psd", "--r", "0", "--blocks", ""], "--r"),
+        (["build-psd", "--r", "2", "--blocks", "1,,2"], "--blocks"),
+        (["build-psd", "--r", "2", "--blocks", ",1,2"], "--blocks"),
+        (["build-psd", "--r", "2", "--blocks", "1,2,"], "--blocks"),
         (["h2"], "h2 needs"),
         (["verify", "--suite", "su1n", "--N", "1", "--order", "-1"], "order argument"),
         (["retract-residual", "--n", "1"], "--n"),
@@ -188,7 +195,8 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         "verify-N", "export-N", "qmm-export-N", "h2-su1n", "alpha-zero-denominator",
         "alpha-text", "export-alpha", "value-text", "label-unknown", "label-missing",
         "value-missing", "theta-syntax", "theta-no-terms", "theta-exponent", "blocks-text",
-        "blocks-count", "blocks-zero", "r-zero", "h2-no-target", "su1n-order",
+        "blocks-count", "blocks-zero", "r-zero", "blocks-empty-inner", "blocks-empty-first",
+        "blocks-empty-last", "h2-no-target", "su1n-order",
         "retract-n", "mutate-su1n", "mutate-retract", "mutate-cocycle", "label-unmutated",
         "value-unmutated", "label-drop-nu2", "alpha-su1n", "alpha-cocycle", "pairs-su1n",
         "pairs-retract", "pairs-cocycle", "h2-su1n-and-blocks", "h2-su1n-and-r",
@@ -198,6 +206,45 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
 )
 def test_bad_option_is_a_usage_error(capsys, argv, source):
     assert_usage_error(capsys, argv, source)
+
+
+# Any text given to an option that takes a document or a list: the
+# command exits 0, or 2 with one line on stderr; never 1, never raises.
+ANY_TEXT = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+def assert_exits_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+
+
+@ANY_TEXT
+@given(st.text())
+@example('{"terms": [[0, 0, 0, 0, 0, "1/1", "0/1"]]}')
+@example('{"terms": [[0, 0, 0, 0, 0, "1", "0"], 5]}')
+@example('{"term": []}')
+@example("[" * 100000)
+@example("-1")
+def test_any_theta_json_exits_0_or_2(text):
+    assert_exits_0_or_2(["retract-residual", f"--theta-json={text}"])
+
+
+@ANY_TEXT
+@given(st.text())
+@example("2,1")
+@example("1,,2")
+@example("\u0663,1")
+@example("9" * 5000 + ",1")
+@example("-1,2")
+def test_any_blocks_exits_0_or_2(text):
+    assert_exits_0_or_2(["build-psd", "--r", "2", f"--blocks={text}"])
 
 
 def test_su1n_export(capsys):
@@ -379,15 +426,21 @@ def assert_failed_suite(capsys, argv, key):
 
 
 def test_verify_retract_reports_constants_not_annihilated(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "apply_operator", lambda op, theta, order: theta)
+    monkeypatch.setattr(retract_pde, "apply_operator", lambda op, theta, order: theta)
     payload = assert_failed_suite(capsys, RETRACT, "constants_annihilated")
     assert payload["m_fields_match"] is True
 
 
 def test_verify_retract_reports_a_wrong_m_field(capsys, monkeypatch):
-    real = cli.fundamental_field
+    # build_qmm reads fundamental_field too: the table comes from the true
+    # field, and only the suite's own comparison reads the doubled one
+    table = ball_quantization.build_qmm(2)
+    monkeypatch.setattr(ball_quantization, "build_qmm", lambda N, alpha: table)
+    real = ball_quantization.fundamental_field
     monkeypatch.setattr(
-        cli, "fundamental_field", lambda chart, y: [c.scale(2) for c in real(chart, y)]
+        ball_quantization,
+        "fundamental_field",
+        lambda chart, y: [c.scale(2) for c in real(chart, y)],
     )
     payload = assert_failed_suite(capsys, RETRACT, "m_fields_match")
     assert payload["constants_annihilated"] is True
@@ -395,7 +448,9 @@ def test_verify_retract_reports_a_wrong_m_field(capsys, monkeypatch):
 
 def test_verify_cocycle_reports_a_wrong_primitive(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "coboundary_primitive_roots", lambda model, c: Cochain(1, c.dim, [F(0)] * c.dim)
+        ce_cohomology,
+        "coboundary_primitive_roots",
+        lambda model, c: Cochain(1, c.dim, [F(0)] * c.dim),
     )
     cocycle = ["verify", "--suite", "cocycle", "--N", "2"]
     payload = assert_failed_suite(capsys, cocycle, "primitive_ok")

@@ -255,6 +255,24 @@ def test_split_symplectic_is_antisymmetric_with_square_minus_one(half):
 # object, whose export then loads back to the same export, or raises
 # ValueError; any other exception fails.
 
+# Each importer given a dict without a key it needs, and that key
+MISSING_KEY = [
+    (coef_from_json, {"nv": 1}, "terms"),
+    (series_from_json, {"order": 0, "coeffs": []}, "exact"),
+    (xifn_from_json, {}, "terms"),
+    (LieAlgebra.from_json, {"dim": 1}, "labels"),
+    (psd_spec_from_json, {"r": 1}, "n"),
+    (cochain_from_json, {"degree": 1}, "dim"),
+]
+
+
+@pytest.mark.parametrize(
+    "load, data, key", MISSING_KEY, ids=["coef", "series", "xifn", "algebra", "spec", "cochain"]
+)
+def test_importer_names_a_missing_key(load, data, key):
+    with pytest.raises(ValueError, match=f"needs the key '{key}'"):
+        load(data)
+
 ODD_LEAVES = [-1, 0, 1, 2, 3, True, False, 0.5, None, "", "x", "1/2", "1/0"]
 TWIST = {(1, 2): {"H": [[F(1), F(0)], [F(0), F(-1)]]}}
 
@@ -286,17 +304,26 @@ def _changed(valid: dict, path: tuple, value) -> dict:
     return data
 
 
+def _without(valid: dict, path: tuple) -> dict:
+    """A copy of valid with the dict key at the end of path dropped."""
+    data = copy.deepcopy(valid)
+    del _parent(data, path)[path[-1]]
+    return data
+
+
 @st.composite
 def mutations(draw, valid: dict):
     """A copy of valid with one change: an entry below the root (a scalar
     leaf, or a list or dict in place of which a scalar then stands)
-    replaced by one of ODD_LEAVES, or one entry of a list dropped or
-    repeated."""
+    replaced by one of ODD_LEAVES, one key of a dict dropped, or one
+    entry of a list dropped or repeated."""
     data = copy.deepcopy(valid)
     path = draw(st.sampled_from(list(_spots(data))))
     parent = _parent(data, path)
     node = parent[path[-1]]
-    if not (isinstance(node, list) and node) or draw(st.booleans()):
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    elif not (isinstance(node, list) and node) or draw(st.booleans()):
         parent[path[-1]] = draw(st.sampled_from(ODD_LEAVES))
     else:
         i = draw(st.integers(0, len(node) - 1))
@@ -364,6 +391,7 @@ def _coef_is_well_formed(f) -> bool:
 @example(_changed(VALID_COEF, ("terms", 0, 0), True))
 @example(_changed(VALID_COEF, ("terms",), 5))
 @example(_changed(VALID_COEF, ("terms", 0, 1), 0))
+@example(_without(VALID_COEF, ("nv",)))
 def test_coef_from_json_loads_or_refuses(data):
     f = _loads_or_refuses(coef_from_json, coef_to_json, data)
     assert f is None or _coef_is_well_formed(f)
@@ -376,6 +404,7 @@ def test_coef_from_json_loads_or_refuses(data):
 @example(_changed(VALID_SERIES, ("exact",), -1))
 @example(_changed(VALID_SERIES, ("coeffs", 1, "nv"), 3))
 @example(_changed(VALID_SERIES, ("coeffs", 1), 2))
+@example(_without(VALID_SERIES, ("coeffs", 0, "terms")))
 def test_series_from_json_loads_or_refuses(data):
     s = _loads_or_refuses(series_from_json, series_to_json, data)
     if s is not None:
@@ -390,6 +419,7 @@ def test_series_from_json_loads_or_refuses(data):
 @example(_changed(VALID_ALGEBRA, ("brackets", 1), VALID_ALGEBRA["brackets"][0]))
 @example(_changed(VALID_ALGEBRA, ("brackets", 0, "coeffs"), 3))
 @example(_changed(VALID_ALGEBRA, ("labels",), "x"))
+@example(_without(VALID_ALGEBRA, ("brackets", 0, "j")))
 def test_lie_algebra_from_json_loads_or_refuses(data):
     g = _loads_or_refuses(LieAlgebra.from_json, LieAlgebra.to_json, data)
     if g is not None:
@@ -408,6 +438,7 @@ def test_lie_algebra_from_json_loads_or_refuses(data):
 @given(mutations(VALID_XIFN))
 @example(_changed(VALID_XIFN, ("terms",), 5))
 @example(_changed(VALID_XIFN, ("terms", 0), "1/2"))
+@example(_without(VALID_XIFN, ("terms",)))
 def test_xifn_from_json_loads_or_refuses(data):
     f = _loads_or_refuses(xifn_from_json, xifn_to_json, data)
     if f is not None:
@@ -422,6 +453,7 @@ def test_xifn_from_json_loads_or_refuses(data):
 @example({"degree": "x", "dim": 2, "data": []})
 @example({"degree": 1, "dim": "3", "data": ["1", "2", "3"]})
 @example(_changed(VALID_COCHAINS[2], ("data", 0), "0"))
+@example(_without(VALID_COCHAINS[1], ("data",)))
 def test_cochain_from_json_loads_or_refuses(data):
     c = _loads_or_refuses(cochain_from_json, cochain_to_json, data)
     if c is not None:
@@ -434,5 +466,7 @@ def test_cochain_from_json_loads_or_refuses(data):
 @example(_changed(VALID_SPEC, ("cross_actions", 0, "inner"), None))
 @example(_changed(VALID_SPEC, ("n", 1), True))
 @example(_changed(VALID_SPEC, ("cross_actions", 0, "maps", "H", 0), "1"))
+@example(_without(VALID_SPEC, ("r",)))
+@example(_without(VALID_SPEC, ("cross_actions", 0, "inner")))
 def test_psd_spec_from_json_and_build_psd_load_or_refuse(data):
     _loads_or_refuses(_psd_spec, psd_spec_to_json, data)
