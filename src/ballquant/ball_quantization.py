@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
 
-from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, StarOperand, half_commutator
+from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, half_commutator
 from .formal_star import series_to_json
 from .lie_core import structure_in
 from .linalg import Frame, bilinear, dense, split_symplectic, transpose
@@ -81,7 +81,7 @@ def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallC
     H, fs, E = adapted_s_basis(model)
     nv = len(fs)
     omega = split_symplectic(nv)
-    m_basis = model.m_space.basis
+    m_basis = list(model.m_space.basis)
     sigma = [model.apply_sigma(x) for x in fs + [E]]
     basis = [H] + fs + [E] + m_basis + sigma
     frame = Frame(basis)
@@ -405,14 +405,14 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     part).  Residuals are reported per failing pair; exact records
     whether every star commutator terminated inside the truncation.
 
-    Each lifted moment is wrapped once in a StarOperand, whose memo holds
-    the derivatives of each coefficient per multi-index, on either side
-    of a transvection, keyed by table position (moment, power of nu,
-    multi-index).  Every pair it enters reads them from there, so each
-    is taken at most once per call.  The joint walk of two coefficients
-    is not memoized: half_commutator takes it once per pair and drops it
-    when the pair is summed, and the operands' memo is dropped on
-    return, so no state outlives the call.  The left sides are read from
+    Each moment is resized to the order once, into fresh coefficients
+    whose derivative memos (CoefFn.step) fill as the pairs are walked,
+    on either side of a transvection, so each derivative is taken at
+    most once per call.  The joint walk of two coefficients is not
+    kept: half_commutator takes it once per pair and drops it when the
+    pair is summed.  The resized copies, and their memos with them, are
+    dropped on return, so no state outlives the call and the table's own
+    coefficients gain no memo.  The left sides are read from
     the structure constants of the checked basis vectors in the table
     frame, taken once per call by structure_in.
     """
@@ -428,13 +428,13 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     failures = []
     checked = 0
     exact = True
-    lifted = [StarOperand(m.resize(order), table.P) for m in table.moments]
+    lifted = [m.resize(order) for m in table.moments]
     for pos, i in enumerate(idx):
         for j in idx[pos + 1 :]:
             checked += 1
             lhs = NuSum(table.chart.nv, order)
             for k, c in structure.get((i, j), {}).items():
-                lhs.add(lifted[k].series, c)
+                lhs.add(lifted[k], c)
             rhs = half_commutator(lifted[i], lifted[j], table.P, order)
             exact = exact and rhs.exact
             res = lhs.add(rhs, -1).series()

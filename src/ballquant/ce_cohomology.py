@@ -20,13 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
 from .lie_core import LieAlgebra, bracket_triples
 from .linalg import Frame, bilinear, dense, nullspace, rank_sparse, transpose
-from .psd_builder import PsdAlgebra
 from .scalars import collect, frac_str, keyed, parse_frac, shaped
 from .su1n_model import Su1nModel, s_submodel
+
+if TYPE_CHECKING:
+    from .psd_builder import PsdAlgebra
 
 
 @dataclass

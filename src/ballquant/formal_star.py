@@ -21,18 +21,20 @@ retract operator, which walks one side only.  Every longer multiset
 differentiates a vanishing derivative further, so the sizes that have a
 multiset run from 0 to a last one, past which every C_m vanishes.
 
-A Walked memo holds the derivatives of one CoefFn per multi-index, for
-either side of a transvection, and a StarOperand holds one Walked per
-power of nu.  The star product series walk each pair of coefficients
-once, as a PairWalk: c_operator reads C_m off its size-m terms, and the
-series stop at its last size.  A pair's walk lives only while that pair
-is summed; a caller that takes many star products of the same series
-(verify_qmm over every pair of the moment table) differentiates each
-coefficient at most once per multi-index.  Plain CoefFn and NuSeries
-arguments get a fresh memo per call; a memo lives as long as the
-operand holding it.  c_operator scales each term once, by m! when it
-returns C_m itself and by the series weight when a star product series
-asks for (weight / m!) C_m, whose 1/m! the walk weights already carry.
+Each CoefFn keeps a memo of its own derivatives per multi-index, filled
+by the walk one step from the parent (CoefFn.step).  A derivative
+depends only on the function, so the memo serves either side of a
+transvection under any Poisson structure on its coordinates, and lives
+as long as the function.  The star product series walk each pair of
+coefficients once, as a PairWalk: c_operator reads C_m off its size-m
+terms, and the series stop at its last size.  A pair's walk lives only
+while that pair is summed; a caller that takes many star products of
+the same series (verify_qmm over every pair of the moment table)
+differentiates each coefficient at most once per multi-index, and one
+that wants no memo to outlive its call passes fresh copies (resize).
+c_operator scales each term once, by m! when it returns C_m itself and
+by the series weight when a star product series asks for (weight / m!)
+C_m, whose 1/m! the walk weights already carry.
 
 CoefFn takes its ring arithmetic (sums with cancellation, scaling,
 products by adding exponents) from the SparseSum core of scalars and adds
@@ -67,6 +69,17 @@ class CoefFn(SparseSum):
 
     def _new(self, terms: dict) -> CoefFn:
         return CoefFn(self.nv, terms)
+
+    def add(self, other: CoefFn) -> CoefFn:
+        return super().add(self._same_nv(other))
+
+    def mul(self, other: CoefFn) -> CoefFn:
+        return super().mul(self._same_nv(other))
+
+    def _same_nv(self, other: CoefFn) -> CoefFn:
+        if other.nv != self.nv:
+            raise ValueError(f"functions of {self.nv} and {other.nv} v coordinates do not combine")
+        return other
 
     @staticmethod
     def _key_mul(k1, k2):
@@ -112,6 +125,20 @@ class CoefFn(SparseSum):
                     k = tuple(k)
                 out[(p, k, s, q - iz)] = c if factor == 1 else c * factor
         return CoefFn(self.nv, out)
+
+    @cached_property
+    def _derivatives(self) -> dict:
+        return {}
+
+    def step(self, index: tuple, parent: CoefFn, unit: tuple) -> CoefFn:
+        """d^index self, given parent = d^(index - unit) self.  It is taken
+        on first use, by one step from parent, and kept in this function's
+        memo, so a function walked against many partners is differentiated
+        at most once per multi-index; the memo lives as long as the function."""
+        d = self._derivatives.get(index)
+        if d is None:
+            d = self._derivatives[index] = parent.diff(unit)
+        return d
 
     def diff_coord(self, coord: int) -> CoefFn:
         return self.diff(tuple(int(c == coord) for c in range(self.nv + 2)))
@@ -192,45 +219,18 @@ class PoissonStructure:
         return tuple(map(tuple, mat_inverse(self.matrix)))
 
 
-class Walked:
-    """A CoefFn with its derivatives for P memoized per multi-index over
-    (a, v_1 .. v_nv, z), on whichever side of a transvection the walk
-    reads them.  A derivative is taken on first use, by one step from
-    its parent, so an operand walked against many partners is
-    differentiated at most once per multi-index."""
-
-    def __init__(self, f: CoefFn, P: PoissonStructure):
-        self.f, self.P, self.degree = f, P, f.degree()
-        self._diffs = {(0,) * (P.nv + 2): f}
-
-    def step(self, index: tuple, parent: CoefFn, unit: tuple) -> CoefFn:
-        """d^index f, given parent = d^(index - unit) f."""
-        d = self._diffs.get(index)
-        if d is None:
-            d = self._diffs[index] = parent.diff(unit)
-        return d
-
-
-def _memo(x, cls, P: PoissonStructure):
-    """x as a memo of class cls over P: x itself, or a fresh one."""
-    if not isinstance(x, cls):
-        return cls(x, P)
-    if x.P is not P:
-        raise ValueError("operand was walked for another Poisson structure")
-    return x
-
-
-def transvection_terms(f, g, P: PoissonStructure, limit: int) -> list:
+def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: int) -> list:
     """Walk the multisets of directed pairs of P of every size up to
     limit at once, one pair index at a time.
 
-    f and g are CoefFn or Walked memos over P; g is None for a one-sided
-    walk.  Returns terms, where terms[m] lists (w, d^u f, d^w g, weight)
-    in walk order for every multiset of m pairs whose derivatives are
-    nonzero (d^w g is None one-sided).  u and w are the derivative
-    multi-indices it puts on the first and second argument and weight =
-    prod val^c / c! over its pairs, so that (1/m!) C_m(f, g) = sum
-    weight * d^u f * d^w g.
+    f and g are functions on the coordinates of P, differentiated through
+    their memos (CoefFn.step); g is None for a one-sided walk, and an
+    operand of another nv raises ValueError.  Returns terms, where
+    terms[m] lists (w, d^u f, d^w g, weight) in walk order for every
+    multiset of m pairs whose derivatives are nonzero (d^w g is None
+    one-sided).  u and w are the derivative multi-indices it puts on the
+    first and second argument and weight = prod val^c / c! over its
+    pairs, so that (1/m!) C_m(f, g) = sum weight * d^u f * d^w g.
 
     A branch is dropped once d^u f or d^w g vanishes: every longer
     multiset differentiates that derivative further.  So a recorded
@@ -238,14 +238,13 @@ def transvection_terms(f, g, P: PoissonStructure, limit: int) -> list:
     sizes are cut, and len(terms) - 1 is the largest size that has a
     multiset: C_m vanishes for every larger m.
     """
-    f = _memo(f, Walked, P)
-    g = None if g is None else _memo(g, Walked, P)
-    dg = None if g is None else g.f
+    if f.nv != P.nv or (g is not None and g.nv != P.nv):
+        raise ValueError(f"an operand's nv differs from the Poisson structure's {P.nv}")
     zero, one = (0,) * (P.nv + 2), Fraction(1)
     terms = [[] for _ in range(limit + 1)]
-    if f.f.terms and (g is None or dg.terms):
-        terms[0].append((zero, f.f, dg, one))
-        _extend((P.directed_pairs, P.units, f, g, terms), 0, 0, zero, zero, f.f, dg, one)
+    if f.terms and (g is None or g.terms):
+        terms[0].append((zero, f, g, one))
+        _extend((P.directed_pairs, P.units, f, g, terms), 0, 0, zero, zero, f, g, one)
     while terms and not terms[-1]:
         terms.pop()
     return terms
@@ -255,7 +254,7 @@ def _extend(walk, start, size, u, w, df, dg, weight):
     """Record every multiset that extends one prefix of the given size
     by pairs of index start or later; u, w, df, dg and weight are the
     prefix's.  walk holds what the whole walk shares: the directed
-    pairs, the unit multi-index of each coordinate, the two memos and
+    pairs, the unit multi-index of each coordinate, the two operands and
     the terms by size, whose length bounds the size."""
     pairs, units, f, g, terms = walk
     left = len(terms) - 1 - size
@@ -280,28 +279,28 @@ def _extend(walk, start, size, u, w, df, dg, weight):
 
 
 class PairWalk:
-    """An operand pair (f, g) of Walked memos over P and its joint walk,
-    transvection_terms up to limit: C_m(f, g) for every m is read off
-    terms[m].  A series holds one only while it sums that pair."""
+    """The joint walk of an operand pair (f, g), transvection_terms up to
+    limit: C_m(f, g) for every m is read off terms[m].  g and P are kept
+    to check a reader's partner and structure.  A series holds one only
+    while it sums that pair."""
 
-    def __init__(self, f: Walked, g: Walked, P: PoissonStructure, limit: int):
-        self.f, self.g, self.P = f, g, P
+    def __init__(self, f: CoefFn, g: CoefFn, P: PoissonStructure, limit: int):
+        self.g, self.P = g, P
         self.terms = transvection_terms(f, g, P, limit)
 
 
-def c_operator(f, g, P: PoissonStructure, m: int, weight=None) -> CoefFn:
+def c_operator(f: CoefFn | PairWalk, g: CoefFn, P: PoissonStructure, m: int, weight=None) -> CoefFn:
     """The m-th transvection C_m(f, g) for the constant structure P, or
     (weight / m!) C_m(f, g) when a weight is given, as the star product
     series take it.
 
-    f and g are CoefFn or Walked memos over P, walked jointly up to size
-    m; or f is the PairWalk of f with its partner g, whose size-m terms
-    are read without walking again.  Each term is scaled once and its
-    products are accumulated in place."""
+    f and g are walked jointly up to size m; or f is the PairWalk of f
+    with its partner g, whose size-m terms are read without walking
+    again.  Each term is scaled once and its products are accumulated
+    in place."""
     walk = f
     if not isinstance(walk, PairWalk):
-        f, g = _memo(f, Walked, P), _memo(g, Walked, P)
-        walk = PairWalk(f, g, P, min(m, f.degree + g.degree))
+        walk = PairWalk(f, g, P, min(m, f.degree() + g.degree()))
     elif walk.P is not P or walk.g is not g:
         raise ValueError("pair walk was taken for another partner or structure")
     scale = factorial(m) if weight is None else weight
@@ -404,22 +403,12 @@ class NuSum:
         return NuSeries(self.order, coeffs, self.exact)
 
 
-class StarOperand:
-    """A NuSeries read by the transvection series: one Walked memo per
-    power of nu, for the Poisson structure P.  Passing the same operand to
-    several products differentiates each coefficient at most once per
-    multi-index; the memo lives as long as the operand."""
-
-    def __init__(self, series: NuSeries, P: PoissonStructure):
-        self.series, self.P = series, P
-        self.walked = [Walked(c, P) for c in series.coeffs]
-
-
-def _transvection_series(F, G, P, order, first, step, weight, shift=0) -> NuSeries:
+def _transvection_series(
+    F: NuSeries, G: NuSeries, P: PoissonStructure, order, first, step, weight, shift=0
+) -> NuSeries:
     """Sum of nu^(i+j+m-shift) (weight / m!) C_m(F_i, G_j) over the powers
     i of F and j of G and over m = first, first + step, .., landed in a
-    NuSum of the given order.  F and G are NuSeries, or StarOperand memos
-    over P.
+    NuSum of the given order.
 
     Each pair (F_i, G_j) of nonzero coefficients is walked once, for
     every m at once, and the m loop ends at the last size of that walk,
@@ -431,13 +420,12 @@ def _transvection_series(F, G, P, order, first, step, weight, shift=0) -> NuSeri
     skipped without computing them, and a sum that is already inexact
     does not walk past the order.
     """
-    A, B = _memo(F, StarOperand, P), _memo(G, StarOperand, P)
-    out = NuSum(P.nv, order, A.series.exact and B.series.exact)
-    gs = [(j, g) for j, g in enumerate(B.walked) if g.f.terms]
-    for i, f in enumerate(A.walked):
-        for j, g in gs if f.f.terms else ():
+    out = NuSum(P.nv, order, F.exact and G.exact)
+    fs, gs = ([(j, h, h.degree()) for j, h in enumerate(S.coeffs) if h.terms] for S in (F, G))
+    for i, f, df in fs:
+        for j, g, dg in gs:
             t = i + j - shift
-            limit = f.degree + g.degree if out.exact else min(f.degree + g.degree, order - t)
+            limit = df + dg if out.exact else min(df + dg, order - t)
             if limit < first:
                 continue
             walk = PairWalk(f, g, P, limit)
@@ -448,23 +436,17 @@ def _transvection_series(F, G, P, order, first, step, weight, shift=0) -> NuSeri
     return out.series()
 
 
-def moyal(
-    F: NuSeries | StarOperand, G: NuSeries | StarOperand, P: PoissonStructure, order: int
-) -> NuSeries:
+def moyal(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
     """Truncated star product sum_m nu^m / m! C_m, extended bilinearly."""
     return _transvection_series(F, G, P, order, 0, 1, 1)
 
 
-def star_commutator(
-    F: NuSeries | StarOperand, G: NuSeries | StarOperand, P: PoissonStructure, order: int
-) -> NuSeries:
+def star_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
     """F * G - G * F, using that even transvections are symmetric."""
     return _transvection_series(F, G, P, order, 1, 2, 2)
 
 
-def half_commutator(
-    F: NuSeries | StarOperand, G: NuSeries | StarOperand, P: PoissonStructure, order: int
-) -> NuSeries:
+def half_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
     """(1 / (2 nu)) [F, G]: the commutator doubles the odd transvections
     and cancels the even ones, so this is the sum of nu^(m-1) (1 / m!) C_m
     over odd m."""

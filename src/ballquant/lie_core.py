@@ -14,8 +14,8 @@ differential also reads, and an invalid table is refused.  A table read
 from a bracket that already satisfies Jacobi (``LieAlgebra.read``: the
 matrix commutator of the su(1, N) model, and ``subalgebra`` of an
 algebra) is certified by how it was read and is not swept.  Subspaces
-keep a canonical reduced echelon basis of read-only vectors, which makes
-equality of subspaces literal list equality.
+keep a canonical reduced echelon basis, a tuple of read-only vectors,
+which makes equality of subspaces literal tuple equality.
 structure_in reads the structure constants of any list of vectors
 against a Frame, for any bracket; the su(1, N) model, subalgebras and
 the moment table all get theirs from it.
@@ -155,7 +155,7 @@ class LieAlgebra:
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
         self.dim = dim
-        self.labels = list(labels)
+        self.labels = tuple(labels)
         self.rows = _row_table(dim, structure)
         self.structure = MappingProxyType({(i, j): self.rows[i][j] for i, j in structure})
 
@@ -224,12 +224,12 @@ class LieAlgebra:
 
 
 class Subspace:
-    """Subspace of a LieAlgebra with a canonical echelon basis: a list of
-    read-only vectors, which a cached subspace hands out as they are."""
+    """Subspace of a LieAlgebra with a canonical echelon basis: a tuple
+    of read-only vectors, which a cached subspace hands out as it is."""
 
     def __init__(self, algebra: LieAlgebra, vectors: list):
         self.algebra = algebra
-        self.basis = [MappingProxyType(r) for r in rref(vectors)[0]]
+        self.basis = tuple(MappingProxyType(r) for r in rref(vectors)[0])
         self.dim = len(self.basis)
 
     @cached_property

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .lie_core import CheckReport, LieAlgebra
 from .linalg import combine
 from .scalars import frac_str, keyed, parse_frac, shaped
-from .su1n_model import Su1nModel, adapted_s_basis
+
+if TYPE_CHECKING:
+    from .su1n_model import Su1nModel
 
 
 @dataclass
@@ -125,6 +128,8 @@ def match_iwasawa(psd: PsdAlgebra, model: Su1nModel) -> CheckReport:
     symplectic chart basis of the short root space and E to the
     normalized top root vector, then compares every structure constant.
     """
+    from .su1n_model import adapted_s_basis
+
     if psd.spec.r != 1 or psd.spec.n != [model.N]:
         return CheckReport(False, 0, [("shape", psd.spec.r, psd.spec.n, model.N)])
     H, fs, E = adapted_s_basis(model)

@@ -207,7 +207,7 @@ def check_reduction_closure(model: Su1nModel) -> ClosureReport:
         for a, x in enumerate(w.basis)
         for y in w.basis[a + 1 :]
     ]
-    filled = span_subspace(algebra, w.basis + brackets)
+    filled = span_subspace(algebra, [*w.basis, *brackets])
     ok = not failures and filled.dim == algebra.dim
     return ClosureReport(ok, w.dim, filled.dim, failures)
 
@@ -285,12 +285,12 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
     mu = NuSum(nv, 2)
     for k, c in coords.items():
         mu.add(table.moments[k], c)
-    mu = mu.series()
     exact = mu.exact
     buckets = defaultdict(lambda: NuSum(nv, order))
-    for i, coef in enumerate(mu.coeffs):
+    for i, coef_terms in sorted(mu.terms.items()):
         past = (order - i + 2) | 1  # the first odd m with i + m - 1 > order
-        terms = transvection_terms(coef, None, table.P, past)
+        # a CoefFn per power, whose derivative memo goes with its walk
+        terms = transvection_terms(CoefFn(nv, coef_terms), None, table.P, past)
         for m in range(1, min(past, len(terms)), 2):
             for w, d, _, weight in terms[m]:
                 buckets[w].land(i + m - 1, ((k, v * weight) for k, v in d.terms.items()))

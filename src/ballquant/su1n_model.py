@@ -83,21 +83,21 @@ def _basis_matrices(N: int):
     return mats, labels, signs
 
 
-@dataclass
+@dataclass(frozen=True)
 class RootDatum:
     """One restricted-root space with its coroot.
 
-    lambda_of_H lists the root value on each basis vector of a (here a is
-    one dimensional).  H_lambda is the unique element of a representing
-    the root functional through the Killing form.
+    lambda_of_H is the tuple of the root values on the basis vectors of a
+    (here a is one dimensional).  H_lambda is the unique element of a
+    representing the root functional through the Killing form.
     """
 
-    lambda_of_H: list
+    lambda_of_H: tuple
     space: Subspace
     H_lambda: MappingProxyType
 
 
-@dataclass
+@dataclass(frozen=True)
 class Su1nModel:
     N: int
     algebra: LieAlgebra
@@ -108,7 +108,7 @@ class Su1nModel:
     n_space: Subspace
     m_space: Subspace
     s_space: Subspace
-    roots: list
+    roots: tuple
     H0: MappingProxyType
     beta: tuple
     beta_H0: Fraction
@@ -131,10 +131,12 @@ class Su1nModel:
 
 @lru_cache(maxsize=None)
 def build_su1n(N: int) -> Su1nModel:
-    """Construct the su(1, N) model; results are cached.  Every vector of
-    the model (the subspace bases, H0 and each H_lambda) is a read-only
-    map, and the structure table, beta, sigma_diagonal and matrices are
-    read-only at every level, so callers use them without copying."""
+    """Construct the su(1, N) model; results are cached.  The model and
+    its root data are frozen, their sequences (labels, subspace bases,
+    roots) are tuples, every vector (the subspace bases, H0 and each
+    H_lambda) is a read-only map, and the structure table, beta,
+    sigma_diagonal and matrices are read-only at every level, so callers
+    use them without copying."""
     if N < 1:
         raise ValueError("N must be at least 1")
     mats, labels, signs = _basis_matrices(N)
@@ -160,7 +162,7 @@ def build_su1n(N: int) -> Su1nModel:
         shifted = [vec_add(row, {i: -t}) for i, row in enumerate(ad_h0)]
         space = span_subspace(algebra, nullspace(shifted, dim))
         if space.dim:
-            roots.append(RootDatum([t], space, MappingProxyType(vec_scale(H0, t / beta_H0))))
+            roots.append(RootDatum((t,), space, MappingProxyType(vec_scale(H0, t / beta_H0))))
     if sum(r.space.dim for r in roots) != dim:
         raise AssertionError("restricted-root spaces do not fill the algebra")
 
@@ -181,7 +183,7 @@ def build_su1n(N: int) -> Su1nModel:
         n_space=n_space,
         m_space=m_space,
         s_space=s_space,
-        roots=roots,
+        roots=tuple(roots),
         H0=H0,
         beta=tuple(map(tuple, beta)),
         beta_H0=beta_H0,

@@ -151,7 +151,8 @@ def test_chart_and_table_cannot_change_the_cached_model(N):
     before = (model_to_json(model), dict(model.H0), qmm_table_to_json(build_qmm(N)))
     table = build_qmm(N)
     assert table.chart.H is model.H0
-    shared = [model.H0] + model.m_space.basis + [x for r in model.roots for x in r.space.basis]
+    roots = [x for r in model.roots for x in r.space.basis]
+    shared = [model.H0] + list(model.m_space.basis) + roots
     sevens = {j: F(7) for j in range(model.algebra.dim)}
     owned = 0
     for v in table.basis:

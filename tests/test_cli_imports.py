@@ -30,13 +30,15 @@ sys.exit(code)
 BEYOND_MODEL = {"psd_builder", "ce_cohomology", "formal_star", "ball_quantization", "retract_pde"}
 NO_STAR = {"formal_star", "ball_quantization", "retract_pde"}
 NO_COHOMOLOGY = {"ce_cohomology", "psd_builder"}
-# The modules a command must not load, by subcommand and verify suite
+# The modules a command must not load, by subcommand (h2 by the algebra
+# it reads) and verify suite
 EXCLUDED = {
-    "build-psd": BEYOND_MODEL - {"psd_builder"},
+    "build-psd": BEYOND_MODEL - {"psd_builder"} | {"su1n_model"},
     "su1n-export": BEYOND_MODEL,
     "verify su1n": BEYOND_MODEL,
-    "h2": NO_STAR,
-    "verify cocycle": NO_STAR,
+    "h2 --su1n": NO_STAR | {"psd_builder"},
+    "h2 --r": NO_STAR,
+    "verify cocycle": NO_STAR | {"psd_builder"},
     "verify qmm": NO_COHOMOLOGY | {"retract_pde"},
     "qmm-export": NO_COHOMOLOGY | {"retract_pde"},
     "verify retract": NO_COHOMOLOGY,
@@ -59,6 +61,8 @@ def _loaded(stderr: str) -> set:
 def _key(argv: list) -> str:
     if argv[0] == "verify":
         return f"verify {argv[argv.index('--suite') + 1]}"
+    if argv[0] == "h2":
+        return "h2 --r" if "--r" in argv else "h2 --su1n"
     return argv[0]
 
 

@@ -21,8 +21,6 @@ from ballquant.formal_star import (
     NuSum,
     PairWalk,
     PoissonStructure,
-    StarOperand,
-    Walked,
     c_operator,
     check_poisson_covariance,
     coef_from_json,
@@ -36,6 +34,7 @@ from ballquant.formal_star import (
     transvection_terms,
 )
 from ballquant.lie_core import LieAlgebra
+from ballquant.retract_pde import apply_operator, k_basis, retract_operator
 
 
 def std_structure(nv: int, p=F(1, 2), vv=F(1)) -> PoissonStructure:
@@ -375,37 +374,85 @@ def test_moyal_matches_a_sympy_expansion():
         )
 
 
-def test_star_operand_reuse_matches_fresh_products():
-    """One StarOperand per series, reused across every product it enters,
-    gives the products of the plain series, exact flag included."""
+def fresh(f: CoefFn) -> CoefFn:
+    """A copy of f with an empty derivative memo."""
+    return CoefFn(f.nv, dict(f.terms))
+
+
+def copies(s: NuSeries) -> NuSeries:
+    return NuSeries(s.order, [fresh(c) for c in s.coeffs], s.exact)
+
+
+def holds_memo(f: CoefFn) -> bool:
+    return bool(vars(f).get("_derivatives"))
+
+
+def test_series_reuse_matches_fresh_products():
+    """One NuSeries per operand, reused across every product it enters,
+    gives the products of fresh copies, exact flag included."""
     rng = random.Random(11)
     P = std_structure(2)
     K = 4
     series = [
-        NuSeries(K, [rand_fn(2, rng) for _ in range(2)] + [CoefFn.zero(2)] * (K - 1))
-        for _ in range(3)
+        NuSeries(K, [rand_fn(2, rng) for _ in range(2)] + [CoefFn.zero(2)] * (K - 1), exact)
+        for exact in (True, True, False)
     ]
-    ops = [StarOperand(s, P) for s in series]
     for product in (moyal, star_commutator, half_commutator):
         for a in range(3):
             for b in range(3):
-                got = product(ops[a], ops[b], P, K)
-                want = product(series[a], series[b], P, K)
+                got = product(series[a], series[b], P, K)
+                want = product(copies(series[a]), copies(series[b]), P, K)
                 assert got.exact == want.exact
                 assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
+    assert all(holds_memo(c) for s in series for c in s.coeffs if c.terms)
 
 
-def test_memo_is_bound_to_its_structure():
-    P, Q = std_structure(2), std_structure(2, p=F(1))
-    f = mono(2, p=1, k=(1, 0), q=1)
+def test_memo_is_shared_across_structures():
+    """A derivative depends only on the function: one CoefFn walked under
+    two structures of the same nv, in turn, gives what fresh copies give."""
+    rng = random.Random(4)
+    P, Q = std_structure(2), std_structure(2, p=F(1), vv=F(-3))
+    f, g = rand_fn(2, rng), rand_fn(2, rng)
+    for m in range(5):
+        for S in (P, Q):
+            assert c_operator(f, g, S, m) == c_operator(fresh(f), fresh(g), S, m)
+    assert holds_memo(f) and holds_memo(g)
+    h = mono(2, p=1, k=(1, 0), q=1)
+    walk = PairWalk(h, h, P, 2)
     with pytest.raises(ValueError):
-        c_operator(Walked(f, P), f, Q, 1)
+        c_operator(walk, fresh(h), P, 1)
     with pytest.raises(ValueError):
-        moyal(NuSeries.from_coef(f, 2), StarOperand(NuSeries.from_coef(f, 2), P), Q, 2)
-    walk = PairWalk(Walked(f, P), Walked(f, P), P, 2)
-    with pytest.raises(ValueError):
-        c_operator(walk, Walked(f, P), P, 1)
+        c_operator(walk, walk.g, Q, 1)
     assert c_operator(walk, walk.g, P, 1).is_zero()
+
+
+def test_checks_leave_no_memo_on_the_table():
+    """verify_qmm and the retract operators walk copies of the moments, so
+    the table's own coefficients never hold a derivative memo."""
+    table = build_qmm(2)
+    assert verify_qmm(table, order=4).ok
+    for x in k_basis(table.chart)[1]:
+        op = retract_operator(table, x, order=4)
+        for mom in table.moments:
+            apply_operator(op, mom, 4)
+    assert not any(holds_memo(c) for m in table.moments for c in m.coeffs)
+
+
+def test_walk_refuses_operands_of_another_nv():
+    f = CoefFn.monomial(4, 1, (1, 0, 1, 0), 0, 1, 1)
+    g = CoefFn.monomial(2, 0, (0, 1), 0, 0, 1)
+    P = std_structure(2)
+    with pytest.raises(ValueError, match="nv differs"):
+        c_operator(f, g, P, 1)
+    with pytest.raises(ValueError, match="nv differs"):
+        c_operator(g, f, P, 1)
+    with pytest.raises(ValueError, match="nv differs"):
+        transvection_terms(f, None, P, 2)
+    for a, b in ((f, g), (g, f)):
+        for combine in (a.add, a.sub, a.mul):
+            with pytest.raises(ValueError, match="do not combine"):
+                combine(b)
+    assert len(transvection_terms(g, None, P, 2)) == 2
 
 
 def test_half_commutator():

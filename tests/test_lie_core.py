@@ -169,7 +169,7 @@ def test_check_jacobi_ok():
 def test_subspace_canonical_basis():
     g = sl2_like()
     s = span_subspace(g, [{0: F(2), 1: F(4)}, {0: F(1), 1: F(2), 2: F(1)}])
-    assert s.basis == [{0: F(1), 1: F(2)}, {2: F(1)}]
+    assert s.basis == ({0: F(1), 1: F(2)}, {2: F(1)})
     assert s.dim == 2
     assert s.contains({0: F(3), 1: F(6), 2: F(5)})
     assert not s.contains({1: F(1)})
@@ -182,8 +182,8 @@ def test_derived_and_center():
     assert derived_subalgebra(g).dim == 3
     assert center(g).dim == 0
     h = heisenberg()
-    assert derived_subalgebra(h).basis == [{2: F(1)}]
-    assert center(h).basis == [{2: F(1)}]
+    assert derived_subalgebra(h).basis == ({2: F(1)},)
+    assert center(h).basis == ({2: F(1)},)
 
 
 def test_derived_is_bracket_stable():
@@ -201,7 +201,7 @@ def test_normalizer_and_centralizer():
     assert n.dim == 2
     assert n.contains({0: F(1)}) and n.contains({1: F(1)})
     c = centralizer(g, span_subspace(g, [{0: F(1)}]))
-    assert c.basis == [{0: F(1)}]
+    assert c.basis == ({0: F(1)},)
 
 
 def test_subalgebra_extraction():
@@ -412,7 +412,7 @@ def test_vectors_are_sparse_maps_that_agree_with_dense_oracles(name):
     assert nullspace(ad, n) == [sparse(v) for v in nullspace_oracle(dense_ad, n)]
     red, _ = rref_oracle(vecs)
     sub = span_subspace(g, rows)
-    assert sub.basis == [sparse(r) for r in red]
+    assert sub.basis == tuple(sparse(r) for r in red)
     c = [F(k - 1, k + 1) for k in range(len(red))]
     point = [sum((ck * r[t] for ck, r in zip(c, red)), F(0)) for t in range(n)]
     assert Frame(sub.basis).coords(sparse(point)) == sparse(c)

@@ -20,7 +20,7 @@ from ballquant.su1n_model import build_su1n, model_to_json
 def test_layout_and_labels():
     psd = build_psd(PsdSpec(2, [2, 1]))
     assert psd.algebra.dim == 6
-    assert psd.algebra.labels == ["H2", "E2", "H1", "v1_1", "v1_2", "E1"]
+    assert psd.algebra.labels == ("H2", "E2", "H1", "v1_1", "v1_2", "E1")
     assert psd.blocks[1]["V"] == [3, 4]
     assert psd.blocks[2]["V"] == []
 

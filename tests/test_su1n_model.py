@@ -104,7 +104,7 @@ def test_highest_root_generator_frozen_n1():
     model = build_su1n(1)
     top = model.roots[0]
     # basis order (D0, P1, Q1); echelon generator is D0 - Q1
-    assert top.space.basis == [{0: F(1), 2: F(-1)}]
+    assert top.space.basis == ({0: F(1), 2: F(-1)},)
 
 
 def test_sigma_pairing_identity():
@@ -145,7 +145,7 @@ def test_m_centralizes_a_and_top_root():
         assert not g.bracket(y, model.H0)
         assert not g.bracket(y, top)
     # frozen central generator at N = 2: i diag(1,1,-2) = D0 + 2 D1
-    assert model.m_space.basis == [{0: F(1), 1: F(2)}]
+    assert model.m_space.basis == ({0: F(1), 1: F(2)},)
 
 
 def test_iwasawa_projection():
@@ -285,6 +285,30 @@ MODEL_DIGESTS = {
 @pytest.mark.parametrize("N", sorted(MODEL_DIGESTS))
 def test_model_to_json_bytes_are_frozen(N):
     doc = json.dumps(model_to_json(build_su1n(N)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == MODEL_DIGESTS[N]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_cached_model_cannot_be_changed_through_what_it_returns(N):
+    """Labels, subspace bases, roots and root values are tuples and the
+    model and its root data are frozen, so no write through a model
+    reaches the next build_su1n(N)."""
+    model = build_su1n(N)
+    with pytest.raises(TypeError):
+        model.algebra.labels[0] = "X"
+    with pytest.raises(AttributeError):
+        model.roots.pop()
+    with pytest.raises(AttributeError):
+        model.s_space.basis.pop()
+    with pytest.raises(TypeError):
+        model.roots[0].lambda_of_H[0] = F(7)
+    with pytest.raises(AttributeError):
+        model.roots = ()
+    with pytest.raises(AttributeError):
+        model.roots[0].lambda_of_H = (F(7),)
+    again = build_su1n(N)
+    assert again.algebra.labels[0] != "X" and again.s_space.dim == len(again.s_space.basis)
+    doc = json.dumps(model_to_json(again), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == MODEL_DIGESTS[N]
 
 
