@@ -26,10 +26,10 @@ from weakref import WeakKeyDictionary
 from .lie_core import LieAlgebra, bracket_triples
 from .linalg import Frame, bilinear, dense, nullspace, rank_sparse, transpose
 from .scalars import collect, frac_str, keyed, parse_frac, shaped
-from .su1n_model import Su1nModel, s_submodel
 
 if TYPE_CHECKING:
     from .psd_builder import PsdAlgebra
+    from .su1n_model import Su1nModel
 
 
 @dataclass
@@ -240,6 +240,8 @@ def coboundary_primitive_roots(model: Su1nModel, c: Cochain) -> Cochain:
     these values on the adapted basis (H, root vectors), so it is read as
     coordinates against the columns of that basis.
     """
+    from .su1n_model import s_submodel
+
     sub = s_submodel(model)
     g = sub.algebra
     if not is_cocycle(g, c):
@@ -261,6 +263,8 @@ def invariant_cocycle_space(model: Su1nModel):
     submodel together with a basis of the space of cocycles c with
     c([[Z, X]]_s, Y) + c(X, [[Z, Y]]_s) = 0 for every Z in k.
     """
+    from .su1n_model import s_submodel
+
     sub = s_submodel(model)
     g = sub.algebra
     n = g.dim

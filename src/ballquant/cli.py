@@ -198,17 +198,15 @@ def _suite_retract(args) -> tuple:
     ops = [retract_operator(table, x, order=order) for x in k_basis(chart)[1]]
     zero = (0,) * (chart.nv + 2)
     constants_ok = all(zero not in op and apply_operator(op, one, order).is_zero() for op in ops)
-    fields_ok = True
-    for y, op in zip(chart.m_basis, ops):
-        comps = fundamental_field(chart, y)
-        for coord, comp in enumerate(comps):
-            key = tuple(1 if c == coord else 0 for c in range(chart.nv + 2))
-            series = op.get(key)
-            got = series.coeffs[0] if series else CoefFn.zero(chart.nv)
-            if not got.sub(comp).is_zero():
-                fields_ok = False
-            if series and any(not c.is_zero() for c in series.coeffs[1:]):
-                fields_ok = False
+    # each m operator is its fundamental field, key for key, exactly
+    fields_ok = all(
+        op == {
+            table.P.units[c]: NuSeries.from_coef(comp, order)
+            for c, comp in enumerate(fundamental_field(chart, y))
+            if comp.terms
+        }
+        for y, op in zip(chart.m_basis, ops)
+    )
     ok = closure.ok and constants_ok and fields_ok
     return ok, {
         "suite": "retract",

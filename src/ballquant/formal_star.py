@@ -21,20 +21,22 @@ retract operator, which walks one side only.  Every longer multiset
 differentiates a vanishing derivative further, so the sizes that have a
 multiset run from 0 to a last one, past which every C_m vanishes.
 
-Each CoefFn keeps a memo of its own derivatives per multi-index, filled
-by the walk one step from the parent (CoefFn.step).  A derivative
-depends only on the function, so the memo serves either side of a
-transvection under any Poisson structure on its coordinates, and lives
-as long as the function.  The star product series walk each pair of
-coefficients once, as a PairWalk: c_operator reads C_m off its size-m
-terms, and the series stop at its last size.  A pair's walk lives only
-while that pair is summed; a caller that takes many star products of
-the same series (verify_qmm over every pair of the moment table)
-differentiates each coefficient at most once per multi-index, and one
-that wants no memo to outlive its call passes fresh copies (resize).
-c_operator scales each term once, by m! when it returns C_m itself and
-by the series weight when a star product series asks for (weight / m!)
-C_m, whose 1/m! the walk weights already carry.
+Each CoefFn keeps a memo of its own derivatives per multi-index, which
+the joint walk fills one step from the parent (CoefFn.step).  A
+derivative depends only on the function, so the memo serves either side
+of a transvection under any Poisson structure on its coordinates, and
+lives as long as the function.  The one-sided walk keeps none: under
+the chart's structure it reaches each multi-index by one multiset only.
+The star product series walk each pair of coefficients once, as a
+PairWalk: c_operator reads C_m off its size-m terms, and the series stop
+at its last size.  A pair's walk lives only while that pair is summed; a
+caller that takes many star products of the same series (verify_qmm
+over every pair of the moment table) differentiates each coefficient at
+most once per multi-index, and one that wants no memo to outlive its
+call passes fresh copies (resize).  c_operator scales each term once, by
+m! when it returns C_m itself and by the series weight when a star
+product series asks for (weight / m!) C_m, whose 1/m! the walk weights
+already carry.
 
 CoefFn takes its ring arithmetic (sums with cancellation, scaling,
 products by adding exponents) from the SparseSum core of scalars and adds
@@ -223,14 +225,14 @@ def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: 
     """Walk the multisets of directed pairs of P of every size up to
     limit at once, one pair index at a time.
 
-    f and g are functions on the coordinates of P, differentiated through
-    their memos (CoefFn.step); g is None for a one-sided walk, and an
-    operand of another nv raises ValueError.  Returns terms, where
-    terms[m] lists (w, d^u f, d^w g, weight) in walk order for every
-    multiset of m pairs whose derivatives are nonzero (d^w g is None
-    one-sided).  u and w are the derivative multi-indices it puts on the
-    first and second argument and weight = prod val^c / c! over its
-    pairs, so that (1/m!) C_m(f, g) = sum weight * d^u f * d^w g.
+    f and g are functions on the coordinates of P; g is None for a
+    one-sided walk, which keeps no memo, and an operand of another nv
+    raises ValueError.  A joint walk reads the memos (CoefFn.step).
+    Returns terms, where terms[m] lists (w, d^u f, d^w g, weight) in walk
+    order for every multiset of m pairs whose derivatives are nonzero
+    (d^w g is None one-sided).  u and w are the derivative multi-indices
+    it puts on the first and second argument and weight = prod val^c / c!
+    over its pairs, so that (1/m!) C_m(f, g) = sum weight * d^u f * d^w g.
 
     A branch is dropped once d^u f or d^w g vanishes: every longer
     multiset differentiates that derivative further.  So a recorded
@@ -265,7 +267,7 @@ def _extend(walk, start, size, u, w, df, dg, weight):
             ua[a] += 1
             wb[b] += 1
             uk, wk = tuple(ua), tuple(wb)
-            d = f.step(uk, d, units[a])
+            d = d.diff(units[a]) if g is None else f.step(uk, d, units[a])
             if not d.terms:
                 break
             if g is not None:

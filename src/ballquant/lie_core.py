@@ -179,9 +179,6 @@ class LieAlgebra:
         [x, e_j], the columns [x, e_j] transposed."""
         return transpose([self.bracket(x, {j: 1}) for j in range(self.dim)], self.dim)
 
-    def check_jacobi(self) -> JacobiReport:
-        return jacobi_report(self.dim, self.structure)
-
     def killing_form(self) -> list:
         """B_ij = tr(ad e_i ad e_j) = sum over k, l of c_ik^l c_jl^k."""
         n = self.dim

@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .scalars import collect
 
@@ -197,9 +198,9 @@ class Frame:
     The basis rows are vectors.  [B | I] is reduced once to [R | M], so
     R = M B is the reduced form of B.  A vector v in the span is the sum
     of v[p] R_p over the pivot columns p, and its coordinates are the
-    sum of v[p] M_p.  ``dual`` keeps each sparse M_p beside p, as
-    tuples.  Dependent rows put a pivot inside the identity block and
-    raise ValueError.
+    sum of v[p] M_p.  ``dual`` maps each pivot column p to the sparse
+    M_p, read-only, so coords walks v's entries.  Dependent rows put a
+    pivot inside the identity block and raise ValueError.
     """
 
     __slots__ = ("basis", "dual")
@@ -211,16 +212,16 @@ class Frame:
         if pivots and pivots[-1] >= width:
             raise ValueError("basis rows are linearly dependent")
         self.basis = tuple(tuple(r.items()) for r in rows)
-        self.dual = tuple(
-            (p, tuple((j - width, x) for j, x in row.items() if j >= width))
+        self.dual = MappingProxyType({
+            p: tuple((j - width, x) for j, x in row.items() if j >= width)
             for row, p in zip(red, pivots)
-        )
+        })
 
     def coords(self, v: Vec):
         """The coordinates of the vector v, a vector of the spanned space
         (position k for basis row k), or None when the basis does not
         rebuild v, i.e. v lies outside the span."""
-        c = collect((k, x * d) for p, m in self.dual if (x := v.get(p)) for k, d in m)
+        c = collect((k, x * d) for p, x in v.items() if (m := self.dual.get(p)) for k, d in m)
         rebuilt = collect((j, ck * b) for k, ck in c.items() for j, b in self.basis[k])
         return c if rebuilt == v else None
 

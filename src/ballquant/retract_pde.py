@@ -14,17 +14,14 @@ r^2 = (v|v); radial_reduce rewrites them in that form.
 retract_operator takes the one-sided transvection walk of formal_star
 once per coefficient of mu_X, for every size up to the first odd order
 past the truncation, each derivative of mu_X derived from its parent by
-one step.  It buckets the odd sizes below that one by the derivative
-multi-index each term puts on the argument, one NuSum per key.  The walk
-stops wherever the derivative of mu_X vanishes, and whether it reaches
-that first odd size past the truncation decides one exact flag for the
-whole operator; no bucketed size lands past the order, so no bucket
-drops a term.  apply_operator
+one step.  It lands every odd size, that last one included, in the NuSum
+of the derivative multi-index each term puts on the argument.  As for
+every series of formal_star, land is the one point where a term past
+the order is dropped, clearing that NuSum's exact flag, and the operator
+is exact when mu_X and all its NuSums are.  apply_operator
 differentiates each nonzero coefficient of its argument once per key and
-lands every product in one NuSum, whose land is, as for every series of
-formal_star, the one point where a term past the order is dropped; its
-exact flag is the one that resizing both sides to the order and
-multiplying would give.
+lands every product in one NuSum too; its exact flag is the one that
+resizing both sides to the order and multiplying would give.
 
 After a partial Fourier transform in z the operator for sigma(v0),
 applied to a radial symbol theta(a, r, xi), closes on coefficients
@@ -272,12 +269,13 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
     (a, v_1 .. v_nv, z); values are the NuSeries coefficients up to the
     requested truncation order.  Only odd Moyal terms survive the
     commutator, and the term of order m on mu_x's nu^i coefficient
-    contributes at nu^(i+m-1).  All series share one exact flag, true only
-    if for every nu^i the walk, taken once for every size up to the first
-    odd m past the truncation, has no multiset of that size.  Every longer
-    multiset contains one of that size, so then no term was dropped, not
-    even from a key that lies wholly past the truncation and so is absent
-    from the result.
+    contributes at nu^(i+m-1).  For every nu^i the walk runs up to the
+    first odd m past the truncation, and each odd size lands in the NuSum
+    of its key.  All series share one exact flag: mu_x's and that of
+    every NuSum, which land clears for a term past the order.  Every
+    longer multiset contains one of that first size, so an exact operator
+    dropped no term, not even from a key that lies wholly past the
+    truncation and so is absent from the result.
     """
     order = resolve_truncation_order(order)
     coords = table.frame.require(x, "vector lies outside the moment table")
@@ -285,16 +283,14 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
     mu = NuSum(nv, 2)
     for k, c in coords.items():
         mu.add(table.moments[k], c)
-    exact = mu.exact
     buckets = defaultdict(lambda: NuSum(nv, order))
-    for i, coef_terms in sorted(mu.terms.items()):
+    for i, f in enumerate(mu.series().coeffs):
         past = (order - i + 2) | 1  # the first odd m with i + m - 1 > order
-        # a CoefFn per power, whose derivative memo goes with its walk
-        terms = transvection_terms(CoefFn(nv, coef_terms), None, table.P, past)
-        for m in range(1, min(past, len(terms)), 2):
+        terms = transvection_terms(f, None, table.P, past)
+        for m in range(1, len(terms), 2):
             for w, d, _, weight in terms[m]:
                 buckets[w].land(i + m - 1, ((k, v * weight) for k, v in d.terms.items()))
-        exact = exact and len(terms) <= past
+    exact = mu.exact and all(s.exact for s in buckets.values())
     series = {w: s.series() for w, s in buckets.items()}
     return {w: NuSeries(order, s.coeffs, exact) for w, s in series.items() if not s.is_zero()}
 

@@ -14,8 +14,10 @@ as the package did
 before it reused each moment's transvection data across pairs.
 apply_operator_oracle applies a retract operator through whole-series
 resize, product and sum, as the package did before it accumulated the
-products in place, and binom_oracle is the binomial coefficient as a
-full falling-factorial product.  radial_pde_residual_oracle evaluates
+products in place; retract_exact_oracle is the retract operator's exact
+flag by the rule it had before every walked term landed in a NuSum; and
+binom_oracle is the binomial coefficient as a full falling-factorial
+product.  radial_pde_residual_oracle evaluates
 the radial operator as the package did before it built one coefficient
 table per call: each term a chain of XiFn products through its constant
 factors.  field_bracket_oracle is the commutator of two vector fields as
@@ -32,7 +34,7 @@ from itertools import combinations
 from math import factorial
 
 from ballquant.ball_quantization import QmmReport, resolve_truncation_order
-from ballquant.formal_star import CoefFn, NuSeries, half_commutator
+from ballquant.formal_star import CoefFn, NuSeries, NuSum, half_commutator, transvection_terms
 from ballquant.linalg import bilinear
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import G_ZERO, GScalar
@@ -209,6 +211,20 @@ def apply_operator_oracle(op: dict, theta: NuSeries, order=None) -> NuSeries:
         dtheta = NuSeries(order, [c.diff(key) for c in base.coeffs], base.exact)
         out = out.add(series.resize(order).mul(dtheta))
     return out
+
+
+def retract_exact_oracle(table, x: dict, order: int) -> bool:
+    """Walk each power nu^i of mu_x up to past, the first odd size m with
+    i + m - 1 > order, and call the operator exact iff no power has a
+    multiset of that size (nor mu_x a term past nu^2)."""
+    mu = NuSum(table.chart.nv, 2)
+    for k, c in table.frame.require(x, "outside the table").items():
+        mu.add(table.moments[k], c)
+    exact = mu.exact
+    for i, f in enumerate(mu.series().coeffs):
+        past = (order - i + 2) | 1
+        exact = exact and len(transvection_terms(f, None, table.P, past)) <= past
+    return exact
 
 
 def field_bracket_oracle(f1: list, f2: list) -> list:

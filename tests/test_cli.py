@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from ballquant import ball_quantization, ce_cohomology, retract_pde
 from ballquant.ce_cohomology import Cochain
 from ballquant.cli import main
+from ballquant.formal_star import CoefFn, NuSeries
 from ballquant.lie_core import LieAlgebra
 from ballquant.psd_builder import psd_spec_from_json, psd_spec_to_json
 from ballquant.retract_pde import (
@@ -442,6 +443,20 @@ def test_verify_retract_reports_a_wrong_m_field(capsys, monkeypatch):
         "fundamental_field",
         lambda chart, y: [c.scale(2) for c in real(chart, y)],
     )
+    payload = assert_failed_suite(capsys, RETRACT, "m_fields_match")
+    assert payload["constants_annihilated"] is True
+
+
+def test_verify_retract_reports_an_extra_key_on_an_m_operator(capsys, monkeypatch):
+    """Every unit key of each m operator still matches its field, but a
+    planted second-order key makes the operator differ from the field."""
+    real = retract_pde.retract_operator
+
+    def planted(table, x, order=None):
+        key, one = (0, 2) + (0,) * table.chart.nv, CoefFn.const(table.chart.nv, F(1))
+        return {**real(table, x, order=order), key: NuSeries.from_coef(one, order)}
+
+    monkeypatch.setattr(retract_pde, "retract_operator", planted)
     payload = assert_failed_suite(capsys, RETRACT, "m_fields_match")
     assert payload["constants_annihilated"] is True
 

@@ -37,7 +37,7 @@ EXCLUDED = {
     "su1n-export": BEYOND_MODEL,
     "verify su1n": BEYOND_MODEL,
     "h2 --su1n": NO_STAR | {"psd_builder"},
-    "h2 --r": NO_STAR,
+    "h2 --r": NO_STAR | {"su1n_model"},
     "verify cocycle": NO_STAR | {"psd_builder"},
     "verify qmm": NO_COHOMOLOGY | {"retract_pde"},
     "qmm-export": NO_COHOMOLOGY | {"retract_pde"},

@@ -438,6 +438,23 @@ def test_checks_leave_no_memo_on_the_table():
     assert not any(holds_memo(c) for m in table.moments for c in m.coeffs)
 
 
+def test_one_sided_walk_keeps_no_memo():
+    """A one-sided walk (g None) differentiates each step directly and
+    leaves f with no memo; it records the derivatives and weights that
+    the joint walk records against a partner no step exhausts."""
+    rng = random.Random(8)
+    P = std_structure(2)
+    g = mono(2, p=1, k=(5, 5), q=5)
+    for _ in range(4):
+        f = rand_fn(2, rng, terms=4)
+        one_sided = transvection_terms(f, None, P, 4)
+        assert len(one_sided) > 2 and not holds_memo(f)
+        joint = transvection_terms(fresh(f), g, P, 4)
+        assert [[(d, wt) for _, d, _, wt in t] for t in one_sided] == [
+            [(d, wt) for _, d, _, wt in t] for t in joint
+        ]
+
+
 def test_walk_refuses_operands_of_another_nv():
     f = CoefFn.monomial(4, 1, (1, 0, 1, 0), 0, 1, 1)
     g = CoefFn.monomial(2, 0, (0, 1), 0, 0, 1)

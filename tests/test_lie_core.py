@@ -161,7 +161,8 @@ def test_jacobi_validation_rejects_bad_structure():
 
 
 def test_check_jacobi_ok():
-    rep = sl2_like().check_jacobi()
+    g = sl2_like()
+    rep = jacobi_report(g.dim, g.structure)
     assert rep.ok
     assert rep.worst_triple is None
 

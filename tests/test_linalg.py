@@ -172,3 +172,17 @@ def test_frame_require_reads_the_span_and_names_what_left_it():
     # solve_in_span writes the coordinates out densely, zeros included
     assert solve_in_span(basis, {2: F(4)}) == [F(0), F(2)]
     assert solve_in_span(basis, {0: F(1)}) is None
+
+
+def test_frame_reads_a_vector_through_its_own_entries():
+    """The dual is keyed by pivot column: an entry at a non-pivot column
+    or past every basis column has no dual row, and the rebuild check
+    refuses the vector."""
+    frame = Frame([{0: F(1), 1: F(1)}, {2: F(2), 3: F(1)}])
+    assert set(frame.dual) == {0, 2}
+    assert frame.coords({0: F(2), 1: F(2), 2: F(2), 3: F(1)}) == {0: F(2), 1: F(1)}
+    assert frame.coords({1: F(1)}) is None
+    assert frame.coords({3: F(5)}) is None
+    assert frame.coords({0: F(1), 1: F(1), 7: F(1)}) is None
+    with pytest.raises(TypeError):
+        frame.dual[0] = ()

@@ -42,7 +42,12 @@ from ballquant.scalars import GScalar
 from ballquant.lie_core import Subspace
 from ballquant.su1n_model import build_su1n, model_to_json
 
-from oracles import apply_operator_oracle, binom_oracle, radial_pde_residual_oracle
+from oracles import (
+    apply_operator_oracle,
+    binom_oracle,
+    radial_pde_residual_oracle,
+    retract_exact_oracle,
+)
 
 
 def term(k=0, m=0, n=0, h=0, j=0, re=0, im=0):
@@ -315,6 +320,22 @@ def test_retract_operator_exact_flag_is_sound():
                 assert all(a.terms == b.terms for a, b in zip(coeffs, series.coeffs))
                 assert all(c.is_zero() for c in coeffs[K + 1 :])
     assert ("m1", 2) in exact_labels and ("kf1", 2) not in exact_labels
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_retract_operator_exact_flag_follows_the_walk_rule(N):
+    """The flag the NuSums give is the one the walk rule gives: exact iff
+    no power of mu_x has a multiset of the first odd size past the order.
+    The low orders are where the two could differ; both values occur."""
+    table = build_qmm(N)
+    flags = set()
+    for K in range(9):
+        for x in k_basis(table.chart)[1]:
+            op = retract_operator(table, x, order=K)
+            want = retract_exact_oracle(table, x, K)
+            assert op and {s.exact for s in op.values()} == {want}
+            flags.add(want)
+    assert flags == {True, False}
 
 
 def test_apply_operator_is_the_half_commutator():
