@@ -33,7 +33,6 @@ grid and a unique pair survives, (1/2, 1/2).
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
@@ -43,14 +42,12 @@ from .formal_star import series_to_json
 from .lie_core import structure_in
 from .linalg import Frame, bilinear, dense, split_symplectic, transpose
 from .linalg import solve_in_span  # noqa: F401, callers read it here
-from .scalars import accumulate, collect, frac_str
+from .scalars import accumulate, collect, frac_str, resolve_truncation_order
+from .scalars import DEFAULT_TRUNCATION, TRUNCATION_ENV, TruncationOrderError  # noqa: F401
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
 CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
 CALIBRATED_INNER_SCALE = Fraction(1, 2)
-
-TRUNCATION_ENV = "BALLQUANT_TRUNCATION_ORDER"
-DEFAULT_TRUNCATION = 12
 
 
 @dataclass
@@ -375,35 +372,16 @@ class QmmReport:
     failures: list
 
 
-class TruncationOrderError(ValueError):
-    """A truncation order that is not a non-negative integer."""
-
-
-def resolve_truncation_order(order: int | None) -> int:
-    """The given order, else BALLQUANT_TRUNCATION_ORDER, else 12; raises
-    TruncationOrderError naming the source unless it is an integer >= 0
-    (a bool is not)."""
-    source = "the order argument"
-    if order is None:
-        source = TRUNCATION_ENV
-        raw = os.environ.get(TRUNCATION_ENV, str(DEFAULT_TRUNCATION))
-        try:
-            order = int(raw)
-        except ValueError:
-            order = raw
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise TruncationOrderError(
-            f"truncation order from {source} must be a non-negative integer, got {order!r}"
-        )
-    return order
-
-
 def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") -> QmmReport:
     """Check mu_[X,Y] = (1/(2 nu)) [mu_X, mu_Y] for basis pairs.
 
     pairs selects "all" basis pairs or only "s" (the solvable chart
-    part).  Residuals are reported per failing pair; exact records
-    whether every star commutator terminated inside the truncation.
+    part).  Each pair's residual, the left side minus the commutator, is
+    summed in one NuSum: half_commutator lands the commutator there with
+    weight -1, the sum's exact flag is read, and then the left side is
+    added.  Residuals are reported per failing pair; exact is the AND of
+    the commutators' own flags, so it records whether every star
+    commutator terminated inside the truncation.
 
     Each moment is resized to the order once, into fresh coefficients
     whose derivative memos (CoefFn.step) fill as the pairs are walked,
@@ -428,16 +406,16 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     failures = []
     checked = 0
     exact = True
+    nv = table.chart.nv
     lifted = [m.resize(order) for m in table.moments]
     for pos, i in enumerate(idx):
         for j in idx[pos + 1 :]:
             checked += 1
-            lhs = NuSum(table.chart.nv, order)
+            res = half_commutator(lifted[i], lifted[j], table.P, order, NuSum(nv, order), -1)
+            exact = exact and res.exact
             for k, c in structure.get((i, j), {}).items():
-                lhs.add(lifted[k], c)
-            rhs = half_commutator(lifted[i], lifted[j], table.P, order)
-            exact = exact and rhs.exact
-            res = lhs.add(rhs, -1).series()
+                res.add(lifted[k], c)
+            res = res.series()
             if not res.is_zero():
                 failures.append((table.labels[i], table.labels[j], res))
     return QmmReport(not failures, order, exact, checked, failures)

@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from .scalars import parse_frac
+from .scalars import TruncationOrderError, parse_frac, resolve_truncation_order
 
 # verify options that only some suites read, with those suites
 SUITE_OPTIONS = {"mutate": ("qmm",), "pairs": ("qmm",), "alpha": ("qmm", "retract")}
@@ -99,8 +99,6 @@ def _check_args(args) -> None:
 
 def _resolve_order(order):
     """resolve_truncation_order, its refusal raised as a UsageError."""
-    from .ball_quantization import TruncationOrderError, resolve_truncation_order
-
     try:
         return resolve_truncation_order(order)
     except TruncationOrderError as exc:

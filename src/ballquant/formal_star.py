@@ -21,6 +21,14 @@ retract operator, which walks one side only.  Every longer multiset
 differentiates a vanishing derivative further, so the sizes that have a
 multiset run from 0 to a last one, past which every C_m vanishes.
 
+Most such branches are seen before any derivative is taken.  The walk
+keeps, per operand, the largest exponent of each v and z coordinate and
+whether any term has p != 0 (_tops); derivatives only lower exponents
+and never change p, so a directed pair is taken at most as often as
+both sides can still be differentiated along it.  Each step multiplies
+its parent's weight by one entry val^c / c! of a table the structure
+keeps (PoissonStructure.step_weights), made on first use.
+
 Each CoefFn keeps a memo of its own derivatives per multi-index, which
 the joint walk fills one step from the parent (CoefFn.step).  A
 derivative depends only on the function, so the memo serves either side
@@ -47,6 +55,9 @@ a NuSum, and NuSum.land is the one point in the package where a term
 past the order is dropped, clearing the exact flag if it is nonzero: the
 star products and the series product all land there through
 _transvection_series, as do series sums, retract_pde and verify_qmm.
+NuSum.add scales each item as it lands, and half_commutator can land
+c times its terms in a caller's NuSum instead of returning a series, so
+verify_qmm sums each pair's residual in one NuSum.
 """
 from __future__ import annotations
 
@@ -194,8 +205,9 @@ class PoissonStructure:
     """Constant antisymmetric bivector on the chart coordinates.
 
     units[c] is the unit multi-index of coordinate c, one derivative
-    step of the walk.  inverse is the inverse matrix, taken on first use
-    and kept: a degenerate structure, such as the zero one of
+    step of the walk, and step_weights the weight of each run of steps
+    along one directed pair.  inverse is the inverse matrix, taken on
+    first use and kept: a degenerate structure, such as the zero one of
     NuSeries.mul, is never inverted."""
 
     def __init__(self, nv: int, matrix: list):
@@ -219,6 +231,22 @@ class PoissonStructure:
     @cached_property
     def inverse(self) -> tuple:
         return tuple(map(tuple, mat_inverse(self.matrix)))
+
+    @cached_property
+    def _weight_rows(self) -> list:
+        return [[Fraction(1)] for _ in self.directed_pairs]
+
+    def step_weights(self, n: int) -> list:
+        """rows[idx][c] = val^c / c! for the directed pair idx = (u, w, val)
+        and every c <= n: the weight a walk step multiplies by when it
+        takes that pair c times.  The table is made on first use, kept,
+        and extended when a longer walk asks for it."""
+        rows = self._weight_rows
+        if rows and len(rows[0]) <= n:
+            for row, (_, _, val) in zip(rows, self.directed_pairs):
+                for c in range(len(row), n + 1):
+                    row.append(row[-1] * val / c)
+        return rows
 
 
 def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: int) -> list:
@@ -246,24 +274,49 @@ def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: 
     terms = [[] for _ in range(limit + 1)]
     if f.terms and (g is None or g.terms):
         terms[0].append((zero, f, g, one))
-        _extend((P.directed_pairs, P.units, f, g, terms), 0, 0, zero, zero, f, g, one)
+        tops = (_tops(f, limit), None if g is None else _tops(g, limit))
+        walk = (P.directed_pairs, P.units, P.step_weights(limit), tops, f, g, terms)
+        _extend(walk, 0, 0, zero, zero, f, g, one)
     while terms and not terms[-1]:
         terms.pop()
     return terms
+
+
+def _tops(f: CoefFn, limit: int) -> list:
+    """How many times each coordinate can differentiate f before every
+    term vanishes: the largest exponent of each v and of z, and for a
+    limit when some term has p != 0, else 0.  Derivatives only lower
+    exponents and never change p, so once the steps already taken are
+    subtracted these caps hold for every derivative of f."""
+    tops = [0] * (f.nv + 2)
+    for p, k, _, q in f.terms:
+        if p:
+            tops[0] = limit
+        for i, e in enumerate(k, 1):
+            if e > tops[i]:
+                tops[i] = e
+        if q > tops[-1]:
+            tops[-1] = q
+    return tops
 
 
 def _extend(walk, start, size, u, w, df, dg, weight):
     """Record every multiset that extends one prefix of the given size
     by pairs of index start or later; u, w, df, dg and weight are the
     prefix's.  walk holds what the whole walk shares: the directed
-    pairs, the unit multi-index of each coordinate, the two operands and
-    the terms by size, whose length bounds the size."""
-    pairs, units, f, g, terms = walk
+    pairs, the unit multi-index of each coordinate, the step weights
+    (PoissonStructure.step_weights), the exponent caps of each operand
+    (_tops), the two operands and the terms by size, whose length bounds
+    the size.  A pair is taken at most as often as both sides can still
+    be differentiated along it, so no step lands on a derivative that
+    the exponents already show is zero."""
+    pairs, units, weights, (ftop, gtop), f, g, terms = walk
     left = len(terms) - 1 - size
     for idx in range(start, len(pairs)):
-        a, b, val = pairs[idx]
-        ua, wb, d, e, wt = list(u), list(w), df, dg, weight
-        for c in range(1, left + 1):
+        a, b, _ = pairs[idx]
+        n = min(left, ftop[a] - u[a]) if g is None else min(left, ftop[a] - u[a], gtop[b] - w[b])
+        ua, wb, d, e, row = list(u), list(w), df, dg, weights[idx]
+        for c in range(1, n + 1):
             ua[a] += 1
             wb[b] += 1
             uk, wk = tuple(ua), tuple(wb)
@@ -274,7 +327,7 @@ def _extend(walk, start, size, u, w, df, dg, weight):
                 e = g.step(wk, e, units[b])
                 if not e.terms:
                     break
-            wt = wt * val / c
+            wt = weight * row[c]
             terms[size + c].append((wk, d, e, wt))
             if c < left:
                 _extend(walk, idx + 1, size + c, uk, wk, d, e, wt)
@@ -389,11 +442,16 @@ class NuSum:
             self.exact = False
 
     def add(self, s: NuSeries, c=1) -> NuSum:
-        """Land c s coefficient by coefficient and return self; s's exact flag carries over."""
+        """Land c s coefficient by coefficient, each item scaled as it
+        lands, and return self; s's exact flag carries over.  c = 0 adds
+        nothing and leaves the flag as it is."""
+        if not c:
+            return self
         self.exact = self.exact and s.exact
         for t, f in enumerate(s.coeffs):
             if f.terms:
-                self.land(t, (f if c == 1 else f.scale(c)).terms.items())
+                items = f.terms.items()
+                self.land(t, items if c == 1 else [(k, v * c) for k, v in items])
         return self
 
     def series(self) -> NuSeries:
@@ -406,11 +464,12 @@ class NuSum:
 
 
 def _transvection_series(
-    F: NuSeries, G: NuSeries, P: PoissonStructure, order, first, step, weight, shift=0
-) -> NuSeries:
-    """Sum of nu^(i+j+m-shift) (weight / m!) C_m(F_i, G_j) over the powers
-    i of F and j of G and over m = first, first + step, .., landed in a
-    NuSum of the given order.
+    F: NuSeries, G: NuSeries, P: PoissonStructure, order, first, step, weight, shift=0, into=None
+) -> NuSum:
+    """Land nu^(i+j+m-shift) (weight / m!) C_m(F_i, G_j), over the powers
+    i of F and j of G and over m = first, first + step, .., in a NuSum of
+    the given order and return it: into, when given, else a new one.
+    The operands' exact flags carry over into it.
 
     Each pair (F_i, G_j) of nonzero coefficients is walked once, for
     every m at once, and the m loop ends at the last size of that walk,
@@ -422,7 +481,10 @@ def _transvection_series(
     skipped without computing them, and a sum that is already inexact
     does not walk past the order.
     """
-    out = NuSum(P.nv, order, F.exact and G.exact)
+    out = NuSum(P.nv, order) if into is None else into
+    if out.order != order:
+        raise ValueError("the sum's order differs from the product's")
+    out.exact = out.exact and F.exact and G.exact
     fs, gs = ([(j, h, h.degree()) for j, h in enumerate(S.coeffs) if h.terms] for S in (F, G))
     for i, f, df in fs:
         for j, g, dg in gs:
@@ -435,24 +497,29 @@ def _transvection_series(
                 if not out.wants(t + m):
                     break
                 out.land(t + m, c_operator(walk, g, P, m, weight).terms.items())
-    return out.series()
+    return out
 
 
 def moyal(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
     """Truncated star product sum_m nu^m / m! C_m, extended bilinearly."""
-    return _transvection_series(F, G, P, order, 0, 1, 1)
+    return _transvection_series(F, G, P, order, 0, 1, 1).series()
 
 
 def star_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
     """F * G - G * F, using that even transvections are symmetric."""
-    return _transvection_series(F, G, P, order, 1, 2, 2)
+    return _transvection_series(F, G, P, order, 1, 2, 2).series()
 
 
-def half_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
-    """(1 / (2 nu)) [F, G]: the commutator doubles the odd transvections
-    and cancels the even ones, so this is the sum of nu^(m-1) (1 / m!) C_m
-    over odd m."""
-    return _transvection_series(F, G, P, order, 1, 2, 1, shift=1)
+def half_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int, into=None, c=1):
+    """c (1 / (2 nu)) [F, G]: the commutator doubles the odd transvections
+    and cancels the even ones, so this is the sum of nu^(m-1) (c / m!) C_m
+    over odd m.
+
+    Returns the series; with into, a NuSum of the given order, the terms
+    land there instead and into is returned, so c = -1 subtracts the
+    commutator from a sum with no series in between."""
+    out = _transvection_series(F, G, P, order, 1, 2, c, shift=1, into=into)
+    return out if into is not None else out.series()
 
 
 def check_poisson_covariance(

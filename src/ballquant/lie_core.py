@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .linalg import Frame, combine, nullspace, rref, transpose, zeros
+from .linalg import BoundOnce, Frame, combine, nullspace, rref, transpose, zeros
 from .scalars import collect, frac_str, keyed, parse_frac, shaped
 
 Vector = dict
@@ -99,14 +99,14 @@ def jacobi_report(dim: int, structure) -> JacobiReport:
     return JacobiReport(True, None, None)
 
 
-class LieAlgebra:
+class LieAlgebra(BoundOnce):
     """Lie algebra given by rational structure constants.
 
     structure maps (i, j) with i < j to a sparse map k -> coefficient of
     basis vector k in [e_i, e_j]; rows is the same table indexed both
-    ways (see ``_row_table``).  Both are read-only, so the table the
-    bracket reads cannot drift from the one Jacobi validated or ``read``
-    certified.
+    ways (see ``_row_table``).  Both are read-only and every attribute
+    is bound once (``BoundOnce``), so the table the bracket reads cannot
+    drift from the one Jacobi validated or ``read`` certified.
     """
 
     def __init__(self, dim: int, labels: list, structure: dict):
@@ -220,9 +220,10 @@ class LieAlgebra:
         return LieAlgebra(dim, shaped(labels, list, "labels"), structure)
 
 
-class Subspace:
+class Subspace(BoundOnce):
     """Subspace of a LieAlgebra with a canonical echelon basis: a tuple
-    of read-only vectors, which a cached subspace hands out as it is."""
+    of read-only vectors, which a cached subspace hands out as it is.
+    Its attributes are bound once (``BoundOnce``)."""
 
     def __init__(self, algebra: LieAlgebra, vectors: list):
         self.algebra = algebra

@@ -26,7 +26,9 @@ The change-of-basis steps the rest of the package shares live here too:
 ``combine`` sums coefficients times vectors, ``bilinear`` evaluates a
 bilinear form on two vectors, ``transpose`` reads vectors as the columns
 of a matrix, and ``split_symplectic`` is the one split-half symplectic
-matrix [[0, I], [-I, 0]].
+matrix [[0, I], [-I, 0]].  ``BoundOnce`` binds each attribute of a
+Frame, and of the algebras and subspaces of ``lie_core``, once, so a
+cached model cannot be changed by rebinding one.
 """
 from __future__ import annotations
 
@@ -192,7 +194,25 @@ def solve_linear(a: Mat, b: list):
     return x
 
 
-class Frame:
+class BoundOnce:
+    """Attributes that are bound once: setting one that is already there,
+    or deleting any, raises AttributeError.  A constructor binds each
+    attribute once and a cached_property fills the instance dict
+    directly, so both still work; a cached object cannot be changed by
+    rebinding what it holds."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only once set")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} cannot be deleted")
+
+
+class Frame(BoundOnce):
     """Exact coordinates against one basis, from a single reduction.
 
     The basis rows are vectors.  [B | I] is reduced once to [R | M], so
@@ -200,7 +220,8 @@ class Frame:
     of v[p] R_p over the pivot columns p, and its coordinates are the
     sum of v[p] M_p.  ``dual`` maps each pivot column p to the sparse
     M_p, read-only, so coords walks v's entries.  Dependent rows put a
-    pivot inside the identity block and raise ValueError.
+    pivot inside the identity block and raise ValueError.  Both
+    attributes are bound once (``BoundOnce``).
     """
 
     __slots__ = ("basis", "dual")

@@ -42,6 +42,11 @@ coefficient-derivative product in place into one term dict per
 covector.  Products of XiFn only add exponent keys, so grouping the
 constant factors this way gives the very terms of the operator written
 term by term.
+
+The radial calculus needs scalars alone: the functions on the chart and
+the moment table import the star product, chart and Lie modules where
+they run, so a process that only evaluates radial_pde_residual loads
+none of them.
 """
 from __future__ import annotations
 
@@ -50,20 +55,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
+from typing import TYPE_CHECKING
 
-from .ball_quantization import (
-    BallChart,
-    QmmTable,
-    apply_field,
-    fundamental_field,
-    inner_square,
-    resolve_truncation_order,
-)
-from .formal_star import CoefFn, NuSeries, NuSum, transvection_terms
-from .lie_core import span_subspace
-from .linalg import Frame, vec_add
 from .scalars import GScalar, SparseSum, accumulate, collect, frac_str, keyed, parse_frac, shaped
-from .su1n_model import Su1nModel
+from .scalars import resolve_truncation_order
+
+if TYPE_CHECKING:
+    from .ball_quantization import BallChart, QmmTable
+    from .formal_star import CoefFn, NuSeries
+    from .su1n_model import Su1nModel
 
 
 @dataclass
@@ -188,6 +188,8 @@ def check_reduction_closure(model: Su1nModel) -> ClosureReport:
     under the adjoint action of the solvable part, and W + [W, W] must
     fill the whole algebra.
     """
+    from .lie_core import span_subspace
+
     algebra = model.algebra
     w_vecs = model.s_space.basis + model.m_space.basis
     for r in model.roots:
@@ -212,6 +214,8 @@ def check_reduction_closure(model: Su1nModel) -> ClosureReport:
 def m_invariance_residuals(chart: BallChart, f: CoefFn) -> list:
     """Lie derivatives of f along the m fundamental fields, one per
     generator; all zero exactly when f is m-invariant."""
+    from .ball_quantization import apply_field, fundamental_field
+
     return [apply_field(fundamental_field(chart, y), f) for y in chart.m_basis]
 
 
@@ -222,6 +226,10 @@ def radial_reduce(chart: BallChart, f: CoefFn) -> dict:
     Raises ValueError when f is not m-invariant or (for the trivial m of
     low rank charts) not a polynomial in the squared radius.
     """
+    from .ball_quantization import inner_square
+    from .formal_star import CoefFn
+    from .linalg import Frame
+
     for r in m_invariance_residuals(chart, f):
         if not r.is_zero():
             raise ValueError("function is not m-invariant")
@@ -255,6 +263,8 @@ def k_basis(chart: BallChart):
     """Basis of the sigma-fixed subalgebra adapted to the chart: the m
     generators, then f_i + sigma f_i, then E + sigma E, with the sigma
     images read from the chart basis."""
+    from .linalg import vec_add
+
     labels = [f"m{i + 1}" for i in range(len(chart.m_basis))]
     labels += [f"kf{i + 1}" for i in range(chart.nv)] + ["kE"]
     sigma = chart.basis[-(chart.nv + 1) :]
@@ -277,6 +287,8 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
     dropped no term, not even from a key that lies wholly past the
     truncation and so is absent from the result.
     """
+    from .formal_star import NuSeries, NuSum, transvection_terms
+
     order = resolve_truncation_order(order)
     coords = table.frame.require(x, "vector lies outside the moment table")
     nv = table.chart.nv
@@ -304,6 +316,8 @@ def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSer
     because chart functions form an integral domain, falls past the
     order.  An empty operator gives the exact zero series.
     """
+    from .formal_star import NuSum
+
     order = resolve_truncation_order(order)
     inputs = [theta, *op.values()]
     exact = all(s.exact and not any(c.terms for c in s.coeffs[order + 1 :]) for s in inputs)

@@ -12,11 +12,20 @@ multiplied by adding exponents.  accumulate adds items into one term
 dict in place, so a long sum of products (an operator applied to a
 series, a transvection contraction) fills one dict instead of copying
 the partial sum once per summand.
+
+resolve_truncation_order reads the nu truncation order that every series
+check takes, from its argument or BALLQUANT_TRUNCATION_ORDER; it lives
+here so that the radial calculus and the CLI read it without loading
+the chart (ball_quantization re-exports it).
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+
+TRUNCATION_ENV = "BALLQUANT_TRUNCATION_ORDER"
+DEFAULT_TRUNCATION = 12
 
 
 def frac_str(x: Fraction) -> str:
@@ -33,6 +42,29 @@ def parse_frac(s) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"{s!r} has a zero denominator") from None
     raise ValueError(f"expected a rational as a string or an int, got {s!r}")
+
+
+class TruncationOrderError(ValueError):
+    """A truncation order that is not a non-negative integer."""
+
+
+def resolve_truncation_order(order: int | None) -> int:
+    """The given order, else BALLQUANT_TRUNCATION_ORDER, else 12; raises
+    TruncationOrderError naming the source unless it is an integer >= 0
+    (a bool is not)."""
+    source = "the order argument"
+    if order is None:
+        source = TRUNCATION_ENV
+        raw = os.environ.get(TRUNCATION_ENV, str(DEFAULT_TRUNCATION))
+        try:
+            order = int(raw)
+        except ValueError:
+            order = raw
+    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+        raise TruncationOrderError(
+            f"truncation order from {source} must be a non-negative integer, got {order!r}"
+        )
+    return order
 
 
 def shaped(value, kind: type, what: str):

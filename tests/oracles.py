@@ -9,9 +9,10 @@ The linear-algebra oracles (rref_oracle, nullspace_oracle read off it,
 det, identity_matrix, mat_mul) are plain textbook loops over Fraction
 on dense lists, written independently of the sparse fraction-free
 elimination in ``ballquant.linalg``.  verify_qmm_oracle checks the
-moment identity one pair at a time with a fresh star product per pair,
-as the package did
-before it reused each moment's transvection data across pairs.
+moment identity with a left-side sum minus a separate half_commutator
+series per pair, as the package did before it landed the commutator in
+the residual sum, and uncapped_walk_oracle is the transvection walk
+before its exponent caps and step weight table.
 apply_operator_oracle applies a retract operator through whole-series
 resize, product and sum, as the package did before it accumulated the
 products in place; retract_exact_oracle is the retract operator's exact
@@ -176,8 +177,11 @@ def delta2_oracle(algebra, c) -> dict:
 
 
 def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:
-    """verify_qmm with plain half_commutator calls: every pair walks and
-    differentiates both of its moments from scratch."""
+    """verify_qmm by the formula it had before it landed each commutator
+    in the pair's residual sum: the left side summed in a NuSum from the
+    frame coordinates of each bracket, minus the half_commutator series,
+    which is built on its own and negated in a second sum.  exact is the
+    AND of the commutators' flags."""
     order = resolve_truncation_order(order)
     size = len(table.basis) if pairs == "all" else 2 + table.chart.nv
     algebra = table.chart.model.algebra
@@ -189,15 +193,51 @@ def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:
         for j in range(i + 1, size):
             checked += 1
             coords = table.frame.coords(algebra.bracket(table.basis[i], table.basis[j]))
-            lhs = NuSeries.zero(table.chart.nv, order)
+            lhs = NuSum(table.chart.nv, order)
             for k, c in coords.items():
-                lhs = lhs.add(lifted[k].scale(c))
+                lhs.add(lifted[k], c)
             rhs = half_commutator(lifted[i], lifted[j], table.P, order)
             exact = exact and rhs.exact
-            res = lhs.sub(rhs)
+            res = lhs.add(rhs, -1).series()
             if not res.is_zero():
                 failures.append((table.labels[i], table.labels[j], res))
     return QmmReport(not failures, order, exact, checked, failures)
+
+
+def uncapped_walk_oracle(f, g, P, limit: int) -> list:
+    """transvection_terms as it was before the exponent caps and the step
+    weight table: every pair is tried until a derivative vanishes, each
+    derivative is taken by CoefFn.diff with no memo, and each weight is
+    the parent's times val / c."""
+    zero, one = (0,) * (P.nv + 2), F(1)
+    terms = [[] for _ in range(limit + 1)]
+
+    def extend(start, size, u, w, df, dg, weight):
+        left = limit - size
+        for idx in range(start, len(P.directed_pairs)):
+            a, b, val = P.directed_pairs[idx]
+            ua, wb, d, e, wt = list(u), list(w), df, dg, weight
+            for c in range(1, left + 1):
+                ua[a] += 1
+                wb[b] += 1
+                d = d.diff(P.units[a])
+                if not d.terms:
+                    break
+                if g is not None:
+                    e = e.diff(P.units[b])
+                    if not e.terms:
+                        break
+                wt = wt * val / c
+                terms[size + c].append((tuple(wb), d, e, wt))
+                if c < left:
+                    extend(idx + 1, size + c, tuple(ua), tuple(wb), d, e, wt)
+
+    if f.terms and (g is None or g.terms):
+        terms[0].append((zero, f, g, one))
+        extend(0, 0, zero, zero, f, g, one)
+    while terms and not terms[-1]:
+        terms.pop()
+    return terms
 
 
 def apply_operator_oracle(op: dict, theta: NuSeries, order=None) -> NuSeries:

@@ -390,6 +390,26 @@ def test_verify_qmm_matches_per_pair_oracle_n3():
     assert_same_report(verify_qmm(table, 12), verify_qmm_oracle(table, 12))
 
 
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("alpha", [None, F(-2, 3)], ids=["symbolic", "alpha=-2/3"])
+def test_verify_qmm_matches_the_two_sum_oracle(N, alpha):
+    """One residual sum per pair, the commutator landed first and the left
+    side added to it, reports what a left side minus a separate
+    commutator series reports: ok, exact, checked, failing pairs and
+    every residual series, on the unmutated table and both mutations, at
+    orders 0, 1, 2 and 12.  The low orders give inexact commutators."""
+    base = build_qmm(N, alpha)
+    tables = [base, mutate_drop_nu2(base), mutate_add_nu_const(base, "m1", F(1))]
+    flags, oks = set(), set()
+    for table in tables:
+        for K in (0, 1, 2, 12):
+            rep = verify_qmm(table, K)
+            assert_same_report(rep, verify_qmm_oracle(table, K))
+            flags.add(rep.exact)
+            oks.add(rep.ok)
+    assert flags == oks == {True, False}
+
+
 def test_verify_qmm_keeps_no_state_between_calls():
     """Interleaved calls on a table, on its mutations (which share CoefFn
     objects with it) and on the symbolic table (the same positions with

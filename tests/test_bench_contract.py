@@ -93,6 +93,30 @@ def test_verify_qmm_calls_the_rebound_c_operator():
     assert calls and all(m % 2 for m in calls)
 
 
+def test_verify_qmm_calls_the_rebound_half_commutator_once_per_pair():
+    """verify_qmm lands each pair's commutator through half_commutator,
+    reached by its module name once per checked pair, so a traced qmm run
+    charges the pair walk to formal_star."""
+    from ballquant.ball_quantization import build_qmm, verify_qmm
+
+    calls = []
+
+    def make_wrapper(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args[:2])
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    undo = tracer.rebind("formal_star", "half_commutator", make_wrapper)
+    try:
+        report = verify_qmm(build_qmm(2), 6)
+    finally:
+        tracer.restore(undo)
+    assert report.ok and report.exact
+    assert len(calls) == report.checked == 28
+
+
 def test_h2_dimension_builds_its_rows_through_the_rebound_d2_row():
     """On a fresh algebra h2_dimension builds one degree-two row per triple
     of lie_core.bracket_triples through ce_cohomology._d2_row, by module

@@ -30,6 +30,7 @@ sys.exit(code)
 BEYOND_MODEL = {"psd_builder", "ce_cohomology", "formal_star", "ball_quantization", "retract_pde"}
 NO_STAR = {"formal_star", "ball_quantization", "retract_pde"}
 NO_COHOMOLOGY = {"ce_cohomology", "psd_builder"}
+NO_CHART = {"formal_star", "ball_quantization", "su1n_model", "lie_core", "linalg"}
 # The modules a command must not load, by subcommand (h2 by the algebra
 # it reads) and verify suite
 EXCLUDED = {
@@ -42,7 +43,7 @@ EXCLUDED = {
     "verify qmm": NO_COHOMOLOGY | {"retract_pde"},
     "qmm-export": NO_COHOMOLOGY | {"retract_pde"},
     "verify retract": NO_COHOMOLOGY,
-    "retract-residual": NO_COHOMOLOGY,
+    "retract-residual": NO_COHOMOLOGY | NO_CHART,
 }
 
 

@@ -9,10 +9,13 @@ from __future__ import annotations
 import gc
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ballquant.ball_quantization import build_chart, build_qmm, poisson_structure, verify_qmm
 from ballquant.formal_star import (
@@ -35,6 +38,9 @@ from ballquant.formal_star import (
 )
 from ballquant.lie_core import LieAlgebra
 from ballquant.retract_pde import apply_operator, k_basis, retract_operator
+from ballquant.scalars import collect
+
+from oracles import uncapped_walk_oracle
 
 
 def std_structure(nv: int, p=F(1, 2), vv=F(1)) -> PoissonStructure:
@@ -144,14 +150,20 @@ def c_operator_oracle(f: CoefFn, g: CoefFn, P: PoissonStructure, m: int) -> Coef
     return total
 
 
-def test_c_operator_matches_unpruned_enumeration():
-    rng = random.Random(3)
+def dense_structure(rng: random.Random) -> PoissonStructure:
+    """A structure on nv = 2 with every entry nonzero off the diagonal,
+    so not of the chart's Darboux block form."""
     dense = [[F(0)] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(i + 1, 4):
             dense[i][j] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
             dense[j][i] = -dense[i][j]
-    structures = [poisson_structure(build_chart(2)), PoissonStructure(2, dense)]
+    return PoissonStructure(2, dense)
+
+
+def test_c_operator_matches_unpruned_enumeration():
+    rng = random.Random(3)
+    structures = [poisson_structure(build_chart(2)), dense_structure(rng)]
     for P in structures:
         for _ in range(2):
             f, g = rand_fn(2, rng, terms=4), rand_fn(2, rng, terms=4)
@@ -318,13 +330,9 @@ def test_star_products_match_the_unpruned_series():
     unpruned C_m over every m up to the joint degree, exact flag
     included, at orders 0 to 4; both flags occur."""
     rng = random.Random(29)
-    dense = [[F(0)] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            dense[i][j] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-            dense[j][i] = -dense[i][j]
+    dense = dense_structure(rng)
     flags = set()
-    for P, deg in ((poisson_structure(build_chart(2)), 3), (PoissonStructure(2, dense), 2)):
+    for P, deg in ((poisson_structure(build_chart(2)), 3), (dense, 2)):
         for _ in range(3):
             A, B = low_degree_series(rng, deg), low_degree_series(rng, deg)
             landed = [
@@ -455,6 +463,42 @@ def test_one_sided_walk_keeps_no_memo():
         ]
 
 
+@lru_cache(maxsize=None)
+def walk_structures() -> tuple:
+    """The calibrated chart structure at N = 2 and the dense one of
+    test_c_operator_matches_unpruned_enumeration."""
+    return poisson_structure(build_chart(2)), dense_structure(random.Random(3))
+
+
+# Monomials on nv = 2, many of weight p = 0, which the a direction
+# cannot differentiate.
+walk_monomials = st.builds(
+    CoefFn.monomial,
+    st.just(2),
+    st.one_of(st.just(0), st.integers(-2, 2)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(0, 1),
+    st.integers(0, 3),
+    st.builds(F, st.integers(1, 3), st.integers(1, 3)),
+)
+walk_fns = st.lists(walk_monomials, min_size=1, max_size=4).map(
+    lambda ms: CoefFn(2, collect(kv for m in ms for kv in m.terms.items()))
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(walk_fns, walk_fns, st.sampled_from([0, 1]), st.integers(0, 7))
+@example(mono(2, k=(2, 1), q=1), mono(2, k=(0, 3), q=2), 0, 6)
+def test_capped_walk_records_what_the_uncapped_walk_records(f, g, which, limit):
+    """The exponent caps drop only steps that land on a zero derivative,
+    and the weight table gives the weights that val / c steps give: the
+    walk records the same terms in the same order, joint and one-sided."""
+    P = walk_structures()[which]
+    for other in (g, None):
+        got = transvection_terms(fresh(f), None if other is None else fresh(other), P, limit)
+        assert got == uncapped_walk_oracle(f, other, P, limit)
+
+
 def test_walk_refuses_operands_of_another_nv():
     f = CoefFn.monomial(4, 1, (1, 0, 1, 0), 0, 1, 1)
     g = CoefFn.monomial(2, 0, (0, 1), 0, 0, 1)
@@ -479,6 +523,36 @@ def test_half_commutator():
         f, g = rand_fn(2, rng), rand_fn(2, rng)
         h = half_commutator(NuSeries.from_coef(f, 4), NuSeries.from_coef(g, 4), P, 4)
         assert h.coeffs[0].sub(poisson(f, g, P)).is_zero()
+
+
+def test_half_commutator_lands_into_a_given_sum():
+    """into receives c times the half commutator, the operands' exact
+    flags included, and is returned; a sum of another order is refused."""
+    rng = random.Random(17)
+    P = std_structure(2)
+    for K in range(4):
+        A, B = low_degree_series(rng, 3), low_degree_series(rng, 3)
+        A.exact, B.exact = K != 2, K != 3
+        want = half_commutator(A, B, P, K)
+        acc = NuSum(2, K)
+        assert half_commutator(A, B, P, K, acc, -1) is acc
+        got = acc.series()
+        assert got.exact == want.exact
+        assert not got.exact or (A.exact and B.exact)
+        assert [c.terms for c in got.coeffs] == [c.neg().terms for c in want.coeffs]
+    with pytest.raises(ValueError, match="order"):
+        half_commutator(A, B, P, 2, NuSum(2, 3))
+
+
+def test_nu_sum_add_of_zero_times_a_series_changes_nothing():
+    z, one = mono(2, q=1), CoefFn.const(2, F(1))
+    acc = NuSum(2, 1).add(NuSeries(1, [one, z], True))
+    before = [c.terms for c in acc.series().coeffs]
+    for s in (NuSeries(1, [z, z], False), NuSeries(3, [z, one, z, one], True)):
+        assert acc.add(s, 0) is acc
+        assert acc.exact
+        assert [c.terms for c in acc.series().coeffs] == before
+    assert NuSum(2, 0).add(NuSeries(1, [one, z], False), 0).exact
 
 
 def test_nu_series_truncation():

@@ -525,3 +525,20 @@ def test_structure_in_names_a_bracket_that_leaves_the_span():
     pair = [g.basis_vector(i), g.basis_vector(j)]
     with pytest.raises(ValueError, match="vectors 0 and 1"):
         structure_in(Frame(pair), pair, g.bracket)
+
+
+def test_bound_once_attributes_still_build_and_fill_caches():
+    """A constructor binds each attribute once and a cached_property
+    fills once; rebinding or deleting any of them raises."""
+    algebra = LieAlgebra(3, ["a", "b", "c"], {(0, 1): {2: 1}})
+    sub = span_subspace(algebra, [{0: F(1)}, {2: F(2)}])
+    frame = sub.frame
+    assert sub.frame is frame and sub.contains({2: F(1)})
+    read, _ = subalgebra(algebra, span_subspace(algebra, [{2: F(1)}]))
+    bound = [(algebra, "labels"), (sub, "basis"), (sub, "frame"), (frame, "dual")]
+    for obj, name in bound + [(read, "structure")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert sub.frame is frame and algebra.labels == ("a", "b", "c")

@@ -290,9 +290,10 @@ def test_model_to_json_bytes_are_frozen(N):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_cached_model_cannot_be_changed_through_what_it_returns(N):
-    """Labels, subspace bases, roots and root values are tuples and the
-    model and its root data are frozen, so no write through a model
-    reaches the next build_su1n(N)."""
+    """Labels, subspace bases, roots and root values are tuples, the
+    model and its root data are frozen and the attributes of its
+    algebra, subspaces and frames are bound once, so no write or
+    rebinding through a model reaches the next build_su1n(N)."""
     model = build_su1n(N)
     with pytest.raises(TypeError):
         model.algebra.labels[0] = "X"
@@ -306,6 +307,16 @@ def test_cached_model_cannot_be_changed_through_what_it_returns(N):
         model.roots = ()
     with pytest.raises(AttributeError):
         model.roots[0].lambda_of_H = (F(7),)
+    with pytest.raises(AttributeError):
+        model.s_space.basis = model.s_space.basis[:-1]
+    with pytest.raises(AttributeError):
+        model.algebra.labels = ("X",) + model.algebra.labels[1:]
+    with pytest.raises(AttributeError):
+        del model.algebra.structure
+    with pytest.raises(AttributeError):
+        model.iwasawa_frame.dual = {}
+    with pytest.raises(AttributeError):
+        model.m_space.frame = model.s_space.frame
     again = build_su1n(N)
     assert again.algebra.labels[0] != "X" and again.s_space.dim == len(again.s_space.basis)
     doc = json.dumps(model_to_json(again), sort_keys=True)
