@@ -43,7 +43,7 @@ from .lie_core import structure_in
 from .linalg import Frame, bilinear, dense, split_symplectic, transpose
 from .linalg import solve_in_span  # noqa: F401, callers read it here
 from .scalars import accumulate, collect, frac_str, resolve_truncation_order
-from .scalars import DEFAULT_TRUNCATION, TRUNCATION_ENV, TruncationOrderError  # noqa: F401
+from .scalars import TRUNCATION_ENV, TruncationOrderError  # noqa: F401, callers read them here
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
 CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
@@ -376,12 +376,12 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     """Check mu_[X,Y] = (1/(2 nu)) [mu_X, mu_Y] for basis pairs.
 
     pairs selects "all" basis pairs or only "s" (the solvable chart
-    part).  Each pair's residual, the left side minus the commutator, is
-    summed in one NuSum: half_commutator lands the commutator there with
-    weight -1, the sum's exact flag is read, and then the left side is
-    added.  Residuals are reported per failing pair; exact is the AND of
-    the commutators' own flags, so it records whether every star
-    commutator terminated inside the truncation.
+    part).  Each pair is summed in one NuSum: half_commutator lands the
+    commutator there, the sum's exact flag is read, and then the left
+    side is subtracted.  A pair fails when that sum is nonzero, and its
+    residual is reported negated, as the left side minus the commutator.
+    exact is the AND of the commutators' own flags, so it records whether
+    every star commutator terminated inside the truncation.
 
     Each moment is resized to the order once, into fresh coefficients
     whose derivative memos (CoefFn.step) fill as the pairs are walked,
@@ -411,13 +411,13 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     for pos, i in enumerate(idx):
         for j in idx[pos + 1 :]:
             checked += 1
-            res = half_commutator(lifted[i], lifted[j], table.P, order, NuSum(nv, order), -1)
+            res = half_commutator(lifted[i], lifted[j], table.P, order, NuSum(nv, order))
             exact = exact and res.exact
             for k, c in structure.get((i, j), {}).items():
-                res.add(lifted[k], c)
+                res.add(lifted[k], -c)
             res = res.series()
             if not res.is_zero():
-                failures.append((table.labels[i], table.labels[j], res))
+                failures.append((table.labels[i], table.labels[j], res.scale(-1)))
     return QmmReport(not failures, order, exact, checked, failures)
 
 

@@ -25,9 +25,7 @@ Most such branches are seen before any derivative is taken.  The walk
 keeps, per operand, the largest exponent of each v and z coordinate and
 whether any term has p != 0 (_tops); derivatives only lower exponents
 and never change p, so a directed pair is taken at most as often as
-both sides can still be differentiated along it.  Each step multiplies
-its parent's weight by one entry val^c / c! of a table the structure
-keeps (PoissonStructure.step_weights), made on first use.
+both sides can still be differentiated along it.
 
 Each CoefFn keeps a memo of its own derivatives per multi-index, which
 the joint walk fills one step from the parent (CoefFn.step).  A
@@ -56,7 +54,7 @@ past the order is dropped, clearing the exact flag if it is nonzero: the
 star products and the series product all land there through
 _transvection_series, as do series sums, retract_pde and verify_qmm.
 NuSum.add scales each item as it lands, and half_commutator can land
-c times its terms in a caller's NuSum instead of returning a series, so
+its terms in a caller's NuSum instead of returning a series, so
 verify_qmm sums each pair's residual in one NuSum.
 """
 from __future__ import annotations
@@ -205,9 +203,8 @@ class PoissonStructure:
     """Constant antisymmetric bivector on the chart coordinates.
 
     units[c] is the unit multi-index of coordinate c, one derivative
-    step of the walk, and step_weights the weight of each run of steps
-    along one directed pair.  inverse is the inverse matrix, taken on
-    first use and kept: a degenerate structure, such as the zero one of
+    step of the walk.  inverse is the inverse matrix, taken on first use
+    and kept: a degenerate structure, such as the zero one of
     NuSeries.mul, is never inverted."""
 
     def __init__(self, nv: int, matrix: list):
@@ -231,22 +228,6 @@ class PoissonStructure:
     @cached_property
     def inverse(self) -> tuple:
         return tuple(map(tuple, mat_inverse(self.matrix)))
-
-    @cached_property
-    def _weight_rows(self) -> list:
-        return [[Fraction(1)] for _ in self.directed_pairs]
-
-    def step_weights(self, n: int) -> list:
-        """rows[idx][c] = val^c / c! for the directed pair idx = (u, w, val)
-        and every c <= n: the weight a walk step multiplies by when it
-        takes that pair c times.  The table is made on first use, kept,
-        and extended when a longer walk asks for it."""
-        rows = self._weight_rows
-        if rows and len(rows[0]) <= n:
-            for row, (_, _, val) in zip(rows, self.directed_pairs):
-                for c in range(len(row), n + 1):
-                    row.append(row[-1] * val / c)
-        return rows
 
 
 def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: int) -> list:
@@ -275,7 +256,7 @@ def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: 
     if f.terms and (g is None or g.terms):
         terms[0].append((zero, f, g, one))
         tops = (_tops(f, limit), None if g is None else _tops(g, limit))
-        walk = (P.directed_pairs, P.units, P.step_weights(limit), tops, f, g, terms)
+        walk = (P.directed_pairs, P.units, tops, f, g, terms)
         _extend(walk, 0, 0, zero, zero, f, g, one)
     while terms and not terms[-1]:
         terms.pop()
@@ -304,18 +285,17 @@ def _extend(walk, start, size, u, w, df, dg, weight):
     """Record every multiset that extends one prefix of the given size
     by pairs of index start or later; u, w, df, dg and weight are the
     prefix's.  walk holds what the whole walk shares: the directed
-    pairs, the unit multi-index of each coordinate, the step weights
-    (PoissonStructure.step_weights), the exponent caps of each operand
-    (_tops), the two operands and the terms by size, whose length bounds
-    the size.  A pair is taken at most as often as both sides can still
-    be differentiated along it, so no step lands on a derivative that
-    the exponents already show is zero."""
-    pairs, units, weights, (ftop, gtop), f, g, terms = walk
+    pairs, the unit multi-index of each coordinate, the exponent caps of
+    each operand (_tops), the two operands and the terms by size, whose
+    length bounds the size.  A pair is taken at most as often as both
+    sides can still be differentiated along it, so no step lands on a
+    derivative that the exponents already show is zero."""
+    pairs, units, (ftop, gtop), f, g, terms = walk
     left = len(terms) - 1 - size
     for idx in range(start, len(pairs)):
-        a, b, _ = pairs[idx]
+        a, b, val = pairs[idx]
         n = min(left, ftop[a] - u[a]) if g is None else min(left, ftop[a] - u[a], gtop[b] - w[b])
-        ua, wb, d, e, row = list(u), list(w), df, dg, weights[idx]
+        ua, wb, d, e, wt = list(u), list(w), df, dg, weight
         for c in range(1, n + 1):
             ua[a] += 1
             wb[b] += 1
@@ -327,7 +307,7 @@ def _extend(walk, start, size, u, w, df, dg, weight):
                 e = g.step(wk, e, units[b])
                 if not e.terms:
                     break
-            wt = weight * row[c]
+            wt = wt * val / c
             terms[size + c].append((wk, d, e, wt))
             if c < left:
                 _extend(walk, idx + 1, size + c, uk, wk, d, e, wt)
@@ -510,15 +490,14 @@ def star_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -
     return _transvection_series(F, G, P, order, 1, 2, 2).series()
 
 
-def half_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int, into=None, c=1):
-    """c (1 / (2 nu)) [F, G]: the commutator doubles the odd transvections
-    and cancels the even ones, so this is the sum of nu^(m-1) (c / m!) C_m
+def half_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int, into=None):
+    """(1 / (2 nu)) [F, G]: the commutator doubles the odd transvections
+    and cancels the even ones, so this is the sum of nu^(m-1) (1 / m!) C_m
     over odd m.
 
     Returns the series; with into, a NuSum of the given order, the terms
-    land there instead and into is returned, so c = -1 subtracts the
-    commutator from a sum with no series in between."""
-    out = _transvection_series(F, G, P, order, 1, 2, c, shift=1, into=into)
+    land there instead and into is returned."""
+    out = _transvection_series(F, G, P, order, 1, 2, 1, shift=1, into=into)
     return out if into is not None else out.series()
 
 

@@ -12,7 +12,7 @@ elimination in ``ballquant.linalg``.  verify_qmm_oracle checks the
 moment identity with a left-side sum minus a separate half_commutator
 series per pair, as the package did before it landed the commutator in
 the residual sum, and uncapped_walk_oracle is the transvection walk
-before its exponent caps and step weight table.
+before its exponent caps.
 apply_operator_oracle applies a retract operator through whole-series
 resize, product and sum, as the package did before it accumulated the
 products in place; retract_exact_oracle is the retract operator's exact
@@ -180,8 +180,10 @@ def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:
     """verify_qmm by the formula it had before it landed each commutator
     in the pair's residual sum: the left side summed in a NuSum from the
     frame coordinates of each bracket, minus the half_commutator series,
-    which is built on its own and negated in a second sum.  exact is the
-    AND of the commutators' flags."""
+    which is built on its own.  Every scaled series is scaled by
+    NuSeries.scale before it lands, so no scaled landing of NuSum.add is
+    on this side of the comparison.  exact is the AND of the
+    commutators' flags."""
     order = resolve_truncation_order(order)
     size = len(table.basis) if pairs == "all" else 2 + table.chart.nv
     algebra = table.chart.model.algebra
@@ -195,20 +197,19 @@ def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:
             coords = table.frame.coords(algebra.bracket(table.basis[i], table.basis[j]))
             lhs = NuSum(table.chart.nv, order)
             for k, c in coords.items():
-                lhs.add(lifted[k], c)
+                lhs.add(lifted[k].scale(c))
             rhs = half_commutator(lifted[i], lifted[j], table.P, order)
             exact = exact and rhs.exact
-            res = lhs.add(rhs, -1).series()
+            res = lhs.add(rhs.scale(-1)).series()
             if not res.is_zero():
                 failures.append((table.labels[i], table.labels[j], res))
     return QmmReport(not failures, order, exact, checked, failures)
 
 
 def uncapped_walk_oracle(f, g, P, limit: int) -> list:
-    """transvection_terms as it was before the exponent caps and the step
-    weight table: every pair is tried until a derivative vanishes, each
-    derivative is taken by CoefFn.diff with no memo, and each weight is
-    the parent's times val / c."""
+    """transvection_terms as it was before the exponent caps: every pair
+    is tried until a derivative vanishes, and each derivative is taken by
+    CoefFn.diff with no memo."""
     zero, one = (0,) * (P.nv + 2), F(1)
     terms = [[] for _ in range(limit + 1)]
 
