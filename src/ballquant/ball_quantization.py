@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb
 from operator import add
 
 from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, half_commutator
@@ -375,12 +376,13 @@ class QmmReport:
 def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") -> QmmReport:
     """Check mu_[X,Y] = (1/(2 nu)) [mu_X, mu_Y] for basis pairs.
 
-    pairs selects "all" basis pairs or only "s" (the solvable chart
-    part).  Each pair is summed in one NuSum: half_commutator lands the
-    commutator there, the sum's exact flag is read, and then the left
-    side is subtracted.  A pair fails when that sum is nonzero, and its
-    residual is reported negated, as the left side minus the commutator.
-    exact is the AND of the commutators' own flags, so it records whether
+    pairs "all" checks the pairs i < j of the whole table basis, "s" those
+    of its first 2 + nv vectors (H, f, E: the solvable chart part).  Each
+    pair is summed in one NuSum: half_commutator lands the commutator
+    there, the sum's exact flag is read, and then the left side is
+    subtracted.  A pair fails when that sum is nonzero, and its residual
+    is reported negated, as the left side minus the commutator.  exact
+    is the AND of the commutators' own flags, so it records whether
     every star commutator terminated inside the truncation.
 
     Each moment is resized to the order once, into fresh coefficients
@@ -396,21 +398,19 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     """
     order = resolve_truncation_order(order)
     if pairs == "all":
-        idx = list(range(len(table.basis)))
+        n = len(table.basis)
     elif pairs == "s":
-        idx = list(range(2 + table.chart.nv))
+        n = 2 + table.chart.nv
     else:
         raise ValueError("pairs must be 'all' or 's'")
     algebra = table.chart.model.algebra
-    structure = structure_in(table.frame, table.basis[: len(idx)], algebra.bracket)
+    structure = structure_in(table.frame, table.basis[:n], algebra.bracket)
     failures = []
-    checked = 0
     exact = True
     nv = table.chart.nv
     lifted = [m.resize(order) for m in table.moments]
-    for pos, i in enumerate(idx):
-        for j in idx[pos + 1 :]:
-            checked += 1
+    for i in range(n):
+        for j in range(i + 1, n):
             res = half_commutator(lifted[i], lifted[j], table.P, order, NuSum(nv, order))
             exact = exact and res.exact
             for k, c in structure.get((i, j), {}).items():
@@ -418,7 +418,7 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
             res = res.series()
             if not res.is_zero():
                 failures.append((table.labels[i], table.labels[j], res.scale(-1)))
-    return QmmReport(not failures, order, exact, checked, failures)
+    return QmmReport(not failures, order, exact, comb(n, 2), failures)
 
 
 def mutate_drop_nu2(table: QmmTable) -> QmmTable:

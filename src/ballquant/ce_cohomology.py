@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
@@ -74,10 +75,7 @@ def delta(algebra: LieAlgebra, c: Cochain) -> Cochain:
     if c.degree == 0:
         return Cochain(1, n, [Fraction(0)] * n)
     if c.degree == 1:
-        values = (
-            (p, sum((s * c.data[t] for t, s in coeffs.items()), Fraction(0)))
-            for p, coeffs in algebra.structure.items()
-        )
+        values = ((p, _pair_sum(coeffs, c.data)) for p, coeffs in algebra.structure.items())
         return _two_cochain(n, values)
     if c.degree == 2:
         v = _upper(c)
@@ -149,7 +147,7 @@ def h2_dimension(algebra: LieAlgebra) -> int:
     """dim H^2(g) = dim C^2 - rank(delta_2) - rank(delta_1), all exact."""
     d1_rows = list(algebra.structure.values())
     d2_rows = [row for _, row in _d2_table(algebra)]
-    return len(_pair_index(algebra.dim)[0]) - rank_sparse(d2_rows) - rank_sparse(d1_rows)
+    return comb(algebra.dim, 2) - rank_sparse(d2_rows) - rank_sparse(d1_rows)
 
 
 def cocycle_space(algebra: LieAlgebra) -> list:
@@ -200,7 +198,7 @@ def check_psd_cocycle_conditions(psd: PsdAlgebra, c: Cochain) -> CocycleReport:
                     return CocycleReport(False, "ii")
                 for a in vj:
                     bracket = g.rows[x].get(a, {})  # [X, v] as a sparse vector
-                    if M[x][a] != sum((s * M[hj][t] for t, s in bracket.items()), Fraction(0)):
+                    if M[x][a] != _pair_sum(bracket, M[hj]):
                         return CocycleReport(False, "ii'")
             for a in bk["V"]:
                 if M[a][hj] != 0:

@@ -119,8 +119,6 @@ class CoefFn(SparseSum):
         """Apply d_a^i_0 d_v1^i_1 .. d_z^i_last for a multi-index over
         (a, v_1 .. v_nv, z); only the v coordinates it differentiates are
         visited, since the walk's steps are mostly single coordinates."""
-        if not any(index):
-            return self
         ia, iz = index[0], index[-1]
         v_steps = [(i, n) for i, n in enumerate(index[1:-1]) if n]
         out = {}
@@ -364,12 +362,12 @@ class NuSeries:
     exact: bool = True
 
     @classmethod
-    def from_coef(cls, f: CoefFn, order: int, exact: bool = True) -> NuSeries:
-        return cls(order, [f] + [CoefFn.zero(f.nv)] * order, exact)
+    def from_coef(cls, f: CoefFn, order: int) -> NuSeries:
+        return cls(order, [f] + [CoefFn.zero(f.nv)] * order)
 
     @classmethod
-    def zero(cls, nv: int, order: int, exact: bool = True) -> NuSeries:
-        return cls(order, [CoefFn.zero(nv)] * (order + 1), exact)
+    def zero(cls, nv: int, order: int) -> NuSeries:
+        return cls(order, [CoefFn.zero(nv)] * (order + 1))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)

@@ -299,9 +299,8 @@ def structure_in(frame: Frame, vectors: list, bracket) -> dict:
     structure = {}
     for i, x in enumerate(vectors):
         for j in range(i + 1, len(vectors)):
-            coords = frame.coords(bracket(x, vectors[j]))
-            if coords is None:
-                raise ValueError(f"the bracket of vectors {i} and {j} leaves the span")
+            what = f"the bracket of vectors {i} and {j} leaves the span"
+            coords = frame.require(bracket(x, vectors[j]), what)
             if coords:
                 structure[(i, j)] = coords
     return structure

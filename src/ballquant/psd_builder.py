@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .lie_core import CheckReport, LieAlgebra
 from .linalg import combine
-from .scalars import frac_str, keyed, parse_frac, shaped
+from .scalars import collect, frac_str, keyed, parse_frac, shaped
 
 if TYPE_CHECKING:
     from .su1n_model import Su1nModel
@@ -62,11 +62,8 @@ def build_psd(spec: PsdSpec) -> PsdAlgebra:
     structure = {}
 
     def put(i, j, k, coeff):
-        if i == j:
-            raise AssertionError("diagonal bracket entry")
         key, sign = ((i, j), coeff) if i < j else ((j, i), -coeff)
-        structure.setdefault(key, {})
-        structure[key][k] = structure[key].get(k, Fraction(0)) + sign
+        structure[key] = collect([(k, sign)], structure.get(key))
 
     for j in range(1, spec.r + 1):
         b = blocks[j]

@@ -11,11 +11,11 @@ computed exactly.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from weakref import WeakKeyDictionary
 
 from .lie_core import (
     CheckReport,
@@ -97,7 +97,7 @@ class RootDatum:
     H_lambda: MappingProxyType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Su1nModel:
     N: int
     algebra: LieAlgebra
@@ -333,15 +333,13 @@ class SSubmodel:
         return self.frame.require(x, "vector does not lie in the solvable part")
 
 
-# id(model) -> (weak reference to model, submodel): Su1nModel is
-# unhashable.  An entry is dropped when its model dies, so the cache
-# holds no model alive and an id reused later finds no stale entry.
-_S_SUBMODELS: dict = {}
+# model -> submodel, keyed weakly: the cache holds no model alive.
+_S_SUBMODELS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def s_submodel(model: Su1nModel) -> SSubmodel:
-    if id(model) in _S_SUBMODELS:
-        return _S_SUBMODELS[id(model)][1]
+    if model in _S_SUBMODELS:
+        return _S_SUBMODELS[model]
     sub, embedding = subalgebra(
         model.algebra,
         model.s_space,
@@ -360,8 +358,7 @@ def s_submodel(model: Su1nModel) -> SSubmodel:
             if r.lambda_of_H[0] > 0
         ),
     )
-    key = id(model)
-    _S_SUBMODELS[key] = (weakref.ref(model, lambda _: _S_SUBMODELS.pop(key, None)), out)
+    _S_SUBMODELS[model] = out
     return out
 
 

@@ -180,6 +180,9 @@ def test_chart_reads_name_the_block_a_vector_left():
         _solve_zeta(replace(chart, m_basis=[f1, f2]))
     with pytest.raises(ValueError, match=r"^\[V, sigma V\] left a \+ m$"):
         _solve_zeta(replace(chart, fs=[chart.H, chart.E]))
+    (y,) = chart.m_basis
+    with pytest.raises(ValueError, match="^correction functional is underdetermined$"):
+        _solve_zeta(replace(chart, m_basis=[y, y]))
 
 
 def test_field_homomorphism():

@@ -10,9 +10,11 @@ Frozen oracles:
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -23,6 +25,7 @@ from ballquant.scalars import GScalar
 from ballquant.su1n_model import (
     _S_SUBMODELS,
     _basis_matrices,
+    _check_su1n,
     _flatten,
     _rational_sqrt,
     beta_sigma_gram,
@@ -403,6 +406,20 @@ def test_s_submodel_is_cached_per_model_not_per_n():
     other = s_submodel(dropped)
     assert [len(s.roots) for s in (sub, other)] == [2, 1]
     assert s_submodel(dropped) is other and s_submodel(build_su1n(2)) is sub
-    key = id(dropped)
+    ref, cached = weakref.ref(dropped), len(_S_SUBMODELS)
     del dropped
-    assert key not in _S_SUBMODELS  # the cache does not keep a replaced model alive
+    gc.collect()
+    # the cache does not keep a replaced model alive, and drops its entry
+    assert ref() is None and len(_S_SUBMODELS) == cached - 1
+
+
+def test_build_su1n_refuses_n_below_one():
+    with pytest.raises(ValueError, match="^N must be at least 1$"):
+        build_su1n(0)
+
+
+def test_check_su1n_refuses_a_traced_or_non_pseudo_unitary_matrix():
+    one, im = GScalar.of(1), GScalar.of(0, 1)
+    assert _check_su1n({(0, 1): one, (1, 0): one})
+    assert not _check_su1n({(0, 0): im})  # trace i
+    assert not _check_su1n({(1, 2): one, (2, 1): one})  # X^* J + J X = 2 E_12 + 2 E_21
