@@ -6,9 +6,10 @@ basis (H, f_1 .. f_nv, E).  Group elements are stored with t = exp(-a)
 so that the whole group law is rational.
 
 build_chart assembles the adapted basis of the whole algebra once, in
-table order (H, f, E, m, sigma f, sigma E), as copies the chart owns,
-with one Frame over it; every coordinate read on the chart and in the
-moment table, which shares both, goes through that frame.
+table order (H, f, E, m, sigma f, sigma E), as read-only vectors, with
+one Frame over it; every coordinate read on the chart and in the
+moment table, which shares both, goes through that frame.  The chart's
+structure constants in that frame are read on first use and kept.
 
 On this chart every basis element X of the subalgebra spanned by the
 solvable part and the compact centralizer m has a fundamental vector
@@ -35,8 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from operator import add
+from types import MappingProxyType
 
 from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, half_commutator
 from .formal_star import series_to_json
@@ -51,37 +54,48 @@ CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
 CALIBRATED_INNER_SCALE = Fraction(1, 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BallChart:
     model: Su1nModel
     inner_scale: Fraction
-    H: dict
+    H: MappingProxyType
     fs: list
-    E: dict
+    E: MappingProxyType
     nv: int
     omega: list
     gram: list
     m_basis: list
     m_actions: list
-    basis: list
+    basis: tuple
     frame: Frame
+
+    @cached_property
+    def structure(self) -> MappingProxyType:
+        """The structure constants of basis read in frame (structure_in),
+        read-only, taken on first use and kept; a chart made by replace
+        starts without them."""
+        table = structure_in(self.frame, self.basis, self.model.algebra.bracket)
+        return MappingProxyType({ij: MappingProxyType(c) for ij, c in table.items()})
 
 
 def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallChart:
     """Adapted chart data for su(1, N), exact over the rationals.
 
     basis is the adapted basis of the whole algebra in qmm_labels order,
-    (H, f, E, m, sigma f, sigma E), a list the chart owns; H, fs, E and
-    m_basis are its entries (H and m_basis the model's read-only vectors),
-    and frame reads coordinates against it.
+    (H, f, E, m, sigma f, sigma E), a tuple of read-only vectors: the
+    model's own where it has them (H, m_basis), else ones the chart owns.
+    H, fs, E and m_basis are its entries, and frame reads coordinates
+    against it.
     """
     model = build_su1n(N)
+    read_only = lambda x: x if isinstance(x, MappingProxyType) else MappingProxyType(x)
     H, fs, E = adapted_s_basis(model)
+    fs, E = [read_only(x) for x in fs], read_only(E)
     nv = len(fs)
     omega = split_symplectic(nv)
     m_basis = list(model.m_space.basis)
-    sigma = [model.apply_sigma(x) for x in fs + [E]]
-    basis = [H] + fs + [E] + m_basis + sigma
+    sigma = [MappingProxyType(model.apply_sigma(x)) for x in fs + [E]]
+    basis = (H, *fs, E, *m_basis, *sigma)
     frame = Frame(basis)
     gram = [
         [-inner_scale * model.beta_form(u, sw) / model.beta_H0 for sw in sigma[:nv]] for u in fs
@@ -296,13 +310,13 @@ def inner_square(chart: BallChart) -> CoefFn:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class QmmTable:
     chart: BallChart
     P: PoissonStructure
     alpha: Fraction | None
     labels: list
-    basis: list
+    basis: tuple
     frame: Frame
     moments: list
 
@@ -386,15 +400,16 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     every star commutator terminated inside the truncation.
 
     Each moment is resized to the order once, into fresh coefficients
-    whose derivative memos (CoefFn.step) fill as the pairs are walked,
-    on either side of a transvection, so each derivative is taken at
-    most once per call.  The joint walk of two coefficients is not
-    kept: half_commutator takes it once per pair and drops it when the
-    pair is summed.  The resized copies, and their memos with them, are
-    dropped on return, so no state outlives the call and the table's own
-    coefficients gain no memo.  The left sides are read from
-    the structure constants of the checked basis vectors in the table
-    frame, taken once per call by structure_in.
+    whose derivative memos (CoefFn.step) and exponent caps (CoefFn.caps)
+    fill as the pairs are walked, on either side of a transvection, so
+    each derivative is taken at most once per call.  The joint walk of
+    two coefficients is not kept: half_commutator takes it once per pair
+    and drops it when the pair is summed.  The resized copies, their
+    memos and caps with them, are dropped on return, so the table's own
+    coefficients gain none.  The left sides are read from the chart's
+    structure constants (BallChart.structure), taken once per chart: a
+    table, its mutations (which share its chart) and both pair sets read
+    one table, and every later call reads it again without recomputing.
     """
     order = resolve_truncation_order(order)
     if pairs == "all":
@@ -403,8 +418,7 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
         n = 2 + table.chart.nv
     else:
         raise ValueError("pairs must be 'all' or 's'")
-    algebra = table.chart.model.algebra
-    structure = structure_in(table.frame, table.basis[:n], algebra.bracket)
+    structure = table.chart.structure
     failures = []
     exact = True
     nv = table.chart.nv

@@ -21,11 +21,12 @@ retract operator, which walks one side only.  Every longer multiset
 differentiates a vanishing derivative further, so the sizes that have a
 multiset run from 0 to a last one, past which every C_m vanishes.
 
-Most such branches are seen before any derivative is taken.  The walk
-keeps, per operand, the largest exponent of each v and z coordinate and
-whether any term has p != 0 (_tops); derivatives only lower exponents
-and never change p, so a directed pair is taken at most as often as
-both sides can still be differentiated along it.
+Most such branches are seen before any derivative is taken.  Each
+CoefFn keeps its exponent caps (CoefFn.caps, taken once per function):
+the largest exponent of each v and z coordinate and whether any term
+has p != 0.  Derivatives only lower exponents and never change p, so
+the walk takes a directed pair at most as often as both sides can still
+be differentiated along it.
 
 Each CoefFn keeps a memo of its own derivatives per multi-index, which
 the joint walk fills one step from the parent (CoefFn.step).  A
@@ -65,6 +66,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, perm
 from operator import add
+from sys import maxsize
 
 from .lie_core import CheckReport, LieAlgebra
 from .linalg import mat_inverse
@@ -138,6 +140,21 @@ class CoefFn(SparseSum):
     @cached_property
     def _derivatives(self) -> dict:
         return {}
+
+    @cached_property
+    def caps(self) -> tuple:
+        """How many times each coordinate (a, v_1 .. v_nv, z) can
+        differentiate this function before every term vanishes: the largest
+        exponent of each v and of z, and for a, maxsize (no bound) when some
+        term has p != 0, else 0.  Derivatives only lower exponents and never
+        change p, so once the steps already taken are subtracted these caps
+        hold for every derivative; taken on first use and kept."""
+        caps = [0] * (self.nv + 2)
+        for p, k, _, q in self.terms:
+            for c, e in enumerate((maxsize if p else 0, *k, q)):
+                if e > caps[c]:
+                    caps[c] = e
+        return tuple(caps)
 
     def step(self, index: tuple, parent: CoefFn, unit: tuple) -> CoefFn:
         """d^index self, given parent = d^(index - unit) self.  It is taken
@@ -253,30 +270,12 @@ def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: 
     terms = [[] for _ in range(limit + 1)]
     if f.terms and (g is None or g.terms):
         terms[0].append((zero, f, g, one))
-        tops = (_tops(f, limit), None if g is None else _tops(g, limit))
-        walk = (P.directed_pairs, P.units, tops, f, g, terms)
+        caps = (f.caps, None if g is None else g.caps)
+        walk = (P.directed_pairs, P.units, caps, f, g, terms)
         _extend(walk, 0, 0, zero, zero, f, g, one)
     while terms and not terms[-1]:
         terms.pop()
     return terms
-
-
-def _tops(f: CoefFn, limit: int) -> list:
-    """How many times each coordinate can differentiate f before every
-    term vanishes: the largest exponent of each v and of z, and for a
-    limit when some term has p != 0, else 0.  Derivatives only lower
-    exponents and never change p, so once the steps already taken are
-    subtracted these caps hold for every derivative of f."""
-    tops = [0] * (f.nv + 2)
-    for p, k, _, q in f.terms:
-        if p:
-            tops[0] = limit
-        for i, e in enumerate(k, 1):
-            if e > tops[i]:
-                tops[i] = e
-        if q > tops[-1]:
-            tops[-1] = q
-    return tops
 
 
 def _extend(walk, start, size, u, w, df, dg, weight):
@@ -284,10 +283,11 @@ def _extend(walk, start, size, u, w, df, dg, weight):
     by pairs of index start or later; u, w, df, dg and weight are the
     prefix's.  walk holds what the whole walk shares: the directed
     pairs, the unit multi-index of each coordinate, the exponent caps of
-    each operand (_tops), the two operands and the terms by size, whose
-    length bounds the size.  A pair is taken at most as often as both
-    sides can still be differentiated along it, so no step lands on a
-    derivative that the exponents already show is zero."""
+    each operand (CoefFn.caps), the two operands and the terms by size,
+    whose length bounds the size.  A pair is taken at most as often as
+    both sides can still be differentiated along it, so no step lands on
+    a derivative that the exponents already show is zero; an a cap that
+    is unbounded leaves the size to bound the steps along a."""
     pairs, units, (ftop, gtop), f, g, terms = walk
     left = len(terms) - 1 - size
     for idx in range(start, len(pairs)):

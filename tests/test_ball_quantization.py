@@ -9,7 +9,7 @@ the value 1 on Y.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
 
 import pytest
@@ -40,6 +40,7 @@ from ballquant.ball_quantization import (
     verify_qmm,
 )
 from ballquant.formal_star import CoefFn, poisson
+from ballquant.lie_core import structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
 from ballquant.su1n_model import build_su1n, model_to_json
 
@@ -132,11 +133,11 @@ def test_chart_basis_is_the_table_basis_in_label_order():
         chart = build_chart(n)
         nv, dm = chart.nv, len(chart.m_basis)
         sigma = [chart.model.apply_sigma(x) for x in chart.fs + [chart.E]]
-        assert chart.basis == [chart.H] + chart.fs + [chart.E] + chart.m_basis + sigma
+        assert chart.basis == (chart.H, *chart.fs, chart.E, *chart.m_basis, *sigma)
         assert len(chart.basis) == len(qmm_labels(n)) == chart.model.algebra.dim
         assert chart.frame.basis == Frame(chart.basis).basis
         assert chart.basis[0] is chart.H and chart.basis[1 + nv] is chart.E
-        assert chart.basis[2 + nv : 2 + nv + dm] == chart.m_basis
+        assert chart.basis[2 + nv : 2 + nv + dm] == tuple(chart.m_basis)
         table = build_qmm(n)
         assert table.basis is table.chart.basis and table.frame is table.chart.frame
 
@@ -144,9 +145,9 @@ def test_chart_basis_is_the_table_basis_in_label_order():
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_chart_and_table_cannot_change_the_cached_model(N):
     """The table basis holds the cached model's read-only vectors (H, m)
-    and vectors the chart owns (f, E, sigma images): a write through a
-    model vector raises, a write through a chart vector goes through, and
-    the cached model stays as built either way."""
+    and read-only vectors the chart owns (f, E, sigma images): a write
+    through any table vector raises, the model's vectors are not wrapped
+    a second time, and the cached model stays as built."""
     model = build_su1n(N)
     before = (model_to_json(model), dict(model.H0), qmm_table_to_json(build_qmm(N)))
     table = build_qmm(N)
@@ -154,17 +155,13 @@ def test_chart_and_table_cannot_change_the_cached_model(N):
     roots = [x for r in model.roots for x in r.space.basis]
     shared = [model.H0] + list(model.m_space.basis) + roots
     sevens = {j: F(7) for j in range(model.algebra.dim)}
-    owned = 0
     for v in table.basis:
-        if any(v is w for w in shared):
-            with pytest.raises((TypeError, AttributeError)):
-                v.update(sevens)
-            with pytest.raises(TypeError):
-                v[0] = F(7)
-        else:
+        with pytest.raises((TypeError, AttributeError)):
             v.update(sevens)
-            owned += 1
-    assert owned >= table.chart.nv + 2
+        with pytest.raises(TypeError):
+            v[0] = F(7)
+    owned = [v for v in table.basis if not any(v is w for w in shared)]
+    assert len(owned) >= table.chart.nv + 2
     model = build_su1n(N)
     assert (model_to_json(model), model.H0, qmm_table_to_json(build_qmm(N))) == before
 
@@ -435,6 +432,60 @@ def test_verify_qmm_keeps_no_state_between_calls():
     for alpha in (F(1), F(2), F(1), F(-3), F(1, 2), None, F(1)):
         rep = verify_qmm(build_qmm(2, alpha), 6)
         assert rep.ok and rep.exact and rep.checked == 28
+
+
+def test_verify_qmm_reads_the_chart_structure_once(monkeypatch):
+    """The left sides come from the chart's structure constants, read on
+    first use: a table, both of its mutations (which share its chart) and
+    its s pairs read one table between them, and each report is still the
+    oracle's."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return structure_in(*args)
+
+    table = build_qmm(2, alpha=F(1))
+    assert "structure" not in vars(table.chart)
+    monkeypatch.setattr("ballquant.ball_quantization.structure_in", counted)
+    runs = [
+        (table, "all"),
+        (mutate_drop_nu2(table), "all"),
+        (mutate_add_nu_const(table, "E", F(1)), "all"),
+        (table, "s"),
+        (mutate_add_nu_const(table, "E", F(1)), "s"),
+    ]
+    reports = [verify_qmm(t, 6, pairs) for t, pairs in runs]
+    assert len(calls) == 1 and calls[0][1] is table.chart.basis
+    assert [rep.ok for rep in reports] == [True, False, False, True, False]
+    for rep, (t, pairs) in zip(reports, runs):
+        assert_same_report(rep, verify_qmm_oracle(t, 6, pairs))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_chart_structure_is_the_structure_of_its_basis(N):
+    chart = build_chart(N)
+    bracket = chart.model.algebra.bracket
+    assert chart.structure == structure_in(Frame(chart.basis), chart.basis, bracket)
+    with pytest.raises(TypeError):
+        chart.structure[(0, 1)] = {}
+    with pytest.raises(TypeError):
+        next(iter(chart.structure.values()))[0] = F(7)
+
+
+def test_replaced_chart_reads_its_own_structure():
+    """The chart is frozen; a chart made by replace starts without the
+    structure table and fills its own."""
+    chart = build_chart(2)
+    with pytest.raises(FrozenInstanceError):
+        chart.basis = ()
+    table = chart.structure
+    same, flipped = replace(chart), replace(chart, basis=chart.basis[::-1])
+    assert "structure" not in vars(same) and "structure" not in vars(flipped)
+    assert same.structure == table and same.structure is not table
+    bracket = chart.model.algebra.bracket
+    assert flipped.structure == structure_in(chart.frame, flipped.basis, bracket) != table
+    assert chart.structure is table
 
 
 @pytest.mark.parametrize("N, pairs", [(3, 105), (4, 276)])

@@ -8,7 +8,8 @@ rebinding and expects the ``qmm`` workload to feel it, so ``verify_qmm``
 must still reach the star product through that name.  The in-process
 workloads of ``perfbench/workloads.py`` call package functions directly
 (``solve_in_span``, ``k_basis``, the table basis) and check every answer;
-one pass of each at seed 1 must report every check ok.
+one pass of each at seed 1 must report every check ok, and a second
+``qmm`` pass must find every chart's structure constants already read.
 """
 from __future__ import annotations
 
@@ -142,6 +143,37 @@ def test_h2_dimension_builds_its_rows_through_the_rebound_d2_row():
         tracer.restore(undo)
     assert h2 == 3
     assert len(rows) == len(list(bracket_triples(g.rows))) and any(rows)
+
+
+def test_warm_qmm_pass_reads_no_structure_constants():
+    """Each chart keeps its structure constants: after one qmm pass at
+    seed 1, a second pass calls structure_in zero times, still reports
+    every check ok and still reaches the rebound formal_star.c_operator."""
+    work = load_workloads().make("qmm", 1, ROOT)
+    checks = work.setup()
+    for step in work.steps():
+        checks += step()
+    structure_calls, c_calls = [], []
+
+    def counting(calls):
+        def make_wrapper(original):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        return make_wrapper
+
+    undo = tracer.rebind("lie_core", "structure_in", counting(structure_calls))
+    undo += tracer.rebind("formal_star", "c_operator", counting(c_calls))
+    try:
+        for step in work.steps():
+            checks += step()
+    finally:
+        tracer.restore(undo)
+    assert not structure_calls and c_calls
+    assert len(checks) == 9 and all(check[1] for check in checks)
 
 
 @pytest.mark.parametrize("name", ["qmm", "structure", "retract"])

@@ -140,6 +140,25 @@ def test_poisson_leibniz(f, g, h):
 
 
 @PROPERTY
+@given(coef_fns)
+def test_exponent_caps_bound_the_derivatives(f):
+    """cap[c] + 1 derivatives along a v or z coordinate c give zero and,
+    when cap[c] > 0, cap[c] derivatives do not; the a cap is 0 exactly
+    when every term has p = 0, and otherwise bounds no walk."""
+    caps = f.caps
+    for c in range(1, NV + 2):
+        unit = tuple(int(i == c) for i in range(NV + 2))
+        d = f
+        for _ in range(caps[c]):
+            d = d.diff(unit)
+        assert d.terms or not caps[c]
+        assert not d.diff(unit).terms
+    assert (caps[0] == 0) == all(p == 0 for p, _, _, _ in f.terms)
+    if caps[0]:
+        assert caps[0] >= 2 * f.degree() + 64 and f.diff((64, 0, 0, 0)).terms
+
+
+@PROPERTY
 @given(coef_fns, coef_fns, coef_fns)
 def test_moyal_associativity(f, g, h):
     """(F * G) * H = F * (G * H) coefficient by coefficient on the
