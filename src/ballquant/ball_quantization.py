@@ -410,18 +410,23 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     structure constants (BallChart.structure), taken once per chart: a
     table, its mutations (which share its chart) and both pair sets read
     one table, and every later call reads it again without recomputing.
+    Only the s pairs on a chart whose table is not yet filled read the
+    brackets of those pairs alone, and keep nothing.
     """
     order = resolve_truncation_order(order)
+    chart, nv = table.chart, table.chart.nv
     if pairs == "all":
         n = len(table.basis)
     elif pairs == "s":
-        n = 2 + table.chart.nv
+        n = 2 + nv
     else:
         raise ValueError("pairs must be 'all' or 's'")
-    structure = table.chart.structure
+    if n < len(table.basis) and "structure" not in vars(chart):
+        structure = structure_in(table.frame, table.basis[:n], chart.model.algebra.bracket)
+    else:
+        structure = chart.structure
     failures = []
     exact = True
-    nv = table.chart.nv
     lifted = [m.resize(order) for m in table.moments]
     for i in range(n):
         for j in range(i + 1, n):

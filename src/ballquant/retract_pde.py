@@ -19,9 +19,11 @@ of the derivative multi-index each term puts on the argument.  As for
 every series of formal_star, land is the one point where a term past
 the order is dropped, clearing that NuSum's exact flag, and the operator
 is exact when mu_X and all its NuSums are.  apply_operator
-differentiates each nonzero coefficient of its argument once per key and
-lands every product in one NuSum too; its exact flag is the one that
-resizing both sides to the order and multiplying would give.
+differentiates each nonzero coefficient of its argument once per key
+that its exponent caps (CoefFn.caps) allow, since a key past a cap
+gives zero, and skips a key that leaves no derivative.  It lands every
+product in one NuSum too; its exact flag is the one that resizing both
+sides to the order and multiplying would give.
 
 After a partial Fourier transform in z the operator for sigma(v0),
 applied to a radial symbol theta(a, r, xi), closes on coefficients
@@ -54,7 +56,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, le
 from typing import TYPE_CHECKING
 
 from .scalars import GScalar, SparseSum, accumulate, collect, frac_str, keyed, parse_frac, shaped
@@ -322,10 +324,12 @@ def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSer
     inputs = [theta, *op.values()]
     exact = all(s.exact and not any(c.terms for c in s.coeffs[order + 1 :]) for s in inputs)
     out = NuSum(theta.coeffs[0].nv, order, exact or not op)
-    thetas = [(j, c) for j, c in enumerate(theta.coeffs) if c.terms]
+    thetas = [(j, c, c.caps) for j, c in enumerate(theta.coeffs) if c.terms]
     for key, series in op.items():
-        dthetas = [(j, d) for j, c in thetas if (d := c.diff(key)).terms]
-        for i, f in enumerate(series.coeffs):
+        dthetas = [
+            (j, d) for j, c, caps in thetas if all(map(le, key, caps)) and (d := c.diff(key)).terms
+        ]
+        for i, f in enumerate(series.coeffs) if dthetas else ():
             for j, d in dthetas if f.terms else ():
                 out.land(i + j, f.mul_items(d))
     return out.series()

@@ -1,9 +1,13 @@
 """Exact scalar types and the sparse sums built on them.
 
 Rational scalars are plain ``fractions.Fraction``.  Gaussian rationals
-(rational real and imaginary parts) carry the complex matrix entries of
-the pseudo-unitary model before everything is realified into rational
-structure constants; both are falsy exactly when zero.
+(GScalar) carry the complex matrix entries of the pseudo-unitary model
+before everything is realified into rational structure constants, and
+the coefficients of the radial calculus.  A GScalar is one integer
+triple (a, b, d) for (a + b i) / d, with d > 0 and gcd(a, b, d) = 1:
+each sum or product is a few int operations and one gcd, equal values
+are equal triples and zero has one form, and re and im read the parts
+back as exact Fractions.  Both kinds are falsy exactly when zero.
 
 SparseSum is the ring arithmetic shared by the chart functions of
 formal_star and the radial coefficients of retract_pde: a finite sum of
@@ -21,8 +25,8 @@ the chart (ball_quantization re-exports it).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 TRUNCATION_ENV = "BALLQUANT_TRUNCATION_ORDER"
 DEFAULT_TRUNCATION = 12
@@ -86,53 +90,103 @@ def keyed(data, what: str, *keys) -> list:
     return [data[key] for key in keys]
 
 
-@dataclass(frozen=True)
-class GScalar:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
+class GScalar(tuple):
+    """A Gaussian rational (a + b i) / d, held as the integer triple
+    (a, b, d) with d > 0 and gcd(a, b, d) = 1, so equal values are equal
+    triples and zero is (0, 0, 1).  GScalar(re, im) takes ints or
+    Fractions, and re and im read the parts back as Fractions.
 
-    re: Fraction
-    im: Fraction
+    Each operation costs a few int operations and one gcd.  The triple is
+    a tuple for speed, but a value mixes only with GScalars: an int or
+    tuple operand raises TypeError, never equals a value, and no value
+    is ordered.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, re, im) -> "GScalar":
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(f"GScalar parts must be ints or Fractions, got {re!r} and {im!r}")
+        p, q = re.denominator, im.denominator
+        return _normal(re.numerator * q, im.numerator * p, p * q)
 
     @staticmethod
     def of(re=0, im=0) -> "GScalar":
         return GScalar(Fraction(re), Fraction(im))
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self[0], self[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self[1], self[2])
+
     def __add__(self, other: "GScalar") -> "GScalar":
-        return GScalar(self.re + other.re, self.im + other.im)
+        if type(other) is not GScalar:
+            self._refuse(other)
+        (a, b, d), (c, e, f) = self, other
+        return _normal(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other: "GScalar") -> "GScalar":
-        return GScalar(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "GScalar":
-        return GScalar(-self.re, -self.im)
+        a, b, d = self
+        return _new(GScalar, (-a, -b, d))
 
     def __mul__(self, other: "GScalar") -> "GScalar":
-        """The product; a purely real or purely imaginary factor takes two
-        Fraction products instead of four."""
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b:
-            return other.scale(a)
-        if not d:
-            return self.scale(c)
-        if not a:
-            return GScalar(-b * d, b * c)
-        if not c:
-            return GScalar(-b * d, a * d)
-        return GScalar(a * c - b * d, a * d + b * c)
+        if type(other) is not GScalar:
+            self._refuse(other)
+        (a, b, d), (c, e, f) = self, other
+        return _normal(a * c - b * e, a * e + b * c, d * f)
 
     def conj(self) -> "GScalar":
-        return GScalar(self.re, -self.im)
+        a, b, d = self
+        return _new(GScalar, (a, -b, d))
 
-    def scale(self, c: Fraction) -> "GScalar":
-        """The product with a rational; a zero part stays as it is and a
-        unit factor returns self."""
-        if c == 1:
+    def scale(self, c) -> "GScalar":
+        """The product with an int or a Fraction; a unit factor returns
+        self."""
+        p, q = c.numerator, c.denominator
+        if p == q:
             return self
-        re, im = self.re, self.im
-        return GScalar(re * c if re else re, im * c if im else im)
+        a, b, d = self
+        return _normal(a * p, b * p, d * q)
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im)
+        return bool(self[0] or self[1])
+
+    def __eq__(self, other) -> bool:
+        return type(other) is GScalar and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def _refuse(self, other):
+        raise TypeError(f"a GScalar combines only with a GScalar, not with {other!r}")
+
+    # A tuple would concatenate, repeat or order where a GScalar refuses.
+    __radd__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+    def __getnewargs__(self) -> tuple:
+        return self.re, self.im
+
+    def __repr__(self) -> str:
+        return f"GScalar(re={self.re!r}, im={self.im!r})"
+
+
+_new = tuple.__new__
+
+
+def _normal(a: int, b: int, d: int) -> GScalar:
+    """(a + b i) / d for d > 0, with the common factor divided out."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _new(GScalar, (a, b, d))
 
 
 G_ZERO = GScalar.of(0, 0)

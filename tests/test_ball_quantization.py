@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -460,6 +461,30 @@ def test_verify_qmm_reads_the_chart_structure_once(monkeypatch):
     assert [rep.ok for rep in reports] == [True, False, False, True, False]
     for rep, (t, pairs) in zip(reports, runs):
         assert_same_report(rep, verify_qmm_oracle(t, 6, pairs))
+
+
+def test_cold_s_pairs_read_their_own_brackets_and_keep_nothing(monkeypatch):
+    """On a cold chart the s pairs read the brackets of the solvable part
+    alone and leave the chart's table unfilled; the report is the one
+    read from the filled table."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return structure_in(*args)
+
+    table = build_qmm(4, alpha=F(1))
+    nv = table.chart.nv
+    tables = [table, mutate_add_nu_const(table, "E", F(1))]
+    monkeypatch.setattr("ballquant.ball_quantization.structure_in", counted)
+    cold = [verify_qmm(t, 4, "s") for t in tables]
+    assert calls == [2 + nv] * 2 and "structure" not in vars(table.chart)
+    assert table.chart.structure and calls[2:] == [len(table.basis)]
+    warm = [verify_qmm(t, 4, "s") for t in tables]
+    assert len(calls) == 3 and [rep.ok for rep in cold] == [True, False]
+    assert cold[0].checked == comb(2 + nv, 2)
+    for c, w in zip(cold, warm):
+        assert_same_report(c, w)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])

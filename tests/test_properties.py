@@ -1,12 +1,14 @@
 """Property tests: Gaussian rational products against the four-product
-formula, ring laws of the shared sparse core, the Leibniz rule
-of the Poisson bracket, the associativity of the Moyal product, the
-Jacobi identity of the star commutator, the coordinates a linalg
-Frame reads against the dense rref oracle, the linalg change-of-basis
-helpers (combine, bilinear, split_symplectic) against dense matrix
-products, and the importers on mutated exports.  The drawn vectors are
-dense lists; the package reads and returns them as sparse maps, which
-must match the dense values exactly.
+formula, the integer Gaussian rational kernel against Fraction pairs
+(arithmetic, one canonical form, refusal of ints and tuples), ring
+laws of the shared sparse core, the Leibniz rule of the Poisson
+bracket, the associativity of the Moyal product, the Jacobi identity
+of the star commutator, the coordinates a linalg Frame reads against
+the dense rref oracle, the linalg change-of-basis helpers (combine,
+bilinear, split_symplectic) against dense matrix products, and the
+importers on mutated exports.  The drawn vectors are dense lists; the
+package reads and returns them as sparse maps, which must match the
+dense values exactly.
 
 Examples are drawn deterministically (derandomize=True), so a failure
 reproduces on every run.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import copy
 from fractions import Fraction as F
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,6 +115,75 @@ def test_gscalar_products_follow_the_four_product_formula(x, y, c):
     assert prod == y * x
     assert x.scale(c) == GScalar(x.re * c, x.im * c)
     assert _is_exact(prod) and _is_exact(y * x) and _is_exact(x.scale(c))
+
+
+# The kernel against plain (re, im) Fraction pairs, over wider parts so
+# that sums and products have common factors to divide out.
+KERNEL = settings(derandomize=True, max_examples=200, deadline=None)
+wide_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+pairs = st.tuples(wide_rationals, wide_rationals)
+
+
+def _g(pair) -> GScalar:
+    return GScalar(*pair)
+
+
+def _is_canonical(x: GScalar) -> bool:
+    a, b, d = x
+    return d > 0 and gcd(a, b, d) == 1 and _is_exact(x)
+
+
+@KERNEL
+@given(pairs, pairs, st.integers(-6, 6), wide_rationals)
+def test_gscalar_kernel_follows_fraction_pairs(p, q, n, c):
+    (a, b), (e, f) = p, q
+    x, y = _g(p), _g(q)
+    results = [
+        (x + y, (a + e, b + f)),
+        (x - y, (a - e, b - f)),
+        (-x, (-a, -b)),
+        (x * y, (a * e - b * f, a * f + b * e)),
+        (x.conj(), (a, -b)),
+        (x.scale(n), (a * n, b * n)),
+        (x.scale(c), (a * c, b * c)),
+    ]
+    for got, (re, im) in results:
+        assert (got.re, got.im) == (re, im) and _is_canonical(got)
+    assert bool(x) == bool(a or b)
+
+
+@KERNEL
+@given(pairs, pairs)
+def test_gscalar_values_have_one_form(p, q):
+    """Equal values are equal triples with equal hashes, whatever route
+    made them; zero is (0, 0, 1) and re, im read the parts back."""
+    x, y = _g(p), _g(q)
+    routes = [x, (x + y) - y, (x - y) + y, x * GScalar.of(1), x.scale(F(3)).scale(F(1, 3))]
+    assert all(tuple(r) == tuple(x) and hash(r) == hash(x) and r == x for r in routes)
+    assert tuple(x - x) == (0, 0, 1) == tuple(GScalar.of()) == tuple(x.scale(0))
+    assert GScalar(x.re, x.im) == x and (x.re, x.im) == p and _is_exact(x)
+    assert (x == y) == (p == q) and (x != y) == (p != q)
+
+
+def test_gscalar_mixes_only_with_gscalars():
+    """An int or tuple operand raises, a tuple or int never equals a value,
+    values are not ordered and no attribute can be set."""
+    g = GScalar.of(F(1, 2), -3)
+    bad = [
+        lambda: 2 * g, lambda: g * 2, lambda: g + 1, lambda: 1 + g, lambda: g - 1,
+        lambda: 1 - g, lambda: g + (1,), lambda: (1,) + g, lambda: g * (1, 0, 1),
+        lambda: g < g, lambda: g <= (1, -6, 2), lambda: (1, -6, 2) < g, lambda: g >= 0,
+        lambda: GScalar(0.5, 0), lambda: GScalar(1, "1/2"),
+    ]
+    for op in bad:
+        with pytest.raises(TypeError):
+            op()
+    for other in [tuple(g), (F(1, 2), F(-3)), 1, None]:
+        assert g != other and other != g and not (g == other) and not (other == g)
+    for name in ("re", "im", "value"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, F(1))
+    assert copy.deepcopy(g) == g and repr(g) == "GScalar(re=Fraction(1, 2), im=Fraction(-3, 1))"
 
 
 @PROPERTY

@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import le
 
 import pytest
 
@@ -439,6 +440,66 @@ def test_apply_operator_is_the_moment_action_n3():
             for k, c in table.frame.coords(algebra.bracket(x, y)).items():
                 want = want.add(lifted[k].scale(c))
             assert apply_operator(op, mom, order).sub(want).is_zero()
+
+
+def _capped_series(rng, nv, order, p_range, v_top):
+    """A series to nu^order whose terms have p in p_range and every v
+    exponent at most v_top."""
+    coeffs = []
+    for _ in range(order + 1):
+        f = CoefFn.zero(nv)
+        for _ in range(4):
+            k = tuple(rng.randint(0, v_top) for _ in range(nv))
+            c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+            f = f.add(CoefFn.monomial(nv, rng.choice(p_range), k, 0, rng.randint(0, 2), c))
+        coeffs.append(f)
+    return NuSeries(order, coeffs)
+
+
+def test_apply_operator_skips_keys_past_the_caps_as_the_oracle_does():
+    """Keys the argument's exponent caps rule out are skipped, and the
+    result is still the oracle's: a p = 0 argument under operators with
+    a-derivative keys, and an argument of degree at most 1 in each v
+    under operators with second v-derivatives."""
+    table = build_qmm(3, alpha=None)
+    nv, K = table.chart.nv, 4
+    ops = [retract_operator(table, x, order=K) for x in k_basis(table.chart)[1]]
+    keys = {key for op in ops for key in op}
+    assert any(key[0] for key in keys) and any(max(key[1:-1]) >= 2 for key in keys)
+    rng = random.Random(41)
+    thetas = [
+        _capped_series(rng, nv, K, [0], 2),
+        _capped_series(rng, nv, K, [-1, 0, 1, 2], 1),
+    ]
+    assert thetas[0].coeffs[0].caps[0] == 0 and max(thetas[1].coeffs[0].caps[1:-1]) == 1
+    for theta in thetas:
+        for op in ops:
+            got, want = apply_operator(op, theta, K), apply_operator_oracle(op, theta, K)
+            assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
+            assert got.exact == want.exact
+
+
+def test_apply_operator_differentiates_only_within_the_caps(monkeypatch):
+    """On the N = 3 moment action at order 8, every derivative that
+    apply_operator takes has its key within the caps of the coefficient
+    it differentiates, and most (key, coefficient) pairs are skipped."""
+    table = build_qmm(3, alpha=None)
+    ops = [retract_operator(table, x, order=8) for x in k_basis(table.chart)[1]]
+    calls = []
+    diff = CoefFn.diff
+
+    def counted(self, index):
+        calls.append(all(map(le, index, self.caps)))
+        return diff(self, index)
+
+    monkeypatch.setattr(CoefFn, "diff", counted)
+    for op in ops:
+        for mom in table.moments:
+            apply_operator(op, mom, 8)
+    unpruned = sum(
+        len(op) * sum(1 for c in mom.coeffs if c.terms) for op in ops for mom in table.moments
+    )
+    assert calls and all(calls) and len(calls) < unpruned // 2
 
 
 def test_apply_operator_exact_flag_is_sound():
