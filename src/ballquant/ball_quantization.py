@@ -8,8 +8,8 @@ so that the whole group law is rational.
 build_chart assembles the adapted basis of the whole algebra once, in
 table order (H, f, E, m, sigma f, sigma E), as read-only vectors, with
 one Frame over it; every coordinate read on the chart and in the
-moment table, which shares both, goes through that frame.  The chart's
-structure constants in that frame are read on first use and kept.
+moment table, which shares both, goes through that frame, and brackets
+of basis vectors are read there once per pair and kept (BallChart.bracket).
 
 On this chart every basis element X of the subalgebra spanned by the
 solvable part and the compact centralizer m has a fundamental vector
@@ -43,7 +43,6 @@ from types import MappingProxyType
 
 from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, half_commutator
 from .formal_star import series_to_json
-from .lie_core import structure_in
 from .linalg import Frame, bilinear, dense, split_symplectic, transpose
 from .linalg import solve_in_span  # noqa: F401, callers read it here
 from .scalars import accumulate, collect, frac_str, resolve_truncation_order
@@ -52,6 +51,7 @@ from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
 CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
 CALIBRATED_INNER_SCALE = Fraction(1, 2)
+_NO_TERMS = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,22 @@ class BallChart:
     omega: list
     gram: list
     m_basis: list
-    m_actions: list
     basis: tuple
     frame: Frame
 
     @cached_property
-    def structure(self) -> MappingProxyType:
-        """The structure constants of basis read in frame (structure_in),
-        read-only, taken on first use and kept; a chart made by replace
-        starts without them."""
-        table = structure_in(self.frame, self.basis, self.model.algebra.bracket)
-        return MappingProxyType({ij: MappingProxyType(c) for ij, c in table.items()})
+    def _brackets(self) -> dict:
+        return {}
+
+    def bracket(self, i: int, j: int) -> MappingProxyType:
+        """The read-only frame coordinates of [basis[i], basis[j]], i < j,
+        read on first use and kept; a chart made by replace starts with
+        none, and zero brackets share one empty mapping."""
+        if (i, j) not in self._brackets:
+            x = self.model.algebra.bracket(self.basis[i], self.basis[j])
+            read = self.frame.require(x, f"the bracket of vectors {i} and {j} leaves the span")
+            self._brackets[(i, j)] = MappingProxyType(read) if read else _NO_TERMS
+        return self._brackets[(i, j)]
 
 
 def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallChart:
@@ -100,20 +105,12 @@ def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallC
     gram = [
         [-inner_scale * model.beta_form(u, sw) / model.beta_H0 for sw in sigma[:nv]] for u in fs
     ]
-    what = "m does not preserve the short root space"
-    m_actions = []
-    for y in m_basis:
-        cols = [_read(frame, model.algebra.bracket(y, f), what, range(1, 1 + nv)) for f in fs]
-        m_actions.append([[cols[j].get(1 + i, Fraction(0)) for j in range(nv)] for i in range(nv)])
-    return BallChart(
-        model, inner_scale, H, fs, E, nv, omega, gram, m_basis, m_actions, basis, frame
-    )
+    return BallChart(model, inner_scale, H, fs, E, nv, omega, gram, m_basis, basis, frame)
 
 
-def _read(frame: Frame, x: dict, what: str, *blocks: range) -> dict:
-    """The coordinates of x in the frame basis; ValueError(what) when x
-    has a nonzero coordinate outside the given blocks of positions."""
-    coords = frame.require(x, what)
+def _within(coords, what: str, *blocks: range):
+    """coords, read in the chart frame; ValueError(what) when it has a
+    nonzero coordinate outside the given blocks of positions."""
     if not all(any(k in block for block in blocks) for k in coords):
         raise ValueError(what)
     return coords
@@ -168,11 +165,13 @@ def fundamental_field(chart: BallChart, x: dict) -> list:
     """Components (a, v_1 .. v_nv, z) of the fundamental field of x.
 
     Defined for x in s + m.  The sign convention makes
-    X -> X* a homomorphism of Lie algebras.
+    X -> X* a homomorphism of Lie algebras.  m acts on V by the chart's
+    brackets [f_j, m_k].
     """
     nv = chart.nv
     what = "element lies outside the solvable part plus m"
-    coords = _read(chart.frame, x, what, range(2 + nv + len(chart.m_basis)))
+    m_action = "m does not preserve the short root space"
+    coords = _within(chart.frame.require(x, what), what, range(2 + nv + len(chart.m_basis)))
     zero_k, unit = (0,) * nv, _units(nv)
     items = [[] for _ in range(nv + 2)]
     for k, c in coords.items():
@@ -186,8 +185,10 @@ def fundamental_field(chart: BallChart, x: dict) -> list:
         elif k == nv + 1:
             items[nv + 1].append(((-2, zero_k, 0, 0), -c))
         else:
-            for i, row in enumerate(chart.m_actions[k - 2 - nv]):
-                items[1 + i] += [((0, unit[j], 0, 0), -c * a) for j, a in enumerate(row) if a]
+            for j in range(nv):
+                col = _within(chart.bracket(1 + j, k), m_action, range(1, 1 + nv))
+                for i, a in col.items():
+                    items[i].append(((0, unit[j], 0, 0), c * a))
     return [CoefFn(nv, collect(terms)) for terms in items]
 
 
@@ -268,24 +269,23 @@ def _solve_zeta(chart: BallChart) -> list:
     """The linear functional on m entering the quantum correction.
 
     Defined by zeta([m, m]) = 0 together with
-    zeta([f_i, sigma f_j]_m) = -Omega_ij; both families are read in the
-    chart frame and solved as one exact linear system, read as
-    coordinates against the columns of its matrix; independent columns
-    make the solution unique.
+    zeta([f_i, sigma f_j]_m) = -Omega_ij; both families are the chart's
+    brackets, solved as one exact linear system, read as coordinates
+    against the columns of its matrix; independent columns make the
+    solution unique.
     """
     nv, dm = chart.nv, len(chart.m_basis)
-    bracket = chart.model.algebra.bracket
     m_block = range(2 + nv, 2 + nv + dm)
-    m_structure = structure_in(chart.frame, chart.m_basis, bracket).values()
-    if any(k not in m_block for coeffs in m_structure for k in coeffs):
-        raise ValueError("[m, m] left m")
-    rows = [{k - m_block.start: c for k, c in coeffs.items()} for coeffs in m_structure]
+    rows = []
+    for i in m_block:
+        for j in range(i + 1, m_block.stop):
+            coords = _within(chart.bracket(i, j), "[m, m] left m", m_block)
+            rows.append({k - m_block.start: c for k, c in coords.items()})
     rhs = {}
-    sigma_fs = chart.basis[-(nv + 1) : -1]
     for i in range(nv):
         for j in range(nv):
-            br = bracket(chart.fs[i], sigma_fs[j])
-            coords = _read(chart.frame, br, "[V, sigma V] left a + m", range(1), m_block)
+            coords = chart.bracket(1 + i, m_block.stop + j)
+            _within(coords, "[V, sigma V] left a + m", range(1), m_block)
             if chart.omega[i][j]:
                 rhs[len(rows)] = -chart.omega[i][j]
             rows.append({k - m_block.start: c for k, c in coords.items() if k})
@@ -406,12 +406,10 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     two coefficients is not kept: half_commutator takes it once per pair
     and drops it when the pair is summed.  The resized copies, their
     memos and caps with them, are dropped on return, so the table's own
-    coefficients gain none.  The left sides are read from the chart's
-    structure constants (BallChart.structure), taken once per chart: a
-    table, its mutations (which share its chart) and both pair sets read
-    one table, and every later call reads it again without recomputing.
-    Only the s pairs on a chart whose table is not yet filled read the
-    brackets of those pairs alone, and keep nothing.
+    coefficients gain none.  The left sides are the chart's brackets
+    (BallChart.bracket), each pair read once per chart: a table, its
+    mutations (which share its chart) and both pair sets read the same
+    kept pairs, and the s pairs read only brackets of the solvable part.
     """
     order = resolve_truncation_order(order)
     chart, nv = table.chart, table.chart.nv
@@ -421,10 +419,6 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
         n = 2 + nv
     else:
         raise ValueError("pairs must be 'all' or 's'")
-    if n < len(table.basis) and "structure" not in vars(chart):
-        structure = structure_in(table.frame, table.basis[:n], chart.model.algebra.bracket)
-    else:
-        structure = chart.structure
     failures = []
     exact = True
     lifted = [m.resize(order) for m in table.moments]
@@ -432,7 +426,7 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
         for j in range(i + 1, n):
             res = half_commutator(lifted[i], lifted[j], table.P, order, NuSum(nv, order))
             exact = exact and res.exact
-            for k, c in structure.get((i, j), {}).items():
+            for k, c in chart.bracket(i, j).items():
                 res.add(lifted[k], -c)
             res = res.series()
             if not res.is_zero():

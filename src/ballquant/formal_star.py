@@ -525,7 +525,7 @@ def coef_to_json(f: CoefFn) -> dict:
 
 
 def coef_from_json(payload: dict) -> CoefFn:
-    """Sum the listed terms: int exponents, multi-indices of nv entries."""
+    """Sum the listed terms: int exponents, all >= 0 but p, multi-indices of nv entries."""
     nv, terms = keyed(payload, "a coefficient", "nv", "terms")
     if type(nv) is not int or nv < 0:
         raise ValueError(f"nv must be an int >= 0, got {nv!r}")
@@ -535,6 +535,8 @@ def coef_from_json(payload: dict) -> CoefFn:
         k = tuple(shaped(k, list, "a multi-index"))
         if len(k) != nv or any(type(e) is not int for e in (p, *k, s, q)):
             raise ValueError(f"a term needs int exponents and {nv} multi-index entries: {k!r}")
+        if min(*k, s, q, 0) < 0:
+            raise ValueError(f"a term needs v, alpha and z exponents >= 0: {term!r}")
         items.append(((p, k, s, q), parse_frac(c)))
     return CoefFn(nv, collect(items))
 

@@ -17,8 +17,8 @@ algebra) is certified by how it was read and is not swept.  Subspaces
 keep a canonical reduced echelon basis, a tuple of read-only vectors,
 which makes equality of subspaces literal tuple equality.
 structure_in reads the structure constants of any list of vectors
-against a Frame, for any bracket; the su(1, N) model, subalgebras and
-the moment table all get theirs from it.
+against a Frame, for any bracket; the su(1, N) model and subalgebras get
+theirs from it, and the ball chart reads its pairs one at a time.
 """
 from __future__ import annotations
 

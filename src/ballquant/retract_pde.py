@@ -36,11 +36,11 @@ half power is summed by the ratio of consecutive coefficients, one row
 per exponent and length, reused by every term that needs it.
 
 radial_pde_residual evaluates the operator, split along the two
-covectors (w|v) and Omega(w, v) of the direction vector w.  Each call
-builds the operator once as a table from each derivative of theta
+covectors (w|v) and Omega(w, v) of the direction vector w.  The
+operator is a table, built once per n, from each derivative of theta
 (theta, d_a, d_r, d_rr, d_rrr, d_a d_r, d_xi and d_xi d_r) to its pair of
-XiFn coefficients, takes each derivative once, and accumulates every
-coefficient-derivative product in place into one term dict per
+XiFn coefficients; each call takes each derivative once and accumulates
+every coefficient-derivative product in place into one term dict per
 covector.  Products of XiFn only add exponent keys, so grouping the
 constant factors this way gives the very terms of the operator written
 term by term.
@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, le
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .scalars import GScalar, SparseSum, accumulate, collect, frac_str, keyed, parse_frac, shaped
@@ -343,8 +344,10 @@ def _xt(k=0, m=0, n=0, h=0, j=0, re=0, im=0):
 _STEPS = {"a": XiFn.diff_a, "r": XiFn.diff_r, "xi": XiFn.diff_xi}
 
 
-def _radial_table(n: int) -> dict:
-    """The radial operator for sigma(v0) in dimension n as a table.
+@lru_cache(maxsize=64)
+def _radial_table(n: int) -> MappingProxyType:
+    """The radial operator for sigma(v0) in dimension n as a read-only
+    table, built once per n.
 
     Each derivative of theta, written as its steps d_a, d_r, d_xi applied
     left to right, maps to its pair of XiFn coefficients along (w|v) and
@@ -362,7 +365,7 @@ def _radial_table(n: int) -> dict:
     drag = _xt(k=1, m=1, re=1).mul(s_minus).add(_xt(k=-1, re=-1))  # (e^a (S - 1) - e^{-a} / r) r
     om_r = drag.add(_xt(k=1, m=-1, re=Fraction(1, 2)).mul(lift)).add(back.mul(_xt(m=-2, re=n_w)))
     none = XiFn({})
-    return {
+    return MappingProxyType({
         (): (_xt(k=1, n=1, im=1).mul(lift).add(_xt(n=2, re=-2)), e_plus),
         ("a",): (none, e_plus),
         ("r",): (front.mul(_xt(m=-1, re=-(n_w + 2))), om_r),
@@ -371,7 +374,7 @@ def _radial_table(n: int) -> dict:
         ("r", "a"): (front.mul(_xt(m=-1, re=-2)), none),
         ("xi",): (none, _xt(k=1, n=1, h=1, re=-2)),
         ("r", "xi"): (_xt(k=1, m=-1, h=1, im=-4), none),
-    }
+    })
 
 
 def radial_pde_residual(theta: XiFn, n: int, order: int | None = None):

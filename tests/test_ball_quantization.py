@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -20,7 +21,6 @@ from ballquant.ball_quantization import (
     GroupElement,
     IntegrabilityError,
     TruncationOrderError,
-    _read,
     _solve_zeta,
     build_chart,
     build_qmm,
@@ -41,11 +41,19 @@ from ballquant.ball_quantization import (
     verify_qmm,
 )
 from ballquant.formal_star import CoefFn, poisson
-from ballquant.lie_core import structure_in
+from ballquant.lie_core import LieAlgebra, structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
 from ballquant.su1n_model import build_su1n, model_to_json
 
 from oracles import field_bracket_oracle, leading_principal_minors, verify_qmm_oracle
+
+
+def m_action(chart, k: int) -> list:
+    """The matrix A by which the m vector basis[k] acts on V, read from
+    the chart's brackets: A[i][j] is the f_i coordinate of
+    [basis[k], f_j] = -[f_j, basis[k]]."""
+    cols = [chart.bracket(1 + j, k) for j in range(chart.nv)]
+    return [[-col.get(1 + i, 0) for col in cols] for i in range(chart.nv)]
 
 
 def test_chart_frozen_n2():
@@ -53,7 +61,8 @@ def test_chart_frozen_n2():
     assert chart.nv == 2
     assert chart.omega == [[F(0), F(1)], [F(-1), F(0)]]
     assert chart.gram == [[F(1), F(0)], [F(0), F(1, 4)]]
-    assert chart.m_actions == [[[F(0), F(3, 2)], [F(-6), F(0)]]]
+    assert [dict(chart.bracket(1 + j, 4)) for j in range(2)] == [{2: F(6)}, {1: F(-3, 2)}]
+    assert m_action(chart, 4) == [[F(0), F(3, 2)], [F(-6), F(0)]]
 
 
 def test_chart_shapes():
@@ -65,7 +74,8 @@ def test_chart_shapes():
         if chart.nv:
             assert all(m > 0 for m in leading_principal_minors(chart.gram))
         # every m action is symplectic for omega
-        for a in chart.m_actions:
+        for y in range(2 + chart.nv, 2 + chart.nv + len(chart.m_basis)):
+            a = m_action(chart, y)
             for i in range(chart.nv):
                 for j in range(chart.nv):
                     lhs = sum(chart.omega[i][k] * a[k][j] for k in range(chart.nv))
@@ -168,19 +178,23 @@ def test_chart_and_table_cannot_change_the_cached_model(N):
 
 
 def test_chart_reads_name_the_block_a_vector_left():
+    """Brackets are read by position in the chart basis, so a chart whose
+    basis holds vectors of the wrong block at those positions raises each
+    check by name."""
     chart = build_chart(2)
-    nv = chart.nv
-    assert _read(chart.frame, chart.E, "unused", range(2 + nv)) == {1 + nv: F(1)}
-    with pytest.raises(ValueError, match="^left s$"):
-        _read(chart.frame, chart.basis[-1], "left s", range(2 + nv))
-    f1, f2 = chart.fs
+    H, f1, f2, E, y, sf1, sf2, sE = chart.basis
+    with pytest.raises(ValueError, match="^element lies outside the solvable part plus m$"):
+        fundamental_field(chart, sE)
+    with pytest.raises(ValueError, match="^m does not preserve the short root space$"):
+        fundamental_field(replace(chart, basis=(H, f1, f2, E, sE, sf1, sf2, sE)), y)
+    m_left = replace(chart, m_basis=[f1, f2], basis=(H, f1, f2, E, f1, f2, sf1, sf2, sE))
     with pytest.raises(ValueError, match=r"^\[m, m\] left m$"):
-        _solve_zeta(replace(chart, m_basis=[f1, f2]))
+        _solve_zeta(m_left)
     with pytest.raises(ValueError, match=r"^\[V, sigma V\] left a \+ m$"):
-        _solve_zeta(replace(chart, fs=[chart.H, chart.E]))
-    (y,) = chart.m_basis
+        _solve_zeta(replace(chart, basis=(H, H, E, E, y, sf1, sf2, sE)))
+    repeated = replace(chart, m_basis=[y, y], basis=(H, f1, f2, E, y, y, sf1, sf2, sE))
     with pytest.raises(ValueError, match="^correction functional is underdetermined$"):
-        _solve_zeta(replace(chart, m_basis=[y, y]))
+        _solve_zeta(repeated)
 
 
 def test_field_homomorphism():
@@ -435,20 +449,26 @@ def test_verify_qmm_keeps_no_state_between_calls():
         assert rep.ok and rep.exact and rep.checked == 28
 
 
+def count_brackets(monkeypatch) -> list:
+    """Record the arguments of every LieAlgebra.bracket call from now on."""
+    calls, bracket = [], LieAlgebra.bracket
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    return calls
+
+
 def test_verify_qmm_reads_the_chart_structure_once(monkeypatch):
-    """The left sides come from the chart's structure constants, read on
-    first use: a table, both of its mutations (which share its chart) and
-    its s pairs read one table between them, and each report is still the
-    oracle's."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return structure_in(*args)
-
+    """The left sides are the chart's brackets, each pair read at most
+    once per chart: build_qmm, a table, both of its mutations (which
+    share its chart) and both pair sets read every pair once between
+    them, and each report is still the oracle's."""
     table = build_qmm(2, alpha=F(1))
-    assert "structure" not in vars(table.chart)
-    monkeypatch.setattr("ballquant.ball_quantization.structure_in", counted)
+    chart = table.chart
+    kept = set(chart._brackets)
     runs = [
         (table, "all"),
         (mutate_drop_nu2(table), "all"),
@@ -456,32 +476,35 @@ def test_verify_qmm_reads_the_chart_structure_once(monkeypatch):
         (table, "s"),
         (mutate_add_nu_const(table, "E", F(1)), "s"),
     ]
+    calls = count_brackets(monkeypatch)
     reports = [verify_qmm(t, 6, pairs) for t, pairs in runs]
-    assert len(calls) == 1 and calls[0][1] is table.chart.basis
+    monkeypatch.undo()
+    position = {id(x): k for k, x in enumerate(chart.basis)}
+    read = [(position[id(x)], position[id(y)]) for x, y in calls]
+    assert len(set(read)) == len(read) and not kept & set(read)
+    assert kept | set(read) == set(chart._brackets)
+    assert set(chart._brackets) == set(combinations(range(len(chart.basis)), 2))
     assert [rep.ok for rep in reports] == [True, False, False, True, False]
     for rep, (t, pairs) in zip(reports, runs):
         assert_same_report(rep, verify_qmm_oracle(t, 6, pairs))
 
 
-def test_cold_s_pairs_read_their_own_brackets_and_keep_nothing(monkeypatch):
-    """On a cold chart the s pairs read the brackets of the solvable part
-    alone and leave the chart's table unfilled; the report is the one
-    read from the filled table."""
-    calls = []
-
-    def counted(*args):
-        calls.append(len(args[1]))
-        return structure_in(*args)
-
+def test_cold_s_pairs_read_only_the_brackets_of_the_solvable_part(monkeypatch):
+    """On a fresh table the s pairs read no bracket outside the solvable
+    part beyond those build_qmm read, a later s check reads none, and the
+    reports are those read once every pair of the chart is kept."""
     table = build_qmm(4, alpha=F(1))
-    nv = table.chart.nv
+    chart, nv = table.chart, table.chart.nv
+    kept = set(chart._brackets)
     tables = [table, mutate_add_nu_const(table, "E", F(1))]
-    monkeypatch.setattr("ballquant.ball_quantization.structure_in", counted)
+    calls = count_brackets(monkeypatch)
     cold = [verify_qmm(t, 4, "s") for t in tables]
-    assert calls == [2 + nv] * 2 and "structure" not in vars(table.chart)
-    assert table.chart.structure and calls[2:] == [len(table.basis)]
+    s_pairs = set(combinations(range(2 + nv), 2))
+    assert set(chart._brackets) - kept == s_pairs - kept and len(calls) == len(s_pairs - kept)
+    assert verify_qmm(table, 0).ok and len(chart._brackets) == comb(len(table.basis), 2)
+    count = len(calls)
     warm = [verify_qmm(t, 4, "s") for t in tables]
-    assert len(calls) == 3 and [rep.ok for rep in cold] == [True, False]
+    assert len(calls) == count and [rep.ok for rep in cold] == [True, False]
     assert cold[0].checked == comb(2 + nv, 2)
     for c, w in zip(cold, warm):
         assert_same_report(c, w)
@@ -489,28 +512,36 @@ def test_cold_s_pairs_read_their_own_brackets_and_keep_nothing(monkeypatch):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_chart_structure_is_the_structure_of_its_basis(N):
+    """Every pair read through bracket is the structure constant of the
+    basis in its frame, read-only, with one empty mapping for the zeros."""
     chart = build_chart(N)
-    bracket = chart.model.algebra.bracket
-    assert chart.structure == structure_in(Frame(chart.basis), chart.basis, bracket)
-    with pytest.raises(TypeError):
-        chart.structure[(0, 1)] = {}
-    with pytest.raises(TypeError):
-        next(iter(chart.structure.values()))[0] = F(7)
+    pairs = combinations(range(len(chart.basis)), 2)
+    got = {(i, j): chart.bracket(i, j) for i, j in pairs}
+    want = structure_in(Frame(chart.basis), chart.basis, chart.model.algebra.bracket)
+    assert {ij: c for ij, c in got.items() if c} == want
+    assert len({id(c) for c in got.values() if not c}) == (N > 1)
+    for c in got.values():
+        with pytest.raises(TypeError):
+            c[0] = F(7)
 
 
 def test_replaced_chart_reads_its_own_structure():
-    """The chart is frozen; a chart made by replace starts without the
-    structure table and fills its own."""
+    """The chart is frozen; a chart made by replace starts with no pair
+    read and reads its own."""
     chart = build_chart(2)
     with pytest.raises(FrozenInstanceError):
         chart.basis = ()
-    table = chart.structure
+    pairs = list(combinations(range(len(chart.basis)), 2))
+    table = [chart.bracket(i, j) for i, j in pairs]
     same, flipped = replace(chart), replace(chart, basis=chart.basis[::-1])
-    assert "structure" not in vars(same) and "structure" not in vars(flipped)
-    assert same.structure == table and same.structure is not table
+    assert "_brackets" not in vars(same) and "_brackets" not in vars(flipped)
+    again = [same.bracket(i, j) for i, j in pairs]
+    assert again == table and all(a is not b for a, b in zip(again, table) if a)
     bracket = chart.model.algebra.bracket
-    assert flipped.structure == structure_in(chart.frame, flipped.basis, bracket) != table
-    assert chart.structure is table
+    want = structure_in(chart.frame, flipped.basis, bracket)
+    got = [flipped.bracket(i, j) for i, j in pairs]
+    assert {ij: c for ij, c in zip(pairs, got) if c} == want and got != table
+    assert all(chart.bracket(i, j) is c for (i, j), c in zip(pairs, table))
 
 
 @pytest.mark.parametrize("N, pairs", [(3, 105), (4, 276)])

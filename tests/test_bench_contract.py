@@ -9,7 +9,7 @@ must still reach the star product through that name.  The in-process
 workloads of ``perfbench/workloads.py`` call package functions directly
 (``solve_in_span``, ``k_basis``, the table basis) and check every answer;
 one pass of each at seed 1 must report every check ok, and a second
-``qmm`` pass must find every chart's structure constants already read.
+``qmm`` pass must find every bracket of every chart already read.
 """
 from __future__ import annotations
 
@@ -146,14 +146,15 @@ def test_h2_dimension_builds_its_rows_through_the_rebound_d2_row():
 
 
 def test_warm_qmm_pass_reads_no_structure_constants():
-    """Each chart keeps its structure constants: after one qmm pass at
-    seed 1, a second pass calls structure_in zero times, still reports
-    every check ok and still reaches the rebound formal_star.c_operator."""
+    """Each chart keeps the brackets it has read: after one qmm pass at
+    seed 1, a second pass calls LieAlgebra.bracket zero times, still
+    reports every check ok and still reaches the rebound
+    formal_star.c_operator."""
     work = load_workloads().make("qmm", 1, ROOT)
     checks = work.setup()
     for step in work.steps():
         checks += step()
-    structure_calls, c_calls = [], []
+    bracket_calls, c_calls = [], []
 
     def counting(calls):
         def make_wrapper(original):
@@ -165,14 +166,14 @@ def test_warm_qmm_pass_reads_no_structure_constants():
 
         return make_wrapper
 
-    undo = tracer.rebind("lie_core", "structure_in", counting(structure_calls))
+    undo = tracer.rebind("lie_core", "LieAlgebra.bracket", counting(bracket_calls))
     undo += tracer.rebind("formal_star", "c_operator", counting(c_calls))
     try:
         for step in work.steps():
             checks += step()
     finally:
         tracer.restore(undo)
-    assert not structure_calls and c_calls
+    assert not bracket_calls and c_calls
     assert len(checks) == 9 and all(check[1] for check in checks)
 
 

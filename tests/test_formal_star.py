@@ -632,13 +632,23 @@ def test_coef_from_json_refuses_a_multi_index_of_the_wrong_length():
 
 
 @pytest.mark.parametrize("position", range(5))
-@pytest.mark.parametrize("bad", [0.5, True, "1", None])
+@pytest.mark.parametrize("bad", [0.5, True, "1", None, -1])
 def test_coef_from_json_refuses_an_exponent_that_is_not_an_int(position, bad):
+    """Every exponent is an int, and every one but p is at least 0: loaded,
+    [0, [-1], 0, -2, "1"] had degree -3 and caps (0, 0, 0), and diff
+    raised math.perm's error."""
     exponents = [0, 1, 0, 0, 2]  # p, k_1, k_2, alpha power, z power
     exponents[position] = bad
     p, k1, k2, s, q = exponents
-    with pytest.raises(ValueError, match="int exponents"):
-        coef_from_json({"nv": 2, "terms": [[p, [k1, k2], s, q, "1"]]})
+    payload = {"nv": 2, "terms": [[p, [k1, k2], s, q, "1"]]}
+    if bad == -1 and position == 0:
+        assert coef_from_json(payload).terms == {(-1, (1, 0), 0, 2): F(1)}
+        return
+    message = "int exponents" if bad != -1 else "exponents >= 0"
+    with pytest.raises(ValueError, match=message):
+        coef_from_json(payload)
+    with pytest.raises(ValueError, match=message):
+        series_from_json({"order": 0, "exact": True, "coeffs": [payload]})
 
 
 @pytest.mark.parametrize("nv", [-1, True, "2", 2.0, None])

@@ -26,6 +26,7 @@ from ballquant.ball_quantization import (
 )
 from ballquant.formal_star import CoefFn, NuSeries, half_commutator
 from ballquant.linalg import solve_in_span
+from ballquant import retract_pde as rp
 from ballquant.retract_pde import (
     XiFn,
     _binomial_terms,
@@ -725,6 +726,25 @@ def test_radial_pde_matches_the_chained_oracle(n, order):
         want_wv, want_om = radial_pde_residual_oracle(theta, n, order)
         assert wv.terms == want_wv.terms
         assert om.terms == want_om.terms
+
+
+def test_radial_table_is_built_once_per_n(monkeypatch):
+    """A second call at the same n builds no coefficient of the radial
+    table and gives the same output, byte for byte."""
+    built, xt = [], rp._xt
+
+    def counted(**kw):
+        built.append(kw)
+        return xt(**kw)
+
+    monkeypatch.setattr(rp, "_xt", counted)
+    rp._radial_table.cache_clear()
+    counts, docs = [], []
+    for _ in range(2):
+        pair = radial_pde_residual(ORACLE_SYMBOLS[0], 6, order=4)
+        docs.append(json.dumps([xifn_to_json(f) for f in pair], sort_keys=True))
+        counts.append(len(built))
+    assert counts[0] and counts[1] == counts[0] and docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("order", [-1, True, 1.5, "3"])
