@@ -45,7 +45,7 @@ from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, half_commuta
 from .formal_star import series_to_json
 from .linalg import Frame, bilinear, dense, split_symplectic, transpose
 from .linalg import solve_in_span  # noqa: F401, callers read it here
-from .scalars import accumulate, collect, frac_str, resolve_truncation_order
+from .scalars import accumulate, collect, exact, frac_str, resolve_truncation_order
 from .scalars import TRUNCATION_ENV, TruncationOrderError  # noqa: F401, callers read them here
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
@@ -340,8 +340,11 @@ def build_qmm(
     """Quantum moment table over the adapted basis of the whole algebra.
 
     alpha = None keeps the parameter symbolic; a Fraction substitutes it
-    everywhere.
+    everywhere.  alpha, az_weight and inner_scale are ints or Fractions,
+    else TypeError.
     """
+    alpha = None if alpha is None else exact(alpha, "alpha")
+    az_weight, inner_scale = exact(az_weight, "az_weight"), exact(inner_scale, "inner_scale")
     chart = build_chart(N, inner_scale)
     P = poisson_structure(chart, az_weight)
     nv = chart.nv
@@ -445,7 +448,9 @@ def mutate_drop_nu2(table: QmmTable) -> QmmTable:
 
 
 def mutate_add_nu_const(table: QmmTable, label: str, value: Fraction) -> QmmTable:
-    """Shift the moment of one basis element by nu times a constant."""
+    """Shift the moment of one basis element by nu times a constant, an
+    int or a Fraction (else TypeError)."""
+    value = exact(value, "value")
     nv = table.chart.nv
     idx = table.labels.index(label)
     moments = list(table.moments)

@@ -26,7 +26,7 @@ from weakref import WeakKeyDictionary
 
 from .lie_core import LieAlgebra, bracket_triples
 from .linalg import Frame, bilinear, dense, nullspace, rank_sparse, transpose
-from .scalars import collect, frac_str, keyed, parse_frac, shaped
+from .scalars import collect, decimal_index, frac_str, keyed, parse_frac, shaped
 
 if TYPE_CHECKING:
     from .psd_builder import PsdAlgebra
@@ -327,9 +327,12 @@ def cochain_from_json(payload: dict) -> Cochain:
             raise ValueError(f"a two-cochain needs an antisymmetric {n} x {n} matrix")
     else:
         raw = shaped(raw, dict, "three-cochain data")
-        triples = [tuple(map(int, key.split(","))) for key in raw]
-        for t in triples:
+        triples = []
+        for key in raw:
+            parts = shaped(key, str, "a three-cochain key").split(",")
+            t = tuple(decimal_index(i, f"three-cochain key {key!r}") for i in parts)
             if len(t) != 3 or not 0 <= t[0] < t[1] < t[2] < n:
                 raise ValueError(f"a three-cochain key needs i < j < k below {n}, got {t}")
+            triples.append(t)
         data = collect(zip(triples, map(parse_frac, raw.values())))
     return Cochain(degree, n, data)

@@ -70,7 +70,7 @@ from sys import maxsize
 
 from .lie_core import CheckReport, LieAlgebra
 from .linalg import mat_inverse
-from .scalars import SparseSum, accumulate, collect, frac_str, keyed, parse_frac, shaped
+from .scalars import SparseSum, accumulate, collect, exact, frac_str, keyed, parse_frac, shaped
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,17 @@ class CoefFn(SparseSum):
 
     @classmethod
     def monomial(cls, nv, p, k, alpha, q, c) -> CoefFn:
+        """c e^{pa} v^k alpha^alpha z^q: c an int or a Fraction and every
+        exponent an int, else TypeError."""
         k = tuple(k)
         if len(k) != nv:
             raise ValueError("multi-index length must match nv")
-        c = Fraction(c)
+        if any(type(e) is not int for e in (p, *k, alpha, q)):
+            raise TypeError(f"monomial exponents must be ints, got {(p, k, alpha, q)!r}")
+        c = exact(c, "the monomial coefficient")
         if not c:
             return cls(nv, {})
-        return cls(nv, {(int(p), k, int(alpha), int(q)): c})
+        return cls(nv, {(p, k, alpha, q): c})
 
     def diff(self, index) -> CoefFn:
         """Apply d_a^i_0 d_v1^i_1 .. d_z^i_last for a multi-index over

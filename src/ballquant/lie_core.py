@@ -28,7 +28,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .linalg import BoundOnce, Frame, combine, nullspace, rref, transpose, zeros
-from .scalars import collect, frac_str, keyed, parse_frac, shaped
+from .scalars import collect, decimal_index, frac_str, keyed, parse_frac, shaped
 
 Vector = dict
 _EMPTY = MappingProxyType({})
@@ -214,8 +214,8 @@ class LieAlgebra(BoundOnce):
             key = (i, j)
             if any(type(x) is not int for x in key):
                 raise ValueError(f"bracket indices must be ints, got {key!r}")
-            coeffs = shaped(coeffs, dict, "bracket coeffs")
-            coeffs = ((int(k), parse_frac(v)) for k, v in coeffs.items())
+            coeffs = shaped(coeffs, dict, "bracket coeffs").items()
+            coeffs = ((decimal_index(k, "a coefficient key"), parse_frac(v)) for k, v in coeffs)
             structure[key] = collect(coeffs, structure.get(key))
         return LieAlgebra(dim, shaped(labels, list, "labels"), structure)
 

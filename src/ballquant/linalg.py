@@ -11,16 +11,16 @@ There is one elimination, ``_echelon``: a sparse fraction-free forward
 elimination that scales each row to coprime integers and never leaves
 the integers (rows are divided by the gcd of their entries, not, as in
 Bareiss's method, by the previous pivot).  Its rows are vectors or dense
-matrix rows.  Its pending rows sit in buckets by leading column, so a
-pivot step touches only the rows that hold the pivot column.  The rank
-is the number of pivot rows.  Back substitution on those rows, divided
-by the pivots, gives the reduced row echelon form ``rref``; it is
-unique, so its rows are canonical subspace bases and ``nullspace``
-reads the kernel off it.  Coordinates against a basis, inverses
-included, come from a ``Frame``, which reduces the basis once and reads
-every later vector off its dual; ``Frame.require`` is the read for
-vectors that must lie in the span, and raises ValueError with the
-caller's message when one does not.  ``solve_linear`` goes through
+matrix rows.  It reduces them one at a time against a pivot table keyed
+by leading column and stores each row that survives under its new
+leading column.  The rank is the number of pivots.  Back substitution
+over the table, divided by the pivots, gives the reduced row echelon
+form ``rref``; it is unique, so its rows are canonical subspace bases
+and ``nullspace`` reads the kernel off it.  Coordinates against a
+basis, inverses included, come from a ``Frame``, which reduces the basis
+once and reads every later vector off its dual; ``Frame.require`` is the
+read for vectors that must lie in the span, and raises ValueError with
+the caller's message when one does not.  ``solve_linear`` goes through
 ``rref``.
 The change-of-basis steps the rest of the package shares live here too:
 ``combine`` sums coefficients times vectors, ``bilinear`` evaluates a
@@ -107,37 +107,28 @@ def _combine(row: dict, pv: int, coef: int, pivot: dict) -> dict:
     return _primitive({j: v for j, v in new.items() if v})
 
 
-def _echelon(rows) -> list[dict[int, int]]:
-    """Fraction-free sparse forward elimination.
+def _echelon(rows) -> dict[int, dict[int, int]]:
+    """Fraction-free sparse forward elimination, one row at a time.
 
-    Rows are vectors or dense matrix rows.  Each nonzero row is
-    scaled to coprime integers; rows are then eliminated by integer cross
-    multiplication (pv * row - coef * pivot, divided by the gcd of its
-    entries), so every intermediate value stays an exact integer.
-    Pending rows wait in buckets keyed by their leading column: the pivot
-    is the sparsest row of the lowest bucket, only the rest of that bucket
-    holds its column, and each row that survives elimination moves to the
-    bucket of its new leading column.
-    Returns integer pivot rows in order of increasing leading column.
+    Rows are vectors or dense matrix rows.  Each nonzero row is scaled
+    to coprime integers and reduced against the pivot table, a dict of
+    integer pivot rows keyed by leading column: while its leading column
+    holds a pivot, the row becomes pv * row - coef * pivot, divided by
+    the gcd of its entries, so every value stays an exact integer.  A row
+    that survives is stored under its new leading column.  Returns the
+    pivot table; the rank is its size.
     """
-    buckets: dict[int, list] = {}
+    table: dict[int, dict] = {}
     for row in rows:
         row = _sparse(row)
         if row:
             denom = lcm(*(x.denominator for x in row.values()))
             row = _primitive({j: x.numerator * (denom // x.denominator) for j, x in row.items()})
-            buckets.setdefault(min(row), []).append(row)
-    out = []
-    while buckets:
-        lead = min(buckets)
-        bucket = buckets.pop(lead)
-        pivot = bucket.pop(min(range(len(bucket)), key=lambda k: len(bucket[k])))
-        out.append(pivot)
-        for r in bucket:
-            r = _combine(r, pivot[lead], r[lead], pivot)
-            if r:
-                buckets.setdefault(min(r), []).append(r)
-    return out
+        while row and (pivot := table.get(lead := min(row))):
+            row = _combine(row, pivot[lead], row[lead], pivot)
+        if row:
+            table[lead] = row
+    return table
 
 
 def rref(rows) -> tuple[list[Vec], list[int]]:
@@ -145,23 +136,20 @@ def rref(rows) -> tuple[list[Vec], list[int]]:
 
     Returns the nonzero rows as vectors (canonical form, pivots equal to
     one) and the list of pivot column indices.  Back substitution runs
-    on the echelon rows, last row first: each row eliminates the later
-    pivot columns with the rows already reduced, still fraction-free,
-    and is divided by its pivot at the end.  The form is unique, so
-    subspace bases and everything printed from them do not depend on the
-    pivot order the elimination chose.
+    over the pivot table, last pivot first: each row clears the later
+    pivot columns it holds with the rows already reduced, still
+    fraction-free, and is divided by its pivot at the end.  The form is
+    unique, so subspace bases and everything printed from them do not
+    depend on the order the elimination took its pivots in.
     """
-    ech = _echelon(rows)
-    pivots = [min(r) for r in ech]
-    for i in range(len(ech) - 2, -1, -1):
-        row = ech[i]
-        for k in range(i + 1, len(ech)):
-            coef = row.get(pivots[k])
-            if coef:
-                row = _combine(row, ech[k][pivots[k]], coef, ech[k])
-        ech[i] = row
-    red = [{j: Fraction(v, row[p]) for j, v in row.items()} for row, p in zip(ech, pivots)]
-    return red, pivots
+    table = _echelon(rows)
+    pivots = sorted(table)
+    for lead in reversed(pivots):
+        row = table[lead]
+        for p in [j for j in row if j > lead and j in table]:
+            row = _combine(row, table[p][p], row[p], table[p])
+        table[lead] = row
+    return [{j: Fraction(v, table[p][p]) for j, v in table[p].items()} for p in pivots], pivots
 
 
 def nullspace(rows, ncols: int) -> list[Vec]:
@@ -270,7 +258,7 @@ def mat_inverse(a: Mat) -> Mat:
 
 
 def rank_sparse(rows_sparse) -> int:
-    """Rank of a rational matrix: the number of echelon rows.
+    """Rank of a rational matrix: the number of pivots.
 
     Rows are vectors (or dense lists).
     """

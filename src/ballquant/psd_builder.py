@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .lie_core import CheckReport, LieAlgebra
 from .linalg import combine
-from .scalars import collect, frac_str, keyed, parse_frac, shaped
+from .scalars import collect, exact, frac_str, keyed, parse_frac, shaped
 
 if TYPE_CHECKING:
     from .su1n_model import Su1nModel
@@ -88,7 +88,7 @@ def build_psd(spec: PsdSpec) -> PsdAlgebra:
             src = blocks[k][role[0].upper()] if role in ("H", "E") else blocks[k]["V"][int(role[1:]) - 1]
             for col, v in enumerate(inner["V"]):
                 for row in range(nv):
-                    c = Fraction(mat[row][col])
+                    c = exact(mat[row][col], f"cross action {(j, k)} {role} entry")
                     if c:
                         put(src, v, inner["V"][row], c)
 

@@ -48,6 +48,15 @@ def parse_frac(s) -> Fraction:
     raise ValueError(f"expected a rational as a string or an int, got {s!r}")
 
 
+def exact(x, what: str) -> Fraction:
+    """x as a Fraction when it is an int or a Fraction; anything else,
+    a bool or a float included, raises TypeError naming what, since a
+    binary float is not the rational it was written as."""
+    if type(x) is bool or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{what} must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
+
+
 class TruncationOrderError(ValueError):
     """A truncation order that is not a non-negative integer."""
 
@@ -78,6 +87,19 @@ def shaped(value, kind: type, what: str):
     if not isinstance(value, (list, tuple) if kind is list else kind):
         raise ValueError(f"{what} must be a {kind.__name__}, got {value!r}")
     return value
+
+
+def decimal_index(key, what: str) -> int:
+    """The int that the string key writes as to_json does, str(int(key)),
+    else ValueError naming what and the key: "1_0", " 2" or "+3" are
+    refused rather than read as 10, 2 and 3."""
+    if type(key) is str:
+        try:
+            if str(i := int(key)) == key:
+                return i
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an index written in decimal, got {key!r}")
 
 
 def keyed(data, what: str, *keys) -> list:

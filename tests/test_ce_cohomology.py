@@ -330,10 +330,15 @@ def test_cochain_json_roundtrip_in_degrees_zero_and_three():
     assert cochain_from_json(cochain_to_json(t)) == Cochain(3, g.dim, nonzero)
 
 
-def test_cochain_from_json_sums_repeated_triples():
-    raw = {"0,1,2": "1/2", "0, 1, 2": "1/2", "0,1,3": "1", "0,1, 3": "-1", "1,2,3": "0"}
+def test_cochain_from_json_drops_zero_triples_and_refuses_respelled_ones():
+    raw = {"0,1,2": "1/2", "0,1,3": "0", "1,2,3": "0"}
     c = cochain_from_json({"degree": 3, "dim": 4, "data": raw})
-    assert c.data == {(0, 1, 2): F(1)}
+    assert c.data == {(0, 1, 2): F(1, 2)}
+    # a JSON object holds each key once, so a triple could repeat only
+    # under a spelling that cochain_to_json never writes
+    for key in ("0, 1, 2", "0,1, 2", "0,1,02"):
+        with pytest.raises(ValueError, match="written in decimal"):
+            cochain_from_json({"degree": 3, "dim": 4, "data": {"0,1,2": "1/2", key: "1/2"}})
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,13 @@ formula, the integer Gaussian rational kernel against Fraction pairs
 laws of the shared sparse core, the Leibniz rule of the Poisson
 bracket, the associativity of the Moyal product, the Jacobi identity
 of the star commutator, the coordinates a linalg Frame reads against
-the dense rref oracle, the linalg change-of-basis helpers (combine,
-bilinear, split_symplectic) against dense matrix products, and the
-importers on mutated exports.  The drawn vectors are dense lists; the
-package reads and returns them as sparse maps, which must match the
-dense values exactly.
+the dense rref oracle, the elimination's independence of the order,
+scale and repetition of its rows, the linalg change-of-basis helpers
+(combine, bilinear, split_symplectic) against dense matrix products,
+the refusal of floats and bools where a number must be exact, and the
+importers on mutated exports and on index keys that to_json never
+writes.  The drawn vectors are dense lists; the package reads and
+returns them as sparse maps, which must match the dense values exactly.
 
 Examples are drawn deterministically (derandomize=True), so a failure
 reproduces on every run.
@@ -16,6 +18,7 @@ reproduces on every run.
 from __future__ import annotations
 
 import copy
+import re
 from fractions import Fraction as F
 from functools import lru_cache
 from math import gcd
@@ -24,7 +27,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ballquant.ball_quantization import build_chart, poisson_structure
+from ballquant.ball_quantization import build_chart, build_qmm, mutate_add_nu_const
+from ballquant.ball_quantization import poisson_structure
 from ballquant.ce_cohomology import Cochain, cochain_from_json, cochain_to_json
 from ballquant.formal_star import (
     CoefFn,
@@ -38,12 +42,13 @@ from ballquant.formal_star import (
     star_commutator,
 )
 from ballquant.lie_core import LieAlgebra
-from ballquant.linalg import Frame, bilinear, combine, split_symplectic
+from ballquant.linalg import Frame, bilinear, combine, nullspace, rank_sparse, rref
+from ballquant.linalg import split_symplectic
 from ballquant.psd_builder import PsdSpec, build_psd, psd_spec_from_json, psd_spec_to_json
 from ballquant.retract_pde import XiFn, xifn_from_json, xifn_to_json
 from ballquant.scalars import GScalar, frac_str, parse_frac
 
-from oracles import dense, identity_matrix, mat_mul, rref_oracle, sparse
+from oracles import dense, identity_matrix, mat_mul, nullspace_oracle, rref_oracle, sparse
 
 NV = 2
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
@@ -100,6 +105,37 @@ def test_parse_frac_takes_strings_and_ints_only():
     for bad in (0.5, 0.1, True, False, F(1, 2), None, [1], "1/0", "-3/0"):
         with pytest.raises(ValueError):
             parse_frac(bad)
+
+
+# Each input that must be exact, the name its TypeError must give, and
+# a call that sets it; a binary float such as 0.1 is not 1/10.
+NOT_EXACT = [
+    ("alpha", lambda x: build_qmm(1, alpha=x)),
+    ("az_weight", lambda x: build_qmm(1, az_weight=x)),
+    ("inner_scale", lambda x: build_qmm(1, inner_scale=x)),
+    ("value", lambda x: mutate_add_nu_const(build_qmm(1, F(1)), "E", x)),
+    ("coefficient", lambda x: CoefFn.monomial(1, 0, (0,), 0, 0, x)),
+    ("coefficient", lambda x: CoefFn.const(1, x)),
+    ("exponents", lambda x: CoefFn.monomial(1, x, (0,), 0, 0, 1)),
+    ("exponents", lambda x: CoefFn.monomial(1, 0, (x,), 0, 0, 1)),
+    ("cross action", lambda x: build_psd(PsdSpec(2, [2, 1], {(1, 2): {"H": [[x, 0], [0, -1]]}}))),
+]
+NOT_EXACT_IDS = ["alpha", "az_weight", "inner_scale", "value", "monomial", "const", "p", "k", "psd"]
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.7, True, False, "1/2"])
+@pytest.mark.parametrize("name, make", NOT_EXACT, ids=NOT_EXACT_IDS)
+def test_exact_inputs_refuse_anything_but_ints_and_fractions(name, make, bad):
+    with pytest.raises(TypeError, match=name):
+        make(bad)
+
+
+@pytest.mark.parametrize("x", [1, F(1, 2)])
+def test_exact_inputs_keep_every_coefficient_a_fraction(x):
+    tables = [build_qmm(1, alpha=x, az_weight=x, inner_scale=x)]
+    tables.append(mutate_add_nu_const(tables[0], "E", x))
+    coefs = [c for t in tables for s in t.moments for f in s.coeffs for c in f.terms.values()]
+    assert coefs and all(type(c) is F for c in coefs) and type(tables[0].alpha) is F
 
 
 def _is_exact(x: GScalar) -> bool:
@@ -313,6 +349,76 @@ def matrix_cases(draw):
 OVERLAP = ([[F(1), F(2)], [F(3), F(0)]], [F(1), F(-1)], [F(2), F(1)])
 
 
+nonzero_entries = st.builds(F, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+
+
+@st.composite
+def elimination_cases(draw):
+    """Up to 5 rows in up to 5 columns with many zero entries, coordinates
+    for them, a row order, nonzero row scales and a row with no zero."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5))
+    k = len(rows)
+    coords = draw(st.lists(entries, min_size=k, max_size=k))
+    order = draw(st.permutations(range(k)))
+    scales = draw(st.lists(nonzero_entries, min_size=k, max_size=k))
+    return rows, coords, order, scales, draw(st.lists(nonzero_entries, min_size=n, max_size=n))
+
+
+# The first two rows share the leading column of the full row.
+SHARED_LEAD = (
+    [[F(0), F(1), F(2)], [F(0), F(3), F(0)], [F(0), F(0), F(5)]],
+    [F(1), F(-1), F(2)],
+    [2, 0, 1],
+    [F(1, 2), F(-3), F(2)],
+    [F(1), F(1), F(1)],
+)
+
+
+@PROPERTY
+@given(elimination_cases())
+@example(SHARED_LEAD)
+def test_elimination_does_not_depend_on_the_order_of_its_rows(case):
+    """The elimination takes its pivots in input order, but the reduced
+    form is unique: rref, rank_sparse, nullspace and Frame coordinates
+    come out the same, and equal to the dense oracle, for the rows
+    permuted, each scaled, with zero and repeated rows between them, and
+    with a dense row put before the sparse rows that share its leading
+    column."""
+    rows, coords, order, scales, full = case
+    n = len(full)
+    lead = min((next(j for j, x in enumerate(r) if x) for r in rows if any(r)), default=0)
+    full = [F(0)] * lead + full[lead:]
+    zero = [F(0)] * n
+    variants = [
+        (rows, [
+            rows,
+            [rows[i] for i in order],
+            [[s * x for x in r] for r, s in zip(rows, scales)],
+            [x for r in rows for x in (zero, r, r)],
+        ]),
+        (rows + [full], [[full] + rows, rows + [full]]),
+    ]
+    for base, group in variants:
+        red, pivots = rref_oracle(base)
+        kernel = [sparse(v) for v in nullspace_oracle(base, n)]
+        for m in group:
+            m = [sparse(r) for r in m]
+            assert rref(m) == ([sparse(r) for r in red], pivots)
+            assert rank_sparse(m) == len(pivots) and nullspace(m, n) == kernel
+    if not rows or _rank(rows) < len(rows):
+        return
+    v = sparse([sum((c * r[t] for c, r in zip(coords, rows)), F(0)) for t in range(n)])
+    assert Frame(map(sparse, rows)).coords(v) == sparse(coords)
+    assert Frame(sparse(rows[i]) for i in order).coords(v) == sparse([coords[i] for i in order])
+    scaled = ([s * x for x in r] for r, s in zip(rows, scales))
+    assert Frame(map(sparse, scaled)).coords(v) == sparse([c / s for c, s in zip(coords, scales)])
+    if _rank(rows + [full]) > len(rows):
+        assert Frame(map(sparse, [full] + rows)).coords(v) == sparse([F(0)] + coords)
+    with pytest.raises(ValueError):
+        Frame(map(sparse, rows + rows[:1]))
+
+
 @PROPERTY
 @given(matrix_cases())
 @example(OVERLAP)
@@ -523,6 +629,32 @@ def test_lie_algebra_from_json_loads_or_refuses(data):
         want = {key: sum(v for other, v in entries if other == key) for key, _ in entries}
         got = {(i, j, k): v for (i, j), c in g.structure.items() for k, v in c.items()}
         assert _is_int(g.dim) and got == {key: v for key, v in want.items() if v}
+
+
+def _one_bracket(key: str) -> dict:
+    labels = [f"e{i}" for i in range(11)]
+    return {"dim": 11, "labels": labels, "brackets": [{"i": 0, "j": 10, "coeffs": {key: "1"}}]}
+
+
+def _one_triple(key: str) -> dict:
+    return {"degree": 3, "dim": 11, "data": {key: "1"}}
+
+
+# Index keys that int() reads but to_json never writes, each with the
+# one spelling of the same index that loads.
+RESPELLED_KEYS = [
+    (LieAlgebra.from_json, _one_bracket, "10", key) for key in ("1_0", " 10", "10 ", "010", "+10")
+] + [
+    (cochain_from_json, _one_triple, "0,1,10", key)
+    for key in ("0, 1,1_0", "0,1, 10", "0,01,10", "0,1,+10", "0,1,10 ")
+]
+
+
+@pytest.mark.parametrize("load, payload, canonical, key", RESPELLED_KEYS)
+def test_importers_refuse_an_index_key_that_to_json_never_writes(load, payload, canonical, key):
+    load(payload(canonical))
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        load(payload(key))
 
 
 @IMPORT_CHECKS
