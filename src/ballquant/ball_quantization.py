@@ -252,7 +252,8 @@ def classical_moment(chart: BallChart, x: dict, P: PoissonStructure) -> CoefFn:
 
     The additive gauge is fixed by canonical antiderivatives, plus a
     vanishing-at-identity normalization for the directions commuting
-    with H (where no bracket identity pins the constant).
+    with H (where no bracket identity pins the constant).  [H, x] is
+    read through the chart's kept brackets [basis[0], basis[k]].
     """
     field = fundamental_field(chart, x)
     grad = []
@@ -260,7 +261,8 @@ def classical_moment(chart: BallChart, x: dict, P: PoissonStructure) -> CoefFn:
         items = (kv for c, comp in zip(row, field) if c for kv in comp.scale(-c).terms.items())
         grad.append(CoefFn(chart.nv, collect(items)))
     lam = integrate_exact_gradient(grad)
-    if not chart.model.algebra.bracket(chart.H, x):
+    coords = chart.frame.coords(x).items()
+    if not collect((l, c * v) for k, c in coords if k for l, v in chart.bracket(0, k).items()):
         lam = lam.sub(lam.origin_part())
     return lam
 

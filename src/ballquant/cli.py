@@ -17,10 +17,11 @@ import json
 import sys
 import time
 
-from .scalars import TruncationOrderError, parse_frac, resolve_truncation_order
+from .scalars import DEFAULT_TRUNCATION, parse_frac
 
+SERIES = ("qmm", "retract")  # the verify suites that truncate series
 # verify options that only some suites read, with those suites
-SUITE_OPTIONS = {"mutate": ("qmm",), "pairs": ("qmm",), "alpha": ("qmm", "retract")}
+SUITE_OPTIONS = {"mutate": ("qmm",), "pairs": ("qmm",), "alpha": SERIES, "order": SERIES}
 
 
 def _emit(payload: dict) -> None:
@@ -37,12 +38,12 @@ def _check_args(args) -> None:
     Raises UsageError naming the option; an option that the command
     would ignore is an error too.
     Parsed values: --blocks in place, --alpha and --value as alpha_q and
-    value_q, --theta-json as theta, orders resolved.
+    value_q, --theta-json as theta, an omitted --order as its suite's default.
     """
     opts = vars(args)
-    for name in ("N", "su1n", "r"):
-        if opts.get(name) is not None and opts[name] < 1:
-            raise UsageError(f"--{name} must be at least 1, got {opts[name]}")
+    for name, least in (("N", 1), ("su1n", 1), ("r", 1), ("order", 0)):
+        if opts.get(name) is not None and opts[name] < least:
+            raise UsageError(f"--{name} must be at least {least}, got {opts[name]}")
     if args.command == "h2" and args.su1n is not None and (args.r, args.blocks) != (None, None):
         raise UsageError("--su1n excludes --r and --blocks")
     for name in ("alpha", "value"):
@@ -78,13 +79,8 @@ def _check_args(args) -> None:
                 raise UsageError(f"--label {args.label!r} is not a moment label of su(1,{args.N})")
         if args.mutate == "add-nu-const" and (args.label is None or args.value is None):
             raise UsageError("--mutate add-nu-const needs --label and --value")
-    if args.command == "verify" and args.suite in ("qmm", "retract"):
-        default = 4 if args.suite == "retract" else None
-        args.order = _resolve_order(default if args.order is None else args.order)
-    elif opts.get("order") is not None:
-        _resolve_order(args.order)
-        if args.command == "verify":
-            raise UsageError(f"--order applies to --suite qmm or retract only, not {args.suite}")
+        if args.order is None and args.suite in SERIES:
+            args.order = 4 if args.suite == "retract" else DEFAULT_TRUNCATION
     if args.command == "retract-residual":
         if args.n < 2:
             raise UsageError(f"--n must be at least 2, got {args.n}")
@@ -95,14 +91,6 @@ def _check_args(args) -> None:
         except (ValueError, RecursionError):  # RecursionError: JSON nested too deep
             shape = '{"terms": [[k, m, n, h, j, re, im]]}'
             raise UsageError(f"--theta-json must look like {shape}") from None
-
-
-def _resolve_order(order):
-    """resolve_truncation_order, its refusal raised as a UsageError."""
-    try:
-        return resolve_truncation_order(order)
-    except TruncationOrderError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _cmd_build_psd(args) -> int:
@@ -303,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["su1n", "qmm", "retract", "cocycle"], required=True)
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--alpha", help="rational value, symbolic when omitted")
-    p.add_argument("--order", type=int, help="truncation order override")
+    p.add_argument("--order", type=int, help="truncation order, default 12 (qmm) or 4 (retract)")
     p.add_argument("--pairs", choices=["all", "s"], help="qmm pairs, all when omitted")
     p.add_argument("--mutate", choices=["drop-nu2", "add-nu-const"])
     p.add_argument("--label", help="moment label for add-nu-const")

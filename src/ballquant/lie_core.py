@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .linalg import BoundOnce, Frame, combine, nullspace, rref, transpose, zeros
+from .linalg import BoundOnce, Frame, combine, nullspace, rref, zeros
 from .scalars import collect, decimal_index, frac_str, keyed, parse_frac, shaped
 
 Vector = dict
@@ -176,8 +176,13 @@ class LieAlgebra(BoundOnce):
 
     def ad(self, x: Vector) -> list:
         """ad_x as sparse rows: row k maps j to the coefficient of e_k in
-        [x, e_j], the columns [x, e_j] transposed."""
-        return transpose([self.bracket(x, {j: 1}) for j in range(self.dim)], self.dim)
+        [x, e_j], the sum over x's coordinates i of x_i rows[i][j][k]."""
+        out = [{} for _ in range(self.dim)]
+        for i, xi in x.items():
+            for j, coeffs in self.rows[i].items():
+                for k, v in coeffs.items():
+                    out[k][j] = out[k].get(j, 0) + xi * v
+        return [{j: v for j, v in row.items() if v} for row in out]
 
     def killing_form(self) -> list:
         """B_ij = tr(ad e_i ad e_j) = sum over k, l of c_ik^l c_jl^k."""

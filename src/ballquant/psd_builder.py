@@ -99,7 +99,10 @@ def build_psd(spec: PsdSpec) -> PsdAlgebra:
 def psd_spec_to_json(spec: PsdSpec) -> dict:
     actions = []
     for (j, k), maps in sorted((spec.cross_actions or {}).items()):
-        mats = {role: [[frac_str(Fraction(x)) for x in row] for row in m] for role, m in maps.items()}
+        mats = {}
+        for role, m in maps.items():
+            what = f"cross action {(j, k)} {role} entry"
+            mats[role] = [[frac_str(exact(x, what)) for x in row] for row in m]
         actions.append({"inner": j, "outer": k, "maps": mats})
     return {"r": spec.r, "n": list(spec.n), "cross_actions": actions}
 

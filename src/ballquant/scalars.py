@@ -17,18 +17,17 @@ dict in place, so a long sum of products (an operator applied to a
 series, a transvection contraction) fills one dict instead of copying
 the partial sum once per summand.
 
-resolve_truncation_order reads the nu truncation order that every series
-check takes, from its argument or BALLQUANT_TRUNCATION_ORDER; it lives
-here so that the radial calculus and the CLI read it without loading
-the chart (ball_quantization re-exports it).
+resolve_truncation_order checks the nu truncation order that every
+series check takes, 12 when the call passes none; it lives here so that
+the radial calculus reads it without loading the chart
+(ball_quantization re-exports it).
 """
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd
 
-TRUNCATION_ENV = "BALLQUANT_TRUNCATION_ORDER"
+TRUNCATION_ENV = "BALLQUANT_TRUNCATION_ORDER"  # read by no module; kept for the benchmark
 DEFAULT_TRUNCATION = 12
 
 
@@ -62,20 +61,13 @@ class TruncationOrderError(ValueError):
 
 
 def resolve_truncation_order(order: int | None) -> int:
-    """The given order, else BALLQUANT_TRUNCATION_ORDER, else 12; raises
-    TruncationOrderError naming the source unless it is an integer >= 0
-    (a bool is not)."""
-    source = "the order argument"
+    """The given order, or DEFAULT_TRUNCATION (12) for None; raises
+    TruncationOrderError unless it is an integer >= 0 (a bool is not)."""
     if order is None:
-        source = TRUNCATION_ENV
-        raw = os.environ.get(TRUNCATION_ENV, str(DEFAULT_TRUNCATION))
-        try:
-            order = int(raw)
-        except ValueError:
-            order = raw
+        return DEFAULT_TRUNCATION
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise TruncationOrderError(
-            f"truncation order from {source} must be a non-negative integer, got {order!r}"
+            f"truncation order must be a non-negative integer, got {order!r}"
         )
     return order
 
@@ -116,7 +108,8 @@ class GScalar(tuple):
     """A Gaussian rational (a + b i) / d, held as the integer triple
     (a, b, d) with d > 0 and gcd(a, b, d) = 1, so equal values are equal
     triples and zero is (0, 0, 1).  GScalar(re, im) takes ints or
-    Fractions, and re and im read the parts back as Fractions.
+    Fractions, a bool or a float raising TypeError as scalars.exact
+    does, and re and im read the parts back as Fractions.
 
     Each operation costs a few int operations and one gcd.  The triple is
     a tuple for speed, but a value mixes only with GScalars: an int or
@@ -127,14 +120,13 @@ class GScalar(tuple):
     __slots__ = ()
 
     def __new__(cls, re, im) -> "GScalar":
-        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
-            raise TypeError(f"GScalar parts must be ints or Fractions, got {re!r} and {im!r}")
+        re, im = exact(re, "a GScalar's real part"), exact(im, "a GScalar's imaginary part")
         p, q = re.denominator, im.denominator
         return _normal(re.numerator * q, im.numerator * p, p * q)
 
     @staticmethod
     def of(re=0, im=0) -> "GScalar":
-        return GScalar(Fraction(re), Fraction(im))
+        return GScalar(re, im)
 
     @property
     def re(self) -> Fraction:

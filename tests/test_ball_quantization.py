@@ -17,7 +17,6 @@ from math import comb
 import pytest
 
 from ballquant.ball_quantization import (
-    TRUNCATION_ENV,
     GroupElement,
     IntegrabilityError,
     TruncationOrderError,
@@ -221,6 +220,20 @@ def test_classical_moments_frozen():
     assert classical_moment(chart, chart.fs[1], P).terms == {(-1, (1, 0), 0, 0): F(-1)}
     lam_y = classical_moment(chart, chart.m_basis[0], P)
     assert lam_y.terms == {(0, (2, 0), 0, 0): F(3), (0, (0, 2), 0, 0): F(3, 4)}
+
+
+def test_classical_moment_reads_h_x_through_the_kept_brackets(monkeypatch):
+    """[H, x], which decides whether the constant is pinned, used to be a
+    fresh algebra bracket per moment; once the chart keeps row 0 (and the
+    m action the field reads), the moments of s + m make no
+    LieAlgebra.bracket call and keep their values."""
+    chart = build_chart(2)
+    P = poisson_structure(chart)
+    xs = [chart.H, *chart.fs, chart.E, *chart.m_basis]
+    first = [classical_moment(chart, x, P).terms for x in xs]
+    assert all((0, k) in chart._brackets for k in range(1, len(xs)))
+    calls = count_brackets(monkeypatch)
+    assert [classical_moment(chart, x, P).terms for x in xs] == first and calls == []
 
 
 def test_classical_covariance():
@@ -545,8 +558,7 @@ def test_replaced_chart_reads_its_own_structure():
 
 
 @pytest.mark.parametrize("N, pairs", [(3, 105), (4, 276)])
-def test_full_moment_identity_at_default_order(N, pairs, monkeypatch):
-    monkeypatch.delenv(TRUNCATION_ENV, raising=False)
+def test_full_moment_identity_at_default_order(N, pairs):
     rep = verify_qmm(build_qmm(N))
     assert rep.ok and rep.exact and rep.order == 12 and rep.checked == pairs
 
@@ -558,6 +570,7 @@ def test_resolve_truncation_order_rejects(bad):
 
 
 def test_resolve_truncation_order_accepts():
+    assert resolve_truncation_order(None) == 12
     assert resolve_truncation_order(0) == 0
     assert resolve_truncation_order(12) == 12
 

@@ -79,20 +79,16 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize(
-    "argv, env, source",
+    "argv",
     [
-        (["verify", "--suite", "qmm", "--N", "1", "--order", "-3"], None, "order argument"),
-        (["verify", "--suite", "retract", "--N", "2", "--order", "-1"], None, "order argument"),
-        (["retract-residual", "--order", "-1"], None, "order argument"),
-        (["verify", "--suite", "qmm", "--N", "1"], "x", "BALLQUANT_TRUNCATION_ORDER"),
-        (["verify", "--suite", "qmm", "--N", "1"], "-2", "BALLQUANT_TRUNCATION_ORDER"),
+        ["verify", "--suite", "qmm", "--N", "1", "--order", "-3"],
+        ["verify", "--suite", "retract", "--N", "2", "--order", "-1"],
+        ["retract-residual", "--order", "-1"],
     ],
-    ids=["qmm-order", "retract-order", "residual-order", "env-text", "env-negative"],
+    ids=["qmm-order", "retract-order", "residual-order"],
 )
-def test_bad_truncation_order_is_a_usage_error(capsys, monkeypatch, argv, env, source):
-    if env is not None:
-        monkeypatch.setenv("BALLQUANT_TRUNCATION_ORDER", env)
-    assert_usage_error(capsys, argv, source)
+def test_bad_truncation_order_is_a_usage_error(capsys, argv):
+    assert_usage_error(capsys, argv, "--order")
 
 
 @pytest.mark.parametrize(
@@ -159,7 +155,7 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         (["build-psd", "--r", "2", "--blocks", ",1,2"], "--blocks"),
         (["build-psd", "--r", "2", "--blocks", "1,2,"], "--blocks"),
         (["h2"], "h2 needs"),
-        (["verify", "--suite", "su1n", "--N", "1", "--order", "-1"], "order argument"),
+        (["verify", "--suite", "su1n", "--N", "1", "--order", "-1"], "--order"),
         (["retract-residual", "--n", "1"], "--n"),
         (["verify", "--suite", "su1n", "--N", "1", "--mutate", "drop-nu2"], "--mutate"),
         (["verify", "--suite", "retract", "--N", "2", "--mutate", "drop-nu2"], "--mutate"),
@@ -262,17 +258,13 @@ def test_verify_su1n(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_verify_qmm_ok_and_env_order(capsys, monkeypatch):
+def test_verify_qmm_ok_at_given_order(capsys):
     code, out = run(
         capsys, ["verify", "--suite", "qmm", "--N", "1", "--alpha", "1", "--order", "4"]
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True and payload["order"] == 4 and payload["checked"] == 3
-    monkeypatch.setenv("BALLQUANT_TRUNCATION_ORDER", "3")
-    code, out = run(capsys, ["verify", "--suite", "qmm", "--N", "1", "--alpha", "1"])
-    assert code == 0
-    assert json.loads(out)["order"] == 3
 
 
 def test_verify_qmm_mutation_fails(capsys):
@@ -403,11 +395,9 @@ def test_qmm_export_deterministic(capsys):
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
-def test_readme_commands_match_recorded_fingerprints(capsys, monkeypatch):
+def test_readme_commands_match_recorded_fingerprints(capsys):
     """Every README command recorded by the benchmark prints the same
-    bytes and exits with the same code, run in-process at the default
-    truncation order."""
-    monkeypatch.delenv("BALLQUANT_TRUNCATION_ORDER", raising=False)
+    bytes and exits with the same code, run in-process."""
     commands = json.loads(EXPECTED.read_text())["cli"]
     assert commands
     for cmd in commands:

@@ -48,7 +48,7 @@ EXCLUDED = {
 
 
 def _run(args: list) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k != "BALLQUANT_TRUNCATION_ORDER"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300, check=False

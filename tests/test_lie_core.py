@@ -34,7 +34,7 @@ from ballquant.lie_core import (
     subalgebra,
     subspace_intersection,
 )
-from ballquant.linalg import Frame, bilinear, combine, nullspace, zeros
+from ballquant.linalg import Frame, bilinear, combine, nullspace, transpose, zeros
 from ballquant.psd_builder import PsdSpec, build_psd
 from ballquant.scalars import frac_str
 from ballquant.su1n_model import build_su1n
@@ -421,6 +421,20 @@ def test_vectors_are_sparse_maps_that_agree_with_dense_oracles(name):
         model = build_su1n(int(name[len("su1n_"):]))
         flipped = [s * a for s, a in zip(model.sigma_diagonal, combo)]
         assert model.apply_sigma(sparse(combo)) == sparse(flipped)
+
+
+@pytest.mark.parametrize("name", ["su1n_3", "psd_cross_action"])
+def test_ad_reads_the_rows_without_a_bracket_call(name, monkeypatch):
+    """ad_x is the transpose of the columns [x, e_j], read from the rows:
+    it used to take one bracket call per basis vector."""
+    g = agreement_algebra(name)
+    n = g.dim
+    rng = random.Random(n)
+    xs = [sparse(random_vector(rng, n, k)) for k in (1, 2, n)]
+    want = [transpose([g.bracket(x, {j: F(1)}) for j in range(n)], n) for x in xs]
+    calls = []
+    monkeypatch.setattr(LieAlgebra, "bracket", lambda *args: calls.append(args))
+    assert [g.ad(x) for x in xs] == want and calls == []
 
 
 @pytest.mark.parametrize("a, b, c", [(0, 1, 2), (1, 2, 0), (2, 0, 1)])

@@ -209,7 +209,8 @@ def test_gscalar_mixes_only_with_gscalars():
         lambda: 2 * g, lambda: g * 2, lambda: g + 1, lambda: 1 + g, lambda: g - 1,
         lambda: 1 - g, lambda: g + (1,), lambda: (1,) + g, lambda: g * (1, 0, 1),
         lambda: g < g, lambda: g <= (1, -6, 2), lambda: (1, -6, 2) < g, lambda: g >= 0,
-        lambda: GScalar(0.5, 0), lambda: GScalar(1, "1/2"),
+        lambda: GScalar(0.5, 0), lambda: GScalar(1, "1/2"), lambda: GScalar(True, False),
+        lambda: GScalar.of(True),
     ]
     for op in bad:
         with pytest.raises(TypeError):

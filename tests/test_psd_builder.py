@@ -90,6 +90,23 @@ def test_spec_json_roundtrip():
     assert psd_spec_to_json(plain)["n"] == [2]
 
 
+def test_spec_json_writes_int_and_fraction_entries_exactly():
+    spec = PsdSpec(2, [2, 1], {(1, 2): {"H": [[1, F(0)], [F(1, 2), -3]]}})
+    maps = {"H": [["1/1", "0/1"], ["1/2", "-3/1"]]}
+    assert psd_spec_to_json(spec)["cross_actions"] == [{"inner": 1, "outer": 2, "maps": maps}]
+
+
+@pytest.mark.parametrize("x", [0.1, True], ids=["float", "bool"])
+def test_spec_json_refuses_an_inexact_entry(x):
+    """A float 0.1 used to export as its binary expansion
+    3602879701896397/36028797018963968, though build_psd refuses it."""
+    spec = PsdSpec(2, [2, 1], {(1, 2): {"H": [[F(1), F(0)], [F(0), x]]}})
+    with pytest.raises(TypeError, match=r"cross action \(1, 2\) H entry"):
+        psd_spec_to_json(spec)
+    with pytest.raises(TypeError, match=r"cross action \(1, 2\) H entry"):
+        build_psd(spec)
+
+
 @pytest.mark.parametrize(
     "r, n", [(True, [1]), ("1", [1]), (1.0, [1]), (1, [True]), (1, ["2"]), (2, [2, 1.0])]
 )
