@@ -250,21 +250,17 @@ def integrate_exact_gradient(components: list) -> CoefFn:
 def classical_moment(chart: BallChart, x: dict, P: PoissonStructure) -> CoefFn:
     """The function lambda with X* = -Lambda grad lambda.
 
-    The additive gauge is fixed by canonical antiderivatives, plus a
-    vanishing-at-identity normalization for the directions commuting
-    with H (where no bracket identity pins the constant).  [H, x] is
-    read through the chart's kept brackets [basis[0], basis[k]].
+    The additive gauge is fixed by canonical antiderivatives.  For x in
+    a + m the field has only weight-zero terms (a constant a component
+    for H, terms linear in v for m), so lambda has no term free of v and
+    z: it already vanishes at the identity.
     """
     field = fundamental_field(chart, x)
     grad = []
     for row in P.inverse:
         items = (kv for c, comp in zip(row, field) if c for kv in comp.scale(-c).terms.items())
         grad.append(CoefFn(chart.nv, collect(items)))
-    lam = integrate_exact_gradient(grad)
-    coords = chart.frame.coords(x).items()
-    if not collect((l, c * v) for k, c in coords if k for l, v in chart.bracket(0, k).items()):
-        lam = lam.sub(lam.origin_part())
-    return lam
+    return integrate_exact_gradient(grad)
 
 
 def _solve_zeta(chart: BallChart) -> list:
@@ -341,8 +337,8 @@ def build_qmm(
 ) -> QmmTable:
     """Quantum moment table over the adapted basis of the whole algebra.
 
-    alpha = None keeps the parameter symbolic; a Fraction substitutes it
-    everywhere.  alpha, az_weight and inner_scale are ints or Fractions,
+    alpha = None keeps the parameter symbolic; a number enters as that
+    constant.  alpha, az_weight and inner_scale are ints or Fractions,
     else TypeError.
     """
     alpha = None if alpha is None else exact(alpha, "alpha")
@@ -352,7 +348,7 @@ def build_qmm(
     nv = chart.nv
     zero_k, unit = (0,) * nv, _units(nv)
 
-    alpha_fn = CoefFn.monomial(nv, 0, zero_k, 1, 0, Fraction(1))
+    alpha_fn = CoefFn.monomial(nv, 0, zero_k, 1, 0, 1) if alpha is None else CoefFn.const(nv, alpha)
     zeta = [0] * (2 + nv) + _solve_zeta(chart)  # zero on s; the zip stops after m
     moments = []
     for x, z in zip(chart.basis, zeta):
@@ -374,12 +370,6 @@ def build_qmm(
     mu0 = z2.add(vv_alpha.mul(vv_alpha)).mul(e2a)
     mu2 = e2a.scale(Fraction(N - 1))
     moments.append(NuSeries(2, [mu0, CoefFn.zero(nv), mu2], True))
-
-    if alpha is not None:
-        moments = [
-            NuSeries(s.order, [c.substitute_alpha(alpha) for c in s.coeffs], s.exact)
-            for s in moments
-        ]
     return QmmTable(chart, P, alpha, qmm_labels(N), chart.basis, chart.frame, moments)
 
 

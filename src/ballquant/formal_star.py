@@ -207,15 +207,6 @@ class CoefFn(SparseSum):
         """Largest total degree in the polynomial coordinates v and z."""
         return max((sum(k) + q for (_, k, _, q) in self.terms), default=0)
 
-    def origin_part(self) -> CoefFn:
-        """Value at a = 0, v = 0, z = 0, kept as a polynomial in alpha."""
-        zero_k, terms = (0,) * self.nv, self.terms.items()
-        items = (((0, zero_k, s, 0), c) for (_, k, s, q), c in terms if k == zero_k and not q)
-        return self._new(collect(items))
-
-    def substitute_alpha(self, value: Fraction) -> CoefFn:
-        items = (((p, k, 0, q), c * value**s) for (p, k, s, q), c in self.terms.items())
-        return self._new(collect(items))
 
 
 class PoissonStructure:
@@ -230,12 +221,12 @@ class PoissonStructure:
         dim = nv + 2
         if len(matrix) != dim or any(len(row) != dim for row in matrix):
             raise ValueError("Poisson matrix must cover (a, v_1..v_nv, z)")
+        self.matrix = [[exact(x, "a Poisson matrix entry") for x in row] for row in matrix]
         for i in range(dim):
             for j in range(dim):
-                if matrix[i][j] != -matrix[j][i]:
+                if self.matrix[i][j] != -self.matrix[j][i]:
                     raise ValueError("Poisson matrix must be antisymmetric")
         self.nv = nv
-        self.matrix = [[Fraction(x) for x in row] for row in matrix]
         self.directed_pairs = [
             (u, w, self.matrix[u][w])
             for u in range(dim)

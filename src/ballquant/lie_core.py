@@ -28,7 +28,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .linalg import BoundOnce, Frame, combine, nullspace, rref, zeros
-from .scalars import collect, decimal_index, frac_str, keyed, parse_frac, shaped
+from .scalars import collect, decimal_index, exact, frac_str, keyed, parse_frac, shaped
 
 Vector = dict
 _EMPTY = MappingProxyType({})
@@ -100,7 +100,7 @@ def jacobi_report(dim: int, structure) -> JacobiReport:
 
 
 class LieAlgebra(BoundOnce):
-    """Lie algebra given by rational structure constants.
+    """Lie algebra given by int or Fraction structure constants.
 
     structure maps (i, j) with i < j to a sparse map k -> coefficient of
     basis vector k in [e_i, e_j]; rows is the same table indexed both
@@ -116,7 +116,8 @@ class LieAlgebra(BoundOnce):
                 raise ValueError(f"bad bracket key {(i, j)}")
             if not all(k in range(dim) for k in coeffs):
                 raise ValueError(f"bracket {(i, j)} has a coefficient index outside range({dim})")
-            kept = {k: Fraction(v) for k, v in coeffs.items() if Fraction(v) != 0}
+            read = ((k, exact(v, f"structure constant {k} of {(i, j)}")) for k, v in coeffs.items())
+            kept = {k: v for k, v in read if v}
             if kept:
                 clean[(i, j)] = kept
         rep = jacobi_report(dim, clean)

@@ -77,9 +77,9 @@ class XiFn(SparseSum):
 
         e^{k a} r^m xi^n (1 - nu^2 xi^2)^{h/2} nu^j,
 
-    with m, n, h integers of either sign.  The representation is not
-    unique because even powers of the square root factor expand; use
-    canonical or is_zero for comparisons.
+    with m, n, h integers of either sign and j >= 0.  The representation
+    is not unique because even powers of the square root factor expand;
+    use canonical or is_zero for comparisons.
     """
 
     terms: dict
@@ -165,13 +165,13 @@ def xifn_to_json(f: XiFn) -> dict:
 
 
 def xifn_from_json(data: dict) -> XiFn:
-    """Sum the listed terms; every exponent must be an int."""
+    """Sum the listed terms; every exponent must be an int, the nu power >= 0."""
     items = []
     (terms,) = keyed(data, "an XiFn", "terms")
     for term in shaped(terms, list, "terms"):
         *key, re, im = shaped(term, list, "a term")
-        if len(key) != 5 or any(type(e) is not int for e in key):
-            raise ValueError(f"XiFn exponents must be five ints, got {key!r}")
+        if len(key) != 5 or any(type(e) is not int for e in key) or key[4] < 0:
+            raise ValueError(f"XiFn exponents must be five ints, the nu power >= 0, got {key!r}")
         items.append((tuple(key), GScalar(parse_frac(re), parse_frac(im))))
     return XiFn(collect(items))
 
@@ -322,9 +322,12 @@ def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSer
     from .formal_star import NuSum
 
     order = resolve_truncation_order(order)
+    nv = theta.coeffs[0].nv
+    if other := {s.coeffs[0].nv for s in op.values()} - {nv}:
+        raise ValueError(f"an operator on {min(other)} v coordinates and a series on {nv} differ")
     inputs = [theta, *op.values()]
     exact = all(s.exact and not any(c.terms for c in s.coeffs[order + 1 :]) for s in inputs)
-    out = NuSum(theta.coeffs[0].nv, order, exact or not op)
+    out = NuSum(nv, order, exact or not op)
     thetas = [(j, c, c.caps) for j, c in enumerate(theta.coeffs) if c.terms]
     for key, series in op.items():
         dthetas = [

@@ -27,6 +27,9 @@ Chevalley-Eilenberg differential of a two-cochain evaluated on every
 basis triple through the bracket, without any table of the differential.
 rebuild_oracle compares each entry of a structure table with the dense
 commutator of the matrices it was read from (gmat_mul products).
+substitute_alpha sets the formal parameter alpha of a chart function to a
+number, as build_qmm did to every coefficient of a symbolic table before
+a numeric alpha entered it as a constant.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from ballquant.ball_quantization import QmmReport, resolve_truncation_order
 from ballquant.formal_star import CoefFn, NuSeries, NuSum, half_commutator, transvection_terms
 from ballquant.linalg import bilinear
 from ballquant.retract_pde import XiFn
-from ballquant.scalars import G_ZERO, GScalar
+from ballquant.scalars import G_ZERO, GScalar, collect
 
 
 def dense(v: dict, n: int) -> list:
@@ -280,6 +283,12 @@ def field_bracket_oracle(f1: list, f2: list) -> list:
             acc = acc.sub(f2[w].mul(f1[u].diff_coord(w)))
         out.append(acc)
     return out
+
+
+def substitute_alpha(f: CoefFn, value: F) -> CoefFn:
+    """f with every power alpha^s replaced by value^s."""
+    items = (((p, k, 0, q), c * value**s) for (p, k, s, q), c in f.terms.items())
+    return CoefFn(f.nv, collect(items))
 
 
 def binom_oracle(e: F, t: int) -> F:

@@ -8,6 +8,8 @@ the value 1 on Y.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
@@ -17,6 +19,7 @@ from math import comb
 import pytest
 
 from ballquant.ball_quantization import (
+    CALIBRATION_GRID,
     GroupElement,
     IntegrabilityError,
     TruncationOrderError,
@@ -44,7 +47,8 @@ from ballquant.lie_core import LieAlgebra, structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
 from ballquant.su1n_model import build_su1n, model_to_json
 
-from oracles import field_bracket_oracle, leading_principal_minors, verify_qmm_oracle
+from oracles import field_bracket_oracle, leading_principal_minors, substitute_alpha
+from oracles import verify_qmm_oracle
 
 
 def m_action(chart, k: int) -> list:
@@ -222,18 +226,49 @@ def test_classical_moments_frozen():
     assert lam_y.terms == {(0, (2, 0), 0, 0): F(3), (0, (0, 2), 0, 0): F(3, 4)}
 
 
-def test_classical_moment_reads_h_x_through_the_kept_brackets(monkeypatch):
-    """[H, x], which decides whether the constant is pinned, used to be a
-    fresh algebra bracket per moment; once the chart keeps row 0 (and the
-    m action the field reads), the moments of s + m make no
-    LieAlgebra.bracket call and keep their values."""
+def test_classical_moment_reads_the_m_action_through_the_kept_brackets(monkeypatch):
+    """The m action the field reads comes from the chart's kept brackets;
+    once they are read, the moments of s + m make no LieAlgebra.bracket
+    call and keep their values."""
     chart = build_chart(2)
     P = poisson_structure(chart)
     xs = [chart.H, *chart.fs, chart.E, *chart.m_basis]
     first = [classical_moment(chart, x, P).terms for x in xs]
-    assert all((0, k) in chart._brackets for k in range(1, len(xs)))
     calls = count_brackets(monkeypatch)
     assert [classical_moment(chart, x, P).terms for x in xs] == first and calls == []
+
+
+def a_plus_m(chart, seed: int) -> list:
+    """H, each m basis vector and three seeded combinations of them."""
+    rng = random.Random(seed)
+    xs = [chart.H, *chart.m_basis]
+    mixed = []
+    for _ in range(3):
+        x = {}
+        for b in xs:
+            x = vec_add(x, vec_scale(b, F(rng.randint(-3, 3), rng.randint(1, 3))))
+        mixed.append(x)
+    return xs + mixed
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_moments_of_a_plus_m_have_no_constant_term(N):
+    """The gauge of the moments of H and m is already fixed: no term has
+    v exponent 0 and z exponent 0, at the calibrated scales and at every
+    grid point whose moments integrate, so no normalization at the
+    identity is needed."""
+    points = [(az, inner) for az in CALIBRATION_GRID for inner in CALIBRATION_GRID]
+    zero_k, checked = (0,) * (2 * (N - 1)), 0
+    for az, inner in [(F(1, 2), F(1, 2)), *points]:
+        chart = build_chart(N, inner)
+        P = poisson_structure(chart, az)
+        try:
+            moments = [classical_moment(chart, x, P) for x in a_plus_m(chart, N)]
+        except IntegrabilityError:
+            continue
+        assert not any(k == zero_k and not q for m in moments for (_, k, _, q) in m.terms)
+        checked += 1
+    assert checked > 1
 
 
 def test_classical_covariance():
@@ -293,6 +328,41 @@ def test_build_qmm_n2_frozen():
     mu_se = table.moments[7]
     assert mu_se.coeffs[1].is_zero()
     assert mu_se.coeffs[2].terms == {(2, (0, 0), 0, 0): F(1)}
+
+
+# sha256 of json.dumps(qmm_table_to_json(build_qmm(N, alpha)), sort_keys=True)
+QMM_DIGESTS = {
+    (1, None): "86a20c80b311911826528f4370bd8eff8feb51b71761638fd7a665f4710f7d1a",
+    (1, 1): "d604e509b283b5b8aabb054af964752d3a2978ee17b391245d318eabe034ac1d",
+    (1, 0): "247f1498067dad5bd046cdeb3017c6a66c3347b3b551557bb14c92e471f9feb3",
+    (1, F(-1, 2)): "f5a84103b722cf33eab1c169441fc25ae15f7e9618f8b9f340d1c5a600a046ca",
+    (2, None): "47f5c40dd0c7657c2ed8516133c0f6c68991c38c7f1c5c53fdc0ba3eac181fd9",
+    (2, 1): "738fa888ddcdb5e95c4c93d64f7be6a817e50928208da365086362b872143d1b",
+    (2, 0): "062aaf044343b7334b143b26451d569ec3335945e40f4e057acb6254c5cb671a",
+    (2, F(-1, 2)): "81634ddd36509a6998e7c54637d54fc724fff7b03403af08f9698e2c9fbc43ba",
+    (3, None): "331745d546d06b92d580fed1ef5e42e0888d5a36eefd12e7de465af22012cc40",
+    (3, 1): "522d899f9c302677dba53979a7f0e8182a2e8fe7ecacae6f0744ca981139efa9",
+    (3, 0): "540c7476d9ff279380c22b161cbeb002f9fcc07307ef5f570921a3170de4288b",
+    (3, F(-1, 2)): "3fbbbf8e43760800fd060a89b4f03463b289c893fbb8ffef512f95e3b12836fe",
+}
+
+
+@pytest.mark.parametrize("N, alpha", list(QMM_DIGESTS), ids=str)
+def test_qmm_table_to_json_bytes_are_frozen(N, alpha):
+    doc = json.dumps(qmm_table_to_json(build_qmm(N, alpha)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == QMM_DIGESTS[N, alpha]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0, 1, F(-1, 2), F(3, 7)], ids=str)
+def test_numeric_alpha_table_is_the_symbolic_one_substituted(N, alpha):
+    """A number entering as a constant builds each moment in its final
+    form, the symbolic table with alpha substituted after the fact."""
+    got, symbolic = build_qmm(N, alpha), build_qmm(N)
+    assert got.alpha == alpha and got.labels == symbolic.labels
+    for s, t in zip(got.moments, symbolic.moments, strict=True):
+        assert (s.order, s.exact) == (t.order, t.exact)
+        assert [c.terms for c in s.coeffs] == [substitute_alpha(c, alpha).terms for c in t.coeffs]
 
 
 def test_verify_qmm_n2():

@@ -40,7 +40,7 @@ from ballquant.lie_core import LieAlgebra
 from ballquant.retract_pde import apply_operator, k_basis, retract_operator
 from ballquant.scalars import collect
 
-from oracles import uncapped_walk_oracle
+from oracles import substitute_alpha, uncapped_walk_oracle
 
 
 def std_structure(nv: int, p=F(1, 2), vv=F(1)) -> PoissonStructure:
@@ -86,17 +86,7 @@ def test_alpha_bookkeeping():
     f = mono(2, k=(1, 0), alpha=1)  # alpha v1
     g = mono(2, q=1, alpha=1)  # alpha z
     assert f.mul(g).terms == {(0, (1, 0), 2, 1): F(1)}
-    assert f.mul(g).substitute_alpha(F(2)).terms == {(0, (1, 0), 0, 1): F(4)}
-
-
-def test_origin_part():
-    f = (
-        mono(2, p=2, c=F(3))
-        .add(mono(2, k=(1, 0), q=1))
-        .add(mono(2, alpha=1, c=F(5)))
-        .add(mono(2, c=F(2)))
-    )
-    assert f.origin_part().terms == {(0, (0, 0), 0, 0): F(5), (0, (0, 0), 1, 0): F(5)}
+    assert substitute_alpha(f.mul(g), F(2)).terms == {(0, (1, 0), 0, 1): F(4)}
 
 
 def test_antiderivatives():

@@ -33,6 +33,7 @@ from ballquant.ce_cohomology import Cochain, cochain_from_json, cochain_to_json
 from ballquant.formal_star import (
     CoefFn,
     NuSeries,
+    PoissonStructure,
     coef_from_json,
     coef_to_json,
     moyal,
@@ -119,8 +120,13 @@ NOT_EXACT = [
     ("exponents", lambda x: CoefFn.monomial(1, x, (0,), 0, 0, 1)),
     ("exponents", lambda x: CoefFn.monomial(1, 0, (x,), 0, 0, 1)),
     ("cross action", lambda x: build_psd(PsdSpec(2, [2, 1], {(1, 2): {"H": [[x, 0], [0, -1]]}}))),
+    ("structure constant", lambda x: LieAlgebra(3, ["X", "Y", "Z"], {(0, 1): {2: x}})),
+    ("Poisson matrix entry", lambda x: PoissonStructure(0, [[0, x], [-1, 0]])),
 ]
-NOT_EXACT_IDS = ["alpha", "az_weight", "inner_scale", "value", "monomial", "const", "p", "k", "psd"]
+NOT_EXACT_IDS = [
+    "alpha", "az_weight", "inner_scale", "value", "monomial", "const", "p", "k", "psd",
+    "lie", "poisson",
+]
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.7, True, False, "1/2"])

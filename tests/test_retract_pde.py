@@ -143,6 +143,8 @@ def test_xifn_from_json_sums_terms_and_checks_exponents():
     ):
         with pytest.raises(ValueError):
             xifn_from_json({"terms": [bad]})
+    with pytest.raises(ValueError, match=r"nu power >= 0, got \[0, 0, 0, 1, -1\]"):
+        xifn_from_json({"terms": [[0, 0, 0, 1, -1, "1", "0"]]})
 
 
 @pytest.mark.parametrize(
@@ -360,6 +362,18 @@ def test_apply_operator_is_the_half_commutator():
         got = apply_operator(retract_operator(table, x, order), theta, order)
         want = half_commutator(mu, theta, table.P, order)
         assert all(a.terms == b.terms for a, b in zip(got.coeffs, want.coeffs))
+
+
+@pytest.mark.parametrize("op_n, theta_nv", [(2, 4), (3, 2)])
+def test_apply_operator_refuses_a_series_on_another_chart(op_n, theta_nv):
+    """An operator from the table of su(1, op_n) acts on series over its
+    own 2 (op_n - 1) v coordinates only; either mismatch names both."""
+    table = build_qmm(op_n, alpha=Fraction(1))
+    op = retract_operator(table, table.chart.H, 2)
+    theta = NuSeries.from_coef(CoefFn.monomial(theta_nv, 0, (1,) * theta_nv, 0, 1, 1), 2)
+    op_nv = table.chart.nv
+    with pytest.raises(ValueError, match=f"operator on {op_nv} v .* series on {theta_nv}"):
+        apply_operator(op, theta, 2)
 
 
 def rand_series(rng: random.Random, nv: int, order: int, top: int) -> NuSeries:
