@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import factorial, lcm
 from operator import add
 from types import MappingProxyType
 
@@ -394,14 +394,22 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     is the AND of the commutators' own flags, so it records whether
     every star commutator terminated inside the truncation.
 
-    Each moment is resized to the order once, into fresh coefficients
-    whose derivative memos (CoefFn.step) and exponent caps (CoefFn.caps)
-    fill as the pairs are walked, on either side of a transvection, so
-    each derivative is taken at most once per call.  The joint walk of
-    two coefficients is not kept: half_commutator takes it once per pair
-    and drops it when the pair is summed.  The resized copies, their
-    memos and caps with them, are dropped on return, so the table's own
-    coefficients gain none.  The left sides are the chart's brackets
+    The check runs in Z and reports in Q.  D is the common denominator
+    of the moments' coefficients and L = lcm((order + 1)! delta^(order + 1),
+    the denominators of the brackets read), so that the int weight L
+    keeps every scale L / (m! delta^m) of an odd m <= order + 1 an int
+    (c_operator) and every left-side factor L D c an int.  Each pair lands
+    L D^2 times its residual, with int coefficients only, in its NuSum,
+    and only a failing residual is divided back by L D^2.
+
+    Each moment is scaled by D and resized to the order once, into fresh
+    int coefficients whose derivative memos (CoefFn.step) and exponent
+    caps (CoefFn.caps) fill as the pairs are walked, on either side of a
+    transvection, so each derivative is taken at most once per call.  The
+    joint walk of two coefficients is not kept: half_commutator takes it
+    once per pair and drops it when the pair is summed.  The copies,
+    their memos and caps with them, are dropped on return, so the
+    table's own coefficients gain none.  The left sides are the chart's brackets
     (BallChart.bracket), each pair read once per chart: a table, its
     mutations (which share its chart) and both pair sets read the same
     kept pairs, and the s pairs read only brackets of the solvable part.
@@ -414,19 +422,34 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
         n = 2 + nv
     else:
         raise ValueError("pairs must be 'all' or 's'")
+    P = table.P
+    checked = [(i, j, chart.bracket(i, j)) for i in range(n) for j in range(i + 1, n)]
+    dens = (c.denominator for _, _, b in checked for c in b.values())
+    L = lcm(factorial(order + 1) * P.delta ** (order + 1), *dens)
+    D = lcm(*(c.denominator for s in table.moments for f in s.coeffs for c in f.terms.values()))
+    lifted = [_in_z(s, D, order) for s in table.moments]
+    LD = L * D
     failures = []
     exact = True
-    lifted = [m.resize(order) for m in table.moments]
-    for i in range(n):
-        for j in range(i + 1, n):
-            res = half_commutator(lifted[i], lifted[j], table.P, order, NuSum(nv, order))
-            exact = exact and res.exact
-            for k, c in chart.bracket(i, j).items():
-                res.add(lifted[k], -c)
-            res = res.series()
-            if not res.is_zero():
-                failures.append((table.labels[i], table.labels[j], res.scale(-1)))
-    return QmmReport(not failures, order, exact, comb(n, 2), failures)
+    for i, j, bracket in checked:
+        res = half_commutator(lifted[i], lifted[j], P, order, NuSum(nv, order), L)
+        exact = exact and res.exact
+        for k, c in bracket.items():
+            res.add(lifted[k], -c.numerator * (LD // c.denominator))
+        res = res.series()
+        if not res.is_zero():
+            failures.append((table.labels[i], table.labels[j], res.scale(Fraction(-1, LD * D))))
+    return QmmReport(not failures, order, exact, len(checked), failures)
+
+
+def _in_z(s: NuSeries, D: int, order: int) -> NuSeries:
+    """D s resized to the order, in fresh coefficients that are all ints:
+    D must clear every denominator of s."""
+    coeffs = [
+        CoefFn(f.nv, {k: c.numerator * (D // c.denominator) for k, c in f.terms.items()})
+        for f in s.coeffs
+    ]
+    return NuSeries(s.order, coeffs, s.exact).resize(order)
 
 
 def mutate_drop_nu2(table: QmmTable) -> QmmTable:

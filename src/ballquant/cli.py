@@ -88,9 +88,9 @@ def _check_args(args) -> None:
 
         try:
             args.theta = xifn_from_json(json.loads(args.theta_json))
-        except (ValueError, RecursionError):  # RecursionError: JSON nested too deep
+        except (ValueError, RecursionError) as err:  # RecursionError: JSON nested too deep
             shape = '{"terms": [[k, m, n, h, j, re, im]]}'
-            raise UsageError(f"--theta-json must look like {shape}") from None
+            raise UsageError(f"--theta-json must look like {shape}: {err}") from None
 
 
 def _cmd_build_psd(args) -> int:

@@ -40,10 +40,18 @@ at its last size.  A pair's walk lives only while that pair is summed; a
 caller that takes many star products of the same series (verify_qmm
 over every pair of the moment table) differentiates each coefficient at
 most once per multi-index, and one that wants no memo to outlive its
-call passes fresh copies (resize).  c_operator scales each term once, by
-m! when it returns C_m itself and by the series weight when a star
-product series asks for (weight / m!) C_m, whose 1/m! the walk weights
-already carry.
+call passes fresh copies (resize).
+
+The walk is carried in integers.  PoissonStructure keeps the common
+denominator delta of its entries, its directed pairs carry the ints
+delta * Lambda^{uw}, and a multiset of m pairs carries the int weight
+m! prod (delta Lambda^{uw})^c / c!, so C_m = delta^-m sum weight d^u f d^w g.
+Each reader divides once per term: c_operator by delta^m for C_m itself
+and by m! delta^m / weight for (weight / m!) C_m, the retract operator by
+m! delta^m.  A weight that m! delta^m divides keeps that scale an int, so
+verify_qmm checks the moment identity in Z and divides only a failing
+residual back into Q.  Past the truncation order only whether C_m
+vanishes counts: the series land the bare walk sum delta^m C_m there.
 
 CoefFn takes its ring arithmetic (sums with cancellation, scaling,
 products by adding exponents) from the SparseSum core of scalars and adds
@@ -64,7 +72,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, perm
+from math import factorial, lcm, perm
 from operator import add
 from sys import maxsize
 
@@ -212,6 +220,9 @@ class CoefFn(SparseSum):
 class PoissonStructure:
     """Constant antisymmetric bivector on the chart coordinates.
 
+    matrix holds the entries as Fractions.  delta is the least common
+    denominator of the entries, and directed_pairs lists (u, w, delta *
+    Lambda^{uw}), an int, for every nonzero entry: the walk's steps.
     units[c] is the unit multi-index of coordinate c, one derivative
     step of the walk.  inverse is the inverse matrix, taken on first use
     and kept: a degenerate structure, such as the zero one of
@@ -227,11 +238,12 @@ class PoissonStructure:
                 if self.matrix[i][j] != -self.matrix[j][i]:
                     raise ValueError("Poisson matrix must be antisymmetric")
         self.nv = nv
+        self.delta = lcm(*(x.denominator for row in self.matrix for x in row))
         self.directed_pairs = [
-            (u, w, self.matrix[u][w])
-            for u in range(dim)
-            for w in range(dim)
-            if self.matrix[u][w]
+            (u, w, x.numerator * (self.delta // x.denominator))
+            for u, row in enumerate(self.matrix)
+            for w, x in enumerate(row)
+            if x
         ]
         self.units = [tuple(int(c == u) for c in range(dim)) for u in range(dim)]
 
@@ -250,8 +262,12 @@ def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: 
     Returns terms, where terms[m] lists (w, d^u f, d^w g, weight) in walk
     order for every multiset of m pairs whose derivatives are nonzero
     (d^w g is None one-sided).  u and w are the derivative multi-indices
-    it puts on the first and second argument and weight = prod val^c / c!
-    over its pairs, so that (1/m!) C_m(f, g) = sum weight * d^u f * d^w g.
+    it puts on the first and second argument, and weight is the int
+    m! prod val^c / c! over its pairs, val = delta * Lambda^{uw} the
+    integer pair values of P, so that
+    C_m(f, g) = delta^-m sum weight * d^u f * d^w g.  Each step multiplies
+    the weight by val * (size + c) and divides by c exactly: the quotient
+    is val times the binomial (size + c choose c), an integer.
 
     A branch is dropped once d^u f or d^w g vanishes: every longer
     multiset differentiates that derivative further.  So a recorded
@@ -261,13 +277,13 @@ def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: 
     """
     if f.nv != P.nv or (g is not None and g.nv != P.nv):
         raise ValueError(f"an operand's nv differs from the Poisson structure's {P.nv}")
-    zero, one = (0,) * (P.nv + 2), Fraction(1)
+    zero = (0,) * (P.nv + 2)
     terms = [[] for _ in range(limit + 1)]
     if f.terms and (g is None or g.terms):
-        terms[0].append((zero, f, g, one))
+        terms[0].append((zero, f, g, 1))
         caps = (f.caps, None if g is None else g.caps)
         walk = (P.directed_pairs, P.units, caps, f, g, terms)
-        _extend(walk, 0, 0, zero, zero, f, g, one)
+        _extend(walk, 0, 0, zero, zero, f, g, 1)
     while terms and not terms[-1]:
         terms.pop()
     return terms
@@ -300,7 +316,7 @@ def _extend(walk, start, size, u, w, df, dg, weight):
                 e = g.step(wk, e, units[b])
                 if not e.terms:
                     break
-            wt = wt * val / c
+            wt = wt * val * (size + c) // c
             terms[size + c].append((wk, d, e, wt))
             if c < left:
                 _extend(walk, idx + 1, size + c, uk, wk, d, e, wt)
@@ -319,19 +335,22 @@ class PairWalk:
 
 def c_operator(f: CoefFn | PairWalk, g: CoefFn, P: PoissonStructure, m: int, weight=None) -> CoefFn:
     """The m-th transvection C_m(f, g) for the constant structure P, or
-    (weight / m!) C_m(f, g) when a weight is given, as the star product
-    series take it.
+    (weight / m!) C_m(f, g) when an int weight is given, as the star
+    product series take it.
 
     f and g are walked jointly up to size m; or f is the PairWalk of f
     with its partner g, whose size-m terms are read without walking
-    again.  Each term is scaled once and its products are accumulated
-    in place."""
+    again.  Each term's integer walk weight is scaled once, by 1 / delta^m
+    or weight / (m! delta^m), and its products are accumulated in place.
+    A scale that is a whole number is an int, so int coefficients give
+    int coefficients."""
     walk = f
     if not isinstance(walk, PairWalk):
         walk = PairWalk(f, g, P, min(m, f.degree() + g.degree()))
     elif walk.P is not P or walk.g is not g:
         raise ValueError("pair walk was taken for another partner or structure")
-    scale = factorial(m) if weight is None else weight
+    num, den = (1, P.delta**m) if weight is None else (weight, factorial(m) * P.delta**m)
+    scale = num // den if num % den == 0 else Fraction(num, den)
     total: dict = {}
     for _, df, dg, wt in walk.terms[m] if m < len(walk.terms) else ():
         accumulate(total, df.mul_items(dg, wt * scale))
@@ -452,7 +471,9 @@ def _transvection_series(
     can vanish by cancellation while a larger one does not.  Once the
     sum no longer wants a power of nu, the larger m of that pair are
     skipped without computing them, and a sum that is already inexact
-    does not walk past the order.
+    does not walk past the order.  A term past the order only has to be
+    seen nonzero by land, so it lands as the bare walk sum delta^m C_m
+    (weight m! delta^m, scale 1).
     """
     out = NuSum(P.nv, order) if into is None else into
     if out.order != order:
@@ -469,7 +490,8 @@ def _transvection_series(
             for m in range(first, len(walk.terms), step):
                 if not out.wants(t + m):
                     break
-                out.land(t + m, c_operator(walk, g, P, m, weight).terms.items())
+                w = weight if t + m <= order else factorial(m) * P.delta**m
+                out.land(t + m, c_operator(walk, g, P, m, w).terms.items())
     return out
 
 
@@ -483,14 +505,18 @@ def star_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -
     return _transvection_series(F, G, P, order, 1, 2, 2).series()
 
 
-def half_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int, into=None):
-    """(1 / (2 nu)) [F, G]: the commutator doubles the odd transvections
-    and cancels the even ones, so this is the sum of nu^(m-1) (1 / m!) C_m
-    over odd m.
+def half_commutator(
+    F: NuSeries, G: NuSeries, P: PoissonStructure, order: int, into=None, weight: int = 1
+):
+    """(weight / (2 nu)) [F, G]: the commutator doubles the odd
+    transvections and cancels the even ones, so this is the sum of
+    nu^(m-1) (weight / m!) C_m over odd m.
 
     Returns the series; with into, a NuSum of the given order, the terms
-    land there instead and into is returned."""
-    out = _transvection_series(F, G, P, order, 1, 2, 1, shift=1, into=into)
+    land there instead and into is returned.  An int weight that
+    m! delta^m divides for every m <= order + 1, with int coefficients in
+    F and G, lands int coefficients only (verify_qmm)."""
+    out = _transvection_series(F, G, P, order, 1, 2, weight, shift=1, into=into)
     return out if into is not None else out.series()
 
 

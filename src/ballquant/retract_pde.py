@@ -56,6 +56,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from operator import add, le
 from types import MappingProxyType
 from typing import TYPE_CHECKING
@@ -303,8 +304,10 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
         past = (order - i + 2) | 1  # the first odd m with i + m - 1 > order
         terms = transvection_terms(f, None, table.P, past)
         for m in range(1, len(terms), 2):
+            den = factorial(m) * table.P.delta**m
             for w, d, _, weight in terms[m]:
-                buckets[w].land(i + m - 1, ((k, v * weight) for k, v in d.terms.items()))
+                scale = Fraction(weight, den)
+                buckets[w].land(i + m - 1, ((k, v * scale) for k, v in d.terms.items()))
     exact = mu.exact and all(s.exact for s in buckets.values())
     series = {w: s.series() for w, s in buckets.items()}
     return {w: NuSeries(order, s.coeffs, exact) for w, s in series.items() if not s.is_zero()}

@@ -8,11 +8,14 @@ back.
 The linear-algebra oracles (rref_oracle, nullspace_oracle read off it,
 det, identity_matrix, mat_mul) are plain textbook loops over Fraction
 on dense lists, written independently of the sparse fraction-free
-elimination in ``ballquant.linalg``.  verify_qmm_oracle checks the
-moment identity with a left-side sum minus a separate half_commutator
-series per pair, as the package did before it landed the commutator in
-the residual sum, and uncapped_walk_oracle is the transvection walk
-before its exponent caps.
+elimination in ``ballquant.linalg``.  poisson_pairs reads the directed
+pairs of a Poisson structure off its Fraction matrix, and
+transvection_oracle is (1/m!) C_m summed over every multiset of m of
+them, with Fraction weights prod val^c / c! and no pruning.
+verify_qmm_oracle checks the moment identity on Fractions from that
+enumeration alone, never through the package's walk or star products,
+and uncapped_walk_oracle is the transvection walk before its exponent
+caps, its Fraction weights converted to the walk's integer ones.
 apply_operator_oracle applies a retract operator through whole-series
 resize, product and sum, as the package did before it accumulated the
 products in place; retract_exact_oracle is the retract operator's exact
@@ -34,11 +37,12 @@ a numeric alpha entered it as a constant.
 from __future__ import annotations
 
 from fractions import Fraction as F
-from itertools import combinations
-from math import factorial
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
+from math import factorial, lcm
 
 from ballquant.ball_quantization import QmmReport, resolve_truncation_order
-from ballquant.formal_star import CoefFn, NuSeries, NuSum, half_commutator, transvection_terms
+from ballquant.formal_star import CoefFn, NuSeries, NuSum, transvection_terms
 from ballquant.linalg import bilinear
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import G_ZERO, GScalar, collect
@@ -179,18 +183,84 @@ def delta2_oracle(algebra, c) -> dict:
     return out
 
 
+def poisson_pairs(matrix) -> list:
+    """(u, w, Lambda^{uw}) for every nonzero entry of a Poisson matrix
+    (PoissonStructure.matrix, Fractions), row by row."""
+    return [(u, w, x) for u, row in enumerate(matrix) for w, x in enumerate(row) if x]
+
+
+def transvection_oracle(f: CoefFn, g: CoefFn, matrix, m: int, memo=None) -> CoefFn:
+    """(1/m!) C_m(f, g) summed over every multiset of m directed pairs of
+    the Poisson matrix, each with the Fraction weight prod val^c / c! over
+    its pairs: no branch is pruned.  Each derivative is taken once per
+    multi-index, one coordinate from the derivative of the multi-index
+    one lower in its last differentiated coordinate, and kept in memo, a
+    pair of dicts for f and g that calls on the same f and g may share."""
+    pairs, dim = poisson_pairs(matrix), len(matrix)
+    memo = ({}, {}) if memo is None else memo
+
+    def diff(side, h, index):
+        d = memo[side].get(index)
+        if d is None:
+            if not any(index):
+                d = h
+            else:
+                k = max(c for c, n in enumerate(index) if n)
+                parent = diff(side, h, index[:k] + (index[k] - 1,) + index[k + 1 :])
+                d = parent.diff_coord(k) if parent.terms else parent
+            memo[side][index] = d
+        return d
+
+    total = CoefFn.zero(f.nv)
+    for combo in combinations_with_replacement(range(len(pairs)), m):
+        counts = {idx: combo.count(idx) for idx in set(combo)}
+        u, w = [0] * dim, [0] * dim
+        for idx, c in counts.items():
+            u[pairs[idx][0]] += c
+            w[pairs[idx][1]] += c
+        df = diff(0, f, tuple(u))
+        dg = diff(1, g, tuple(w)) if df.terms else df
+        if dg.terms:
+            weight = F(1)
+            for idx, c in counts.items():
+                weight *= pairs[idx][2] ** c / factorial(c)
+            total = total.add(df.mul(dg).scale(weight))
+    return total
+
+
+@lru_cache(maxsize=4096)
+def odd_transvections(f_terms: frozenset, g_terms: frozenset, rows: frozenset) -> tuple:
+    """(m, (1/m!) C_m(f, g)) for the functions with the given term items,
+    for every odd m up to their joint polynomial degree, past which every
+    C_m vanishes: each Lambda entry differentiates a polynomial coordinate
+    on one side.  Kept per pair of term sets and Poisson matrix (the set
+    of its (index, row tuple) pairs), so the tables of one N share the
+    enumeration; a frozenset keeps its hash, so a repeated key is cheap."""
+    matrix = [row for _, row in sorted(rows)]
+    nv, memo = len(matrix) - 2, ({}, {})
+    f, g = CoefFn(nv, dict(f_terms)), CoefFn(nv, dict(g_terms))
+    top = f.degree() + g.degree()
+    return tuple((m, transvection_oracle(f, g, matrix, m, memo)) for m in range(1, top + 1, 2))
+
+
 def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:
-    """verify_qmm by the formula it had before it landed each commutator
-    in the pair's residual sum: the left side summed in a NuSum from the
-    frame coordinates of each bracket, minus the half_commutator series,
-    which is built on its own.  Every scaled series is scaled by
-    NuSeries.scale before it lands, so no scaled landing of NuSum.add is
-    on this side of the comparison.  exact is the AND of the
-    commutators' flags."""
+    """verify_qmm from the definition, in Fractions.  Each moment is
+    resized to the order; for every pair the left side is the sum of the
+    moments along the frame coordinates of the bracket, read afresh from
+    the algebra, and the commutator is sum nu^(i+j+m-1) (1/m!) C_m over
+    the moments' coefficients i, j and odd m, each C_m from
+    transvection_oracle.  The residual is the left side minus the
+    commutator.  A pair's commutator is exact when both moments are and
+    no nonzero term falls past the order; exact is the AND over pairs,
+    and a residual is exact when its commutator and every moment on its
+    left side are."""
     order = resolve_truncation_order(order)
-    size = len(table.basis) if pairs == "all" else 2 + table.chart.nv
+    nv = table.chart.nv
+    size = len(table.basis) if pairs == "all" else 2 + nv
     algebra = table.chart.model.algebra
     lifted = [m.resize(order) for m in table.moments]
+    keys = [[frozenset(c.terms.items()) for c in s.coeffs] for s in lifted]
+    rows = frozenset(enumerate(map(tuple, table.P.matrix)))
     failures = []
     checked = 0
     exact = True
@@ -198,28 +268,42 @@ def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:
         for j in range(i + 1, size):
             checked += 1
             coords = table.frame.coords(algebra.bracket(table.basis[i], table.basis[j]))
-            lhs = NuSum(table.chart.nv, order)
+            res = [CoefFn.zero(nv)] * (order + 1)
+            pair_exact = lifted[i].exact and lifted[j].exact
+            for a, f in enumerate(keys[i]):
+                for b, g in enumerate(keys[j]):
+                    for m, c in odd_transvections(f, g, rows) if f and g else ():
+                        t = a + b + m - 1
+                        if t <= order:
+                            res[t] = res[t].sub(c)
+                        elif not c.is_zero():
+                            pair_exact = False
+            exact = exact and pair_exact
             for k, c in coords.items():
-                lhs.add(lifted[k].scale(c))
-            rhs = half_commutator(lifted[i], lifted[j], table.P, order)
-            exact = exact and rhs.exact
-            res = lhs.add(rhs.scale(-1)).series()
-            if not res.is_zero():
-                failures.append((table.labels[i], table.labels[j], res))
+                res = [r.add(h.scale(c)) for r, h in zip(res, lifted[k].coeffs)]
+            res_exact = pair_exact and all(lifted[k].exact for k in coords)
+            series = NuSeries(order, res, res_exact)
+            if not series.is_zero():
+                failures.append((table.labels[i], table.labels[j], series))
     return QmmReport(not failures, order, exact, checked, failures)
 
 
 def uncapped_walk_oracle(f, g, P, limit: int) -> list:
     """transvection_terms as it was before the exponent caps: every pair
     is tried until a derivative vanishes, and each derivative is taken by
-    CoefFn.diff with no memo."""
+    CoefFn.diff with no memo.  The weights are Fractions prod val^c / c!
+    over the matrix entries, recorded as the walk's integer weights
+    m! delta^m prod val^c / c!, delta the least common denominator of the
+    entries."""
     zero, one = (0,) * (P.nv + 2), F(1)
+    pairs = poisson_pairs(P.matrix)
+    delta = lcm(*(x.denominator for row in P.matrix for x in row))
     terms = [[] for _ in range(limit + 1)]
 
     def extend(start, size, u, w, df, dg, weight):
         left = limit - size
-        for idx in range(start, len(P.directed_pairs)):
-            a, b, val = P.directed_pairs[idx]
+        for idx in range(start, len(pairs)):
+            a, b, val = pairs[idx]
             ua, wb, d, e, wt = list(u), list(w), df, dg, weight
             for c in range(1, left + 1):
                 ua[a] += 1
@@ -232,9 +316,10 @@ def uncapped_walk_oracle(f, g, P, limit: int) -> list:
                     if not e.terms:
                         break
                 wt = wt * val / c
-                terms[size + c].append((tuple(wb), d, e, wt))
+                m = size + c
+                terms[m].append((tuple(wb), d, e, wt * factorial(m) * delta**m))
                 if c < left:
-                    extend(idx + 1, size + c, tuple(ua), tuple(wb), d, e, wt)
+                    extend(idx + 1, m, tuple(ua), tuple(wb), d, e, wt)
 
     if f.terms and (g is None or g.terms):
         terms[0].append((zero, f, g, one))

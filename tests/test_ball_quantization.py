@@ -42,7 +42,7 @@ from ballquant.ball_quantization import (
     resolve_truncation_order,
     verify_qmm,
 )
-from ballquant.formal_star import CoefFn, poisson
+from ballquant.formal_star import CoefFn, NuSum, poisson, series_to_json
 from ballquant.lie_core import LieAlgebra, structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
 from ballquant.su1n_model import build_su1n, model_to_json
@@ -506,6 +506,65 @@ def test_verify_qmm_matches_the_two_sum_oracle(N, alpha):
             flags.add(rep.exact)
             oks.add(rep.ok)
     assert flags == oks == {True, False}
+
+
+def report_json(rep) -> str:
+    """The whole report as JSON text, each residual as series_to_json
+    writes it."""
+    failures = [[a, b, series_to_json(res)] for a, b, res in rep.failures]
+    return json.dumps([rep.ok, rep.order, rep.exact, rep.checked, failures])
+
+
+def seeded_alpha(N: int) -> F:
+    """A rational alpha drawn from a seed, with a three-digit denominator."""
+    rng = random.Random(700 + N)
+    alpha = F(rng.randint(-999, 999), rng.randint(100, 999))
+    assert 100 <= alpha.denominator <= 999
+    return alpha
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_verify_qmm_reports_what_the_unpruned_fraction_oracle_reports(N):
+    """verify_qmm, checked in integers, reports what the oracle computes
+    in Fractions from the unpruned enumeration of every C_m, JSON text
+    of every residual included: symbolic, unit and seeded alpha, each
+    table and both mutations, orders 0, 1, 4 and 12, both pair sets.
+    Passing, failing, exact and inexact reports all occur."""
+    seen = set()
+    for alpha in (None, F(1), seeded_alpha(N)):
+        base = build_qmm(N, alpha)
+        label = "m1" if N >= 2 else "H"
+        for table in (base, mutate_drop_nu2(base), mutate_add_nu_const(base, label, F(1))):
+            for K in (0, 1, 4, 12):
+                for pairs in ("all", "s"):
+                    rep = verify_qmm(table, K, pairs)
+                    assert report_json(rep) == report_json(verify_qmm_oracle(table, K, pairs))
+                    seen.add((rep.ok, rep.exact))
+    assert {ok for ok, _ in seen} == {exact for _, exact in seen} == {True, False}
+
+
+def test_verify_qmm_lands_only_int_coefficients(monkeypatch):
+    """Every coefficient NuSum.land receives while verify_qmm checks a
+    table with alpha = -437/911, and its mutations, at orders 0, 1, 4 and
+    12, is an int, never a Fraction or a float; only the reported
+    residuals are Fractions."""
+    base = build_qmm(3, F(-437, 911))
+    tables = [base, mutate_drop_nu2(base), mutate_add_nu_const(base, "E", F(1))]
+    landed, land = [], NuSum.land
+
+    def recording(self, t, items):
+        items = list(items)
+        landed.extend(c for _, c in items)
+        land(self, t, items)
+
+    monkeypatch.setattr(NuSum, "land", recording)
+    reports = [verify_qmm(t, K) for t in tables for K in (0, 1, 4, 12)]
+    monkeypatch.undo()
+    assert reports[3].ok and reports[3].exact and not reports[-1].ok
+    assert landed and all(type(c) is int for c in landed)
+    residuals = [res for r in reports for *_, res in r.failures]
+    coefs = [c for res in residuals for f in res.coeffs for c in f.terms.values()]
+    assert coefs and all(type(c) is F for c in coefs)
 
 
 def test_verify_qmm_keeps_no_state_between_calls():

@@ -192,6 +192,11 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
             + ['{"terms": [[0, 0, 0, 1, -1, "1", "0"]]}'],
             "--theta-json",
         ),
+        (
+            ["retract-residual", "--theta-json", '{"terms": [[0,0,0,1,-1,"1","0"]]}'],
+            '--theta-json must look like {"terms": [[k, m, n, h, j, re, im]]}: '
+            "XiFn exponents must be five ints, the nu power >= 0, got [0, 0, 0, 1, -1]",
+        ),
     ],
     ids=[
         "verify-N", "export-N", "qmm-export-N", "h2-su1n", "alpha-zero-denominator",
@@ -203,7 +208,7 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         "value-unmutated", "label-drop-nu2", "alpha-su1n", "alpha-cocycle", "pairs-su1n",
         "pairs-retract", "pairs-cocycle", "h2-su1n-and-blocks", "h2-su1n-and-r",
         "h2-su1n-and-blocks-only", "order-su1n", "order-cocycle", "retract-N1", "theta-float",
-        "theta-bool-exponent", "theta-short-term", "theta-negative-nu",
+        "theta-bool-exponent", "theta-short-term", "theta-negative-nu", "theta-reason",
     ],
 )
 def test_bad_option_is_a_usage_error(capsys, argv, source):

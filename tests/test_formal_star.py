@@ -10,7 +10,6 @@ import gc
 import random
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -40,7 +39,7 @@ from ballquant.lie_core import LieAlgebra
 from ballquant.retract_pde import apply_operator, k_basis, retract_operator
 from ballquant.scalars import collect
 
-from oracles import substitute_alpha, uncapped_walk_oracle
+from oracles import poisson_pairs, substitute_alpha, transvection_oracle, uncapped_walk_oracle
 
 
 def std_structure(nv: int, p=F(1, 2), vv=F(1)) -> PoissonStructure:
@@ -124,20 +123,10 @@ def test_c_operator_antisymmetry_pattern():
 
 
 def c_operator_oracle(f: CoefFn, g: CoefFn, P: PoissonStructure, m: int) -> CoefFn:
-    """C_m(f, g) summed over every multiset of m directed pairs, with no
-    pruning: the reference the pruned walk in c_operator must match."""
-    total = CoefFn.zero(f.nv)
-    for combo in combinations_with_replacement(range(len(P.directed_pairs)), m):
-        weight = F(factorial(m))
-        df, dg = f, g
-        for idx in set(combo):
-            u, w, val = P.directed_pairs[idx]
-            c = combo.count(idx)
-            weight *= val**c / factorial(c)
-            for _ in range(c):
-                df, dg = df.diff_coord(u), dg.diff_coord(w)
-        total = total.add(df.mul(dg).scale(weight))
-    return total
+    """C_m(f, g) summed over every multiset of m directed pairs of the
+    Fraction matrix, with no pruning: the reference the pruned walk in
+    c_operator must match."""
+    return transvection_oracle(f, g, P.matrix, m).scale(factorial(m))
 
 
 def dense_structure(rng: random.Random) -> PoissonStructure:
@@ -368,7 +357,7 @@ def test_moyal_matches_a_sympy_expansion():
         assert sp.expand(want - have) == 0
         h = sum(
             sp.Rational(val.numerator, val.denominator) * sp.diff(h, xs[u], ys[w])
-            for u, w, val in P.directed_pairs
+            for u, w, val in poisson_pairs(P.matrix)
         )
 
 
@@ -482,11 +471,12 @@ walk_fns = st.lists(walk_monomials, min_size=1, max_size=4).map(
 def test_capped_walk_records_what_the_uncapped_walk_records(f, g, which, limit):
     """The exponent caps drop only steps that land on a zero derivative:
     the walk records the same terms in the same order, joint and
-    one-sided."""
+    one-sided, and each weight is an int."""
     P = walk_structures()[which]
     for other in (g, None):
         got = transvection_terms(fresh(f), None if other is None else fresh(other), P, limit)
         assert got == uncapped_walk_oracle(f, other, P, limit)
+        assert all(type(wt) is int for terms in got for *_, wt in terms)
 
 
 def test_walk_refuses_operands_of_another_nv():
@@ -705,3 +695,15 @@ def test_poisson_structure_validation():
     m[0][3] = F(1, 2)
     with pytest.raises(ValueError):
         PoissonStructure(2, m)
+
+
+def test_poisson_structure_keeps_integer_pair_values():
+    """delta is the least common denominator of the entries and each
+    directed pair carries the int delta * Lambda^{uw}; the matrix keeps
+    the Fractions."""
+    P = std_structure(2, p=F(1, 2), vv=F(-2, 3))
+    assert P.delta == 6
+    assert P.directed_pairs == [(0, 3, 3), (1, 2, -4), (2, 1, 4), (3, 0, -3)]
+    assert all(type(val) is int for _, _, val in P.directed_pairs)
+    assert P.matrix[0][3] == F(1, 2) and type(P.matrix[1][2]) is F
+    assert std_structure(2, p=F(1), vv=F(3)).delta == 1

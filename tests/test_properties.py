@@ -3,7 +3,8 @@ formula, the integer Gaussian rational kernel against Fraction pairs
 (arithmetic, one canonical form, refusal of ints and tuples), ring
 laws of the shared sparse core, the Leibniz rule of the Poisson
 bracket, the associativity of the Moyal product, the Jacobi identity
-of the star commutator, the coordinates a linalg Frame reads against
+of the star commutator, the integer-scaled star commutator against the
+Fraction one, the coordinates a linalg Frame reads against
 the dense rref oracle, the elimination's independence of the order,
 scale and repetition of its rows, the linalg change-of-basis helpers
 (combine, bilinear, split_symplectic) against dense matrix products,
@@ -21,7 +22,7 @@ import copy
 import re
 from fractions import Fraction as F
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,7 @@ from ballquant.formal_star import (
     PoissonStructure,
     coef_from_json,
     coef_to_json,
+    half_commutator,
     moyal,
     poisson,
     series_from_json,
@@ -302,6 +304,63 @@ def test_star_commutator_jacobi(f, g, h):
 
     total = br(F_, br(G_, H_)).add(br(G_, br(H_, F_))).add(br(H_, br(F_, G_)))
     assert total.is_zero()
+
+
+dyadic_monomials = st.builds(
+    CoefFn.monomial,
+    st.just(NV),
+    small,
+    st.tuples(degree, degree),
+    st.integers(0, 1),
+    degree,
+    st.builds(lambda n, e: F(n, 2**e), st.integers(-5, 5), st.integers(0, 4)),
+)
+dyadic_fns = st.lists(dyadic_monomials, min_size=1, max_size=3).map(sum_of)
+
+
+@st.composite
+def poisson_matrices(draw) -> PoissonStructure:
+    """An antisymmetric rational matrix on (a, v_1, v_2, z), its entries'
+    denominators drawn from 1 to 6, so delta is often not 2."""
+    m = [[F(0)] * (NV + 2) for _ in range(NV + 2)]
+    for i in range(NV + 2):
+        for j in range(i + 1, NV + 2):
+            m[i][j] = draw(st.builds(F, st.integers(-3, 3), st.integers(1, 6)))
+            m[j][i] = -m[i][j]
+    return PoissonStructure(NV, m)
+
+
+def in_z(s: NuSeries, D: int) -> NuSeries:
+    """D s with int coefficients; D clears every denominator of s."""
+    scaled = ({k: c.numerator * (D // c.denominator) for k, c in f.terms.items()} for f in s.coeffs)
+    return NuSeries(s.order, [CoefFn(NV, terms) for terms in scaled], s.exact)
+
+
+THIRDS = [[F(0), F(1, 3), F(0), F(-2, 3)], [F(-1, 3), F(0), F(1), F(0)],
+          [F(0), F(-1), F(0), F(1, 5)], [F(2, 3), F(0), F(-1, 5), F(0)]]
+
+
+@PROPERTY
+@given(st.lists(dyadic_fns, min_size=1, max_size=3), dyadic_fns, poisson_matrices(), st.integers(0, 4))
+@example(
+    [CoefFn.monomial(NV, 1, (1, 2), 0, 2, F(3, 4))],
+    CoefFn.monomial(NV, -1, (2, 0), 1, 1, F(-1, 8)),
+    PoissonStructure(NV, THIRDS),
+    2,
+)
+def test_integer_scaled_star_commutator_divides_back(fs, g, P, K):
+    """With D the common denominator of the operands and the int weight
+    L = (K + 1)! delta^(K + 1), half_commutator of the int copies lands
+    int coefficients only, and L D^2 times the Fraction half commutator,
+    exact flag included."""
+    A, B = NuSeries(len(fs) - 1, fs, True).resize(K), NuSeries.from_coef(g, K)
+    D = lcm(*(c.denominator for S in (A, B) for f in S.coeffs for c in f.terms.values()))
+    L = factorial(K + 1) * P.delta ** (K + 1)
+    want = half_commutator(A, B, P, K)
+    got = half_commutator(in_z(A, D), in_z(B, D), P, K, weight=L)
+    assert all(type(c) is int for f in got.coeffs for c in f.terms.values())
+    assert got.exact == want.exact
+    assert [f.scale(F(1, L * D * D)).terms for f in got.coeffs] == [f.terms for f in want.coeffs]
 
 
 entries = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
