@@ -15,18 +15,17 @@ terminate on this ring because every nonzero Lambda entry differentiates
 a polynomial variable on at least one side.  One walk, transvection_terms,
 enumerates the multisets of directed pairs behind C_m for every m at
 once, deriving each derivative from its parent by one step.  It is shared
-by c_operator here, which walks an operand pair jointly and drops a
-branch as soon as the derivative of either argument vanishes, and by the
-retract operator, which walks one side only.  Every longer multiset
-differentiates a vanishing derivative further, so the sizes that have a
-multiset run from 0 to a last one, past which every C_m vanishes.
+by c_operator here, which walks an operand pair jointly, and by the
+retract operator, which walks one side only.
 
-Most such branches are seen before any derivative is taken.  Each
-CoefFn keeps its exponent caps (CoefFn.caps, taken once per function):
-the largest exponent of each v and z coordinate and whether any term
-has p != 0.  Derivatives only lower exponents and never change p, so
-the walk takes a directed pair at most as often as both sides can still
-be differentiated along it.
+Each CoefFn keeps its exponent caps (CoefFn.caps, taken once per
+function): the largest exponent of each v and z coordinate and whether
+any term has p != 0.  A cap is exact for its coordinate, so the walk
+takes a directed pair as often as the caps of the derivatives it steps
+from allow, and no step lands on a zero derivative.  The sizes that have
+a multiset run from 0 to a last one, past which every C_m vanishes.
+Each step lowers a polynomial cap on one side, so a joint walk ends by
+itself there, at most at the joint degree.
 
 Each CoefFn keeps a memo of its own derivatives per multi-index, which
 the joint walk fills one step from the parent (CoefFn.step).  A
@@ -158,9 +157,10 @@ class CoefFn(SparseSum):
         """How many times each coordinate (a, v_1 .. v_nv, z) can
         differentiate this function before every term vanishes: the largest
         exponent of each v and of z, and for a, maxsize (no bound) when some
-        term has p != 0, else 0.  Derivatives only lower exponents and never
-        change p, so once the steps already taken are subtracted these caps
-        hold for every derivative; taken on first use and kept."""
+        term has p != 0, else 0.  k derivatives along a coordinate are
+        nonzero exactly when k <= its cap: they map the terms whose exponent
+        there is at least k one to one onto nonzero terms.  Taken on first
+        use and kept."""
         caps = [0] * (self.nv + 2)
         for p, k, _, q in self.terms:
             for c, e in enumerate((maxsize if p else 0, *k, q)):
@@ -257,35 +257,32 @@ def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: 
     limit at once, one pair index at a time.
 
     f and g are functions on the coordinates of P; g is None for a
-    one-sided walk, which keeps no memo, and an operand of another nv
-    raises ValueError.  A joint walk reads the memos (CoefFn.step).
-    Returns terms, where terms[m] lists (w, d^u f, d^w g, weight) in walk
-    order for every multiset of m pairs whose derivatives are nonzero
-    (d^w g is None one-sided).  u and w are the derivative multi-indices
-    it puts on the first and second argument, and weight is the int
-    m! prod val^c / c! over its pairs, val = delta * Lambda^{uw} the
-    integer pair values of P, so that
+    one-sided walk, which keeps no memo.  An operand of another nv or a
+    negative limit raises ValueError.  A joint walk reads the memos
+    (CoefFn.step).  Returns terms, where terms[m] lists
+    (w, d^u f, d^w g, weight) in walk order for every multiset of m pairs
+    whose derivatives are nonzero (d^w g is None one-sided).  u and w are
+    the derivative multi-indices it puts on the first and second
+    argument, and weight is the int m! prod val^c / c! over its pairs,
+    val = delta * Lambda^{uw} the integer pair values of P, so that
     C_m(f, g) = delta^-m sum weight * d^u f * d^w g.  Each step multiplies
     the weight by val * (size + c) and divides by c exactly: the quotient
     is val times the binomial (size + c choose c), an integer.
 
-    A branch is dropped once d^u f or d^w g vanishes: every longer
-    multiset differentiates that derivative further.  So a recorded
-    multiset contains a recorded one of each smaller size, trailing empty
-    sizes are cut, and len(terms) - 1 is the largest size that has a
-    multiset: C_m vanishes for every larger m.
+    The walk records every multiset whose derivatives are nonzero, and
+    only those, so terms grows one size at a time as the walk reaches
+    it: len(terms) - 1 is the largest size that has a multiset, and C_m
+    vanishes for every larger m.
     """
     if f.nv != P.nv or (g is not None and g.nv != P.nv):
         raise ValueError(f"an operand's nv differs from the Poisson structure's {P.nv}")
+    if limit < 0:
+        raise ValueError(f"the walk's limit must be >= 0, got {limit}")
     zero = (0,) * (P.nv + 2)
-    terms = [[] for _ in range(limit + 1)]
+    terms = []
     if f.terms and (g is None or g.terms):
-        terms[0].append((zero, f, g, 1))
-        caps = (f.caps, None if g is None else g.caps)
-        walk = (P.directed_pairs, P.units, caps, f, g, terms)
-        _extend(walk, 0, 0, zero, zero, f, g, 1)
-    while terms and not terms[-1]:
-        terms.pop()
+        terms.append([(zero, f, g, 1)])
+        _extend((P.directed_pairs, P.units, limit, f, g, terms), 0, 0, zero, zero, f, g, 1)
     return terms
 
 
@@ -293,30 +290,30 @@ def _extend(walk, start, size, u, w, df, dg, weight):
     """Record every multiset that extends one prefix of the given size
     by pairs of index start or later; u, w, df, dg and weight are the
     prefix's.  walk holds what the whole walk shares: the directed
-    pairs, the unit multi-index of each coordinate, the exponent caps of
-    each operand (CoefFn.caps), the two operands and the terms by size,
-    whose length bounds the size.  A pair is taken at most as often as
-    both sides can still be differentiated along it, so no step lands on
-    a derivative that the exponents already show is zero; an a cap that
-    is unbounded leaves the size to bound the steps along a."""
-    pairs, units, (ftop, gtop), f, g, terms = walk
-    left = len(terms) - 1 - size
+    pairs, the unit multi-index of each coordinate, the size limit, the
+    two operands and the terms by size.  A pair (a, b) is taken at most
+    as often as df and dg can be differentiated along a and b by their
+    own caps (CoefFn.caps), so no step lands on a zero derivative; an a
+    cap that is unbounded leaves the limit to bound the steps along a."""
+    pairs, units, limit, f, g, terms = walk
+    left = limit - size
     for idx in range(start, len(pairs)):
         a, b, val = pairs[idx]
-        n = min(left, ftop[a] - u[a]) if g is None else min(left, ftop[a] - u[a], gtop[b] - w[b])
+        n = min(left, df.caps[a]) if g is None else min(left, df.caps[a], dg.caps[b])
+        if not n:
+            continue
         ua, wb, d, e, wt = list(u), list(w), df, dg, weight
         for c in range(1, n + 1):
             ua[a] += 1
             wb[b] += 1
             uk, wk = tuple(ua), tuple(wb)
-            d = d.diff(units[a]) if g is None else f.step(uk, d, units[a])
-            if not d.terms:
-                break
-            if g is not None:
-                e = g.step(wk, e, units[b])
-                if not e.terms:
-                    break
+            if g is None:
+                d = d.diff(units[a])
+            else:
+                d, e = f.step(uk, d, units[a]), g.step(wk, e, units[b])
             wt = wt * val * (size + c) // c
+            if size + c == len(terms):
+                terms.append([])
             terms[size + c].append((wk, d, e, wt))
             if c < left:
                 _extend(walk, idx + 1, size + c, uk, wk, d, e, wt)
@@ -338,15 +335,16 @@ def c_operator(f: CoefFn | PairWalk, g: CoefFn, P: PoissonStructure, m: int, wei
     (weight / m!) C_m(f, g) when an int weight is given, as the star
     product series take it.
 
-    f and g are walked jointly up to size m; or f is the PairWalk of f
-    with its partner g, whose size-m terms are read without walking
-    again.  Each term's integer walk weight is scaled once, by 1 / delta^m
-    or weight / (m! delta^m), and its products are accumulated in place.
+    f and g are walked jointly up to size m, a walk that ends by itself
+    at their joint degree; or f is the PairWalk of f with its partner g,
+    whose size-m terms are read without walking again.  Each term's
+    integer walk weight is scaled once, by 1 / delta^m or
+    weight / (m! delta^m), and its products are accumulated in place.
     A scale that is a whole number is an int, so int coefficients give
     int coefficients."""
     walk = f
     if not isinstance(walk, PairWalk):
-        walk = PairWalk(f, g, P, min(m, f.degree() + g.degree()))
+        walk = PairWalk(f, g, P, m)
     elif walk.P is not P or walk.g is not g:
         raise ValueError("pair walk was taken for another partner or structure")
     num, den = (1, P.delta**m) if weight is None else (weight, factorial(m) * P.delta**m)
@@ -465,25 +463,24 @@ def _transvection_series(
 
     Each pair (F_i, G_j) of nonzero coefficients is walked once, for
     every m at once, and the m loop ends at the last size of that walk,
-    past which C_m vanishes.  That size is at most their joint polynomial
-    degree, because each Lambda entry differentiates a polynomial
-    coordinate on one side.  The loop does not stop at a zero C_m, which
-    can vanish by cancellation while a larger one does not.  Once the
-    sum no longer wants a power of nu, the larger m of that pair are
-    skipped without computing them, and a sum that is already inexact
-    does not walk past the order.  A term past the order only has to be
-    seen nonzero by land, so it lands as the bare walk sum delta^m C_m
-    (weight m! delta^m, scale 1).
+    past which C_m vanishes.  The walk ends there by itself, so it takes
+    no size limit while the sum is exact, and a sum that is already
+    inexact does not walk past the order.  The loop does not stop at a
+    zero C_m, which can vanish by cancellation while a larger one does
+    not.  Once the sum no longer wants a power of nu, the larger m of
+    that pair are skipped without computing them.  A term past the order
+    only has to be seen nonzero by land, so it lands as the bare walk sum
+    delta^m C_m (weight m! delta^m, scale 1).
     """
     out = NuSum(P.nv, order) if into is None else into
     if out.order != order:
         raise ValueError("the sum's order differs from the product's")
     out.exact = out.exact and F.exact and G.exact
-    fs, gs = ([(j, h, h.degree()) for j, h in enumerate(S.coeffs) if h.terms] for S in (F, G))
-    for i, f, df in fs:
-        for j, g, dg in gs:
+    fs, gs = ([(j, h) for j, h in enumerate(S.coeffs) if h.terms] for S in (F, G))
+    for i, f in fs:
+        for j, g in gs:
             t = i + j - shift
-            limit = df + dg if out.exact else min(df + dg, order - t)
+            limit = maxsize if out.exact else order - t
             if limit < first:
                 continue
             walk = PairWalk(f, g, P, limit)

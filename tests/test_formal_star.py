@@ -16,7 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ballquant.ball_quantization import build_chart, build_qmm, poisson_structure, verify_qmm
+from ballquant.ball_quantization import (
+    build_chart,
+    build_qmm,
+    mutate_drop_nu2,
+    poisson_structure,
+    verify_qmm,
+)
 from ballquant.formal_star import (
     CoefFn,
     NuSeries,
@@ -468,15 +474,49 @@ walk_fns = st.lists(walk_monomials, min_size=1, max_size=4).map(
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(walk_fns, walk_fns, st.sampled_from([0, 1]), st.integers(0, 7))
 @example(mono(2, k=(2, 1), q=1), mono(2, k=(0, 3), q=2), 0, 6)
+@example(mono(2, k=(1, 0), q=1).add(mono(2, k=(0, 1))), mono(2, k=(2, 2), q=2), 0, 4)
+@example(mono(2, p=1, k=(1, 0)), mono(2, p=-1, k=(0, 1), q=1), 0, 7)
 def test_capped_walk_records_what_the_uncapped_walk_records(f, g, which, limit):
     """The exponent caps drop only steps that land on a zero derivative:
     the walk records the same terms in the same order, joint and
-    one-sided, and each weight is an int."""
+    one-sided, and each weight is an int.  The examples take a mixed key
+    (v1 z + v2: after d_v1 no term holds v2) and a limit past the joint
+    degree, where the terms end at their last nonempty size."""
     P = walk_structures()[which]
     for other in (g, None):
         got = transvection_terms(fresh(f), None if other is None else fresh(other), P, limit)
         assert got == uncapped_walk_oracle(f, other, P, limit)
         assert all(type(wt) is int for terms in got for *_, wt in terms)
+
+
+def test_no_walk_step_lands_on_a_zero_derivative(monkeypatch):
+    """Each step is bounded by the caps of the derivative it starts from,
+    which are exact per coordinate, so neither the joint walk of
+    verify_qmm nor the one-sided walk of retract_operator takes a
+    derivative that is zero."""
+    calls = []
+
+    def counting(name):
+        original = getattr(CoefFn, name)
+
+        def wrapper(*args):
+            out = original(*args)
+            calls.append(bool(out.terms))
+            return out
+
+        monkeypatch.setattr(CoefFn, name, wrapper)
+
+    counting("step")
+    for N in (2, 3):
+        table = build_qmm(N)
+        for t in (table, mutate_drop_nu2(table)):
+            verify_qmm(t, 12)
+    steps = len(calls)
+    table = build_qmm(3)
+    counting("diff")
+    for x in k_basis(table.chart)[1]:
+        retract_operator(table, x, 8)
+    assert steps and len(calls) > steps and all(calls)
 
 
 def test_walk_refuses_operands_of_another_nv():
@@ -489,6 +529,10 @@ def test_walk_refuses_operands_of_another_nv():
         c_operator(g, f, P, 1)
     with pytest.raises(ValueError, match="nv differs"):
         transvection_terms(f, None, P, 2)
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        transvection_terms(g, None, P, -1)
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        c_operator(g, g, P, -1)
     for a, b in ((f, g), (g, f)):
         for combine in (a.add, a.sub, a.mul):
             with pytest.raises(ValueError, match="do not combine"):
