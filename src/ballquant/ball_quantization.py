@@ -90,8 +90,10 @@ def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallC
     (H, f, E, m, sigma f, sigma E), a tuple of read-only vectors: the
     model's own where it has them (H, m_basis), else ones the chart owns.
     H, fs, E and m_basis are its entries, and frame reads coordinates
-    against it.
+    against it.  A zero inner_scale raises ValueError.
     """
+    if not inner_scale:
+        raise ValueError("inner_scale must be nonzero")
     model = build_su1n(N)
     read_only = lambda x: x if isinstance(x, MappingProxyType) else MappingProxyType(x)
     H, fs, E = adapted_s_basis(model)
@@ -123,8 +125,10 @@ def poisson_structure(
 
     The a-z entry is the weight az_weight and the v block is
     (az_weight / inner_scale) Omega; at the calibrated values this is
-    the standard symplectic matrix.
+    the standard symplectic matrix.  A zero az_weight raises ValueError.
     """
+    if not az_weight:
+        raise ValueError("az_weight must be nonzero")
     dim = chart.nv + 2
     m = [[Fraction(0)] * dim for _ in range(dim)]
     m[0][dim - 1] = az_weight

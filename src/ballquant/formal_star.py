@@ -57,10 +57,12 @@ products by adding exponents) from the SparseSum core of scalars and adds
 only the rules of its own axes: derivatives and antiderivatives.  Star
 products are truncated series in the deformation parameter, a NuSeries
 holding one CoefFn per power of nu.  Every series is summed in place in
-a NuSum, and NuSum.land is the one point in the package where a term
-past the order is dropped, clearing the exact flag if it is nonzero: the
-star products and the series product all land there through
-_transvection_series, as do series sums, retract_pde and verify_qmm.
+a NuSum, and NuSum.land is the one point in the package where a series
+term past the order is dropped, clearing the exact flag if it is
+nonzero: the star products and the series product all land there
+through _transvection_series, as do series sums, retract_pde and
+verify_qmm.  (retract_pde's XiFn.expand_nu cuts the binomial series of a
+half power at the order by design, with no flag.)
 NuSum.add scales each item as it lands, and half_commutator can land
 its terms in a caller's NuSum instead of returning a series, so
 verify_qmm sums each pair's residual in one NuSum.
@@ -210,11 +212,6 @@ class CoefFn(SparseSum):
             self.nv,
             {(p, k, s, q + 1): c / (q + 1) for (p, k, s, q), c in self.terms.items()},
         )
-
-    def degree(self) -> int:
-        """Largest total degree in the polynomial coordinates v and z."""
-        return max((sum(k) + q for (_, k, _, q) in self.terms), default=0)
-
 
 
 class PoissonStructure:

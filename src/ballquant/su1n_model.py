@@ -7,7 +7,8 @@ conjugation by J; its +1 eigenspace k is the maximal compact part and
 the -1 eigenspace p contains the restricted-root generator
 H0 = E_01 + E_10, whose adjoint action has rational eigenvalues
 (+-2, +-1, 0).  All subspaces of the restricted-root decomposition are
-computed exactly.
+computed exactly, and the adapted chart basis of the solvable part is
+written down from the basis matrices and checked (adapted_s_basis).
 """
 from __future__ import annotations
 
@@ -193,57 +194,33 @@ def build_su1n(N: int) -> Su1nModel:
     )
 
 
-def _rational_sqrt(x: Fraction) -> Fraction:
-    from math import isqrt
-
-    if x <= 0:
-        raise ValueError("square root of a nonpositive rational requested")
-    pn, qd = isqrt(x.numerator), isqrt(x.denominator)
-    if pn * pn != x.numerator or qd * qd != x.denominator:
-        raise ValueError(f"{x} has no rational square root")
-    return Fraction(pn, qd)
-
-
 def adapted_s_basis(model: Su1nModel):
-    """Chart basis (H, V pairs, E) of the solvable part s.
+    """Chart basis (H, f_1 .. f_nv, E) of the solvable part s, written
+    down from the basis matrices and checked.
 
-    H is the restricted-root generator (eigenvalues 1 on the short root
-    space and 2 on the top).  E spans the top root space, rescaled so
-    that -beta(E, sigma E) = 2 beta(H, H).  The short root space is put
-    into symplectic normal form for the bracket pairing [x, y] = b(x, y) E,
-    ordered split-half so the pairing matrix is [[0, I], [-I, 0]].
-    H, and any short root vector kept as it is, are the model's own.
+    H = P1 is the model's H0, E = D0 - Q1 spans the top root space, and
+    for k = 2 .. N the short root space is spanned by
+
+        f_{k-1} = P_k + R1_k,    f_{N-2+k} = -(Q_k + S1_k) / 2,
+
+    so each f touches the one index k of 2 .. N.  AssertionError, naming
+    the check, when E or an f leaves its root space (values 2 and 1),
+    when -beta(E, sigma E) != 2 beta(H, H), or when the bracket pairing
+    [x, y] = b(x, y) E is not split-half, b = [[0, I], [-I, 0]].
     """
-    top = [r for r in model.roots if r.lambda_of_H[0] == 2][0]
-    e_raw = top.space.basis[0]
-    scale = _rational_sqrt(2 * model.beta_H0 / model.beta_sigma(e_raw, e_raw))
-    E = vec_scale(e_raw, scale)
-
-    short = [r for r in model.roots if r.lambda_of_H[0] == 1]
-    rem = list(short[0].space.basis) if short else []
-    top_line = Frame([E])
-
-    def bform(x, y):
-        what = "short-root bracket left the top root line"
-        return top_line.require(model.algebra.bracket(x, y), what).get(0, Fraction(0))
-
-    xs, ys = [], []
-    while rem:
-        x = rem.pop(0)
-        partner = next(i for i, w in enumerate(rem) if bform(x, w) != 0)
-        w = rem.pop(partner)
-        y = vec_scale(w, 1 / bform(x, w))
-        reduced = []
-        for u in rem:
-            bu, bv = bform(x, u), bform(y, u)
-            u2 = combine({0: Fraction(1), 1: -bu, 2: bv}, [u, y, x])
-            if not u2:
-                raise AssertionError("symplectic reduction collapsed a basis vector")
-            reduced.append(u2)
-        rem = reduced
-        xs.append(x)
-        ys.append(y)
-    fs = xs + ys
+    at = {label: i for i, label in enumerate(model.algebra.labels)}
+    one, half, ks = Fraction(1), Fraction(-1, 2), range(2, model.N + 1)
+    E = {at["D0"]: one, at["Q1"]: -one}
+    fs = [{at[f"P{k}"]: one, at[f"R1_{k}"]: one} for k in ks]
+    fs += [{at[f"Q{k}"]: half, at[f"S1_{k}"]: half} for k in ks]
+    space = {r.lambda_of_H[0]: r.space for r in model.roots}
+    # N = 1 has no short roots, and then no f to look one up for
+    if not space[2].contains(E) or not all(space[1].contains(f) for f in fs):
+        raise AssertionError("adapted basis vector outside its root space")
+    if model.beta_sigma(E, E) != 2 * model.beta_H0:
+        raise AssertionError("top root vector is not normalized to 2 beta(H, H)")
+    top_line, what = Frame([E]), "short-root bracket left the top root line"
+    bform = lambda x, y: top_line.require(model.algebra.bracket(x, y), what).get(0, Fraction(0))
     if [[bform(fi, fj) for fj in fs] for fi in fs] != split_symplectic(len(fs)):
         raise AssertionError("symplectic normal form check failed")
     return model.H0, fs, E

@@ -32,18 +32,22 @@ rebuild_oracle compares each entry of a structure table with the dense
 commutator of the matrices it was read from (gmat_mul products).
 substitute_alpha sets the formal parameter alpha of a chart function to a
 number, as build_qmm did to every coefficient of a symbolic table before
-a numeric alpha entered it as a constant.
+a numeric alpha entered it as a constant.  degree is the largest total
+degree of a chart function in v and z.  adapted_s_basis_oracle finds the
+adapted chart basis by search, as su1n_model did before it wrote the
+basis down: short root vectors paired by trial, a symplectic
+Gram-Schmidt over them, and E rescaled by a rational square root.
 """
 from __future__ import annotations
 
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 
 from ballquant.ball_quantization import QmmReport, resolve_truncation_order
 from ballquant.formal_star import CoefFn, NuSeries, NuSum, transvection_terms
-from ballquant.linalg import bilinear
+from ballquant.linalg import Frame, bilinear, combine, split_symplectic, vec_scale
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import G_ZERO, GScalar, collect
 
@@ -228,6 +232,11 @@ def transvection_oracle(f: CoefFn, g: CoefFn, matrix, m: int, memo=None) -> Coef
     return total
 
 
+def degree(f: CoefFn) -> int:
+    """Largest total degree of f in the polynomial coordinates v and z."""
+    return max((sum(k) + q for (_, k, _, q) in f.terms), default=0)
+
+
 @lru_cache(maxsize=4096)
 def odd_transvections(f_terms: frozenset, g_terms: frozenset, rows: frozenset) -> tuple:
     """(m, (1/m!) C_m(f, g)) for the functions with the given term items,
@@ -239,7 +248,7 @@ def odd_transvections(f_terms: frozenset, g_terms: frozenset, rows: frozenset) -
     matrix = [row for _, row in sorted(rows)]
     nv, memo = len(matrix) - 2, ({}, {})
     f, g = CoefFn(nv, dict(f_terms)), CoefFn(nv, dict(g_terms))
-    top = f.degree() + g.degree()
+    top = degree(f) + degree(g)
     return tuple((m, transvection_oracle(f, g, matrix, m, memo)) for m in range(1, top + 1, 2))
 
 
@@ -433,3 +442,49 @@ def radial_pde_residual_oracle(theta: XiFn, n: int, order: int | None = None):
     if order is not None:
         return wv.expand_nu(order), om.expand_nu(order)
     return wv, om
+
+
+def rational_sqrt(x: F) -> F:
+    if x <= 0:
+        raise ValueError("square root of a nonpositive rational requested")
+    pn, qd = isqrt(x.numerator), isqrt(x.denominator)
+    if pn * pn != x.numerator or qd * qd != x.denominator:
+        raise ValueError(f"{x} has no rational square root")
+    return F(pn, qd)
+
+
+def adapted_s_basis_oracle(model):
+    """(H, fs, E) by search: E is the echelon generator of the top root
+    space rescaled so that -beta(E, sigma E) = 2 beta(H, H); each short
+    root vector in turn is paired with the first later one it brackets
+    to a nonzero multiple of E, and the rest are reduced against the
+    pair, so the pairing comes out split-half."""
+    top = [r for r in model.roots if r.lambda_of_H[0] == 2][0]
+    e_raw = top.space.basis[0]
+    E = vec_scale(e_raw, rational_sqrt(2 * model.beta_H0 / model.beta_sigma(e_raw, e_raw)))
+    short = [r for r in model.roots if r.lambda_of_H[0] == 1]
+    rem = list(short[0].space.basis) if short else []
+    top_line = Frame([E])
+
+    def bform(x, y):
+        return top_line.require(model.algebra.bracket(x, y), "left the top line").get(0, F(0))
+
+    xs, ys = [], []
+    while rem:
+        x = rem.pop(0)
+        partner = next(i for i, w in enumerate(rem) if bform(x, w) != 0)
+        w = rem.pop(partner)
+        y = vec_scale(w, 1 / bform(x, w))
+        reduced = []
+        for u in rem:
+            bu, bv = bform(x, u), bform(y, u)
+            u2 = combine({0: F(1), 1: -bu, 2: bv}, [u, y, x])
+            if not u2:
+                raise AssertionError("symplectic reduction collapsed a basis vector")
+            reduced.append(u2)
+        rem = reduced
+        xs.append(x)
+        ys.append(y)
+    fs = xs + ys
+    assert [[bform(fi, fj) for fj in fs] for fi in fs] == split_symplectic(len(fs))
+    return model.H0, fs, E

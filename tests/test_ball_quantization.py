@@ -721,3 +721,42 @@ def test_field_bracket_matches_the_oracle_loop():
             got = field_bracket(a, b)
             want = field_bracket_oracle(a, b)
             assert [c.terms for c in got] == [c.terms for c in want]
+
+
+@pytest.mark.parametrize("zero", [0, F(0)])
+def test_zero_scales_are_refused_by_name(zero):
+    with pytest.raises(ValueError, match="^inner_scale must be nonzero$"):
+        build_qmm(2, inner_scale=zero)
+    with pytest.raises(ValueError, match="^inner_scale must be nonzero$"):
+        build_chart(2, zero)
+    with pytest.raises(ValueError, match="^az_weight must be nonzero$"):
+        build_qmm(2, az_weight=zero)
+    with pytest.raises(ValueError, match="^az_weight must be nonzero$"):
+        poisson_structure(build_chart(2), zero)
+    assert zero not in CALIBRATION_GRID
+
+
+def _indices_touched(label: str, N: int) -> set:
+    """The indices 2 .. N of the basis matrix named label: D_j is
+    i(E_jj - E_j+1,j+1), P_k and Q_k sit in row and column k, and R_j_k
+    and S_j_k in rows and columns j and k."""
+    if label[0] == "D":
+        touched = {int(label[1:]), int(label[1:]) + 1}
+    elif label[0] in "PQ":
+        touched = {int(label[1:])}
+    else:
+        touched = set(map(int, label[1:].split("_")))
+    return touched & set(range(2, N + 1))
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_each_chart_basis_vector_touches_at_most_two_indices(N):
+    """The precondition of reading the moment identity by orbit types of
+    the permutations of 2 .. N: every vector of the chart basis (H, f, E,
+    m, sigma f, sigma E) touches at most two of the indices 2 .. N, and
+    each f exactly one."""
+    chart = build_chart(N)
+    labels = chart.model.algebra.labels
+    touched = [set().union(*(_indices_touched(labels[i], N) for i in x)) for x in chart.basis]
+    assert max(map(len, touched)) <= 2
+    assert [len(t) for t in touched[1 : 1 + chart.nv]] == [1] * chart.nv

@@ -45,7 +45,8 @@ from ballquant.lie_core import LieAlgebra
 from ballquant.retract_pde import apply_operator, k_basis, retract_operator
 from ballquant.scalars import collect
 
-from oracles import poisson_pairs, substitute_alpha, transvection_oracle, uncapped_walk_oracle
+from oracles import degree, poisson_pairs, substitute_alpha, transvection_oracle
+from oracles import uncapped_walk_oracle
 
 
 def std_structure(nv: int, p=F(1, 2), vv=F(1)) -> PoissonStructure:
@@ -324,7 +325,7 @@ def test_star_products_match_the_unpruned_series():
                 (i + j, m, c_operator_oracle(f, g, P, m))
                 for i, f in enumerate(A.coeffs)
                 for j, g in enumerate(B.coeffs)
-                for m in range(f.degree() + g.degree() + 1)
+                for m in range(degree(f) + degree(g) + 1)
             ]
             for product, *shape in SERIES_SHAPES:
                 for K in range(5):
@@ -352,7 +353,7 @@ def test_moyal_matches_a_sympy_expansion():
 
     f = mono(2, p=1, k=(1, 0), q=1, c=F(3)).add(mono(2, p=-2, k=(0, 2)))
     g = mono(2, p=2, q=2).add(mono(2, p=2, k=(1, 1))).add(mono(2, k=(1, 0), c=F(-1, 2)))
-    order = f.degree() + g.degree()
+    order = degree(f) + degree(g)
     got = moyal(NuSeries.from_coef(f, order), NuSeries.from_coef(g, order), P, order)
     assert got.exact
     h = expr(f, xs) * expr(g, ys)

@@ -7,6 +7,8 @@ Frozen oracles:
   * restricted-root space dimensions (1, 2(N-1), 1 + (N-1)^2, 2(N-1), 1).
   * the normalizer of the nilpotent part is s + m (dimension 5 at N = 2).
   * the echelon generator of the highest root space at N = 1 is D0 - Q1.
+  * the adapted chart basis, written down in adapted_s_basis, is the one
+    the symplectic search of adapted_s_basis_oracle finds.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from ballquant.su1n_model import (
     _basis_matrices,
     _check_su1n,
     _flatten,
-    _rational_sqrt,
+    adapted_s_basis,
     beta_sigma_gram,
     build_su1n,
     iwasawa_project,
@@ -36,9 +38,11 @@ from ballquant.su1n_model import (
     verify_m_orthocomplement,
     verify_sigma_pairing,
 )
+from ballquant import su1n_model
 from ballquant.linalg import Frame, vec_add, vec_scale
 
-from oracles import gmat_mul, leading_principal_minors, rref_oracle, sparse
+from oracles import adapted_s_basis_oracle, gmat_mul, leading_principal_minors, rational_sqrt
+from oracles import rref_oracle, sparse
 
 
 def test_dimensions():
@@ -201,12 +205,42 @@ def test_root_spaces_are_the_nonempty_eigenspaces():
 
 
 def test_rational_sqrt():
-    assert _rational_sqrt(F(9, 4)) == F(3, 2)
+    assert rational_sqrt(F(9, 4)) == F(3, 2)
     for bad in (F(0), F(-4)):
         with pytest.raises(ValueError, match="nonpositive"):
-            _rational_sqrt(bad)
+            rational_sqrt(bad)
     with pytest.raises(ValueError, match="no rational square root"):
-        _rational_sqrt(F(2))
+        rational_sqrt(F(2))
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_adapted_basis_is_the_one_the_search_finds(N):
+    model = build_su1n(N)
+    H, fs, E = adapted_s_basis(model)
+    H_, fs_, E_ = adapted_s_basis_oracle(model)
+    assert H is model.H0 and H_ is model.H0
+    assert len(fs) == len(fs_) == 2 * (N - 1)
+    assert [dict(f) for f in fs] == [dict(f) for f in fs_]
+    assert dict(E) == dict(E_)
+
+
+def test_adapted_basis_checks_each_planted_fault(monkeypatch):
+    model = build_su1n(3)
+    with pytest.raises(AssertionError, match="normalized"):
+        adapted_s_basis(replace(model, beta_H0=2 * model.beta_H0))
+    space = {r.lambda_of_H[0]: r.space for r in model.roots}
+    swap = {1: space[2], 2: space[1]}
+    roots = tuple(replace(r, space=swap.get(r.lambda_of_H[0], r.space)) for r in model.roots)
+    swapped = replace(model, roots=roots)
+    with pytest.raises(AssertionError, match="root space"):
+        adapted_s_basis(swapped)
+    split = su1n_model.split_symplectic
+    negated = lambda n: [[-x for x in row] for row in split(n)]
+    monkeypatch.setattr(su1n_model, "split_symplectic", negated)
+    with pytest.raises(AssertionError, match="symplectic normal form"):
+        adapted_s_basis(model)
+    monkeypatch.undo()
+    assert adapted_s_basis(model)[0] is model.H0
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
