@@ -211,11 +211,6 @@ def apply_field(field: list, f: CoefFn) -> CoefFn:
     return CoefFn(f.nv, acc)
 
 
-def field_bracket(f1: list, f2: list) -> list:
-    """Commutator of two vector fields given by chart components."""
-    return [apply_field(f1, b).sub(apply_field(f2, a)) for a, b in zip(f1, f2)]
-
-
 class IntegrabilityError(Exception):
     def __init__(self, residuals: list):
         super().__init__("gradient is not exact on this chart")
@@ -237,10 +232,10 @@ def integrate_exact_gradient(components: list) -> CoefFn:
 
     lam = components[-1].antiderivative_z()
     for i in range(nv):
-        rem = components[1 + i].sub(lam.diff_v(i))
+        rem = components[1 + i].sub(lam.diff_coord(1 + i))
         if not rem.is_zero():
             lam = lam.add(rem.antiderivative_v(i))
-    rem_a = components[0].sub(lam.diff_a())
+    rem_a = components[0].sub(lam.diff_coord(0))
     if any(any(k) or q or p == 0 for (p, k, s, q) in rem_a.terms):
         raise IntegrabilityError(residuals(lam))
     if not rem_a.is_zero():
@@ -396,7 +391,9 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     subtracted.  A pair fails when that sum is nonzero, and its residual
     is reported negated, as the left side minus the commutator.  exact
     is the AND of the commutators' own flags, so it records whether
-    every star commutator terminated inside the truncation.
+    every star commutator terminated inside the truncation.  At order 0
+    this is Poisson covariance, {mu_X, mu_Y} = mu_[X,Y] on the nu^0
+    moments, the classical limit of the identity.
 
     The check runs in Z and reports in Q.  D is the common denominator
     of the moments' coefficients and L = lcm((order + 1)! delta^(order + 1),
@@ -468,8 +465,11 @@ def mutate_drop_nu2(table: QmmTable) -> QmmTable:
 
 def mutate_add_nu_const(table: QmmTable, label: str, value: Fraction) -> QmmTable:
     """Shift the moment of one basis element by nu times a constant, an
-    int or a Fraction (else TypeError)."""
+    int or a Fraction (else TypeError); a label not in the table raises
+    ValueError."""
     value = exact(value, "value")
+    if label not in table.labels:
+        raise ValueError(f"{label!r} is not a moment label of this table")
     nv = table.chart.nv
     idx = table.labels.index(label)
     moments = list(table.moments)

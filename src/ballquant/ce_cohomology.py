@@ -66,10 +66,6 @@ def random_two_cochain(dim: int, rng) -> Cochain:
     return _two_cochain(dim, ((p, Fraction(rng.randint(-4, 4))) for p in pairs))
 
 
-def evaluate_two_cochain(c: Cochain, x: dict, y: dict) -> Fraction:
-    return bilinear(c.data, x, y)
-
-
 def delta(algebra: LieAlgebra, c: Cochain) -> Cochain:
     n = algebra.dim
     if c.degree == 0:
@@ -247,7 +243,7 @@ def coboundary_primitive_roots(model: Su1nModel, c: Cochain) -> Cochain:
     roots = [(t, x) for t, basis in sub.roots for x in basis]
     adapted = [sub.H] + [x for _, x in roots]
     values = collect(
-        (1 + k, evaluate_two_cochain(c, sub.H, x) / t) for k, (t, x) in enumerate(roots)
+        (1 + k, bilinear(c.data, sub.H, x) / t) for k, (t, x) in enumerate(roots)
     )
     alpha = Frame(transpose(adapted, g.dim)).coords(values)
     return Cochain(1, g.dim, dense(alpha, g.dim))
@@ -284,13 +280,6 @@ def invariant_cocycle_space(model: Su1nModel):
                 )
             )
     return sub, _kernel_cochains(n, pairs, rows)
-
-
-def pullback_cochain(c: Cochain, images: list) -> Cochain:
-    """Pull a two-cochain back along the map sending basis i to images[i]."""
-    pairs, _ = _pair_index(len(images))
-    values = (((i, j), evaluate_two_cochain(c, images[i], images[j])) for i, j in pairs)
-    return _two_cochain(len(images), values)
 
 
 def cochain_to_json(c: Cochain) -> dict:

@@ -77,7 +77,6 @@ from math import factorial, lcm, perm
 from operator import add
 from sys import maxsize
 
-from .lie_core import CheckReport, LieAlgebra
 from .linalg import mat_inverse
 from .scalars import SparseSum, accumulate, collect, exact, frac_str, keyed, parse_frac, shaped
 
@@ -182,15 +181,6 @@ class CoefFn(SparseSum):
 
     def diff_coord(self, coord: int) -> CoefFn:
         return self.diff(tuple(int(c == coord) for c in range(self.nv + 2)))
-
-    def diff_a(self) -> CoefFn:
-        return self.diff_coord(0)
-
-    def diff_v(self, i: int) -> CoefFn:
-        return self.diff_coord(i + 1)
-
-    def diff_z(self) -> CoefFn:
-        return self.diff_coord(self.nv + 1)
 
     def antiderivative_a(self) -> CoefFn:
         out = {}
@@ -352,10 +342,6 @@ def c_operator(f: CoefFn | PairWalk, g: CoefFn, P: PoissonStructure, m: int, wei
     return CoefFn(P.nv, total)
 
 
-def poisson(f: CoefFn, g: CoefFn, P: PoissonStructure) -> CoefFn:
-    return c_operator(f, g, P, 1)
-
-
 @dataclass
 class NuSeries:
     """Truncated power series in the deformation parameter.
@@ -394,6 +380,9 @@ class NuSeries:
         return self.add(other, -1)
 
     def scale(self, c: Fraction) -> NuSeries:
+        """c self for an int or a Fraction c, else TypeError; c multiplies
+        as given, so an int factor keeps int coefficients ints."""
+        exact(c, "the scale factor")
         return NuSeries(self.order, [f.scale(c) for f in self.coeffs], self.exact)
 
     def mul(self, other: NuSeries) -> NuSeries:
@@ -431,12 +420,16 @@ class NuSum:
     def add(self, s: NuSeries, c=1) -> NuSum:
         """Land c s coefficient by coefficient, each item scaled as it
         lands, and return self; s's exact flag carries over.  c = 0 adds
-        nothing and leaves the flag as it is."""
+        nothing and leaves the flag as it is.  A nonzero coefficient on
+        another number of v coordinates raises ValueError, since its keys
+        do not fit the sum's."""
         if not c:
             return self
         self.exact = self.exact and s.exact
         for t, f in enumerate(s.coeffs):
             if f.terms:
+                if f.nv != self.nv:
+                    raise ValueError(f"a series with nv {f.nv} does not add to a sum with nv {self.nv}")
                 items = f.terms.items()
                 self.land(t, items if c == 1 else [(k, v * c) for k, v in items])
         return self
@@ -512,23 +505,6 @@ def half_commutator(
     F and G, lands int coefficients only (verify_qmm)."""
     out = _transvection_series(F, G, P, order, 1, 2, weight, shift=1, into=into)
     return out if into is not None else out.series()
-
-
-def check_poisson_covariance(
-    algebra: LieAlgebra, moments: list, P: PoissonStructure
-) -> CheckReport:
-    """Check {m_i, m_j} = m_[e_i, e_j] for every basis pair."""
-    failures = []
-    checked = 0
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            checked += 1
-            lhs = poisson(moments[i], moments[j], P)
-            coeffs = algebra.structure.get((i, j), {}).items()
-            rhs = collect(kv for t, s in coeffs for kv in moments[t].scale(s).terms.items())
-            if lhs.terms != rhs:
-                failures.append((i, j))
-    return CheckReport(not failures, checked, failures)
 
 
 def coef_to_json(f: CoefFn) -> dict:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-from .linalg import BoundOnce, Frame, combine, nullspace, rref, zeros
+from .linalg import BoundOnce, Frame, nullspace, rref, zeros
 from .scalars import collect, decimal_index, exact, frac_str, keyed, parse_frac, shaped
 
 Vector = dict
@@ -254,37 +254,12 @@ def span_subspace(algebra: LieAlgebra, vectors: list) -> Subspace:
     return Subspace(algebra, vectors)
 
 
-def derived_subalgebra(algebra: LieAlgebra) -> Subspace:
-    """[g, g]: the span of the nonzero brackets of basis vectors."""
-    return Subspace(algebra, list(algebra.structure.values()))
-
-
-def _killed_by(algebra: LieAlgebra, sub: Subspace, functionals: list) -> Subspace:
-    """The x with f([x, s]) = 0 for every s in sub and f in functionals.
-
-    Functionals are sparse dicts k -> coefficient of coordinate k.  The
-    row of (s, f) is the combination of the rows of ad s that f weighs,
-    i -> f([s, e_i]), which is -f([e_i, s]) and has the same kernel.
-    """
-    rows = [combine(f, ad_s) for ad_s in map(algebra.ad, sub.basis) for f in functionals]
-    return Subspace(algebra, nullspace(rows, algebra.dim))
-
-
-def normalizer(algebra: LieAlgebra, sub: Subspace) -> Subspace:
-    """Largest subspace n with [n, sub] inside sub: the annihilator of sub
-    vanishes on [n, sub]."""
-    return _killed_by(algebra, sub, nullspace(sub.basis, algebra.dim))
-
-
 def centralizer(algebra: LieAlgebra, sub: Subspace) -> Subspace:
-    """Largest subspace c with [c, sub] = 0: every coordinate vanishes."""
-    return _killed_by(algebra, sub, [{k: Fraction(1)} for k in range(algebra.dim)])
-
-
-def center(algebra: LieAlgebra) -> Subspace:
-    """The centralizer of the whole algebra."""
-    whole = Subspace(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
-    return centralizer(algebra, whole)
+    """Largest subspace c with [c, sub] = 0: the kernel of every row of
+    ad s for s in sub, since row k of ad s reads the coefficient of e_k
+    in [s, x]."""
+    rows = [row for s in sub.basis for row in algebra.ad(s)]
+    return Subspace(algebra, nullspace(rows, algebra.dim))
 
 
 def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:

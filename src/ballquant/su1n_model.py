@@ -339,10 +339,6 @@ def s_submodel(model: Su1nModel) -> SSubmodel:
     return out
 
 
-def beta_sigma_gram(model: Su1nModel) -> list:
-    return [[-b * s for b, s in zip(row, model.sigma_diagonal)] for row in model.beta]
-
-
 def model_to_json(model: Su1nModel) -> dict:
     def strs(row):
         return [frac_str(c) for c in row]

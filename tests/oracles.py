@@ -25,7 +25,13 @@ product.  radial_pde_residual_oracle evaluates
 the radial operator as the package did before it built one coefficient
 table per call: each term a chain of XiFn products through its constant
 factors.  field_bracket_oracle is the commutator of two vector fields as
-a whole-CoefFn sum over every pair of components.  delta2_oracle is the
+a whole-CoefFn sum over every pair of components, and
+poisson_covariance_failures is the classical limit of the moment
+identity, {mu_X, mu_Y} = mu_[X,Y] on the nu^0 moments through C_1 and
+the su(1, N) bracket, which verify_qmm checks at order 0.  normalizer
+and pullback_cochain are the normalizer of a subspace and the pullback
+of a two-cochain, each by its definition, and beta_sigma_gram is the
+matrix of the form -beta(x, sigma y) of the su(1, N) model.  delta2_oracle is the
 Chevalley-Eilenberg differential of a two-cochain evaluated on every
 basis triple through the bracket, without any table of the differential.
 rebuild_oracle compares each entry of a structure table with the dense
@@ -46,8 +52,11 @@ from itertools import combinations, combinations_with_replacement
 from math import factorial, isqrt, lcm
 
 from ballquant.ball_quantization import QmmReport, resolve_truncation_order
-from ballquant.formal_star import CoefFn, NuSeries, NuSum, transvection_terms
-from ballquant.linalg import Frame, bilinear, combine, split_symplectic, vec_scale
+from ballquant.ce_cohomology import zero_two_cochain
+from ballquant.formal_star import CoefFn, NuSeries, NuSum, c_operator, transvection_terms
+from ballquant.lie_core import Subspace
+from ballquant.linalg import Frame, bilinear, combine, nullspace, solve_in_span, split_symplectic
+from ballquant.linalg import vec_scale
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import G_ZERO, GScalar, collect
 
@@ -376,6 +385,56 @@ def field_bracket_oracle(f1: list, f2: list) -> list:
             acc = acc.add(f1[w].mul(f2[u].diff_coord(w)))
             acc = acc.sub(f2[w].mul(f1[u].diff_coord(w)))
         out.append(acc)
+    return out
+
+
+def beta_sigma_gram(model) -> list:
+    """The matrix of Su1nModel.beta_sigma on the basis of the algebra."""
+    units = [model.algebra.basis_vector(i) for i in range(model.algebra.dim)]
+    return [[model.beta_sigma(x, y) for y in units] for x in units]
+
+
+def poisson_covariance_failures(table) -> dict:
+    """The classical limit of the moment identity on the nu^0 coefficients
+    mu of the moments: for each basis pair i < j the residual
+    sum_k c_k mu_k - {mu_i, mu_j}, with c the coordinates of the su(1, N)
+    bracket of the two basis vectors over the table basis and the Poisson
+    bracket {f, g} = C_1(f, g), keyed by the pair's labels where nonzero."""
+    mus = [s.coeffs[0] for s in table.moments]
+    bracket = table.chart.model.algebra.bracket
+    out = {}
+    for i, j in combinations(range(len(mus)), 2):
+        coords = solve_in_span(table.basis, bracket(table.basis[i], table.basis[j]))
+        res = c_operator(mus[i], mus[j], table.P, 1).neg()
+        for c, mu in zip(coords, mus):
+            res = res.add(mu.scale(c))
+        if not res.is_zero():
+            out[(table.labels[i], table.labels[j])] = res
+    return out
+
+
+def normalizer(algebra, sub):
+    """The largest subspace n with [n, sub] inside sub: x lies in it when
+    every functional a that vanishes on sub vanishes on [x, s] for each
+    basis vector s of sub, one row i -> a([e_i, s]) per pair (s, a)."""
+    dim = algebra.dim
+    annihilators = nullspace(sub.basis, dim)
+    rows = []
+    for s in sub.basis:
+        images = [algebra.bracket(algebra.basis_vector(i), s) for i in range(dim)]
+        for a in annihilators:
+            row = {i: sum(a.get(k, 0) * v for k, v in x.items()) for i, x in enumerate(images)}
+            rows.append({i: v for i, v in row.items() if v})
+    return Subspace(algebra, nullspace(rows, dim))
+
+
+def pullback_cochain(c, images: list):
+    """The two-cochain (i, j) -> c(images[i], images[j]) on the basis
+    that the images are indexed by."""
+    out = zero_two_cochain(len(images))
+    for i, j in combinations(range(len(images)), 2):
+        out.data[i][j] = bilinear(c.data, images[i], images[j])
+        out.data[j][i] = -out.data[i][j]
     return out
 
 

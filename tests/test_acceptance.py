@@ -49,14 +49,13 @@ from ballquant.retract_pde import (
 )
 from ballquant.scalars import GScalar
 from ballquant.su1n_model import (
-    beta_sigma_gram,
     build_su1n,
     s_submodel,
     verify_m_orthocomplement,
     verify_sigma_pairing,
 )
 
-from oracles import leading_principal_minors
+from oracles import beta_sigma_gram, leading_principal_minors
 
 
 def _verdict(num: int, ok: bool, desc: str, start: float) -> None:

@@ -28,7 +28,6 @@ from ballquant.ball_quantization import (
     build_qmm,
     calibrate,
     classical_moment,
-    field_bracket,
     fundamental_field,
     group_identity,
     group_inverse,
@@ -42,12 +41,13 @@ from ballquant.ball_quantization import (
     resolve_truncation_order,
     verify_qmm,
 )
-from ballquant.formal_star import CoefFn, NuSum, poisson, series_to_json
+from ballquant.formal_star import CoefFn, NuSum, c_operator, series_to_json
 from ballquant.lie_core import LieAlgebra, structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
 from ballquant.su1n_model import build_su1n, model_to_json
 
-from oracles import field_bracket_oracle, leading_principal_minors, substitute_alpha
+from oracles import field_bracket_oracle, leading_principal_minors, poisson_covariance_failures
+from oracles import substitute_alpha
 from oracles import verify_qmm_oracle
 
 
@@ -210,7 +210,7 @@ def test_field_homomorphism():
             cx, cy = rng.randint(-2, 2), rng.randint(-2, 2)
             x = vec_add(x, vec_scale(b, cx))
             y = vec_add(y, vec_scale(b, cy))
-        lhs = field_bracket(fundamental_field(chart, x), fundamental_field(chart, y))
+        lhs = field_bracket_oracle(fundamental_field(chart, x), fundamental_field(chart, y))
         rhs = fundamental_field(chart, chart.model.algebra.bracket(x, y))
         assert all(a.sub(b).is_zero() for a, b in zip(lhs, rhs))
 
@@ -284,7 +284,7 @@ def test_classical_covariance():
                 rhs = CoefFn.zero(chart.nv)
                 for c, lam in zip(coords, lams):
                     rhs = rhs.add(lam.scale(c))
-                assert poisson(lams[i], lams[j], P).sub(rhs).is_zero()
+                assert c_operator(lams[i], lams[j], P, 1).sub(rhs).is_zero()
 
 
 def test_integrate_gradient_error():
@@ -413,6 +413,40 @@ def test_mutation_nu_const_on_a_preserves_s_pairs():
     assert rep.ok and rep.checked == 6
     full = verify_qmm(table, order=6, pairs="all")
     assert not full.ok
+
+
+def test_mutation_nu_const_refuses_an_unknown_label():
+    with pytest.raises(ValueError, match="^'X' is not a moment label of this table$"):
+        mutate_add_nu_const(build_qmm(1, alpha=F(1)), "X", F(1))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_order_zero_is_the_poisson_covariance_check(N):
+    """verify_qmm at order 0 checks the classical limit {mu_X, mu_Y} =
+    mu_[X,Y] of the nu^0 moments: with four of them perturbed (all three
+    at N = 1) it fails on exactly the pairs of the Poisson-covariance
+    oracle, with its residuals.  From N = 2 on the unperturbed report is
+    not exact, since the nu^2 term of mu_sigma(E) lies past order 0."""
+    rng = random.Random(N)
+    base = build_qmm(N, alpha=F(3, 7))
+    nv = base.chart.nv
+    moments = list(base.moments)
+    for k in rng.sample(range(len(moments)), min(4, len(moments))):
+        s = moments[k]
+        exps = [rng.randint(0, 1) for _ in range(nv)]
+        p, q, c = rng.randint(-1, 1), rng.randint(0, 1), F(rng.randint(1, 5), 3)
+        bump = CoefFn.monomial(nv, p, exps, 0, q, c)
+        moments[k] = replace(s, coeffs=[s.coeffs[0].add(bump), *s.coeffs[1:]])
+    perturbed = replace(base, moments=moments)
+    for table in (base, perturbed):
+        rep = verify_qmm(table, order=0)
+        want = poisson_covariance_failures(table)
+        assert {(a, b): r.coeffs[0].terms for a, b, r in rep.failures} == {
+            pair: f.terms for pair, f in want.items()
+        }
+        assert rep.checked == len(moments) * (len(moments) - 1) // 2
+    rep = verify_qmm(base, order=0)
+    assert rep.ok and rep.exact == (N == 1) and want
 
 
 def test_qmm_json():
@@ -710,17 +744,6 @@ def test_qmm_labels_name_the_table_basis():
         assert table.labels == qmm_labels(N)
         assert len(table.basis) == len(table.labels) == build_su1n(N).algebra.dim
     assert len(set(qmm_labels(3))) == build_su1n(3).algebra.dim == 15
-
-
-def test_field_bracket_matches_the_oracle_loop():
-    chart = build_chart(3)
-    basis = [chart.H] + chart.fs + [chart.E] + chart.m_basis
-    fields = [fundamental_field(chart, x) for x in basis]
-    for a in fields:
-        for b in fields:
-            got = field_bracket(a, b)
-            want = field_bracket_oracle(a, b)
-            assert [c.terms for c in got] == [c.terms for c in want]
 
 
 @pytest.mark.parametrize("zero", [0, F(0)])

@@ -26,16 +26,15 @@ from ballquant.ce_cohomology import (
     h2_dimension,
     invariant_cocycle_space,
     is_cocycle,
-    pullback_cochain,
     random_two_cochain,
     zero_two_cochain,
 )
-from ballquant.lie_core import derived_subalgebra
+from ballquant.lie_core import Subspace
 from ballquant.linalg import nullspace
 from ballquant.psd_builder import PsdSpec, build_psd
 from ballquant.su1n_model import adapted_s_basis, build_su1n, s_submodel
 
-from oracles import delta2_oracle, dense
+from oracles import delta2_oracle, dense, pullback_cochain
 
 # a cross action of block 1 on block 2 through its H direction
 TWIST = {(1, 2): {"H": [[F(1), F(0)], [F(0), F(-1)]]}}
@@ -90,7 +89,7 @@ def test_is_cocycle_in_degrees_zero_and_one(spec):
     g = build_psd(spec).algebra
     rng = random.Random(g.dim)
     assert is_cocycle(g, Cochain(0, g.dim, F(rng.randint(1, 9))))
-    derived = derived_subalgebra(g).basis
+    derived = Subspace(g, list(g.structure.values())).basis
     closed = [dense(v, g.dim) for v in nullspace(derived, g.dim)]
     assert closed and derived
     samples = closed + [[F(rng.randint(-3, 3)) for _ in range(g.dim)] for _ in range(6)]

@@ -88,3 +88,17 @@ def test_command_loads_only_what_it_runs(cmd):
     loaded = _loaded(proc.stderr)
     assert "cli" in loaded
     assert not loaded & EXCLUDED[_key(cmd["argv"])]
+
+
+def test_the_star_product_loads_no_lie_layer():
+    """formal_star needs scalars and linalg only: the moment checks that
+    read the Lie layer live in ball_quantization."""
+    code = "import sys, ballquant.formal_star; sys.stderr.write(' '.join(sys.modules))"
+    proc = _run(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert {m for m in proc.stderr.split() if m.startswith("ballquant")} == {
+        "ballquant",
+        "ballquant.formal_star",
+        "ballquant.linalg",
+        "ballquant.scalars",
+    }

@@ -35,11 +35,11 @@ from ballquant.formal_star import (
     CoefFn,
     NuSeries,
     PoissonStructure,
+    c_operator,
     coef_from_json,
     coef_to_json,
     half_commutator,
     moyal,
-    poisson,
     series_from_json,
     series_to_json,
     star_commutator,
@@ -125,10 +125,11 @@ NOT_EXACT = [
     ("cross action", lambda x: build_psd(PsdSpec(2, [2, 1], {(1, 2): {"H": [[x, 0], [0, -1]]}}))),
     ("structure constant", lambda x: LieAlgebra(3, ["X", "Y", "Z"], {(0, 1): {2: x}})),
     ("Poisson matrix entry", lambda x: PoissonStructure(0, [[0, x], [-1, 0]])),
+    ("scale factor", lambda x: NuSeries.from_coef(CoefFn.const(1, 1), 0).scale(x)),
 ]
 NOT_EXACT_IDS = [
     "alpha", "az_weight", "inner_scale", "value", "monomial", "const", "p", "k", "psd",
-    "lie", "poisson",
+    "lie", "poisson", "scale",
 ]
 
 
@@ -252,8 +253,8 @@ def test_xifn_ring_laws(a, b, c):
 @given(coef_fns, coef_fns, coef_fns)
 def test_poisson_leibniz(f, g, h):
     P = calibrated_structure()
-    lhs = poisson(f, g.mul(h), P)
-    rhs = poisson(f, g, P).mul(h).add(g.mul(poisson(f, h, P)))
+    lhs = c_operator(f, g.mul(h), P, 1)
+    rhs = c_operator(f, g, P, 1).mul(h).add(g.mul(c_operator(f, h, P, 1)))
     assert lhs.terms == rhs.terms
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ballquant.lie_core import jacobi_report, normalizer, span_subspace
+from ballquant.lie_core import jacobi_report, span_subspace
 from ballquant.scalars import GScalar
 from ballquant.su1n_model import (
     _S_SUBMODELS,
@@ -30,7 +30,6 @@ from ballquant.su1n_model import (
     _check_su1n,
     _flatten,
     adapted_s_basis,
-    beta_sigma_gram,
     build_su1n,
     iwasawa_project,
     model_to_json,
@@ -41,8 +40,8 @@ from ballquant.su1n_model import (
 from ballquant import su1n_model
 from ballquant.linalg import Frame, vec_add, vec_scale
 
-from oracles import adapted_s_basis_oracle, gmat_mul, leading_principal_minors, rational_sqrt
-from oracles import rref_oracle, sparse
+from oracles import adapted_s_basis_oracle, beta_sigma_gram, gmat_mul, leading_principal_minors
+from oracles import normalizer, rational_sqrt, rref_oracle, sparse
 
 
 def test_dimensions():
