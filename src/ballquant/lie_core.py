@@ -16,9 +16,12 @@ matrix commutator of the su(1, N) model, and ``subalgebra`` of an
 algebra) is certified by how it was read and is not swept.  Subspaces
 keep a canonical reduced echelon basis, a tuple of read-only vectors,
 which makes equality of subspaces literal tuple equality.
-structure_in reads the structure constants of any list of vectors
-against a Frame, for any bracket; the su(1, N) model and subalgebras get
-theirs from it, and the ball chart reads its pairs one at a time.
+structure_in reads the structure constants of any list of vectors, for
+any bracket, against an exact reader: anything whose coords rebuilds a
+vector from the coordinates it returns and compares the two exactly, a
+Frame or the entry reader of the su(1, N) model.  The model and
+subalgebras get their tables from it, and the ball chart reads its pairs
+one at a time.
 """
 from __future__ import annotations
 
@@ -126,26 +129,31 @@ class LieAlgebra(BoundOnce):
         self._store(dim, labels, clean)
 
     @classmethod
-    def read(cls, frame: Frame, vectors: list, bracket, labels: list) -> "LieAlgebra":
+    def read(cls, frame, vectors: list, bracket, labels: list) -> "LieAlgebra":
         """The algebra on vectors with the table that ``structure_in``
         reads from bracket against frame, built without the Jacobi sweep.
 
         Precondition: bracket is a matrix commutator or the bracket of a
-        LieAlgebra, its values written through a linear injective map phi
-        (the identity, or the real and imaginary parts of the matrix
-        entries), and the rows of frame are phi of the vectors.  Such a
-        bracket satisfies Jacobi: a commutator by the associativity of the
-        matrix product, the bracket of a LieAlgebra because that algebra
-        was swept or read this way.
+        LieAlgebra, and frame is an exact reader of the vectors: its
+        coords(v) rebuilds v from the coordinates c it returns,
+        sum c_k vectors[k], compares the two exactly and returns None on
+        a mismatch, and its constructor refuses vectors that are not
+        independent.  A Frame whose rows are the vectors is one
+        (``subalgebra``); the su(1, N) entry reader of ``build_su1n``,
+        which reads each basis matrix back as its unit vector, is
+        another.  Such a bracket
+        satisfies Jacobi: a commutator by the associativity of the matrix
+        product, the bracket of a LieAlgebra because that algebra was
+        swept or read this way.
 
-        The table then satisfies it too.  ``Frame.coords`` rebuilds each
-        bracket from the coordinates it returns and compares the two
-        exactly, a bracket that leaves the span raises ValueError, and a
-        Frame refuses dependent rows.  So e_k -> vectors[k] is injective
-        and carries the table's bracket to bracket, and the Jacobiator of
-        a basis triple maps to the Jacobiator of its vectors, which is
-        zero.  The precondition cannot be checked at run time; a test
-        keeps the callers to ``build_su1n`` and ``subalgebra``.
+        The table then satisfies it too.  Each bracket equals the
+        combination of vectors its coordinates name, a bracket that
+        leaves the span raises ValueError, and the vectors are
+        independent.  So e_k -> vectors[k] is injective and carries the
+        table's bracket to bracket, and the Jacobiator of a basis triple
+        maps to the Jacobiator of its vectors, which is zero.  The
+        precondition cannot be checked at run time; a test keeps the
+        callers to ``build_su1n`` and ``subalgebra``.
         """
         algebra = cls.__new__(cls)
         algebra._store(len(vectors), labels, structure_in(frame, vectors, bracket))
@@ -270,18 +278,21 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace(s1.algebra, nullspace(annihilators, dim))
 
 
-def structure_in(frame: Frame, vectors: list, bracket) -> dict:
-    """Structure constants of vectors read in frame.
+def structure_in(frame, vectors: list, bracket) -> dict:
+    """Structure constants of vectors read by frame, an exact reader
+    (``LieAlgebra.read``): a Frame or any object whose coords returns
+    the coordinates of a vector or None.
 
     Maps each pair i < j whose bracket is nonzero to its coordinates
-    {k: c} against the frame basis; raises ValueError naming
-    the pair when a bracket leaves the span.
+    {k: c}; raises ValueError naming the pair when a bracket leaves the
+    span.
     """
     structure = {}
     for i, x in enumerate(vectors):
         for j in range(i + 1, len(vectors)):
-            what = f"the bracket of vectors {i} and {j} leaves the span"
-            coords = frame.require(bracket(x, vectors[j]), what)
+            coords = frame.coords(bracket(x, vectors[j]))
+            if coords is None:
+                raise ValueError(f"the bracket of vectors {i} and {j} leaves the span")
             if coords:
                 structure[(i, j)] = coords
     return structure

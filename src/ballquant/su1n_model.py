@@ -6,9 +6,12 @@ X^* J + J X = 0 for J = diag(-1, 1, ..., 1).  The Cartan involution is
 conjugation by J; its +1 eigenspace k is the maximal compact part and
 the -1 eigenspace p contains the restricted-root generator
 H0 = E_01 + E_10, whose adjoint action has rational eigenvalues
-(+-2, +-1, 0).  All subspaces of the restricted-root decomposition are
-computed exactly, and the adapted chart basis of the solvable part is
-written down from the basis matrices and checked (adapted_s_basis).
+(+-2, +-1, 0).  The structure constants are read off the entries of the
+commutators of the basis matrices (_EntryReader), and the Killing form
+is the trace form 2(N + 1) Re tr(XY) on those matrices (_trace_form).
+All subspaces of the restricted-root decomposition are computed exactly,
+and the adapted chart basis of the solvable part is written down from
+the basis matrices and checked (adapted_s_basis).
 """
 from __future__ import annotations
 
@@ -26,7 +29,17 @@ from .lie_core import (
     subalgebra,
     subspace_intersection,
 )
-from .linalg import Frame, bilinear, combine, dense, nullspace, split_symplectic, vec_add, vec_scale
+from .linalg import (
+    Frame,
+    bilinear,
+    combine,
+    dense,
+    nullspace,
+    split_symplectic,
+    vec_add,
+    vec_scale,
+    zeros,
+)
 from .scalars import G_ZERO, GScalar, frac_str
 
 
@@ -40,14 +53,6 @@ def _comm(a: dict, b: dict) -> dict:
             if j == i:
                 out[(l, k)] = out.get((l, k), G_ZERO) - y * x
     return {e: x for e, x in out.items() if x}
-
-
-def _flatten(m: dict, n: int) -> dict:
-    """Real parts, then imaginary parts, of the entries of an n x n sparse
-    matrix row by row, as a sparse vector: position -> nonzero value."""
-    flat = {i * n + j: e.re for (i, j), e in m.items()}
-    flat.update({n * n + i * n + j: e.im for (i, j), e in m.items()})
-    return {t: x for t, x in flat.items() if x}
 
 
 def _check_su1n(m: dict) -> bool:
@@ -82,6 +87,85 @@ def _basis_matrices(N: int):
             add(f"R{j}_{k}", 1, {(j, k): one, (k, j): -one})
             add(f"S{j}_{k}", 1, {(j, k): im, (k, j): im})
     return mats, labels, signs
+
+
+class _EntryReader:
+    """Exact coordinates of an su(1, N) matrix against the basis of
+    _basis_matrices, read off its entries, for ``LieAlgebra.read``.
+
+    Entry (0, k) gives the coefficients of P_k (its real part) and Q_k
+    (its imaginary part), entry (j, k) with 1 <= j < k those of R_jk and
+    S_jk, and the coefficient of D_j is the running sum of Im X_aa over
+    a <= j.  coords then rebuilds the matrix from these coordinates and
+    compares the two exactly, so a matrix outside the span (not trace
+    free, or an entry below the diagonal that is not the mirror of its
+    partner) reads as None, as in a Frame.  The constructor reads each
+    basis matrix back as its unit vector, so the basis is independent,
+    and raises ValueError when one does not (a repeated or misplaced
+    basis matrix).
+    """
+
+    def __init__(self, mats: list, labels: list):
+        at = {label: t for t, label in enumerate(labels)}
+        n = 1 + sum(label.startswith("D") for label in labels)
+        self.mats = mats
+        self.diagonal = [at[f"D{j}"] for j in range(n - 1)]
+        self.upper = {(0, k): (at[f"P{k}"], at[f"Q{k}"]) for k in range(1, n)}
+        for j in range(1, n):
+            for k in range(j + 1, n):
+                self.upper[(j, k)] = (at[f"R{j}_{k}"], at[f"S{j}_{k}"])
+        if any(self.coords(m) != {t: 1} for t, m in enumerate(mats)):
+            raise ValueError("a basis matrix does not read back as its unit vector")
+
+    def coords(self, m: dict):
+        """The coordinates of the sparse matrix m (position t for basis
+        matrix t), or None when the basis does not rebuild m."""
+        c, diagonal = {}, []
+        for (a, b), e in m.items():
+            if a == b:
+                diagonal.append((a, e.im))
+            elif a < b:
+                if (slots := self.upper.get((a, b))) is None:
+                    return None
+                t_re, t_im = slots
+                if e.re:
+                    c[t_re] = e.re
+                if e.im:
+                    c[t_im] = e.im
+        if diagonal:
+            diagonal.sort()
+            run, ends = 0, [a for a, _ in diagonal[1:]] + [len(self.diagonal)]
+            for (a, y), end in zip(diagonal, ends):
+                run += y
+                if run:
+                    c.update((self.diagonal[j], run) for j in range(a, end))
+        rebuilt = {}
+        for t, x in c.items():
+            for entry, e in self.mats[t].items():
+                rebuilt[entry] = rebuilt.get(entry, G_ZERO) + e.scale(x)
+        return c if {entry: e for entry, e in rebuilt.items() if e} == m else None
+
+
+def _trace_form(mats: list, n: int) -> list:
+    """The Killing form 2n Re tr(XY) of su(1, n - 1) on the basis
+    matrices, as dense rows.  tr(XY) sums X_ab Y_ba, so an entry (a, b)
+    of one matrix meets only the matrices holding an entry (b, a).
+    AssertionError when a trace is not real."""
+    holding = {}
+    for j, m in enumerate(mats):
+        for entry, y in m.items():
+            holding.setdefault(entry, []).append((j, y))
+    form = [zeros(len(mats)) for _ in mats]
+    for i, m in enumerate(mats):
+        traces = {}
+        for (a, b), x in m.items():
+            for j, y in holding.get((b, a), ()):
+                traces[j] = traces.get(j, G_ZERO) + x * y
+        for j, tr in traces.items():
+            if tr.im:
+                raise AssertionError(f"the trace of basis matrices {i} and {j} is not real")
+            form[i][j] = 2 * n * tr.re
+    return form
 
 
 @dataclass(frozen=True)
@@ -138,19 +222,20 @@ def build_su1n(N: int) -> Su1nModel:
     H_lambda) is a read-only map, and the structure table, beta,
     sigma_diagonal and matrices are read-only at every level, so callers
     use them without copying."""
+    if type(N) is not int:
+        raise TypeError(f"N must be an int, got {N!r}")
     if N < 1:
         raise ValueError("N must be at least 1")
     mats, labels, signs = _basis_matrices(N)
     if not all(_check_su1n(m) for m in mats):
         raise AssertionError("basis matrix leaves su(1,N)")
     n = N + 1
-    frame = Frame([_flatten(m, n) for m in mats])
     dim = len(mats)
-    algebra = LieAlgebra.read(frame, mats, lambda a, b: _flatten(_comm(a, b), n), labels)
+    algebra = LieAlgebra.read(_EntryReader(mats, labels), mats, _comm, labels)
 
     h0_index = N  # label P1
     H0 = MappingProxyType(algebra.basis_vector(h0_index))
-    beta = algebra.killing_form()
+    beta = _trace_form(mats, n)
     beta_H0 = beta[h0_index][h0_index]
 
     k_space = span_subspace(algebra, [algebra.basis_vector(i) for i in range(dim) if signs[i] == 1])

@@ -36,6 +36,10 @@ Chevalley-Eilenberg differential of a two-cochain evaluated on every
 basis triple through the bracket, without any table of the differential.
 rebuild_oracle compares each entry of a structure table with the dense
 commutator of the matrices it was read from (gmat_mul products).
+realified_structure_oracle reads the structure constants of su(1, N) as
+su1n_model did before it read them off the matrix entries: each
+commutator written out as the real and then the imaginary parts of its
+entries (flatten) and solved against a Frame over the flattened basis.
 substitute_alpha sets the formal parameter alpha of a chart function to a
 number, as build_qmm did to every coefficient of a symbolic table before
 a numeric alpha entered it as a constant.  degree is the largest total
@@ -54,11 +58,12 @@ from math import factorial, isqrt, lcm
 from ballquant.ball_quantization import QmmReport, resolve_truncation_order
 from ballquant.ce_cohomology import zero_two_cochain
 from ballquant.formal_star import CoefFn, NuSeries, NuSum, c_operator, transvection_terms
-from ballquant.lie_core import Subspace
+from ballquant.lie_core import Subspace, structure_in
 from ballquant.linalg import Frame, bilinear, combine, nullspace, solve_in_span, split_symplectic
 from ballquant.linalg import vec_scale
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import G_ZERO, GScalar, collect
+from ballquant.su1n_model import _comm
 
 
 def dense(v: dict, n: int) -> list:
@@ -182,6 +187,22 @@ def rebuild_oracle(matrices, structure) -> list:
         if got != want:
             failures.append((i, j))
     return failures
+
+
+def flatten(m: dict, n: int) -> dict:
+    """Real parts, then imaginary parts, of the entries of an n x n sparse
+    matrix row by row, as a sparse vector: position -> nonzero value."""
+    flat = {i * n + j: e.re for (i, j), e in m.items()}
+    flat.update({n * n + i * n + j: e.im for (i, j), e in m.items()})
+    return {t: x for t, x in flat.items() if x}
+
+
+def realified_structure_oracle(mats: list, n: int) -> dict:
+    """The structure table of the n x n sparse matrices mats, read through
+    a Frame over their flattened entries; ValueError when the rows are
+    dependent or a commutator leaves their span."""
+    frame = Frame([flatten(m, n) for m in mats])
+    return structure_in(frame, mats, lambda a, b: flatten(_comm(a, b), n))
 
 
 def delta2_oracle(algebra, c) -> dict:

@@ -35,6 +35,7 @@ ALLOWLIST = {
     "formal_star.star_commutator": BENCHMARK,
     "formal_star.series_from_json": EXPORT,
     "lie_core.LieAlgebra.from_json": EXPORT,
+    "lie_core.LieAlgebra.killing_form": BENCHMARK,
     "lie_core.centralizer": BENCHMARK,
     "linalg.solve_linear": BENCHMARK,
     "linalg.solve_in_span": BENCHMARK,

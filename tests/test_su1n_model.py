@@ -16,19 +16,21 @@ import gc
 import hashlib
 import json
 import random
+import re
 import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from ballquant.lie_core import jacobi_report, span_subspace
+from ballquant.lie_core import LieAlgebra, jacobi_report, span_subspace
 from ballquant.scalars import GScalar
 from ballquant.su1n_model import (
     _S_SUBMODELS,
+    _EntryReader,
     _basis_matrices,
     _check_su1n,
-    _flatten,
+    _trace_form,
     adapted_s_basis,
     build_su1n,
     iwasawa_project,
@@ -41,7 +43,8 @@ from ballquant import su1n_model
 from ballquant.linalg import Frame, vec_add, vec_scale
 
 from oracles import adapted_s_basis_oracle, beta_sigma_gram, gmat_mul, leading_principal_minors
-from oracles import normalizer, rational_sqrt, rref_oracle, sparse
+from oracles import flatten, normalizer, rational_sqrt, realified_structure_oracle, rref_oracle
+from oracles import sparse
 
 
 def test_dimensions():
@@ -256,9 +259,26 @@ def test_killing_form_closed_form(N):
             assert model.beta[i][j] == 2 * (N + 1) * re_tr
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_beta_is_the_killing_form_of_the_structure_table(N):
+    """beta, the trace form 2(N+1) Re tr(XY) on the basis matrices, is
+    tr(ad e_i ad e_j) contracted from the structure rows, entry by
+    entry and with the same value type."""
+    model = build_su1n(N)
+    killing = model.algebra.killing_form()
+    for row, want in zip(model.beta, killing):
+        assert [(type(x), x) for x in row] == [(type(y), y) for y in want]
+
+
+def test_trace_form_refuses_a_trace_that_is_not_real():
+    one, im = GScalar.of(1), GScalar.of(0, 1)
+    with pytest.raises(AssertionError, match="^the trace of basis matrices 0 and 1 is not real$"):
+        _trace_form([{(0, 0): im}, {(0, 0): one}], 2)
+
+
 def test_dual_basis_coordinates():
     mats, _, _ = _basis_matrices(2)
-    flat = [_flatten(m, 3) for m in mats]
+    flat = [flatten(m, 3) for m in mats]
     frame = Frame(flat)
     for k, v in enumerate(flat):
         assert frame.coords(v) == {k: F(1)}
@@ -266,9 +286,61 @@ def test_dual_basis_coordinates():
     assert frame.coords(combo) == {0: F(2), 5: F(-1)}
     # i E_00 is not trace free: its projection onto the span is nonzero
     # but does not rebuild it
-    corner = _flatten({(0, 0): GScalar.of(0, 1)}, 3)
+    corner = flatten({(0, 0): GScalar.of(0, 1)}, 3)
     assert any(p in corner for p in frame.dual)
     assert frame.coords(corner) is None
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_entry_reader_table_is_the_realified_table(N):
+    """The structure constants read off the commutator entries are the
+    ones a Frame over the realified basis reads, Fractions in both."""
+    mats, _, _ = _basis_matrices(N)
+    got = build_su1n(N).algebra.structure
+    want = realified_structure_oracle(mats, N + 1)
+    assert dict(got) == want
+    assert all(type(c) is F for coeffs in got.values() for c in coeffs.values())
+
+
+def test_entry_reader_refuses_what_its_basis_does_not_rebuild():
+    mats, labels, _ = _basis_matrices(2)
+    reader = _EntryReader(mats, labels)
+    one, two, im = GScalar.of(1), GScalar.of(2), GScalar.of(0, 1)
+    at = {label: t for t, label in enumerate(labels)}
+    combo = {(0, 0): im, (1, 1): -im, (1, 2): two, (2, 1): -two}
+    assert reader.coords(combo) == {at["D0"]: 1, at["R1_2"]: 2}
+    # i E_00 is not trace free; (1, 2) + (2, 1) is not the mirror of R12
+    for fault in ({(0, 0): im}, {(1, 2): one, (2, 1): one}):
+        assert reader.coords(fault) is None
+        with pytest.raises(ValueError, match="^the bracket of vectors 0 and 1 leaves the span$"):
+            LieAlgebra.read(reader, mats[:2], lambda a, b: fault, labels[:2])
+    # a repeated matrix reads back as the first copy: dependent rows
+    with pytest.raises(ValueError, match="^a basis matrix does not read back as its unit vector$"):
+        _EntryReader(mats[:1] + mats[:1] + mats[2:], labels)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_build_reads_no_killing_contraction_and_no_realified_frame(N, monkeypatch):
+    """build_su1n reads beta off the matrices and its table off their
+    entries: it never contracts the structure rows (killing_form) and
+    never builds a Frame over realified rows (columns past the dimension)."""
+    calls, widths = [], []
+    killing, frame_init = LieAlgebra.killing_form, Frame.__init__
+
+    def counted_killing(self):
+        calls.append(self)
+        return killing(self)
+
+    def recorded_frame(self, basis):
+        rows = list(basis)
+        widths.append(1 + max((j for r in rows for j in r), default=-1))
+        frame_init(self, rows)
+
+    monkeypatch.setattr(LieAlgebra, "killing_form", counted_killing)
+    monkeypatch.setattr(Frame, "__init__", recorded_frame)
+    model = build_su1n.__wrapped__(N)
+    assert calls == []
+    assert all(width <= model.algebra.dim for width in widths)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -449,6 +521,16 @@ def test_s_submodel_is_cached_per_model_not_per_n():
 def test_build_su1n_refuses_n_below_one():
     with pytest.raises(ValueError, match="^N must be at least 1$"):
         build_su1n(0)
+
+
+@pytest.mark.parametrize("N", [True, False, 2.0, F(2)])
+def test_build_su1n_refuses_a_bool_or_a_non_int(N):
+    """A bool would build a second cached su(1, 1) whose JSON reads
+    "N": true, and a float used to fail inside range."""
+    cached = build_su1n.cache_info().currsize
+    with pytest.raises(TypeError, match=rf"^N must be an int, got {re.escape(repr(N))}$"):
+        build_su1n(N)
+    assert build_su1n.cache_info().currsize == cached
 
 
 def test_check_su1n_refuses_a_traced_or_non_pseudo_unitary_matrix():
