@@ -388,8 +388,9 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     of its first 2 + nv vectors (H, f, E: the solvable chart part).  Each
     pair is summed in one NuSum: half_commutator lands the commutator
     there, the sum's exact flag is read, and then the left side is
-    subtracted.  A pair fails when that sum is nonzero, and its residual
-    is reported negated, as the left side minus the commutator.  exact
+    subtracted.  A pair fails when a term dict of that sum is nonempty,
+    and only then is the sum made a series, its residual, reported
+    negated, as the left side minus the commutator.  exact
     is the AND of the commutators' own flags, so it records whether
     every star commutator terminated inside the truncation.  At order 0
     this is Poisson covariance, {mu_X, mu_Y} = mu_[X,Y] on the nu^0
@@ -403,14 +404,19 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     L D^2 times its residual, with int coefficients only, in its NuSum,
     and only a failing residual is divided back by L D^2.
 
-    Each moment is scaled by D and resized to the order once, into fresh
-    int coefficients whose derivative memos (CoefFn.step) and exponent
-    caps (CoefFn.caps) fill as the pairs are walked, on either side of a
+    Each moment is lifted once (_in_z): scaled by D into fresh int
+    coefficients, truncated to the order when that is below the moment's
+    own and never padded, so no pair scans or lands zero coefficients up
+    to the order.  The truncation keeps a moment's terms past the order
+    out of every walk and clears exact for a nonzero one, as resizing
+    does.  The copies' derivative memos (CoefFn.step) and exponent caps
+    (CoefFn.caps) fill as the pairs are walked, on either side of a
     transvection, so each derivative is taken at most once per call.  The
     joint walk of two coefficients is not kept: half_commutator takes it
     once per pair and drops it when the pair is summed.  The copies,
     their memos and caps with them, are dropped on return, so the
-    table's own coefficients gain none.  The left sides are the chart's brackets
+    table's own coefficients, and those its mutations share, never hold
+    a memo or caps.  The left sides are the chart's brackets
     (BallChart.bracket), each pair read once per chart: a table, its
     mutations (which share its chart) and both pair sets read the same
     kept pairs, and the s pairs read only brackets of the solvable part.
@@ -437,20 +443,24 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
         exact = exact and res.exact
         for k, c in bracket.items():
             res.add(lifted[k], -c.numerator * (LD // c.denominator))
-        res = res.series()
-        if not res.is_zero():
-            failures.append((table.labels[i], table.labels[j], res.scale(Fraction(-1, LD * D))))
+        if any(res.terms.values()):
+            residual = res.series().scale(Fraction(-1, LD * D))
+            failures.append((table.labels[i], table.labels[j], residual))
     return QmmReport(not failures, order, exact, len(checked), failures)
 
 
 def _in_z(s: NuSeries, D: int, order: int) -> NuSeries:
-    """D s resized to the order, in fresh coefficients that are all ints:
-    D must clear every denominator of s."""
+    """D s in fresh coefficients that are all ints, truncated to the order
+    when that is below s's own (resize, which clears exact for a nonzero
+    term it drops) and never padded: a coefficient past the order is
+    never walked, and no pair scans zeros up to the order.  D must clear
+    every denominator of s."""
     coeffs = [
         CoefFn(f.nv, {k: c.numerator * (D // c.denominator) for k, c in f.terms.items()})
         for f in s.coeffs
     ]
-    return NuSeries(s.order, coeffs, s.exact).resize(order)
+    lifted = NuSeries(s.order, coeffs, s.exact)
+    return lifted.resize(order) if order < s.order else lifted
 
 
 def mutate_drop_nu2(table: QmmTable) -> QmmTable:

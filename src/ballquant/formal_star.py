@@ -22,10 +22,13 @@ Each CoefFn keeps its exponent caps (CoefFn.caps, taken once per
 function): the largest exponent of each v and z coordinate and whether
 any term has p != 0.  A cap is exact for its coordinate, so the walk
 takes a directed pair as often as the caps of the derivatives it steps
-from allow, and no step lands on a zero derivative.  The sizes that have
-a multiset run from 0 to a last one, past which every C_m vanishes.
-Each step lowers a polynomial cap on one side, so a joint walk ends by
-itself there, at most at the joint degree.
+from allow, and no step lands on a zero derivative.  Most directed
+pairs have a zero cap on one side, so the walk tests the first side's
+cap, then the second's, and takes the size limit only for a pair that
+both sides can take.  The sizes that have a multiset run from 0 to a
+last one, past which every C_m vanishes.  Each step lowers a polynomial
+cap on one side, so a joint walk ends by itself there, at most at the
+joint degree.
 
 Each CoefFn keeps a memo of its own derivatives per multi-index, which
 the joint walk fills one step from the parent (CoefFn.step).  A
@@ -39,7 +42,10 @@ at its last size.  A pair's walk lives only while that pair is summed; a
 caller that takes many star products of the same series (verify_qmm
 over every pair of the moment table) differentiates each coefficient at
 most once per multi-index, and one that wants no memo to outlive its
-call passes fresh copies (resize).
+call passes fresh copies (verify_qmm lifts each moment into new int
+coefficients).  An operand's own order need not be the product's: its
+coefficients are walked as they are, so nothing is padded to the
+order, and one past the order lands past it and clears exact.
 
 The walk is carried in integers.  PoissonStructure keeps the common
 denominator delta of its entries, its directed pairs carry the ints
@@ -281,14 +287,27 @@ def _extend(walk, start, size, u, w, df, dg, weight):
     two operands and the terms by size.  A pair (a, b) is taken at most
     as often as df and dg can be differentiated along a and b by their
     own caps (CoefFn.caps), so no step lands on a zero derivative; an a
-    cap that is unbounded leaves the limit to bound the steps along a."""
+    cap that is unbounded leaves the limit to bound the steps along a.
+    Most pairs have a zero cap on one side, so the caps are tested one
+    at a time, df's first, and the limit is taken only for a pair that
+    both sides can take."""
     pairs, units, limit, f, g, terms = walk
     left = limit - size
+    fcaps = df.caps
+    gcaps = None if g is None else dg.caps
     for idx in range(start, len(pairs)):
         a, b, val = pairs[idx]
-        n = min(left, df.caps[a]) if g is None else min(left, df.caps[a], dg.caps[b])
+        n = fcaps[a]
         if not n:
             continue
+        if gcaps is not None:
+            nb = gcaps[b]
+            if not nb:
+                continue
+            if nb < n:
+                n = nb
+        if left < n:
+            n = left
         ua, wb, d, e, wt = list(u), list(w), df, dg, weight
         for c in range(1, n + 1):
             ua[a] += 1

@@ -24,11 +24,14 @@ the radial calculus reads it without loading the chart
 """
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd
 
 TRUNCATION_ENV = "BALLQUANT_TRUNCATION_ORDER"  # read by no module; kept for the benchmark
 DEFAULT_TRUNCATION = 12
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def frac_str(x: Fraction) -> str:
@@ -36,10 +39,17 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    """An exact rational from a string such as "-3/4" or "0.1", or from an
-    int; a float or a bool is refused, since its value is not exact, and
-    so is a zero denominator."""
+    """An exact rational from a string such as "-3/4", "0.1" or "1e5", or
+    from an int; a float or a bool is refused, since its value is not
+    exact, and so is a zero denominator.  So is an exponent larger in
+    magnitude than sys.get_int_max_str_digits(), the bound Python puts on
+    the digits of an int read from a string: Fraction computes 10 to that
+    power first, seconds at "1e10000000" and faster-growing beyond."""
     if isinstance(s, str) or type(s) is int:
+        if isinstance(s, str) and (m := _EXPONENT.search(s)):
+            limit = sys.get_int_max_str_digits()
+            if limit and abs(int(m.group(1))) > limit:
+                raise ValueError(f"{s!r} has an exponent beyond {limit} in magnitude")
         try:
             return Fraction(s)
         except ZeroDivisionError:

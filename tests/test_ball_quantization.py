@@ -14,7 +14,7 @@ import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -23,6 +23,7 @@ from ballquant.ball_quantization import (
     GroupElement,
     IntegrabilityError,
     TruncationOrderError,
+    _in_z,
     _solve_zeta,
     build_chart,
     build_qmm,
@@ -599,6 +600,53 @@ def test_verify_qmm_lands_only_int_coefficients(monkeypatch):
     residuals = [res for r in reports for *_, res in r.failures]
     coefs = [c for res in residuals for f in res.coeffs for c in f.terms.values()]
     assert coefs and all(type(c) is F for c in coefs)
+
+
+def mutations(table) -> list:
+    """The table and both mutations, which share its chart and CoefFns."""
+    return [table, mutate_drop_nu2(table), mutate_add_nu_const(table, "E", F(1))]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_lift_truncates_without_padding(N):
+    """verify_qmm's lift of a moment s is D s.resize(K) coefficient by
+    coefficient, with its exact flag, in fresh int coefficients, and holds
+    none past min(K, s.order): it truncates below s's own order and never
+    pads up to K."""
+    for table in mutations(build_qmm(N)):
+        coefs = [c for s in table.moments for f in s.coeffs for c in f.terms.values()]
+        D = lcm(*(c.denominator for c in coefs))
+        for K in (0, 1, 2, 3, 4, 12):
+            for s in table.moments:
+                lifted, want = _in_z(s, D, K), s.resize(K)
+                assert len(lifted.coeffs) == min(K, s.order) + 1
+                assert lifted.exact == want.exact
+                for t, f in enumerate(want.coeffs):
+                    got = lifted.coeffs[t].terms if t < len(lifted.coeffs) else {}
+                    assert got == {k: D * c for k, c in f.terms.items()}
+                    assert all(type(c) is int for c in got.values())
+                assert not {id(f) for f in lifted.coeffs} & {id(f) for f in s.coeffs}
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_verify_qmm_leaves_no_memo_or_caps_on_the_table(N):
+    """verify_qmm walks int copies of the moments, even where their
+    coefficients are ints already (N = 1), so after it has checked a table
+    and both of its mutations no CoefFn of any of their moments holds a
+    derivative memo or exponent caps, not even an empty one."""
+    tables = mutations(build_qmm(N, F(1)))
+    for table in tables:
+        for order in (1, 12):
+            verify_qmm(table, order)
+    held = [
+        key
+        for table in tables
+        for s in table.moments
+        for f in s.coeffs
+        for key in ("_derivatives", "caps")
+        if key in vars(f)
+    ]
+    assert held == []
 
 
 def test_verify_qmm_keeps_no_state_between_calls():

@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -213,6 +214,26 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
 )
 def test_bad_option_is_a_usage_error(capsys, argv, source):
     assert_usage_error(capsys, argv, source)
+
+
+@pytest.mark.parametrize("big", ["1e999999999", "1e-999999999"])
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (QMM + ["--alpha"], "--alpha"),
+        (ADD_CONST + ["--label", "H", "--value"], "--value"),
+        (["retract-residual", "--theta-json"], "--theta-json"),
+    ],
+    ids=["alpha", "value", "theta"],
+)
+def test_huge_exponent_is_a_usage_error_at_once(capsys, argv, source, big):
+    """An exponent that would make Fraction compute 10**999999999 is
+    refused before any work: exit 2 within a second, not a hang."""
+    if source == "--theta-json":
+        big = json.dumps({"terms": [[0, 0, 0, 0, 0, big, "0"]]})
+    start = time.perf_counter()
+    assert_usage_error(capsys, argv + [big], source)
+    assert time.perf_counter() - start < 1
 
 
 # Any text given to an option that takes a document or a list: the

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import copy
 import re
+import sys
+import time
 from fractions import Fraction as F
 from functools import lru_cache
 from math import factorial, gcd, lcm
@@ -109,6 +111,20 @@ def test_parse_frac_takes_strings_and_ints_only():
     for bad in (0.5, 0.1, True, False, F(1, 2), None, [1], "1/0", "-3/0"):
         with pytest.raises(ValueError):
             parse_frac(bad)
+
+
+def test_parse_frac_refuses_an_exponent_past_the_int_digit_limit():
+    """Fraction computes 10**exp before anything else, so an exponent is
+    bounded as the digits of an int are, by sys.get_int_max_str_digits();
+    the refusal comes before that power, so it returns at once."""
+    limit = sys.get_int_max_str_digits()
+    assert parse_frac("1e5") == 100000 and parse_frac("-2.5E-3") == F(-1, 400)
+    assert parse_frac(f"1e-{limit}") == F(1, 10**limit)
+    for bad in ("1e999999999", "1e-999999999", "1E+999_999_999", f"1e{limit + 1}"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            parse_frac(bad)
+        assert time.perf_counter() - start < 1
 
 
 # Each input that must be exact, the name its TypeError must give, and
