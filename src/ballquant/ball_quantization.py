@@ -193,7 +193,7 @@ def fundamental_field(chart: BallChart, x: dict) -> list:
                 col = _within(chart.bracket(1 + j, k), m_action, range(1, 1 + nv))
                 for i, a in col.items():
                     items[i].append(((0, unit[j], 0, 0), c * a))
-    return [CoefFn(nv, collect(terms)) for terms in items]
+    return [CoefFn.of(nv, terms) for terms in items]
 
 
 def _units(nv: int) -> list:
@@ -236,7 +236,7 @@ def integrate_exact_gradient(components: list) -> CoefFn:
         if not rem.is_zero():
             lam = lam.add(rem.antiderivative_v(i))
     rem_a = components[0].sub(lam.diff_coord(0))
-    if any(any(k) or q or p == 0 for (p, k, s, q) in rem_a.terms):
+    if any(any(k) or q or p == 0 for (p, k, s, q) in rem_a.decoded()):
         raise IntegrabilityError(residuals(lam))
     if not rem_a.is_zero():
         lam = lam.add(rem_a.antiderivative_a())
@@ -297,9 +297,9 @@ def _solve_zeta(chart: BallChart) -> list:
 def inner_square(chart: BallChart) -> CoefFn:
     """(v|v) as a polynomial on the chart."""
     nv, unit = chart.nv, _units(chart.nv)
-    return CoefFn(
+    return CoefFn.of(
         nv,
-        collect(
+        (
             ((0, tuple(map(add, unit[k], unit[l])), 0, 0), chart.gram[k][l])
             for k in range(nv)
             for l in range(nv)
@@ -360,8 +360,8 @@ def build_qmm(
     e2a = CoefFn.monomial(nv, 2, zero_k, 0, 0, Fraction(1))
 
     for j in range(nv):
-        pairing = CoefFn(nv, collect(((0, k, 0, 0), x) for k, x in zip(unit, chart.gram[j])))
-        omega_j = CoefFn(nv, collect(((0, k, 0, 0), x) for k, x in zip(unit, chart.omega[j])))
+        pairing = CoefFn.of(nv, (((0, k, 0, 0), x) for k, x in zip(unit, chart.gram[j])))
+        omega_j = CoefFn.of(nv, (((0, k, 0, 0), x) for k, x in zip(unit, chart.omega[j])))
         mu = pairing.mul(z1).scale(Fraction(4)).sub(vv_alpha.mul(omega_j)).mul(ea)
         moments.append(NuSeries.from_coef(mu, 2))
 
@@ -409,8 +409,9 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     own and never padded, so no pair scans or lands zero coefficients up
     to the order.  The truncation keeps a moment's terms past the order
     out of every walk and clears exact for a nonzero one, as resizing
-    does.  The copies' derivative memos (CoefFn.step) and exponent caps
-    (CoefFn.caps) fill as the pairs are walked, on either side of a
+    does.  The copies' derivative memos (CoefFn.step, keyed by the packed
+    int multi-index) and exponent caps (CoefFn.caps) fill their instance
+    dicts, with no lock, as the pairs are walked, on either side of a
     transvection, so each derivative is taken at most once per call.  The
     joint walk of two coefficients is not kept: half_commutator takes it
     once per pair and drops it when the pair is summed.  The copies,

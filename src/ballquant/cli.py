@@ -182,12 +182,13 @@ def _suite_retract(args) -> tuple:
     one = NuSeries.from_coef(CoefFn.const(chart.nv, parse_frac("1")), order)
     # k_basis lists the m generators first, so their operators lead ops
     ops = [retract_operator(table, x, order=order) for x in k_basis(chart)[1]]
-    zero = (0,) * (chart.nv + 2)
+    dim = chart.nv + 2
+    zero = (0,) * dim
     constants_ok = all(zero not in op and apply_operator(op, one, order).is_zero() for op in ops)
     # each m operator is its fundamental field, key for key, exactly
     fields_ok = all(
         op == {
-            table.P.units[c]: NuSeries.from_coef(comp, order)
+            tuple(int(i == c) for i in range(dim)): NuSeries.from_coef(comp, order)
             for c, comp in enumerate(fundamental_field(chart, y))
             if comp.terms
         }

@@ -5,6 +5,19 @@ with rational c, integer exponential weight p, a multi-index k over the
 symplectic coordinates v_1 .. v_nv, a formal scalar parameter alpha and
 a polynomial variable z.  Coordinates are ordered (a, v_1 .. v_nv, z).
 
+Each monomial is keyed by one int (KeyLayout, after the packed exponent
+vectors of Monagan and Pearce): from high to low its fields are p, v_1
+.. v_nv, the alpha power and the z power, FIELD_BITS = 8 bits each below
+p, which is the signed top field, so int order is the order of the
+tuples (p, k, alpha power, z power).  A product adds two keys and a
+derivative step along a v or z coordinate subtracts that coordinate's
+unit.  The top bit of each field below p is a guard: an exponent that
+would reach it (128) raises OverflowError, never wraps into the next
+field; a product checks it once, on the largest fields of its operands.
+Tuple keys are read and written only at the boundary: CoefFn.of packs
+them and CoefFn.decoded unpacks them, for the JSON codec, the a-check of
+integrate_exact_gradient and radial_reduce.
+
 For a constant antisymmetric matrix Lambda on these coordinates the
 transvection operators
 
@@ -19,8 +32,8 @@ by c_operator here, which walks an operand pair jointly, and by the
 retract operator, which walks one side only.
 
 Each CoefFn keeps its exponent caps (CoefFn.caps, taken once per
-function): the largest exponent of each v and z coordinate and whether
-any term has p != 0.  A cap is exact for its coordinate, so the walk
+function and read off its largest fields): the largest exponent of each
+v and z coordinate and whether any term has p != 0.  A cap is exact for its coordinate, so the walk
 takes a directed pair as often as the caps of the derivatives it steps
 from allow, and no step lands on a zero derivative.  Most directed
 pairs have a zero cap on one side, so the walk tests the first side's
@@ -31,7 +44,13 @@ cap on one side, so a joint walk ends by itself there, at most at the
 joint degree.
 
 Each CoefFn keeps a memo of its own derivatives per multi-index, which
-the joint walk fills one step from the parent (CoefFn.step).  A
+the joint walk fills one step from the parent (CoefFn.step).  The walk
+packs its multi-indices as the keys are packed, a in the top field, so a
+step adds a unit to an int and the memo is keyed by that int; the
+derivative is the single-coordinate one, CoefFn.diff_coord.  The caps,
+the largest fields and the memo fill the instance dict on first use,
+without the lock that functools.cached_property takes on every first
+access before Python 3.12.  A
 derivative depends only on the function, so the memo serves either side
 of a transvection under any Poisson structure on its coordinates, and
 lives as long as the function.  The one-sided walk keeps none: under
@@ -78,18 +97,81 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from math import factorial, lcm, perm
-from operator import add
 from sys import maxsize
 
 from .linalg import mat_inverse
 from .scalars import SparseSum, accumulate, collect, exact, frac_str, keyed, parse_frac, shaped
 
+FIELD_BITS = 8
+_MASK = (1 << FIELD_BITS) - 1
+_GUARD = 1 << (FIELD_BITS - 1)
+
+
+class _kept:
+    """functools.cached_property without its lock: the value is taken on
+    first use and kept in the instance dict under the method's name."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class KeyLayout:
+    """The packing of a CoefFn key (p, k, alpha power, z power) on nv v
+    coordinates into one int, fields as the module says.  pack raises
+    ValueError for a negative exponent below p and OverflowError for one
+    past the guard.  shifts[c] and units[c] are the shift and the unit
+    of chart coordinate c of (a, v_1 .. v_nv, z), a reading the p field;
+    the walk packs a multi-index over them the same way."""
+
+    def __init__(self, nv: int):
+        self.nv = nv
+        self.top = (nv + 2) * FIELD_BITS
+        self.low = (1 << self.top) - 1
+        self.guards = self.low // _MASK * _GUARD
+        self.shifts = (self.top, *range((nv + 1) * FIELD_BITS, FIELD_BITS, -FIELD_BITS), 0)
+        self.units = tuple(1 << s for s in self.shifts)
+
+    def pack(self, p: int, k: tuple, s: int, q: int) -> int:
+        if len(k) != self.nv:
+            raise ValueError("multi-index length must match nv")
+        key = p
+        for e in (*k, s, q):
+            if e < 0:
+                raise ValueError(f"v, alpha and z exponents must be >= 0, got {(p, k, s, q)!r}")
+            key = key << FIELD_BITS | _fit(e)
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        *k, q = (key >> s & _MASK for s in self.shifts[1:])
+        return key >> self.top, tuple(k), key >> FIELD_BITS & _MASK, q
+
+    def index(self, w: int) -> tuple:
+        """The multi-index over (a, v_1 .. v_nv, z) that w packs."""
+        return (w >> self.top, *(w >> s & _MASK for s in self.shifts[1:]))
+
+
+key_layout = lru_cache(maxsize=None)(KeyLayout)
+
+
+def _fit(e: int) -> int:
+    if e >= _GUARD:
+        raise OverflowError(f"an exponent of {e} does not fit a key field (at most {_GUARD - 1})")
+    return e
+
 
 @dataclass(frozen=True)
 class CoefFn(SparseSum):
-    """Finite sum of monomials, keyed (p, k, alpha power, z power)."""
+    """Finite sum of monomials, each keyed by one int that packs
+    (p, k, alpha power, z power) as key_layout(nv) lays it out.  of builds
+    one from tuple keys and decoded reads them back."""
 
     nv: int
     terms: dict = field(default_factory=dict)
@@ -108,10 +190,26 @@ class CoefFn(SparseSum):
             raise ValueError(f"functions of {self.nv} and {other.nv} v coordinates do not combine")
         return other
 
-    @staticmethod
-    def _key_mul(k1, k2):
-        (p1, v1, s1, q1), (p2, v2, s2, q2) = k1, k2
-        return (p1 + p2, tuple(map(add, v1, v2)), s1 + s2, q1 + q2)
+    def mul_items(self, other: CoefFn, c=None):
+        """The items of c * self * other, each key the sum of two; the
+        largest fields of the operands are checked once, so no sum of keys
+        carries past a guard bit."""
+        if (self._top + other._top) & key_layout(self.nv).guards:
+            raise OverflowError("a product exponent does not fit a key field")
+        left = self.terms.items() if c is None else [(k, v * c) for k, v in self.terms.items()]
+        right = other.terms.items()
+        return ((k1 + k2, c1 * c2) for k1, c1 in left for k2, c2 in right)
+
+    @classmethod
+    def of(cls, nv: int, items) -> CoefFn:
+        """The sum of ((p, k, alpha power, z power), c) items."""
+        pack = key_layout(nv).pack
+        return cls(nv, collect((pack(*key), c) for key, c in items))
+
+    def decoded(self) -> dict:
+        """The terms keyed by tuples (p, k, alpha power, z power)."""
+        unpack = key_layout(self.nv).unpack
+        return {unpack(key): c for key, c in self.terms.items()}
 
     @classmethod
     def zero(cls, nv: int) -> CoefFn:
@@ -124,42 +222,67 @@ class CoefFn(SparseSum):
     @classmethod
     def monomial(cls, nv, p, k, alpha, q, c) -> CoefFn:
         """c e^{pa} v^k alpha^alpha z^q: c an int or a Fraction and every
-        exponent an int, else TypeError."""
+        exponent an int, else TypeError; a negative v, alpha or z exponent
+        raises ValueError and one past a key field OverflowError."""
         k = tuple(k)
-        if len(k) != nv:
-            raise ValueError("multi-index length must match nv")
         if any(type(e) is not int for e in (p, *k, alpha, q)):
             raise TypeError(f"monomial exponents must be ints, got {(p, k, alpha, q)!r}")
+        key = key_layout(nv).pack(p, k, alpha, q)
         c = exact(c, "the monomial coefficient")
-        if not c:
-            return cls(nv, {})
-        return cls(nv, {(p, k, alpha, q): c})
+        return cls(nv, {key: c} if c else {})
 
     def diff(self, index) -> CoefFn:
         """Apply d_a^i_0 d_v1^i_1 .. d_z^i_last for a multi-index over
-        (a, v_1 .. v_nv, z); only the v coordinates it differentiates are
-        visited, since the walk's steps are mostly single coordinates."""
-        ia, iz = index[0], index[-1]
-        v_steps = [(i, n) for i, n in enumerate(index[1:-1]) if n]
+        (a, v_1 .. v_nv, z), a tuple; only the coordinates it
+        differentiates are read off each key."""
+        layout = key_layout(self.nv)
+        ia, top = index[0], layout.top
+        steps = [(s, n) for s, n in zip(layout.shifts[1:], index[1:]) if n]
+        drop = sum(n << s for s, n in steps)
         out = {}
-        for (p, k, s, q), c in self.terms.items():
-            factor = p**ia * perm(q, iz)
-            for i, n in v_steps:
-                factor *= perm(k[i], n)
+        for k, c in self.terms.items():
+            factor = (k >> top) ** ia
+            for s, n in steps:
+                factor *= perm(k >> s & _MASK, n)
             if factor:
-                if v_steps:
-                    k = list(k)
-                    for i, n in v_steps:
-                        k[i] -= n
-                    k = tuple(k)
-                out[(p, k, s, q - iz)] = c if factor == 1 else c * factor
+                out[k - drop] = c if factor == 1 else c * factor
         return CoefFn(self.nv, out)
 
-    @cached_property
+    def diff_coord(self, coord: int) -> CoefFn:
+        """One derivative along chart coordinate coord: the factor is p
+        for a, else the exponent in the coordinate's field, which the key
+        loses one unit of."""
+        shift = key_layout(self.nv).shifts[coord]
+        items = self.terms.items()
+        if not coord:
+            return CoefFn(self.nv, {k: c * p for k, c in items if (p := k >> shift)})
+        one = 1 << shift
+        return CoefFn(
+            self.nv, {k - one: c if e == 1 else c * e for k, c in items if (e := k >> shift & _MASK)}
+        )
+
+    @_kept
     def _derivatives(self) -> dict:
         return {}
 
-    @cached_property
+    @_kept
+    def _top(self) -> int:
+        """The largest exponent of each field below p, packed, and 1 in
+        the p field when some term has p != 0.  A field-wise maximum of
+        guarded fields: (top | guards) - r keeps the guard bit of each
+        field where top's exponent is at least r's, and that guard less
+        its low bit masks the fields kept from top."""
+        layout = key_layout(self.nv)
+        low, guards, top, weighted = layout.low, layout.guards, 0, 0
+        for k in self.terms:
+            r = k & low
+            weighted = weighted or r != k
+            keep = ((top | guards) - r) & guards
+            keep -= keep >> (FIELD_BITS - 1)
+            top = top & keep | r & ~keep
+        return top | weighted << layout.top
+
+    @_kept
     def caps(self) -> tuple:
         """How many times each coordinate (a, v_1 .. v_nv, z) can
         differentiate this function before every term vanishes: the largest
@@ -168,45 +291,39 @@ class CoefFn(SparseSum):
         nonzero exactly when k <= its cap: they map the terms whose exponent
         there is at least k one to one onto nonzero terms.  Taken on first
         use and kept."""
-        caps = [0] * (self.nv + 2)
-        for p, k, _, q in self.terms:
-            for c, e in enumerate((maxsize if p else 0, *k, q)):
-                if e > caps[c]:
-                    caps[c] = e
-        return tuple(caps)
+        top, layout = self._top, key_layout(self.nv)
+        return (maxsize if top >> layout.top else 0, *[top >> s & _MASK for s in layout.shifts[1:]])
 
-    def step(self, index: tuple, parent: CoefFn, unit: tuple) -> CoefFn:
-        """d^index self, given parent = d^(index - unit) self.  It is taken
-        on first use, by one step from parent, and kept in this function's
-        memo, so a function walked against many partners is differentiated
-        at most once per multi-index; the memo lives as long as the function."""
+    def step(self, index: int, parent: CoefFn, coord: int) -> CoefFn:
+        """d^index self, given parent = d^(index - unit) self for the unit
+        of coordinate coord, index packed as key_layout lays it out.  It is
+        taken on first use, by one step from parent, and kept in this
+        function's memo, so a function walked against many partners is
+        differentiated at most once per multi-index; the memo lives as long
+        as the function."""
         d = self._derivatives.get(index)
         if d is None:
-            d = self._derivatives[index] = parent.diff(unit)
+            d = self._derivatives[index] = parent.diff_coord(coord)
         return d
 
-    def diff_coord(self, coord: int) -> CoefFn:
-        return self.diff(tuple(int(c == coord) for c in range(self.nv + 2)))
-
     def antiderivative_a(self) -> CoefFn:
-        out = {}
-        for (p, k, s, q), c in self.terms.items():
-            if p == 0:
-                raise ValueError("weight-zero term has no exponential antiderivative")
-            out[(p, k, s, q)] = c / p
-        return CoefFn(self.nv, out)
+        top = key_layout(self.nv).top
+        if not all(k >> top for k in self.terms):
+            raise ValueError("weight-zero term has no exponential antiderivative")
+        return CoefFn(self.nv, {k: c / (k >> top) for k, c in self.terms.items()})
 
     def antiderivative_v(self, i: int) -> CoefFn:
-        out = {}
-        for (p, k, s, q), c in self.terms.items():
-            k2 = k[:i] + (k[i] + 1,) + k[i + 1 :]
-            out[(p, k2, s, q)] = c / (k[i] + 1)
-        return CoefFn(self.nv, out)
+        return self._integrate(1 + i)
 
     def antiderivative_z(self) -> CoefFn:
+        return self._integrate(self.nv + 1)
+
+    def _integrate(self, coord: int) -> CoefFn:
+        shift = key_layout(self.nv).shifts[coord]
+        one = 1 << shift
         return CoefFn(
             self.nv,
-            {(p, k, s, q + 1): c / (q + 1) for (p, k, s, q), c in self.terms.items()},
+            {k + one: c / _fit((k >> shift & _MASK) + 1) for k, c in self.terms.items()},
         )
 
 
@@ -216,8 +333,7 @@ class PoissonStructure:
     matrix holds the entries as Fractions.  delta is the least common
     denominator of the entries, and directed_pairs lists (u, w, delta *
     Lambda^{uw}), an int, for every nonzero entry: the walk's steps.
-    units[c] is the unit multi-index of coordinate c, one derivative
-    step of the walk.  inverse is the inverse matrix, taken on first use
+    inverse is the inverse matrix, taken on first use
     and kept: a degenerate structure, such as the zero one of
     NuSeries.mul, is never inverted."""
 
@@ -238,9 +354,8 @@ class PoissonStructure:
             for w, x in enumerate(row)
             if x
         ]
-        self.units = [tuple(int(c == u) for c in range(dim)) for u in range(dim)]
 
-    @cached_property
+    @_kept
     def inverse(self) -> tuple:
         return tuple(map(tuple, mat_inverse(self.matrix)))
 
@@ -256,7 +371,8 @@ def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: 
     (w, d^u f, d^w g, weight) in walk order for every multiset of m pairs
     whose derivatives are nonzero (d^w g is None one-sided).  u and w are
     the derivative multi-indices it puts on the first and second
-    argument, and weight is the int m! prod val^c / c! over its pairs,
+    argument, packed by key_layout(P.nv) (KeyLayout.index reads one
+    back), and weight is the int m! prod val^c / c! over its pairs,
     val = delta * Lambda^{uw} the integer pair values of P, so that
     C_m(f, g) = delta^-m sum weight * d^u f * d^w g.  Each step multiplies
     the weight by val * (size + c) and divides by c exactly: the quotient
@@ -271,11 +387,11 @@ def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: 
         raise ValueError(f"an operand's nv differs from the Poisson structure's {P.nv}")
     if limit < 0:
         raise ValueError(f"the walk's limit must be >= 0, got {limit}")
-    zero = (0,) * (P.nv + 2)
     terms = []
     if f.terms and (g is None or g.terms):
-        terms.append([(zero, f, g, 1)])
-        _extend((P.directed_pairs, P.units, limit, f, g, terms), 0, 0, zero, zero, f, g, 1)
+        terms.append([(0, f, g, 1)])
+        units = key_layout(P.nv).units
+        _extend((P.directed_pairs, units, limit, f, g, terms), 0, 0, 0, 0, f, g, 1)
     return terms
 
 
@@ -283,7 +399,7 @@ def _extend(walk, start, size, u, w, df, dg, weight):
     """Record every multiset that extends one prefix of the given size
     by pairs of index start or later; u, w, df, dg and weight are the
     prefix's.  walk holds what the whole walk shares: the directed
-    pairs, the unit multi-index of each coordinate, the size limit, the
+    pairs, the packed unit of each coordinate, the size limit, the
     two operands and the terms by size.  A pair (a, b) is taken at most
     as often as df and dg can be differentiated along a and b by their
     own caps (CoefFn.caps), so no step lands on a zero derivative; an a
@@ -308,15 +424,14 @@ def _extend(walk, start, size, u, w, df, dg, weight):
                 n = nb
         if left < n:
             n = left
-        ua, wb, d, e, wt = list(u), list(w), df, dg, weight
+        uk, wk, d, e, wt = u, w, df, dg, weight
         for c in range(1, n + 1):
-            ua[a] += 1
-            wb[b] += 1
-            uk, wk = tuple(ua), tuple(wb)
+            uk += units[a]
+            wk += units[b]
             if g is None:
-                d = d.diff(units[a])
+                d = d.diff_coord(a)
             else:
-                d, e = f.step(uk, d, units[a]), g.step(wk, e, units[b])
+                d, e = f.step(uk, d, a), g.step(wk, e, b)
             wt = wt * val * (size + c) // c
             if size + c == len(terms):
                 terms.append([])
@@ -527,10 +642,7 @@ def half_commutator(
 
 
 def coef_to_json(f: CoefFn) -> dict:
-    terms = [
-        [p, list(k), s, q, frac_str(c)]
-        for (p, k, s, q), c in sorted(f.terms.items())
-    ]
+    terms = [[p, list(k), s, q, frac_str(c)] for (p, k, s, q), c in sorted(f.decoded().items())]
     return {"nv": f.nv, "terms": terms}
 
 
@@ -548,7 +660,10 @@ def coef_from_json(payload: dict) -> CoefFn:
         if min(*k, s, q, 0) < 0:
             raise ValueError(f"a term needs v, alpha and z exponents >= 0: {term!r}")
         items.append(((p, k, s, q), parse_frac(c)))
-    return CoefFn(nv, collect(items))
+    try:
+        return CoefFn.of(nv, items)
+    except OverflowError as err:
+        raise ValueError(str(err)) from None
 
 
 def series_to_json(s: NuSeries) -> dict:

@@ -15,7 +15,8 @@ retract_operator takes the one-sided transvection walk of formal_star
 once per coefficient of mu_X, for every size up to the first odd order
 past the truncation, each derivative of mu_X derived from its parent by
 one step.  It lands every odd size, that last one included, in the NuSum
-of the derivative multi-index each term puts on the argument.  As for
+of the derivative multi-index each term puts on the argument, packed as
+the walk packs it and unpacked to a tuple once per key at the end.  As for
 every series of formal_star, land is the one point where a term past
 the order is dropped, clearing that NuSum's exact flag, and the operator
 is exact when mu_X and all its NuSums are.  apply_operator
@@ -240,7 +241,7 @@ def radial_reduce(chart: BallChart, f: CoefFn) -> dict:
     nv = chart.nv
     u = inner_square(chart)
     groups: dict = {}
-    for (p, k, apow, q), c in f.terms.items():
+    for (p, k, apow, q), c in f.decoded().items():
         if apow:
             raise ValueError("the alpha parameter is not supported here")
         groups.setdefault((p, q), {})[k] = c
@@ -252,9 +253,10 @@ def radial_reduce(chart: BallChart, f: CoefFn) -> dict:
         powers = [CoefFn.const(nv, Fraction(1))]
         for _ in range(deg // 2):
             powers.append(powers[-1].mul(u))
-        monos = {k for pw in powers for (_, k, _, _) in pw.terms} | set(vterms)
+        powers = [pw.decoded() for pw in powers]
+        monos = {k for pw in powers for (_, k, _, _) in pw} | set(vterms)
         index = {k: r for r, k in enumerate(sorted(monos))}
-        frame = Frame([{index[k]: c for (_, k, _, _), c in pw.terms.items()} for pw in powers])
+        frame = Frame([{index[k]: c for (_, k, _, _), c in pw.items()} for pw in powers])
         sol = frame.require(
             {index[k]: c for k, c in vterms.items()}, "not a polynomial in the squared radius"
         )
@@ -291,7 +293,7 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
     dropped no term, not even from a key that lies wholly past the
     truncation and so is absent from the result.
     """
-    from .formal_star import NuSeries, NuSum, transvection_terms
+    from .formal_star import NuSeries, NuSum, key_layout, transvection_terms
 
     order = resolve_truncation_order(order)
     coords = table.frame.require(x, "vector lies outside the moment table")
@@ -310,7 +312,8 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
                 buckets[w].land(i + m - 1, ((k, v * scale) for k, v in d.terms.items()))
     exact = mu.exact and all(s.exact for s in buckets.values())
     series = {w: s.series() for w, s in buckets.items()}
-    return {w: NuSeries(order, s.coeffs, exact) for w, s in series.items() if not s.is_zero()}
+    index = key_layout(nv).index
+    return {index(w): NuSeries(order, s.coeffs, exact) for w, s in series.items() if not s.is_zero()}
 
 
 def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSeries:

@@ -11,8 +11,9 @@ back as exact Fractions.  Both kinds are falsy exactly when zero.
 
 SparseSum is the ring arithmetic shared by the chart functions of
 formal_star and the radial coefficients of retract_pde: a finite sum of
-monomials keyed by exponent tuples, added with cancellation and
-multiplied by adding exponents.  accumulate adds items into one term
+monomials keyed by their exponents (a tuple, or one packed int for the
+chart functions), added with cancellation and multiplied by adding
+exponents.  accumulate adds items into one term
 dict in place, so a long sum of products (an operator applied to a
 series, a transvection contraction) fills one dict instead of copying
 the partial sum once per summand.
@@ -35,7 +36,22 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+
+
+def _digits(n: int) -> str:
+    """str(n) for an int of any size.  Past sys.get_int_max_str_digits()
+    str refuses, so n is written in chunks of 600 digits, below 640, the
+    least limit Python allows."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n, chunks = "-" * (n < 0), abs(n), []
+    while n:
+        n, r = divmod(n, 10**600)
+        chunks.append(r)
+    return sign + str(chunks.pop()) + "".join(f"{r:0600d}" for r in reversed(chunks))
 
 
 def parse_frac(s) -> Fraction:
@@ -238,7 +254,8 @@ def collect(items, into=None) -> dict:
 class SparseSum:
     """A finite sum of monomials: terms maps an exponent key to a nonzero
     coefficient.  Subclasses say how to build an instance from terms
-    (_new) and how exponents combine under multiplication (_key_mul)."""
+    (_new) and how exponents combine under multiplication (_key_mul, or
+    their own mul_items)."""
 
     terms: dict
 

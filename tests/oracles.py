@@ -43,7 +43,10 @@ entries (flatten) and solved against a Frame over the flattened basis.
 substitute_alpha sets the formal parameter alpha of a chart function to a
 number, as build_qmm did to every coefficient of a symbolic table before
 a numeric alpha entered it as a constant.  degree is the largest total
-degree of a chart function in v and z.  adapted_s_basis_oracle finds the
+degree of a chart function in v and z.  tuple_mul, tuple_diff and
+tuple_caps are the product, derivatives and exponent caps of a chart
+function written with tuple keys, as CoefFn.decoded writes it, the
+reference for the packed keys.  adapted_s_basis_oracle finds the
 adapted chart basis by search, as su1n_model did before it wrote the
 basis down: short root vectors paired by trial, a symplectic
 Gram-Schmidt over them, and E rescaled by a rational square root.
@@ -53,7 +56,8 @@ from __future__ import annotations
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import factorial, isqrt, lcm
+from math import factorial, isqrt, lcm, perm
+from sys import maxsize
 
 from ballquant.ball_quantization import QmmReport, resolve_truncation_order
 from ballquant.ce_cohomology import zero_two_cochain
@@ -62,7 +66,7 @@ from ballquant.lie_core import Subspace, structure_in
 from ballquant.linalg import Frame, bilinear, combine, nullspace, solve_in_span, split_symplectic
 from ballquant.linalg import vec_scale
 from ballquant.retract_pde import XiFn
-from ballquant.scalars import G_ZERO, GScalar, collect
+from ballquant.scalars import G_ZERO, GScalar
 from ballquant.su1n_model import _comm
 
 
@@ -264,7 +268,44 @@ def transvection_oracle(f: CoefFn, g: CoefFn, matrix, m: int, memo=None) -> Coef
 
 def degree(f: CoefFn) -> int:
     """Largest total degree of f in the polynomial coordinates v and z."""
-    return max((sum(k) + q for (_, k, _, q) in f.terms), default=0)
+    return max((sum(k) + q for (_, k, _, q) in f.decoded()), default=0)
+
+
+def tuple_mul(f: dict, g: dict) -> dict:
+    """The product of two chart functions written {(p, k, s, q): c}, as
+    CoefFn.decoded writes them: the exponents of each pair of terms are
+    added tuple by tuple."""
+    out = {}
+    for (p1, k1, s1, q1), c1 in f.items():
+        for (p2, k2, s2, q2), c2 in g.items():
+            key = (p1 + p2, tuple(a + b for a, b in zip(k1, k2)), s1 + s2, q1 + q2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def tuple_diff(f: dict, index: tuple) -> dict:
+    """d^index of a chart function written {(p, k, s, q): c}, for a
+    multi-index over (a, v_1 .. v_nv, z): each term by the rule for each
+    factor, e^{pa} giving p per step and x^e the falling power of e."""
+    ia, *iv, iz = index
+    out = {}
+    for (p, k, s, q), c in f.items():
+        factor = p**ia * perm(q, iz)
+        for e, n in zip(k, iv):
+            factor *= perm(e, n)
+        if factor:
+            out[(p, tuple(e - n for e, n in zip(k, iv)), s, q - iz)] = c * factor
+    return out
+
+
+def tuple_caps(f: dict, nv: int) -> tuple:
+    """The exponent caps of a chart function written {(p, k, s, q): c}:
+    maxsize for a when some p is nonzero, else 0, then the largest
+    exponent of each v and of z."""
+    caps = [maxsize if any(p for p, _, _, _ in f) else 0] + [0] * (nv + 1)
+    for _, k, _, q in f:
+        caps[1:] = map(max, caps[1:], (*k, q))
+    return tuple(caps)
 
 
 @lru_cache(maxsize=4096)
@@ -335,6 +376,7 @@ def uncapped_walk_oracle(f, g, P, limit: int) -> list:
     m! delta^m prod val^c / c!, delta the least common denominator of the
     entries."""
     zero, one = (0,) * (P.nv + 2), F(1)
+    units = [tuple(int(c == u) for c in range(P.nv + 2)) for u in range(P.nv + 2)]
     pairs = poisson_pairs(P.matrix)
     delta = lcm(*(x.denominator for row in P.matrix for x in row))
     terms = [[] for _ in range(limit + 1)]
@@ -347,11 +389,11 @@ def uncapped_walk_oracle(f, g, P, limit: int) -> list:
             for c in range(1, left + 1):
                 ua[a] += 1
                 wb[b] += 1
-                d = d.diff(P.units[a])
+                d = d.diff(units[a])
                 if not d.terms:
                     break
                 if g is not None:
-                    e = e.diff(P.units[b])
+                    e = e.diff(units[b])
                     if not e.terms:
                         break
                 wt = wt * val / c
@@ -461,8 +503,8 @@ def pullback_cochain(c, images: list):
 
 def substitute_alpha(f: CoefFn, value: F) -> CoefFn:
     """f with every power alpha^s replaced by value^s."""
-    items = (((p, k, 0, q), c * value**s) for (p, k, s, q), c in f.terms.items())
-    return CoefFn(f.nv, collect(items))
+    items = (((p, k, 0, q), c * value**s) for (p, k, s, q), c in f.decoded().items())
+    return CoefFn.of(f.nv, items)
 
 
 def binom_oracle(e: F, t: int) -> F:

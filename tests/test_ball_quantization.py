@@ -121,19 +121,19 @@ def test_group_law_axioms():
 def test_fundamental_fields_frozen():
     chart = build_chart(2)
     fH = fundamental_field(chart, chart.H)
-    assert fH[0].terms == {(0, (0, 0), 0, 0): F(-1)}
+    assert fH[0].decoded() == {(0, (0, 0), 0, 0): F(-1)}
     assert all(c.is_zero() for c in fH[1:])
     fE = fundamental_field(chart, chart.E)
-    assert fE[3].terms == {(-2, (0, 0), 0, 0): F(-1)}
+    assert fE[3].decoded() == {(-2, (0, 0), 0, 0): F(-1)}
     assert all(c.is_zero() for c in fE[:3])
     f1 = fundamental_field(chart, chart.fs[0])
-    assert f1[1].terms == {(-1, (0, 0), 0, 0): F(-1)}
+    assert f1[1].decoded() == {(-1, (0, 0), 0, 0): F(-1)}
     assert f1[2].is_zero()
-    assert f1[3].terms == {(-1, (0, 1), 0, 0): F(-1, 2)}
+    assert f1[3].decoded() == {(-1, (0, 1), 0, 0): F(-1, 2)}
     fY = fundamental_field(chart, chart.m_basis[0])
     assert fY[0].is_zero() and fY[3].is_zero()
-    assert fY[1].terms == {(0, (0, 1), 0, 0): F(-3, 2)}
-    assert fY[2].terms == {(0, (1, 0), 0, 0): F(6)}
+    assert fY[1].decoded() == {(0, (0, 1), 0, 0): F(-3, 2)}
+    assert fY[2].decoded() == {(0, (1, 0), 0, 0): F(6)}
 
 
 def test_fundamental_field_rejects_outside_sm():
@@ -219,12 +219,12 @@ def test_field_homomorphism():
 def test_classical_moments_frozen():
     chart = build_chart(2)
     P = poisson_structure(chart)
-    assert classical_moment(chart, chart.H, P).terms == {(0, (0, 0), 0, 1): F(2)}
-    assert classical_moment(chart, chart.E, P).terms == {(-2, (0, 0), 0, 0): F(1)}
-    assert classical_moment(chart, chart.fs[0], P).terms == {(-1, (0, 1), 0, 0): F(1)}
-    assert classical_moment(chart, chart.fs[1], P).terms == {(-1, (1, 0), 0, 0): F(-1)}
+    assert classical_moment(chart, chart.H, P).decoded() == {(0, (0, 0), 0, 1): F(2)}
+    assert classical_moment(chart, chart.E, P).decoded() == {(-2, (0, 0), 0, 0): F(1)}
+    assert classical_moment(chart, chart.fs[0], P).decoded() == {(-1, (0, 1), 0, 0): F(1)}
+    assert classical_moment(chart, chart.fs[1], P).decoded() == {(-1, (1, 0), 0, 0): F(-1)}
     lam_y = classical_moment(chart, chart.m_basis[0], P)
-    assert lam_y.terms == {(0, (2, 0), 0, 0): F(3), (0, (0, 2), 0, 0): F(3, 4)}
+    assert lam_y.decoded() == {(0, (2, 0), 0, 0): F(3), (0, (0, 2), 0, 0): F(3, 4)}
 
 
 def test_classical_moment_reads_the_m_action_through_the_kept_brackets(monkeypatch):
@@ -267,7 +267,7 @@ def test_moments_of_a_plus_m_have_no_constant_term(N):
             moments = [classical_moment(chart, x, P) for x in a_plus_m(chart, N)]
         except IntegrabilityError:
             continue
-        assert not any(k == zero_k and not q for m in moments for (_, k, _, q) in m.terms)
+        assert not any(k == zero_k and not q for m in moments for (_, k, _, q) in m.decoded())
         checked += 1
     assert checked > 1
 
@@ -304,7 +304,7 @@ def test_build_qmm_n1_frozen():
     table = build_qmm(1)
     assert table.labels == ["H", "E", "sE"]
     mu_se = table.moments[2]
-    assert mu_se.coeffs[0].terms == {(2, (), 0, 2): F(4), (2, (), 2, 0): F(1)}
+    assert mu_se.coeffs[0].decoded() == {(2, (), 0, 2): F(4), (2, (), 2, 0): F(1)}
     assert mu_se.coeffs[1].is_zero() and mu_se.coeffs[2].is_zero()
     rep = verify_qmm(table, order=6)
     assert rep.ok and rep.exact and rep.checked == 3
@@ -314,13 +314,13 @@ def test_build_qmm_n2_frozen():
     table = build_qmm(2)
     assert table.labels == ["H", "f1", "f2", "E", "m1", "sf1", "sf2", "sE"]
     mu_y = table.moments[4]
-    assert mu_y.coeffs[0].terms == {
+    assert mu_y.coeffs[0].decoded() == {
         (0, (2, 0), 0, 0): F(3),
         (0, (0, 2), 0, 0): F(3, 4),
         (0, (0, 0), 1, 0): F(1),
     }
     mu_sf1 = table.moments[5]
-    assert mu_sf1.coeffs[0].terms == {
+    assert mu_sf1.coeffs[0].decoded() == {
         (1, (1, 0), 0, 1): F(4),
         (1, (2, 1), 0, 0): F(-1),
         (1, (0, 3), 0, 0): F(-1, 4),
@@ -328,7 +328,7 @@ def test_build_qmm_n2_frozen():
     }
     mu_se = table.moments[7]
     assert mu_se.coeffs[1].is_zero()
-    assert mu_se.coeffs[2].terms == {(2, (0, 0), 0, 0): F(1)}
+    assert mu_se.coeffs[2].decoded() == {(2, (0, 0), 0, 0): F(1)}
 
 
 # sha256 of json.dumps(qmm_table_to_json(build_qmm(N, alpha)), sort_keys=True)
@@ -405,7 +405,7 @@ def test_mutation_nu_const_on_top_root_breaks_s_pairs():
     rep = verify_qmm(table, order=6, pairs="s")
     assert not rep.ok
     res = next(r for a, b, r in rep.failures if (a, b) == ("H", "E"))
-    assert res.coeffs[1].terms == {(0, (0, 0), 0, 0): F(2)}
+    assert res.coeffs[1].decoded() == {(0, (0, 0), 0, 0): F(2)}
 
 
 def test_mutation_nu_const_on_a_preserves_s_pairs():

@@ -236,6 +236,58 @@ def test_huge_exponent_is_a_usage_error_at_once(capsys, argv, source, big):
     assert time.perf_counter() - start < 1
 
 
+def read_frac(s: str) -> F:
+    """A rational written "n/d", its digits read 600 at a time, so that
+    one past the digit limit of int() reads back too."""
+
+    def read(digits: str) -> int:
+        n = 0
+        for i in range(0, len(digits), 600):
+            n = n * 10 ** len(digits[i : i + 600]) + int(digits[i : i + 600])
+        return n
+
+    num, den = s.split("/")
+    return F(-read(num[1:]) if num.startswith("-") else read(num), read(den))
+
+
+def rationals(node) -> list:
+    """Every "n/d" string of a JSON document, in document order."""
+    if isinstance(node, dict):
+        return [s for key in sorted(node) for s in rationals(node[key])]
+    if isinstance(node, list):
+        return [s for x in node for s in rationals(x)]
+    return [node] if isinstance(node, str) and "/" in node else []
+
+
+# A rational with more digits than str(int) writes (4300 by default) is
+# written out whole: exit 0, never 1 with a traceback.
+def test_qmm_export_writes_an_alpha_past_the_digit_limit(capsys):
+    code, out = run(capsys, ["qmm-export", "--N", "1", "--alpha", "1e4300"])
+    assert code == 0 and read_frac(json.loads(out)["alpha"]) == 10**4300
+
+
+def test_qmm_export_writes_a_squared_alpha_past_the_digit_limit(capsys):
+    """alpha = 10^2500 is within any bound on the digits of an input, but
+    the sE moment holds alpha^2."""
+    code, out = run(capsys, ["qmm-export", "--N", "2", "--alpha", "1e2500"])
+    terms = json.loads(out)["moments"][-1]["coeffs"][0]["terms"]
+    assert code == 0 and [read_frac(c) for *key, c in terms if key == [2, [0, 0], 0, 0]] == [
+        10**5000
+    ]
+
+
+def test_retract_residual_writes_a_theta_past_the_digit_limit(capsys):
+    """The residual is linear in theta: theta = 10^4300 scales each
+    rational of the residual of theta = 1."""
+    code, small = run(capsys, ["retract-residual", "--n", "2"])
+    theta = '{"terms": [[0, 0, 0, 0, 0, "1e4300", "0/1"]]}'
+    big_code, big = run(capsys, ["retract-residual", "--n", "2", "--theta-json", theta])
+    assert code == big_code == 0
+    assert [read_frac(s) for s in rationals(json.loads(big))] == [
+        read_frac(s) * 10**4300 for s in rationals(json.loads(small))
+    ]
+
+
 # Any text given to an option that takes a document or a list: the
 # command exits 0, or 2 with one line on stderr; never 1, never raises.
 ANY_TEXT = settings(derandomize=True, max_examples=100, deadline=None)

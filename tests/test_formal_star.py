@@ -33,6 +33,7 @@ from ballquant.formal_star import (
     coef_from_json,
     coef_to_json,
     half_commutator,
+    key_layout,
     moyal,
     series_from_json,
     series_to_json,
@@ -75,12 +76,12 @@ def test_coef_arithmetic_and_diff():
     f = mono(2, p=-1, k=(1, 0))  # e^{-a} v1
     g = mono(2, q=2)  # z^2
     fg = f.mul(g)
-    assert fg.terms == {(-1, (1, 0), 0, 2): F(1)}
-    assert fg.diff_coord(0).terms == {(-1, (1, 0), 0, 2): F(-1)}
-    assert fg.diff_coord(3).terms == {(-1, (1, 0), 0, 1): F(2)}
-    assert fg.diff_coord(1).terms == {(-1, (0, 0), 0, 2): F(1)}
+    assert fg.decoded() == {(-1, (1, 0), 0, 2): F(1)}
+    assert fg.diff_coord(0).decoded() == {(-1, (1, 0), 0, 2): F(-1)}
+    assert fg.diff_coord(3).decoded() == {(-1, (1, 0), 0, 1): F(2)}
+    assert fg.diff_coord(1).decoded() == {(-1, (0, 0), 0, 2): F(1)}
     assert fg.diff_coord(2).is_zero()
-    assert fg.diff((1, 1, 0, 2)).terms == {(-1, (0, 0), 0, 0): F(-2)}
+    assert fg.diff((1, 1, 0, 2)).decoded() == {(-1, (0, 0), 0, 0): F(-2)}
     assert fg.diff((0, 0, 0, 3)).is_zero()
     assert f.add(f.neg()).is_zero()
 
@@ -88,8 +89,8 @@ def test_coef_arithmetic_and_diff():
 def test_alpha_bookkeeping():
     f = mono(2, k=(1, 0), alpha=1)  # alpha v1
     g = mono(2, q=1, alpha=1)  # alpha z
-    assert f.mul(g).terms == {(0, (1, 0), 2, 1): F(1)}
-    assert substitute_alpha(f.mul(g), F(2)).terms == {(0, (1, 0), 0, 1): F(4)}
+    assert f.mul(g).decoded() == {(0, (1, 0), 2, 1): F(1)}
+    assert substitute_alpha(f.mul(g), F(2)).decoded() == {(0, (1, 0), 0, 1): F(4)}
 
 
 def test_antiderivatives():
@@ -105,11 +106,11 @@ def test_poisson_frozen_values():
     P = std_structure(2)
     z = mono(2, q=1)
     e2a = mono(2, p=-2)
-    assert c_operator(z, e2a, P, 1).terms == {(-2, (0, 0), 0, 0): F(1)}
+    assert c_operator(z, e2a, P, 1).decoded() == {(-2, (0, 0), 0, 0): F(1)}
     f1 = mono(2, p=-1, k=(1, 0))
     f2 = mono(2, p=-1, k=(0, 1))
-    assert c_operator(f1, f2, P, 1).terms == {(-2, (0, 0), 0, 0): F(1)}
-    assert c_operator(f2, f1, P, 1).terms == {(-2, (0, 0), 0, 0): F(-1)}
+    assert c_operator(f1, f2, P, 1).decoded() == {(-2, (0, 0), 0, 0): F(1)}
+    assert c_operator(f2, f1, P, 1).decoded() == {(-2, (0, 0), 0, 0): F(-1)}
 
 
 def test_c_operator_antisymmetry_pattern():
@@ -160,12 +161,12 @@ def test_moyal_flat_pair_frozen():
     v2 = mono(2, k=(0, 1))
     s = moyal(NuSeries.from_coef(v1, 2), NuSeries.from_coef(v2, 2), P, 2)
     assert s.exact
-    assert s.coeffs[0].terms == {(0, (1, 1), 0, 0): F(1)}
-    assert s.coeffs[1].terms == {(0, (0, 0), 0, 0): F(1)}
+    assert s.coeffs[0].decoded() == {(0, (1, 1), 0, 0): F(1)}
+    assert s.coeffs[1].decoded() == {(0, (0, 0), 0, 0): F(1)}
     assert s.coeffs[2].is_zero()
     comm = star_commutator(NuSeries.from_coef(v1, 2), NuSeries.from_coef(v2, 2), P, 2)
     assert comm.coeffs[0].is_zero() and comm.coeffs[2].is_zero()
-    assert comm.coeffs[1].terms == {(0, (0, 0), 0, 0): F(2)}
+    assert comm.coeffs[1].decoded() == {(0, (0, 0), 0, 0): F(2)}
 
 
 def test_moyal_exponential_pair_frozen():
@@ -174,9 +175,9 @@ def test_moyal_exponential_pair_frozen():
     e2a = mono(2, p=-2)
     s = moyal(NuSeries.from_coef(z2, 3), NuSeries.from_coef(e2a, 3), P, 3)
     assert s.exact
-    assert s.coeffs[0].terms == {(-2, (0, 0), 0, 2): F(1)}
-    assert s.coeffs[1].terms == {(-2, (0, 0), 0, 1): F(2)}
-    assert s.coeffs[2].terms == {(-2, (0, 0), 0, 0): F(1)}
+    assert s.coeffs[0].decoded() == {(-2, (0, 0), 0, 2): F(1)}
+    assert s.coeffs[1].decoded() == {(-2, (0, 0), 0, 1): F(2)}
+    assert s.coeffs[2].decoded() == {(-2, (0, 0), 0, 0): F(1)}
     assert s.coeffs[3].is_zero()
 
 
@@ -186,7 +187,7 @@ def test_moyal_exactness_flag_is_sharp():
     # every higher operator vanishes because d/da z^2 = 0
     s = moyal(NuSeries.from_coef(z2, 0), NuSeries.from_coef(z2, 0), P, 0)
     assert s.exact
-    assert s.coeffs[0].terms == {(0, (0, 0), 0, 4): F(1)}
+    assert s.coeffs[0].decoded() == {(0, (0, 0), 0, 4): F(1)}
     # here C_1 is nonzero and gets truncated away
     z = mono(2, q=1)
     e2a = mono(2, p=-2)
@@ -264,12 +265,12 @@ def test_series_do_not_stop_at_a_zero_transvection():
     P = poisson_structure(build_chart(2))
     f, g = mono(2, k=(2, 1)), mono(2, k=(4, 2))
     assert c_operator(f, g, P, 1).is_zero()
-    assert c_operator(f, g, P, 3).terms == {(0, (3, 0), 0, 0): F(-48)}
+    assert c_operator(f, g, P, 3).decoded() == {(0, (3, 0), 0, 0): F(-48)}
     for m in range(9):
         assert c_operator(f, g, P, m).terms == c_operator_oracle(f, g, P, m).terms
     h = half_commutator(NuSeries.from_coef(f, 4), NuSeries.from_coef(g, 4), P, 4)
     assert h.exact
-    assert h.coeffs[2].terms == {(0, (3, 0), 0, 0): F(-8)}
+    assert h.coeffs[2].decoded() == {(0, (3, 0), 0, 0): F(-8)}
     assert all(h.coeffs[t].is_zero() for t in (0, 1, 3, 4))
 
 
@@ -345,7 +346,7 @@ def test_moyal_matches_a_sympy_expansion():
         a, v1, v2, z = coords
         return sum(
             sp.Rational(c.numerator, c.denominator) * sp.exp(p * a) * v1**k[0] * v2**k[1] * z**q
-            for (p, k, _, q), c in fn.terms.items()
+            for (p, k, _, q), c in fn.decoded().items()
         )
 
     f = mono(2, p=1, k=(1, 0), q=1, c=F(3)).add(mono(2, p=-2, k=(0, 2)))
@@ -483,6 +484,8 @@ def test_capped_walk_records_what_the_uncapped_walk_records(f, g, which, limit):
     P = walk_structures()[which]
     for other in (g, None):
         got = transvection_terms(fresh(f), None if other is None else fresh(other), P, limit)
+        index = key_layout(P.nv).index
+        got = [[(index(w), *rest) for w, *rest in terms] for terms in got]
         assert got == uncapped_walk_oracle(f, other, P, limit)
         assert all(type(wt) is int for terms in got for *_, wt in terms)
 
@@ -511,7 +514,7 @@ def test_no_walk_step_lands_on_a_zero_derivative(monkeypatch):
             verify_qmm(t, 12)
     steps = len(calls)
     table = build_qmm(3)
-    counting("diff")
+    counting("diff_coord")
     for x in k_basis(table.chart)[1]:
         retract_operator(table, x, 8)
     assert steps and len(calls) > steps and all(calls)
@@ -590,15 +593,15 @@ def test_nu_sum_refuses_a_series_of_another_nv():
     ):
         with pytest.raises(ValueError, match=message):
             call()
-    assert two.add(two).coeffs[0].terms == {(0, (0, 0), 0, 0): 2}
+    assert two.add(two).coeffs[0].decoded() == {(0, (0, 0), 0, 0): 2}
 
 
 def test_series_scale_keeps_an_int_factor_an_int():
     """verify_qmm lands int coefficients, so an int factor must not turn
     them into Fractions."""
-    s = NuSeries.from_coef(CoefFn(1, {(0, (0,), 0, 0): 3}), 1)
+    s = NuSeries.from_coef(CoefFn.of(1, [((0, (0,), 0, 0), 3)]), 1)
     assert [type(c) for c in s.scale(2).coeffs[0].terms.values()] == [int]
-    assert s.scale(F(1, 2)).coeffs[0].terms == {(0, (0,), 0, 0): F(3, 2)}
+    assert s.scale(F(1, 2)).coeffs[0].decoded() == {(0, (0,), 0, 0): F(3, 2)}
 
 
 def test_nu_series_truncation():
@@ -613,7 +616,7 @@ def test_nu_series_truncation():
     minus2 = NuSeries(2, [one, z.neg(), CoefFn.zero(2)], True)
     prod2 = plus2.mul(minus2)
     assert prod2.exact
-    assert prod2.coeffs[2].terms == {(0, (0, 0), 0, 2): F(-1)}
+    assert prod2.coeffs[2].decoded() == {(0, (0, 0), 0, 2): F(-1)}
 
 
 def test_nu_sum_land_is_the_truncation_point():
@@ -652,7 +655,7 @@ def test_json_roundtrips():
 def test_coef_from_json_sums_repeated_terms():
     half = [0, [1, 0], 0, 2, "1/2"]
     f = coef_from_json({"nv": 2, "terms": [half, half, [1, [0, 0], 0, 0, "0"]]})
-    assert f.terms == {(0, (1, 0), 0, 2): F(1)}
+    assert f.decoded() == {(0, (1, 0), 0, 2): F(1)}
     g = coef_from_json({"nv": 2, "terms": [half, [0, [1, 0], 0, 2, "-1/2"]]})
     assert g.is_zero()
 
@@ -677,13 +680,32 @@ def test_coef_from_json_refuses_an_exponent_that_is_not_an_int(position, bad):
     p, k1, k2, s, q = exponents
     payload = {"nv": 2, "terms": [[p, [k1, k2], s, q, "1"]]}
     if bad == -1 and position == 0:
-        assert coef_from_json(payload).terms == {(-1, (1, 0), 0, 2): F(1)}
+        assert coef_from_json(payload).decoded() == {(-1, (1, 0), 0, 2): F(1)}
         return
     message = "int exponents" if bad != -1 else "exponents >= 0"
     with pytest.raises(ValueError, match=message):
         coef_from_json(payload)
     with pytest.raises(ValueError, match=message):
         series_from_json({"order": 0, "exact": True, "coeffs": [payload]})
+
+
+@pytest.mark.parametrize("position", range(1, 5))
+def test_coef_from_json_refuses_an_exponent_past_a_key_field(position):
+    """An exponent of 128 does not fit the 8-bit field of its key: the
+    importers refuse it with ValueError, as any malformed term, while 127
+    loads and writes back."""
+    for e in (127, 128, 2**64):
+        exponents = [-1, 1, 0, 0, 2]  # p, k_1, k_2, alpha power, z power
+        exponents[position] = e
+        p, k1, k2, s, q = exponents
+        payload = {"nv": 2, "terms": [[p, [k1, k2], s, q, "1/2"]]}
+        if e == 127:
+            assert coef_to_json(coef_from_json(payload)) == payload
+            continue
+        with pytest.raises(ValueError, match="does not fit a key field"):
+            coef_from_json(payload)
+        with pytest.raises(ValueError, match="does not fit a key field"):
+            series_from_json({"order": 0, "exact": True, "coeffs": [payload]})
 
 
 @pytest.mark.parametrize("nv", [-1, True, "2", 2.0, None])

@@ -23,7 +23,7 @@ import re
 import sys
 import time
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, gcd, lcm
 
 import pytest
@@ -37,10 +37,12 @@ from ballquant.formal_star import (
     CoefFn,
     NuSeries,
     PoissonStructure,
+    FIELD_BITS,
     c_operator,
     coef_from_json,
     coef_to_json,
     half_commutator,
+    key_layout,
     moyal,
     series_from_json,
     series_to_json,
@@ -55,6 +57,7 @@ from ballquant.scalars import GScalar, frac_str, parse_frac
 
 from oracles import dense, identity_matrix, mat_mul, nullspace_oracle, rref_oracle, sparse
 from oracles import degree as total_degree
+from oracles import tuple_caps, tuple_diff, tuple_mul
 
 NV = 2
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
@@ -111,6 +114,16 @@ def test_parse_frac_takes_strings_and_ints_only():
     for bad in (0.5, 0.1, True, False, F(1, 2), None, [1], "1/0", "-3/0"):
         with pytest.raises(ValueError):
             parse_frac(bad)
+
+
+def test_frac_str_writes_a_rational_past_the_int_digit_limit():
+    """str refuses an int of more digits than sys.get_int_max_str_digits()
+    (4300 by default); frac_str writes it whole, in chunks of 600 digits
+    whose zeros it keeps."""
+    assert len(str(10**4000)) == 4001
+    assert frac_str(F(-(123 * 10**4800 + 45), 1)) == "-123" + "0" * 4798 + "45/1"
+    assert frac_str(F(1, 10**5000)) == "1/1" + "0" * 5000
+    assert frac_str(F(10**600 * 7, 1)) == "7" + "0" * 600 + "/1"
 
 
 def test_parse_frac_refuses_an_exponent_past_the_int_digit_limit():
@@ -288,9 +301,113 @@ def test_exponent_caps_bound_the_derivatives(f):
             d = d.diff(unit)
         assert d.terms or not caps[c]
         assert not d.diff(unit).terms
-    assert (caps[0] == 0) == all(p == 0 for p, _, _, _ in f.terms)
+    assert (caps[0] == 0) == all(p == 0 for p, _, _, _ in f.decoded())
     if caps[0]:
         assert caps[0] >= 2 * total_degree(f) + 64 and f.diff((64, 0, 0, 0)).terms
+
+
+FIELD_MAX = 2 ** (FIELD_BITS - 1) - 1  # the largest exponent a key field holds
+CODEC = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+def exponent_keys(nv: int, top: int = FIELD_MAX):
+    """Keys (p, k, alpha power, z power) on nv v coordinates, p of either
+    sign and every other exponent up to top."""
+    e = st.integers(0, top)
+    return st.tuples(st.integers(-300, 300), st.tuples(*[e] * nv), e, e)
+
+
+def chart_fns(nv: int, top: int = 3):
+    coefs = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    items = st.lists(st.tuples(exponent_keys(nv, top), coefs), max_size=4)
+    return items.map(lambda items: CoefFn.of(nv, items))
+
+
+@CODEC
+@given(st.integers(0, 6).flatmap(lambda nv: st.tuples(st.just(nv), st.lists(exponent_keys(nv)))))
+def test_packed_keys_decode_to_their_tuples_in_tuple_order(case):
+    nv, keys = case
+    layout = key_layout(nv)
+    packed = [layout.pack(*key) for key in keys]
+    assert [layout.unpack(key) for key in packed] == keys
+    assert [layout.unpack(key) for key in sorted(packed)] == sorted(keys)
+
+
+@CODEC
+@given(
+    st.integers(0, 6).flatmap(
+        lambda nv: st.tuples(
+            chart_fns(nv), chart_fns(nv), st.tuples(*[st.integers(0, 3)] * (nv + 2))
+        )
+    )
+)
+def test_packed_arithmetic_matches_the_tuple_reference(case):
+    """Products, derivatives, caps and the walk's single-coordinate steps
+    on packed keys give what the tuple-keyed reference gives, on nv = 0
+    .. 6 and for p of either sign; a step's memo is keyed by the packed
+    multi-index."""
+    f, g, index = case
+    nv, ft = f.nv, f.decoded()
+    assert f.mul(g).decoded() == tuple_mul(ft, g.decoded())
+    assert f.diff(index).decoded() == tuple_diff(ft, index)
+    assert f.caps == tuple_caps(ft, nv)
+    units = key_layout(nv).units
+    for c in range(nv + 2):
+        unit = tuple(int(i == c) for i in range(nv + 2))
+        once = f.step(units[c], f, c)
+        assert once.decoded() == f.diff_coord(c).decoded() == tuple_diff(ft, unit)
+        twice = tuple_diff(ft, tuple(2 * n for n in unit))
+        assert f.step(2 * units[c], once, c).decoded() == twice
+        assert f.step(2 * units[c], None, c) is f.step(2 * units[c], once, c)
+
+
+@CODEC
+@given(st.integers(0, 6).flatmap(lambda nv: st.tuples(chart_fns(nv, FIELD_MAX), chart_fns(nv, FIELD_MAX))))
+def test_a_product_raises_when_an_exponent_passes_its_key_field(case):
+    """A product raises OverflowError exactly when some pair of terms adds
+    two exponents past FIELD_MAX in one field, and is never wrapped."""
+    f, g = case
+    ft, gt = f.decoded(), g.decoded()
+    over = any(
+        a + b > FIELD_MAX
+        for _, k1, s1, q1 in ft
+        for _, k2, s2, q2 in gt
+        for a, b in zip((*k1, s1, q1), (*k2, s2, q2))
+    )
+    if over:
+        with pytest.raises(OverflowError, match="does not fit a key field"):
+            f.mul(g)
+    else:
+        assert f.mul(g).decoded() == tuple_mul(ft, gt)
+
+
+@CODEC
+@given(st.integers(0, 6), st.data())
+@example(1, None)
+def test_an_exponent_past_its_key_field_raises(nv, data):
+    """monomial refuses an exponent past FIELD_MAX in any field and an
+    antiderivative one that would pass it: OverflowError, never a wrap
+    into the next field."""
+    field = 0 if data is None else data.draw(st.integers(0, nv + 1))  # v_1 .. v_nv, alpha, z
+    e = FIELD_MAX if data is None else data.draw(st.integers(FIELD_MAX - 2, FIELD_MAX + 2))
+
+    def monomial(e):
+        exps = [0] * (nv + 2)
+        exps[field] = e
+        return CoefFn.monomial(nv, -1, exps[:nv], exps[nv], exps[nv + 1], F(1, 3))
+
+    if e > FIELD_MAX:
+        with pytest.raises(OverflowError, match="does not fit a key field"):
+            monomial(e)
+        return
+    f = monomial(e)
+    integrals = {nv + 1: f.antiderivative_z, **{i: partial(f.antiderivative_v, i) for i in range(nv)}}
+    if field in integrals:
+        if e == FIELD_MAX:
+            with pytest.raises(OverflowError, match="does not fit a key field"):
+                integrals[field]()
+        else:
+            assert integrals[field]().diff_coord(field if field > nv else field + 1) == f
 
 
 @PROPERTY
@@ -661,7 +778,7 @@ VALID_COCHAINS = [
 
 def _coef_is_well_formed(f) -> bool:
     return _is_int(f.nv) and all(
-        len(k) == f.nv and all(map(_is_int, (p, *k, s, q))) for p, k, s, q in f.terms
+        len(k) == f.nv and all(map(_is_int, (p, *k, s, q))) for p, k, s, q in f.decoded()
     )
 
 
@@ -673,6 +790,9 @@ def _coef_is_well_formed(f) -> bool:
 @example(_changed(VALID_COEF, ("terms",), 5))
 @example(_changed(VALID_COEF, ("terms", 0, 1), 0))
 @example(_without(VALID_COEF, ("nv",)))
+@example(_changed(VALID_COEF, ("terms", 0, 3), 127))
+@example(_changed(VALID_COEF, ("terms", 0, 3), 128))
+@example(_changed(VALID_COEF, ("terms", 0, 1, 0), 2**64))
 def test_coef_from_json_loads_or_refuses(data):
     f = _loads_or_refuses(coef_from_json, coef_to_json, data)
     assert f is None or _coef_is_well_formed(f)
@@ -686,6 +806,7 @@ def test_coef_from_json_loads_or_refuses(data):
 @example(_changed(VALID_SERIES, ("coeffs", 1, "nv"), 3))
 @example(_changed(VALID_SERIES, ("coeffs", 1), 2))
 @example(_without(VALID_SERIES, ("coeffs", 0, "terms")))
+@example(_changed(VALID_SERIES, ("coeffs", 0, "terms", 0, 3), 128))
 def test_series_from_json_loads_or_refuses(data):
     s = _loads_or_refuses(series_from_json, series_to_json, data)
     if s is not None:
