@@ -150,8 +150,8 @@ class KeyLayout:
         return key
 
     def unpack(self, key: int) -> tuple:
-        *k, q = (key >> s & _MASK for s in self.shifts[1:])
-        return key >> self.top, tuple(k), key >> FIELD_BITS & _MASK, q
+        p, *k, q = self.index(key)
+        return p, tuple(k), key >> FIELD_BITS & _MASK, q
 
     def index(self, w: int) -> tuple:
         """The multi-index over (a, v_1 .. v_nv, z) that w packs."""
