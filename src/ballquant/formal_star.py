@@ -257,9 +257,8 @@ class CoefFn(SparseSum):
         if not coord:
             return CoefFn(self.nv, {k: c * p for k, c in items if (p := k >> shift)})
         one = 1 << shift
-        return CoefFn(
-            self.nv, {k - one: c if e == 1 else c * e for k, c in items if (e := k >> shift & _MASK)}
-        )
+        out = {k - one: c if e == 1 else c * e for k, c in items if (e := k >> shift & _MASK)}
+        return CoefFn(self.nv, out)
 
     @_kept
     def _derivatives(self) -> dict:

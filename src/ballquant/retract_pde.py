@@ -313,7 +313,9 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
     exact = mu.exact and all(s.exact for s in buckets.values())
     series = {w: s.series() for w, s in buckets.items()}
     index = key_layout(nv).index
-    return {index(w): NuSeries(order, s.coeffs, exact) for w, s in series.items() if not s.is_zero()}
+    return {
+        index(w): NuSeries(order, s.coeffs, exact) for w, s in series.items() if not s.is_zero()
+    }
 
 
 def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSeries:

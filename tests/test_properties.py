@@ -362,7 +362,7 @@ def test_packed_arithmetic_matches_the_tuple_reference(case):
 
 
 @CODEC
-@given(st.integers(0, 6).flatmap(lambda nv: st.tuples(chart_fns(nv, FIELD_MAX), chart_fns(nv, FIELD_MAX))))
+@given(st.integers(0, 6).flatmap(lambda nv: st.tuples(*[chart_fns(nv, FIELD_MAX)] * 2)))
 def test_a_product_raises_when_an_exponent_passes_its_key_field(case):
     """A product raises OverflowError exactly when some pair of terms adds
     two exponents past FIELD_MAX in one field, and is never wrapped."""
