@@ -13,24 +13,32 @@ of basis vectors are read there once per pair and kept (BallChart.bracket).
 
 On this chart every basis element X of the subalgebra spanned by the
 solvable part and the compact centralizer m has a fundamental vector
-field X* = d/dt|_0 of left translation by exp(-tX), and a classical
-moment lambda_X with X* = -Lambda grad lambda_X for the constant
-Poisson structure Lambda.  The quantum moment table extends the
-classical one to the whole algebra:
+field X* = d/dt|_0 of left translation by exp(-tX), and the moment table
+is Hamiltonian for it: X* = -Lambda grad mu_X^(0) for the constant
+Poisson structure Lambda.  The table comes from one coadjoint orbit
+(Kirillov-Kostant-Souriau, after the retract method):
 
-    mu_X        = lambda_X                      on the solvable part,
-    mu_Y        = lambda_Y + alpha zeta(Y)      on m,
+    mu_X^(0) = Re tr(Z(alpha) g^-1 X g),   g = exp(a H) exp(v) exp(z E),
+
+on every basis vector X of the whole algebra, with one complex matrix
+Z(alpha) supported on the entries (0, 0), (0, 1) and (1, 1) of the
+defining representation.  It holds the alpha zeta term of m (zeta(Y) is
+Im Y_00) and the closed forms of the sigma moments,
+
     mu_sigma(w) = e^a (4 (w|v) z - ((v|v) + alpha) Omega(w, v)),
-    mu_sigma(E) = e^{2a} (4 z^2 + ((v|v) + alpha)^2 + (N - 1) nu^2),
+    mu_sigma(E) = e^{2a} (4 z^2 + ((v|v) + alpha)^2) + (N - 1) nu^2 e^{2a},
 
-with (u|w) a fixed multiple of -beta(u, sigma w) and zeta the unique
-linear functional on m with zeta([m, m]) = 0 and
-zeta([f_i, sigma f_j]_m) = -Omega_ij.  verify_qmm checks the moment
-identity mu_[X,Y] = (1/(2 nu)) [mu_X, mu_Y] pairwise and exactly.
+with (u|w) a fixed multiple of -beta(u, sigma w); the nu^2 term of
+sigma E is the one term written down.  build_qmm evaluates the orbit in
+Gaussian integers (_orbit_moments), with no integration and no linear
+solve; classical_moment, which integrates the fundamental field, stays
+as the benchmark's reading of that integration.  verify_qmm checks the
+moment identity mu_[X,Y] = (1/(2 nu)) [mu_X, mu_Y] pairwise and exactly.
 
 The two scale conventions (the a-z Poisson weight and the inner product
-scale) are not free: calibrate() runs the whole construction over a
-grid and a unique pair survives, (1/2, 1/2).
+scale) set the Poisson structure, not the table, and they are not free:
+calibrate() checks the table over a grid at order 1 and a unique pair
+survives, (1/2, 1/2).
 """
 from __future__ import annotations
 
@@ -41,11 +49,11 @@ from math import factorial, lcm
 from operator import add
 from types import MappingProxyType
 
-from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, half_commutator
+from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, half_commutator, key_layout
 from .formal_star import series_to_json
-from .linalg import Frame, bilinear, dense, split_symplectic, transpose
+from .linalg import Frame, bilinear, split_symplectic
 from .linalg import solve_in_span  # noqa: F401, callers read it here
-from .scalars import accumulate, collect, exact, frac_str, resolve_truncation_order
+from .scalars import G_ZERO, accumulate, collect, exact, frac_str, resolve_truncation_order
 from .scalars import TRUNCATION_ENV, TruncationOrderError  # noqa: F401, callers read them here
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
@@ -262,38 +270,6 @@ def classical_moment(chart: BallChart, x: dict, P: PoissonStructure) -> CoefFn:
     return integrate_exact_gradient(grad)
 
 
-def _solve_zeta(chart: BallChart) -> list:
-    """The linear functional on m entering the quantum correction.
-
-    Defined by zeta([m, m]) = 0 together with
-    zeta([f_i, sigma f_j]_m) = -Omega_ij; both families are the chart's
-    brackets, solved as one exact linear system, read as coordinates
-    against the columns of its matrix; independent columns make the
-    solution unique.
-    """
-    nv, dm = chart.nv, len(chart.m_basis)
-    m_block = range(2 + nv, 2 + nv + dm)
-    rows = []
-    for i in m_block:
-        for j in range(i + 1, m_block.stop):
-            coords = _within(chart.bracket(i, j), "[m, m] left m", m_block)
-            rows.append({k - m_block.start: c for k, c in coords.items()})
-    rhs = {}
-    for i in range(nv):
-        for j in range(nv):
-            coords = chart.bracket(1 + i, m_block.stop + j)
-            _within(coords, "[V, sigma V] left a + m", range(1), m_block)
-            if chart.omega[i][j]:
-                rhs[len(rows)] = -chart.omega[i][j]
-            rows.append({k - m_block.start: c for k, c in coords.items() if k})
-    try:
-        columns = Frame(transpose(rows, dm))
-    except ValueError:
-        raise ValueError("correction functional is underdetermined") from None
-    zeta = columns.require(rhs, "correction functional equations are inconsistent")
-    return dense(zeta, dm)
-
-
 def inner_square(chart: BallChart) -> CoefFn:
     """(v|v) as a polynomial on the chart."""
     nv, unit = chart.nv, _units(chart.nv)
@@ -336,40 +312,173 @@ def build_qmm(
 ) -> QmmTable:
     """Quantum moment table over the adapted basis of the whole algebra.
 
+    The nu^0 moments are those of the coadjoint orbit (_orbit_moments);
+    the one term written down is the nu^2 term (N - 1) e^{2a} of sigma E.
     alpha = None keeps the parameter symbolic; a number enters as that
     constant.  alpha, az_weight and inner_scale are ints or Fractions,
-    else TypeError.
+    else TypeError.  The scales set the chart's Gram matrix and the
+    Poisson structure, not the moments.
     """
     alpha = None if alpha is None else exact(alpha, "alpha")
     az_weight, inner_scale = exact(az_weight, "az_weight"), exact(inner_scale, "inner_scale")
     chart = build_chart(N, inner_scale)
     P = poisson_structure(chart, az_weight)
     nv = chart.nv
-    zero_k, unit = (0,) * nv, _units(nv)
-
-    alpha_fn = CoefFn.monomial(nv, 0, zero_k, 1, 0, 1) if alpha is None else CoefFn.const(nv, alpha)
-    zeta = [0] * (2 + nv) + _solve_zeta(chart)  # zero on s; the zip stops after m
-    moments = []
-    for x, z in zip(chart.basis, zeta):
-        mu = classical_moment(chart, x, P).add(alpha_fn.scale(z))
-        moments.append(NuSeries.from_coef(mu, 2))
-
-    vv_alpha = inner_square(chart).add(alpha_fn)
-    z1 = CoefFn.monomial(nv, 0, zero_k, 0, 1, Fraction(1))
-    ea = CoefFn.monomial(nv, 1, zero_k, 0, 0, Fraction(1))
-    e2a = CoefFn.monomial(nv, 2, zero_k, 0, 0, Fraction(1))
-
-    for j in range(nv):
-        pairing = CoefFn.of(nv, (((0, k, 0, 0), x) for k, x in zip(unit, chart.gram[j])))
-        omega_j = CoefFn.of(nv, (((0, k, 0, 0), x) for k, x in zip(unit, chart.omega[j])))
-        mu = pairing.mul(z1).scale(Fraction(4)).sub(vv_alpha.mul(omega_j)).mul(ea)
-        moments.append(NuSeries.from_coef(mu, 2))
-
-    z2 = CoefFn.monomial(nv, 0, zero_k, 0, 2, Fraction(4))
-    mu0 = z2.add(vv_alpha.mul(vv_alpha)).mul(e2a)
-    mu2 = e2a.scale(Fraction(N - 1))
-    moments.append(NuSeries(2, [mu0, CoefFn.zero(nv), mu2], True))
+    *moments, top = _orbit_moments(chart, alpha)
+    moments = [NuSeries.from_coef(mu, 2) for mu in moments]
+    e2a = CoefFn.monomial(nv, 2, (0,) * nv, 0, 0, Fraction(N - 1))
+    moments.append(NuSeries(2, [top, CoefFn.zero(nv), e2a], True))
     return QmmTable(chart, P, alpha, qmm_labels(N), chart.basis, chart.frame, moments)
+
+
+def _orbit_moments(chart: BallChart, alpha: Fraction | None) -> list:
+    """The nu^0 moments of the chart basis, in its order, off the orbit:
+
+        mu_X = e^{-lambda a} Re tr(Z(alpha) n^-1 X n),  n = exp(v) exp(z E),
+
+    for X of root lambda (0, 1, 2, 0, -1, -2 on H, f, E, m, sigma f,
+    sigma E), since Ad_{exp(-a H)} X = e^{-lambda a} X: exp(a H) enters
+    only as a shift of the p field of each key.  Z(alpha) has the entries
+    -i (1 + alpha)^2 / 4, -i (1 - alpha^2) / 2 and i (1 - alpha)^2 / 4 at
+    (0, 0), (0, 1) and (1, 1) (_z_entries), so tr(Z M) reads only columns
+    0 and 1 of n and rows 0 and 1 of n^-1 (_exp_apply).  Every factor is
+    a Gaussian-integer multiple: the basis matrices (_gaussian), 4 q^2 Z
+    for alpha = p / q (q = 1 when alpha is the formal variable) and each
+    exponential; a complex entry is a pair (re, im) of int CoefFns, and
+    each term is divided back into Q once.
+    """
+    model, nv = chart.model, chart.nv
+    layout = key_layout(nv)
+    E = [(layout.units[nv + 1], *_gaussian(model, chart.E))]
+    V = [(layout.units[1 + i], *_gaussian(model, f)) for i, f in enumerate(chart.fs)]
+    # columns 0 and 1 of n = exp(V) exp(zE), rows 0 and 1 of n^-1 = exp(-zE) exp(-V)
+    s_cols, cols = _exp_apply(nv, model.N + 1, (V, E), False)
+    s_rows, rows = _exp_apply(nv, model.N + 1, (V, E), True)
+    if alpha is None:
+        q, p = 1, {layout.pack(0, (0,) * nv, 1, 0): 1}
+    else:
+        q, p = alpha.denominator, {0: alpha.numerator}
+    plus = CoefFn(nv, collect(p.items(), {0: q}))
+    minus = CoefFn(nv, collect(((k, -c) for k, c in p.items()), {0: q}))
+    z = {ab: (CoefFn(nv, {}), im) for ab, im in _z_entries(plus, minus).items()}
+    # x_a = sum_b Z_ab (row b of n^-1), so that W = n Z n^-1 is sum_a (col a of n) x_a
+    xs = [{}, {}]
+    for (a, b), zab in z.items():
+        for c, r in rows[b].items():
+            _cmul(xs[a].setdefault(c, ({}, {})), zab, r)
+    xs = [{c: (CoefFn(nv, re), CoefFn(nv, im)) for c, (re, im) in x.items()} for x in xs]
+    W = {}
+    roots = [0] + [1] * nv + [2] + [0] * len(chart.m_basis) + [-1] * nv + [-2]
+    moments = []
+    for x, root in zip(chart.basis, roots):
+        d, entries = _gaussian(model, x)
+        acc = {}
+        # Re tr(Z n^-1 X n) = Re tr(W X), the sum of Re(X_rc W_cr)
+        for (r, c), (gr, gi) in entries.items():
+            if (c, r) not in W:
+                W[c, r] = w = ({}, {})
+                for col, xa in zip(cols, xs):
+                    if c in col and r in xa:
+                        _cmul(w, col[c], xa[r])
+            re, im = W[c, r]
+            accumulate(acc, ((k, gr * v) for k, v in re.items() if gr))
+            accumulate(acc, ((k, -gi * v) for k, v in im.items() if gi))
+        shift, den = -root << layout.top, s_cols * s_rows * 4 * q * q * d
+        moments.append(CoefFn(nv, {k + shift: Fraction(v, den) for k, v in acc.items()}))
+    return moments
+
+
+def _z_entries(plus: CoefFn, minus: CoefFn) -> dict:
+    """The imaginary parts of the entries of 4 q^2 Z(p / q), from plus = q + p
+    and minus = q - p: Z has no real part and no entry (1, 0)."""
+    return {
+        (0, 0): plus.mul(plus).neg(),
+        (0, 1): plus.mul(minus).scale(-2),
+        (1, 1): minus.mul(minus),
+    }
+
+
+def _cmul(acc: tuple, x: tuple, y: tuple) -> None:
+    """Add the product of the complex x and y, pairs (re, im) of CoefFns,
+    into acc, a pair of term dicts."""
+    (xr, xi), (yr, yi) = x, y
+    accumulate(acc[0], xr.mul_items(yr))
+    accumulate(acc[0], xi.mul_items(yi, -1))
+    accumulate(acc[1], xr.mul_items(yi))
+    accumulate(acc[1], xi.mul_items(yr))
+
+
+def _gaussian(model: Su1nModel, x) -> tuple:
+    """(d, {(row, col): (re, im)}): the least d > 0 that makes d X
+    Gaussian-integral, and the entries of d X, for the matrix X of the
+    algebra vector x, summed off the model's sparse basis matrices."""
+    acc = {}
+    for t, c in x.items():
+        for e, g in model.matrices[t].items():
+            acc[e] = acc.get(e, G_ZERO) + g.scale(c)
+    acc = {e: g for e, g in acc.items() if g}
+    d = lcm(*(g[2] for g in acc.values()))
+    return d, {e: (a * (d // q), b * (d // q)) for e, (a, b, q) in acc.items()}
+
+
+def _exp_apply(nv: int, n: int, factors: tuple, row: bool) -> tuple:
+    """(S, [u_0, u_1]): the columns 0 and 1 of S g, u_j = S g e_j, for
+    g = exp(M_1) .. exp(M_r), or with row the rows 0 and 1 of S g^-1,
+    u_j = S e_j^T exp(-M_r) .. exp(-M_1), each entry a pair (re, im) of
+    int CoefFns.  Each factor lists the terms (unit, d, G) of one M, the
+    chart variable of that packed unit times G / d, G an n x n
+    Gaussian-integer matrix; the last factor acts first either way.
+
+    M is nilpotent, so its series ends: with s the lcm of its d and K its
+    last power that leaves a vector nonzero, the power k enters as
+    (K! / k!) s^(K - k) (s M)^k, all in integers, and S is the product of
+    the K! s^K.  A nonzero power n, which a nilpotent n x n matrix never
+    has, raises AssertionError, so no exponent grows past n.
+    """
+    vectors, S = [{j: ({0: 1}, {})} for j in (0, 1)], 1
+    for gens in reversed(factors):
+        s = lcm(*(d for _, d, _ in gens))
+        gens = [(unit, (s // d) * (-1 if row else 1), G) for unit, d, G in gens]
+        series = []
+        for vec in vectors:
+            powers = [vec]
+            while powers[-1]:
+                if len(powers) > n:
+                    raise AssertionError("the exponential series did not end")
+                powers.append(_apply_once(powers[-1], gens, row))
+            series.append(powers[:-1])
+        K = max(map(len, series)) - 1
+        S *= factorial(K) * s**K
+        vectors = []
+        for powers in series:
+            acc = {}
+            for k, power in enumerate(powers):
+                c = factorial(K) // factorial(k) * s ** (K - k)
+                for i, (re, im) in power.items():
+                    are, aim = acc.setdefault(i, ({}, {}))
+                    accumulate(are, ((key, c * v) for key, v in re.items()))
+                    accumulate(aim, ((key, c * v) for key, v in im.items()))
+            vectors.append(acc)
+    return S, [{i: (CoefFn(nv, re), CoefFn(nv, im)) for i, (re, im) in v.items()} for v in vectors]
+
+
+def _apply_once(vec: dict, gens: list, row: bool) -> dict:
+    """sum over gens (unit, m, G) of m x G vec, or m x vec G with row, x
+    the chart variable of that packed unit: each product only shifts keys."""
+    out = {}
+    for unit, m, G in gens:
+        for (r, c), (gr, gi) in G.items():
+            src, dst = (r, c) if row else (c, r)
+            if src in vec:
+                (re, im), (ore, oim) = vec[src], out.setdefault(dst, ({}, {}))
+                gr, gi = gr * m, gi * m
+                if gr:
+                    accumulate(ore, ((k + unit, gr * v) for k, v in re.items()))
+                    accumulate(oim, ((k + unit, gr * v) for k, v in im.items()))
+                if gi:
+                    accumulate(ore, ((k + unit, -gi * v) for k, v in im.items()))
+                    accumulate(oim, ((k + unit, gi * v) for k, v in re.items()))
+    return {i: p for i, p in out.items() if p[0] or p[1]}
 
 
 @dataclass
@@ -502,8 +611,9 @@ CALIBRATION_GRID = [s * Fraction(x) for x in (1, 2, "1/2", "1/4") for s in (1, -
 def calibrate(N: int) -> CalibrationResult:
     """Search the scale grid for conventions making the table verify.
 
-    A grid point fails if some classical moment is not integrable or if
-    the moment identity already breaks at first order.  For N = 1 the
+    The orbit table does not depend on the scales, and the Poisson
+    structure does: a grid point fails when the moment identity of the
+    table already breaks at first order under its structure.  For N = 1 the
     inner product scale never enters (there are no short roots), so only
     the a-z weight is searched and the result is reported with the
     conventional value 1/2.
@@ -514,11 +624,7 @@ def calibrate(N: int) -> CalibrationResult:
     for az in CALIBRATION_GRID:
         for inner in inner_choices:
             tried += 1
-            try:
-                table = build_qmm(N, az_weight=az, inner_scale=inner)
-            except IntegrabilityError:
-                continue
-            if verify_qmm(table, order=1).ok:
+            if verify_qmm(build_qmm(N, az_weight=az, inner_scale=inner), order=1).ok:
                 passing.append((az, inner))
     return CalibrationResult(passing, tried)
 

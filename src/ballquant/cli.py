@@ -20,6 +20,12 @@ import time
 from .scalars import DEFAULT_TRUNCATION, parse_frac
 
 SERIES = ("qmm", "retract")  # the verify suites that truncate series
+# The largest N a command takes, refused above before any build (README,
+# "Limits"): at each ceiling the costliest command was measured to peak
+# near 250 MB.  The cohomology of su(1, N) (h2 --su1n, the cocycle suite)
+# grows faster in N than the chart and model commands.
+N_CEILING = 30
+COHOMOLOGY_CEILING = 12
 # verify options that only some suites read, with those suites
 SUITE_OPTIONS = {"mutate": ("qmm",), "pairs": ("qmm",), "alpha": SERIES, "order": SERIES}
 
@@ -36,7 +42,8 @@ def _check_args(args) -> None:
     """Validate and parse every option value before any work starts.
 
     Raises UsageError naming the option; an option that the command
-    would ignore is an error too.
+    would ignore is an error too, and so is an N past the command's
+    ceiling (N_CEILING, or COHOMOLOGY_CEILING for h2 and the cocycle suite).
     Parsed values: --blocks in place, --alpha and --value as alpha_q and
     value_q, --theta-json as theta, an omitted --order as its suite's default.
     """
@@ -44,6 +51,11 @@ def _check_args(args) -> None:
     for name, least in (("N", 1), ("su1n", 1), ("r", 1), ("order", 0)):
         if opts.get(name) is not None and opts[name] < least:
             raise UsageError(f"--{name} must be at least {least}, got {opts[name]}")
+    cohomology = args.command == "h2" or opts.get("suite") == "cocycle"
+    ceiling, what = (COHOMOLOGY_CEILING, " for cohomology") if cohomology else (N_CEILING, "")
+    for name in ("N", "su1n", "n"):
+        if opts.get(name) is not None and opts[name] > ceiling:
+            raise UsageError(f"--{name} must be at most {ceiling}{what}, got {opts[name]}")
     if args.command == "h2" and args.su1n is not None and (args.r, args.blocks) != (None, None):
         raise UsageError("--su1n excludes --r and --blocks")
     for name in ("alpha", "value"):

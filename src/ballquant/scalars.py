@@ -33,6 +33,12 @@ from math import gcd
 TRUNCATION_ENV = "BALLQUANT_TRUNCATION_ORDER"  # read by no module; kept for the benchmark
 DEFAULT_TRUNCATION = 12
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# The longest string parse_frac reads: reading and normalising one of
+# this length takes a fraction of a second, and the longest coefficient
+# a CLI export writes, alpha^2 for an --alpha of one full argument
+# (131072 bytes on Linux), stays below it.
+LITERAL_LENGTH = 300_000
+_RATIO = re.compile(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*\Z")
 
 
 def frac_str(x: Fraction) -> str:
@@ -57,20 +63,46 @@ def _digits(n: int) -> str:
 def parse_frac(s) -> Fraction:
     """An exact rational from a string such as "-3/4", "0.1" or "1e5", or
     from an int; a float or a bool is refused, since its value is not
-    exact, and so is a zero denominator.  So is an exponent larger in
-    magnitude than sys.get_int_max_str_digits(), the bound Python puts on
-    the digits of an int read from a string: Fraction computes 10 to that
-    power first, seconds at "1e10000000" and faster-growing beyond."""
+    exact, and so is a zero denominator.
+
+    A string longer than LITERAL_LENGTH characters is refused.  Within
+    that, an integer or "n/d" literal is read whole however many digits
+    it has (_read_digits), so every rational frac_str writes reads back.
+    Other forms go through Fraction, which refuses more digits than
+    sys.get_int_max_str_digits(); an exponent larger in magnitude than
+    that bound is refused before Fraction computes 10 to that power,
+    seconds at "1e10000000" and faster-growing beyond."""
     if isinstance(s, str) or type(s) is int:
-        if isinstance(s, str) and (m := _EXPONENT.search(s)):
-            limit = sys.get_int_max_str_digits()
-            if limit and abs(int(m.group(1))) > limit:
-                raise ValueError(f"{s!r} has an exponent beyond {limit} in magnitude")
+        if isinstance(s, str):
+            if len(s) > LITERAL_LENGTH:
+                raise ValueError(f"a rational of {len(s)} characters is longer than {LITERAL_LENGTH}")
+            if m := _RATIO.match(s):
+                sign, num, den = m.groups()
+                n, d = _read_digits(num), 1 if den is None else _read_digits(den)
+                if not d:
+                    raise ValueError(f"{s!r} has a zero denominator")
+                return Fraction(-n if sign == "-" else n, d)
+            if m := _EXPONENT.search(s):
+                limit = sys.get_int_max_str_digits()
+                if limit and abs(int(m.group(1))) > limit:
+                    raise ValueError(f"{s!r} has an exponent beyond {limit} in magnitude")
         try:
             return Fraction(s)
         except ZeroDivisionError:
             raise ValueError(f"{s!r} has a zero denominator") from None
     raise ValueError(f"expected a rational as a string or an int, got {s!r}")
+
+
+def _read_digits(digits: str) -> int:
+    """int(digits) for a string of decimal digits of any length: past 600
+    digits, below 640, the least limit Python allows int(), each half is
+    read on its own and the two are joined, so LITERAL_LENGTH digits take
+    a fraction of a second rather than the quadratic time of reading 600
+    at a time."""
+    if len(digits) <= 600:
+        return int(digits)
+    half = len(digits) // 2
+    return _read_digits(digits[:half]) * 10 ** (len(digits) - half) + _read_digits(digits[half:])
 
 
 def exact(x, what: str) -> Fraction:

@@ -221,7 +221,9 @@ def build_su1n(N: int) -> Su1nModel:
     roots) are tuples, every vector (the subspace bases, H0 and each
     H_lambda) is a read-only map, and the structure table, beta,
     sigma_diagonal and matrices are read-only at every level, so callers
-    use them without copying."""
+    use them without copying.  matrices holds the basis matrices as
+    _basis_matrices builds them, sparse maps {(row, col): GScalar} with
+    no zero entry, so a reader visits only the entries there are."""
     if type(N) is not int:
         raise TypeError(f"N must be an int, got {N!r}")
     if N < 1:
@@ -273,9 +275,7 @@ def build_su1n(N: int) -> Su1nModel:
         H0=H0,
         beta=tuple(map(tuple, beta)),
         beta_H0=beta_H0,
-        matrices=tuple(
-            tuple(tuple(m.get((a, b), G_ZERO) for b in range(n)) for a in range(n)) for m in mats
-        ),
+        matrices=tuple(map(MappingProxyType, mats)),
     )
 
 

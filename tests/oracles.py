@@ -35,12 +35,17 @@ matrix of the form -beta(x, sigma y) of the su(1, N) model.  delta2_oracle is th
 Chevalley-Eilenberg differential of a two-cochain evaluated on every
 basis triple through the bracket, without any table of the differential.
 rebuild_oracle compares each entry of a structure table with the dense
-commutator of the matrices it was read from (gmat_mul products).
+commutator of the matrices it was read from (gmat_mul products), which
+dense_matrices writes out from the model's sparse ones.
 realified_structure_oracle reads the structure constants of su(1, N) as
 su1n_model did before it read them off the matrix entries: each
 commutator written out as the real and then the imaginary parts of its
 entries (flatten) and solved against a Frame over the flattened basis.
-substitute_alpha sets the formal parameter alpha of a chart function to a
+solve_zeta is the correction functional zeta on m solved from the
+chart's brackets, and integration_moments_oracle the nu^0 moment table
+as build_qmm made it before it read the coadjoint orbit: classical_moment
+of each vector of s + m plus alpha zeta, and the sigma moments written
+out by hand.  substitute_alpha sets the formal parameter alpha of a chart function to a
 number, as build_qmm did to every coefficient of a symbolic table before
 a numeric alpha entered it as a constant.  degree is the largest total
 degree of a chart function in v and z.  tuple_mul, tuple_diff and
@@ -59,12 +64,13 @@ from itertools import combinations, combinations_with_replacement
 from math import factorial, isqrt, lcm, perm
 from sys import maxsize
 
-from ballquant.ball_quantization import QmmReport, resolve_truncation_order
+from ballquant.ball_quantization import QmmReport, _within, classical_moment, inner_square
+from ballquant.ball_quantization import resolve_truncation_order
 from ballquant.ce_cohomology import zero_two_cochain
 from ballquant.formal_star import CoefFn, NuSeries, NuSum, c_operator, transvection_terms
 from ballquant.lie_core import Subspace, structure_in
 from ballquant.linalg import Frame, bilinear, combine, nullspace, solve_in_span, split_symplectic
-from ballquant.linalg import vec_scale
+from ballquant.linalg import transpose, vec_scale
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import G_ZERO, GScalar
 from ballquant.su1n_model import _comm
@@ -172,6 +178,13 @@ def gmat_mul(a, b):
                     if b[k][j]:
                         out[i][j] = out[i][j] + x * b[k][j]
     return out
+
+
+def dense_matrices(model) -> list:
+    """The model's sparse basis matrices written out as dense lists of
+    rows, for gmat_mul."""
+    n = model.N + 1
+    return [[[m.get((a, b), G_ZERO) for b in range(n)] for a in range(n)] for m in model.matrices]
 
 
 def rebuild_oracle(matrices, structure) -> list:
@@ -449,6 +462,71 @@ def field_bracket_oracle(f1: list, f2: list) -> list:
             acc = acc.sub(f2[w].mul(f1[u].diff_coord(w)))
         out.append(acc)
     return out
+
+
+def solve_zeta(chart) -> list:
+    """The linear functional zeta on m of the quantum correction, as
+    build_qmm solved it before the orbit gave it: zeta([m, m]) = 0
+    together with zeta([f_i, sigma f_j]_m) = -Omega_ij, both families read
+    off the chart's brackets and solved as one exact linear system,
+    against the columns of its matrix; independent columns make the
+    solution unique.  ValueError names a bracket that leaves its block,
+    and an underdetermined or inconsistent system."""
+    nv, dm = chart.nv, len(chart.m_basis)
+    m_block = range(2 + nv, 2 + nv + dm)
+    rows = []
+    for i in m_block:
+        for j in range(i + 1, m_block.stop):
+            coords = _within(chart.bracket(i, j), "[m, m] left m", m_block)
+            rows.append({k - m_block.start: c for k, c in coords.items()})
+    rhs = {}
+    for i in range(nv):
+        for j in range(nv):
+            coords = chart.bracket(1 + i, m_block.stop + j)
+            _within(coords, "[V, sigma V] left a + m", range(1), m_block)
+            if chart.omega[i][j]:
+                rhs[len(rows)] = -chart.omega[i][j]
+            rows.append({k - m_block.start: c for k, c in coords.items() if k})
+    try:
+        columns = Frame(transpose(rows, dm))
+    except ValueError:
+        raise ValueError("correction functional is underdetermined") from None
+    zeta = columns.require(rhs, "correction functional equations are inconsistent")
+    return [F(zeta.get(j, 0)) for j in range(dm)]
+
+
+def integration_moments_oracle(chart, P, alpha) -> list:
+    """The nu^0 moments of the chart basis, in its order, as build_qmm
+    made them before it read them off the coadjoint orbit: the classical
+    moment of each vector of s + m (its fundamental field integrated,
+    classical_moment), plus alpha zeta on m (solve_zeta), and the sigma
+    moments written out from the Gram and Omega matrices,
+
+        mu_sigma(w) = e^a (4 (w|v) z - ((v|v) + alpha) Omega(w, v)),
+        mu_sigma(E) = e^{2a} (4 z^2 + ((v|v) + alpha)^2).
+
+    alpha None is the formal parameter."""
+    nv, zero_k = chart.nv, (0,) * chart.nv
+    units = [tuple(int(i == j) for i in range(nv)) for j in range(nv)]
+    if alpha is None:
+        alpha_fn = CoefFn.monomial(nv, 0, zero_k, 1, 0, 1)
+    else:
+        alpha_fn = CoefFn.const(nv, alpha)
+    zeta = [0] * (2 + nv) + solve_zeta(chart)  # zero on s; the zip stops after m
+    moments = [
+        classical_moment(chart, x, P).add(alpha_fn.scale(z)) for x, z in zip(chart.basis, zeta)
+    ]
+    vv_alpha = inner_square(chart).add(alpha_fn)
+    z1 = CoefFn.monomial(nv, 0, zero_k, 0, 1, 1)
+    ea = CoefFn.monomial(nv, 1, zero_k, 0, 0, 1)
+    for j in range(nv):
+        pairing = CoefFn.of(nv, (((0, k, 0, 0), x) for k, x in zip(units, chart.gram[j])))
+        omega_j = CoefFn.of(nv, (((0, k, 0, 0), x) for k, x in zip(units, chart.omega[j])))
+        moments.append(pairing.mul(z1).scale(4).sub(vv_alpha.mul(omega_j)).mul(ea))
+    z2 = CoefFn.monomial(nv, 0, zero_k, 0, 2, 4)
+    e2a = CoefFn.monomial(nv, 2, zero_k, 0, 0, 1)
+    moments.append(z2.add(vv_alpha.mul(vv_alpha)).mul(e2a))
+    return moments
 
 
 def beta_sigma_gram(model) -> list:

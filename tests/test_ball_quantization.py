@@ -24,7 +24,6 @@ from ballquant.ball_quantization import (
     IntegrabilityError,
     TruncationOrderError,
     _in_z,
-    _solve_zeta,
     build_chart,
     build_qmm,
     calibrate,
@@ -42,13 +41,15 @@ from ballquant.ball_quantization import (
     resolve_truncation_order,
     verify_qmm,
 )
+from ballquant import ball_quantization
 from ballquant.formal_star import CoefFn, NuSum, c_operator, series_to_json
 from ballquant.lie_core import LieAlgebra, structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
+from ballquant.scalars import G_ZERO
 from ballquant.su1n_model import build_su1n, model_to_json
 
 from oracles import field_bracket_oracle, leading_principal_minors, poisson_covariance_failures
-from oracles import substitute_alpha
+from oracles import integration_moments_oracle, solve_zeta, substitute_alpha
 from oracles import verify_qmm_oracle
 
 
@@ -193,12 +194,107 @@ def test_chart_reads_name_the_block_a_vector_left():
         fundamental_field(replace(chart, basis=(H, f1, f2, E, sE, sf1, sf2, sE)), y)
     m_left = replace(chart, m_basis=[f1, f2], basis=(H, f1, f2, E, f1, f2, sf1, sf2, sE))
     with pytest.raises(ValueError, match=r"^\[m, m\] left m$"):
-        _solve_zeta(m_left)
+        solve_zeta(m_left)
     with pytest.raises(ValueError, match=r"^\[V, sigma V\] left a \+ m$"):
-        _solve_zeta(replace(chart, basis=(H, H, E, E, y, sf1, sf2, sE)))
+        solve_zeta(replace(chart, basis=(H, H, E, E, y, sf1, sf2, sE)))
     repeated = replace(chart, m_basis=[y, y], basis=(H, f1, f2, E, y, y, sf1, sf2, sE))
     with pytest.raises(ValueError, match="^correction functional is underdetermined$"):
-        _solve_zeta(repeated)
+        solve_zeta(repeated)
+
+
+ALPHAS = [None, F(1), F(-437, 911)]
+
+
+def nu0_terms(table) -> list:
+    return [s.coeffs[0].terms for s in table.moments]
+
+
+def oracle_terms(table, alpha) -> list:
+    return [f.terms for f in integration_moments_oracle(table.chart, table.P, alpha)]
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_orbit_table_is_the_integration_oracle(N):
+    """The nu^0 table that build_qmm reads off the coadjoint orbit is,
+    term by term and moment by moment, the one made by integrating each
+    fundamental field (classical_moment), adding alpha zeta on m and
+    writing the sigma moments out, with alpha symbolic, 1 and -437/911;
+    only the nu^2 term (N - 1) e^{2a} of sigma E lies past nu^0."""
+    for alpha in ALPHAS:
+        table = build_qmm(N, alpha)
+        assert nu0_terms(table) == oracle_terms(table, alpha)
+        moments = table.moments
+        past = [(k, t) for k, s in enumerate(moments) for t, f in enumerate(s.coeffs[1:], 1) if f.terms]
+        assert past == ([(len(moments) - 1, 2)] if N > 1 else [])
+        nu2 = {(2, (0,) * table.chart.nv, 0, 0): N - 1} if N > 1 else {}
+        assert moments[-1].coeffs[2].decoded() == nu2
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_zeta_is_the_imaginary_part_of_the_corner_entry(N):
+    """The correction functional solved from the chart's brackets is
+    zeta(Y) = Im Y_00 on the matrix of each basis vector Y of m, the value
+    the orbit gives it."""
+    chart = build_chart(N)
+    mats = chart.model.matrices
+    corner = [
+        sum((mats[t].get((0, 0), G_ZERO).scale(c) for t, c in y.items()), G_ZERO).im
+        for y in chart.m_basis
+    ]
+    assert solve_zeta(chart) == corner
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_table_is_hamiltonian_for_the_fundamental_fields(N):
+    """X* = -Lambda grad mu_X^(0) for every basis vector X of s + m, so for
+    every X there by linearity: the orbit's moments generate the
+    fundamental fields of left translation."""
+    table = build_qmm(N)
+    chart, P = table.chart, table.P
+    dim = chart.nv + 2
+    for k in range(2 + chart.nv + len(chart.m_basis)):
+        mu = table.moments[k].coeffs[0]
+        grad = [mu.diff_coord(w) for w in range(dim)]
+        for u, comp in enumerate(fundamental_field(chart, chart.basis[k])):
+            want = CoefFn.zero(chart.nv)
+            for w, c in enumerate(P.matrix[u]):
+                want = want.sub(grad[w].scale(c)) if c else want
+            assert comp.sub(want).is_zero(), (table.labels[k], u)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_a_sign_flip_in_z_fails_the_oracle_and_the_identity(N, monkeypatch):
+    """With the sign of the (0, 1) entry of Z(alpha) flipped, the orbit
+    table differs from the integration oracle and verify_qmm fails at
+    order 1, with alpha symbolic and -437/911.  At alpha = 1 that entry,
+    -i (1 - alpha^2) / 2, is zero, and the flip changes nothing."""
+    real = ball_quantization._z_entries
+
+    def flipped(plus, minus):
+        z = real(plus, minus)
+        z[0, 1] = z[0, 1].neg()
+        return z
+
+    monkeypatch.setattr(ball_quantization, "_z_entries", flipped)
+    for alpha in (None, F(-437, 911)):
+        table = build_qmm(N, alpha)
+        assert nu0_terms(table) != oracle_terms(table, alpha)
+        assert not verify_qmm(table, 1).ok
+    table = build_qmm(N, F(1))
+    assert nu0_terms(table) == oracle_terms(table, F(1)) and verify_qmm(table, 1).ok
+
+
+def test_build_reads_no_bracket_and_integrates_nothing(monkeypatch):
+    """build_qmm has one route, the orbit: it reads no bracket of the chart
+    and calls no integration, and its table still verifies."""
+    def refuse(*args):
+        raise AssertionError("integration on the build path")
+
+    monkeypatch.setattr(ball_quantization, "classical_moment", refuse)
+    monkeypatch.setattr(ball_quantization, "integrate_exact_gradient", refuse)
+    table = build_qmm(3)
+    assert not table.chart._brackets
+    assert verify_qmm(table, 4).ok
 
 
 def test_field_homomorphism():

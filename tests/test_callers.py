@@ -26,6 +26,7 @@ ALLOWLIST = {
     "ball_quantization.group_identity": "the chart's group law, a claim only tests check",
     "ball_quantization.group_inverse": "the chart's group law, a claim only tests check",
     "ball_quantization.calibrate": "the unique scale conventions, a claim only tests check",
+    "ball_quantization.classical_moment": BENCHMARK,
     "ce_cohomology.random_two_cochain": BENCHMARK,
     "ce_cohomology.cocycle_space": BENCHMARK,
     "ce_cohomology.check_psd_cocycle_conditions": BENCHMARK,

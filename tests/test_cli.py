@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from ballquant import ball_quantization, ce_cohomology, retract_pde
 from ballquant.ce_cohomology import Cochain
-from ballquant.cli import main
-from ballquant.formal_star import CoefFn, NuSeries
+from ballquant.cli import COHOMOLOGY_CEILING, N_CEILING, main
+from ballquant.formal_star import CoefFn, NuSeries, series_from_json, series_to_json
 from ballquant.lie_core import LieAlgebra
 from ballquant.psd_builder import psd_spec_from_json, psd_spec_to_json
 from ballquant.retract_pde import (
@@ -32,7 +32,7 @@ from ballquant.retract_pde import (
     xifn_from_json,
     xifn_to_json,
 )
-from ballquant.scalars import GScalar
+from ballquant.scalars import LITERAL_LENGTH, GScalar, parse_frac
 
 
 def run(capsys, argv):
@@ -236,6 +236,62 @@ def test_huge_exponent_is_a_usage_error_at_once(capsys, argv, source, big):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (QMM + ["--alpha"], "--alpha"),
+        (ADD_CONST + ["--label", "H", "--value"], "--value"),
+        (["retract-residual", "--theta-json"], "--theta-json"),
+    ],
+    ids=["alpha", "value", "theta"],
+)
+def test_a_literal_past_the_length_bound_is_a_usage_error_at_once(capsys, argv, source):
+    """A rational of more than LITERAL_LENGTH digits is refused before any
+    work, exit 2 within a second; one of LITERAL_LENGTH digits is read."""
+    long = "7" * (LITERAL_LENGTH + 1)
+    if source == "--theta-json":
+        long = json.dumps({"terms": [[0, 0, 0, 0, 0, long, "0"]]})
+    start = time.perf_counter()
+    assert_usage_error(capsys, argv + [long], source)
+    assert time.perf_counter() - start < 1
+    assert parse_frac("7" * LITERAL_LENGTH) == (10**LITERAL_LENGTH - 1) // 9 * 7
+
+
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (["verify", "--suite", "qmm", "--N", "100000"], "--N must be at most 30,"),
+        (["verify", "--suite", "su1n", "--N", "9" * 23], "--N must be at most 30,"),
+        (["verify", "--suite", "retract", "--N", "31"], "--N must be at most 30,"),
+        (["qmm-export", "--N", "31"], "--N must be at most 30,"),
+        (["su1n-export", "--N", "31"], "--N must be at most 30,"),
+        (["retract-residual", "--n", "31"], "--n must be at most 30,"),
+        (["verify", "--suite", "cocycle", "--N", "13"], "--N must be at most 12 for cohomology"),
+        (["h2", "--su1n", "13"], "--su1n must be at most 12 for cohomology"),
+        (QMM[:-1] + ["100000", "--mutate", "add-nu-const", "--label", "H", "--value", "1"], "30"),
+    ],
+    ids=[
+        "qmm", "su1n-huge", "retract", "qmm-export", "su1n-export", "retract-residual",
+        "cocycle", "h2", "qmm-label",
+    ],
+)
+def test_an_n_past_its_ceiling_is_a_usage_error_at_once(capsys, argv, source):
+    """N_CEILING bounds --N and --n, COHOMOLOGY_CEILING the N of h2 and of
+    the cocycle suite: past it the command exits 2 before any build (or
+    any label list), within a second."""
+    start = time.perf_counter()
+    assert_usage_error(capsys, argv, source)
+    assert time.perf_counter() - start < 1
+    assert (N_CEILING, COHOMOLOGY_CEILING) == (30, 12)
+
+
+def test_the_ceiling_itself_is_accepted(capsys):
+    """The ceiling is a value the commands take; retract-residual, whose
+    cost does not grow with n, runs there."""
+    code, out = run(capsys, ["retract-residual", "--n", str(N_CEILING)])
+    assert code == 0 and json.loads(out)["n"] == N_CEILING
+
+
 def read_frac(s: str) -> F:
     """A rational written "n/d", its digits read 600 at a time, so that
     one past the digit limit of int() reads back too."""
@@ -274,6 +330,15 @@ def test_qmm_export_writes_a_squared_alpha_past_the_digit_limit(capsys):
     assert code == 0 and [read_frac(c) for *key, c in terms if key == [2, [0, 0], 0, 0]] == [
         10**5000
     ]
+
+
+def test_qmm_export_past_the_digit_limit_loads_back(capsys):
+    """Every moment of an export whose sE moment holds alpha^2 = 10^5000
+    loads back through series_from_json and writes the same document."""
+    code, out = run(capsys, ["qmm-export", "--N", "1", "--alpha", "1e2500"])
+    moments = json.loads(out)["moments"]
+    assert code == 0 and [series_to_json(series_from_json(m)) for m in moments] == moments
+    assert series_from_json(moments[-1]).coeffs[0].decoded()[(2, (), 0, 0)] == 10**5000
 
 
 def test_retract_residual_writes_a_theta_past_the_digit_limit(capsys):
@@ -506,8 +571,8 @@ def test_verify_retract_reports_constants_not_annihilated(capsys, monkeypatch):
 
 
 def test_verify_retract_reports_a_wrong_m_field(capsys, monkeypatch):
-    # build_qmm reads fundamental_field too: the table comes from the true
-    # field, and only the suite's own comparison reads the doubled one
+    # the table is built before the field is doubled, so only the suite's
+    # own comparison reads the doubled one
     table = ball_quantization.build_qmm(2)
     monkeypatch.setattr(ball_quantization, "build_qmm", lambda N, alpha: table)
     real = ball_quantization.fundamental_field

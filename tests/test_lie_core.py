@@ -36,7 +36,7 @@ from ballquant.psd_builder import PsdSpec, build_psd
 from ballquant.scalars import frac_str
 from ballquant.su1n_model import build_su1n
 
-from oracles import nullspace_oracle, rebuild_oracle, rref_oracle, sparse
+from oracles import dense_matrices, nullspace_oracle, rebuild_oracle, rref_oracle, sparse
 
 
 def bracket_oracle(dim, structure, x, y):
@@ -448,7 +448,7 @@ def test_planted_sign_flip_fails_jacobi_and_the_rebuild_oracle():
     broken = 0
     for structure in sign_flips(g, seed=11, count=entries):
         pair = next(key for key in structure if structure[key] != g.structure[key])
-        assert rebuild_oracle(model.matrices, structure) == [pair]
+        assert rebuild_oracle(dense_matrices(model), structure) == [pair]
         rep = jacobi_report(g.dim, structure)
         if rep.ok:
             continue

@@ -53,7 +53,7 @@ from ballquant.linalg import Frame, bilinear, combine, nullspace, rank_sparse, r
 from ballquant.linalg import split_symplectic
 from ballquant.psd_builder import PsdSpec, build_psd, psd_spec_from_json, psd_spec_to_json
 from ballquant.retract_pde import XiFn, xifn_from_json, xifn_to_json
-from ballquant.scalars import GScalar, frac_str, parse_frac
+from ballquant.scalars import LITERAL_LENGTH, GScalar, frac_str, parse_frac
 
 from oracles import dense, identity_matrix, mat_mul, nullspace_oracle, rref_oracle, sparse
 from oracles import degree as total_degree
@@ -124,6 +124,26 @@ def test_frac_str_writes_a_rational_past_the_int_digit_limit():
     assert frac_str(F(-(123 * 10**4800 + 45), 1)) == "-123" + "0" * 4798 + "45/1"
     assert frac_str(F(1, 10**5000)) == "1/1" + "0" * 5000
     assert frac_str(F(10**600 * 7, 1)) == "7" + "0" * 600 + "/1"
+
+
+def test_parse_frac_reads_back_what_frac_str_writes_past_the_int_digit_limit():
+    """Integer and n/d literals are read whole past the digit limit of
+    int(), so CoefFn and XiFn exports of such rationals round trip; other
+    forms keep Fraction's own limit, and a string longer than
+    LITERAL_LENGTH is refused."""
+    limit = sys.get_int_max_str_digits()
+    huge = [F(10**4300), F(-(123 * 10**4800 + 45), 7), F(3, 10**5000 + 1), F(-(10**9000 + 1))]
+    for x in huge:
+        assert parse_frac(frac_str(x)) == x
+        f = CoefFn.const(2, x)
+        assert coef_from_json(coef_to_json(f)) == f
+        theta = XiFn({(0, 1, 0, 1, 0): GScalar(x, -x), (1, 0, 2, 0, 2): GScalar(0, x)})
+        assert xifn_from_json(xifn_to_json(theta)).terms == theta.terms
+    assert parse_frac(" +" + "9" * (limit + 1) + "/" + "3" * (limit + 1)) == F(3)
+    with pytest.raises(ValueError):
+        parse_frac("0." + "1" * (limit + 1))
+    with pytest.raises(ValueError, match=f"longer than {LITERAL_LENGTH}$"):
+        parse_frac("1/" + "1" * (LITERAL_LENGTH - 1))
 
 
 def test_parse_frac_refuses_an_exponent_past_the_int_digit_limit():

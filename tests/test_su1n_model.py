@@ -44,7 +44,7 @@ from ballquant.linalg import Frame, vec_add, vec_scale
 
 from oracles import adapted_s_basis_oracle, beta_sigma_gram, gmat_mul, leading_principal_minors
 from oracles import flatten, normalizer, rational_sqrt, realified_structure_oracle, rref_oracle
-from oracles import sparse
+from oracles import dense_matrices, sparse
 
 
 def test_dimensions():
@@ -250,7 +250,8 @@ def test_killing_form_closed_form(N):
     """B(X, Y) = 2(N+1) tr(XY) on su(1, N), checked on the basis matrices
     independently of the structure constants beta is computed from."""
     model = build_su1n(N)
-    mats = model.matrices
+    mats = dense_matrices(model)
+    assert [dict(m) for m in model.matrices] == _basis_matrices(N)[0]
     for i, mi in enumerate(mats):
         for j, mj in enumerate(mats):
             prod = gmat_mul(mi, mj)
@@ -348,7 +349,7 @@ def test_structure_constants_match_dense_commutators(N):
     """Each bracket of the table is the dense commutator of the basis
     matrices, solved against their realified entries by the dense oracle."""
     model = build_su1n(N)
-    mats = model.matrices
+    mats = dense_matrices(model)
     dim = len(mats)
 
     def real_entries(m):
@@ -447,7 +448,7 @@ def test_cached_model_arrays_are_read_only():
         (model.sigma_diagonal, 0, F(-1)),
         (model.matrices, 0, ()),
         (model.matrices[0], 0, ()),
-        (model.matrices[0][0], 0, GScalar.of(7)),
+        (model.matrices[0], (0, 0), GScalar.of(7)),
     ]
     spaces = [model.k_space, model.p_space, model.a_space, model.n_space, model.m_space]
     spaces += [model.s_space] + [r.space for r in model.roots]
