@@ -381,8 +381,10 @@ def _orbit_moments(chart: BallChart, alpha: Fraction | None) -> list:
                     if c in col and r in xa:
                         _cmul(w, col[c], xa[r])
             re, im = W[c, r]
-            accumulate(acc, ((k, gr * v) for k, v in re.items() if gr))
-            accumulate(acc, ((k, -gi * v) for k, v in im.items() if gi))
+            if gr:
+                accumulate(acc, ((k, gr * v) for k, v in re.items()))
+            if gi:
+                accumulate(acc, ((k, -gi * v) for k, v in im.items()))
         shift, den = -root << layout.top, s_cols * s_rows * 4 * q * q * d
         moments.append(CoefFn(nv, {k + shift: Fraction(v, den) for k, v in acc.items()}))
     return moments
