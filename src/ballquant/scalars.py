@@ -75,7 +75,7 @@ def parse_frac(s) -> Fraction:
     if isinstance(s, str) or type(s) is int:
         if isinstance(s, str):
             if len(s) > LITERAL_LENGTH:
-                raise ValueError(f"a rational of {len(s)} characters is longer than {LITERAL_LENGTH}")
+                raise ValueError(f"a rational of {len(s)} characters is past {LITERAL_LENGTH}")
             if m := _RATIO.match(s):
                 sign, num, den = m.groups()
                 n, d = _read_digits(num), 1 if den is None else _read_digits(den)

@@ -142,7 +142,7 @@ def test_parse_frac_reads_back_what_frac_str_writes_past_the_int_digit_limit():
     assert parse_frac(" +" + "9" * (limit + 1) + "/" + "3" * (limit + 1)) == F(3)
     with pytest.raises(ValueError):
         parse_frac("0." + "1" * (limit + 1))
-    with pytest.raises(ValueError, match=f"longer than {LITERAL_LENGTH}$"):
+    with pytest.raises(ValueError, match=f"characters is past {LITERAL_LENGTH}$"):
         parse_frac("1/" + "1" * (LITERAL_LENGTH - 1))
 
 
