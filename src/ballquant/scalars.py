@@ -38,7 +38,6 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 # a CLI export writes, alpha^2 for an --alpha of one full argument
 # (131072 bytes on Linux), stays below it.
 LITERAL_LENGTH = 300_000
-_RATIO = re.compile(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*\Z")
 
 
 def frac_str(x: Fraction) -> str:
@@ -76,9 +75,11 @@ def parse_frac(s) -> Fraction:
         if isinstance(s, str):
             if len(s) > LITERAL_LENGTH:
                 raise ValueError(f"a rational of {len(s)} characters is past {LITERAL_LENGTH}")
-            if m := _RATIO.match(s):
-                sign, num, den = m.groups()
-                n, d = _read_digits(num), 1 if den is None else _read_digits(den)
+            body = s.strip()
+            sign = body[0] if body.startswith(("+", "-")) else ""
+            num, slash, den = body[len(sign) :].partition("/")
+            if num.isdecimal() and (den.isdecimal() or not slash):
+                n, d = _read_digits(num), _read_digits(den) if slash else 1
                 if not d:
                     raise ValueError(f"{s!r} has a zero denominator")
                 return Fraction(-n if sign == "-" else n, d)

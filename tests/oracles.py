@@ -45,7 +45,8 @@ solve_zeta is the correction functional zeta on m solved from the
 chart's brackets, and integration_moments_oracle the nu^0 moment table
 as build_qmm made it before it read the coadjoint orbit: classical_moment
 of each vector of s + m plus alpha zeta, and the sigma moments written
-out by hand.  substitute_alpha sets the formal parameter alpha of a chart function to a
+out by hand.
+substitute_alpha sets the formal parameter alpha of a chart function to a
 number, as build_qmm did to every coefficient of a symbolic table before
 a numeric alpha entered it as a constant.  degree is the largest total
 degree of a chart function in v and z.  tuple_mul, tuple_diff and

@@ -258,7 +258,8 @@ def test_table_is_hamiltonian_for_the_fundamental_fields(N):
         for u, comp in enumerate(fundamental_field(chart, chart.basis[k])):
             want = CoefFn.zero(chart.nv)
             for w, c in enumerate(P.matrix[u]):
-                want = want.sub(grad[w].scale(c)) if c else want
+                if c:
+                    want = want.sub(grad[w].scale(c))
             assert comp.sub(want).is_zero(), (table.labels[k], u)
 
 

@@ -246,8 +246,8 @@ def test_huge_exponent_is_a_usage_error_at_once(capsys, argv, source, big):
     ids=["alpha", "value", "theta"],
 )
 def test_a_literal_past_the_length_bound_is_a_usage_error_at_once(capsys, argv, source):
-    """A rational of more than LITERAL_LENGTH digits is refused before any
-    work, exit 2 within a second; one of LITERAL_LENGTH digits is read."""
+    """A rational of more than LITERAL_LENGTH characters is refused before
+    any work, exit 2 within a second; one of LITERAL_LENGTH digits is read."""
     long = "7" * (LITERAL_LENGTH + 1)
     if source == "--theta-json":
         long = json.dumps({"terms": [[0, 0, 0, 0, 0, long, "0"]]})

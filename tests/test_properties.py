@@ -126,6 +126,28 @@ def test_frac_str_writes_a_rational_past_the_int_digit_limit():
     assert frac_str(F(10**600 * 7, 1)) == "7" + "0" * 600 + "/1"
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789+-/ ._eE\t\u0663", max_size=12))
+@example(" -3/4 ")
+@example("+0/0")
+def test_parse_frac_reads_short_literals_as_fraction_does(s):
+    """Below the digit limit, parse_frac's own reading of integer and n/d
+    literals gives what Fraction gives, and refuses what it refuses; it
+    refuses besides an exponent past sys.get_int_max_str_digits()."""
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", s)
+    try:
+        if exponent and abs(int(exponent[1])) > sys.get_int_max_str_digits():
+            raise ValueError("Fraction would compute 10 to that power first")
+        want = F(s)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    try:
+        got = parse_frac(s)
+    except ValueError:
+        got = None
+    assert got == want and (got is None or type(got) is F)
+
+
 def test_parse_frac_reads_back_what_frac_str_writes_past_the_int_digit_limit():
     """Integer and n/d literals are read whole past the digit limit of
     int(), so CoefFn and XiFn exports of such rationals round trip; other
