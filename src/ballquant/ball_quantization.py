@@ -42,7 +42,6 @@ survives, (1/2, 1/2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
@@ -53,7 +52,7 @@ from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, half_commuta
 from .formal_star import series_to_json
 from .linalg import Frame, bilinear, split_symplectic
 from .linalg import solve_in_span  # noqa: F401, callers read it here
-from .scalars import G_ZERO, accumulate, collect, exact, frac_str, resolve_truncation_order
+from .scalars import G_ZERO, Record, accumulate, collect, exact, frac_str, resolve_truncation_order
 from .scalars import TRUNCATION_ENV, TruncationOrderError  # noqa: F401, callers read them here
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
@@ -62,8 +61,7 @@ CALIBRATED_INNER_SCALE = Fraction(1, 2)
 _NO_TERMS = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class BallChart:
+class BallChart(Record, frozen=True):
     model: Su1nModel
     inner_scale: Fraction
     H: MappingProxyType
@@ -96,26 +94,25 @@ def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallC
 
     basis is the adapted basis of the whole algebra in qmm_labels order,
     (H, f, E, m, sigma f, sigma E), a tuple of read-only vectors: the
-    model's own where it has them (H, m_basis), else ones the chart owns.
+    model's own where it has them (H, m_basis), the checked ones that
+    adapted_s_basis keeps for the model (f, E), and the chart's own.
     H, fs, E and m_basis are its entries, and frame reads coordinates
     against it.  A zero inner_scale raises ValueError.
     """
     if not inner_scale:
         raise ValueError("inner_scale must be nonzero")
     model = build_su1n(N)
-    read_only = lambda x: x if isinstance(x, MappingProxyType) else MappingProxyType(x)
     H, fs, E = adapted_s_basis(model)
-    fs, E = [read_only(x) for x in fs], read_only(E)
     nv = len(fs)
     omega = split_symplectic(nv)
     m_basis = list(model.m_space.basis)
-    sigma = [MappingProxyType(model.apply_sigma(x)) for x in fs + [E]]
+    sigma = [MappingProxyType(model.apply_sigma(x)) for x in (*fs, E)]
     basis = (H, *fs, E, *m_basis, *sigma)
     frame = Frame(basis)
     gram = [
         [-inner_scale * model.beta_form(u, sw) / model.beta_H0 for sw in sigma[:nv]] for u in fs
     ]
-    return BallChart(model, inner_scale, H, fs, E, nv, omega, gram, m_basis, basis, frame)
+    return BallChart(model, inner_scale, H, list(fs), E, nv, omega, gram, m_basis, basis, frame)
 
 
 def _within(coords, what: str, *blocks: range):
@@ -148,8 +145,7 @@ def poisson_structure(
     return PoissonStructure(chart.nv, m)
 
 
-@dataclass
-class GroupElement:
+class GroupElement(Record):
     """Point of AN in chart coordinates, with t = exp(-a)."""
 
     t: Fraction
@@ -283,8 +279,7 @@ def inner_square(chart: BallChart) -> CoefFn:
     )
 
 
-@dataclass(frozen=True)
-class QmmTable:
+class QmmTable(Record, frozen=True):
     chart: BallChart
     P: PoissonStructure
     alpha: Fraction | None
@@ -483,8 +478,7 @@ def _apply_once(vec: dict, gens: list, row: bool) -> dict:
     return {i: p for i, p in out.items() if p[0] or p[1]}
 
 
-@dataclass
-class QmmReport:
+class QmmReport(Record):
     ok: bool
     order: int
     exact: bool
@@ -582,7 +576,7 @@ def mutate_drop_nu2(table: QmmTable) -> QmmTable:
         NuSeries(s.order, s.coeffs[:2] + [CoefFn.zero(nv)] * (s.order - 1), s.exact)
         for s in table.moments
     ]
-    return replace(table, moments=moments)
+    return table.replace(moments=moments)
 
 
 def mutate_add_nu_const(table: QmmTable, label: str, value: Fraction) -> QmmTable:
@@ -598,11 +592,10 @@ def mutate_add_nu_const(table: QmmTable, label: str, value: Fraction) -> QmmTabl
     shifted = NuSum(nv, moments[idx].order).add(moments[idx])
     shifted.land(1, CoefFn.const(nv, value).terms.items())
     moments[idx] = shifted.series()
-    return replace(table, moments=moments)
+    return table.replace(moments=moments)
 
 
-@dataclass
-class CalibrationResult:
+class CalibrationResult(Record):
     passing: list
     tried: int
 

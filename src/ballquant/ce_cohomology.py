@@ -18,23 +18,16 @@ rest on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
 from .lie_core import LieAlgebra, bracket_triples
 from .linalg import Frame, bilinear, dense, nullspace, rank_sparse, transpose
-from .scalars import collect, decimal_index, frac_str, keyed, parse_frac, shaped
-
-if TYPE_CHECKING:
-    from .psd_builder import PsdAlgebra
-    from .su1n_model import Su1nModel
+from .scalars import Record, collect, decimal_index, frac_str, keyed, parse_frac, shaped
 
 
-@dataclass
-class Cochain:
+class Cochain(Record):
     """Alternating multilinear form of degree 0..3 on a fixed basis.
 
     data is a Fraction (degree 0), a list (degree 1), a full
@@ -152,8 +145,7 @@ def cocycle_space(algebra: LieAlgebra) -> list:
     return _kernel_cochains(algebra.dim, pairs, [row for _, row in _d2_table(algebra)])
 
 
-@dataclass
-class CocycleReport:
+class CocycleReport(Record):
     ok: bool
     failing_condition: str | None
 

@@ -26,6 +26,10 @@ SERIES = ("qmm", "retract")  # the verify suites that truncate series
 # grows faster in N than the chart and model commands.
 N_CEILING = 30
 COHOMOLOGY_CEILING = 12
+# The largest sum of the --blocks dimensions that build-psd and h2 take,
+# refused above in the same way: the costliest h2 at this sum was measured
+# near 200 MB, while build-psd's cubic Jacobi sweep stays within seconds.
+BLOCKS_CEILING = 250
 # verify options that only some suites read, with those suites
 SUITE_OPTIONS = {"mutate": ("qmm",), "pairs": ("qmm",), "alpha": SERIES, "order": SERIES}
 
@@ -43,7 +47,8 @@ def _check_args(args) -> None:
 
     Raises UsageError naming the option; an option that the command
     would ignore is an error too, and so is an N past the command's
-    ceiling (N_CEILING, or COHOMOLOGY_CEILING for h2 and the cocycle suite).
+    ceiling (N_CEILING, or COHOMOLOGY_CEILING for h2 and the cocycle suite)
+    and block dimensions that sum past BLOCKS_CEILING.
     Parsed values: --blocks in place, --alpha and --value as alpha_q and
     value_q, --theta-json as theta, an omitted --order as its suite's default.
     """
@@ -72,6 +77,8 @@ def _check_args(args) -> None:
         if not ok:
             raise UsageError("--blocks must list one positive dimension per block of --r")
         args.blocks = [int(x) for x in parts]
+        if sum(args.blocks) > BLOCKS_CEILING:
+            raise UsageError(f"--blocks must sum to at most {BLOCKS_CEILING}")
     if args.command == "h2" and args.su1n is None and args.blocks is None:
         raise UsageError("h2 needs either --su1n N or --r R --blocks n1,..,nR")
     if args.command == "verify":

@@ -95,18 +95,19 @@ verify_qmm sums each pair's residual in one NuSum.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, perm
 from sys import maxsize
 
 from .linalg import mat_inverse
-from .scalars import SparseSum, accumulate, collect, exact, frac_str, keyed, parse_frac, shaped
+from .scalars import Record, SparseSum, accumulate, collect, exact, frac_str, keyed, parse_frac
+from .scalars import shaped
 
 FIELD_BITS = 8
 _MASK = (1 << FIELD_BITS) - 1
 _GUARD = 1 << (FIELD_BITS - 1)
+_set = object.__setattr__
 
 
 class _kept:
@@ -167,14 +168,17 @@ def _fit(e: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class CoefFn(SparseSum):
+class CoefFn(SparseSum, Record, frozen=True):
     """Finite sum of monomials, each keyed by one int that packs
     (p, k, alpha power, z power) as key_layout(nv) lays it out.  of builds
     one from tuple keys and decoded reads them back."""
 
     nv: int
-    terms: dict = field(default_factory=dict)
+    terms: dict
+
+    def __init__(self, nv: int, terms: dict | None = None):
+        _set(self, "nv", nv)  # past the frozen __setattr__, as dataclasses do
+        _set(self, "terms", {} if terms is None else terms)
 
     def _new(self, terms: dict) -> CoefFn:
         return CoefFn(self.nv, terms)
@@ -475,8 +479,7 @@ def c_operator(f: CoefFn | PairWalk, g: CoefFn, P: PoissonStructure, m: int, wei
     return CoefFn(P.nv, total)
 
 
-@dataclass
-class NuSeries:
+class NuSeries(Record):
     """Truncated power series in the deformation parameter.
 
     coeffs[i] multiplies nu^i; exact means no nonzero coefficient was
@@ -488,6 +491,9 @@ class NuSeries:
     order: int
     coeffs: list
     exact: bool = True
+
+    def __init__(self, order: int, coeffs: list, exact: bool = True):
+        self.order, self.coeffs, self.exact = order, coeffs, exact
 
     @classmethod
     def from_coef(cls, f: CoefFn, order: int) -> NuSeries:

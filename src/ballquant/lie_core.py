@@ -25,20 +25,18 @@ one at a time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
 from .linalg import BoundOnce, Frame, nullspace, rref, zeros
-from .scalars import collect, decimal_index, exact, frac_str, keyed, parse_frac, shaped
+from .scalars import Record, collect, decimal_index, exact, frac_str, keyed, parse_frac, shaped
 
 Vector = dict
 _EMPTY = MappingProxyType({})
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """A verifier's outcome: ok, the cases checked and the failing ones."""
 
     ok: bool
@@ -46,8 +44,7 @@ class CheckReport:
     failures: list
 
 
-@dataclass
-class JacobiReport:
+class JacobiReport(Record):
     ok: bool
     worst_triple: tuple | None
     residual: Vector | None

@@ -10,27 +10,23 @@ cross actions are rejected at construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .lie_core import CheckReport, LieAlgebra
 from .linalg import combine
-from .scalars import collect, exact, frac_str, keyed, parse_frac, shaped
-
-if TYPE_CHECKING:
-    from .su1n_model import Su1nModel
+from .scalars import Record, collect, exact, frac_str, keyed, parse_frac, shaped
 
 
-@dataclass
-class PsdSpec:
+class PsdSpec(Record):
     r: int
     n: list
-    cross_actions: dict = field(default_factory=dict)
+    cross_actions: dict
+
+    def __init__(self, r: int, n: list, cross_actions: dict | None = None):
+        super().__init__(r, n, {} if cross_actions is None else cross_actions)
 
 
-@dataclass
-class PsdAlgebra:
+class PsdAlgebra(Record):
     spec: PsdSpec
     algebra: LieAlgebra
     blocks: dict  # block number -> {"H": idx, "V": [idx...], "E": idx}
@@ -133,7 +129,7 @@ def match_iwasawa(psd: PsdAlgebra, model: Su1nModel) -> CheckReport:
     if psd.spec.r != 1 or psd.spec.n != [model.N]:
         return CheckReport(False, 0, [("shape", psd.spec.r, psd.spec.n, model.N)])
     H, fs, E = adapted_s_basis(model)
-    images = [H] + fs + [E]
+    images = [H, *fs, E]
     g, s = psd.algebra, model.algebra
     failures = []
     checked = 0

@@ -54,25 +54,17 @@ none of them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import add, le
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
 from .scalars import GScalar, SparseSum, accumulate, collect, frac_str, keyed, parse_frac, shaped
-from .scalars import resolve_truncation_order
-
-if TYPE_CHECKING:
-    from .ball_quantization import BallChart, QmmTable
-    from .formal_star import CoefFn, NuSeries
-    from .su1n_model import Su1nModel
+from .scalars import Record, resolve_truncation_order
 
 
-@dataclass
-class XiFn(SparseSum):
+class XiFn(SparseSum, Record):
     """Coefficient function of (a, r, xi) in the radial calculus.
 
     terms maps (k, m, n, h, j) to a Gaussian rational multiplying
@@ -85,6 +77,9 @@ class XiFn(SparseSum):
     """
 
     terms: dict
+
+    def __init__(self, terms: dict):
+        self.terms = terms
 
     def _new(self, terms: dict) -> XiFn:
         return XiFn(terms)
@@ -178,8 +173,7 @@ def xifn_from_json(data: dict) -> XiFn:
     return XiFn(collect(items))
 
 
-@dataclass
-class ClosureReport:
+class ClosureReport(Record):
     ok: bool
     dim_w: int
     dim_filled: int

@@ -21,7 +21,8 @@ the partial sum once per summand.
 resolve_truncation_order checks the nu truncation order that every
 series check takes, 12 when the call passes none; it lives here so that
 the radial calculus reads it without loading the chart
-(ball_quantization re-exports it).
+(ball_quantization re-exports it).  Record, the base of the package's
+records, is here since every module imports this one.
 """
 from __future__ import annotations
 
@@ -113,6 +114,47 @@ def exact(x, what: str) -> Fraction:
     if type(x) is bool or not isinstance(x, (int, Fraction)):
         raise TypeError(f"{what} must be an int or a Fraction, got {x!r}")
     return Fraction(x)
+
+
+class Record:
+    """Fields are the class's own annotations, a class attribute the
+    default; a record equals one of its class with equal fields (so is
+    unhashable) and prints as Name(field=value, ...).  frozen=True refuses
+    to set or delete attributes, eq=False keeps identity eq and hash."""
+
+    def __init_subclass__(cls, frozen: bool = False, eq: bool = True):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = cls._refuse_change
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        given = dict(zip(fields, args), **kwargs)
+        wanted = {name for name in fields if name in given or not hasattr(cls, name)}
+        if len(given) < len(args) + len(kwargs) or given.keys() != wanted:
+            raise TypeError(f"{cls.__name__} takes the fields {fields}, got {args} and {kwargs}")
+        for name in fields:  # past a frozen __setattr__; filling __dict__ would slow reads
+            object.__setattr__(self, name, given.get(name, getattr(cls, name, None)))
+
+    def _items(self) -> list:
+        return [(name, getattr(self, name)) for name in self._fields]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._items() == other._items()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        return type(self)(**dict(self._items(), **changes))
+
+    def _refuse_change(self, name: str, *value):
+        raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
 
 
 class TruncationOrderError(ValueError):

@@ -15,7 +15,6 @@ the basis matrices and checked (adapted_s_basis).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -40,7 +39,7 @@ from .linalg import (
     vec_scale,
     zeros,
 )
-from .scalars import G_ZERO, GScalar, frac_str
+from .scalars import G_ZERO, GScalar, Record, frac_str
 
 
 def _comm(a: dict, b: dict) -> dict:
@@ -168,8 +167,7 @@ def _trace_form(mats: list, n: int) -> list:
     return form
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record, frozen=True):
     """One restricted-root space with its coroot.
 
     lambda_of_H is the tuple of the root values on the basis vectors of a
@@ -182,8 +180,7 @@ class RootDatum:
     H_lambda: MappingProxyType
 
 
-@dataclass(frozen=True, eq=False)
-class Su1nModel:
+class Su1nModel(Record, frozen=True, eq=False):
     N: int
     algebra: LieAlgebra
     sigma_diagonal: tuple
@@ -279,9 +276,15 @@ def build_su1n(N: int) -> Su1nModel:
     )
 
 
-def adapted_s_basis(model: Su1nModel):
+# model -> its checked chart basis, keyed weakly as _S_SUBMODELS is.
+_ADAPTED: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def adapted_s_basis(model: Su1nModel) -> tuple:
     """Chart basis (H, f_1 .. f_nv, E) of the solvable part s, written
-    down from the basis matrices and checked.
+    down from the basis matrices and checked once per model object: a
+    model made by replace is checked anew.  The result is read-only, H
+    the model's own H0, the f's a tuple of read-only maps and E one.
 
     H = P1 is the model's H0, E = D0 - Q1 spans the top root space, and
     for k = 2 .. N the short root space is spanned by
@@ -293,6 +296,8 @@ def adapted_s_basis(model: Su1nModel):
     when -beta(E, sigma E) != 2 beta(H, H), or when the bracket pairing
     [x, y] = b(x, y) E is not split-half, b = [[0, I], [-I, 0]].
     """
+    if model in _ADAPTED:
+        return _ADAPTED[model]
     at = {label: i for i, label in enumerate(model.algebra.labels)}
     one, half, ks = Fraction(1), Fraction(-1, 2), range(2, model.N + 1)
     E = {at["D0"]: one, at["Q1"]: -one}
@@ -308,7 +313,8 @@ def adapted_s_basis(model: Su1nModel):
     bform = lambda x, y: top_line.require(model.algebra.bracket(x, y), what).get(0, Fraction(0))
     if [[bform(fi, fj) for fj in fs] for fi in fs] != split_symplectic(len(fs)):
         raise AssertionError("symplectic normal form check failed")
-    return model.H0, fs, E
+    out = _ADAPTED[model] = model.H0, tuple(map(MappingProxyType, fs)), MappingProxyType(E)
+    return out
 
 
 def verify_sigma_pairing(model: Su1nModel) -> CheckReport:
@@ -372,8 +378,7 @@ def iwasawa_project(model: Su1nModel, x: dict):
     return xs, vec_add(x, vec_scale(xs, -1))
 
 
-@dataclass(frozen=True)
-class SSubmodel:
+class SSubmodel(Record, frozen=True):
     """The solvable part a + n as a Lie algebra in its own coordinates.
 
     embedding rows express the submodel basis inside the parent algebra,

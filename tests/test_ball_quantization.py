@@ -11,9 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
 
 import pytest
@@ -191,13 +190,13 @@ def test_chart_reads_name_the_block_a_vector_left():
     with pytest.raises(ValueError, match="^element lies outside the solvable part plus m$"):
         fundamental_field(chart, sE)
     with pytest.raises(ValueError, match="^m does not preserve the short root space$"):
-        fundamental_field(replace(chart, basis=(H, f1, f2, E, sE, sf1, sf2, sE)), y)
-    m_left = replace(chart, m_basis=[f1, f2], basis=(H, f1, f2, E, f1, f2, sf1, sf2, sE))
+        fundamental_field(chart.replace(basis=(H, f1, f2, E, sE, sf1, sf2, sE)), y)
+    m_left = chart.replace(m_basis=[f1, f2], basis=(H, f1, f2, E, f1, f2, sf1, sf2, sE))
     with pytest.raises(ValueError, match=r"^\[m, m\] left m$"):
         solve_zeta(m_left)
     with pytest.raises(ValueError, match=r"^\[V, sigma V\] left a \+ m$"):
-        solve_zeta(replace(chart, basis=(H, H, E, E, y, sf1, sf2, sE)))
-    repeated = replace(chart, m_basis=[y, y], basis=(H, f1, f2, E, y, y, sf1, sf2, sE))
+        solve_zeta(chart.replace(basis=(H, H, E, E, y, sf1, sf2, sE)))
+    repeated = chart.replace(m_basis=[y, y], basis=(H, f1, f2, E, y, y, sf1, sf2, sE))
     with pytest.raises(ValueError, match="^correction functional is underdetermined$"):
         solve_zeta(repeated)
 
@@ -518,6 +517,40 @@ def test_mutation_nu_const_refuses_an_unknown_label():
         mutate_add_nu_const(build_qmm(1, alpha=F(1)), "X", F(1))
 
 
+def single_term_perturbations(table):
+    """(moment index, nu power, term) for each one-term change of the
+    table: every term of every moment doubled, and a unit monomial
+    e^{pa} v_i z^q (p = 0..2, q = 0..1, at most one v_i) added at nu^0,
+    nu^1 and nu^2 of every moment."""
+    nv = table.chart.nv
+    vs = [(0,) * nv] + [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
+    for k, s in enumerate(table.moments):
+        for i, f in enumerate(s.coeffs):
+            yield from ((k, i, CoefFn(nv, {key: c})) for key, c in f.terms.items())
+        for i, p, v, q in product(range(3), range(3), vs, range(2)):
+            yield k, i, CoefFn.monomial(nv, p, v, 0, q, 1)
+
+
+@pytest.mark.parametrize("N, cases", [(2, 455), (3, 1410)])
+def test_every_single_term_perturbation_fails_verify_qmm(N, cases):
+    """The moment identity at order 4 pins each term of the table: no
+    single-term change of it still verifies.  A survivor would be a
+    finding (a gauge of the star product, or a blind spot of the check),
+    not a case to skip."""
+    table = build_qmm(N)
+    assert all(s.order == 2 for s in table.moments)
+    survivors, count = [], 0
+    for k, i, term in single_term_perturbations(table):
+        count += 1
+        moments = list(table.moments)
+        changed = NuSum(table.chart.nv, 2).add(moments[k])
+        changed.land(i, term.terms.items())
+        moments[k] = changed.series()
+        if verify_qmm(table.replace(moments=moments), order=4).ok:
+            survivors.append((table.labels[k], i, term.decoded()))
+    assert count == cases and not survivors
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_order_zero_is_the_poisson_covariance_check(N):
     """verify_qmm at order 0 checks the classical limit {mu_X, mu_Y} =
@@ -534,8 +567,8 @@ def test_order_zero_is_the_poisson_covariance_check(N):
         exps = [rng.randint(0, 1) for _ in range(nv)]
         p, q, c = rng.randint(-1, 1), rng.randint(0, 1), F(rng.randint(1, 5), 3)
         bump = CoefFn.monomial(nv, p, exps, 0, q, c)
-        moments[k] = replace(s, coeffs=[s.coeffs[0].add(bump), *s.coeffs[1:]])
-    perturbed = replace(base, moments=moments)
+        moments[k] = s.replace(coeffs=[s.coeffs[0].add(bump), *s.coeffs[1:]])
+    perturbed = base.replace(moments=moments)
     for table in (base, perturbed):
         rep = verify_qmm(table, order=0)
         want = poisson_covariance_failures(table)
@@ -850,11 +883,11 @@ def test_replaced_chart_reads_its_own_structure():
     """The chart is frozen; a chart made by replace starts with no pair
     read and reads its own."""
     chart = build_chart(2)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         chart.basis = ()
     pairs = list(combinations(range(len(chart.basis)), 2))
     table = [chart.bracket(i, j) for i, j in pairs]
-    same, flipped = replace(chart), replace(chart, basis=chart.basis[::-1])
+    same, flipped = chart.replace(), chart.replace(basis=chart.basis[::-1])
     assert "_brackets" not in vars(same) and "_brackets" not in vars(flipped)
     again = [same.bracket(i, j) for i, j in pairs]
     assert again == table and all(a is not b for a, b in zip(again, table) if a)

@@ -301,7 +301,7 @@ def test_invariant_generator_admits_psd_primitive():
     sub, basis = invariant_cocycle_space(model)
     gen = basis[0]
     H, fs, E = adapted_s_basis(model)
-    images = [sub.to_sub(v) for v in [H] + fs + [E]]
+    images = [sub.to_sub(v) for v in (H, *fs, E)]
     psd = build_psd(PsdSpec(1, [2]))
     c_psd = pullback_cochain(gen, images)
     alpha = coboundary_primitive_psd(psd, c_psd)

@@ -20,12 +20,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ballquant import ball_quantization, ce_cohomology, retract_pde
+from ballquant import ball_quantization, ce_cohomology, psd_builder, retract_pde
 from ballquant.ce_cohomology import Cochain
-from ballquant.cli import COHOMOLOGY_CEILING, N_CEILING, main
+from ballquant.cli import BLOCKS_CEILING, COHOMOLOGY_CEILING, N_CEILING, main
 from ballquant.formal_star import CoefFn, NuSeries, series_from_json, series_to_json
 from ballquant.lie_core import LieAlgebra
-from ballquant.psd_builder import psd_spec_from_json, psd_spec_to_json
+from ballquant.psd_builder import PsdSpec, psd_spec_from_json, psd_spec_to_json
 from ballquant.retract_pde import (
     XiFn,
     radial_pde_residual,
@@ -285,6 +285,39 @@ def test_an_n_past_its_ceiling_is_a_usage_error_at_once(capsys, argv, source):
     assert (N_CEILING, COHOMOLOGY_CEILING) == (30, 12)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-psd", "--r", "1", "--blocks", "251"],
+        ["build-psd", "--r", "2", "--blocks", "200,51"],
+        ["build-psd", "--r", "1", "--blocks", "9" * 4000],
+        ["build-psd", "--r", "2", "--blocks", f"{'9' * 4300},{'9' * 4300}"],
+        ["h2", "--r", "1", "--blocks", "1500"],
+        ["h2", "--r", "3", "--blocks", "100,100,51"],
+    ],
+    ids=["build-psd", "build-psd-sum", "build-psd-huge", "build-psd-huge-sum", "h2", "h2-sum"],
+)
+def test_blocks_past_their_ceiling_are_a_usage_error_at_once(capsys, argv):
+    """BLOCKS_CEILING bounds the sum of the block dimensions of build-psd
+    and h2: past it the command exits 2 before any build, within a second
+    (at the previous head, --blocks 400 took 9 s and 1500 over a minute)."""
+    start = time.perf_counter()
+    assert_usage_error(capsys, argv, f"--blocks must sum to at most {BLOCKS_CEILING}")
+    assert time.perf_counter() - start < 1
+    assert BLOCKS_CEILING == 250
+
+
+def test_the_blocks_ceiling_itself_is_accepted(capsys, monkeypatch):
+    """A sum at the ceiling reaches the build, stood in for by a small
+    one: the real build there takes seconds."""
+    built, build = [], psd_builder.build_psd
+    small = lambda spec: built.append(spec.n) or build(PsdSpec(1, [1]))
+    monkeypatch.setattr(psd_builder, "build_psd", small)
+    code, out = run(capsys, ["build-psd", "--r", "2", "--blocks", f"{BLOCKS_CEILING - 1},1"])
+    assert code == 0 and built == [[BLOCKS_CEILING - 1, 1]]
+    assert json.loads(out)["spec"]["n"] == [BLOCKS_CEILING - 1, 1]
+
+
 def test_the_ceiling_itself_is_accepted(capsys):
     """The ceiling is a value the commands take; retract-residual, whose
     cost does not grow with n, runs there."""
@@ -387,6 +420,7 @@ def test_any_theta_json_exits_0_or_2(text):
 @example("1,,2")
 @example("\u0663,1")
 @example("9" * 5000 + ",1")
+@example("9" * 40 + ",1")
 @example("-1,2")
 def test_any_blocks_exits_0_or_2(text):
     assert_exits_0_or_2(["build-psd", "--r", "2", f"--blocks={text}"])

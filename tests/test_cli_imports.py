@@ -24,6 +24,7 @@ import sys
 from ballquant.cli import main
 code = main(sys.argv[1:])
 sys.stderr.write(" ".join(sorted(m for m in sys.modules if m.startswith("ballquant"))) + "\\n")
+sys.stderr.write(" ".join(sorted(m for m in sys.modules if m in {"dataclasses", "inspect"})) + "\\n")
 sys.exit(code)
 """
 
@@ -47,6 +48,16 @@ EXCLUDED = {
 }
 
 
+# dataclasses and inspect cost a process about 4 ms to import; no command
+# loads them, apart from what the bare interpreter (its site) loads.
+BARE = set(
+    subprocess.run(
+        [sys.executable, "-c", "import sys; print(*{'dataclasses', 'inspect'} & set(sys.modules))"],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+)
+
+
 def _run(args: list) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -56,7 +67,7 @@ def _run(args: list) -> subprocess.CompletedProcess:
 
 
 def _loaded(stderr: str) -> set:
-    return {m.removeprefix("ballquant.") for m in stderr.splitlines()[-1].split()}
+    return {m.removeprefix("ballquant.") for m in stderr.splitlines()[-2].split()}
 
 
 def _key(argv: list) -> str:
@@ -88,6 +99,8 @@ def test_command_loads_only_what_it_runs(cmd):
     loaded = _loaded(proc.stderr)
     assert "cli" in loaded
     assert not loaded & EXCLUDED[_key(cmd["argv"])]
+    costly = set(proc.stderr.splitlines()[-1].split()) - BARE
+    assert not costly, f"the command loads {sorted(costly)}"
 
 
 def test_the_star_product_loads_no_lie_layer():

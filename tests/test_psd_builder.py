@@ -7,7 +7,6 @@ on the V part of inner blocks through symplectic matrices.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -160,7 +159,7 @@ def test_match_iwasawa_reports_a_wrong_generator():
     model = build_su1n(2)
     fresh = model_to_json(model), dict(model.H0)
     psd = build_psd(PsdSpec(1, [2]))
-    rep = match_iwasawa(psd, replace(model, H0=vec_scale(model.H0, 2)))
+    rep = match_iwasawa(psd, model.replace(H0=vec_scale(model.H0, 2)))
     assert not rep.ok and rep.failures
     assert rep.checked == psd.algebra.dim * (psd.algebra.dim - 1) // 2
     model = build_su1n(2)

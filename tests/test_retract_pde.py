@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from operator import le
 
@@ -174,7 +173,7 @@ def test_reduction_closure_fails_without_m():
     """[n_1, n_-1] lands in a + m, so W without m is not ad_s stable."""
     model = build_su1n(2)
     fresh = model_to_json(model)
-    rep = check_reduction_closure(replace(model, m_space=Subspace(model.algebra, [])))
+    rep = check_reduction_closure(model.replace(m_space=Subspace(model.algebra, [])))
     assert not rep.ok and rep.failures and rep.dim_w == 6
     assert model_to_json(build_su1n(2)) == fresh
     assert check_reduction_closure(build_su1n(2)).ok
@@ -222,7 +221,7 @@ def test_radial_reduce_rejects_alpha_and_odd_degree():
     with pytest.raises(ValueError, match="alpha parameter"):
         radial_reduce(chart, alpha_u)
     # without m every polynomial passes the invariance test, so v1 reaches the degree check
-    flat = replace(chart, m_basis=[])
+    flat = chart.replace(m_basis=[])
     with pytest.raises(ValueError, match="odd v-degree"):
         radial_reduce(flat, CoefFn.monomial(2, 0, (1, 0), 0, 0, Fraction(1)))
 

@@ -52,3 +52,15 @@ def test_only_cli_imports_json():
         path.name for path in MODULES if "json" in absolute_imports(ast.parse(path.read_text()))
     ]
     assert importers == ["cli.py"]
+
+
+# Modules that cost every process that loads them: dataclasses pulls in
+# inspect, ast, dis and tokenize; typing is only needed for names that
+# ``from __future__ import annotations`` leaves as strings anyway.
+COSTLY = {"dataclasses", "inspect", "typing"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_costly_module(path):
+    costly = COSTLY.intersection(absolute_imports(ast.parse(path.read_text())))
+    assert not costly, f"{path.name} imports {sorted(costly)}"

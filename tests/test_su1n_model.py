@@ -18,8 +18,8 @@ import json
 import random
 import re
 import weakref
-from dataclasses import replace
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
@@ -229,20 +229,35 @@ def test_adapted_basis_is_the_one_the_search_finds(N):
 def test_adapted_basis_checks_each_planted_fault(monkeypatch):
     model = build_su1n(3)
     with pytest.raises(AssertionError, match="normalized"):
-        adapted_s_basis(replace(model, beta_H0=2 * model.beta_H0))
+        adapted_s_basis(model.replace(beta_H0=2 * model.beta_H0))
     space = {r.lambda_of_H[0]: r.space for r in model.roots}
     swap = {1: space[2], 2: space[1]}
-    roots = tuple(replace(r, space=swap.get(r.lambda_of_H[0], r.space)) for r in model.roots)
-    swapped = replace(model, roots=roots)
+    roots = tuple(r.replace(space=swap.get(r.lambda_of_H[0], r.space)) for r in model.roots)
+    swapped = model.replace(roots=roots)
     with pytest.raises(AssertionError, match="root space"):
         adapted_s_basis(swapped)
     split = su1n_model.split_symplectic
     negated = lambda n: [[-x for x in row] for row in split(n)]
     monkeypatch.setattr(su1n_model, "split_symplectic", negated)
+    # the check runs once per model object, so the planted fault needs a
+    # model it has not checked yet
     with pytest.raises(AssertionError, match="symplectic normal form"):
-        adapted_s_basis(model)
+        adapted_s_basis(model.replace())
     monkeypatch.undo()
     assert adapted_s_basis(model)[0] is model.H0
+
+
+def test_adapted_basis_is_checked_once_per_model_and_read_only():
+    model = build_su1n(3)
+    H, fs, E = basis = adapted_s_basis(model)
+    assert adapted_s_basis(model) is basis
+    assert type(fs) is tuple and all(type(x) is MappingProxyType for x in (H, *fs, E))
+    with pytest.raises(TypeError):
+        fs[0][0] = 1
+    with pytest.raises(AssertionError, match="normalized"):
+        adapted_s_basis(model.replace(beta_H0=2 * model.beta_H0))
+    copy = model.replace()
+    assert adapted_s_basis(copy) is not basis and adapted_s_basis(copy) == basis
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -483,11 +498,11 @@ def test_cached_model_arrays_are_read_only():
 def test_sigma_pairing_reports_each_planted_fault():
     model = build_su1n(2)
     fresh = model_to_json(model), dict(model.H0)
-    flipped = replace(model, sigma_diagonal=tuple(-s for s in model.sigma_diagonal))
+    flipped = model.replace(sigma_diagonal=tuple(-s for s in model.sigma_diagonal))
     rep = verify_sigma_pairing(flipped)
     assert not rep.ok and {kind for kind, _, _ in rep.failures} == {"sign"}
-    doubled = [replace(r, H_lambda=vec_scale(r.H_lambda, 2)) for r in model.roots]
-    rep = verify_sigma_pairing(replace(model, roots=doubled))
+    doubled = [r.replace(H_lambda=vec_scale(r.H_lambda, 2)) for r in model.roots]
+    rep = verify_sigma_pairing(model.replace(roots=doubled))
     assert not rep.ok and {kind for kind, _, _ in rep.failures} == {"pairing"}
     model = build_su1n(2)
     assert (model_to_json(model), model.H0) == fresh
@@ -497,7 +512,7 @@ def test_sigma_pairing_reports_each_planted_fault():
 def test_m_orthocomplement_reports_a_wrong_m():
     model = build_su1n(2)
     fresh = model_to_json(model)
-    rep = verify_m_orthocomplement(replace(model, m_space=model.a_space))
+    rep = verify_m_orthocomplement(model.replace(m_space=model.a_space))
     assert not rep.ok and rep.failures
     assert {kind for kind, _ in rep.failures} == {"orthocomplement"}
     assert model_to_json(build_su1n(2)) == fresh
@@ -508,7 +523,7 @@ def test_s_submodel_is_cached_per_model_not_per_n():
     model = build_su1n(2)
     sub = s_submodel(model)
     top = max(r.lambda_of_H[0] for r in model.roots)
-    dropped = replace(model, roots=tuple(r for r in model.roots if r.lambda_of_H[0] != top))
+    dropped = model.replace(roots=tuple(r for r in model.roots if r.lambda_of_H[0] != top))
     other = s_submodel(dropped)
     assert [len(s.roots) for s in (sub, other)] == [2, 1]
     assert s_submodel(dropped) is other and s_submodel(build_su1n(2)) is sub
