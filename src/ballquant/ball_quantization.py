@@ -43,16 +43,15 @@ survives, (1/2, 1/2).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import factorial, lcm
-from operator import add
 from types import MappingProxyType
 
 from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, half_commutator, key_layout
 from .formal_star import series_to_json
 from .linalg import Frame, bilinear, split_symplectic
 from .linalg import solve_in_span  # noqa: F401, callers read it here
-from .scalars import G_ZERO, Record, accumulate, collect, exact, frac_str, resolve_truncation_order
+from .scalars import G_ZERO, Record, accumulate, collect, exact, frac_str, kept
+from .scalars import resolve_truncation_order
 from .scalars import TRUNCATION_ENV, TruncationOrderError  # noqa: F401, callers read them here
 from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
@@ -74,7 +73,7 @@ class BallChart(Record, frozen=True):
     basis: tuple
     frame: Frame
 
-    @cached_property
+    @kept
     def _brackets(self) -> dict:
         return {}
 
@@ -180,29 +179,22 @@ def fundamental_field(chart: BallChart, x: dict) -> list:
     what = "element lies outside the solvable part plus m"
     m_action = "m does not preserve the short root space"
     coords = _within(chart.frame.require(x, what), what, range(2 + nv + len(chart.m_basis)))
-    zero_k, unit = (0,) * nv, _units(nv)
+    a, *v, z = key_layout(nv).units
     items = [[] for _ in range(nv + 2)]
     for k, c in coords.items():
         if k == 0:
-            items[0].append(((0, zero_k, 0, 0), -c))
+            items[0].append((0, -c))
         elif k <= nv:
-            items[k].append(((-1, zero_k, 0, 0), -c))
-            items[nv + 1] += [
-                ((-1, unit[j], 0, 0), -c * w / 2) for j, w in enumerate(chart.omega[k - 1]) if w
-            ]
+            items[k].append((-a, -c))
+            items[nv + 1] += [(v[j] - a, -c * w / 2) for j, w in enumerate(chart.omega[k - 1]) if w]
         elif k == nv + 1:
-            items[nv + 1].append(((-2, zero_k, 0, 0), -c))
+            items[nv + 1].append((-2 * a, -c))
         else:
             for j in range(nv):
                 col = _within(chart.bracket(1 + j, k), m_action, range(1, 1 + nv))
-                for i, a in col.items():
-                    items[i].append(((0, unit[j], 0, 0), c * a))
-    return [CoefFn.of(nv, terms) for terms in items]
-
-
-def _units(nv: int) -> list:
-    """The unit multi-indices over v_1 .. v_nv."""
-    return [tuple(int(i == j) for i in range(nv)) for j in range(nv)]
+                for i, b in col.items():
+                    items[i].append((v[j], c * b))
+    return [CoefFn(nv, collect(terms)) for terms in items]
 
 
 def apply_field(field: list, f: CoefFn) -> CoefFn:
@@ -268,15 +260,8 @@ def classical_moment(chart: BallChart, x: dict, P: PoissonStructure) -> CoefFn:
 
 def inner_square(chart: BallChart) -> CoefFn:
     """(v|v) as a polynomial on the chart."""
-    nv, unit = chart.nv, _units(chart.nv)
-    return CoefFn.of(
-        nv,
-        (
-            ((0, tuple(map(add, unit[k], unit[l])), 0, 0), chart.gram[k][l])
-            for k in range(nv)
-            for l in range(nv)
-        ),
-    )
+    nv, v, gram = chart.nv, key_layout(chart.nv).units[1:-1], chart.gram
+    return CoefFn(nv, collect((v[k] + v[l], gram[k][l]) for k in range(nv) for l in range(nv)))
 
 
 class QmmTable(Record, frozen=True):
@@ -336,31 +321,35 @@ def _orbit_moments(chart: BallChart, alpha: Fraction | None) -> list:
     only as a shift of the p field of each key.  Z(alpha) has the entries
     -i (1 + alpha)^2 / 4, -i (1 - alpha^2) / 2 and i (1 - alpha)^2 / 4 at
     (0, 0), (0, 1) and (1, 1) (_z_entries), so tr(Z M) reads only columns
-    0 and 1 of n and rows 0 and 1 of n^-1 (_exp_apply).  Every factor is
-    a Gaussian-integer multiple: the basis matrices (_gaussian), 4 q^2 Z
-    for alpha = p / q (q = 1 when alpha is the formal variable) and each
-    exponential; a complex entry is a pair (re, im) of int CoefFns, and
-    each term is divided back into Q once.
+    0 and 1 of n and rows 0 and 1 of n^-1.  Since [f_i, E] = 0 (1 + 2 is
+    not a root), n = exp(v + z E) is one series (_exp_apply), and since n
+    is J-unitary, J = diag(-1, 1, .., 1), (n^-1)_br = J_bb J_rr conj(n_rb):
+    the rows are read off the columns.  Every factor is a Gaussian-integer
+    multiple: the basis matrices (_gaussian), 4 q^2 Z for alpha = p / q
+    (q = 1 when alpha is the formal variable) and the exponential; a
+    complex entry is a pair (re, im) of int CoefFns, and each term is
+    divided back into Q once.
     """
     model, nv = chart.model, chart.nv
     layout = key_layout(nv)
-    E = [(layout.units[nv + 1], *_gaussian(model, chart.E))]
-    V = [(layout.units[1 + i], *_gaussian(model, f)) for i, f in enumerate(chart.fs)]
-    # columns 0 and 1 of n = exp(V) exp(zE), rows 0 and 1 of n^-1 = exp(-zE) exp(-V)
-    s_cols, cols = _exp_apply(nv, model.N + 1, (V, E), False)
-    s_rows, rows = _exp_apply(nv, model.N + 1, (V, E), True)
+    gens = [(layout.units[1 + i], *_gaussian(model, f)) for i, f in enumerate(chart.fs)]
+    gens.append((layout.units[nv + 1], *_gaussian(model, chart.E)))
+    S, cols = _exp_apply(nv, model.N + 1, gens)
     if alpha is None:
         q, p = 1, {layout.pack(0, (0,) * nv, 1, 0): 1}
     else:
         q, p = alpha.denominator, {0: alpha.numerator}
     plus = CoefFn(nv, collect(p.items(), {0: q}))
     minus = CoefFn(nv, collect(((k, -c) for k, c in p.items()), {0: q}))
-    z = {ab: (CoefFn(nv, {}), im) for ab, im in _z_entries(plus, minus).items()}
-    # x_a = sum_b Z_ab (row b of n^-1), so that W = n Z n^-1 is sum_a (col a of n) x_a
+    # x_a = sum_b Z_ab (row b of n^-1), so that W = n Z n^-1 is sum_a (col a of n) x_a;
+    # with Z_ab = i z_ab, Z_ab (n^-1)_br = J_bb J_rr z_ab (Im n_rb + i Re n_rb)
     xs = [{}, {}]
-    for (a, b), zab in z.items():
-        for c, r in rows[b].items():
-            _cmul(xs[a].setdefault(c, ({}, {})), zab, r)
+    for (a, b), zab in _z_entries(plus, minus).items():
+        for r, (re, im) in cols[b].items():
+            sign = (-1) ** ((b == 0) + (r == 0))
+            xre, xim = xs[a].setdefault(r, ({}, {}))
+            accumulate(xre, zab.mul_items(im, sign))
+            accumulate(xim, zab.mul_items(re, sign))
     xs = [{c: (CoefFn(nv, re), CoefFn(nv, im)) for c, (re, im) in x.items()} for x in xs]
     W = {}
     roots = [0] + [1] * nv + [2] + [0] * len(chart.m_basis) + [-1] * nv + [-2]
@@ -380,7 +369,7 @@ def _orbit_moments(chart: BallChart, alpha: Fraction | None) -> list:
                 accumulate(acc, ((k, gr * v) for k, v in re.items()))
             if gi:
                 accumulate(acc, ((k, -gi * v) for k, v in im.items()))
-        shift, den = -root << layout.top, s_cols * s_rows * 4 * q * q * d
+        shift, den = -root << layout.top, S * S * 4 * q * q * d
         moments.append(CoefFn(nv, {k + shift: Fraction(v, den) for k, v in acc.items()}))
     return moments
 
@@ -418,56 +407,50 @@ def _gaussian(model: Su1nModel, x) -> tuple:
     return d, {e: (a * (d // q), b * (d // q)) for e, (a, b, q) in acc.items()}
 
 
-def _exp_apply(nv: int, n: int, factors: tuple, row: bool) -> tuple:
-    """(S, [u_0, u_1]): the columns 0 and 1 of S g, u_j = S g e_j, for
-    g = exp(M_1) .. exp(M_r), or with row the rows 0 and 1 of S g^-1,
-    u_j = S e_j^T exp(-M_r) .. exp(-M_1), each entry a pair (re, im) of
-    int CoefFns.  Each factor lists the terms (unit, d, G) of one M, the
-    chart variable of that packed unit times G / d, G an n x n
-    Gaussian-integer matrix; the last factor acts first either way.
+def _exp_apply(nv: int, n: int, gens: list) -> tuple:
+    """(S, [u_0, u_1]): the columns 0 and 1 of S exp(M), u_j = S exp(M) e_j,
+    each entry a pair (re, im) of int CoefFns.  gens lists the terms
+    (unit, d, G) of M, the chart variable of that packed unit times G / d,
+    G an n x n Gaussian-integer matrix.
 
-    M is nilpotent, so its series ends: with s the lcm of its d and K its
-    last power that leaves a vector nonzero, the power k enters as
-    (K! / k!) s^(K - k) (s M)^k, all in integers, and S is the product of
-    the K! s^K.  A nonzero power n, which a nilpotent n x n matrix never
-    has, raises AssertionError, so no exponent grows past n.
+    M is nilpotent, so its series ends: with s the lcm of the d and K the
+    last power that leaves a column nonzero, the power k enters as
+    (K! / k!) s^(K - k) (s M)^k, all in integers, and S = K! s^K.  A
+    nonzero power n, which a nilpotent n x n matrix never has, raises
+    AssertionError, so no exponent grows past n.
     """
-    vectors, S = [{j: ({0: 1}, {})} for j in (0, 1)], 1
-    for gens in reversed(factors):
-        s = lcm(*(d for _, d, _ in gens))
-        gens = [(unit, (s // d) * (-1 if row else 1), G) for unit, d, G in gens]
-        series = []
-        for vec in vectors:
-            powers = [vec]
-            while powers[-1]:
-                if len(powers) > n:
-                    raise AssertionError("the exponential series did not end")
-                powers.append(_apply_once(powers[-1], gens, row))
-            series.append(powers[:-1])
-        K = max(map(len, series)) - 1
-        S *= factorial(K) * s**K
-        vectors = []
-        for powers in series:
-            acc = {}
-            for k, power in enumerate(powers):
-                c = factorial(K) // factorial(k) * s ** (K - k)
-                for i, (re, im) in power.items():
-                    are, aim = acc.setdefault(i, ({}, {}))
-                    accumulate(are, ((key, c * v) for key, v in re.items()))
-                    accumulate(aim, ((key, c * v) for key, v in im.items()))
-            vectors.append(acc)
-    return S, [{i: (CoefFn(nv, re), CoefFn(nv, im)) for i, (re, im) in v.items()} for v in vectors]
+    s = lcm(*(d for _, d, _ in gens))
+    gens = [(unit, s // d, G) for unit, d, G in gens]
+    series = []
+    for j in (0, 1):
+        powers = [{j: ({0: 1}, {})}]
+        while powers[-1]:
+            if len(powers) > n:
+                raise AssertionError("the exponential series did not end")
+            powers.append(_apply_once(powers[-1], gens))
+        series.append(powers[:-1])
+    K = max(map(len, series)) - 1
+    cols = []
+    for powers in series:
+        acc = {}
+        for k, power in enumerate(powers):
+            c = factorial(K) // factorial(k) * s ** (K - k)
+            for i, (re, im) in power.items():
+                are, aim = acc.setdefault(i, ({}, {}))
+                accumulate(are, ((key, c * v) for key, v in re.items()))
+                accumulate(aim, ((key, c * v) for key, v in im.items()))
+        cols.append({i: (CoefFn(nv, re), CoefFn(nv, im)) for i, (re, im) in acc.items()})
+    return factorial(K) * s**K, cols
 
 
-def _apply_once(vec: dict, gens: list, row: bool) -> dict:
-    """sum over gens (unit, m, G) of m x G vec, or m x vec G with row, x
-    the chart variable of that packed unit: each product only shifts keys."""
+def _apply_once(vec: dict, gens: list) -> dict:
+    """sum over gens (unit, m, G) of m x G vec, x the chart variable of
+    that packed unit: each product only shifts keys."""
     out = {}
     for unit, m, G in gens:
         for (r, c), (gr, gi) in G.items():
-            src, dst = (r, c) if row else (c, r)
-            if src in vec:
-                (re, im), (ore, oim) = vec[src], out.setdefault(dst, ({}, {}))
+            if c in vec:
+                (re, im), (ore, oim) = vec[c], out.setdefault(r, ({}, {}))
                 gr, gi = gr * m, gi * m
                 if gr:
                     accumulate(ore, ((k + unit, gr * v) for k, v in re.items()))

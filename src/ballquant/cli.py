@@ -30,6 +30,12 @@ COHOMOLOGY_CEILING = 12
 # refused above in the same way: the costliest h2 at this sum was measured
 # near 200 MB, while build-psd's cubic Jacobi sweep stays within seconds.
 BLOCKS_CEILING = 250
+# The largest --order, refused above in the same way; at N_CEILING the
+# retract suite peaks near 235 MB at order 7 and 283 MB at 8, while
+# the qmm suite stays near 231 MB up to order 1000 (its time grows) and
+# retract-residual, whose cost does not grow with n, takes 17 MB there.
+ORDER_CEILING = 1000
+RETRACT_ORDER_CEILING = 7
 # verify options that only some suites read, with those suites
 SUITE_OPTIONS = {"mutate": ("qmm",), "pairs": ("qmm",), "alpha": SERIES, "order": SERIES}
 
@@ -47,8 +53,9 @@ def _check_args(args) -> None:
 
     Raises UsageError naming the option; an option that the command
     would ignore is an error too, and so is an N past the command's
-    ceiling (N_CEILING, or COHOMOLOGY_CEILING for h2 and the cocycle suite)
-    and block dimensions that sum past BLOCKS_CEILING.
+    ceiling (N_CEILING, or COHOMOLOGY_CEILING for h2 and the cocycle suite),
+    an order past ORDER_CEILING (RETRACT_ORDER_CEILING for the retract
+    suite) and block dimensions that sum past BLOCKS_CEILING.
     Parsed values: --blocks in place, --alpha and --value as alpha_q and
     value_q, --theta-json as theta, an omitted --order as its suite's default.
     """
@@ -56,9 +63,16 @@ def _check_args(args) -> None:
     for name, least in (("N", 1), ("su1n", 1), ("r", 1), ("order", 0)):
         if opts.get(name) is not None and opts[name] < least:
             raise UsageError(f"--{name} must be at least {least}, got {opts[name]}")
+    if args.command == "verify":  # an option the suite ignores is named before any ceiling
+        for name, suites in SUITE_OPTIONS.items():
+            if opts[name] is not None and args.suite not in suites:
+                only = " or ".join(suites)
+                raise UsageError(f"--{name} applies to --suite {only} only, not {args.suite}")
     cohomology = args.command == "h2" or opts.get("suite") == "cocycle"
-    ceiling, what = (COHOMOLOGY_CEILING, " for cohomology") if cohomology else (N_CEILING, "")
-    for name in ("N", "su1n", "n"):
+    n_max = (COHOMOLOGY_CEILING, " for cohomology") if cohomology else (N_CEILING, "")
+    retract = opts.get("suite") == "retract"
+    order_max = (RETRACT_ORDER_CEILING, " for --suite retract") if retract else (ORDER_CEILING, "")
+    for name, (ceiling, what) in zip(("N", "su1n", "n", "order"), (n_max, n_max, n_max, order_max)):
         if opts.get(name) is not None and opts[name] > ceiling:
             raise UsageError(f"--{name} must be at most {ceiling}{what}, got {opts[name]}")
     if args.command == "h2" and args.su1n is not None and (args.r, args.blocks) != (None, None):
@@ -84,10 +98,6 @@ def _check_args(args) -> None:
     if args.command == "verify":
         if args.suite == "retract" and args.N < 2:
             raise UsageError("--N must be at least 2 for --suite retract")
-        for name, suites in SUITE_OPTIONS.items():
-            if opts[name] is not None and args.suite not in suites:
-                only = " or ".join(suites)
-                raise UsageError(f"--{name} applies to --suite {only} only, not {args.suite}")
         for name in ("label", "value"):
             if opts[name] is not None and args.mutate != "add-nu-const":
                 raise UsageError(f"--{name} applies with --mutate add-nu-const only")

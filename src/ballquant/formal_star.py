@@ -48,13 +48,13 @@ the joint walk fills one step from the parent (CoefFn.step).  The walk
 packs its multi-indices as the keys are packed, a in the top field, so a
 step adds a unit to an int and the memo is keyed by that int; the
 derivative is the single-coordinate one, CoefFn.diff_coord.  The caps,
-the largest fields and the memo fill the instance dict on first use,
-without the lock that functools.cached_property takes on every first
-access before Python 3.12.  A
-derivative depends only on the function, so the memo serves either side
-of a transvection under any Poisson structure on its coordinates, and
-lives as long as the function.  The one-sided walk keeps none: under
-the chart's structure it reaches each multi-index by one multiset only.
+the largest fields and the memo fill the instance dict on first use
+(scalars.kept), without the lock that functools.cached_property takes
+on every first access before Python 3.12.  A derivative depends only
+on the function, so the memo serves either side of a transvection
+under any Poisson structure on its coordinates, and lives as long as
+the function.  The one-sided walk keeps none: under the chart's
+structure it reaches each multi-index by one multiset only.
 The star product series walk each pair of coefficients once, as a
 PairWalk: c_operator reads C_m off its size-m terms, and the series stop
 at its last size.  A pair's walk lives only while that pair is summed; a
@@ -101,27 +101,13 @@ from math import factorial, lcm, perm
 from sys import maxsize
 
 from .linalg import mat_inverse
-from .scalars import Record, SparseSum, accumulate, collect, exact, frac_str, keyed, parse_frac
-from .scalars import shaped
+from .scalars import Record, SparseSum, accumulate, collect, exact, frac_str, keyed, kept
+from .scalars import parse_frac, shaped
 
 FIELD_BITS = 8
 _MASK = (1 << FIELD_BITS) - 1
 _GUARD = 1 << (FIELD_BITS - 1)
 _set = object.__setattr__
-
-
-class _kept:
-    """functools.cached_property without its lock: the value is taken on
-    first use and kept in the instance dict under the method's name."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 class KeyLayout:
@@ -264,11 +250,11 @@ class CoefFn(SparseSum, Record, frozen=True):
         out = {k - one: c if e == 1 else c * e for k, c in items if (e := k >> shift & _MASK)}
         return CoefFn(self.nv, out)
 
-    @_kept
+    @kept
     def _derivatives(self) -> dict:
         return {}
 
-    @_kept
+    @kept
     def _top(self) -> int:
         """The largest exponent of each field below p, packed, and 1 in
         the p field when some term has p != 0.  A field-wise maximum of
@@ -285,7 +271,7 @@ class CoefFn(SparseSum, Record, frozen=True):
             top = top & keep | r & ~keep
         return top | weighted << layout.top
 
-    @_kept
+    @kept
     def caps(self) -> tuple:
         """How many times each coordinate (a, v_1 .. v_nv, z) can
         differentiate this function before every term vanishes: the largest
@@ -358,7 +344,7 @@ class PoissonStructure:
             if x
         ]
 
-    @_kept
+    @kept
     def inverse(self) -> tuple:
         return tuple(map(tuple, mat_inverse(self.matrix)))
 

@@ -26,11 +26,11 @@ one at a time.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 
 from .linalg import BoundOnce, Frame, nullspace, rref, zeros
-from .scalars import Record, collect, decimal_index, exact, frac_str, keyed, parse_frac, shaped
+from .scalars import Record, collect, decimal_index, exact, frac_str, keyed, kept, parse_frac
+from .scalars import shaped
 
 Vector = dict
 _EMPTY = MappingProxyType({})
@@ -117,9 +117,9 @@ class LieAlgebra(BoundOnce):
             if not all(k in range(dim) for k in coeffs):
                 raise ValueError(f"bracket {(i, j)} has a coefficient index outside range({dim})")
             read = ((k, exact(v, f"structure constant {k} of {(i, j)}")) for k, v in coeffs.items())
-            kept = {k: v for k, v in read if v}
-            if kept:
-                clean[(i, j)] = kept
+            nonzero = {k: v for k, v in read if v}
+            if nonzero:
+                clean[(i, j)] = nonzero
         rep = jacobi_report(dim, clean)
         if not rep.ok:
             raise ValueError(f"Jacobi identity fails on basis triple {rep.worst_triple}")
@@ -241,7 +241,7 @@ class Subspace(BoundOnce):
         self.basis = tuple(MappingProxyType(r) for r in rref(vectors)[0])
         self.dim = len(self.basis)
 
-    @cached_property
+    @kept
     def frame(self) -> Frame:
         return Frame(self.basis)
 

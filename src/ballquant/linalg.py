@@ -185,7 +185,7 @@ def solve_linear(a: Mat, b: list):
 class BoundOnce:
     """Attributes that are bound once: setting one that is already there,
     or deleting any, raises AttributeError.  A constructor binds each
-    attribute once and a cached_property fills the instance dict
+    attribute once and scalars.kept fills the instance dict
     directly, so both still work; a cached object cannot be changed by
     rebinding what it holds."""
 

@@ -22,7 +22,8 @@ resolve_truncation_order checks the nu truncation order that every
 series check takes, 12 when the call passes none; it lives here so that
 the radial calculus reads it without loading the chart
 (ball_quantization re-exports it).  Record, the base of the package's
-records, is here since every module imports this one.
+records, and kept, the one way an attribute is taken on first use and
+kept, are here since every module imports this one.
 """
 from __future__ import annotations
 
@@ -155,6 +156,21 @@ class Record:
 
     def _refuse_change(self, name: str, *value):
         raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
+
+
+class kept:
+    """functools.cached_property without its lock: the value is taken on
+    first use and kept in the instance dict under the method's name, past
+    a frozen or bound-once __setattr__."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class TruncationOrderError(ValueError):

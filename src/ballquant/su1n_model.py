@@ -16,7 +16,7 @@ the basis matrices and checked (adapted_s_basis).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
@@ -39,7 +39,7 @@ from .linalg import (
     vec_scale,
     zeros,
 )
-from .scalars import G_ZERO, GScalar, Record, frac_str
+from .scalars import G_ZERO, GScalar, Record, frac_str, kept
 
 
 def _comm(a: dict, b: dict) -> dict:
@@ -205,7 +205,7 @@ class Su1nModel(Record, frozen=True, eq=False):
     def beta_sigma(self, x: dict, y: dict) -> Fraction:
         return -self.beta_form(x, self.apply_sigma(y))
 
-    @cached_property
+    @kept
     def iwasawa_frame(self) -> Frame:
         """Coordinates along the direct sum g = s + k, s basis first."""
         return Frame(self.s_space.basis + self.k_space.basis)
@@ -395,9 +395,6 @@ class SSubmodel(Record, frozen=True):
     frame: Frame
     H: MappingProxyType
     roots: tuple
-
-    def to_sub(self, x: dict) -> dict:
-        return self.frame.require(x, "vector does not lie in the solvable part")
 
 
 # model -> submodel, keyed weakly: the cache holds no model alive.

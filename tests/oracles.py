@@ -56,6 +56,9 @@ reference for the packed keys.  adapted_s_basis_oracle finds the
 adapted chart basis by search, as su1n_model did before it wrote the
 basis down: short root vectors paired by trial, a symplectic
 Gram-Schmidt over them, and E rescaled by a rational square root.
+oracle_wv0 and oracle_om0 are the nu^0 parts of the radial operator,
+the (w|v) and Omega(w, v) parts, transcribed by hand from the displayed
+coefficient groups.
 """
 from __future__ import annotations
 
@@ -689,3 +692,34 @@ def adapted_s_basis_oracle(model):
     fs = xs + ys
     assert [[bform(fi, fj) for fj in fs] for fi in fs] == split_symplectic(len(fs))
     return model.H0, fs, E
+
+
+def oracle_wv0(theta: XiFn) -> XiFn:
+    """Independent transcription of the (w|v) part at nu = 0:
+    [2 i xi e^a (r^2 + 1) - 2 xi^2] theta - 4 i e^a (1/r) d_xi d_r theta."""
+    c0 = XiFn(
+        {
+            (1, 2, 1, 0, 0): GScalar.of(0, 2),
+            (1, 0, 1, 0, 0): GScalar.of(0, 2),
+            (0, 0, 2, 0, 0): GScalar.of(-2),
+        }
+    )
+    mixed = XiFn({(1, -1, 0, 0, 0): GScalar.of(0, -4)})
+    return c0.mul(theta).add(mixed.mul(theta.diff_r().diff_xi()))
+
+
+def oracle_om0(theta: XiFn) -> XiFn:
+    """Independent transcription of the Omega(w, v) part at nu = 0:
+    -2 e^a theta - 2 e^a d_a theta + [e^a (r^2 + 1)/r - e^{-a}] d_r theta
+    - 2 e^a xi d_xi theta."""
+    out = XiFn({(1, 0, 0, 0, 0): GScalar.of(-2)}).mul(theta)
+    out = out.add(XiFn({(1, 0, 0, 0, 0): GScalar.of(-2)}).mul(theta.diff_a()))
+    radial = XiFn(
+        {
+            (1, 1, 0, 0, 0): GScalar.of(1),
+            (1, -1, 0, 0, 0): GScalar.of(1),
+            (-1, 0, 0, 0, 0): GScalar.of(-1),
+        }
+    )
+    out = out.add(radial.mul(theta.diff_r()))
+    return out.add(XiFn({(1, 0, 1, 0, 0): GScalar.of(-2)}).mul(theta.diff_xi()))

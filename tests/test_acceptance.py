@@ -55,7 +55,7 @@ from ballquant.su1n_model import (
     verify_sigma_pairing,
 )
 
-from oracles import beta_sigma_gram, leading_principal_minors
+from oracles import beta_sigma_gram, leading_principal_minors, oracle_om0, oracle_wv0
 
 
 def _verdict(num: int, ok: bool, desc: str, start: float) -> None:
@@ -294,32 +294,6 @@ def test_criterion_09_reduction_structure():
         _verdict(9, ok, "closure, radial invariance, operator algebra at order 6", start)
 
 
-def _oracle_wv0(theta: XiFn) -> XiFn:
-    c0 = XiFn(
-        {
-            (1, 2, 1, 0, 0): GScalar.of(0, 2),
-            (1, 0, 1, 0, 0): GScalar.of(0, 2),
-            (0, 0, 2, 0, 0): GScalar.of(-2),
-        }
-    )
-    mixed = XiFn({(1, -1, 0, 0, 0): GScalar.of(0, -4)})
-    return c0.mul(theta).add(mixed.mul(theta.diff_r().diff_xi()))
-
-
-def _oracle_om0(theta: XiFn) -> XiFn:
-    out = XiFn({(1, 0, 0, 0, 0): GScalar.of(-2)}).mul(theta)
-    out = out.add(XiFn({(1, 0, 0, 0, 0): GScalar.of(-2)}).mul(theta.diff_a()))
-    radial = XiFn(
-        {
-            (1, 1, 0, 0, 0): GScalar.of(1),
-            (1, -1, 0, 0, 0): GScalar.of(1),
-            (-1, 0, 0, 0, 0): GScalar.of(-1),
-        }
-    )
-    out = out.add(radial.mul(theta.diff_r()))
-    return out.add(XiFn({(1, 0, 1, 0, 0): GScalar.of(-2)}).mul(theta.diff_xi()))
-
-
 def test_criterion_10_radial_operator_zeroth_order():
     start = time.perf_counter()
     ok = False
@@ -352,8 +326,8 @@ def test_criterion_10_radial_operator_zeroth_order():
             n = rng.choice([2, 3, 4])
             wv, om = radial_pde_residual(theta, n)
             theta0 = theta.expand_nu(0)
-            assert wv.expand_nu(0).sub(_oracle_wv0(theta0)).is_zero()
-            assert om.expand_nu(0).sub(_oracle_om0(theta0)).is_zero()
+            assert wv.expand_nu(0).sub(oracle_wv0(theta0)).is_zero()
+            assert om.expand_nu(0).sub(oracle_om0(theta0)).is_zero()
         ok = True
     finally:
         _verdict(10, ok, "radial operator is linear and matches the transcribed nu^0 part", start)

@@ -41,7 +41,7 @@ from ballquant.ball_quantization import (
     verify_qmm,
 )
 from ballquant import ball_quantization
-from ballquant.formal_star import CoefFn, NuSum, c_operator, series_to_json
+from ballquant.formal_star import CoefFn, NuSum, c_operator, key_layout, series_to_json
 from ballquant.lie_core import LieAlgebra, structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
 from ballquant.scalars import G_ZERO
@@ -282,6 +282,41 @@ def test_a_sign_flip_in_z_fails_the_oracle_and_the_identity(N, monkeypatch):
         assert not verify_qmm(table, 1).ok
     table = build_qmm(N, F(1))
     assert nu0_terms(table) == oracle_terms(table, F(1)) and verify_qmm(table, 1).ok
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_the_one_series_and_its_conjugate_rows_invert_on_e0_and_e1(N):
+    """The two facts the orbit rests on: every f commutes with E, so
+    n = exp(v) exp(zE) is the one series exp(v + zE); and n is J-unitary,
+    so the rows J_bb J_rr conj(n_rb) of n^-1 times the columns of S n
+    give S^2 times the identity on e_0 and e_1."""
+    chart = build_chart(N)
+    nv = chart.nv
+    assert all(not chart.bracket(1 + i, nv + 1) for i in range(nv))
+    units, gaussian = key_layout(nv).units, ball_quantization._gaussian
+    gens = [(units[1 + i], *gaussian(chart.model, f)) for i, f in enumerate(chart.fs)]
+    gens.append((units[nv + 1], *gaussian(chart.model, chart.E)))
+    S, cols = ball_quantization._exp_apply(nv, N + 1, gens)
+    for b, k in product((0, 1), repeat=2):
+        acc = ({}, {})
+        for r, (re, im) in cols[b].items():
+            if r in cols[k]:
+                sign = (-1) ** ((b == 0) + (r == 0))
+                ball_quantization._cmul(acc, (re.scale(sign), im.scale(-sign)), cols[k][r])
+        assert acc == ({0: S * S} if b == k else {}, {}), (b, k)
+
+
+def test_build_runs_one_exponential_series(monkeypatch):
+    """build_qmm takes the columns of n once and reads the rows of n^-1
+    off them."""
+    calls, real = [], ball_quantization._exp_apply
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ball_quantization, "_exp_apply", counted)
+    assert verify_qmm(build_qmm(3), 2).ok and len(calls) == 1
 
 
 def test_build_reads_no_bracket_and_integrates_nothing(monkeypatch):

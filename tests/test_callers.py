@@ -6,8 +6,9 @@ implementation of a check that already runs elsewhere, or an API that
 only tests call.  Every module is parsed, and each public module-level
 function and class, and each public method of a public class, must be
 named (as a name or an attribute) somewhere in the package outside its
-own body, the CLI included.  Names are matched as text, so a method is
-taken as called when any attribute of its name is read.  The
+own body, the CLI included.  A method counts as called only where an
+attribute of its name is read (``x.name``): a bare name that happens to
+match, a local lambda or variable, does not call it.  The
 definitions that are kept on purpose without a caller are listed in
 ALLOWLIST, one reason each; a listed name that gains a caller or goes
 away must leave the list too.
@@ -51,10 +52,10 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 def definitions_and_names(tree) -> tuple:
     """(definitions, names) of a module tree.  definitions lists
-    (qualified name, bare name, node) for each public module-level
-    function and class and each public method of a public class; names
-    lists (name, enclosing definition nodes) for every name and
-    attribute read in the module."""
+    (qualified name, bare name, node, is a method) for each public
+    module-level function and class and each public method of a public
+    class; names lists (name, enclosing definition nodes, is an
+    attribute) for every name and attribute read in the module."""
     definitions, names = [], []
 
     def visit(node, owners, public_class):
@@ -63,14 +64,14 @@ def definitions_and_names(tree) -> tuple:
                 public = not child.name.startswith("_")
                 if public and (not owners or public_class):
                     prefix = f"{node.name}." if public_class else ""
-                    definitions.append((prefix + child.name, child.name, child))
+                    definitions.append((prefix + child.name, child.name, child, public_class))
                 is_class = isinstance(child, ast.ClassDef) and not owners
                 visit(child, owners + (child,), is_class and public)
                 continue
             if isinstance(child, ast.Name):
-                names.append((child.id, owners))
+                names.append((child.id, owners, False))
             elif isinstance(child, ast.Attribute):
-                names.append((child.attr, owners))
+                names.append((child.attr, owners, True))
             visit(child, owners, public_class)
 
     visit(tree, (), False)
@@ -79,17 +80,20 @@ def definitions_and_names(tree) -> tuple:
 
 def uncalled(modules: dict) -> set:
     """The qualified names, module first, of the public definitions that
-    no name read outside their own body refers to; modules maps each
-    module name to its parsed tree."""
+    no name read outside their own body refers to, a method only through
+    an attribute read; modules maps each module name to its parsed tree."""
     definitions, names = [], []
     for module, tree in modules.items():
         defs, read = definitions_and_names(tree)
-        definitions += [(f"{module}.{qual}", name, node) for qual, name, node in defs]
+        definitions += [(f"{module}.{qual}", *rest) for qual, *rest in defs]
         names += read
     return {
         qual
-        for qual, name, node in definitions
-        if not any(n == name and node not in owners for n, owners in names)
+        for qual, name, node, method in definitions
+        if not any(
+            n == name and (attr or not method) and node not in owners
+            for n, owners, attr in names
+        )
     }
 
 
@@ -103,14 +107,17 @@ def test_the_guard_flags_a_public_definition_without_a_caller():
         "def caller(): return Box().method() + helper()\n"
         "def helper():\n"
         "    def inner(): pass\n"
-        "    return inner\n"
+        "    shadow = lambda x: x\n"
+        "    return inner, shadow(1)\n"
         "class Box:\n"
         "    def method(self): pass\n"
         "    def unused(self): pass\n"
+        "    def shadow(self): pass\n"
         "class _Hidden:\n"
         "    def hook(self): pass\n"
     )
-    assert uncalled({"m": tree}) == {"m.orphan", "m.recursive", "m.caller", "m.Box.unused"}
+    expected = {"m.orphan", "m.recursive", "m.caller", "m.Box.unused", "m.Box.shadow"}
+    assert uncalled({"m": tree}) == expected
 
 
 def test_every_public_definition_has_a_caller_or_a_reason():

@@ -285,8 +285,8 @@ def test_invariant_generator_pairing_ratio():
     H, fs, E = adapted_s_basis(model)
 
     def ev(x, y):
-        cx = sub.to_sub(x)
-        cy = sub.to_sub(y)
+        cx = sub.frame.require(x, "x lies outside the solvable part")
+        cy = sub.frame.require(y, "y lies outside the solvable part")
         return sum(a * b * gen.data[i][j] for i, a in cx.items() for j, b in cy.items())
 
     he = ev(H, E)
@@ -301,7 +301,7 @@ def test_invariant_generator_admits_psd_primitive():
     sub, basis = invariant_cocycle_space(model)
     gen = basis[0]
     H, fs, E = adapted_s_basis(model)
-    images = [sub.to_sub(v) for v in (H, *fs, E)]
+    images = [sub.frame.require(v, "a chart vector leaves s") for v in (H, *fs, E)]
     psd = build_psd(PsdSpec(1, [2]))
     c_psd = pullback_cochain(gen, images)
     alpha = coboundary_primitive_psd(psd, c_psd)

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from ballquant import ball_quantization, ce_cohomology, psd_builder, retract_pde
 from ballquant.ce_cohomology import Cochain
-from ballquant.cli import BLOCKS_CEILING, COHOMOLOGY_CEILING, N_CEILING, main
+from ballquant.cli import BLOCKS_CEILING, COHOMOLOGY_CEILING, N_CEILING, ORDER_CEILING
+from ballquant.cli import RETRACT_ORDER_CEILING, main
 from ballquant.formal_star import CoefFn, NuSeries, series_from_json, series_to_json
 from ballquant.lie_core import LieAlgebra
 from ballquant.psd_builder import PsdSpec, psd_spec_from_json, psd_spec_to_json
@@ -178,6 +179,7 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         (["h2", "--su1n", "2", "--blocks", "2"], "--su1n"),
         (["verify", "--suite", "su1n", "--N", "1", "--order", "5"], "--order"),
         (["verify", "--suite", "cocycle", "--N", "1", "--order", "5"], "--order"),
+        (["verify", "--suite", "su1n", "--order", "5000"], "--order applies to --suite qmm"),
         (
             ["verify", "--suite", "retract", "--N", "1"],
             "--N must be at least 2 for --suite retract",
@@ -208,7 +210,8 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         "retract-n", "mutate-su1n", "mutate-retract", "mutate-cocycle", "label-unmutated",
         "value-unmutated", "label-drop-nu2", "alpha-su1n", "alpha-cocycle", "pairs-su1n",
         "pairs-retract", "pairs-cocycle", "h2-su1n-and-blocks", "h2-su1n-and-r",
-        "h2-su1n-and-blocks-only", "order-su1n", "order-cocycle", "retract-N1", "theta-float",
+        "h2-su1n-and-blocks-only", "order-su1n", "order-cocycle", "order-su1n-past-ceiling",
+        "retract-N1", "theta-float",
         "theta-bool-exponent", "theta-short-term", "theta-negative-nu", "theta-reason",
     ],
 )
@@ -316,6 +319,43 @@ def test_the_blocks_ceiling_itself_is_accepted(capsys, monkeypatch):
     code, out = run(capsys, ["build-psd", "--r", "2", "--blocks", f"{BLOCKS_CEILING - 1},1"])
     assert code == 0 and built == [[BLOCKS_CEILING - 1, 1]]
     assert json.loads(out)["spec"]["n"] == [BLOCKS_CEILING - 1, 1]
+
+
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (["verify", "--suite", "retract", "--N", "2", "--order", "10000"], "at most 7 for --suite"),
+        (["retract-residual", "--n", "2", "--order", "100000000"], "--order must be at most 1000,"),
+        (["retract-residual", "--n", "3", "--order", "100000"], "--order must be at most 1000,"),
+        (["verify", "--suite", "qmm", "--N", "2", "--order", "100000000"], "at most 1000,"),
+        (["verify", "--suite", "retract", "--N", "2", "--order", "8"], "at most 7 for --suite"),
+        (["verify", "--suite", "qmm", "--N", "2", "--order", "1001"], "at most 1000,"),
+    ],
+    ids=["retract", "residual-huge", "residual", "qmm", "retract-next", "qmm-next"],
+)
+def test_an_order_past_its_ceiling_is_a_usage_error_at_once(capsys, argv, source):
+    """ORDER_CEILING bounds --order, RETRACT_ORDER_CEILING that of the
+    retract suite: past it the command exits 2 before any work, within a
+    second.  Unbounded, the first four ended in MemoryError or ran for
+    more than 20 s (verify_qmm takes (order + 1)! before any pair)."""
+    start = time.perf_counter()
+    assert_usage_error(capsys, argv, source)
+    assert time.perf_counter() - start < 1
+    assert (ORDER_CEILING, RETRACT_ORDER_CEILING) == (1000, 7)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "qmm", "--N", "1", "--order", str(ORDER_CEILING)],
+        ["verify", "--suite", "retract", "--N", "2", "--order", str(RETRACT_ORDER_CEILING)],
+        ["retract-residual", "--n", "2", "--order", str(ORDER_CEILING)],
+    ],
+    ids=["qmm", "retract", "residual"],
+)
+def test_the_order_ceiling_itself_is_accepted(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 0 and json.loads(out)
 
 
 def test_the_ceiling_itself_is_accepted(capsys):

@@ -4,7 +4,7 @@ The frozen expected values below were worked out by hand: the closure
 dimensions from the restricted-root decomposition, the residual of the
 radial operator on the constant function and on r^2 directly from the
 displayed coefficient groups, and the nu^0 part of the radial operator
-transcribed independently in oracle_wv0 / oracle_om0.
+transcribed independently in oracles.oracle_wv0 / oracle_om0.
 """
 from __future__ import annotations
 
@@ -46,6 +46,8 @@ from ballquant.su1n_model import build_su1n, model_to_json
 from oracles import (
     apply_operator_oracle,
     binom_oracle,
+    oracle_om0,
+    oracle_wv0,
     radial_pde_residual_oracle,
     retract_exact_oracle,
 )
@@ -660,37 +662,6 @@ def test_radial_pde_truncated_output():
         (0, 0, 2, 0, 0): GScalar.of(-2),
     }
     assert om0.terms == {(1, 0, 0, 0, 0): GScalar.of(-2)}
-
-
-def oracle_wv0(theta: XiFn) -> XiFn:
-    """Independent transcription of the (w|v) part at nu = 0:
-    [2 i xi e^a (r^2 + 1) - 2 xi^2] theta - 4 i e^a (1/r) d_xi d_r theta."""
-    c0 = XiFn(
-        {
-            (1, 2, 1, 0, 0): GScalar.of(0, 2),
-            (1, 0, 1, 0, 0): GScalar.of(0, 2),
-            (0, 0, 2, 0, 0): GScalar.of(-2),
-        }
-    )
-    mixed = XiFn({(1, -1, 0, 0, 0): GScalar.of(0, -4)})
-    return c0.mul(theta).add(mixed.mul(theta.diff_r().diff_xi()))
-
-
-def oracle_om0(theta: XiFn) -> XiFn:
-    """Independent transcription of the Omega(w, v) part at nu = 0:
-    -2 e^a theta - 2 e^a d_a theta + [e^a (r^2 + 1)/r - e^{-a}] d_r theta
-    - 2 e^a xi d_xi theta."""
-    out = XiFn({(1, 0, 0, 0, 0): GScalar.of(-2)}).mul(theta)
-    out = out.add(XiFn({(1, 0, 0, 0, 0): GScalar.of(-2)}).mul(theta.diff_a()))
-    radial = XiFn(
-        {
-            (1, 1, 0, 0, 0): GScalar.of(1),
-            (1, -1, 0, 0, 0): GScalar.of(1),
-            (-1, 0, 0, 0, 0): GScalar.of(-1),
-        }
-    )
-    out = out.add(radial.mul(theta.diff_r()))
-    return out.add(XiFn({(1, 0, 1, 0, 0): GScalar.of(-2)}).mul(theta.diff_xi()))
 
 
 def test_radial_pde_nu0_oracle():
