@@ -62,7 +62,6 @@ _NO_TERMS = MappingProxyType({})
 
 class BallChart(Record, frozen=True):
     model: Su1nModel
-    inner_scale: Fraction
     H: MappingProxyType
     fs: list
     E: MappingProxyType
@@ -88,7 +87,7 @@ class BallChart(Record, frozen=True):
         return self._brackets[(i, j)]
 
 
-def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallChart:
+def build_chart(N: int) -> BallChart:
     """Adapted chart data for su(1, N), exact over the rationals.
 
     basis is the adapted basis of the whole algebra in qmm_labels order,
@@ -96,10 +95,8 @@ def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallC
     model's own where it has them (H, m_basis), the checked ones that
     adapted_s_basis keeps for the model (f, E), and the chart's own.
     H, fs, E and m_basis are its entries, and frame reads coordinates
-    against it.  A zero inner_scale raises ValueError.
+    against it; gram is (f_i|f_j) at the scale CALIBRATED_INNER_SCALE.
     """
-    if not inner_scale:
-        raise ValueError("inner_scale must be nonzero")
     model = build_su1n(N)
     H, fs, E = adapted_s_basis(model)
     nv = len(fs)
@@ -108,10 +105,9 @@ def build_chart(N: int, inner_scale: Fraction = CALIBRATED_INNER_SCALE) -> BallC
     sigma = [MappingProxyType(model.apply_sigma(x)) for x in (*fs, E)]
     basis = (H, *fs, E, *m_basis, *sigma)
     frame = Frame(basis)
-    gram = [
-        [-inner_scale * model.beta_form(u, sw) / model.beta_H0 for sw in sigma[:nv]] for u in fs
-    ]
-    return BallChart(model, inner_scale, H, list(fs), E, nv, omega, gram, m_basis, basis, frame)
+    scale = -CALIBRATED_INNER_SCALE / model.beta_H0
+    gram = [[scale * model.beta_form(u, sw) for sw in sigma[:nv]] for u in fs]
+    return BallChart(model, H, list(fs), E, nv, omega, gram, m_basis, basis, frame)
 
 
 def _within(coords, what: str, *blocks: range):
@@ -123,21 +119,24 @@ def _within(coords, what: str, *blocks: range):
 
 
 def poisson_structure(
-    chart: BallChart, az_weight: Fraction = CALIBRATED_AZ_WEIGHT
+    chart: BallChart, az_weight=CALIBRATED_AZ_WEIGHT, inner_scale=CALIBRATED_INNER_SCALE
 ) -> PoissonStructure:
-    """Constant Poisson matrix on (a, v, z).
+    """Constant Poisson matrix on (a, v, z): the one place the scales enter.
 
     The a-z entry is the weight az_weight and the v block is
-    (az_weight / inner_scale) Omega; at the calibrated values this is
-    the standard symplectic matrix.  A zero az_weight raises ValueError.
+    (az_weight / inner_scale) Omega; at the calibrated values this is the
+    standard symplectic matrix.  A scale that is not an int or a Fraction
+    raises TypeError, a zero one ValueError.
     """
-    if not az_weight:
-        raise ValueError("az_weight must be nonzero")
+    az_weight, inner_scale = exact(az_weight, "az_weight"), exact(inner_scale, "inner_scale")
+    for name, scale in (("inner_scale", inner_scale), ("az_weight", az_weight)):
+        if not scale:
+            raise ValueError(f"{name} must be nonzero")
     dim = chart.nv + 2
     m = [[Fraction(0)] * dim for _ in range(dim)]
     m[0][dim - 1] = az_weight
     m[dim - 1][0] = -az_weight
-    vscale = az_weight / chart.inner_scale
+    vscale = az_weight / inner_scale
     for i in range(chart.nv):
         for j in range(chart.nv):
             m[1 + i][1 + j] = vscale * chart.omega[i][j]
@@ -284,25 +283,18 @@ def qmm_labels(N: int) -> list:
     )
 
 
-def build_qmm(
-    N: int,
-    alpha: Fraction | None = None,
-    az_weight: Fraction = CALIBRATED_AZ_WEIGHT,
-    inner_scale: Fraction = CALIBRATED_INNER_SCALE,
-) -> QmmTable:
+def build_qmm(N: int, alpha: Fraction | None = None) -> QmmTable:
     """Quantum moment table over the adapted basis of the whole algebra.
 
     The nu^0 moments are those of the coadjoint orbit (_orbit_moments);
     the one term written down is the nu^2 term (N - 1) e^{2a} of sigma E.
-    alpha = None keeps the parameter symbolic; a number enters as that
-    constant.  alpha, az_weight and inner_scale are ints or Fractions,
-    else TypeError.  The scales set the chart's Gram matrix and the
-    Poisson structure, not the moments.
+    alpha = None keeps the parameter symbolic; a number, an int or a
+    Fraction (else TypeError), enters as that constant.  P is at the
+    calibrated scales, which set it and not the moments.
     """
     alpha = None if alpha is None else exact(alpha, "alpha")
-    az_weight, inner_scale = exact(az_weight, "az_weight"), exact(inner_scale, "inner_scale")
-    chart = build_chart(N, inner_scale)
-    P = poisson_structure(chart, az_weight)
+    chart = build_chart(N)
+    P = poisson_structure(chart)
     nv = chart.nv
     *moments, top = _orbit_moments(chart, alpha)
     moments = [NuSeries.from_coef(mu, 2) for mu in moments]
@@ -485,12 +477,15 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     moments, the classical limit of the identity.
 
     The check runs in Z and reports in Q.  D is the common denominator
-    of the moments' coefficients and L = lcm((order + 1)! delta^(order + 1),
-    the denominators of the brackets read), so that the int weight L
-    keeps every scale L / (m! delta^m) of an odd m <= order + 1 an int
-    (c_operator) and every left-side factor L D c an int.  Each pair lands
-    L D^2 times its residual, with int coefficients only, in its NuSum,
-    and only a failing residual is divided back by L D^2.
+    of the moments' coefficients and L = lcm(top! delta^top, the
+    denominators of the brackets read), so that the int weight L keeps
+    every scale L / (m! delta^m) of an odd m <= top an int (c_operator)
+    and every left-side factor L D c an int.  top is order + 1, or twice
+    the largest sum of v and z caps (CoefFn.caps) of a lifted coefficient
+    when less: every pair of P steps along a v or z on one side, so no
+    joint walk is longer.  Each pair lands L D^2 times its residual, with
+    int coefficients only, in its NuSum, and only a failing residual is
+    divided back by L D^2.
 
     Each moment is lifted once (_in_z): scaled by D into fresh int
     coefficients, truncated to the order when that is below the moment's
@@ -521,9 +516,10 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     P = table.P
     checked = [(i, j, chart.bracket(i, j)) for i in range(n) for j in range(i + 1, n)]
     dens = (c.denominator for _, _, b in checked for c in b.values())
-    L = lcm(factorial(order + 1) * P.delta ** (order + 1), *dens)
     D = lcm(*(c.denominator for s in table.moments for f in s.coeffs for c in f.terms.values()))
     lifted = [_in_z(s, D, order) for s in table.moments]
+    top = min(order + 1, 2 * max(sum(f.caps[1:]) for s in lifted for f in s.coeffs))
+    L = lcm(factorial(top) * P.delta**top, *dens)
     LD = L * D
     failures = []
     exact = True
@@ -590,19 +586,22 @@ def calibrate(N: int) -> CalibrationResult:
     """Search the scale grid for conventions making the table verify.
 
     The orbit table does not depend on the scales, and the Poisson
-    structure does: a grid point fails when the moment identity of the
-    table already breaks at first order under its structure.  For N = 1 the
+    structure does: one table is checked under each grid point's
+    structure, and a point fails when the moment identity already breaks
+    at first order.  For N = 1 the
     inner product scale never enters (there are no short roots), so only
     the a-z weight is searched and the result is reported with the
     conventional value 1/2.
     """
     passing = []
     tried = 0
+    table = build_qmm(N)
     inner_choices = CALIBRATION_GRID if N >= 2 else [CALIBRATED_INNER_SCALE]
     for az in CALIBRATION_GRID:
         for inner in inner_choices:
             tried += 1
-            if verify_qmm(build_qmm(N, az_weight=az, inner_scale=inner), order=1).ok:
+            P = poisson_structure(table.chart, az, inner)
+            if verify_qmm(table.replace(P=P), order=1).ok:
                 passing.append((az, inner))
     return CalibrationResult(passing, tried)
 

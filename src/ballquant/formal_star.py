@@ -110,21 +110,28 @@ _GUARD = 1 << (FIELD_BITS - 1)
 _set = object.__setattr__
 
 
-class KeyLayout:
+class KeyLayout(Record, frozen=True):
     """The packing of a CoefFn key (p, k, alpha power, z power) on nv v
     coordinates into one int, fields as the module says.  pack raises
     ValueError for a negative exponent below p and OverflowError for one
     past the guard.  shifts[c] and units[c] are the shift and the unit
     of chart coordinate c of (a, v_1 .. v_nv, z), a reading the p field;
-    the walk packs a multi-index over them the same way."""
+    the walk packs a multi-index over them the same way.  Frozen, since
+    key_layout shares one per nv."""
+
+    nv: int
+    top: int
+    low: int
+    guards: int
+    shifts: tuple
+    units: tuple
 
     def __init__(self, nv: int):
-        self.nv = nv
-        self.top = (nv + 2) * FIELD_BITS
-        self.low = (1 << self.top) - 1
-        self.guards = self.low // _MASK * _GUARD
-        self.shifts = (self.top, *range((nv + 1) * FIELD_BITS, FIELD_BITS, -FIELD_BITS), 0)
-        self.units = tuple(1 << s for s in self.shifts)
+        top = (nv + 2) * FIELD_BITS
+        low = (1 << top) - 1
+        shifts = (top, *range((nv + 1) * FIELD_BITS, FIELD_BITS, -FIELD_BITS), 0)
+        units = tuple(1 << s for s in shifts)
+        Record.__init__(self, nv, top, low, low // _MASK * _GUARD, shifts, units)
 
     def pack(self, p: int, k: tuple, s: int, q: int) -> int:
         if len(k) != self.nv:
@@ -316,33 +323,36 @@ class CoefFn(SparseSum, Record, frozen=True):
         )
 
 
-class PoissonStructure:
+class PoissonStructure(Record, frozen=True, eq=False):
     """Constant antisymmetric bivector on the chart coordinates.
 
-    matrix holds the entries as Fractions.  delta is the least common
-    denominator of the entries, and directed_pairs lists (u, w, delta *
-    Lambda^{uw}), an int, for every nonzero entry: the walk's steps.
-    inverse is the inverse matrix, taken on first use
-    and kept: a degenerate structure, such as the zero one of
-    NuSeries.mul, is never inverted."""
+    matrix holds the entries as Fractions, in row tuples.  delta is the
+    least common denominator of the entries, and directed_pairs holds
+    (u, w, delta * Lambda^{uw}), an int, for every nonzero entry: the
+    walk's steps.  inverse is the inverse matrix, taken on first use and
+    kept: a degenerate structure, such as the zero one of NuSeries.mul,
+    is never inverted.  Frozen, since a table shares it with mutations."""
+
+    nv: int
+    matrix: tuple
+    delta: int
+    directed_pairs: tuple
 
     def __init__(self, nv: int, matrix: list):
         dim = nv + 2
         if len(matrix) != dim or any(len(row) != dim for row in matrix):
             raise ValueError("Poisson matrix must cover (a, v_1..v_nv, z)")
-        self.matrix = [[exact(x, "a Poisson matrix entry") for x in row] for row in matrix]
+        matrix = tuple(tuple(exact(x, "a Poisson matrix entry") for x in row) for row in matrix)
         for i in range(dim):
             for j in range(dim):
-                if self.matrix[i][j] != -self.matrix[j][i]:
+                if matrix[i][j] != -matrix[j][i]:
                     raise ValueError("Poisson matrix must be antisymmetric")
-        self.nv = nv
-        self.delta = lcm(*(x.denominator for row in self.matrix for x in row))
-        self.directed_pairs = [
-            (u, w, x.numerator * (self.delta // x.denominator))
-            for u, row in enumerate(self.matrix)
-            for w, x in enumerate(row)
-            if x
-        ]
+        delta = lcm(*(x.denominator for row in matrix for x in row))
+        pairs = tuple(
+            (u, w, x.numerator * (delta // x.denominator))
+            for u, row in enumerate(matrix) for w, x in enumerate(row) if x
+        )
+        Record.__init__(self, nv, matrix, delta, pairs)
 
     @kept
     def inverse(self) -> tuple:

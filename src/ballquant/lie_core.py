@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from .linalg import BoundOnce, Frame, nullspace, rref, zeros
+from .linalg import Frame, nullspace, rref, zeros
 from .scalars import Record, collect, decimal_index, exact, frac_str, keyed, kept, parse_frac
 from .scalars import shaped
 
@@ -99,15 +99,20 @@ def jacobi_report(dim: int, structure) -> JacobiReport:
     return JacobiReport(True, None, None)
 
 
-class LieAlgebra(BoundOnce):
+class LieAlgebra(Record, frozen=True, eq=False):
     """Lie algebra given by int or Fraction structure constants.
 
     structure maps (i, j) with i < j to a sparse map k -> coefficient of
     basis vector k in [e_i, e_j]; rows is the same table indexed both
-    ways (see ``_row_table``).  Both are read-only and every attribute
-    is bound once (``BoundOnce``), so the table the bracket reads cannot
-    drift from the one Jacobi validated or ``read`` certified.
+    ways (see ``_row_table``).  Both are read-only and the record is
+    frozen, so the table the bracket reads cannot drift from the one
+    Jacobi validated or ``read`` certified.
     """
+
+    dim: int
+    labels: tuple
+    rows: tuple
+    structure: MappingProxyType
 
     def __init__(self, dim: int, labels: list, structure: dict):
         clean = {}
@@ -160,10 +165,9 @@ class LieAlgebra(BoundOnce):
         """Keep a clean table: keys i < j below dim, nonzero Fractions."""
         if len(labels) != dim:
             raise ValueError("label count does not match dimension")
-        self.dim = dim
-        self.labels = tuple(labels)
-        self.rows = _row_table(dim, structure)
-        self.structure = MappingProxyType({(i, j): self.rows[i][j] for i, j in structure})
+        rows = _row_table(dim, structure)
+        table = MappingProxyType({(i, j): rows[i][j] for i, j in structure})
+        Record.__init__(self, dim, tuple(labels), rows, table)
 
     def basis_vector(self, i: int) -> Vector:
         return {i: Fraction(1)}
@@ -231,15 +235,18 @@ class LieAlgebra(BoundOnce):
         return LieAlgebra(dim, shaped(labels, list, "labels"), structure)
 
 
-class Subspace(BoundOnce):
+class Subspace(Record, frozen=True):
     """Subspace of a LieAlgebra with a canonical echelon basis: a tuple
     of read-only vectors, which a cached subspace hands out as it is.
-    Its attributes are bound once (``BoundOnce``)."""
+    The record is frozen; two subspaces are equal when their bases are."""
+
+    algebra: LieAlgebra
+    basis: tuple
+    dim: int
 
     def __init__(self, algebra: LieAlgebra, vectors: list):
-        self.algebra = algebra
-        self.basis = tuple(MappingProxyType(r) for r in rref(vectors)[0])
-        self.dim = len(self.basis)
+        basis = tuple(MappingProxyType(r) for r in rref(vectors)[0])
+        Record.__init__(self, algebra, basis, len(basis))
 
     @kept
     def frame(self) -> Frame:

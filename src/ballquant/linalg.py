@@ -26,9 +26,9 @@ The change-of-basis steps the rest of the package shares live here too:
 ``combine`` sums coefficients times vectors, ``bilinear`` evaluates a
 bilinear form on two vectors, ``transpose`` reads vectors as the columns
 of a matrix, and ``split_symplectic`` is the one split-half symplectic
-matrix [[0, I], [-I, 0]].  ``BoundOnce`` binds each attribute of a
-Frame, and of the algebras and subspaces of ``lie_core``, once, so a
-cached model cannot be changed by rebinding one.
+matrix [[0, I], [-I, 0]].  A Frame is a frozen ``scalars.Record``, as
+are the algebras and subspaces of ``lie_core``, so a cached model
+cannot be changed by rebinding what it holds.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .scalars import collect
+from .scalars import Record, collect
 
 Vec = dict
 Mat = list
@@ -182,25 +182,7 @@ def solve_linear(a: Mat, b: list):
     return x
 
 
-class BoundOnce:
-    """Attributes that are bound once: setting one that is already there,
-    or deleting any, raises AttributeError.  A constructor binds each
-    attribute once and scalars.kept fills the instance dict
-    directly, so both still work; a cached object cannot be changed by
-    rebinding what it holds."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        if hasattr(self, name):
-            raise AttributeError(f"{type(self).__name__}.{name} is read-only once set")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__}.{name} cannot be deleted")
-
-
-class Frame(BoundOnce):
+class Frame(Record, frozen=True, eq=False):
     """Exact coordinates against one basis, from a single reduction.
 
     The basis rows are vectors.  [B | I] is reduced once to [R | M], so
@@ -208,11 +190,11 @@ class Frame(BoundOnce):
     of v[p] R_p over the pivot columns p, and its coordinates are the
     sum of v[p] M_p.  ``dual`` maps each pivot column p to the sparse
     M_p, read-only, so coords walks v's entries.  Dependent rows put a
-    pivot inside the identity block and raise ValueError.  Both
-    attributes are bound once (``BoundOnce``).
+    pivot inside the identity block and raise ValueError.
     """
 
-    __slots__ = ("basis", "dual")
+    basis: tuple
+    dual: MappingProxyType
 
     def __init__(self, basis):
         rows = list(basis)
@@ -220,11 +202,11 @@ class Frame(BoundOnce):
         red, pivots = rref([{**r, width + k: 1} for k, r in enumerate(rows)])
         if pivots and pivots[-1] >= width:
             raise ValueError("basis rows are linearly dependent")
-        self.basis = tuple(tuple(r.items()) for r in rows)
-        self.dual = MappingProxyType({
+        dual = {
             p: tuple((j - width, x) for j, x in row.items() if j >= width)
             for row, p in zip(red, pivots)
-        })
+        }
+        Record.__init__(self, tuple(tuple(r.items()) for r in rows), MappingProxyType(dual))
 
     def coords(self, v: Vec):
         """The coordinates of the vector v, a vector of the spanned space

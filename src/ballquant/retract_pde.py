@@ -64,7 +64,7 @@ from .scalars import GScalar, SparseSum, accumulate, collect, frac_str, keyed, p
 from .scalars import Record, resolve_truncation_order
 
 
-class XiFn(SparseSum, Record):
+class XiFn(SparseSum, Record, frozen=True):
     """Coefficient function of (a, r, xi) in the radial calculus.
 
     terms maps (k, m, n, h, j) to a Gaussian rational multiplying
@@ -79,7 +79,7 @@ class XiFn(SparseSum, Record):
     terms: dict
 
     def __init__(self, terms: dict):
-        self.terms = terms
+        object.__setattr__(self, "terms", terms)  # past the frozen __setattr__, as CoefFn does
 
     def _new(self, terms: dict) -> XiFn:
         return XiFn(terms)

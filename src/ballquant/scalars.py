@@ -161,7 +161,7 @@ class Record:
 class kept:
     """functools.cached_property without its lock: the value is taken on
     first use and kept in the instance dict under the method's name, past
-    a frozen or bound-once __setattr__."""
+    a frozen __setattr__."""
 
     def __init__(self, fn):
         self.fn, self.name = fn, fn.__name__

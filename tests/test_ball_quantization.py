@@ -391,9 +391,9 @@ def test_moments_of_a_plus_m_have_no_constant_term(N):
     identity is needed."""
     points = [(az, inner) for az in CALIBRATION_GRID for inner in CALIBRATION_GRID]
     zero_k, checked = (0,) * (2 * (N - 1)), 0
+    chart = build_chart(N)
     for az, inner in [(F(1, 2), F(1, 2)), *points]:
-        chart = build_chart(N, inner)
-        P = poisson_structure(chart, az)
+        P = poisson_structure(chart, az, inner)
         try:
             moments = [classical_moment(chart, x, P) for x in a_plus_m(chart, N)]
         except IntegrabilityError:
@@ -514,11 +514,29 @@ def test_verify_qmm_numeric_alpha():
     assert rep.ok and rep.exact
 
 
-def test_calibrate():
-    res = calibrate(2)
-    assert res.passing == [(F(1, 2), F(1, 2))]
-    res1 = calibrate(1)
-    assert res1.passing == [(F(1, 2), F(1, 2))]
+def test_calibrate(monkeypatch):
+    """Only (1/2, 1/2) verifies; only the Poisson structure changes over
+    the grid, so each run builds one table."""
+    calls, real = [], ball_quantization.build_qmm
+    monkeypatch.setattr(ball_quantization, "build_qmm", lambda *args: calls.append(args) or real(*args))
+    for N in (1, 2, 3):
+        calls.clear()
+        assert calibrate(N).passing == [(F(1, 2), F(1, 2))]
+        assert calls == [(N,)]
+
+
+def test_verify_qmm_weight_stops_growing_with_the_order(monkeypatch):
+    """The weight's factorial is taken at most at twice the largest sum of
+    v and z caps of a moment coefficient, since no walk of a pair is
+    longer, so an order of a million checks what order 12 checks."""
+    table = build_qmm(2)
+    # caps of fresh copies: the table's own coefficients keep none
+    largest = max(sum(CoefFn(f.nv, f.terms).caps[1:]) for s in table.moments for f in s.coeffs)
+    args, real = [], ball_quantization.factorial
+    monkeypatch.setattr(ball_quantization, "factorial", lambda n: args.append(n) or real(n))
+    rep = verify_qmm(table, 10**6)
+    assert rep.ok and rep.exact and rep.checked == verify_qmm(table, 12).checked
+    assert args and max(args) <= 2 * largest
 
 
 def test_mutation_drop_nu2_breaks():
@@ -961,14 +979,15 @@ def test_qmm_labels_name_the_table_basis():
 
 @pytest.mark.parametrize("zero", [0, F(0)])
 def test_zero_scales_are_refused_by_name(zero):
+    chart = build_chart(2)
     with pytest.raises(ValueError, match="^inner_scale must be nonzero$"):
-        build_qmm(2, inner_scale=zero)
+        poisson_structure(chart, inner_scale=zero)
     with pytest.raises(ValueError, match="^inner_scale must be nonzero$"):
-        build_chart(2, zero)
+        poisson_structure(chart, F(1, 2), zero)
     with pytest.raises(ValueError, match="^az_weight must be nonzero$"):
-        build_qmm(2, az_weight=zero)
+        poisson_structure(chart, az_weight=zero)
     with pytest.raises(ValueError, match="^az_weight must be nonzero$"):
-        poisson_structure(build_chart(2), zero)
+        poisson_structure(chart, zero)
     assert zero not in CALIBRATION_GRID
 
 

@@ -780,7 +780,7 @@ def test_poisson_structure_keeps_integer_pair_values():
     the Fractions."""
     P = std_structure(2, p=F(1, 2), vv=F(-2, 3))
     assert P.delta == 6
-    assert P.directed_pairs == [(0, 3, 3), (1, 2, -4), (2, 1, 4), (3, 0, -3)]
+    assert P.directed_pairs == ((0, 3, 3), (1, 2, -4), (2, 1, 4), (3, 0, -3))
     assert all(type(val) is int for _, _, val in P.directed_pairs)
     assert P.matrix[0][3] == F(1, 2) and type(P.matrix[1][2]) is F
     assert std_structure(2, p=F(1), vv=F(3)).delta == 1

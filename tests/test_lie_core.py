@@ -516,8 +516,9 @@ def test_structure_in_names_a_bracket_that_leaves_the_span():
 
 
 def test_bound_once_attributes_still_build_and_fill_caches():
-    """A constructor binds each attribute once and a cached_property
-    fills once; rebinding or deleting any of them raises."""
+    """A constructor binds each field of a frozen record once and a
+    scalars.kept attribute fills once; rebinding or deleting any of them
+    raises."""
     algebra = LieAlgebra(3, ["a", "b", "c"], {(0, 1): {2: 1}})
     sub = span_subspace(algebra, [{0: F(1)}, {2: F(2)}])
     frame = sub.frame

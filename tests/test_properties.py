@@ -186,8 +186,8 @@ def test_parse_frac_refuses_an_exponent_past_the_int_digit_limit():
 # a call that sets it; a binary float such as 0.1 is not 1/10.
 NOT_EXACT = [
     ("alpha", lambda x: build_qmm(1, alpha=x)),
-    ("az_weight", lambda x: build_qmm(1, az_weight=x)),
-    ("inner_scale", lambda x: build_qmm(1, inner_scale=x)),
+    ("az_weight", lambda x: poisson_structure(build_chart(1), az_weight=x)),
+    ("inner_scale", lambda x: poisson_structure(build_chart(1), inner_scale=x)),
     ("value", lambda x: mutate_add_nu_const(build_qmm(1, F(1)), "E", x)),
     ("coefficient", lambda x: CoefFn.monomial(1, 0, (0,), 0, 0, x)),
     ("coefficient", lambda x: CoefFn.const(1, x)),
@@ -213,7 +213,8 @@ def test_exact_inputs_refuse_anything_but_ints_and_fractions(name, make, bad):
 
 @pytest.mark.parametrize("x", [1, F(1, 2)])
 def test_exact_inputs_keep_every_coefficient_a_fraction(x):
-    tables = [build_qmm(1, alpha=x, az_weight=x, inner_scale=x)]
+    table = build_qmm(1, alpha=x)
+    tables = [table.replace(P=poisson_structure(table.chart, x, x))]
     tables.append(mutate_add_nu_const(tables[0], "E", x))
     coefs = [c for t in tables for s in t.moments for f in s.coeffs for c in f.terms.values()]
     assert coefs and all(type(c) is F for c in coefs) and type(tables[0].alpha) is F

@@ -6,22 +6,26 @@ keyword with the declared defaults, a fresh dict for every instance
 that defaults one, field-wise equality within one class only, frozen
 records that refuse to change, identity equality where the model
 caches rely on it, replace, and the dataclass-style repr that error
-messages print.
+messages print.  Record is the one freeze mechanism: no other class of
+the package defines __setattr__ or __delattr__, and every object that a
+cache shares is a frozen record.
 """
 from __future__ import annotations
 
+import ast
 import gc
 import weakref
 from fractions import Fraction as F
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
-from ballquant.ball_quantization import BallChart, QmmReport, build_chart
-from ballquant.formal_star import CoefFn, NuSeries
+from ballquant.ball_quantization import BallChart, QmmReport, build_chart, build_qmm, verify_qmm
+from ballquant.formal_star import CoefFn, NuSeries, key_layout
 from ballquant.lie_core import CheckReport
 from ballquant.psd_builder import PsdSpec, build_psd
-from ballquant.retract_pde import ClosureReport, XiFn
+from ballquant.retract_pde import ClosureReport, XiFn, _radial_table, radial_pde_residual
 from ballquant.scalars import GScalar, Record
 from ballquant.su1n_model import RootDatum, Su1nModel, build_su1n
 
@@ -165,3 +169,54 @@ def test_repr_is_the_dataclass_repr():
 def test_error_messages_print_the_record():
     with pytest.raises(ValueError, match=r"got PsdSpec\(r=2, n=\[1\], cross_actions=\{\}\)$"):
         build_psd(PsdSpec(2, [1]))
+
+
+def test_cached_objects_cannot_be_rebound():
+    """What the caches share (the key layout, the model's algebra, a
+    subspace and frame of it, a table's Poisson structure and the XiFns
+    of the radial table) refuses setting or deleting each attribute, so
+    the checks that read them afterwards still pass."""
+    theta = XiFn({(0, 2, 1, 0, 0): GScalar(1, 0), (1, 0, 2, 1, 0): GScalar(0, 1)})
+    before = radial_pde_residual(theta, 2)
+    model = build_su1n(2)
+    xifns = [c for pair in _radial_table(2).values() for c in pair]
+    shared = [key_layout(2), model.algebra, model.m_space, model.iwasawa_frame, build_qmm(2).P]
+    for obj in shared + xifns:
+        names = set(type(obj)._fields) | set(vars(obj))
+        assert names
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    layout = key_layout(2)
+    with pytest.raises(AttributeError):
+        layout.shifts = layout.shifts[::-1]
+    assert verify_qmm(build_qmm(2), 4).ok
+    assert radial_pde_residual(theta, 2) == before
+
+
+def _setter_owners(path: Path) -> set:
+    """The innermost class around each definition of, or assignment to,
+    __setattr__ or __delattr__ in a module, None for one outside every
+    class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    owners = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif isinstance(getattr(node, "ctx", None), ast.Store):
+            name = getattr(node, "attr", getattr(node, "id", None))
+        else:
+            continue
+        if name in ("__setattr__", "__delattr__"):
+            inside = [c for c in classes if c.lineno <= node.lineno <= c.end_lineno]
+            owners.add(max(inside, key=lambda c: c.lineno).name if inside else None)
+    return owners
+
+
+def test_record_is_the_one_freeze_mechanism():
+    package = Path(__file__).resolve().parent.parent / "src" / "ballquant"
+    found = {(path.name, owner) for path in package.glob("*.py") for owner in _setter_owners(path)}
+    assert found == {("scalars.py", "Record")}

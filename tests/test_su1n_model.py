@@ -415,9 +415,9 @@ def test_model_to_json_bytes_are_frozen(N):
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_cached_model_cannot_be_changed_through_what_it_returns(N):
     """Labels, subspace bases, roots and root values are tuples, the
-    model and its root data are frozen and the attributes of its
-    algebra, subspaces and frames are bound once, so no write or
-    rebinding through a model reaches the next build_su1n(N)."""
+    model, its root data, algebra, subspaces and frames are frozen
+    records, so no write or rebinding through a model reaches the next
+    build_su1n(N)."""
     model = build_su1n(N)
     with pytest.raises(TypeError):
         model.algebra.labels[0] = "X"
