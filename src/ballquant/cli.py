@@ -27,8 +27,10 @@ SERIES = ("qmm", "retract")  # the verify suites that truncate series
 N_CEILING = 30
 COHOMOLOGY_CEILING = 12
 # The largest sum of the --blocks dimensions that build-psd and h2 take,
-# refused above in the same way: the costliest h2 at this sum was measured
-# near 200 MB, while build-psd's cubic Jacobi sweep stays within seconds.
+# refused above in the same way.  h2 alone sets it: its costliest split
+# was measured near 195 MB and 3 s at this sum, and near 275 MB at 300,
+# past the 225 MB of COHOMOLOGY_CEILING.  build-psd sweeps no block table
+# and stays near 0.07 s and 17 MB up to 400.
 BLOCKS_CEILING = 250
 # The largest --order, refused above in the same way; at N_CEILING the
 # retract suite peaks near 235 MB at order 7 and 283 MB at 8, while

@@ -7,13 +7,16 @@ structure constants.  Vectors are the sparse maps of ``linalg``
 (index -> nonzero coefficient), so a bracket reads only the nonzero
 coordinates of its arguments and ``ad`` returns sparse rows.
 Every instance in the rest of the package is an actual Lie algebra, by
-one of two routes.  A table given as numbers (the constructor, hence
-``from_json`` and the block algebras of ``psd_builder``) is swept: the
-Jacobi identity runs over ``bracket_triples``, the walk the CE
-differential also reads, and an invalid table is refused.  A table read
-from a bracket that already satisfies Jacobi (``LieAlgebra.read``: the
-matrix commutator of the su(1, N) model, and ``subalgebra`` of an
-algebra) is certified by how it was read and is not swept.  Subspaces
+one of three routes.  A table given as numbers (the constructor, hence
+``from_json`` and the block algebras of ``psd_builder`` with cross
+actions) is swept: the Jacobi identity runs over ``bracket_triples``,
+the walk the CE differential also reads, and an invalid table is
+refused.  A table read from a bracket that already satisfies Jacobi
+(``LieAlgebra.read``: the matrix commutator of the su(1, N) model, and
+``subalgebra`` of an algebra) is certified by how it was read, and a
+direct sum of elementary solvable blocks (``LieAlgebra.written``: the
+block algebras of ``psd_builder`` without cross actions) by how it was
+written; neither is swept.  Subspaces
 keep a canonical reduced echelon basis, a tuple of read-only vectors,
 which makes equality of subspaces literal tuple equality.
 structure_in reads the structure constants of any list of vectors, for
@@ -25,6 +28,7 @@ one at a time.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -66,17 +70,25 @@ def bracket_triples(rows):
     bracket among two of their elements, each with its terms (rows[a][b], c)
     for (a, b, c) = (i, j, k), (j, k, i), (k, i, j).  The Jacobiator and
     the degree-two CE differential sum over these terms and vanish on
-    every triple left out."""
+    every triple left out.
+
+    A pair i < j with a bracket keeps every k past j.  A pair without one
+    keeps the k past j with [e_j, e_k] or [e_k, e_i] nonzero, the entries
+    of rows[j] or rows[i] past j (rows are antisymmetric), so its walk
+    costs its entries, not dim - j."""
     dim = len(rows)
+    later = [sorted(k for k in row if k > j) for j, row in enumerate(rows)]
     for i in range(dim):
-        ri = rows[i]
+        ri, after_i = rows[i], later[i]
         for j in range(i + 1, dim):
-            rj = rows[j]
-            cij = ri.get(j, _EMPTY)
-            for k in range(j + 1, dim):
-                cjk, cki = rj.get(k, _EMPTY), rows[k].get(i, _EMPTY)
-                if cij or cjk or cki:
-                    yield (i, j, k), ((cij, k), (cjk, i), (cki, j))
+            rj, cij = rows[j], ri.get(j, _EMPTY)
+            if cij:
+                ks = range(j + 1, dim)
+            else:
+                a, b = after_i[bisect_right(after_i, j):], later[j]
+                ks = sorted({*a, *b}) if a and b else a or b
+            for k in ks:
+                yield (i, j, k), ((cij, k), (rj.get(k, _EMPTY), i), (rows[k].get(i, _EMPTY), j))
 
 
 def jacobi_report(dim: int, structure) -> JacobiReport:
@@ -106,7 +118,7 @@ class LieAlgebra(Record, frozen=True, eq=False):
     basis vector k in [e_i, e_j]; rows is the same table indexed both
     ways (see ``_row_table``).  Both are read-only and the record is
     frozen, so the table the bracket reads cannot drift from the one
-    Jacobi validated or ``read`` certified.
+    Jacobi validated or ``read`` or ``written`` certified.
     """
 
     dim: int
@@ -146,7 +158,7 @@ class LieAlgebra(Record, frozen=True, eq=False):
         another.  Such a bracket
         satisfies Jacobi: a commutator by the associativity of the matrix
         product, the bracket of a LieAlgebra because that algebra was
-        swept or read this way.
+        swept, written or read this way.
 
         The table then satisfies it too.  Each bracket equals the
         combination of vectors its coordinates name, a bracket that
@@ -159,6 +171,38 @@ class LieAlgebra(Record, frozen=True, eq=False):
         """
         algebra = cls.__new__(cls)
         algebra._store(len(vectors), labels, structure_in(frame, vectors, bracket))
+        return algebra
+
+    @classmethod
+    def written(cls, labels: list, structure: dict) -> "LieAlgebra":
+        """The algebra of a block table written down by construction,
+        built without the Jacobi sweep.
+
+        Precondition: structure is a clean table (keys i < j, nonzero
+        Fractions) of a direct sum of blocks, each with basis (H, v_1 ..
+        v_2h, E) and no nonzero brackets but [H, v] = v, [H, E] = 2E and
+        [v_a, v_{h+a}] = E, that is [v, v'] = Omega(v, v') E with Omega
+        the standard symplectic form: the elementary normal j-algebras
+        that ``psd_builder.build_psd`` writes for a spec with no cross
+        actions.
+
+        Such a table satisfies Jacobi.  The Jacobiator is alternating and
+        trilinear, so it vanishes when it does on every triple of distinct
+        basis elements.  On (H, v, v') its three terms [[H, v], v'],
+        [[v, v'], H] and [[v', H], v] are Omega(v, v') E,
+        -2 Omega(v, v') E and Omega(v, v') E, which sum to zero.  On
+        (H, v, E) they are [v, E], 0 and -2 [E, v], all zero.  On a triple
+        of V + E, any bracket of two of its elements lies in the span of
+        E, which commutes with the third, so each term is zero.  A bracket
+        between two blocks is zero and a bracket within one stays in it,
+        so every term on a triple that meets two blocks is zero.
+
+        The precondition cannot be checked at run time without the sweep
+        it replaces; a test keeps the callers to ``build_psd`` and sweeps
+        the tables it writes as the oracle.
+        """
+        algebra = cls.__new__(cls)
+        algebra._store(len(labels), labels, structure)
         return algebra
 
     def _store(self, dim: int, labels: list, structure: dict):

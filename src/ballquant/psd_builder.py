@@ -4,9 +4,11 @@ A block of size n has basis (H, v_1 .. v_{2(n-1)}, E) with
 [H, v] = v, [H, E] = 2E, [v, v'] = Omega(v, v') E and Omega the standard
 symplectic matrix in split-half order.  Block r is outermost; an outer
 block may act on the V part of any inner block through a prescribed
-linear map into the symplectic Lie algebra of that V.  The assembled
-structure table goes through full Jacobi validation, so inconsistent
-cross actions are rejected at construction.
+linear map into the symplectic Lie algebra of that V.  Without cross
+actions the table is a direct sum of blocks, which satisfies Jacobi by
+construction (``LieAlgebra.written``), so it is not swept.  A table with
+cross actions goes through the full Jacobi sweep, so inconsistent cross
+actions are rejected at construction.
 """
 from __future__ import annotations
 
@@ -88,7 +90,10 @@ def build_psd(spec: PsdSpec) -> PsdAlgebra:
                     if c:
                         put(src, v, inner["V"][row], c)
 
-    algebra = LieAlgebra(dim, labels, structure)
+    if spec.cross_actions:
+        algebra = LieAlgebra(dim, labels, structure)
+    else:
+        algebra = LieAlgebra.written(labels, structure)
     return PsdAlgebra(spec, algebra, blocks)
 
 

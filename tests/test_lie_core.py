@@ -18,11 +18,15 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballquant.lie_core import (
+    _EMPTY,
     JacobiReport,
     LieAlgebra,
     Subspace,
+    _row_table,
     bracket_triples,
     centralizer,
     jacobi_report,
@@ -360,6 +364,54 @@ def test_bracket_triples_is_the_brute_force_triple_scan(name):
             want.append(((i, j, k), terms))
     got = [(t, [(dict(br), c) for br, c in terms]) for t, terms in bracket_triples(g.rows)]
     assert got == want
+
+
+def dense_triples(rows):
+    """The walk that reads every k past j of every pair i < j: the
+    reference the sparse walk of bracket_triples must match."""
+    dim = len(rows)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            cij = rows[i].get(j, _EMPTY)
+            for k in range(j + 1, dim):
+                cjk, cki = rows[j].get(k, _EMPTY), rows[k].get(i, _EMPTY)
+                if cij or cjk or cki:
+                    yield (i, j, k), ((cij, k), (cjk, i), (cki, j))
+
+
+def walk_algebra(name):
+    """agreement_algebra, and a block algebra psd_n1_n2_.. of any sizes."""
+    if name.startswith("psd_") and name not in PSD_SPECS:
+        sizes = [int(x) for x in name[len("psd_"):].split("_")]
+        return build_psd(PsdSpec(len(sizes), sizes)).algebra
+    return agreement_algebra(name)
+
+
+@pytest.mark.parametrize(
+    "name", [f"su1n_{N}" for N in range(1, 6)] + list(PSD_SPECS) + ["psd_40", "psd_9_1_6"]
+)
+def test_sparse_triple_walk_is_the_dense_walk(name):
+    rows = walk_algebra(name).rows
+    assert list(bracket_triples(rows)) == list(dense_triples(rows))
+
+
+@st.composite
+def sparse_rows(draw):
+    """The rows of a drawn table (not a Lie algebra): a few pairs, each
+    with one to three nonzero coefficients."""
+    dim = draw(st.integers(3, 10))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * dim))
+    coeffs = st.dictionaries(
+        st.integers(0, dim - 1), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+    )
+    return _row_table(dim, {key: draw(coeffs) for key in keys})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sparse_rows())
+def test_sparse_triple_walk_is_the_dense_walk_on_drawn_tables(rows):
+    assert list(bracket_triples(rows)) == list(dense_triples(rows))
 
 
 @pytest.mark.parametrize("name", ["su1n_1", "su1n_2", "su1n_3", "psd_3_2_3", "psd_cross_action"])

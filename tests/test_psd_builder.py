@@ -11,6 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from ballquant import lie_core
+from ballquant.lie_core import JacobiReport, jacobi_report
 from ballquant.psd_builder import PsdSpec, build_psd, match_iwasawa, psd_spec_from_json, psd_spec_to_json
 from ballquant.linalg import vec_scale
 from ballquant.su1n_model import build_su1n, model_to_json
@@ -74,6 +76,37 @@ def test_non_symplectic_cross_action_fails_jacobi():
     bad = PsdSpec(2, [2, 1], {(1, 2): {"H": [[F(1), F(1)], [F(0), F(1)]]}})
     with pytest.raises(ValueError):
         build_psd(bad)
+
+
+def test_an_e_only_cross_action_is_refused():
+    """diag(1, -1) lies in sp(V), so a check of each action map alone
+    passes it.  But E2 = [H2, E2]/2 must then act as [rho(H2), rho(E2)]/2,
+    which is zero, so Jacobi fails on (H2, E2, v1_1) = (0, 3, 5)."""
+    spec = PsdSpec(2, [2, 2], {(1, 2): {"E": [[1, 0], [0, -1]]}})
+    with pytest.raises(ValueError, match=r"basis triple \(0, 3, 5\)"):
+        build_psd(spec)
+
+
+WRITTEN_SIZES = [[n] for n in range(1, 11)] + [[3, 2, 3], [3, 3, 3], [4, 4], [1, 5, 2]]
+
+
+@pytest.mark.parametrize("n", WRITTEN_SIZES, ids=lambda n: "_".join(map(str, n)))
+def test_every_written_table_passes_the_full_jacobi_sweep(n):
+    """A spec without cross actions is stored by LieAlgebra.written, which
+    runs no sweep; the full sweep is the oracle of that construction."""
+    g = build_psd(PsdSpec(len(n), n)).algebra
+    assert jacobi_report(g.dim, g.structure) == JacobiReport(True, None, None)
+
+
+def test_a_spec_without_cross_actions_makes_no_jacobi_call(monkeypatch):
+    def refuse(dim, structure):
+        raise AssertionError("jacobi_report called")
+
+    monkeypatch.setattr(lie_core, "jacobi_report", refuse)
+    for n in WRITTEN_SIZES:
+        build_psd(PsdSpec(len(n), n))
+    with pytest.raises(AssertionError, match="jacobi_report called"):
+        build_psd(nontrivial_spec())
 
 
 def test_spec_json_roundtrip():
