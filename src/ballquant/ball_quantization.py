@@ -8,8 +8,9 @@ so that the whole group law is rational.
 build_chart assembles the adapted basis of the whole algebra once, in
 table order (H, f, E, m, sigma f, sigma E), as read-only vectors, with
 one Frame over it; every coordinate read on the chart and in the
-moment table, which shares both, goes through that frame, and brackets
-of basis vectors are read there once per pair and kept (BallChart.bracket).
+moment table, which shares both, goes through that frame.  Brackets of
+basis vectors that share a matrix index are read in integers against its
+dual once per pair and kept; the others are zero (BallChart.bracket).
 
 On this chart every basis element X of the subalgebra spanned by the
 solvable part and the compact centralizer m has a fundamental vector
@@ -53,7 +54,7 @@ from .linalg import solve_in_span  # noqa: F401, callers read it here
 from .scalars import G_ZERO, Record, accumulate, collect, exact, frac_str, kept
 from .scalars import resolve_truncation_order
 from .scalars import TRUNCATION_ENV, TruncationOrderError  # noqa: F401, callers read them here
-from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
+from .su1n_model import Su1nModel, adapted_s_basis, build_su1n, index_partners
 
 CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
 CALIBRATED_INNER_SCALE = Fraction(1, 2)
@@ -76,15 +77,51 @@ class BallChart(Record, frozen=True):
     def _brackets(self) -> dict:
         return {}
 
+    @kept
+    def _partners(self) -> list:
+        """index_partners of the basis, a vector touching the indices of
+        the basis matrices it combines."""
+        mats = self.model.matrices
+        return index_partners([{a for t in x for e in mats[t] for a in e} for x in self.basis])
+
+    @kept
+    def _integers(self) -> tuple:
+        """The basis vectors times the lcm S of their denominators, the lcm
+        R of the model's structure constant denominators, and the frame's
+        dual times the lcm q of its denominators, with S and q; ValueError
+        unless the frame spans g, so that its dual reads every vector."""
+        structure, dual = self.model.algebra.structure, self.frame.dual
+        if len(dual) != self.model.algebra.dim:
+            raise ValueError("the chart frame does not span the algebra")
+        S = lcm(*(x.denominator for v in self.basis for x in v.values()))
+        vecs = [[(a, int(x * S)) for a, x in v.items()] for v in self.basis]
+        R = lcm(*(c.denominator for coeffs in structure.values() for c in coeffs.values()))
+        q = lcm(*(d.denominator for m in dual.values() for _, d in m))
+        return S, vecs, R, q, {p: [(k, int(d * q)) for k, d in m] for p, m in dual.items()}
+
     def bracket(self, i: int, j: int) -> MappingProxyType:
         """The read-only frame coordinates of [basis[i], basis[j]], i < j,
-        read on first use and kept; a chart made by replace starts with
-        none, and zero brackets share one empty mapping."""
+        read on first use (_read) and kept; a chart made by replace starts
+        with none, and zero brackets share one empty mapping.  A pair whose
+        vectors share no matrix index is zero, neither read nor kept."""
+        if j not in self._partners[i]:
+            return _NO_TERMS
         if (i, j) not in self._brackets:
-            x = self.model.algebra.bracket(self.basis[i], self.basis[j])
-            read = self.frame.require(x, f"the bracket of vectors {i} and {j} leaves the span")
+            read = self._read(i, j)
             self._brackets[(i, j)] = MappingProxyType(read) if read else _NO_TERMS
         return self._brackets[(i, j)]
+
+    def _read(self, i: int, j: int) -> dict:
+        """x_a y_b c_ab^l over the model's rows, then over the dual rows of
+        the l's, summed in integers (_integers) and divided once."""
+        S, vecs, R, q, dual = self._integers
+        rows = self.model.algebra.rows
+        pairs = ((rows[a].get(b, _NO_TERMS), xa * yb) for a, xa in vecs[i] for b, yb in vecs[j])
+        sums = collect(
+            (l, x * c.numerator * (R // c.denominator)) for row, x in pairs for l, c in row.items()
+        )
+        read = collect((k, v * d) for l, v in sums.items() for k, d in dual[l])
+        return {k: Fraction(v, S * S * R * q) for k, v in read.items()}
 
 
 def build_chart(N: int) -> BallChart:

@@ -21,9 +21,9 @@ from .scalars import DEFAULT_TRUNCATION, parse_frac
 
 SERIES = ("qmm", "retract")  # the verify suites that truncate series
 # The largest N a command takes, refused above before any build (README,
-# "Limits"): at each ceiling the costliest command was measured to peak
-# near 250 MB.  The cohomology of su(1, N) (h2 --su1n, the cocycle suite)
-# grows faster in N than the chart and model commands.
+# "Limits"), each command staying below 250 MB at its ceiling: at 30 verify
+# --suite qmm and --suite retract peak near 189 and 184 MB, and at 12 the
+# cocycle suite, whose cost grows faster in N (h2 --su1n too), near 225 MB.
 N_CEILING = 30
 COHOMOLOGY_CEILING = 12
 # The largest sum of the --blocks dimensions that build-psd and h2 take,
@@ -34,7 +34,7 @@ COHOMOLOGY_CEILING = 12
 BLOCKS_CEILING = 250
 # The largest --order, refused above in the same way; at N_CEILING the
 # retract suite peaks near 235 MB at order 7 and 283 MB at 8, while
-# the qmm suite takes 8.7 s and 230 MB at orders 1000 and 2000 alike,
+# the qmm suite peaks near 191 MB at orders 1000 and 2000 alike,
 # though a failing pair reports a series of order + 1 coefficients, and
 # retract-residual, whose cost does not grow with n, takes 17 MB there.
 ORDER_CEILING = 1000

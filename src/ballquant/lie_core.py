@@ -22,9 +22,8 @@ which makes equality of subspaces literal tuple equality.
 structure_in reads the structure constants of any list of vectors, for
 any bracket, against an exact reader: anything whose coords rebuilds a
 vector from the coordinates it returns and compares the two exactly, a
-Frame or the entry reader of the su(1, N) model.  The model and
-subalgebras get their tables from it, and the ball chart reads its pairs
-one at a time.
+Frame or the entry reader of the su(1, N) model, over every pair or the
+pairs a caller names.  The model and subalgebras get their tables from it.
 """
 from __future__ import annotations
 
@@ -143,7 +142,7 @@ class LieAlgebra(Record, frozen=True, eq=False):
         self._store(dim, labels, clean)
 
     @classmethod
-    def read(cls, frame, vectors: list, bracket, labels: list) -> "LieAlgebra":
+    def read(cls, frame, vectors: list, bracket, labels: list, partners=None) -> "LieAlgebra":
         """The algebra on vectors with the table that ``structure_in``
         reads from bracket against frame, built without the Jacobi sweep.
 
@@ -158,7 +157,8 @@ class LieAlgebra(Record, frozen=True, eq=False):
         another.  Such a bracket
         satisfies Jacobi: a commutator by the associativity of the matrix
         product, the bracket of a LieAlgebra because that algebra was
-        swept, written or read this way.
+        swept, written or read this way.  A pair partners leaves out
+        must commute, as matrices with no index in common do.
 
         The table then satisfies it too.  Each bracket equals the
         combination of vectors its coordinates name, a bracket that
@@ -170,7 +170,7 @@ class LieAlgebra(Record, frozen=True, eq=False):
         callers to ``build_su1n`` and ``subalgebra``.
         """
         algebra = cls.__new__(cls)
-        algebra._store(len(vectors), labels, structure_in(frame, vectors, bracket))
+        algebra._store(len(vectors), labels, structure_in(frame, vectors, bracket, partners))
         return algebra
 
     @classmethod
@@ -326,18 +326,18 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace(s1.algebra, nullspace(annihilators, dim))
 
 
-def structure_in(frame, vectors: list, bracket) -> dict:
+def structure_in(frame, vectors: list, bracket, partners=None) -> dict:
     """Structure constants of vectors read by frame, an exact reader
     (``LieAlgebra.read``): a Frame or any object whose coords returns
     the coordinates of a vector or None.
 
     Maps each pair i < j whose bracket is nonzero to its coordinates
     {k: c}; raises ValueError naming the pair when a bracket leaves the
-    span.
+    span.  Only the j in partners[i], when given, are read for i.
     """
     structure = {}
     for i, x in enumerate(vectors):
-        for j in range(i + 1, len(vectors)):
+        for j in range(i + 1, len(vectors)) if partners is None else sorted(partners[i]):
             coords = frame.coords(bracket(x, vectors[j]))
             if coords is None:
                 raise ValueError(f"the bracket of vectors {i} and {j} leaves the span")

@@ -7,11 +7,11 @@ conjugation by J; its +1 eigenspace k is the maximal compact part and
 the -1 eigenspace p contains the restricted-root generator
 H0 = E_01 + E_10, whose adjoint action has rational eigenvalues
 (+-2, +-1, 0).  The structure constants are read off the entries of the
-commutators of the basis matrices (_EntryReader), and the Killing form
-is the trace form 2(N + 1) Re tr(XY) on those matrices (_trace_form).
-All subspaces of the restricted-root decomposition are computed exactly,
-and the adapted chart basis of the solvable part is written down from
-the basis matrices and checked (adapted_s_basis).
+commutators of the pairs of basis matrices that share an index
+(_EntryReader, index_partners), and the Killing form is the trace form
+2(N + 1) Re tr(XY) on those matrices (_trace_form).  The restricted-root
+decomposition is written down and checked (build_su1n), and the adapted
+chart basis of s is taken from it and checked (adapted_s_basis).
 """
 from __future__ import annotations
 
@@ -20,25 +20,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
-from .lie_core import (
-    CheckReport,
-    LieAlgebra,
-    Subspace,
-    span_subspace,
-    subalgebra,
-    subspace_intersection,
-)
-from .linalg import (
-    Frame,
-    bilinear,
-    combine,
-    dense,
-    nullspace,
-    split_symplectic,
-    vec_add,
-    vec_scale,
-    zeros,
-)
+from .lie_core import CheckReport, LieAlgebra, Subspace, span_subspace, subalgebra
+from .linalg import Frame, bilinear, combine, dense, nullspace, split_symplectic, vec_add
+from .linalg import vec_scale, zeros
 from .scalars import G_ZERO, GScalar, Record, frac_str, kept
 
 
@@ -52,6 +36,17 @@ def _comm(a: dict, b: dict) -> dict:
             if j == i:
                 out[(l, k)] = out.get((l, k), G_ZERO) - y * x
     return {e: x for e, x in out.items() if x}
+
+
+def index_partners(sets: list) -> list:
+    """For each i, the set of j > i whose index set meets sets[i]: the
+    pairs build_su1n and BallChart.bracket read.  E_ab E_cd is nonzero
+    only when b = c, so matrices with disjoint index sets commute."""
+    holders = {}
+    for t, indices in enumerate(sets):
+        for a in indices:
+            holders.setdefault(a, []).append(t)
+    return [{j for a in indices for j in holders[a] if j > i} for i, indices in enumerate(sets)]
 
 
 def _check_su1n(m: dict) -> bool:
@@ -92,16 +87,13 @@ class _EntryReader:
     """Exact coordinates of an su(1, N) matrix against the basis of
     _basis_matrices, read off its entries, for ``LieAlgebra.read``.
 
-    Entry (0, k) gives the coefficients of P_k (its real part) and Q_k
-    (its imaginary part), entry (j, k) with 1 <= j < k those of R_jk and
-    S_jk, and the coefficient of D_j is the running sum of Im X_aa over
-    a <= j.  coords then rebuilds the matrix from these coordinates and
-    compares the two exactly, so a matrix outside the span (not trace
-    free, or an entry below the diagonal that is not the mirror of its
-    partner) reads as None, as in a Frame.  The constructor reads each
-    basis matrix back as its unit vector, so the basis is independent,
-    and raises ValueError when one does not (a repeated or misplaced
-    basis matrix).
+    Entry (0, k) gives the coefficients of P_k (real part) and Q_k
+    (imaginary part), entry (j, k), 1 <= j < k, those of R_jk and S_jk,
+    and the coefficient of D_j is the running sum of Im X_aa over a <= j.
+    coords rebuilds the matrix from them and compares, so a matrix
+    outside the span reads as None, as in a Frame.  The constructor reads
+    each basis matrix back as its unit vector (ValueError otherwise), so
+    the basis is independent.
     """
 
     def __init__(self, mats: list, labels: list):
@@ -126,11 +118,11 @@ class _EntryReader:
             elif a < b:
                 if (slots := self.upper.get((a, b))) is None:
                     return None
-                t_re, t_im = slots
-                if e.re:
-                    c[t_re] = e.re
-                if e.im:
-                    c[t_im] = e.im
+                (t_re, t_im), (x, y, d) = slots, e  # e = (x + y i) / d
+                if x:
+                    c[t_re] = Fraction(x, d)
+                if y:
+                    c[t_im] = Fraction(y, d)
         if diagonal:
             diagonal.sort()
             run, ends = 0, [a for a, _ in diagonal[1:]] + [len(self.diagonal)]
@@ -211,6 +203,20 @@ class Su1nModel(Record, frozen=True, eq=False):
         return Frame(self.s_space.basis + self.k_space.basis)
 
 
+def _written_roots(at: dict, N: int) -> tuple:
+    """The written vectors of the root values +-2 and +-1 of ad H0, by
+    value, and the written basis of m (see build_su1n)."""
+    vec = lambda *terms: {at[label]: Fraction(c) for label, c in terms}
+    ks, spaces = range(2, N + 1), {}
+    for s in (1, -1):
+        spaces[2 * s] = [vec(("D0", 1), ("Q1", -s))]
+        spaces[s] = [vec((f"{x}{k}", 1), (f"{y}1_{k}", s)) for x, y in ("PR", "QS") for k in ks]
+    m = [vec(("D0", 1), ("D1", 2))] if N > 1 else []
+    m += [vec((f"D{j}", 1)) for j in range(2, N)]
+    m += [vec((f"{x}{j}_{k}", 1)) for j in ks for k in range(j + 1, N + 1) for x in "RS"]
+    return spaces, m
+
+
 @lru_cache(maxsize=None)
 def build_su1n(N: int) -> Su1nModel:
     """Construct the su(1, N) model; results are cached.  The model and
@@ -219,8 +225,20 @@ def build_su1n(N: int) -> Su1nModel:
     H_lambda) is a read-only map, and the structure table, beta,
     sigma_diagonal and matrices are read-only at every level, so callers
     use them without copying.  matrices holds the basis matrices as
-    _basis_matrices builds them, sparse maps {(row, col): GScalar} with
-    no zero entry, so a reader visits only the entries there are."""
+    _basis_matrices builds them, sparse maps {(row, col): GScalar}.
+
+    The table reads only the pairs of basis matrices that share an index
+    (index_partners).  The restricted-root spaces of ad H0 are written:
+    t = +-2: D0 -+ Q1; t = +-1: P_k +- R1_k and Q_k +- S1_k (k = 2 .. N);
+    t = 0: H0 = P1 and m = {D0 + 2 D1, D_j (j >= 2), R_jk, S_jk (2 <= j < k)}.
+    AssertionError, naming the check, unless [H0, x] = t x for each
+    written x, each written space (the five and m) has full rank, the
+    dimensions sum to dim g and every m vector lies in k.  Eigenvectors
+    of distinct eigenvalues are independent, so written eigenspaces that
+    fill g are the whole eigenspaces.  g_0 is sigma-stable and holds a in
+    p: an x of g_0 in k is c H0 + y with y in the span of m, and c H0 =
+    x - y lies in k and in p, so c = 0 and m = g_0 intersected with k.
+    """
     if type(N) is not int:
         raise TypeError(f"N must be an int, got {N!r}")
     if N < 1:
@@ -228,9 +246,9 @@ def build_su1n(N: int) -> Su1nModel:
     mats, labels, signs = _basis_matrices(N)
     if not all(_check_su1n(m) for m in mats):
         raise AssertionError("basis matrix leaves su(1,N)")
-    n = N + 1
-    dim = len(mats)
-    algebra = LieAlgebra.read(_EntryReader(mats, labels), mats, _comm, labels)
+    n, dim = N + 1, len(mats)
+    partners = index_partners([{a for entry in m for a in entry} for m in mats])
+    algebra = LieAlgebra.read(_EntryReader(mats, labels), mats, _comm, labels, partners)
 
     h0_index = N  # label P1
     H0 = MappingProxyType(algebra.basis_vector(h0_index))
@@ -241,22 +259,24 @@ def build_su1n(N: int) -> Su1nModel:
     p_space = span_subspace(algebra, [algebra.basis_vector(i) for i in range(dim) if signs[i] == -1])
     a_space = span_subspace(algebra, [H0])
 
-    ad_h0 = algebra.ad(H0)
-    roots = []
-    for t in map(Fraction, (2, 1, 0, -1, -2)):
-        shifted = [vec_add(row, {i: -t}) for i, row in enumerate(ad_h0)]
-        space = span_subspace(algebra, nullspace(shifted, dim))
-        if space.dim:
-            roots.append(RootDatum((t,), space, MappingProxyType(vec_scale(H0, t / beta_H0))))
-    if sum(r.space.dim for r in roots) != dim:
-        raise AssertionError("restricted-root spaces do not fill the algebra")
+    written, m = _written_roots({label: t for t, label in enumerate(labels)}, N)
+    written[0] = [H0, *m]
+    if any(algebra.bracket(H0, x) != vec_scale(x, t) for t, xs in written.items() for x in xs):
+        raise AssertionError("a written root vector is not an eigenvector of ad H0")
+    spaces = {t: span_subspace(algebra, written[t]) for t in (2, 1, 0, -1, -2)}
+    m_space = span_subspace(algebra, m)  # independent inside the written space of t = 0
+    if any(spaces[t].dim != len(written[t]) for t in spaces):
+        raise AssertionError("a written root space is not of full rank")
+    if sum(space.dim for space in spaces.values()) != dim:
+        raise AssertionError("the written root spaces do not fill the algebra")
+    if any(signs[i] != 1 for x in m for i in x):
+        raise AssertionError("a written m vector leaves k")
+    coroot = lambda t: MappingProxyType(vec_scale(H0, Fraction(t) / beta_H0))
+    roots = [RootDatum((Fraction(t),), sp, coroot(t)) for t, sp in spaces.items() if sp.dim]
 
     n_vecs = [x for r in roots if r.lambda_of_H[0] > 0 for x in r.space.basis]
     n_space = span_subspace(algebra, n_vecs)
     s_space = span_subspace(algebra, a_space.basis + n_space.basis)
-    # the weight-0 root space is the centralizer of a
-    zero = next(r.space for r in roots if r.lambda_of_H[0] == 0)
-    m_space = subspace_intersection(zero, k_space)
 
     return Su1nModel(
         N=N,
@@ -281,39 +301,38 @@ _ADAPTED: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def adapted_s_basis(model: Su1nModel) -> tuple:
-    """Chart basis (H, f_1 .. f_nv, E) of the solvable part s, written
-    down from the basis matrices and checked once per model object: a
-    model made by replace is checked anew.  The result is read-only, H
-    the model's own H0, the f's a tuple of read-only maps and E one.
+    """Chart basis (H, f_1 .. f_nv, E) of the solvable part s, scaled
+    copies of the model's root vectors, checked once per model object: a
+    model made by replace is checked anew.  The result is read-only, H the
+    model's own H0, the f's a tuple of read-only maps and E one.
 
-    H = P1 is the model's H0, E = D0 - Q1 spans the top root space, and
-    for k = 2 .. N the short root space is spanned by
+    H = P1 is the model's H0 and E = D0 - Q1 spans the top root space.
+    The echelon basis of the short root space is the one build_su1n
+    writes, P_k + R1_k and then Q_k + S1_k, so for k = 2 .. N
 
         f_{k-1} = P_k + R1_k,    f_{N-2+k} = -(Q_k + S1_k) / 2,
 
-    so each f touches the one index k of 2 .. N.  AssertionError, naming
-    the check, when E or an f leaves its root space (values 2 and 1),
-    when -beta(E, sigma E) != 2 beta(H, H), or when the bracket pairing
+    and each f touches the one index k of 2 .. N.  AssertionError, naming
+    the check, when the two root spaces do not have dimensions 1 and
+    2(N - 1), when -beta(E, sigma E) != 2 beta(H, H), or when the pairing
     [x, y] = b(x, y) E is not split-half, b = [[0, I], [-I, 0]].
     """
     if model in _ADAPTED:
         return _ADAPTED[model]
-    at = {label: i for i, label in enumerate(model.algebra.labels)}
-    one, half, ks = Fraction(1), Fraction(-1, 2), range(2, model.N + 1)
-    E = {at["D0"]: one, at["Q1"]: -one}
-    fs = [{at[f"P{k}"]: one, at[f"R1_{k}"]: one} for k in ks]
-    fs += [{at[f"Q{k}"]: half, at[f"S1_{k}"]: half} for k in ks]
-    space = {r.lambda_of_H[0]: r.space for r in model.roots}
-    # N = 1 has no short roots, and then no f to look one up for
-    if not space[2].contains(E) or not all(space[1].contains(f) for f in fs):
-        raise AssertionError("adapted basis vector outside its root space")
+    space = {r.lambda_of_H[0]: r.space.basis for r in model.roots}
+    short = space.get(1, ())  # N = 1 has no short roots, and then no f
+    scales = [1] * (len(short) // 2) + [Fraction(-1, 2)] * (len(short) // 2)
+    fs = tuple(MappingProxyType(vec_scale(x, c)) for x, c in zip(short, scales))
+    E = MappingProxyType(dict(space[2][0]))
+    if len(space[2]) != 1 or len(fs) != 2 * (model.N - 1):
+        raise AssertionError("root space dimensions are not 1 and 2(N - 1)")
     if model.beta_sigma(E, E) != 2 * model.beta_H0:
         raise AssertionError("top root vector is not normalized to 2 beta(H, H)")
     top_line, what = Frame([E]), "short-root bracket left the top root line"
     bform = lambda x, y: top_line.require(model.algebra.bracket(x, y), what).get(0, Fraction(0))
     if [[bform(fi, fj) for fj in fs] for fi in fs] != split_symplectic(len(fs)):
         raise AssertionError("symplectic normal form check failed")
-    out = _ADAPTED[model] = model.H0, tuple(map(MappingProxyType, fs)), MappingProxyType(E)
+    out = _ADAPTED[model] = model.H0, fs, E
     return out
 
 
@@ -349,11 +368,7 @@ def verify_m_orthocomplement(model: Su1nModel) -> CheckReport:
     """
     failures = []
     checked = 0
-    short = [r for r in model.roots if r.lambda_of_H[0] == 1]
-    if not short:
-        return CheckReport(True, 0, [])
-    space = short[0].space
-    basis = space.basis
+    basis = next((r.space.basis for r in model.roots if r.lambda_of_H[0] == 1), ())
     samples = list(basis)
     if len(basis) >= 2:
         samples += [vec_add(basis[0], basis[1]), combine({0: Fraction(2), 1: Fraction(-3)}, basis)]

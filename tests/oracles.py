@@ -56,6 +56,12 @@ reference for the packed keys.  adapted_s_basis_oracle finds the
 adapted chart basis by search, as su1n_model did before it wrote the
 basis down: short root vectors paired by trial, a symplectic
 Gram-Schmidt over them, and E rescaled by a rational square root.
+nullspace_roots_oracle finds the restricted-root spaces and m as
+su1n_model did before it wrote them down: each root space the kernel
+of ad H0 - t, and m the intersection of the zero root space with k.
+full_structure_oracle reads the su(1, N) table from every pair of basis
+matrices, as build_su1n did before it read only the pairs that share an
+index.
 oracle_wv0 and oracle_om0 are the nu^0 parts of the radial operator,
 the (w|v) and Omega(w, v) parts, transcribed by hand from the displayed
 coefficient groups.
@@ -67,17 +73,18 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import factorial, isqrt, lcm, perm
 from sys import maxsize
+from types import MappingProxyType
 
 from ballquant.ball_quantization import QmmReport, _within, classical_moment, inner_square
 from ballquant.ball_quantization import resolve_truncation_order
 from ballquant.ce_cohomology import zero_two_cochain
 from ballquant.formal_star import CoefFn, NuSeries, NuSum, c_operator, transvection_terms
-from ballquant.lie_core import Subspace, structure_in
+from ballquant.lie_core import LieAlgebra, Subspace, structure_in, subspace_intersection
 from ballquant.linalg import Frame, bilinear, combine, nullspace, solve_in_span, split_symplectic
-from ballquant.linalg import transpose, vec_scale
+from ballquant.linalg import transpose, vec_add, vec_scale
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import G_ZERO, GScalar
-from ballquant.su1n_model import _comm
+from ballquant.su1n_model import RootDatum, _EntryReader, _basis_matrices, _comm
 
 
 def dense(v: dict, n: int) -> list:
@@ -723,3 +730,34 @@ def oracle_om0(theta: XiFn) -> XiFn:
     )
     out = out.add(radial.mul(theta.diff_r()))
     return out.add(XiFn({(1, 0, 1, 0, 0): GScalar.of(-2)}).mul(theta.diff_xi()))
+
+
+def nullspace_roots_oracle(model) -> tuple:
+    """(roots, spaces) of the model found by solving: each root space is
+    the kernel of ad H0 - t for t = 2, 1, 0, -1, -2, the nonempty ones in
+    that order; k and p the kernels of sigma - 1 and sigma + 1, a the
+    line of H0, n the sum of the positive root spaces, s = a + n, and m
+    the zero root space intersected with k."""
+    algebra, H0 = model.algebra, model.H0
+    sigma = lambda c: [{i: s - c} for i, s in enumerate(model.sigma_diagonal) if s != c]
+    ad_h0 = algebra.ad(H0)
+    roots = []
+    for t in map(F, (2, 1, 0, -1, -2)):
+        shifted = [vec_add(row, {i: -t}) for i, row in enumerate(ad_h0)]
+        space = Subspace(algebra, nullspace(shifted, algebra.dim))
+        if space.dim:
+            roots.append(RootDatum((t,), space, MappingProxyType(vec_scale(H0, t / model.beta_H0))))
+    zero = next(r.space for r in roots if r.lambda_of_H[0] == 0)
+    k = Subspace(algebra, nullspace(sigma(1), algebra.dim))
+    a = Subspace(algebra, [H0])
+    n = Subspace(algebra, [x for r in roots if r.lambda_of_H[0] > 0 for x in r.space.basis])
+    spaces = {"k": k, "p": Subspace(algebra, nullspace(sigma(-1), algebra.dim)), "a": a, "n": n}
+    spaces.update(s=Subspace(algebra, a.basis + n.basis), m=subspace_intersection(zero, k))
+    return tuple(roots), spaces
+
+
+def full_structure_oracle(N: int):
+    """The su(1, N) algebra read from the commutator of every pair of
+    basis matrices, zero or not."""
+    mats, labels, _ = _basis_matrices(N)
+    return LieAlgebra.read(_EntryReader(mats, labels), mats, _comm, labels)

@@ -18,6 +18,7 @@ from math import comb, lcm
 import pytest
 
 from ballquant.ball_quantization import (
+    BallChart,
     CALIBRATION_GRID,
     GroupElement,
     IntegrabilityError,
@@ -42,7 +43,7 @@ from ballquant.ball_quantization import (
 )
 from ballquant import ball_quantization
 from ballquant.formal_star import CoefFn, NuSum, c_operator, key_layout, series_to_json
-from ballquant.lie_core import LieAlgebra, structure_in
+from ballquant.lie_core import structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
 from ballquant.scalars import G_ZERO
 from ballquant.su1n_model import build_su1n, model_to_json
@@ -360,8 +361,8 @@ def test_classical_moments_frozen():
 
 def test_classical_moment_reads_the_m_action_through_the_kept_brackets(monkeypatch):
     """The m action the field reads comes from the chart's kept brackets;
-    once they are read, the moments of s + m make no LieAlgebra.bracket
-    call and keep their values."""
+    once they are read, the moments of s + m read no bracket
+    (BallChart._read) and keep their values."""
     chart = build_chart(2)
     P = poisson_structure(chart)
     xs = [chart.H, *chart.fs, chart.E, *chart.m_basis]
@@ -857,15 +858,21 @@ def test_verify_qmm_keeps_no_state_between_calls():
 
 
 def count_brackets(monkeypatch) -> list:
-    """Record the arguments of every LieAlgebra.bracket call from now on."""
-    calls, bracket = [], LieAlgebra.bracket
+    """Record the pair (i, j) of every bracket a chart reads
+    (BallChart._read) from now on."""
+    calls, read = [], BallChart._read
 
-    def counted(self, x, y):
-        calls.append((x, y))
-        return bracket(self, x, y)
+    def counted(self, i, j):
+        calls.append((i, j))
+        return read(self, i, j)
 
-    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    monkeypatch.setattr(BallChart, "_read", counted)
     return calls
+
+
+def sharing_pairs(chart) -> set:
+    """The pairs i < j of the chart basis whose vectors share a matrix index."""
+    return {(i, j) for i, js in enumerate(chart._partners) for j in js}
 
 
 def test_verify_qmm_reads_the_chart_structure_once(monkeypatch):
@@ -886,10 +893,9 @@ def test_verify_qmm_reads_the_chart_structure_once(monkeypatch):
     calls = count_brackets(monkeypatch)
     reports = [verify_qmm(t, 6, pairs) for t, pairs in runs]
     monkeypatch.undo()
-    position = {id(x): k for k, x in enumerate(chart.basis)}
-    read = [(position[id(x)], position[id(y)]) for x, y in calls]
-    assert len(set(read)) == len(read) and not kept & set(read)
-    assert kept | set(read) == set(chart._brackets)
+    assert len(set(calls)) == len(calls) and not kept & set(calls)
+    assert kept | set(calls) == set(chart._brackets)
+    # at N = 2 every pair of basis vectors shares a matrix index
     assert set(chart._brackets) == set(combinations(range(len(chart.basis)), 2))
     assert [rep.ok for rep in reports] == [True, False, False, True, False]
     for rep, (t, pairs) in zip(reports, runs):
@@ -908,7 +914,7 @@ def test_cold_s_pairs_read_only_the_brackets_of_the_solvable_part(monkeypatch):
     cold = [verify_qmm(t, 4, "s") for t in tables]
     s_pairs = set(combinations(range(2 + nv), 2))
     assert set(chart._brackets) - kept == s_pairs - kept and len(calls) == len(s_pairs - kept)
-    assert verify_qmm(table, 0).ok and len(chart._brackets) == comb(len(table.basis), 2)
+    assert verify_qmm(table, 0).ok and set(chart._brackets) == sharing_pairs(chart)
     count = len(calls)
     warm = [verify_qmm(t, 4, "s") for t in tables]
     assert len(calls) == count and [rep.ok for rep in cold] == [True, False]
@@ -930,6 +936,29 @@ def test_chart_structure_is_the_structure_of_its_basis(N):
     for c in got.values():
         with pytest.raises(TypeError):
             c[0] = F(7)
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_every_chart_bracket_is_the_frame_read_of_the_algebra_bracket(N):
+    """Each pair, pruned or read in integers, is LieAlgebra.bracket read by
+    Frame.coords; only the pairs that share a matrix index are kept, and
+    from N = 3 on some pairs share none."""
+    chart = build_chart(N)
+    bracket, basis = chart.model.algebra.bracket, chart.basis
+    pairs = list(combinations(range(len(basis)), 2))
+    for i, j in pairs:
+        want = chart.frame.require(bracket(basis[i], basis[j]), "outside the span")
+        assert dict(chart.bracket(i, j)) == want
+        assert all(type(c) is F for c in chart.bracket(i, j).values())
+    assert set(chart._brackets) == sharing_pairs(chart)
+    assert (len(sharing_pairs(chart)) < len(pairs)) == (N > 2)
+
+
+def test_a_chart_frame_that_does_not_span_is_refused():
+    chart = build_chart(3)
+    short = chart.replace(frame=Frame(chart.basis[:-1]))
+    with pytest.raises(ValueError, match="^the chart frame does not span the algebra$"):
+        short.bracket(0, 1)
 
 
 def test_replaced_chart_reads_its_own_structure():

@@ -39,6 +39,7 @@ ALLOWLIST = {
     "lie_core.LieAlgebra.from_json": EXPORT,
     "lie_core.LieAlgebra.killing_form": BENCHMARK,
     "lie_core.centralizer": BENCHMARK,
+    "lie_core.subspace_intersection": BENCHMARK,
     "linalg.solve_linear": BENCHMARK,
     "linalg.solve_in_span": BENCHMARK,
     "psd_builder.psd_spec_from_json": EXPORT,

@@ -39,12 +39,12 @@ from ballquant.su1n_model import (
     verify_m_orthocomplement,
     verify_sigma_pairing,
 )
-from ballquant import su1n_model
+from ballquant import lie_core, linalg, su1n_model
 from ballquant.linalg import Frame, vec_add, vec_scale
 
 from oracles import adapted_s_basis_oracle, beta_sigma_gram, gmat_mul, leading_principal_minors
 from oracles import flatten, normalizer, rational_sqrt, realified_structure_oracle, rref_oracle
-from oracles import dense_matrices, sparse
+from oracles import dense_matrices, full_structure_oracle, nullspace_roots_oracle, sparse
 
 
 def test_dimensions():
@@ -554,3 +554,110 @@ def test_check_su1n_refuses_a_traced_or_non_pseudo_unitary_matrix():
     assert _check_su1n({(0, 1): one, (1, 0): one})
     assert not _check_su1n({(0, 0): im})  # trace i
     assert not _check_su1n({(1, 2): one, (2, 1): one})  # X^* J + J X = 2 E_12 + 2 E_21
+
+
+def root_maps(roots) -> list:
+    """Each root as plain maps: its value, its basis and its coroot."""
+    return [(r.lambda_of_H, [dict(x) for x in r.space.basis], dict(r.H_lambda)) for r in roots]
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_written_roots_are_the_solved_ones(N):
+    """The written root spaces, in order, and k, p, a, n, m and s are the
+    ones the nullspace of ad H0 - t and the intersection with k find."""
+    model = build_su1n(N)
+    roots, spaces = nullspace_roots_oracle(model)
+    assert root_maps(model.roots) == root_maps(roots)
+    for name, want in spaces.items():
+        got = getattr(model, f"{name}_space")
+        assert [dict(x) for x in got.basis] == [dict(x) for x in want.basis], name
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_pruned_structure_table_is_the_full_read(N):
+    """Reading only the pairs that share an index gives the table of every
+    pair, in the same insertion order, with the same rows."""
+    got, want = build_su1n(N).algebra, full_structure_oracle(N)
+    items = lambda table: [(key, list(c.items())) for key, c in table.items()]
+    assert items(got.structure) == items(want.structure)
+    assert [items(row) for row in got.rows] == [items(row) for row in want.rows]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_build_su1n_solves_no_nullspace(N, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nullspace on the build path")
+
+    for module in (su1n_model, linalg, lie_core):
+        monkeypatch.setattr(module, "nullspace", refuse)
+    model = build_su1n.__wrapped__(N)
+    assert adapted_s_basis(model)[0] is model.H0
+
+
+def test_build_forms_only_the_commutators_of_index_sharing_pairs(monkeypatch):
+    """At N = 10, 2424 of the 7140 pairs of basis matrices share a row or
+    column index, and those are the commutators build_su1n forms."""
+    mats = _basis_matrices(10)[0]
+    where = {id(m): t for t, m in enumerate(mats)}
+    formed, comm = [], su1n_model._comm
+
+    def counted(a, b):
+        formed.append((a, b))
+        return comm(a, b)
+
+    monkeypatch.setattr(su1n_model, "_basis_matrices", lambda N: (mats, *_basis_matrices(N)[1:]))
+    monkeypatch.setattr(su1n_model, "_comm", counted)
+    build_su1n.__wrapped__(10)
+    sets = [{a for entry in m for a in entry} for m in mats]
+    pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
+    sharing = [(i, j) for i, j in pairs if sets[i] & sets[j]]
+    assert len(pairs) == 7140 and len(sharing) == 2424
+    assert [(where[id(a)], where[id(b)]) for a, b in formed] == sharing
+
+
+def plant(monkeypatch, fault):
+    """Make build_su1n write its roots through fault(spaces, m, at)."""
+    written = su1n_model._written_roots
+
+    def planted(at, N):
+        spaces, m = written(at, N)
+        fault(spaces, m, at)
+        return spaces, m
+
+    monkeypatch.setattr(su1n_model, "_written_roots", planted)
+
+
+def flip_top(spaces, m, at):
+    spaces[2][0] = {at["D0"]: F(1), at["Q1"]: F(1)}
+
+
+def drop_m(spaces, m, at):
+    m.pop()
+
+
+def d0_plus_d1(spaces, m, at):
+    m[0] = {at["D0"]: F(1), at["D1"]: F(1)}
+
+
+def repeat_short(spaces, m, at):
+    spaces[1][1] = spaces[1][0]
+
+
+def tilt_m_into_p(spaces, m, at):
+    m[0] = {**m[0], at["P1"]: F(1)}
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (flip_top, "not an eigenvector of ad H0"),
+        (d0_plus_d1, "not an eigenvector of ad H0"),
+        (repeat_short, "not of full rank"),
+        (drop_m, "do not fill the algebra"),
+        (tilt_m_into_p, "leaves k"),
+    ],
+)
+def test_each_written_root_check_names_its_fault(fault, message, monkeypatch):
+    plant(monkeypatch, fault)
+    with pytest.raises(AssertionError, match=message):
+        build_su1n.__wrapped__(3)
