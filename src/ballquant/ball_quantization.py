@@ -54,7 +54,7 @@ from .linalg import solve_in_span  # noqa: F401, callers read it here
 from .scalars import G_ZERO, Record, accumulate, collect, exact, frac_str, kept
 from .scalars import resolve_truncation_order
 from .scalars import TRUNCATION_ENV, TruncationOrderError  # noqa: F401, callers read them here
-from .su1n_model import Su1nModel, adapted_s_basis, build_su1n, index_partners
+from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
 
 CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
 CALIBRATED_INNER_SCALE = Fraction(1, 2)
@@ -78,11 +78,11 @@ class BallChart(Record, frozen=True):
         return {}
 
     @kept
-    def _partners(self) -> list:
-        """index_partners of the basis, a vector touching the indices of
-        the basis matrices it combines."""
+    def _touched(self) -> list:
+        """For each basis vector, the matrix indices of the basis matrices
+        it combines, as the bits of one int."""
         mats = self.model.matrices
-        return index_partners([{a for t in x for e in mats[t] for a in e} for x in self.basis])
+        return [sum({1 << a for t in x for e in mats[t] for a in e}) for x in self.basis]
 
     @kept
     def _integers(self) -> tuple:
@@ -104,7 +104,7 @@ class BallChart(Record, frozen=True):
         read on first use (_read) and kept; a chart made by replace starts
         with none, and zero brackets share one empty mapping.  A pair whose
         vectors share no matrix index is zero, neither read nor kept."""
-        if j not in self._partners[i]:
+        if not self._touched[i] & self._touched[j]:
             return _NO_TERMS
         if (i, j) not in self._brackets:
             read = self._read(i, j)
@@ -336,7 +336,7 @@ def build_qmm(N: int, alpha: Fraction | None = None) -> QmmTable:
     *moments, top = _orbit_moments(chart, alpha)
     moments = [NuSeries.from_coef(mu, 2) for mu in moments]
     e2a = CoefFn.monomial(nv, 2, (0,) * nv, 0, 0, Fraction(N - 1))
-    moments.append(NuSeries(2, [top, CoefFn.zero(nv), e2a], True))
+    moments.append(NuSeries(nv, 2, {0: top, 2: e2a} if N > 1 else {0: top}))
     return QmmTable(chart, P, alpha, qmm_labels(N), chart.basis, chart.frame, moments)
 
 
@@ -507,11 +507,11 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     there, the sum's exact flag is read, and then the left side is
     subtracted.  A pair fails when a term dict of that sum is nonempty,
     and only then is the sum made a series, its residual, reported
-    negated, as the left side minus the commutator.  exact
-    is the AND of the commutators' own flags, so it records whether
-    every star commutator terminated inside the truncation.  At order 0
-    this is Poisson covariance, {mu_X, mu_Y} = mu_[X,Y] on the nu^0
-    moments, the classical limit of the identity.
+    negated, as the left side minus the commutator: its nonzero powers,
+    whatever the order.  exact, the AND of the commutators' flags, says
+    whether every star commutator terminated inside the truncation.  At
+    order 0 this is Poisson covariance, {mu_X, mu_Y} = mu_[X,Y] on the
+    nu^0 moments, the classical limit of the identity.
 
     The check runs in Z and reports in Q.  D is the common denominator
     of the moments' coefficients and L = lcm(top! delta^top, the
@@ -525,9 +525,9 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     divided back by L D^2.
 
     Each moment is lifted once (_in_z): scaled by D into fresh int
-    coefficients, truncated to the order when that is below the moment's
-    own and never padded, so no pair scans or lands zero coefficients up
-    to the order.  The truncation keeps a moment's terms past the order
+    coefficients, one per stored power, and truncated to the order when
+    that is below the moment's own, so a pair walks only the powers its
+    moments hold.  The truncation keeps a moment's terms past the order
     out of every walk and clears exact for a nonzero one, as resizing
     does.  The copies' derivative memos (CoefFn.step, keyed by the packed
     int multi-index) and exponent caps (CoefFn.caps) fill their instance
@@ -553,9 +553,11 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     P = table.P
     checked = [(i, j, chart.bracket(i, j)) for i in range(n) for j in range(i + 1, n)]
     dens = (c.denominator for _, _, b in checked for c in b.values())
-    D = lcm(*(c.denominator for s in table.moments for f in s.coeffs for c in f.terms.values()))
+    stored = [f for s in table.moments for f in s.terms.values()]
+    D = lcm(*(c.denominator for f in stored for c in f.terms.values()))
     lifted = [_in_z(s, D, order) for s in table.moments]
-    top = min(order + 1, 2 * max(sum(f.caps[1:]) for s in lifted for f in s.coeffs))
+    caps = (sum(f.caps[1:]) for s in lifted for f in s.terms.values())
+    top = min(order + 1, 2 * max(caps, default=0))
     L = lcm(factorial(top) * P.delta**top, *dens)
     LD = L * D
     failures = []
@@ -572,26 +574,20 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
 
 
 def _in_z(s: NuSeries, D: int, order: int) -> NuSeries:
-    """D s in fresh coefficients that are all ints, truncated to the order
-    when that is below s's own (resize, which clears exact for a nonzero
-    term it drops) and never padded: a coefficient past the order is
-    never walked, and no pair scans zeros up to the order.  D must clear
-    every denominator of s."""
-    coeffs = [
-        CoefFn(f.nv, {k: c.numerator * (D // c.denominator) for k, c in f.terms.items()})
-        for f in s.coeffs
-    ]
-    lifted = NuSeries(s.order, coeffs, s.exact)
+    """D s in fresh coefficients that are all ints, one per stored power,
+    truncated to the order when that is below s's own (resize, which
+    clears exact for a nonzero term it drops), so that a coefficient past
+    the order is never walked.  D must clear every denominator of s."""
+    lifted = s.replace(terms={
+        t: CoefFn(f.nv, {k: c.numerator * (D // c.denominator) for k, c in f.terms.items()})
+        for t, f in s.terms.items()
+    })
     return lifted.resize(order) if order < s.order else lifted
 
 
 def mutate_drop_nu2(table: QmmTable) -> QmmTable:
     """Remove every second-order coefficient from the moment table."""
-    nv = table.chart.nv
-    moments = [
-        NuSeries(s.order, s.coeffs[:2] + [CoefFn.zero(nv)] * (s.order - 1), s.exact)
-        for s in table.moments
-    ]
+    moments = [s.replace(terms={t: f for t, f in s.terms.items() if t != 2}) for s in table.moments]
     return table.replace(moments=moments)
 
 
@@ -602,11 +598,10 @@ def mutate_add_nu_const(table: QmmTable, label: str, value: Fraction) -> QmmTabl
     value = exact(value, "value")
     if label not in table.labels:
         raise ValueError(f"{label!r} is not a moment label of this table")
-    nv = table.chart.nv
     idx = table.labels.index(label)
     moments = list(table.moments)
-    shifted = NuSum(nv, moments[idx].order).add(moments[idx])
-    shifted.land(1, CoefFn.const(nv, value).terms.items())
+    shifted = NuSum(table.chart.nv, moments[idx].order).add(moments[idx])
+    shifted.land(1, CoefFn.const(shifted.nv, value).terms.items())
     moments[idx] = shifted.series()
     return table.replace(moments=moments)
 

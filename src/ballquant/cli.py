@@ -32,11 +32,11 @@ COHOMOLOGY_CEILING = 12
 # past the 225 MB of COHOMOLOGY_CEILING.  build-psd sweeps no block table
 # and stays near 0.07 s and 17 MB up to 400.
 BLOCKS_CEILING = 250
-# The largest --order, refused above in the same way; at N_CEILING the
-# retract suite peaks near 235 MB at order 7 and 283 MB at 8, while
-# the qmm suite peaks near 191 MB at orders 1000 and 2000 alike,
-# though a failing pair reports a series of order + 1 coefficients, and
-# retract-residual, whose cost does not grow with n, takes 17 MB there.
+# The largest --order, refused above in the same way.  qmm does not grow
+# with it, a failing pair reporting only its residual's nonzero powers
+# (186 MB at N_CEILING at 1000 and 2000 alike), but retract-residual does
+# (17 MB at 1000, 143 MB at 10000), and at N_CEILING the retract suite,
+# through its operators' keys and terms, peaks near 231 MB at 7, 277 at 8.
 ORDER_CEILING = 1000
 RETRACT_ORDER_CEILING = 7
 # verify options that only some suites read, with those suites

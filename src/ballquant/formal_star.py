@@ -55,16 +55,16 @@ on the function, so the memo serves either side of a transvection
 under any Poisson structure on its coordinates, and lives as long as
 the function.  The one-sided walk keeps none: under the chart's
 structure it reaches each multi-index by one multiset only.
-The star product series walk each pair of coefficients once, as a
-PairWalk: c_operator reads C_m off its size-m terms, and the series stop
-at its last size.  A pair's walk lives only while that pair is summed; a
-caller that takes many star products of the same series (verify_qmm
-over every pair of the moment table) differentiates each coefficient at
-most once per multi-index, and one that wants no memo to outlive its
-call passes fresh copies (verify_qmm lifts each moment into new int
-coefficients).  An operand's own order need not be the product's: its
-coefficients are walked as they are, so nothing is padded to the
-order, and one past the order lands past it and clears exact.
+The star product series walk each pair of stored coefficients once, as
+a PairWalk: c_operator reads C_m off its size-m terms, and the series
+stop at its last size.  A pair's walk lives only while that pair is
+summed; a caller that takes many star products of the same series
+(verify_qmm over every pair of the moment table) differentiates each
+coefficient at most once per multi-index, and one that wants no memo to
+outlive its call passes fresh copies (verify_qmm lifts each moment into
+new int coefficients).  An operand's own order need not be the
+product's: its stored powers are walked as they are, and one past the
+order lands past it and clears exact.
 
 The walk is carried in integers.  PoissonStructure keeps the common
 denominator delta of its entries, its directed pairs carry the ints
@@ -81,13 +81,15 @@ CoefFn takes its ring arithmetic (sums with cancellation, scaling,
 products by adding exponents) from the SparseSum core of scalars and adds
 only the rules of its own axes: derivatives and antiderivatives.  Star
 products are truncated series in the deformation parameter, a NuSeries
-holding one CoefFn per power of nu.  Every series is summed in place in
-a NuSum, and NuSum.land is the one point in the package where a series
-term past the order is dropped, clearing the exact flag if it is
-nonzero: the star products and the series product all land there
-through _transvection_series, as do series sums, retract_pde and
-verify_qmm.  (retract_pde's XiFn.expand_nu cuts the binomial series of a
-half power at the order by design, with no flag.)
+keeping only its nonzero powers, so it costs what it holds whatever its
+order; the JSON codec alone reads its dense form (NuSeries.coeffs).
+Every series is summed in place in a NuSum, and NuSum.land is the one
+point in the package where a series term past the order is dropped,
+clearing the exact flag if it is nonzero: the star products and the
+series product all land there through _transvection_series, as do
+series sums, retract_pde and verify_qmm.  (retract_pde's XiFn.expand_nu
+cuts the binomial series of a half power at the order by design, with
+no flag.)
 NuSum.add scales each item as it lands, and half_commutator can land
 its terms in a caller's NuSum instead of returning a series, so
 verify_qmm sums each pair's residual in one NuSum.
@@ -451,23 +453,22 @@ class PairWalk:
 
 
 def c_operator(f: CoefFn | PairWalk, g: CoefFn, P: PoissonStructure, m: int, weight=None) -> CoefFn:
-    """The m-th transvection C_m(f, g) for the constant structure P, or
-    (weight / m!) C_m(f, g) when an int weight is given, as the star
-    product series take it.
+    """(weight / m!) C_m(f, g), the m-th transvection for the constant
+    structure P, with the int weight the star product series take; the
+    weight defaults to m!, which gives C_m(f, g) itself.
 
     f and g are walked jointly up to size m, a walk that ends by itself
     at their joint degree; or f is the PairWalk of f with its partner g,
     whose size-m terms are read without walking again.  Each term's
-    integer walk weight is scaled once, by 1 / delta^m or
-    weight / (m! delta^m), and its products are accumulated in place.
-    A scale that is a whole number is an int, so int coefficients give
-    int coefficients."""
+    integer walk weight is scaled once, by weight / (m! delta^m), and its
+    products are accumulated in place.  A scale that is a whole number
+    is an int, so int coefficients give int coefficients."""
     walk = f
     if not isinstance(walk, PairWalk):
         walk = PairWalk(f, g, P, m)
     elif walk.P is not P or walk.g is not g:
         raise ValueError("pair walk was taken for another partner or structure")
-    num, den = (1, P.delta**m) if weight is None else (weight, factorial(m) * P.delta**m)
+    num, den = factorial(m) if weight is None else weight, factorial(m) * P.delta**m
     scale = num // den if num % den == 0 else Fraction(num, den)
     total: dict = {}
     for _, df, dg, wt in walk.terms[m] if m < len(walk.terms) else ():
@@ -478,38 +479,46 @@ def c_operator(f: CoefFn | PairWalk, g: CoefFn, P: PoissonStructure, m: int, wei
 class NuSeries(Record):
     """Truncated power series in the deformation parameter.
 
-    coeffs[i] multiplies nu^i; exact means no nonzero coefficient was
-    dropped past the truncation order by the operations that built it.
-    Series are summed term by term in a NuSum, whose land decides what is
-    dropped.
+    terms maps each power of nu with a nonzero coefficient, in
+    increasing order, to that CoefFn on nv v coordinates, so equal series
+    are equal records.  exact means no nonzero coefficient was dropped
+    past the truncation order by the operations that built it.  Series
+    are summed in a NuSum, whose land decides what is dropped.
     """
 
+    nv: int
     order: int
-    coeffs: list
+    terms: dict
     exact: bool = True
 
-    def __init__(self, order: int, coeffs: list, exact: bool = True):
-        self.order, self.coeffs, self.exact = order, coeffs, exact
+    def __init__(self, nv: int, order: int, terms: dict, exact: bool = True):
+        self.nv, self.order, self.terms, self.exact = nv, order, terms, exact
 
     @classmethod
     def from_coef(cls, f: CoefFn, order: int) -> NuSeries:
-        return cls(order, [f] + [CoefFn.zero(f.nv)] * order)
+        return cls(f.nv, order, {0: f} if f.terms else {})
 
     @classmethod
     def zero(cls, nv: int, order: int) -> NuSeries:
-        return cls(order, [CoefFn.zero(nv)] * (order + 1))
+        return cls(nv, order, {})
+
+    @property
+    def coeffs(self) -> list:
+        """The dense form that the JSON codec writes: nu^0 .. nu^order."""
+        zero = CoefFn.zero(self.nv)
+        return [self.terms.get(t, zero) for t in range(self.order + 1)]
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.terms
 
     def resize(self, order: int) -> NuSeries:
-        return NuSum(self.coeffs[0].nv, order).add(self).series()
+        return NuSum(self.nv, order).add(self).series()
 
     def add(self, other: NuSeries, c=1) -> NuSeries:
         """self + c other, summed in one NuSum."""
         if self.order != other.order:
             raise ValueError("series orders differ")
-        return NuSum(self.coeffs[0].nv, self.order).add(self).add(other, c).series()
+        return NuSum(self.nv, self.order).add(self).add(other, c).series()
 
     def sub(self, other: NuSeries) -> NuSeries:
         return self.add(other, -1)
@@ -517,8 +526,8 @@ class NuSeries(Record):
     def scale(self, c: Fraction) -> NuSeries:
         """c self for an int or a Fraction c, else TypeError; c multiplies
         as given, so an int factor keeps int coefficients ints."""
-        exact(c, "the scale factor")
-        return NuSeries(self.order, [f.scale(c) for f in self.coeffs], self.exact)
+        terms = self.terms if exact(c, "the scale factor") else {}
+        return NuSeries(self.nv, self.order, {t: f.scale(c) for t, f in terms.items()}, self.exact)
 
     def mul(self, other: NuSeries) -> NuSeries:
         """The product: C_0(f, g) = f g, so this is the star product of
@@ -526,8 +535,8 @@ class NuSeries(Record):
         vanishes."""
         if self.order != other.order:
             raise ValueError("series orders differ")
-        dim = self.coeffs[0].nv + 2
-        return moyal(self, other, PoissonStructure(dim - 2, [[0] * dim] * dim), self.order)
+        dim = self.nv + 2
+        return moyal(self, other, PoissonStructure(self.nv, [[0] * dim] * dim), self.order)
 
 
 class NuSum:
@@ -553,29 +562,24 @@ class NuSum:
             self.exact = False
 
     def add(self, s: NuSeries, c=1) -> NuSum:
-        """Land c s coefficient by coefficient, each item scaled as it
-        lands, and return self; s's exact flag carries over.  c = 0 adds
-        nothing and leaves the flag as it is.  A nonzero coefficient on
-        another number of v coordinates raises ValueError, since its keys
-        do not fit the sum's."""
+        """Land c s power by power, each item scaled as it lands, and
+        return self; s's exact flag carries over, and c = 0 adds nothing
+        and leaves it as it is.  A series of another nv raises ValueError."""
         if not c:
             return self
+        if s.nv != self.nv:
+            raise ValueError(f"a series with nv {s.nv} does not add to a sum with nv {self.nv}")
         self.exact = self.exact and s.exact
-        for t, f in enumerate(s.coeffs):
-            if f.terms:
-                if f.nv != self.nv:
-                    raise ValueError(f"a series with nv {f.nv} does not add to a sum with nv {self.nv}")
-                items = f.terms.items()
-                self.land(t, items if c == 1 else [(k, v * c) for k, v in items])
+        for t, f in s.terms.items():
+            items = f.terms.items()
+            self.land(t, items if c == 1 else [(k, v * c) for k, v in items])
         return self
 
     def series(self) -> NuSeries:
-        """The sum so far; its zero coefficients share one CoefFn."""
-        zero = CoefFn.zero(self.nv)
-        coeffs = [zero] * (self.order + 1)
-        for t, d in self.terms.items():
-            coeffs[t] = CoefFn(self.nv, d) if d else zero
-        return NuSeries(self.order, coeffs, self.exact)
+        """The sum so far, each term dict that did not cancel wrapped as
+        the CoefFn of its power."""
+        terms = {t: CoefFn(self.nv, d) for t, d in sorted(self.terms.items()) if d}
+        return NuSeries(self.nv, self.order, terms, self.exact)
 
 
 def _transvection_series(
@@ -601,9 +605,8 @@ def _transvection_series(
     if out.order != order:
         raise ValueError("the sum's order differs from the product's")
     out.exact = out.exact and F.exact and G.exact
-    fs, gs = ([(j, h) for j, h in enumerate(S.coeffs) if h.terms] for S in (F, G))
-    for i, f in fs:
-        for j, g in gs:
+    for i, f in F.terms.items():
+        for j, g in G.terms.items():
             t = i + j - shift
             limit = maxsize if out.exact else order - t
             if limit < first:
@@ -676,7 +679,8 @@ def series_to_json(s: NuSeries) -> dict:
 
 
 def series_from_json(payload: dict) -> NuSeries:
-    """A series of order + 1 coefficients with one nv and a bool exact."""
+    """A series of order + 1 coefficients with one nv and a bool exact;
+    the nonzero ones are stored."""
     order, exact, coeffs = keyed(payload, "a series", "order", "exact", "coeffs")
     coeffs = [coef_from_json(c) for c in shaped(coeffs, list, "coeffs")]
     if type(order) is not int or order < 0 or len(coeffs) != order + 1:
@@ -685,4 +689,4 @@ def series_from_json(payload: dict) -> NuSeries:
         raise ValueError("series coefficients differ in nv")
     if type(exact) is not bool:
         raise ValueError(f"exact must be a bool, got {exact!r}")
-    return NuSeries(order, coeffs, exact)
+    return NuSeries(coeffs[0].nv, order, {t: f for t, f in enumerate(coeffs) if f.terms}, exact)

@@ -333,11 +333,11 @@ def structure_in(frame, vectors: list, bracket, partners=None) -> dict:
 
     Maps each pair i < j whose bracket is nonzero to its coordinates
     {k: c}; raises ValueError naming the pair when a bracket leaves the
-    span.  Only the j in partners[i], when given, are read for i.
+    span.  Only the j in partners[i], in increasing order, are read for i.
     """
     structure = {}
     for i, x in enumerate(vectors):
-        for j in range(i + 1, len(vectors)) if partners is None else sorted(partners[i]):
+        for j in range(i + 1, len(vectors)) if partners is None else partners[i]:
             coords = frame.coords(bracket(x, vectors[j]))
             if coords is None:
                 raise ValueError(f"the bracket of vectors {i} and {j} leaves the span")

@@ -12,19 +12,20 @@ m-invariant functions are exactly the functions of (a, r^2, z) with
 r^2 = (v|v); radial_reduce rewrites them in that form.
 
 retract_operator takes the one-sided transvection walk of formal_star
-once per coefficient of mu_X, for every size up to the first odd order
+once per stored power of mu_X, for every size up to the first odd order
 past the truncation, each derivative of mu_X derived from its parent by
 one step.  It lands every odd size, that last one included, in the NuSum
 of the derivative multi-index each term puts on the argument, packed as
-the walk packs it and unpacked to a tuple once per key at the end.  As for
-every series of formal_star, land is the one point where a term past
-the order is dropped, clearing that NuSum's exact flag, and the operator
-is exact when mu_X and all its NuSums are.  apply_operator
-differentiates each nonzero coefficient of its argument once per key
-that its exponent caps (CoefFn.caps) allow, since a key past a cap
-gives zero, and skips a key that leaves no derivative.  It lands every
-product in one NuSum too; its exact flag is the one that resizing both
-sides to the order and multiplying would give.
+the walk packs it; at the end each key is unpacked once and its NuSum's
+dicts, as they landed, are its series.  As for every series of
+formal_star, land is the one point where a term past the order is
+dropped, clearing that NuSum's exact flag, and the operator is exact
+when mu_X and all its NuSums are.
+apply_operator differentiates each stored coefficient of its argument
+once per key that its exponent caps (CoefFn.caps) allow, since a key
+past a cap gives zero, and skips a key that leaves no derivative.  It
+lands every product in one NuSum too; its exact flag is the one that
+resizing both sides to the order and multiplying would give.
 
 After a partial Fourier transform in z the operator for sigma(v0),
 applied to a radial symbol theta(a, r, xi), closes on coefficients
@@ -287,7 +288,7 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
     dropped no term, not even from a key that lies wholly past the
     truncation and so is absent from the result.
     """
-    from .formal_star import NuSeries, NuSum, key_layout, transvection_terms
+    from .formal_star import NuSum, key_layout, transvection_terms
 
     order = resolve_truncation_order(order)
     coords = table.frame.require(x, "vector lies outside the moment table")
@@ -296,7 +297,7 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
     for k, c in coords.items():
         mu.add(table.moments[k], c)
     buckets = defaultdict(lambda: NuSum(nv, order))
-    for i, f in enumerate(mu.series().coeffs):
+    for i, f in mu.series().terms.items():
         past = (order - i + 2) | 1  # the first odd m with i + m - 1 > order
         terms = transvection_terms(f, None, table.P, past)
         for m in range(1, len(terms), 2):
@@ -305,11 +306,11 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
                 scale = Fraction(weight, den)
                 buckets[w].land(i + m - 1, ((k, v * scale) for k, v in d.terms.items()))
     exact = mu.exact and all(s.exact for s in buckets.values())
-    series = {w: s.series() for w, s in buckets.items()}
+    for s in buckets.values():
+        s.exact = exact
     index = key_layout(nv).index
-    return {
-        index(w): NuSeries(order, s.coeffs, exact) for w, s in series.items() if not s.is_zero()
-    }
+    series = ((index(w), s.series()) for w, s in buckets.items())
+    return {key: s for key, s in series if not s.is_zero()}
 
 
 def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSeries:
@@ -324,19 +325,18 @@ def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSer
     from .formal_star import NuSum
 
     order = resolve_truncation_order(order)
-    nv = theta.coeffs[0].nv
-    if other := {s.coeffs[0].nv for s in op.values()} - {nv}:
+    nv = theta.nv
+    if other := {s.nv for s in op.values()} - {nv}:
         raise ValueError(f"an operator on {min(other)} v coordinates and a series on {nv} differ")
-    inputs = [theta, *op.values()]
-    exact = all(s.exact and not any(c.terms for c in s.coeffs[order + 1 :]) for s in inputs)
+    exact = all(s.exact and max(s.terms, default=0) <= order for s in (theta, *op.values()))
     out = NuSum(nv, order, exact or not op)
-    thetas = [(j, c, c.caps) for j, c in enumerate(theta.coeffs) if c.terms]
+    thetas = [(j, c, c.caps) for j, c in theta.terms.items()]
     for key, series in op.items():
         dthetas = [
             (j, d) for j, c, caps in thetas if all(map(le, key, caps)) and (d := c.diff(key)).terms
         ]
-        for i, f in enumerate(series.coeffs) if dthetas else ():
-            for j, d in dthetas if f.terms else ():
+        for i, f in series.terms.items() if dthetas else ():
+            for j, d in dthetas:
                 out.land(i + j, f.mul_items(d))
     return out.series()
 

@@ -39,14 +39,14 @@ def _comm(a: dict, b: dict) -> dict:
 
 
 def index_partners(sets: list) -> list:
-    """For each i, the set of j > i whose index set meets sets[i]: the
-    pairs build_su1n and BallChart.bracket read.  E_ab E_cd is nonzero
-    only when b = c, so matrices with disjoint index sets commute."""
+    """For each i, the sorted list of j > i whose index set meets
+    sets[i]: the pairs build_su1n reads.  E_ab E_cd is nonzero only when
+    b = c, so matrices with disjoint index sets commute."""
     holders = {}
     for t, indices in enumerate(sets):
         for a in indices:
             holders.setdefault(a, []).append(t)
-    return [{j for a in indices for j in holders[a] if j > i} for i, indices in enumerate(sets)]
+    return [sorted({j for a in s for j in holders[a] if j > i}) for i, s in enumerate(sets)]
 
 
 def _check_su1n(m: dict) -> bool:

@@ -62,6 +62,10 @@ of ad H0 - t, and m the intersection of the zero root space with k.
 full_structure_oracle reads the su(1, N) table from every pair of basis
 matrices, as build_su1n did before it read only the pairs that share an
 index.
+DenseSeries is a nu series as a padded list of order + 1 coefficients,
+with the series operations the package had before it stored only the
+nonzero powers, and nu_series builds the package's series from such a
+list.
 oracle_wv0 and oracle_om0 are the nu^0 parts of the radial operator,
 the (w|v) and Omega(w, v) parts, transcribed by hand from the displayed
 coefficient groups.
@@ -78,7 +82,8 @@ from types import MappingProxyType
 from ballquant.ball_quantization import QmmReport, _within, classical_moment, inner_square
 from ballquant.ball_quantization import resolve_truncation_order
 from ballquant.ce_cohomology import zero_two_cochain
-from ballquant.formal_star import CoefFn, NuSeries, NuSum, c_operator, transvection_terms
+from ballquant.formal_star import CoefFn, NuSeries, NuSum, c_operator, coef_to_json
+from ballquant.formal_star import transvection_terms
 from ballquant.lie_core import LieAlgebra, Subspace, structure_in, subspace_intersection
 from ballquant.linalg import Frame, bilinear, combine, nullspace, solve_in_span, split_symplectic
 from ballquant.linalg import transpose, vec_add, vec_scale
@@ -347,6 +352,55 @@ def odd_transvections(f_terms: frozenset, g_terms: frozenset, rows: frozenset) -
     return tuple((m, transvection_oracle(f, g, matrix, m, memo)) for m in range(1, top + 1, 2))
 
 
+def nu_series(coeffs: list, exact: bool = True) -> NuSeries:
+    """The package's series of order len(coeffs) - 1 whose nu^t
+    coefficient is coeffs[t]: the nonzero ones are stored as they are,
+    not copied."""
+    stored = {t: f for t, f in enumerate(coeffs) if f.terms}
+    return NuSeries(coeffs[0].nv, len(coeffs) - 1, stored, exact)
+
+
+class DenseSeries:
+    """A nu series as the package held one before it stored only the
+    nonzero powers: order + 1 CoefFns, nu^0 first, and the exact flag,
+    with the operations it had, on whole padded lists.  A sum of another
+    order raises ValueError; adding 0 times a series keeps self's flag;
+    resizing clears exact when a nonzero coefficient is dropped."""
+
+    def __init__(self, order: int, coeffs: list, exact: bool = True):
+        self.order, self.coeffs, self.exact = order, coeffs, exact
+
+    @classmethod
+    def from_coef(cls, f: CoefFn, order: int) -> DenseSeries:
+        return cls(order, [f] + [CoefFn.zero(f.nv)] * order)
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def resize(self, order: int) -> DenseSeries:
+        dropped, zero = self.coeffs[order + 1 :], CoefFn.zero(self.coeffs[0].nv)
+        coeffs = self.coeffs[: order + 1] + [zero] * (order + 1 - len(self.coeffs))
+        return DenseSeries(order, coeffs, self.exact and all(c.is_zero() for c in dropped))
+
+    def add(self, other: DenseSeries, c=1) -> DenseSeries:
+        if self.order != other.order:
+            raise ValueError("series orders differ")
+        if not c:
+            return self
+        coeffs = [a.add(b.scale(c)) for a, b in zip(self.coeffs, other.coeffs)]
+        return DenseSeries(self.order, coeffs, self.exact and other.exact)
+
+    def sub(self, other: DenseSeries) -> DenseSeries:
+        return self.add(other, -1)
+
+    def scale(self, c) -> DenseSeries:
+        return DenseSeries(self.order, [f.scale(c) for f in self.coeffs], self.exact)
+
+    def to_json(self) -> dict:
+        coeffs = [coef_to_json(c) for c in self.coeffs]
+        return {"order": self.order, "exact": self.exact, "coeffs": coeffs}
+
+
 def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:
     """verify_qmm from the definition, in Fractions.  Each moment is
     resized to the order; for every pair the left side is the sum of the
@@ -386,7 +440,7 @@ def verify_qmm_oracle(table, order=None, pairs="all") -> QmmReport:
             for k, c in coords.items():
                 res = [r.add(h.scale(c)) for r, h in zip(res, lifted[k].coeffs)]
             res_exact = pair_exact and all(lifted[k].exact for k in coords)
-            series = NuSeries(order, res, res_exact)
+            series = nu_series(res, res_exact)
             if not series.is_zero():
                 failures.append((table.labels[i], table.labels[j], series))
     return QmmReport(not failures, order, exact, checked, failures)
@@ -440,9 +494,9 @@ def apply_operator_oracle(op: dict, theta: NuSeries, order=None) -> NuSeries:
     the partial sums."""
     order = resolve_truncation_order(order)
     base = theta.resize(order)
-    out = NuSeries.zero(base.coeffs[0].nv, order)
+    out = NuSeries.zero(base.nv, order)
     for key, series in op.items():
-        dtheta = NuSeries(order, [c.diff(key) for c in base.coeffs], base.exact)
+        dtheta = nu_series([c.diff(key) for c in base.coeffs], base.exact)
         out = out.add(series.resize(order).mul(dtheta))
     return out
 

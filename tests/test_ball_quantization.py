@@ -42,7 +42,7 @@ from ballquant.ball_quantization import (
     verify_qmm,
 )
 from ballquant import ball_quantization
-from ballquant.formal_star import CoefFn, NuSum, c_operator, key_layout, series_to_json
+from ballquant.formal_star import CoefFn, NuSeries, NuSum, c_operator, key_layout, series_to_json
 from ballquant.lie_core import structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
 from ballquant.scalars import G_ZERO
@@ -621,7 +621,7 @@ def test_order_zero_is_the_poisson_covariance_check(N):
         exps = [rng.randint(0, 1) for _ in range(nv)]
         p, q, c = rng.randint(-1, 1), rng.randint(0, 1), F(rng.randint(1, 5), 3)
         bump = CoefFn.monomial(nv, p, exps, 0, q, c)
-        moments[k] = s.replace(coeffs=[s.coeffs[0].add(bump), *s.coeffs[1:]])
+        moments[k] = s.add(NuSeries.from_coef(bump, s.order))
     perturbed = base.replace(moments=moments)
     for table in (base, perturbed):
         rep = verify_qmm(table, order=0)
@@ -644,6 +644,18 @@ def test_qmm_json():
     assert payload["N"] == 1 and payload["labels"] == ["H", "E", "sE"]
     sym = qmm_table_to_json(build_qmm(1))
     assert sym["alpha"] == "symbolic"
+
+
+def test_a_failing_residual_stores_only_its_nonzero_powers():
+    """At order 100000 each failing residual of the drop-nu2 mutation at
+    N = 2 stores one power, nu^2, and the coefficient its order-12 report
+    holds there: no part of a failed report grows with the order."""
+    table = mutate_drop_nu2(build_qmm(2))
+    rep, small = verify_qmm(table, 100000), verify_qmm(table, 12)
+    assert not rep.ok and [f[:2] for f in rep.failures] == [f[:2] for f in small.failures]
+    for (_, _, res), (_, _, want) in zip(rep.failures, small.failures):
+        assert (res.order, res.exact, list(res.terms)) == (100000, True, [2])
+        assert res.terms[2] == want.terms[2] and res.terms[2].terms
 
 
 def test_verify_qmm_exact_flag_is_sound():
@@ -793,23 +805,23 @@ def mutations(table) -> list:
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_lift_truncates_without_padding(N):
-    """verify_qmm's lift of a moment s is D s.resize(K) coefficient by
-    coefficient, with its exact flag, in fresh int coefficients, and holds
-    none past min(K, s.order): it truncates below s's own order and never
-    pads up to K."""
+    """verify_qmm's lift of a moment s is D s.resize(K) power by power,
+    with its exact flag, in fresh int coefficients, of order
+    min(K, s.order): it truncates below s's own order, never pads up to
+    K, and stores only the powers that s.resize(K) stores."""
     for table in mutations(build_qmm(N)):
-        coefs = [c for s in table.moments for f in s.coeffs for c in f.terms.values()]
+        coefs = [c for s in table.moments for f in s.terms.values() for c in f.terms.values()]
         D = lcm(*(c.denominator for c in coefs))
         for K in (0, 1, 2, 3, 4, 12):
             for s in table.moments:
                 lifted, want = _in_z(s, D, K), s.resize(K)
-                assert len(lifted.coeffs) == min(K, s.order) + 1
-                assert lifted.exact == want.exact
-                for t, f in enumerate(want.coeffs):
-                    got = lifted.coeffs[t].terms if t < len(lifted.coeffs) else {}
+                assert lifted.order == min(K, s.order) and lifted.exact == want.exact
+                assert list(lifted.terms) == list(want.terms)
+                for t, f in want.terms.items():
+                    got = lifted.terms[t].terms
                     assert got == {k: D * c for k, c in f.terms.items()}
                     assert all(type(c) is int for c in got.values())
-                assert not {id(f) for f in lifted.coeffs} & {id(f) for f in s.coeffs}
+                assert not {id(f) for f in lifted.terms.values()} & {id(f) for f in s.terms.values()}
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -872,7 +884,9 @@ def count_brackets(monkeypatch) -> list:
 
 def sharing_pairs(chart) -> set:
     """The pairs i < j of the chart basis whose vectors share a matrix index."""
-    return {(i, j) for i, js in enumerate(chart._partners) for j in js}
+    mats = chart.model.matrices
+    touched = [{a for t in x for e in mats[t] for a in e} for x in chart.basis]
+    return {(i, j) for i, j in combinations(range(len(touched)), 2) if touched[i] & touched[j]}
 
 
 def test_verify_qmm_reads_the_chart_structure_once(monkeypatch):

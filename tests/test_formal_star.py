@@ -44,7 +44,7 @@ from ballquant.retract_pde import apply_operator, k_basis, retract_operator
 from ballquant.scalars import collect
 
 from oracles import degree, poisson_pairs, substitute_alpha, transvection_oracle
-from oracles import uncapped_walk_oracle
+from oracles import nu_series, uncapped_walk_oracle
 
 
 def std_structure(nv: int, p=F(1, 2), vv=F(1)) -> PoissonStructure:
@@ -205,7 +205,7 @@ def assert_sound(small, big, K):
 def rand_series(nv, rng):
     order = rng.randint(0, 2)
     coeffs = [rand_fn(nv, rng, terms=rng.randint(0, 2)) for _ in range(order + 1)]
-    return NuSeries(order, coeffs, True)
+    return nu_series(coeffs)
 
 
 @pytest.mark.parametrize("product", [moyal, star_commutator, half_commutator])
@@ -286,7 +286,7 @@ def low_degree_series(rng, deg):
             q = rng.randint(0, deg - k1 - k2)
             f = f.add(mono(2, rng.randint(-2, 2), (k1, k2), 0, q, F(rng.randint(-3, 3))))
         coeffs.append(f)
-    return NuSeries(len(coeffs) - 1, coeffs, True)
+    return nu_series(coeffs)
 
 
 # (product, first m, step in m, weight, shift of the nu power)
@@ -372,7 +372,7 @@ def fresh(f: CoefFn) -> CoefFn:
 
 
 def copies(s: NuSeries) -> NuSeries:
-    return NuSeries(s.order, [fresh(c) for c in s.coeffs], s.exact)
+    return nu_series([fresh(c) for c in s.coeffs], s.exact)
 
 
 def holds_memo(f: CoefFn) -> bool:
@@ -386,7 +386,7 @@ def test_series_reuse_matches_fresh_products():
     P = std_structure(2)
     K = 4
     series = [
-        NuSeries(K, [rand_fn(2, rng) for _ in range(2)] + [CoefFn.zero(2)] * (K - 1), exact)
+        nu_series([rand_fn(2, rng) for _ in range(2)] + [CoefFn.zero(2)] * (K - 1), exact)
         for exact in (True, True, False)
     ]
     for product in (moyal, star_commutator, half_commutator):
@@ -571,25 +571,26 @@ def test_half_commutator_lands_into_a_given_sum():
 
 def test_nu_sum_add_of_zero_times_a_series_changes_nothing():
     z, one = mono(2, q=1), CoefFn.const(2, F(1))
-    acc = NuSum(2, 1).add(NuSeries(1, [one, z], True))
+    acc = NuSum(2, 1).add(nu_series([one, z]))
     before = [c.terms for c in acc.series().coeffs]
-    for s in (NuSeries(1, [z, z], False), NuSeries(3, [z, one, z, one], True)):
+    for s in (nu_series([z, z], False), nu_series([z, one, z, one])):
         assert acc.add(s, 0) is acc
         assert acc.exact
         assert [c.terms for c in acc.series().coeffs] == before
-    assert NuSum(2, 0).add(NuSeries(1, [one, z], False), 0).exact
+    assert NuSum(2, 0).add(nu_series([one, z], False), 0).exact
 
 
 def test_nu_sum_refuses_a_series_of_another_nv():
-    """add, sub and resize of series go through NuSum.add, so none of them
-    can store an nv = 3 key in an nv = 2 coefficient."""
+    """add and sub of series go through NuSum.add, so neither can store
+    an nv = 3 key in an nv = 2 coefficient; a zero series of another nv
+    is refused too."""
     two, three = (NuSeries.from_coef(CoefFn.const(nv, 1), 2) for nv in (2, 3))
     message = "^a series with nv 3 does not add to a sum with nv 2$"
     for call in (
         lambda: two.add(three),
         lambda: two.sub(three),
         lambda: NuSum(2, 2).add(three, 5),
-        lambda: NuSeries(2, [CoefFn.const(2, 1), CoefFn.const(3, 1), CoefFn.zero(2)]).resize(1),
+        lambda: two.add(NuSeries.zero(3, 2)),
     ):
         with pytest.raises(ValueError, match=message):
             call()
@@ -607,13 +608,13 @@ def test_series_scale_keeps_an_int_factor_an_int():
 def test_nu_series_truncation():
     one = CoefFn.const(2, F(1))
     z = mono(2, q=1)
-    plus = NuSeries(1, [one, z], True)
-    minus = NuSeries(1, [one, z.neg()], True)
+    plus = nu_series([one, z])
+    minus = nu_series([one, z.neg()])
     prod = plus.mul(minus)
     assert prod.coeffs[0].terms == one.terms and prod.coeffs[1].is_zero()
     assert not prod.exact
-    plus2 = NuSeries(2, [one, z, CoefFn.zero(2)], True)
-    minus2 = NuSeries(2, [one, z.neg(), CoefFn.zero(2)], True)
+    plus2 = nu_series([one, z, CoefFn.zero(2)])
+    minus2 = nu_series([one, z.neg(), CoefFn.zero(2)])
     prod2 = plus2.mul(minus2)
     assert prod2.exact
     assert prod2.coeffs[2].decoded() == {(0, (0, 0), 0, 2): F(-1)}
@@ -637,8 +638,8 @@ def test_nu_sum_land_is_the_truncation_point():
     acc.land(3, z.terms.items())
     assert not acc.exact and acc.wants(1) and not acc.wants(2)
     assert acc.series().coeffs[1].terms == z.terms
-    assert not NuSum(2, 0).add(NuSeries(1, [one, z], True)).series().exact
-    assert NuSum(2, 0).add(NuSeries(1, [one, CoefFn.zero(2)], True)).series().exact
+    assert not NuSum(2, 0).add(nu_series([one, z])).series().exact
+    assert NuSum(2, 0).add(nu_series([one, CoefFn.zero(2)])).series().exact
 
 
 def test_json_roundtrips():
@@ -646,7 +647,7 @@ def test_json_roundtrips():
     f = rand_fn(2, rng).add(mono(2, alpha=2, c=F(7, 3)))
     f2 = coef_from_json(coef_to_json(f))
     assert f2.nv == f.nv and f2.terms == f.terms
-    s = NuSeries(2, [f, CoefFn.zero(2), f.neg()], False)
+    s = nu_series([f, CoefFn.zero(2), f.neg()], False)
     s2 = series_from_json(series_to_json(s))
     assert s2.order == 2 and s2.exact is False
     assert all(a.terms == b.terms for a, b in zip(s.coeffs, s2.coeffs))

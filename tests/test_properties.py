@@ -3,7 +3,8 @@ formula, the integer Gaussian rational kernel against Fraction pairs
 (arithmetic, one canonical form, refusal of ints and tuples), ring
 laws of the shared sparse core, the Leibniz rule of the Poisson
 bracket, the associativity of the Moyal product, the Jacobi identity
-of the star commutator, the integer-scaled star commutator against the
+of the star commutator, the nu series operations and codec against the
+padded-list oracle, the integer-scaled star commutator against the
 Fraction one, the coordinates a linalg Frame reads against
 the dense rref oracle, the elimination's independence of the order,
 scale and repetition of its rows, the linalg change-of-basis helpers
@@ -57,7 +58,7 @@ from ballquant.scalars import LITERAL_LENGTH, GScalar, frac_str, parse_frac
 
 from oracles import dense, identity_matrix, mat_mul, nullspace_oracle, rref_oracle, sparse
 from oracles import degree as total_degree
-from oracles import tuple_caps, tuple_diff, tuple_mul
+from oracles import DenseSeries, nu_series, tuple_caps, tuple_diff, tuple_mul
 
 NV = 2
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
@@ -313,6 +314,42 @@ def test_coef_ring_laws(a, b, c):
     assert a.sub(a).is_zero()
 
 
+@st.composite
+def dense_series_pairs(draw):
+    """Two DenseSeries of one order, b's coefficient the negation of a's
+    at some powers, so that their sum cancels there."""
+    order = draw(st.integers(0, 4))
+    a, b = ([draw(coef_fns) for _ in range(order + 1)] for _ in range(2))
+    negate = draw(st.lists(st.booleans(), min_size=order + 1, max_size=order + 1))
+    b = [f.neg() if flip else g for f, g, flip in zip(a, b, negate)]
+    return DenseSeries(order, a, draw(st.booleans())), DenseSeries(order, b, draw(st.booleans()))
+
+
+def assert_agrees(s: NuSeries, d: DenseSeries) -> None:
+    """s is the dense series d, flag and JSON included, and stores only
+    its nonzero powers, in increasing order up to its own."""
+    assert (s.nv, s.order, s.exact, s.is_zero()) == (NV, d.order, d.exact, d.is_zero())
+    assert [f.terms for f in s.coeffs] == [f.terms for f in d.coeffs]
+    assert list(s.terms) == sorted(s.terms) and all(0 <= t <= s.order for t in s.terms)
+    assert all(f.terms and f.nv == NV for f in s.terms.values())
+    assert series_to_json(s) == d.to_json() and series_from_json(d.to_json()) == s
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(dense_series_pairs(), coef_fns, st.one_of(rationals, small), st.integers(0, 6))
+def test_sparse_series_agree_with_the_dense_oracle(pair, f, c, order):
+    """add, sub, scale, resize, is_zero, from_coef and the JSON codec of
+    the sparse NuSeries give what the padded lists gave."""
+    a, b = pair
+    A, B = nu_series(a.coeffs, a.exact), nu_series(b.coeffs, b.exact)
+    for s, d in ((A, a), (B, b), (A.sub(B), a.sub(b)), (A.scale(c), a.scale(c))):
+        assert_agrees(s, d)
+    for k in (-1, 0, 1, 3):
+        assert_agrees(A.add(B, k), a.add(b, k))
+    assert_agrees(A.resize(order), a.resize(order))
+    assert_agrees(NuSeries.from_coef(f, order), DenseSeries.from_coef(f, order))
+
+
 @PROPERTY
 @given(xi_fns, xi_fns, xi_fns)
 def test_xifn_ring_laws(a, b, c):
@@ -511,7 +548,7 @@ def poisson_matrices(draw) -> PoissonStructure:
 def in_z(s: NuSeries, D: int) -> NuSeries:
     """D s with int coefficients; D clears every denominator of s."""
     scaled = ({k: c.numerator * (D // c.denominator) for k, c in f.terms.items()} for f in s.coeffs)
-    return NuSeries(s.order, [CoefFn(NV, terms) for terms in scaled], s.exact)
+    return nu_series([CoefFn(NV, terms) for terms in scaled], s.exact)
 
 
 THIRDS = [[F(0), F(1, 3), F(0), F(-2, 3)], [F(-1, 3), F(0), F(1), F(0)],
@@ -531,7 +568,7 @@ def test_integer_scaled_star_commutator_divides_back(fs, g, P, K):
     L = (K + 1)! delta^(K + 1), half_commutator of the int copies lands
     int coefficients only, and L D^2 times the Fraction half commutator,
     exact flag included."""
-    A, B = NuSeries(len(fs) - 1, fs, True).resize(K), NuSeries.from_coef(g, K)
+    A, B = nu_series(fs).resize(K), NuSeries.from_coef(g, K)
     D = lcm(*(c.denominator for S in (A, B) for f in S.coeffs for c in f.terms.values()))
     L = factorial(K + 1) * P.delta ** (K + 1)
     want = half_commutator(A, B, P, K)
@@ -801,7 +838,7 @@ VALID_COEF = coef_to_json(
     CoefFn.monomial(2, 1, (1, 0), 0, 2, F(3, 4)).add(CoefFn.const(2, F(-1)))
 )
 VALID_SERIES = series_to_json(
-    NuSeries(2, [coef_from_json(VALID_COEF), CoefFn.zero(2), CoefFn.const(2, F(2))], False)
+    nu_series([coef_from_json(VALID_COEF), CoefFn.zero(2), CoefFn.const(2, F(2))], False)
 )
 VALID_ALGEBRA = build_psd(PsdSpec(2, [2, 1], TWIST)).algebra.to_json()
 VALID_SPEC = psd_spec_to_json(PsdSpec(2, [2, 1], TWIST))
@@ -854,7 +891,8 @@ def test_series_from_json_loads_or_refuses(data):
     s = _loads_or_refuses(series_from_json, series_to_json, data)
     if s is not None:
         assert _is_int(s.order) and len(s.coeffs) == s.order + 1 and type(s.exact) is bool
-        assert all(_coef_is_well_formed(c) and c.nv == s.coeffs[0].nv for c in s.coeffs)
+        assert all(_coef_is_well_formed(c) and c.nv == s.nv for c in s.coeffs)
+        assert all(f.terms for f in s.terms.values())
 
 
 @IMPORT_CHECKS

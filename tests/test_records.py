@@ -46,7 +46,7 @@ class Pin(Record, frozen=True):
 def test_fields_are_the_class_annotations_in_order():
     assert Point._fields == ("x", "y")
     assert CoefFn._fields == ("nv", "terms")
-    assert NuSeries._fields == ("order", "coeffs", "exact")
+    assert NuSeries._fields == ("nv", "order", "terms", "exact")
     assert PsdSpec._fields == ("r", "n", "cross_actions")
     assert QmmReport._fields == ("ok", "order", "exact", "checked", "failures")
     assert Su1nModel._fields[:2] == ("N", "algebra") and len(Su1nModel._fields) == 14
@@ -56,7 +56,7 @@ def test_construction_by_position_or_keyword():
     assert vars(Point(1, 2)) == vars(Point(y=2, x=1)) == vars(Point(1, y=2)) == {"x": 1, "y": 2}
     assert vars(Point(1)) == {"x": 1, "y": 0}
     assert vars(CheckReport(True, 3, [])) == vars(CheckReport(ok=True, checked=3, failures=[]))
-    assert NuSeries(2, []).exact is True and NuSeries(2, [], False).exact is False
+    assert NuSeries(2, 1, {}).exact is True and NuSeries(2, 1, {}, False).exact is False
     assert CoefFn(nv=2, terms={3: F(1)}) == CoefFn(2, {3: F(1)})
     assert XiFn(terms={}).terms == {}
 
@@ -95,7 +95,7 @@ def test_eq_is_field_by_field_within_one_class():
 
 
 def test_eq_records_are_unhashable():
-    for record in (Point(1), CoefFn(2), NuSeries(0, []), PsdSpec(1, [2]), Pin(1)):
+    for record in (Point(1), CoefFn(2), NuSeries(2, 0, {}), PsdSpec(1, [2]), Pin(1)):
         with pytest.raises(TypeError):
             hash(record)
 
@@ -123,9 +123,9 @@ def test_plain_records_take_assignment():
     p = Point(1)
     p.y = 5
     assert p == Point(1, 5)
-    series = NuSeries(1, [])
+    series = NuSeries(2, 1, {})
     series.exact = False
-    assert series == NuSeries(1, [], False)
+    assert series == NuSeries(2, 1, {}, False)
 
 
 def test_model_keeps_identity_eq_and_hash():

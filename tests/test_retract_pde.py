@@ -46,6 +46,7 @@ from ballquant.su1n_model import build_su1n, model_to_json
 from oracles import (
     apply_operator_oracle,
     binom_oracle,
+    nu_series,
     oracle_om0,
     oracle_wv0,
     radial_pde_residual_oracle,
@@ -389,7 +390,7 @@ def rand_series(rng: random.Random, nv: int, order: int, top: int) -> NuSeries:
             p, alpha, q = rng.randint(-2, 2), rng.randint(0, 1), rng.randint(0, 2)
             f = f.add(CoefFn.monomial(nv, p, k, alpha, q, c))
         coeffs.append(f)
-    return NuSeries(order, coeffs)
+    return nu_series(coeffs)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -411,7 +412,7 @@ def test_apply_operator_matches_oracle(n):
         full = rand_series(rng, nv, K, K)
         over = rand_series(rng, nv, K + 1, K + 1)
         marked = [
-            {k: NuSeries(v.order, v.coeffs) for k, v in op.items()} for op in (high[-1], low[-1])
+            {k: nu_series(v.coeffs) for k, v in op.items()} for op in (high[-1], low[-1])
         ]
         cases = [(op, full) for op in high + low + marked]
         cases += [(op, over) for op in high[:2]] + [({}, over)]
@@ -432,10 +433,10 @@ def test_apply_operator_flags_an_argument_past_the_order():
     table = build_qmm(2, alpha=None)
     nv, K = table.chart.nv, 2
     op = retract_operator(table, k_basis(table.chart)[1][-1], order=K)
-    op = {key: NuSeries(s.order, s.coeffs) for key, s in op.items()}
+    op = {key: nu_series(s.coeffs) for key, s in op.items()}
     mu = table.moments[0].coeffs[0]
     for past, exact in ((CoefFn.zero(nv), True), (CoefFn.const(nv, Fraction(3)), False)):
-        theta = NuSeries(K + 1, [mu] + [CoefFn.zero(nv)] * K + [past])
+        theta = nu_series([mu] + [CoefFn.zero(nv)] * K + [past])
         got, want = apply_operator(op, theta, K), apply_operator_oracle(op, theta, K)
         assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
         assert got.exact == want.exact == exact
@@ -469,7 +470,7 @@ def _capped_series(rng, nv, order, p_range, v_top):
             c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
             f = f.add(CoefFn.monomial(nv, rng.choice(p_range), k, 0, rng.randint(0, 2), c))
         coeffs.append(f)
-    return NuSeries(order, coeffs)
+    return nu_series(coeffs)
 
 
 def test_apply_operator_skips_keys_past_the_caps_as_the_oracle_does():
