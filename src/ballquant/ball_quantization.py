@@ -502,45 +502,41 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     """Check mu_[X,Y] = (1/(2 nu)) [mu_X, mu_Y] for basis pairs.
 
     pairs "all" checks the pairs i < j of the whole table basis, "s" those
-    of its first 2 + nv vectors (H, f, E: the solvable chart part).  Each
-    pair is summed in one NuSum: half_commutator lands the commutator
-    there, the sum's exact flag is read, and then the left side is
-    subtracted.  A pair fails when a term dict of that sum is nonempty,
-    and only then is the sum made a series, its residual, reported
-    negated, as the left side minus the commutator: its nonzero powers,
-    whatever the order.  exact, the AND of the commutators' flags, says
-    whether every star commutator terminated inside the truncation.  At
-    order 0 this is Poisson covariance, {mu_X, mu_Y} = mu_[X,Y] on the
-    nu^0 moments, the classical limit of the identity.
+    of its first 2 + nv vectors (H, f, E: the solvable chart part).  One
+    half_commutator call per row lands the commutator of moment i with
+    each later one in that pair's NuSum, whose exact flag is read before
+    the left side is subtracted.  A pair fails when a term dict of that
+    sum is nonempty, and only then is the sum made a series, its
+    residual, reported negated, as the left side minus the commutator:
+    its nonzero powers, whatever the order.  exact, the AND of the
+    commutators' flags, says whether every star commutator terminated
+    inside the truncation.  At order 0 this is Poisson covariance,
+    {mu_X, mu_Y} = mu_[X,Y] on the nu^0 moments, the classical limit.
 
     The check runs in Z and reports in Q.  D is the common denominator
     of the moments' coefficients and L = lcm(top! delta^top, the
     denominators of the brackets read), so that the int weight L keeps
-    every scale L / (m! delta^m) of an odd m <= top an int (c_operator)
-    and every left-side factor L D c an int.  top is order + 1, or twice
-    the largest sum of v and z caps (CoefFn.caps) of a lifted coefficient
+    every scale L / (m! delta^m) of an odd m <= top an int and every
+    left-side factor L D c an int.  top is order + 1, or twice the
+    largest sum of v and z caps (CoefFn.caps) of a lifted coefficient
     when less: every pair of P steps along a v or z on one side, so no
-    joint walk is longer.  Each pair lands L D^2 times its residual, with
-    int coefficients only, in its NuSum, and only a failing residual is
-    divided back by L D^2.
+    partner's walk is longer.  Each pair lands L D^2 times its residual,
+    with int coefficients only, in its NuSum, and only a failing residual
+    is divided back by L D^2.
 
     Each moment is lifted once (_in_z): scaled by D into fresh int
     coefficients, one per stored power, and truncated to the order when
-    that is below the moment's own, so a pair walks only the powers its
-    moments hold.  The truncation keeps a moment's terms past the order
-    out of every walk and clears exact for a nonzero one, as resizing
-    does.  The copies' derivative memos (CoefFn.step, keyed by the packed
-    int multi-index) and exponent caps (CoefFn.caps) fill their instance
-    dicts, with no lock, as the pairs are walked, on either side of a
-    transvection, so each derivative is taken at most once per call.  The
-    joint walk of two coefficients is not kept: half_commutator takes it
-    once per pair and drops it when the pair is summed.  The copies,
-    their memos and caps with them, are dropped on return, so the
-    table's own coefficients, and those its mutations share, never hold
-    a memo or caps.  The left sides are the chart's brackets
-    (BallChart.bracket), each pair read once per chart: a table, its
-    mutations (which share its chart) and both pair sets read the same
-    kept pairs, and the s pairs read only brackets of the solvable part.
+    that is below the moment's own (clearing exact for a nonzero term, as
+    resizing does), so a walk takes only the powers the moments hold.
+    The copies' derivative memos (CoefFn.step) and caps fill as the rows
+    are walked, on either side of a transvection, so each derivative is
+    taken at most once per call; a row's walk is dropped once the row is
+    summed, and the copies on return, so the table's own coefficients,
+    and those its mutations share, never hold a memo or caps.  The left
+    sides are the chart's brackets (BallChart.bracket), each pair read
+    once per chart: a table, its mutations (which share its chart) and
+    both pair sets read the same kept pairs, and the s pairs read only
+    brackets of the solvable part.
     """
     order = resolve_truncation_order(order)
     chart, nv = table.chart, table.chart.nv
@@ -551,8 +547,8 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     else:
         raise ValueError("pairs must be 'all' or 's'")
     P = table.P
-    checked = [(i, j, chart.bracket(i, j)) for i in range(n) for j in range(i + 1, n)]
-    dens = (c.denominator for _, _, b in checked for c in b.values())
+    brackets = [[chart.bracket(i, j) for j in range(i + 1, n)] for i in range(n)]
+    dens = (c.denominator for row in brackets for b in row for c in b.values())
     stored = [f for s in table.moments for f in s.terms.values()]
     D = lcm(*(c.denominator for f in stored for c in f.terms.values()))
     lifted = [_in_z(s, D, order) for s in table.moments]
@@ -562,15 +558,17 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     LD = L * D
     failures = []
     exact = True
-    for i, j, bracket in checked:
-        res = half_commutator(lifted[i], lifted[j], P, order, NuSum(nv, order), L)
-        exact = exact and res.exact
-        for k, c in bracket.items():
-            res.add(lifted[k], -c.numerator * (LD // c.denominator))
-        if any(res.terms.values()):
-            residual = res.series().scale(Fraction(-1, LD * D))
-            failures.append((table.labels[i], table.labels[j], residual))
-    return QmmReport(not failures, order, exact, len(checked), failures)
+    for i, row in enumerate(brackets[:-1]):
+        sums = [NuSum(nv, order) for _ in row]
+        half_commutator(lifted[i], lifted[i + 1 : n], P, order, sums, L)
+        for j, bracket, res in zip(range(i + 1, n), row, sums):
+            exact = exact and res.exact
+            for k, c in bracket.items():
+                res.add(lifted[k], -c.numerator * (LD // c.denominator))
+            if any(res.terms.values()):
+                residual = res.series().scale(Fraction(-1, LD * D))
+                failures.append((table.labels[i], table.labels[j], residual))
+    return QmmReport(not failures, order, exact, n * (n - 1) // 2, failures)
 
 
 def _in_z(s: NuSeries, D: int, order: int) -> NuSeries:

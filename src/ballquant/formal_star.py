@@ -27,24 +27,23 @@ transvection operators
 terminate on this ring because every nonzero Lambda entry differentiates
 a polynomial variable on at least one side.  One walk, transvection_terms,
 enumerates the multisets of directed pairs behind C_m for every m at
-once, deriving each derivative from its parent by one step.  It is shared
-by c_operator here, which walks an operand pair jointly, and by the
-retract operator, which walks one side only.
+once, deriving each derivative from its parent by one step, for f
+against a row of partners, each up to its own size limit (the star
+products), or for f alone (the retract operator).
 
 Each CoefFn keeps its exponent caps (CoefFn.caps, taken once per
 function and read off its largest fields): the largest exponent of each
-v and z coordinate and whether any term has p != 0.  A cap is exact for its coordinate, so the walk
-takes a directed pair as often as the caps of the derivatives it steps
-from allow, and no step lands on a zero derivative.  Most directed
-pairs have a zero cap on one side, so the walk tests the first side's
-cap, then the second's, and takes the size limit only for a pair that
-both sides can take.  The sizes that have a multiset run from 0 to a
-last one, past which every C_m vanishes.  Each step lowers a polynomial
-cap on one side, so a joint walk ends by itself there, at most at the
-joint degree.
+v and z coordinate and whether any term has p != 0.  A cap is exact for
+its coordinate, so the walk takes a directed pair as often as the caps
+of the derivatives it steps from allow, and no step lands on a zero
+derivative.  Most directed pairs have a zero cap on one side, so the
+walk tests f's cap, once for the row, then each partner's.  The sizes
+that have a multiset run from 0 to a last one, past which every C_m
+vanishes.  Each step lowers a polynomial cap on one side, so a
+partner's walk ends by itself there, at most at the joint degree.
 
 Each CoefFn keeps a memo of its own derivatives per multi-index, which
-the joint walk fills one step from the parent (CoefFn.step).  The walk
+the row walk fills one step from the parent (CoefFn.step).  The walk
 packs its multi-indices as the keys are packed, a in the top field, so a
 step adds a unit to an int and the memo is keyed by that int; the
 derivative is the single-coordinate one, CoefFn.diff_coord.  The caps,
@@ -55,25 +54,26 @@ on the function, so the memo serves either side of a transvection
 under any Poisson structure on its coordinates, and lives as long as
 the function.  The one-sided walk keeps none: under the chart's
 structure it reaches each multi-index by one multiset only.
-The star product series walk each pair of stored coefficients once, as
-a PairWalk: c_operator reads C_m off its size-m terms, and the series
-stop at its last size.  A pair's walk lives only while that pair is
-summed; a caller that takes many star products of the same series
-(verify_qmm over every pair of the moment table) differentiates each
-coefficient at most once per multi-index, and one that wants no memo to
-outlive its call passes fresh copies (verify_qmm lifts each moment into
-new int coefficients).  An operand's own order need not be the
-product's: its stored powers are walked as they are, and one past the
-order lands past it and clears exact.
+The star product series walk each stored coefficient of the first
+operand once against every stored coefficient of a row of partner
+series, land each walk term straight in its partner's NuSum and stop a
+partner at its last size.  A walk lives only while its row is summed; a
+caller that takes many star products of the same series (verify_qmm over
+the rows of the moment table) differentiates each coefficient at most
+once per multi-index, and one that wants no memo to outlive its call
+passes fresh copies (verify_qmm lifts each moment into new int
+coefficients).  An operand's own order need not be the product's: its
+stored powers are walked as they are, and one past the order lands past
+it and clears exact.
 
 The walk is carried in integers.  PoissonStructure keeps the common
 denominator delta of its entries, its directed pairs carry the ints
 delta * Lambda^{uw}, and a multiset of m pairs carries the int weight
 m! prod (delta Lambda^{uw})^c / c!, so C_m = delta^-m sum weight d^u f d^w g.
-Each reader divides once per term: c_operator by delta^m for C_m itself
-and by m! delta^m / weight for (weight / m!) C_m, the retract operator by
-m! delta^m.  A weight that m! delta^m divides keeps that scale an int, so
-verify_qmm checks the moment identity in Z and divides only a failing
+Each reader divides once per term: c_operator and the series (once per
+m and call) by m! delta^m / weight for (weight / m!) C_m, the retract
+operator by m! delta^m.  A weight that m! delta^m divides keeps that
+scale an int, so verify_qmm checks the moment identity in Z and divides only a failing
 residual back into Q.  Past the truncation order only whether C_m
 vanishes counts: the series land the bare walk sum delta^m C_m there.
 
@@ -91,8 +91,8 @@ series sums, retract_pde and verify_qmm.  (retract_pde's XiFn.expand_nu
 cuts the binomial series of a half power at the order by design, with
 no flag.)
 NuSum.add scales each item as it lands, and half_commutator can land
-its terms in a caller's NuSum instead of returning a series, so
-verify_qmm sums each pair's residual in one NuSum.
+its terms in a caller's NuSums, one per partner, instead of returning
+series, so verify_qmm sums each pair's residual in one NuSum.
 """
 from __future__ import annotations
 
@@ -361,14 +361,14 @@ class PoissonStructure(Record, frozen=True, eq=False):
         return tuple(map(tuple, mat_inverse(self.matrix)))
 
 
-def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: int) -> list:
-    """Walk the multisets of directed pairs of P of every size up to
-    limit at once, one pair index at a time.
+def transvection_terms(f: CoefFn, gs: list | None, P: PoissonStructure, limits, odd=False) -> list:
+    """Walk the multisets of directed pairs of P of every size at once,
+    one pair index at a time, for f against each partner in gs up to its
+    own limit in limits (one int >= 0 each, else ValueError, as for an
+    operand of another nv); gs None walks f alone up to the one limit,
+    with no memo, where a row walk reads the memos (CoefFn.step).
 
-    f and g are functions on the coordinates of P; g is None for a
-    one-sided walk, which keeps no memo.  An operand of another nv or a
-    negative limit raises ValueError.  A joint walk reads the memos
-    (CoefFn.step).  Returns terms, where terms[m] lists
+    Returns one terms list per partner: terms[m] lists
     (w, d^u f, d^w g, weight) in walk order for every multiset of m pairs
     whose derivatives are nonzero (d^w g is None one-sided).  u and w are
     the derivative multi-indices it puts on the first and second
@@ -377,103 +377,98 @@ def transvection_terms(f: CoefFn, g: CoefFn | None, P: PoissonStructure, limit: 
     val = delta * Lambda^{uw} the integer pair values of P, so that
     C_m(f, g) = delta^-m sum weight * d^u f * d^w g.  Each step multiplies
     the weight by val * (size + c) and divides by c exactly: the quotient
-    is val times the binomial (size + c choose c), an integer.
-
-    The walk records every multiset whose derivatives are nonzero, and
-    only those, so terms grows one size at a time as the walk reaches
-    it: len(terms) - 1 is the largest size that has a multiset, and C_m
-    vanishes for every larger m.
+    is val times the binomial (size + c choose c), an integer.  With odd
+    only the odd sizes, which a commutator contracts, are recorded.
+    Every size a partner reaches gets a list, so len(terms) - 1 is the
+    largest size that has a multiset, and C_m vanishes for every larger m.
     """
-    if f.nv != P.nv or (g is not None and g.nv != P.nv):
+    one_sided = gs is None
+    gs = [None] if one_sided else gs
+    if any(h is not None and h.nv != P.nv for h in (f, *gs)):
         raise ValueError(f"an operand's nv differs from the Poisson structure's {P.nv}")
-    if limit < 0:
-        raise ValueError(f"the walk's limit must be >= 0, got {limit}")
-    terms = []
-    if f.terms and (g is None or g.terms):
-        terms.append([(0, f, g, 1)])
+    if len(gs) != len(limits) or min(limits, default=0) < 0:
+        raise ValueError(f"the walk needs one limit >= 0 per partner, got {limits!r}")
+    walks = [[] for _ in gs]
+    free = (maxsize,) * (P.nv + 2)
+    row = []
+    for g, limit, terms in zip(gs, limits, walks):
+        if f.terms and (one_sided or g.terms):
+            terms.append([] if odd else [(0, f, g, 1)])
+            if limit:
+                row.append((g, terms, limit, g, free if one_sided else g.caps))
+    if row:
         units = key_layout(P.nv).units
-        _extend((P.directed_pairs, units, limit, f, g, terms), 0, 0, 0, 0, f, g, 1)
-    return terms
+        _extend((P.directed_pairs, units, None if one_sided else f, odd), 0, 0, 0, 0, f, 1, row)
+    return walks
 
 
-def _extend(walk, start, size, u, w, df, dg, weight):
+def _extend(walk, start, size, u, w, df, weight, row):
     """Record every multiset that extends one prefix of the given size
-    by pairs of index start or later; u, w, df, dg and weight are the
-    prefix's.  walk holds what the whole walk shares: the directed
-    pairs, the packed unit of each coordinate, the size limit, the
-    two operands and the terms by size.  A pair (a, b) is taken at most
-    as often as df and dg can be differentiated along a and b by their
-    own caps (CoefFn.caps), so no step lands on a zero derivative; an a
-    cap that is unbounded leaves the limit to bound the steps along a.
-    Most pairs have a zero cap on one side, so the caps are tested one
-    at a time, df's first, and the limit is taken only for a pair that
-    both sides can take."""
-    pairs, units, limit, f, g, terms = walk
-    left = limit - size
+    by pairs of index start or later; u, w, df and weight are the
+    prefix's, walk holds the directed pairs, the coordinate units, f
+    (None one-sided: a step differentiates directly) and odd, and row
+    (g, terms, limit, dg, dg's caps) per partner still going (limit >
+    size; g None and every cap maxsize one-sided).  A pair (a, b) is
+    taken while df's cap along a allows, and by each partner while its
+    dg's cap along b and its limit allow, so no step lands on a zero
+    derivative; an unbounded a cap leaves the limit to bound the a steps."""
+    pairs, units, f, odd = walk
     fcaps = df.caps
-    gcaps = None if g is None else dg.caps
     for idx in range(start, len(pairs)):
         a, b, val = pairs[idx]
         n = fcaps[a]
         if not n:
             continue
-        if gcaps is not None:
-            nb = gcaps[b]
-            if not nb:
-                continue
-            if nb < n:
-                n = nb
-        if left < n:
-            n = left
-        uk, wk, d, e, wt = u, w, df, dg, weight
-        for c in range(1, n + 1):
+        going = []
+        for p in row:
+            k = p[4][b]
+            if k:
+                going.append((k if k < n else n, p))
+        uk, wk, d, wt, m = u, w, df, weight, size
+        while going:
             uk += units[a]
             wk += units[b]
-            if g is None:
-                d = d.diff_coord(a)
-            else:
-                d, e = f.step(uk, d, a), g.step(wk, e, b)
-            wt = wt * val * (size + c) // c
-            if size + c == len(terms):
-                terms.append([])
-            terms[size + c].append((wk, d, e, wt))
-            if c < left:
-                _extend(walk, idx + 1, size + c, uk, wk, d, e, wt)
+            d = d.diff_coord(a) if f is None else f.step(uk, d, a)
+            m += 1
+            c = m - size
+            wt = wt * val * m // c
+            keep = m & 1 or not odd
+            again, deeper = [], []
+            for k, (g, terms, limit, e, caps) in going:
+                if g is not None:
+                    e = g.step(wk, e, b)
+                    caps = e.caps
+                if m == len(terms):
+                    terms.append([])
+                if keep:
+                    terms[m].append((wk, d, e, wt))
+                if m < limit:
+                    deeper.append(p := (g, terms, limit, e, caps))
+                    if c < k:
+                        again.append((k, p))
+            if deeper:
+                _extend(walk, idx + 1, m, uk, wk, d, wt, deeper)
+            going = again
 
 
-class PairWalk:
-    """The joint walk of an operand pair (f, g), transvection_terms up to
-    limit: C_m(f, g) for every m is read off terms[m].  g and P are kept
-    to check a reader's partner and structure.  A series holds one only
-    while it sums that pair."""
-
-    def __init__(self, f: CoefFn, g: CoefFn, P: PoissonStructure, limit: int):
-        self.g, self.P = g, P
-        self.terms = transvection_terms(f, g, P, limit)
-
-
-def c_operator(f: CoefFn | PairWalk, g: CoefFn, P: PoissonStructure, m: int, weight=None) -> CoefFn:
+def c_operator(f: CoefFn, g: CoefFn, P: PoissonStructure, m: int, weight=None) -> CoefFn:
     """(weight / m!) C_m(f, g), the m-th transvection for the constant
-    structure P, with the int weight the star product series take; the
-    weight defaults to m!, which gives C_m(f, g) itself.
-
-    f and g are walked jointly up to size m, a walk that ends by itself
-    at their joint degree; or f is the PairWalk of f with its partner g,
-    whose size-m terms are read without walking again.  Each term's
-    integer walk weight is scaled once, by weight / (m! delta^m), and its
-    products are accumulated in place.  A scale that is a whole number
-    is an int, so int coefficients give int coefficients."""
-    walk = f
-    if not isinstance(walk, PairWalk):
-        walk = PairWalk(f, g, P, m)
-    elif walk.P is not P or walk.g is not g:
-        raise ValueError("pair walk was taken for another partner or structure")
-    num, den = factorial(m) if weight is None else weight, factorial(m) * P.delta**m
-    scale = num // den if num % den == 0 else Fraction(num, den)
+    structure P, with an int weight; the weight defaults to m!, which
+    gives C_m(f, g) itself.  It is read off the walk of f against the one
+    partner g up to size m: each term's integer walk weight is scaled
+    once, by weight / (m! delta^m), an int when that is whole, so int
+    coefficients give int coefficients."""
+    terms, = transvection_terms(f, [g], P, [m])
+    scale = _ratio(factorial(m) if weight is None else weight, factorial(m) * P.delta**m)
     total: dict = {}
-    for _, df, dg, wt in walk.terms[m] if m < len(walk.terms) else ():
+    for _, df, dg, wt in terms[m] if m < len(terms) else ():
         accumulate(total, df.mul_items(dg, wt * scale))
     return CoefFn(P.nv, total)
+
+
+def _ratio(num: int, den: int):
+    """num / den, an int when den divides num."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 class NuSeries(Record):
@@ -536,7 +531,7 @@ class NuSeries(Record):
         if self.order != other.order:
             raise ValueError("series orders differ")
         dim = self.nv + 2
-        return moyal(self, other, PoissonStructure(self.nv, [[0] * dim] * dim), self.order)
+        return moyal(self, [other], PoissonStructure(self.nv, [[0] * dim] * dim), self.order)[0]
 
 
 class NuSum:
@@ -583,66 +578,73 @@ class NuSum:
 
 
 def _transvection_series(
-    F: NuSeries, G: NuSeries, P: PoissonStructure, order, first, step, weight, shift=0, into=None
-) -> NuSum:
+    F: NuSeries, Gs: list, P: PoissonStructure, order, odd, weight, shift=0, into=None
+) -> list:
     """Land nu^(i+j+m-shift) (weight / m!) C_m(F_i, G_j), over the powers
-    i of F and j of G and over m = first, first + step, .., in a NuSum of
-    the given order and return it: into, when given, else a new one.
-    The operands' exact flags carry over into it.
+    i of F and j of each partner series G of the row Gs and over every m
+    (every odd m with odd), in one NuSum of the order per partner, and
+    return those: into, when given, else new ones, each ANDed with the
+    operands' exact flags.
 
-    Each pair (F_i, G_j) of nonzero coefficients is walked once, for
-    every m at once, and the m loop ends at the last size of that walk,
-    past which C_m vanishes.  The walk ends there by itself, so it takes
-    no size limit while the sum is exact, and a sum that is already
-    inexact does not walk past the order.  The loop does not stop at a
-    zero C_m, which can vanish by cancellation while a larger one does
-    not.  Once the sum no longer wants a power of nu, the larger m of
-    that pair are skipped without computing them.  A term past the order
-    only has to be seen nonzero by land, so it lands as the bare walk sum
-    delta^m C_m (weight m! delta^m, scale 1).
+    Each F_i is walked once against every G_j of the row, and a partner's
+    m loop ends at the last size of its walk, past which C_m vanishes; it
+    takes no size limit while its sum is exact, and is not walked past the
+    order once its sum is inexact.  The loop does not stop at a zero C_m,
+    which can vanish by cancellation while a larger one does not, only
+    once the sum no longer wants the power of nu.  Each walk term's
+    products land straight in its partner's sum, scaled by
+    weight / (m! delta^m), taken once per m and call.  Past the order a
+    C_m only has to be seen nonzero by land, and its terms can cancel, so
+    they are summed first, as the bare walk sum delta^m C_m.
     """
-    out = NuSum(P.nv, order) if into is None else into
-    if out.order != order:
-        raise ValueError("the sum's order differs from the product's")
-    out.exact = out.exact and F.exact and G.exact
+    outs = [NuSum(P.nv, order) for _ in Gs] if into is None else into
+    if len(outs) != len(Gs) or any(out.order != order for out in outs):
+        raise ValueError("the sums must be one per partner, of the product's order")
+    partners = []
+    for out, G in zip(outs, Gs):
+        out.exact = out.exact and F.exact and G.exact
+        partners += [(out, j - shift, g) for j, g in G.terms.items()]
+    first, step, scales = int(odd), 1 + odd, {}
     for i, f in F.terms.items():
-        for j, g in G.terms.items():
-            t = i + j - shift
-            limit = maxsize if out.exact else order - t
-            if limit < first:
-                continue
-            walk = PairWalk(f, g, P, limit)
-            for m in range(first, len(walk.terms), step):
+        row = [(out, i + j, g, maxsize if out.exact else order - i - j) for out, j, g in partners]
+        row = [r for r in row if r[3] >= first]
+        walks = transvection_terms(f, [r[2] for r in row], P, [r[3] for r in row], odd)
+        for (out, t, *_), terms in zip(row, walks):
+            for m in range(first, len(terms), step):
                 if not out.wants(t + m):
                     break
-                w = weight if t + m <= order else factorial(m) * P.delta**m
-                out.land(t + m, c_operator(walk, g, P, m, w).terms.items())
-    return out
+                past = t + m > order
+                if not past and m not in scales:
+                    scales[m] = _ratio(weight, factorial(m) * P.delta**m)
+                dst = {} if past else out.terms[t + m]
+                for _, d, e, wt in terms[m]:
+                    accumulate(dst, d.mul_items(e, wt if past else wt * scales[m]))
+                if past:
+                    out.land(t + m, dst.items())
+    return outs
 
 
-def moyal(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
-    """Truncated star product sum_m nu^m / m! C_m, extended bilinearly."""
-    return _transvection_series(F, G, P, order, 0, 1, 1).series()
+def moyal(F: NuSeries, Gs: list, P: PoissonStructure, order: int) -> list:
+    """F * G = sum_m nu^m / m! C_m, truncated, for each G of the row Gs."""
+    return [s.series() for s in _transvection_series(F, Gs, P, order, False, 1)]
 
 
-def star_commutator(F: NuSeries, G: NuSeries, P: PoissonStructure, order: int) -> NuSeries:
-    """F * G - G * F, using that even transvections are symmetric."""
-    return _transvection_series(F, G, P, order, 1, 2, 2).series()
+def star_commutator(F: NuSeries, Gs: list, P: PoissonStructure, order: int) -> list:
+    """F * G - G * F for each G of the row Gs: even transvections cancel."""
+    return [s.series() for s in _transvection_series(F, Gs, P, order, True, 2)]
 
 
 def half_commutator(
-    F: NuSeries, G: NuSeries, P: PoissonStructure, order: int, into=None, weight: int = 1
-):
-    """(weight / (2 nu)) [F, G]: the commutator doubles the odd
-    transvections and cancels the even ones, so this is the sum of
-    nu^(m-1) (weight / m!) C_m over odd m.
-
-    Returns the series; with into, a NuSum of the given order, the terms
-    land there instead and into is returned.  An int weight that
-    m! delta^m divides for every m <= order + 1, with int coefficients in
-    F and G, lands int coefficients only (verify_qmm)."""
-    out = _transvection_series(F, G, P, order, 1, 2, weight, shift=1, into=into)
-    return out if into is not None else out.series()
+    F: NuSeries, Gs: list, P: PoissonStructure, order: int, into=None, weight: int = 1
+) -> list:
+    """(weight / (2 nu)) [F, G] for each G of the row Gs, the sum of
+    nu^(m-1) (weight / m!) C_m over odd m (the commutator doubles the odd
+    transvections and cancels the even ones), as series, or landed in
+    into, NuSums of the order, one per partner, and into returned.  An int
+    weight that m! delta^m divides for every m <= order + 1, with int
+    coefficients in F and G, lands int coefficients only (verify_qmm)."""
+    outs = _transvection_series(F, Gs, P, order, True, weight, shift=1, into=into)
+    return outs if into is not None else [s.series() for s in outs]
 
 
 def coef_to_json(f: CoefFn) -> dict:

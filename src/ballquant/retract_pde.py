@@ -299,7 +299,7 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
     buckets = defaultdict(lambda: NuSum(nv, order))
     for i, f in mu.series().terms.items():
         past = (order - i + 2) | 1  # the first odd m with i + m - 1 > order
-        terms = transvection_terms(f, None, table.P, past)
+        terms, = transvection_terms(f, None, table.P, [past], odd=True)
         for m in range(1, len(terms), 2):
             den = factorial(m) * table.P.delta**m
             for w, d, _, weight in terms[m]:

@@ -16,6 +16,8 @@ verify_qmm_oracle checks the moment identity on Fractions from that
 enumeration alone, never through the package's walk or star products,
 and uncapped_walk_oracle is the transvection walk before its exponent
 caps, its Fraction weights converted to the walk's integer ones.
+pair_walk_oracle is the capped walk of one operand pair, as the package
+walked each pair before it walked a coefficient against a whole row.
 apply_operator_oracle applies a retract operator through whole-series
 resize, product and sum, as the package did before it accumulated the
 products in place; retract_exact_oracle is the retract operator's exact
@@ -83,7 +85,7 @@ from ballquant.ball_quantization import QmmReport, _within, classical_moment, in
 from ballquant.ball_quantization import resolve_truncation_order
 from ballquant.ce_cohomology import zero_two_cochain
 from ballquant.formal_star import CoefFn, NuSeries, NuSum, c_operator, coef_to_json
-from ballquant.formal_star import transvection_terms
+from ballquant.formal_star import key_layout, transvection_terms
 from ballquant.lie_core import LieAlgebra, Subspace, structure_in, subspace_intersection
 from ballquant.linalg import Frame, bilinear, combine, nullspace, solve_in_span, split_symplectic
 from ballquant.linalg import transpose, vec_add, vec_scale
@@ -488,6 +490,49 @@ def uncapped_walk_oracle(f, g, P, limit: int) -> list:
     return terms
 
 
+def pair_walk_oracle(f, g, P, limit: int) -> list:
+    """transvection_terms as it was before it walked a row: the walk of
+    one operand pair (f, g), or of f alone for g None, up to one limit,
+    recording every size.  Each directed pair (a, b) is taken as often as
+    the caps of df along a, of dg along b and the limit allow, the joint
+    walk reading the memos (CoefFn.step) and the one-sided one stepping
+    by CoefFn.diff_coord.  Returns terms, terms[m] listing
+    (w, d^u f, d^w g, weight) for every multiset of m pairs whose
+    derivatives are nonzero, w packed and weight the walk's int.  Each
+    prefix is expanded by one call of _pair_extend, so a test can count
+    the expansions by wrapping it."""
+    terms = []
+    if f.terms and (g is None or g.terms):
+        terms.append([(0, f, g, 1)])
+        walk = (P.directed_pairs, key_layout(P.nv).units, limit, f, g, terms)
+        _pair_extend(walk, 0, 0, 0, 0, f, g, 1)
+    return terms
+
+
+def _pair_extend(walk, start, size, u, w, df, dg, weight):
+    pairs, units, limit, f, g, terms = walk
+    left = limit - size
+    fcaps = df.caps
+    gcaps = None if g is None else dg.caps
+    for idx in range(start, len(pairs)):
+        a, b, val = pairs[idx]
+        n = min(fcaps[a], left, maxsize if gcaps is None else gcaps[b])
+        uk, wk, d, e, wt = u, w, df, dg, weight
+        for c in range(1, n + 1):
+            uk += units[a]
+            wk += units[b]
+            if g is None:
+                d = d.diff_coord(a)
+            else:
+                d, e = f.step(uk, d, a), g.step(wk, e, b)
+            wt = wt * val * (size + c) // c
+            if size + c == len(terms):
+                terms.append([])
+            terms[size + c].append((wk, d, e, wt))
+            if c < left:
+                _pair_extend(walk, idx + 1, size + c, uk, wk, d, e, wt)
+
+
 def apply_operator_oracle(op: dict, theta: NuSeries, order=None) -> NuSeries:
     """Apply a retract operator key by key: resize both sides to the order,
     differentiate every coefficient of theta, multiply the series and add
@@ -511,7 +556,7 @@ def retract_exact_oracle(table, x: dict, order: int) -> bool:
     exact = mu.exact
     for i, f in enumerate(mu.series().coeffs):
         past = (order - i + 2) | 1
-        exact = exact and len(transvection_terms(f, None, table.P, past)) <= past
+        exact = exact and len(transvection_terms(f, None, table.P, [past])[0]) <= past
     return exact
 
 

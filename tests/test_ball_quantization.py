@@ -14,6 +14,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb, lcm
+from sys import maxsize
 
 import pytest
 
@@ -41,7 +42,7 @@ from ballquant.ball_quantization import (
     resolve_truncation_order,
     verify_qmm,
 )
-from ballquant import ball_quantization
+from ballquant import ball_quantization, formal_star
 from ballquant.formal_star import CoefFn, NuSeries, NuSum, c_operator, key_layout, series_to_json
 from ballquant.lie_core import structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
@@ -705,13 +706,31 @@ def oracle_tables(N: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("N", [1, 2])
-def test_verify_qmm_matches_per_pair_oracle(N):
-    for table in oracle_tables(N).values():
-        for K in range(7):
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_verify_qmm_matches_per_pair_oracle(N, monkeypatch):
+    """verify_qmm reports what the per-pair oracle reports, at orders 0
+    to 6 for N = 1 and 2.  At N = 4 the alpha = 1 table and its two
+    mutations are checked at orders 0, 1, 2 and 12, where a sum turns
+    inexact: a row is then walked with the size limit order - t for the
+    partners whose sums are inexact and with none for the others, and
+    both occur in one walk (counted by wrapping transvection_terms)."""
+    rows, walk = [], formal_star.transvection_terms
+
+    def spy(f, gs, P, limits, odd=False):
+        rows.append(limits)
+        return walk(f, gs, P, limits, odd)
+
+    monkeypatch.setattr(formal_star, "transvection_terms", spy)
+    tables = oracle_tables(N)
+    if N == 4:
+        del tables["symbolic"]
+    for table in tables.values():
+        for K in range(7) if N < 4 else (0, 1, 2, 12):
             for pairs in ("all", "s"):
                 rep = verify_qmm(table, K, pairs)
                 assert_same_report(rep, verify_qmm_oracle(table, K, pairs))
+    if N == 4:
+        assert any(maxsize in limits and min(limits) < maxsize for limits in rows)
 
 
 def test_verify_qmm_matches_per_pair_oracle_n3():

@@ -2,10 +2,11 @@
 
 ``perfbench/tracer.py`` wraps every ``(module, attr)`` in its ``TARGETS``
 and ``COUNT_ONLY`` lists; a refactor that renames or removes one of them
-breaks traced benchmark runs.  This test fails first.  The selectivity
-check plants a delay on ``formal_star.c_operator`` through the same
-rebinding and expects the ``qmm`` workload to feel it, so ``verify_qmm``
-must still reach the star product through that name.  The in-process
+breaks traced benchmark runs.  This test fails first.  ``verify_qmm``
+reaches the star product through ``formal_star.half_commutator``, one
+call per row of moments, so a traced ``qmm`` run charges the walk to
+that name; ``c_operator`` is no longer on its path, and the selectivity
+row that plants a delay there to move ``qmm`` cannot move.  The in-process
 workloads of ``perfbench/workloads.py`` call package functions directly
 (``solve_in_span``, ``k_basis``, the table basis) and check every answer;
 one pass of each at seed 1 must report every check ok, and a second
@@ -71,33 +72,11 @@ def test_every_hook_has_a_traced_function():
     assert set(tracer.HOOKS) <= traced
 
 
-def test_verify_qmm_calls_the_rebound_c_operator():
-    """verify_qmm reaches c_operator by its module name, for the odd m
-    that half_commutator takes."""
-    from ballquant.ball_quantization import build_qmm, verify_qmm
-
-    calls = []
-
-    def make_wrapper(original):
-        def wrapper(*args, **kwargs):
-            calls.append(args[3])
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    undo = tracer.rebind("formal_star", "c_operator", make_wrapper)
-    try:
-        report = verify_qmm(build_qmm(2))
-    finally:
-        tracer.restore(undo)
-    assert report.ok and report.exact
-    assert calls and all(m % 2 for m in calls)
-
-
-def test_verify_qmm_calls_the_rebound_half_commutator_once_per_pair():
+def test_verify_qmm_calls_the_rebound_half_commutator_once_per_row():
     """verify_qmm lands each pair's commutator through half_commutator,
-    reached by its module name once per checked pair, so a traced qmm run
-    charges the pair walk to formal_star."""
+    reached by its module name once per row, the moment of the row
+    against every later one, so the rows cover every checked pair once
+    and a traced qmm run charges the row walk to formal_star."""
     from ballquant.ball_quantization import build_qmm, verify_qmm
 
     calls = []
@@ -115,7 +94,8 @@ def test_verify_qmm_calls_the_rebound_half_commutator_once_per_pair():
     finally:
         tracer.restore(undo)
     assert report.ok and report.exact
-    assert len(calls) == report.checked == 28
+    assert [len(row) for _, row in calls] == [7, 6, 5, 4, 3, 2, 1]
+    assert sum(len(row) for _, row in calls) == report.checked == 28
 
 
 def test_h2_dimension_builds_its_rows_through_the_rebound_d2_row():
@@ -149,12 +129,12 @@ def test_warm_qmm_pass_reads_no_structure_constants():
     """Each chart keeps the brackets it has read: after one qmm pass at
     seed 1, a second pass calls LieAlgebra.bracket zero times, still
     reports every check ok and still reaches the rebound
-    formal_star.c_operator."""
+    formal_star.half_commutator."""
     work = load_workloads().make("qmm", 1, ROOT)
     checks = work.setup()
     for step in work.steps():
         checks += step()
-    bracket_calls, c_calls = [], []
+    bracket_calls, star_calls = [], []
 
     def counting(calls):
         def make_wrapper(original):
@@ -167,13 +147,13 @@ def test_warm_qmm_pass_reads_no_structure_constants():
         return make_wrapper
 
     undo = tracer.rebind("lie_core", "LieAlgebra.bracket", counting(bracket_calls))
-    undo += tracer.rebind("formal_star", "c_operator", counting(c_calls))
+    undo += tracer.rebind("formal_star", "half_commutator", counting(star_calls))
     try:
         for step in work.steps():
             checks += step()
     finally:
         tracer.restore(undo)
-    assert not bracket_calls and c_calls
+    assert not bracket_calls and star_calls
     assert len(checks) == 9 and all(check[1] for check in checks)
 
 

@@ -34,6 +34,7 @@ ALLOWLIST = {
     "ce_cohomology.coboundary_primitive_psd": BENCHMARK,
     "ce_cohomology.cochain_to_json": EXPORT,
     "ce_cohomology.cochain_from_json": EXPORT,
+    "formal_star.c_operator": BENCHMARK,
     "formal_star.star_commutator": BENCHMARK,
     "formal_star.series_from_json": EXPORT,
     "lie_core.LieAlgebra.from_json": EXPORT,

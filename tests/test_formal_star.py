@@ -10,7 +10,9 @@ import gc
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
+from sys import maxsize
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,11 +25,11 @@ from ballquant.ball_quantization import (
     poisson_structure,
     verify_qmm,
 )
+from ballquant import formal_star
 from ballquant.formal_star import (
     CoefFn,
     NuSeries,
     NuSum,
-    PairWalk,
     PoissonStructure,
     c_operator,
     coef_from_json,
@@ -44,7 +46,8 @@ from ballquant.retract_pde import apply_operator, k_basis, retract_operator
 from ballquant.scalars import collect
 
 from oracles import degree, poisson_pairs, substitute_alpha, transvection_oracle
-from oracles import nu_series, uncapped_walk_oracle
+import oracles
+from oracles import nu_series, pair_walk_oracle, uncapped_walk_oracle
 
 
 def std_structure(nv: int, p=F(1, 2), vv=F(1)) -> PoissonStructure:
@@ -159,12 +162,12 @@ def test_moyal_flat_pair_frozen():
     P = std_structure(2)
     v1 = mono(2, k=(1, 0))
     v2 = mono(2, k=(0, 1))
-    s = moyal(NuSeries.from_coef(v1, 2), NuSeries.from_coef(v2, 2), P, 2)
+    s, = moyal(NuSeries.from_coef(v1, 2), [NuSeries.from_coef(v2, 2)], P, 2)
     assert s.exact
     assert s.coeffs[0].decoded() == {(0, (1, 1), 0, 0): F(1)}
     assert s.coeffs[1].decoded() == {(0, (0, 0), 0, 0): F(1)}
     assert s.coeffs[2].is_zero()
-    comm = star_commutator(NuSeries.from_coef(v1, 2), NuSeries.from_coef(v2, 2), P, 2)
+    comm, = star_commutator(NuSeries.from_coef(v1, 2), [NuSeries.from_coef(v2, 2)], P, 2)
     assert comm.coeffs[0].is_zero() and comm.coeffs[2].is_zero()
     assert comm.coeffs[1].decoded() == {(0, (0, 0), 0, 0): F(2)}
 
@@ -173,7 +176,7 @@ def test_moyal_exponential_pair_frozen():
     P = std_structure(2)
     z2 = mono(2, q=2)
     e2a = mono(2, p=-2)
-    s = moyal(NuSeries.from_coef(z2, 3), NuSeries.from_coef(e2a, 3), P, 3)
+    s, = moyal(NuSeries.from_coef(z2, 3), [NuSeries.from_coef(e2a, 3)], P, 3)
     assert s.exact
     assert s.coeffs[0].decoded() == {(-2, (0, 0), 0, 2): F(1)}
     assert s.coeffs[1].decoded() == {(-2, (0, 0), 0, 1): F(2)}
@@ -185,13 +188,13 @@ def test_moyal_exactness_flag_is_sharp():
     P = std_structure(2)
     z2 = mono(2, q=2)
     # every higher operator vanishes because d/da z^2 = 0
-    s = moyal(NuSeries.from_coef(z2, 0), NuSeries.from_coef(z2, 0), P, 0)
+    s, = moyal(NuSeries.from_coef(z2, 0), [NuSeries.from_coef(z2, 0)], P, 0)
     assert s.exact
     assert s.coeffs[0].decoded() == {(0, (0, 0), 0, 4): F(1)}
     # here C_1 is nonzero and gets truncated away
     z = mono(2, q=1)
     e2a = mono(2, p=-2)
-    t = moyal(NuSeries.from_coef(z, 0), NuSeries.from_coef(e2a, 0), P, 0)
+    t, = moyal(NuSeries.from_coef(z, 0), [NuSeries.from_coef(e2a, 0)], P, 0)
     assert not t.exact
 
 
@@ -218,10 +221,10 @@ def test_exact_flag_is_sound(product):
     for _ in range(40):
         f, g = rand_series(2, rng), rand_series(2, rng)
         K = rng.randint(0, 4)
-        small = product(f, g, P, K)
+        small, = product(f, [g], P, K)
         flags.add(small.exact)
         if small.exact:
-            assert_sound(small, product(f, g, P, K + 4), K)
+            assert_sound(small, product(f, [g], P, K + 4)[0], K)
     assert flags == {True, False}
 
 
@@ -233,8 +236,8 @@ def test_moyal_associativity_random():
         f = NuSeries.from_coef(rand_fn(2, rng), K)
         g = NuSeries.from_coef(rand_fn(2, rng), K)
         h = NuSeries.from_coef(rand_fn(2, rng), K)
-        left = moyal(moyal(f, g, P, K), h, P, K)
-        right = moyal(f, moyal(g, h, P, K), P, K)
+        (fg,), (gh,) = moyal(f, [g], P, K), moyal(g, [h], P, K)
+        (left,), (right,) = moyal(fg, [h], P, K), moyal(f, [gh], P, K)
         for i in range(K + 1):
             assert left.coeffs[i].sub(right.coeffs[i]).is_zero()
 
@@ -249,10 +252,10 @@ def test_transvection_walk_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        assert len(transvection_terms(f.coeffs[0], None, table.P, 3)) == 4
-        assert len(transvection_terms(f.coeffs[0], g.coeffs[0], table.P, 8)) > 1
+        assert len(transvection_terms(f.coeffs[0], None, table.P, [3])[0]) == 4
+        assert len(transvection_terms(f.coeffs[0], [g.coeffs[0]] * 2, table.P, [8, 2])[0]) > 1
         assert not c_operator(f.coeffs[0], g.coeffs[0], table.P, 1).is_zero()
-        assert not half_commutator(f, g, table.P, 4).is_zero()
+        assert not half_commutator(f, [g], table.P, 4)[0].is_zero()
         assert verify_qmm(small).ok
         assert gc.collect() == 0
     finally:
@@ -268,10 +271,25 @@ def test_series_do_not_stop_at_a_zero_transvection():
     assert c_operator(f, g, P, 3).decoded() == {(0, (3, 0), 0, 0): F(-48)}
     for m in range(9):
         assert c_operator(f, g, P, m).terms == c_operator_oracle(f, g, P, m).terms
-    h = half_commutator(NuSeries.from_coef(f, 4), NuSeries.from_coef(g, 4), P, 4)
+    h, = half_commutator(NuSeries.from_coef(f, 4), [NuSeries.from_coef(g, 4)], P, 4)
     assert h.exact
     assert h.coeffs[2].decoded() == {(0, (3, 0), 0, 0): F(-8)}
     assert all(h.coeffs[t].is_zero() for t in (0, 1, 3, 4))
+
+
+def test_a_transvection_that_cancels_past_the_order_keeps_the_sum_exact():
+    """[F, F] = 0: each odd C_m(f, f) cancels, though its walk terms do
+    not, so a commutator of a series with itself stays exact and zero at
+    every order, the low ones too, where those C_m fall past the order."""
+    P = poisson_structure(build_chart(2))
+    f = mono(2, p=1, k=(2, 1), q=2).add(mono(2, k=(1, 3), q=1))
+    walk, = transvection_terms(f, [f], P, [maxsize])
+    assert len(walk) > 6 and walk[5]
+    for K in range(4):
+        F_ = NuSeries.from_coef(f, K)
+        for product in (star_commutator, half_commutator):
+            s, = product(F_, [F_], P, K)
+            assert s.exact and s.is_zero()
 
 
 def low_degree_series(rng, deg):
@@ -327,7 +345,7 @@ def test_star_products_match_the_unpruned_series():
             ]
             for product, *shape in SERIES_SHAPES:
                 for K in range(5):
-                    got = product(A, B, P, K)
+                    got, = product(A, [B], P, K)
                     coeffs, exact = series_oracle(landed, K, *shape)
                     assert [c.terms for c in got.coeffs] == coeffs
                     assert got.exact == exact
@@ -352,7 +370,7 @@ def test_moyal_matches_a_sympy_expansion():
     f = mono(2, p=1, k=(1, 0), q=1, c=F(3)).add(mono(2, p=-2, k=(0, 2)))
     g = mono(2, p=2, q=2).add(mono(2, p=2, k=(1, 1))).add(mono(2, k=(1, 0), c=F(-1, 2)))
     order = degree(f) + degree(g)
-    got = moyal(NuSeries.from_coef(f, order), NuSeries.from_coef(g, order), P, order)
+    got, = moyal(NuSeries.from_coef(f, order), [NuSeries.from_coef(g, order)], P, order)
     assert got.exact
     h = expr(f, xs) * expr(g, ys)
     at_x = dict(zip(ys, xs))
@@ -381,7 +399,9 @@ def holds_memo(f: CoefFn) -> bool:
 
 def test_series_reuse_matches_fresh_products():
     """One NuSeries per operand, reused across every product it enters,
-    gives the products of fresh copies, exact flag included."""
+    gives the products of fresh copies, exact flag included, and a row
+    of partners (the operand itself among them) gives what each partner
+    gives alone."""
     rng = random.Random(11)
     P = std_structure(2)
     K = 4
@@ -391,9 +411,9 @@ def test_series_reuse_matches_fresh_products():
     ]
     for product in (moyal, star_commutator, half_commutator):
         for a in range(3):
-            for b in range(3):
-                got = product(series[a], series[b], P, K)
-                want = product(copies(series[a]), copies(series[b]), P, K)
+            row = product(series[a], series, P, K)
+            for b, got in enumerate(row):
+                want, = product(copies(series[a]), [copies(series[b])], P, K)
                 assert got.exact == want.exact
                 assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
     assert all(holds_memo(c) for s in series for c in s.coeffs if c.terms)
@@ -409,13 +429,6 @@ def test_memo_is_shared_across_structures():
         for S in (P, Q):
             assert c_operator(f, g, S, m) == c_operator(fresh(f), fresh(g), S, m)
     assert holds_memo(f) and holds_memo(g)
-    h = mono(2, p=1, k=(1, 0), q=1)
-    walk = PairWalk(h, h, P, 2)
-    with pytest.raises(ValueError):
-        c_operator(walk, fresh(h), P, 1)
-    with pytest.raises(ValueError):
-        c_operator(walk, walk.g, Q, 1)
-    assert c_operator(walk, walk.g, P, 1).is_zero()
 
 
 def test_checks_leave_no_memo_on_the_table():
@@ -431,17 +444,17 @@ def test_checks_leave_no_memo_on_the_table():
 
 
 def test_one_sided_walk_keeps_no_memo():
-    """A one-sided walk (g None) differentiates each step directly and
+    """A one-sided walk (gs None) differentiates each step directly and
     leaves f with no memo; it records the derivatives and weights that
-    the joint walk records against a partner no step exhausts."""
+    the row walk records against a partner no step exhausts."""
     rng = random.Random(8)
     P = std_structure(2)
     g = mono(2, p=1, k=(5, 5), q=5)
     for _ in range(4):
         f = rand_fn(2, rng, terms=4)
-        one_sided = transvection_terms(f, None, P, 4)
+        one_sided, = transvection_terms(f, None, P, [4])
         assert len(one_sided) > 2 and not holds_memo(f)
-        joint = transvection_terms(fresh(f), g, P, 4)
+        joint, = transvection_terms(fresh(f), [g], P, [4])
         assert [[(d, wt) for _, d, _, wt in t] for t in one_sided] == [
             [(d, wt) for _, d, _, wt in t] for t in joint
         ]
@@ -483,16 +496,82 @@ def test_capped_walk_records_what_the_uncapped_walk_records(f, g, which, limit):
     degree, where the terms end at their last nonempty size."""
     P = walk_structures()[which]
     for other in (g, None):
-        got = transvection_terms(fresh(f), None if other is None else fresh(other), P, limit)
+        got, = transvection_terms(fresh(f), None if other is None else [fresh(other)], P, [limit])
         index = key_layout(P.nv).index
         got = [[(index(w), *rest) for w, *rest in terms] for terms in got]
         assert got == uncapped_walk_oracle(f, other, P, limit)
         assert all(type(wt) is int for terms in got for *_, wt in terms)
 
 
+# Rows of partners: an index into a pool of drawn functions, whose last
+# entry is the zero function, and a size limit.
+walk_rows = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 2, 3, 4, maxsize])), max_size=5
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(walk_fns, st.lists(walk_fns, min_size=1, max_size=3), walk_rows, st.sampled_from([0, 1]),
+       st.booleans())
+@example(mono(2, k=(2, 1), q=1), [mono(2, k=(0, 3), q=2)], [(0, 4), (0, maxsize), (1, 2)], 0, False)
+@example(mono(2, p=1, k=(1, 0)), [mono(2, p=-1, k=(0, 1), q=1)], [], 1, True)
+def test_row_walk_gives_each_partner_its_pair_walk(f, pool, row, which, odd):
+    """For every partner of a row, the row walk records the terms
+    (w, d^u f, d^w g, weight) of each size, in walk order, that the walk of
+    that pair alone records (pair_walk_oracle), up to the partner's own
+    limit; with odd, the even sizes stay empty.  The rows mix limits 0 to
+    4 and maxsize, zero partners, the same CoefFn more than once and the
+    empty row; the one-sided walk takes each limit but maxsize, which the
+    a direction alone would never reach, and keeps no memo."""
+    P = walk_structures()[which]
+    shared = [fresh(g) for g in pool] + [CoefFn.zero(2)]
+    partners = [shared[i % len(shared)] for i, _ in row]
+    limits = [limit for _, limit in row]
+    got = transvection_terms(fresh(f), partners, P, limits, odd)
+    assert len(got) == len(row)
+    for terms, g, limit in zip(got, partners, limits):
+        want = pair_walk_oracle(fresh(f), fresh(g), P, limit)
+        assert terms == [[] if odd and m % 2 == 0 else t for m, t in enumerate(want)]
+    for limit in range(5):
+        alone = fresh(f)
+        got, = transvection_terms(alone, None, P, [limit], odd)
+        want = pair_walk_oracle(fresh(f), None, P, limit)
+        assert got == [[] if odd and m % 2 == 0 else t for m, t in enumerate(want)]
+        assert not holds_memo(alone)
+
+
+def test_verify_qmm_walks_each_row_once(monkeypatch):
+    """verify_qmm walks each moment coefficient once against its whole
+    row of partners: at N = 8, order 12 the walk expands a prefix (calls
+    formal_star._extend) at least 3 times less often than walking every
+    pair of coefficients on its own (oracles._pair_extend), which a fall
+    back to per-pair walking would match."""
+    counts = {"row": 0, "pair": 0}
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(formal_star, "_extend", "row")
+    counting(oracles, "_pair_extend", "pair")
+    table = build_qmm(8)
+    assert verify_qmm(table, 12).ok
+    coeffs = [[fresh(f) for f in s.terms.values()] for s in table.moments]
+    for fs, gs in combinations(coeffs, 2):
+        for f in fs:
+            for g in gs:
+                pair_walk_oracle(f, g, table.P, maxsize)
+    assert counts["row"] and 3 * counts["row"] <= counts["pair"]
+
+
 def test_no_walk_step_lands_on_a_zero_derivative(monkeypatch):
     """Each step is bounded by the caps of the derivative it starts from,
-    which are exact per coordinate, so neither the joint walk of
+    which are exact per coordinate, so neither the row walk of
     verify_qmm nor the one-sided walk of retract_operator takes a
     derivative that is zero."""
     calls = []
@@ -529,16 +608,20 @@ def test_walk_refuses_operands_of_another_nv():
     with pytest.raises(ValueError, match="nv differs"):
         c_operator(g, f, P, 1)
     with pytest.raises(ValueError, match="nv differs"):
-        transvection_terms(f, None, P, 2)
-    with pytest.raises(ValueError, match="limit must be >= 0"):
-        transvection_terms(g, None, P, -1)
-    with pytest.raises(ValueError, match="limit must be >= 0"):
+        transvection_terms(f, None, P, [2])
+    with pytest.raises(ValueError, match="nv differs"):
+        transvection_terms(g, [g, f], P, [2, 2])
+    with pytest.raises(ValueError, match="one limit >= 0 per partner"):
+        transvection_terms(g, None, P, [-1])
+    with pytest.raises(ValueError, match="one limit >= 0 per partner"):
+        transvection_terms(g, [g, g], P, [2])
+    with pytest.raises(ValueError, match="one limit >= 0 per partner"):
         c_operator(g, g, P, -1)
     for a, b in ((f, g), (g, f)):
         for combine in (a.add, a.sub, a.mul):
             with pytest.raises(ValueError, match="do not combine"):
                 combine(b)
-    assert len(transvection_terms(g, None, P, 2)) == 2
+    assert len(transvection_terms(g, None, P, [2])[0]) == 2
 
 
 def test_half_commutator():
@@ -546,27 +629,31 @@ def test_half_commutator():
     P = std_structure(2)
     for _ in range(5):
         f, g = rand_fn(2, rng), rand_fn(2, rng)
-        h = half_commutator(NuSeries.from_coef(f, 4), NuSeries.from_coef(g, 4), P, 4)
+        h, = half_commutator(NuSeries.from_coef(f, 4), [NuSeries.from_coef(g, 4)], P, 4)
         assert h.coeffs[0].sub(c_operator(f, g, P, 1)).is_zero()
 
 
 def test_half_commutator_lands_into_a_given_sum():
-    """into receives the half commutator, the operands' exact flags
-    included, and is returned; a sum of another order is refused."""
+    """into, one sum per partner, receives the half commutators, the
+    operands' exact flags included, and is returned; a sum of another
+    order, or a sum count other than the partner count, is refused."""
     rng = random.Random(17)
     P = std_structure(2)
     for K in range(4):
         A, B = low_degree_series(rng, 3), low_degree_series(rng, 3)
         A.exact, B.exact = K != 2, K != 3
-        want = half_commutator(A, B, P, K)
-        acc = NuSum(2, K)
-        assert half_commutator(A, B, P, K, acc) is acc
-        got = acc.series()
-        assert got.exact == want.exact
-        assert not got.exact or (A.exact and B.exact)
-        assert [c.terms for c in got.coeffs] == [c.terms for c in want.coeffs]
+        want = half_commutator(A, [B, A], P, K)
+        acc = [NuSum(2, K), NuSum(2, K)]
+        assert half_commutator(A, [B, A], P, K, acc) is acc
+        for s, w, partner in zip(acc, want, (B, A)):
+            got = s.series()
+            assert got.exact == w.exact
+            assert not got.exact or (A.exact and partner.exact)
+            assert [c.terms for c in got.coeffs] == [c.terms for c in w.coeffs]
     with pytest.raises(ValueError, match="order"):
-        half_commutator(A, B, P, 2, NuSum(2, 3))
+        half_commutator(A, [B], P, 2, [NuSum(2, 3)])
+    with pytest.raises(ValueError, match="one per partner"):
+        half_commutator(A, [B, A], P, 2, [NuSum(2, 2)])
 
 
 def test_nu_sum_add_of_zero_times_a_series_changes_nothing():

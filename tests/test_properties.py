@@ -499,8 +499,8 @@ def test_moyal_associativity(f, g, h):
     P = calibrated_structure()
     K = total_degree(f) + total_degree(g) + total_degree(h)
     F_, G_, H_ = (NuSeries.from_coef(x, K) for x in (f, g, h))
-    left = moyal(moyal(F_, G_, P, K), H_, P, K)
-    right = moyal(F_, moyal(G_, H_, P, K), P, K)
+    (FG,), (GH,) = moyal(F_, [G_], P, K), moyal(G_, [H_], P, K)
+    (left,), (right,) = moyal(FG, [H_], P, K), moyal(F_, [GH], P, K)
     assert left.exact and right.exact
     assert [c.terms for c in left.coeffs] == [c.terms for c in right.coeffs]
 
@@ -515,7 +515,7 @@ def test_star_commutator_jacobi(f, g, h):
     F_, G_, H_ = (NuSeries.from_coef(x, K) for x in (f, g, h))
 
     def br(x, y):
-        return star_commutator(x, y, P, K)
+        return star_commutator(x, [y], P, K)[0]
 
     total = br(F_, br(G_, H_)).add(br(G_, br(H_, F_))).add(br(H_, br(F_, G_)))
     assert total.is_zero()
@@ -571,8 +571,8 @@ def test_integer_scaled_star_commutator_divides_back(fs, g, P, K):
     A, B = nu_series(fs).resize(K), NuSeries.from_coef(g, K)
     D = lcm(*(c.denominator for S in (A, B) for f in S.coeffs for c in f.terms.values()))
     L = factorial(K + 1) * P.delta ** (K + 1)
-    want = half_commutator(A, B, P, K)
-    got = half_commutator(in_z(A, D), in_z(B, D), P, K, weight=L)
+    want, = half_commutator(A, [B], P, K)
+    got, = half_commutator(in_z(A, D), [in_z(B, D)], P, K, weight=L)
     assert all(type(c) is int for f in got.coeffs for c in f.terms.values())
     assert got.exact == want.exact
     assert [f.scale(F(1, L * D * D)).terms for f in got.coeffs] == [f.terms for f in want.coeffs]

@@ -362,7 +362,7 @@ def test_apply_operator_is_the_half_commutator():
             if c:
                 mu = mu.add(mom.resize(order).scale(c))
         got = apply_operator(retract_operator(table, x, order), theta, order)
-        want = half_commutator(mu, theta, table.P, order)
+        want, = half_commutator(mu, [theta], table.P, order)
         assert all(a.terms == b.terms for a, b in zip(got.coeffs, want.coeffs))
 
 
