@@ -27,9 +27,10 @@ transvection operators
 terminate on this ring because every nonzero Lambda entry differentiates
 a polynomial variable on at least one side.  One walk, transvection_terms,
 enumerates the multisets of directed pairs behind C_m for every m at
-once, deriving each derivative from its parent by one step, for f
-against a row of partners, each up to its own size limit (the star
-products), or for f alone (the retract operator).
+once, deriving each derivative from its parent by one step, up to one
+size limit per walk: for f against a row of partners (the star products,
+which take no limit, and c_operator), or for f alone (the retract
+operator).
 
 Each CoefFn keeps its exponent caps (CoefFn.caps, taken once per
 function and read off its largest fields): the largest exponent of each
@@ -57,7 +58,8 @@ structure it reaches each multi-index by one multiset only.
 The star product series walk each stored coefficient of the first
 operand once against every stored coefficient of a row of partner
 series, land each walk term straight in its partner's NuSum and stop a
-partner at its last size.  A walk lives only while its row is summed; a
+partner at its last size, past the order too, where only NuSum.land
+decides what is dropped.  A walk lives only while its row is summed; a
 caller that takes many star products of the same series (verify_qmm over
 the rows of the moment table) differentiates each coefficient at most
 once per multi-index, and one that wants no memo to outlive its call
@@ -361,12 +363,12 @@ class PoissonStructure(Record, frozen=True, eq=False):
         return tuple(map(tuple, mat_inverse(self.matrix)))
 
 
-def transvection_terms(f: CoefFn, gs: list | None, P: PoissonStructure, limits, odd=False) -> list:
-    """Walk the multisets of directed pairs of P of every size at once,
-    one pair index at a time, for f against each partner in gs up to its
-    own limit in limits (one int >= 0 each, else ValueError, as for an
-    operand of another nv); gs None walks f alone up to the one limit,
-    with no memo, where a row walk reads the memos (CoefFn.step).
+def transvection_terms(f: CoefFn, gs: list | None, P: PoissonStructure, limit: int, odd=False) -> list:
+    """Walk the multisets of directed pairs of P of every size up to
+    limit, an int >= 0 (else ValueError, as for an operand of another
+    nv), at once, one pair index at a time, for f against each partner in
+    gs; gs None walks f alone, with no memo, where a row walk reads the
+    memos (CoefFn.step).
 
     Returns one terms list per partner: terms[m] lists
     (w, d^u f, d^w g, weight) in walk order for every multiset of m pairs
@@ -380,39 +382,41 @@ def transvection_terms(f: CoefFn, gs: list | None, P: PoissonStructure, limits, 
     is val times the binomial (size + c choose c), an integer.  With odd
     only the odd sizes, which a commutator contracts, are recorded.
     Every size a partner reaches gets a list, so len(terms) - 1 is the
-    largest size that has a multiset, and C_m vanishes for every larger m.
+    largest size that has a multiset, and C_m vanishes for every larger m
+    when that is below the limit.
     """
     one_sided = gs is None
     gs = [None] if one_sided else gs
     if any(h is not None and h.nv != P.nv for h in (f, *gs)):
         raise ValueError(f"an operand's nv differs from the Poisson structure's {P.nv}")
-    if len(gs) != len(limits) or min(limits, default=0) < 0:
-        raise ValueError(f"the walk needs one limit >= 0 per partner, got {limits!r}")
+    if type(limit) is not int or limit < 0:
+        raise ValueError(f"the walk needs an int limit >= 0, got {limit!r}")
     walks = [[] for _ in gs]
     free = (maxsize,) * (P.nv + 2)
     row = []
-    for g, limit, terms in zip(gs, limits, walks):
+    for g, terms in zip(gs, walks):
         if f.terms and (one_sided or g.terms):
             terms.append([] if odd else [(0, f, g, 1)])
-            if limit:
-                row.append((g, terms, limit, g, free if one_sided else g.caps))
-    if row:
+            row.append((g, terms, g, free if one_sided else g.caps))
+    if row and limit:
         units = key_layout(P.nv).units
-        _extend((P.directed_pairs, units, None if one_sided else f, odd), 0, 0, 0, 0, f, 1, row)
+        walk = (P.directed_pairs, units, None if one_sided else f, odd, limit)
+        _extend(walk, 0, 0, 0, 0, f, 1, row)
     return walks
 
 
 def _extend(walk, start, size, u, w, df, weight, row):
-    """Record every multiset that extends one prefix of the given size
-    by pairs of index start or later; u, w, df and weight are the
-    prefix's, walk holds the directed pairs, the coordinate units, f
-    (None one-sided: a step differentiates directly) and odd, and row
-    (g, terms, limit, dg, dg's caps) per partner still going (limit >
-    size; g None and every cap maxsize one-sided).  A pair (a, b) is
-    taken while df's cap along a allows, and by each partner while its
-    dg's cap along b and its limit allow, so no step lands on a zero
-    derivative; an unbounded a cap leaves the limit to bound the a steps."""
-    pairs, units, f, odd = walk
+    """Record every multiset that extends one prefix of the given size,
+    below the limit, by pairs of index start or later; u, w, df and
+    weight are the prefix's, walk holds the directed pairs, the
+    coordinate units, f (None one-sided: a step differentiates directly),
+    odd and the limit, and row (g, terms, dg, dg's caps) per partner
+    still going (g None and every cap maxsize one-sided).  A pair (a, b)
+    is taken while df's cap along a allows, and by each partner while its
+    dg's cap along b allows, so no step lands on a zero derivative; a
+    step that reaches the limit ends the node, neither repeated nor
+    extended, which also bounds an unbounded a cap."""
+    pairs, units, f, odd, limit = walk
     fcaps = df.caps
     for idx in range(start, len(pairs)):
         a, b, val = pairs[idx]
@@ -421,7 +425,7 @@ def _extend(walk, start, size, u, w, df, weight, row):
             continue
         going = []
         for p in row:
-            k = p[4][b]
+            k = p[3][b]
             if k:
                 going.append((k if k < n else n, p))
         uk, wk, d, wt, m = u, w, df, weight, size
@@ -434,7 +438,7 @@ def _extend(walk, start, size, u, w, df, weight, row):
             wt = wt * val * m // c
             keep = m & 1 or not odd
             again, deeper = [], []
-            for k, (g, terms, limit, e, caps) in going:
+            for k, (g, terms, e, caps) in going:
                 if g is not None:
                     e = g.step(wk, e, b)
                     caps = e.caps
@@ -442,12 +446,12 @@ def _extend(walk, start, size, u, w, df, weight, row):
                     terms.append([])
                 if keep:
                     terms[m].append((wk, d, e, wt))
-                if m < limit:
-                    deeper.append(p := (g, terms, limit, e, caps))
-                    if c < k:
-                        again.append((k, p))
-            if deeper:
-                _extend(walk, idx + 1, m, uk, wk, d, wt, deeper)
+                deeper.append(p := (g, terms, e, caps))
+                if c < k:
+                    again.append((k, p))
+            if m == limit:
+                break
+            _extend(walk, idx + 1, m, uk, wk, d, wt, deeper)
             going = again
 
 
@@ -458,7 +462,7 @@ def c_operator(f: CoefFn, g: CoefFn, P: PoissonStructure, m: int, weight=None) -
     partner g up to size m: each term's integer walk weight is scaled
     once, by weight / (m! delta^m), an int when that is whole, so int
     coefficients give int coefficients."""
-    terms, = transvection_terms(f, [g], P, [m])
+    terms, = transvection_terms(f, [g], P, m)
     scale = _ratio(factorial(m) if weight is None else weight, factorial(m) * P.delta**m)
     total: dict = {}
     for _, df, dg, wt in terms[m] if m < len(terms) else ():
@@ -539,16 +543,11 @@ class NuSum:
     order to its term dict, made when a term first lands there.
 
     land is the one point where a term is dropped: past the order it is
-    not stored, and a nonzero one clears exact.  wants says whether a term
-    at a power can still change the sum, so that a caller can skip
-    computing one that cannot.
+    not stored, and a nonzero one clears exact.
     """
 
     def __init__(self, nv: int, order: int, exact: bool = True):
         self.nv, self.order, self.exact, self.terms = nv, order, exact, defaultdict(dict)
-
-    def wants(self, t: int) -> bool:
-        return t <= self.order or self.exact
 
     def land(self, t: int, items) -> None:
         if t <= self.order:
@@ -586,16 +585,15 @@ def _transvection_series(
     return those: into, when given, else new ones, each ANDed with the
     operands' exact flags.
 
-    Each F_i is walked once against every G_j of the row, and a partner's
-    m loop ends at the last size of its walk, past which C_m vanishes; it
-    takes no size limit while its sum is exact, and is not walked past the
-    order once its sum is inexact.  The loop does not stop at a zero C_m,
-    which can vanish by cancellation while a larger one does not, only
-    once the sum no longer wants the power of nu.  Each walk term's
+    Each F_i is walked once against every G_j of the row, with no size
+    limit, and a partner's m loop ends at the last size of its walk, past
+    which C_m vanishes.  The loop does not stop at a zero C_m, which can
+    vanish by cancellation while a larger one does not.  Each walk term's
     products land straight in its partner's sum, scaled by
     weight / (m! delta^m), taken once per m and call.  Past the order a
-    C_m only has to be seen nonzero by land, and its terms can cancel, so
-    they are summed first, as the bare walk sum delta^m C_m.
+    C_m only has to be seen nonzero by land, which drops it, and its terms
+    can cancel, so they are summed first, as the bare walk sum
+    delta^m C_m.
     """
     outs = [NuSum(P.nv, order) for _ in Gs] if into is None else into
     if len(outs) != len(Gs) or any(out.order != order for out in outs):
@@ -604,23 +602,21 @@ def _transvection_series(
     for out, G in zip(outs, Gs):
         out.exact = out.exact and F.exact and G.exact
         partners += [(out, j - shift, g) for j, g in G.terms.items()]
+    gs = [g for *_, g in partners]
     first, step, scales = int(odd), 1 + odd, {}
     for i, f in F.terms.items():
-        row = [(out, i + j, g, maxsize if out.exact else order - i - j) for out, j, g in partners]
-        row = [r for r in row if r[3] >= first]
-        walks = transvection_terms(f, [r[2] for r in row], P, [r[3] for r in row], odd)
-        for (out, t, *_), terms in zip(row, walks):
+        walks = transvection_terms(f, gs, P, maxsize, odd)
+        for (out, j, _), terms in zip(partners, walks):
             for m in range(first, len(terms), step):
-                if not out.wants(t + m):
-                    break
-                past = t + m > order
+                t = i + j + m
+                past = t > order
                 if not past and m not in scales:
                     scales[m] = _ratio(weight, factorial(m) * P.delta**m)
-                dst = {} if past else out.terms[t + m]
+                dst = {} if past else out.terms[t]
                 for _, d, e, wt in terms[m]:
                     accumulate(dst, d.mul_items(e, wt if past else wt * scales[m]))
                 if past:
-                    out.land(t + m, dst.items())
+                    out.land(t, dst.items())
     return outs
 
 

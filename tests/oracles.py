@@ -556,7 +556,7 @@ def retract_exact_oracle(table, x: dict, order: int) -> bool:
     exact = mu.exact
     for i, f in enumerate(mu.series().coeffs):
         past = (order - i + 2) | 1
-        exact = exact and len(transvection_terms(f, None, table.P, [past])[0]) <= past
+        exact = exact and len(transvection_terms(f, None, table.P, past)[0]) <= past
     return exact
 
 

@@ -44,6 +44,7 @@ from ballquant.ball_quantization import (
 )
 from ballquant import ball_quantization, formal_star
 from ballquant.formal_star import CoefFn, NuSeries, NuSum, c_operator, key_layout, series_to_json
+from ballquant.formal_star import half_commutator, moyal, star_commutator
 from ballquant.lie_core import structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
 from ballquant.scalars import G_ZERO
@@ -711,14 +712,16 @@ def test_verify_qmm_matches_per_pair_oracle(N, monkeypatch):
     """verify_qmm reports what the per-pair oracle reports, at orders 0
     to 6 for N = 1 and 2.  At N = 4 the alpha = 1 table and its two
     mutations are checked at orders 0, 1, 2 and 12, where a sum turns
-    inexact: a row is then walked with the size limit order - t for the
-    partners whose sums are inexact and with none for the others, and
-    both occur in one walk (counted by wrapping transvection_terms)."""
-    rows, walk = [], formal_star.transvection_terms
+    inexact.  Every two-sided walk that verify_qmm, moyal,
+    star_commutator and half_commutator start, inexact sums included,
+    takes no size limit (maxsize; counted by wrapping
+    transvection_terms): only NuSum.land drops a term past the order."""
+    limits, walk = [], formal_star.transvection_terms
 
-    def spy(f, gs, P, limits, odd=False):
-        rows.append(limits)
-        return walk(f, gs, P, limits, odd)
+    def spy(f, gs, P, limit, odd=False):
+        if gs is not None:
+            limits.append(limit)
+        return walk(f, gs, P, limit, odd)
 
     monkeypatch.setattr(formal_star, "transvection_terms", spy)
     tables = oracle_tables(N)
@@ -729,8 +732,10 @@ def test_verify_qmm_matches_per_pair_oracle(N, monkeypatch):
             for pairs in ("all", "s"):
                 rep = verify_qmm(table, K, pairs)
                 assert_same_report(rep, verify_qmm_oracle(table, K, pairs))
-    if N == 4:
-        assert any(maxsize in limits and min(limits) < maxsize for limits in rows)
+            first, *rest = table.moments
+            for star in (moyal, star_commutator, half_commutator):
+                assert len(star(first, rest, table.P, K)) == len(rest)
+    assert limits and set(limits) == {maxsize}
 
 
 def test_verify_qmm_matches_per_pair_oracle_n3():

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import gc
 import random
+import signal
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
@@ -252,8 +253,8 @@ def test_transvection_walk_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        assert len(transvection_terms(f.coeffs[0], None, table.P, [3])[0]) == 4
-        assert len(transvection_terms(f.coeffs[0], [g.coeffs[0]] * 2, table.P, [8, 2])[0]) > 1
+        assert len(transvection_terms(f.coeffs[0], None, table.P, 3)[0]) == 4
+        assert len(transvection_terms(f.coeffs[0], [g.coeffs[0]] * 2, table.P, 8)[0]) > 1
         assert not c_operator(f.coeffs[0], g.coeffs[0], table.P, 1).is_zero()
         assert not half_commutator(f, [g], table.P, 4)[0].is_zero()
         assert verify_qmm(small).ok
@@ -264,7 +265,9 @@ def test_transvection_walk_leaves_no_reference_cycle():
 
 def test_series_do_not_stop_at_a_zero_transvection():
     """C_1(v1^2 v2, v1^4 v2^2) cancels to zero while C_3 does not, so
-    the series must run on to the last size of the pair's walk."""
+    the series must run on to the last size of the pair's walk, past the
+    order too: at order 0 the commutator's C_1 lands past it as zero and
+    its C_3 clears exact."""
     P = poisson_structure(build_chart(2))
     f, g = mono(2, k=(2, 1)), mono(2, k=(4, 2))
     assert c_operator(f, g, P, 1).is_zero()
@@ -275,6 +278,8 @@ def test_series_do_not_stop_at_a_zero_transvection():
     assert h.exact
     assert h.coeffs[2].decoded() == {(0, (3, 0), 0, 0): F(-8)}
     assert all(h.coeffs[t].is_zero() for t in (0, 1, 3, 4))
+    s, = star_commutator(NuSeries.from_coef(f, 0), [NuSeries.from_coef(g, 0)], P, 0)
+    assert s.is_zero() and not s.exact
 
 
 def test_a_transvection_that_cancels_past_the_order_keeps_the_sum_exact():
@@ -283,7 +288,7 @@ def test_a_transvection_that_cancels_past_the_order_keeps_the_sum_exact():
     every order, the low ones too, where those C_m fall past the order."""
     P = poisson_structure(build_chart(2))
     f = mono(2, p=1, k=(2, 1), q=2).add(mono(2, k=(1, 3), q=1))
-    walk, = transvection_terms(f, [f], P, [maxsize])
+    walk, = transvection_terms(f, [f], P, maxsize)
     assert len(walk) > 6 and walk[5]
     for K in range(4):
         F_ = NuSeries.from_coef(f, K)
@@ -327,30 +332,55 @@ def series_oracle(landed, order, first, step, weight, shift):
     return [c.terms for c in coeffs], exact
 
 
+def first_drop(landed, order, first, step, weight, shift):
+    """The least power i of F at which a nonzero term of the shape lands
+    past the order, over the landed (i, j, m, C_m); None if none does."""
+    return min(
+        (i for i, j, m, c in landed
+         if m >= first and (m - first) % step == 0 and i + j + m - shift > order and c.terms),
+        default=None,
+    )
+
+
 def test_star_products_match_the_unpruned_series():
-    """moyal, star_commutator and half_commutator equal the sum of the
-    unpruned C_m over every m up to the joint degree, exact flag
-    included, at orders 0 to 4; both flags occur."""
-    rng = random.Random(29)
+    """moyal, star_commutator and half_commutator equal, for each partner
+    of a row of one to three series, the sum of the unpruned C_m over every
+    m up to the joint degree, exact flag included, at orders 0 to 4.  Some
+    partners come in inexact, and in some row two sums turn inexact at
+    different powers of F (first_drop); both flags occur."""
+    rng, flip = random.Random(29), random.Random(31)
     dense = dense_structure(rng)
-    flags = set()
-    for P, deg in ((poisson_structure(build_chart(2)), 3), (dense, 2)):
-        for _ in range(3):
-            A, B = low_degree_series(rng, deg), low_degree_series(rng, deg)
-            landed = [
-                (i + j, m, c_operator_oracle(f, g, P, m))
+    flags, spread, inexact_in = set(), set(), 0
+    cases = [(P, deg, size) for sizes in ((1, 1, 1), (2, 2, 3, 3))
+             for P, deg in ((poisson_structure(build_chart(2)), 3), (dense, 2)) for size in sizes]
+    for P, deg, size in cases:
+        A = low_degree_series(rng, deg)
+        Bs = [low_degree_series(rng, deg) for _ in range(size)]
+        Bs = [B.replace(exact=False) if size > 1 and flip.random() < 0.25 else B for B in Bs]
+        inexact_in += sum(not B.exact for B in Bs)
+        landed = [
+            [
+                (i, j, m, c_operator_oracle(f, g, P, m))
                 for i, f in enumerate(A.coeffs)
                 for j, g in enumerate(B.coeffs)
                 for m in range(degree(f) + degree(g) + 1)
             ]
-            for product, *shape in SERIES_SHAPES:
-                for K in range(5):
-                    got, = product(A, [B], P, K)
-                    coeffs, exact = series_oracle(landed, K, *shape)
+            for B in Bs
+        ]
+        for product, *shape in SERIES_SHAPES:
+            for K in range(5):
+                row = product(A, Bs, P, K)
+                assert len(row) == size
+                for got, B, terms in zip(row, Bs, landed):
+                    coeffs, exact = series_oracle(
+                        [(i + j, m, c) for i, j, m, c in terms], K, *shape
+                    )
                     assert [c.terms for c in got.coeffs] == coeffs
-                    assert got.exact == exact
-                    flags.add(exact)
-    assert flags == {True, False}
+                    assert got.exact == (exact and B.exact)
+                    flags.add(got.exact)
+                drops = {first_drop(terms, K, *shape) for terms in landed}
+                spread.add(len(drops - {None}) > 1)
+    assert flags == {True, False} and True in spread and inexact_in
 
 
 def test_moyal_matches_a_sympy_expansion():
@@ -452,9 +482,9 @@ def test_one_sided_walk_keeps_no_memo():
     g = mono(2, p=1, k=(5, 5), q=5)
     for _ in range(4):
         f = rand_fn(2, rng, terms=4)
-        one_sided, = transvection_terms(f, None, P, [4])
+        one_sided, = transvection_terms(f, None, P, 4)
         assert len(one_sided) > 2 and not holds_memo(f)
-        joint, = transvection_terms(fresh(f), [g], P, [4])
+        joint, = transvection_terms(fresh(f), [g], P, 4)
         assert [[(d, wt) for _, d, _, wt in t] for t in one_sided] == [
             [(d, wt) for _, d, _, wt in t] for t in joint
         ]
@@ -496,48 +526,72 @@ def test_capped_walk_records_what_the_uncapped_walk_records(f, g, which, limit):
     degree, where the terms end at their last nonempty size."""
     P = walk_structures()[which]
     for other in (g, None):
-        got, = transvection_terms(fresh(f), None if other is None else [fresh(other)], P, [limit])
+        got, = transvection_terms(fresh(f), None if other is None else [fresh(other)], P, limit)
         index = key_layout(P.nv).index
         got = [[(index(w), *rest) for w, *rest in terms] for terms in got]
         assert got == uncapped_walk_oracle(f, other, P, limit)
         assert all(type(wt) is int for terms in got for *_, wt in terms)
 
 
-# Rows of partners: an index into a pool of drawn functions, whose last
-# entry is the zero function, and a size limit.
-walk_rows = st.lists(
-    st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 2, 3, 4, maxsize])), max_size=5
-)
+# Rows of partners: indices into a pool of drawn functions, whose last
+# entry is the zero function.
+walk_rows = st.lists(st.integers(0, 3), max_size=5)
+walk_limits = st.sampled_from([0, 1, 2, 3, 4, maxsize])
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(walk_fns, st.lists(walk_fns, min_size=1, max_size=3), walk_rows, st.sampled_from([0, 1]),
-       st.booleans())
-@example(mono(2, k=(2, 1), q=1), [mono(2, k=(0, 3), q=2)], [(0, 4), (0, maxsize), (1, 2)], 0, False)
-@example(mono(2, p=1, k=(1, 0)), [mono(2, p=-1, k=(0, 1), q=1)], [], 1, True)
-def test_row_walk_gives_each_partner_its_pair_walk(f, pool, row, which, odd):
-    """For every partner of a row, the row walk records the terms
-    (w, d^u f, d^w g, weight) of each size, in walk order, that the walk of
-    that pair alone records (pair_walk_oracle), up to the partner's own
-    limit; with odd, the even sizes stay empty.  The rows mix limits 0 to
-    4 and maxsize, zero partners, the same CoefFn more than once and the
-    empty row; the one-sided walk takes each limit but maxsize, which the
-    a direction alone would never reach, and keeps no memo."""
+@given(walk_fns, st.lists(walk_fns, min_size=1, max_size=3), walk_rows, walk_limits,
+       st.sampled_from([0, 1]), st.booleans())
+@example(mono(2, k=(2, 1), q=1), [mono(2, k=(0, 3), q=2)], [0, 0, 1], 4, 0, False)
+@example(mono(2, k=(2, 1), q=1), [mono(2, k=(0, 3), q=2)], [0, 1, 0], maxsize, 0, True)
+@example(mono(2, p=1, k=(1, 0)), [mono(2, p=-1, k=(0, 1), q=1)], [], 2, 1, True)
+def test_row_walk_gives_each_partner_its_pair_walk(f, pool, row, limit, which, odd):
+    """For every partner of a row, the row walk up to one limit records
+    the terms (w, d^u f, d^w g, weight) of each size, in walk order, that
+    the walk of that pair alone up to that limit records
+    (pair_walk_oracle); with odd, the even sizes stay empty.  The rows
+    take the limits 0 to 4 and maxsize, zero partners, the same CoefFn
+    more than once and the empty row; the one-sided walk takes each limit
+    but maxsize, which the a direction alone would never reach, and keeps
+    no memo."""
     P = walk_structures()[which]
     shared = [fresh(g) for g in pool] + [CoefFn.zero(2)]
-    partners = [shared[i % len(shared)] for i, _ in row]
-    limits = [limit for _, limit in row]
-    got = transvection_terms(fresh(f), partners, P, limits, odd)
+    partners = [shared[i % len(shared)] for i in row]
+    got = transvection_terms(fresh(f), partners, P, limit, odd)
     assert len(got) == len(row)
-    for terms, g, limit in zip(got, partners, limits):
+    for terms, g in zip(got, partners):
         want = pair_walk_oracle(fresh(f), fresh(g), P, limit)
         assert terms == [[] if odd and m % 2 == 0 else t for m, t in enumerate(want)]
     for limit in range(5):
         alone = fresh(f)
-        got, = transvection_terms(alone, None, P, [limit], odd)
+        got, = transvection_terms(alone, None, P, limit, odd)
         want = pair_walk_oracle(fresh(f), None, P, limit)
         assert got == [[] if odd and m % 2 == 0 else t for m, t in enumerate(want)]
         assert not holds_memo(alone)
+
+
+def test_a_one_sided_walk_along_a_stops_at_the_limit():
+    """A function with p != 0 has no cap along a, so the one-sided walk
+    repeats the pair (a, z) until the limit stops it: at limits 0 to 4,
+    odd or not, it returns limit + 1 size lists, within a second."""
+    P = std_structure(2)
+    f = mono(2, p=1, q=1)
+    assert f.caps[0] == maxsize
+
+    def overrun(*_):
+        raise TimeoutError("the one-sided walk ran past its limit")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(1)
+    try:
+        for odd in (False, True):
+            for limit in range(5):
+                terms, = transvection_terms(f, None, P, limit, odd)
+                assert len(terms) == limit + 1
+                assert terms[limit] or odd and limit % 2 == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_verify_qmm_walks_each_row_once(monkeypatch):
@@ -608,20 +662,21 @@ def test_walk_refuses_operands_of_another_nv():
     with pytest.raises(ValueError, match="nv differs"):
         c_operator(g, f, P, 1)
     with pytest.raises(ValueError, match="nv differs"):
-        transvection_terms(f, None, P, [2])
+        transvection_terms(f, None, P, 2)
     with pytest.raises(ValueError, match="nv differs"):
-        transvection_terms(g, [g, f], P, [2, 2])
-    with pytest.raises(ValueError, match="one limit >= 0 per partner"):
-        transvection_terms(g, None, P, [-1])
-    with pytest.raises(ValueError, match="one limit >= 0 per partner"):
-        transvection_terms(g, [g, g], P, [2])
-    with pytest.raises(ValueError, match="one limit >= 0 per partner"):
-        c_operator(g, g, P, -1)
+        transvection_terms(g, [g, f], P, 2)
+    for limit in (2.0, True, -1, [2], None):
+        for gs in (None, [g, g]):
+            with pytest.raises(ValueError, match="an int limit >= 0"):
+                transvection_terms(g, gs, P, limit)
+    for m in (-1, 1.0, True):
+        with pytest.raises(ValueError, match="an int limit >= 0"):
+            c_operator(g, g, P, m)
     for a, b in ((f, g), (g, f)):
         for combine in (a.add, a.sub, a.mul):
             with pytest.raises(ValueError, match="do not combine"):
                 combine(b)
-    assert len(transvection_terms(g, None, P, [2])[0]) == 2
+    assert len(transvection_terms(g, None, P, 2)[0]) == 2
 
 
 def test_half_commutator():
@@ -709,8 +764,7 @@ def test_nu_series_truncation():
 
 def test_nu_sum_land_is_the_truncation_point():
     """land sums in place up to the order; past it nothing is stored, and
-    only a nonzero term clears exact, after which wants refuses every
-    power past the order."""
+    only a nonzero term clears exact."""
     z, one = mono(2, q=1), CoefFn.const(2, F(1))
     acc = NuSum(2, 1)
     acc.land(1, [(key, c) for key, c in z.terms.items()] * 2)
@@ -718,12 +772,12 @@ def test_nu_sum_land_is_the_truncation_point():
     acc.land(0, one.terms.items())
     acc.land(0, one.neg().terms.items())
     acc.land(2, [(key, F(0)) for key in z.terms])
-    assert acc.exact and acc.wants(2)
+    assert acc.exact
     s = acc.series()
     assert (s.order, s.exact) == (1, True)
     assert s.coeffs[0].is_zero() and s.coeffs[1].terms == z.terms
     acc.land(3, z.terms.items())
-    assert not acc.exact and acc.wants(1) and not acc.wants(2)
+    assert not acc.exact
     assert acc.series().coeffs[1].terms == z.terms
     assert not NuSum(2, 0).add(nu_series([one, z])).series().exact
     assert NuSum(2, 0).add(nu_series([one, CoefFn.zero(2)])).series().exact
