@@ -7,23 +7,18 @@ structure constants.  Vectors are the sparse maps of ``linalg``
 (index -> nonzero coefficient), so a bracket reads only the nonzero
 coordinates of its arguments and ``ad`` returns sparse rows.
 Every instance in the rest of the package is an actual Lie algebra, by
-one of three routes.  A table given as numbers (the constructor, hence
+one of two routes.  A table given as numbers (the constructor, hence
 ``from_json`` and the block algebras of ``psd_builder`` with cross
 actions) is swept: the Jacobi identity runs over ``bracket_triples``,
 the walk the CE differential also reads, and an invalid table is
-refused.  A table read from a bracket that already satisfies Jacobi
-(``LieAlgebra.read``: the matrix commutator of the su(1, N) model, and
-``subalgebra`` of an algebra) is certified by how it was read, and a
-direct sum of elementary solvable blocks (``LieAlgebra.written``: the
-block algebras of ``psd_builder`` without cross actions) by how it was
-written; neither is swept.  Subspaces
-keep a canonical reduced echelon basis, a tuple of read-only vectors,
-which makes equality of subspaces literal tuple equality.
-structure_in reads the structure constants of any list of vectors, for
-any bracket, against an exact reader: anything whose coords rebuilds a
-vector from the coordinates it returns and compares the two exactly, a
-Frame or the entry reader of the su(1, N) model, over every pair or the
-pairs a caller names.  The model and subalgebras get their tables from it.
+refused.  A table whose caller proves Jacobi in its own docstring
+(``LieAlgebra.written``: the block algebras of ``psd_builder`` without
+cross actions, the su(1, N) model and ``subalgebra`` of an algebra) is
+not swept.  Subspaces keep a canonical reduced echelon basis, a tuple
+of read-only vectors, which makes equality of subspaces literal tuple
+equality.  structure_in reads the structure constants of a list of
+vectors, for any bracket, against a Frame over them; subalgebras get
+their tables from it.
 """
 from __future__ import annotations
 
@@ -117,7 +112,7 @@ class LieAlgebra(Record, frozen=True, eq=False):
     basis vector k in [e_i, e_j]; rows is the same table indexed both
     ways (see ``_row_table``).  Both are read-only and the record is
     frozen, so the table the bracket reads cannot drift from the one
-    Jacobi validated or ``read`` or ``written`` certified.
+    Jacobi validated or ``written``'s caller proved.
     """
 
     dim: int
@@ -142,64 +137,14 @@ class LieAlgebra(Record, frozen=True, eq=False):
         self._store(dim, labels, clean)
 
     @classmethod
-    def read(cls, frame, vectors: list, bracket, labels: list, partners=None) -> "LieAlgebra":
-        """The algebra on vectors with the table that ``structure_in``
-        reads from bracket against frame, built without the Jacobi sweep.
-
-        Precondition: bracket is a matrix commutator or the bracket of a
-        LieAlgebra, and frame is an exact reader of the vectors: its
-        coords(v) rebuilds v from the coordinates c it returns,
-        sum c_k vectors[k], compares the two exactly and returns None on
-        a mismatch, and its constructor refuses vectors that are not
-        independent.  A Frame whose rows are the vectors is one
-        (``subalgebra``); the su(1, N) entry reader of ``build_su1n``,
-        which reads each basis matrix back as its unit vector, is
-        another.  Such a bracket
-        satisfies Jacobi: a commutator by the associativity of the matrix
-        product, the bracket of a LieAlgebra because that algebra was
-        swept, written or read this way.  A pair partners leaves out
-        must commute, as matrices with no index in common do.
-
-        The table then satisfies it too.  Each bracket equals the
-        combination of vectors its coordinates name, a bracket that
-        leaves the span raises ValueError, and the vectors are
-        independent.  So e_k -> vectors[k] is injective and carries the
-        table's bracket to bracket, and the Jacobiator of a basis triple
-        maps to the Jacobiator of its vectors, which is zero.  The
-        precondition cannot be checked at run time; a test keeps the
-        callers to ``build_su1n`` and ``subalgebra``.
-        """
-        algebra = cls.__new__(cls)
-        algebra._store(len(vectors), labels, structure_in(frame, vectors, bracket, partners))
-        return algebra
-
-    @classmethod
     def written(cls, labels: list, structure: dict) -> "LieAlgebra":
-        """The algebra of a block table written down by construction,
+        """The algebra of a clean table (keys i < j, nonzero Fractions)
         built without the Jacobi sweep.
 
-        Precondition: structure is a clean table (keys i < j, nonzero
-        Fractions) of a direct sum of blocks, each with basis (H, v_1 ..
-        v_2h, E) and no nonzero brackets but [H, v] = v, [H, E] = 2E and
-        [v_a, v_{h+a}] = E, that is [v, v'] = Omega(v, v') E with Omega
-        the standard symplectic form: the elementary normal j-algebras
-        that ``psd_builder.build_psd`` writes for a spec with no cross
-        actions.
-
-        Such a table satisfies Jacobi.  The Jacobiator is alternating and
-        trilinear, so it vanishes when it does on every triple of distinct
-        basis elements.  On (H, v, v') its three terms [[H, v], v'],
-        [[v, v'], H] and [[v', H], v] are Omega(v, v') E,
-        -2 Omega(v, v') E and Omega(v, v') E, which sum to zero.  On
-        (H, v, E) they are [v, E], 0 and -2 [E, v], all zero.  On a triple
-        of V + E, any bracket of two of its elements lies in the span of
-        E, which commutes with the third, so each term is zero.  A bracket
-        between two blocks is zero and a bracket within one stays in it,
-        so every term on a triple that meets two blocks is zero.
-
-        The precondition cannot be checked at run time without the sweep
-        it replaces; a test keeps the callers to ``build_psd`` and sweeps
-        the tables it writes as the oracle.
+        Precondition: the table satisfies Jacobi, and the caller proves
+        it in its own docstring.  Nothing at run time can check that
+        without the sweep; a test keeps the callers to ``build_psd``,
+        ``build_su1n`` and ``subalgebra``.
         """
         algebra = cls.__new__(cls)
         algebra._store(len(labels), labels, structure)
@@ -326,18 +271,16 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace(s1.algebra, nullspace(annihilators, dim))
 
 
-def structure_in(frame, vectors: list, bracket, partners=None) -> dict:
-    """Structure constants of vectors read by frame, an exact reader
-    (``LieAlgebra.read``): a Frame or any object whose coords returns
-    the coordinates of a vector or None.
+def structure_in(frame: Frame, vectors: list, bracket) -> dict:
+    """Structure constants of vectors, read by frame, a Frame over them.
 
     Maps each pair i < j whose bracket is nonzero to its coordinates
     {k: c}; raises ValueError naming the pair when a bracket leaves the
-    span.  Only the j in partners[i], in increasing order, are read for i.
+    span.
     """
     structure = {}
     for i, x in enumerate(vectors):
-        for j in range(i + 1, len(vectors)) if partners is None else partners[i]:
+        for j in range(i + 1, len(vectors)):
             coords = frame.coords(bracket(x, vectors[j]))
             if coords is None:
                 raise ValueError(f"the bracket of vectors {i} and {j} leaves the span")
@@ -349,12 +292,22 @@ def structure_in(frame, vectors: list, bracket, partners=None) -> dict:
 def subalgebra(algebra: LieAlgebra, sub: Subspace, labels=None):
     """Restrict the bracket to a bracket-closed subspace.
 
-    Returns the restricted LieAlgebra, read from the parent's bracket
-    (so not swept again), together with the embedding basis: the
-    read-only canonical basis of the subspace, in parent coordinates.
-    Raises ValueError when the subspace is not bracket closed.
+    Returns the restricted LieAlgebra, stored by ``LieAlgebra.written``,
+    together with the embedding basis: the read-only canonical basis of
+    the subspace, in parent coordinates.  Raises ValueError when the
+    subspace is not bracket closed.
+
+    The table inherits Jacobi from the parent, which was swept or written
+    with a proof.  Each bracket of two basis vectors equals the
+    combination of basis vectors its coordinates name (sub.frame rebuilds
+    it and compares exactly, and refuses a bracket outside the span), and
+    the basis vectors are independent.  So e_k -> basis[k] is injective
+    and carries the table's bracket to the parent's, and the Jacobiator
+    of a basis triple maps to the Jacobiator of its vectors, which is
+    zero.
     """
     basis = sub.basis
-    if labels is None:
-        labels = [f"b{i}" for i in range(len(basis))]
-    return LieAlgebra.read(sub.frame, basis, algebra.bracket, labels), basis
+    labels = [f"b{i}" for i in range(len(basis))] if labels is None else labels
+    if len(labels) != len(basis):
+        raise ValueError("label count does not match dimension")
+    return LieAlgebra.written(labels, structure_in(sub.frame, basis, algebra.bracket)), basis

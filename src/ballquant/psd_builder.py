@@ -5,10 +5,8 @@ A block of size n has basis (H, v_1 .. v_{2(n-1)}, E) with
 symplectic matrix in split-half order.  Block r is outermost; an outer
 block may act on the V part of any inner block through a prescribed
 linear map into the symplectic Lie algebra of that V.  Without cross
-actions the table is a direct sum of blocks, which satisfies Jacobi by
-construction (``LieAlgebra.written``), so it is not swept.  A table with
-cross actions goes through the full Jacobi sweep, so inconsistent cross
-actions are rejected at construction.
+actions the table is written, not swept (build_psd); with them it is
+swept, so inconsistent cross actions are rejected at construction.
 """
 from __future__ import annotations
 
@@ -39,6 +37,21 @@ def _block_roles(nj: int):
 
 
 def build_psd(spec: PsdSpec) -> PsdAlgebra:
+    """The algebra of spec, swept when it has cross actions.
+
+    Without them the table, stored by ``LieAlgebra.written``, is a direct
+    sum of blocks whose only nonzero brackets are [H, v] = v, [H, E] = 2E
+    and [v, v'] = Omega(v, v') E.  Such a table satisfies Jacobi.  The
+    Jacobiator is alternating and trilinear, so it vanishes when it does
+    on every triple of distinct basis elements.  On (H, v, v') its three
+    terms [[H, v], v'], [[v, v'], H] and [[v', H], v] are
+    Omega(v, v') E, -2 Omega(v, v') E and Omega(v, v') E, which sum to
+    zero.  On (H, v, E) they are [v, E], 0 and -2 [E, v], all zero.  On a
+    triple of V + E, any bracket of two of its elements lies in the span
+    of E, which commutes with the third, so each term is zero.  A bracket
+    between two blocks is zero and a bracket within one stays in it, so
+    every term on a triple that meets two blocks is zero.
+    """
     sizes_ok = all(type(nj) is int and nj >= 1 for nj in spec.n)
     if type(spec.r) is not int or spec.r < 1 or len(spec.n) != spec.r or not sizes_ok:
         raise ValueError(f"spec needs an int r >= 1 and r int block sizes >= 1, got {spec}")

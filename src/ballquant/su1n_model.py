@@ -7,16 +7,18 @@ conjugation by J; its +1 eigenspace k is the maximal compact part and
 the -1 eigenspace p contains the restricted-root generator
 H0 = E_01 + E_10, whose adjoint action has rational eigenvalues
 (+-2, +-1, 0).  The structure constants are read off the entries of the
-commutators of the pairs of basis matrices that share an index
-(_EntryReader, index_partners), and the Killing form is the trace form
-2(N + 1) Re tr(XY) on those matrices (_trace_form).  The restricted-root
-decomposition is written down and checked (build_su1n), and the adapted
-chart basis of s is taken from it and checked (adapted_s_basis).
+commutators, in Gaussian integers, of the pairs of basis matrices that
+share an index (_structure, index_partners), and the Killing form is the
+trace form 2(N + 1) Re tr(XY) on those matrices (_trace_form).  The
+restricted-root decomposition is written down and checked (build_su1n),
+and the adapted chart basis of s is taken from it and checked
+(adapted_s_basis).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
@@ -26,21 +28,9 @@ from .linalg import vec_scale, zeros
 from .scalars import G_ZERO, GScalar, Record, frac_str, kept
 
 
-def _comm(a: dict, b: dict) -> dict:
-    """ab - ba for sparse matrices (row, col) -> GScalar, zeros dropped."""
-    out = {}
-    for (i, k), x in a.items():
-        for (l, j), y in b.items():
-            if k == l:
-                out[(i, j)] = out.get((i, j), G_ZERO) + x * y
-            if j == i:
-                out[(l, k)] = out.get((l, k), G_ZERO) - y * x
-    return {e: x for e, x in out.items() if x}
-
-
 def index_partners(sets: list) -> list:
     """For each i, the sorted list of j > i whose index set meets
-    sets[i]: the pairs build_su1n reads.  E_ab E_cd is nonzero only when
+    sets[i]: the pairs _structure forms.  E_ab E_cd is nonzero only when
     b = c, so matrices with disjoint index sets commute."""
     holders = {}
     for t, indices in enumerate(sets):
@@ -83,58 +73,78 @@ def _basis_matrices(N: int):
     return mats, labels, signs
 
 
-class _EntryReader:
-    """Exact coordinates of an su(1, N) matrix against the basis of
-    _basis_matrices, read off its entries, for ``LieAlgebra.read``.
+def _commutator(a: dict, b: dict) -> dict:
+    """ab - ba for sparse Gaussian-integer matrices (row, col) -> (re, im),
+    zero entries kept."""
+    out = {}
+    for (i, k), (x, y) in a.items():
+        for (l, j), (u, v) in b.items():
+            if k == l:
+                r, s = out.get((i, j), (0, 0))
+                out[i, j] = r + x * u - y * v, s + x * v + y * u
+            if j == i:
+                r, s = out.get((l, k), (0, 0))
+                out[l, k] = r - u * x + v * y, s - u * y - v * x
+    return out
 
-    Entry (0, k) gives the coefficients of P_k (real part) and Q_k
-    (imaginary part), entry (j, k), 1 <= j < k, those of R_jk and S_jk,
-    and the coefficient of D_j is the running sum of Im X_aa over a <= j.
-    coords rebuilds the matrix from them and compares, so a matrix
-    outside the span reads as None, as in a Frame.  The constructor reads
-    each basis matrix back as its unit vector (ValueError otherwise), so
-    the basis is independent.
+
+def _structure(mats: list, labels: list) -> dict:
+    """The structure table of su(1, N) on the basis matrices mats, formed
+    and read in Gaussian integers, each constant a Fraction at the end.
+
+    Each basis entry, a unit, is held as an int pair (re, im) (an entry
+    that is no Gaussian integer raises AssertionError).  The commutator
+    of each pair that shares an index (index_partners) is formed in ints;
+    any other pair commutes.  Its coordinates are read off its entries:
+    P_k and Q_k (real and imaginary part) from entry (0, k), R_jk and S_jk
+    from entry (j, k), 1 <= j < k, and D_j from the running sum of Im X_aa
+    over a <= j.
+
+    The read is linear.  Each basis matrix reads back as its unit vector,
+    and there are (N + 1)^2 - 1 of them, the dimension of su(1, N), each
+    in su(1, N) (_check_su1n, in build_su1n); AssertionError otherwise.
+    So they are a basis of su(1, N) and the read is its coordinate map.
+    su(1, N) is closed under commutators, so every commutator is read
+    exactly, e_k -> mats[k] carries the table to the commutator, and the
+    table, a matrix algebra's, satisfies Jacobi.
     """
+    n = isqrt(len(mats) + 1)
+    if n * n - 1 != len(mats):
+        raise AssertionError("the basis count is not (N + 1)^2 - 1")
+    if any(d != 1 for m in mats for _, _, d in m.values()):
+        raise AssertionError("a basis matrix entry is not a Gaussian integer")
+    ints = [{entry: (x, y) for entry, (x, y, _) in m.items()} for m in mats]
+    at = {label: t for t, label in enumerate(labels)}
+    diagonal = [at[f"D{j}"] for j in range(n - 1)]
+    slot = lambda j, k: (at[f"P{k}"], at[f"Q{k}"]) if j == 0 else (at[f"R{j}_{k}"], at[f"S{j}_{k}"])
+    upper = {(j, k): slot(j, k) for j in range(n) for k in range(j + 1, n)}
 
-    def __init__(self, mats: list, labels: list):
-        at = {label: t for t, label in enumerate(labels)}
-        n = 1 + sum(label.startswith("D") for label in labels)
-        self.mats = mats
-        self.diagonal = [at[f"D{j}"] for j in range(n - 1)]
-        self.upper = {(0, k): (at[f"P{k}"], at[f"Q{k}"]) for k in range(1, n)}
-        for j in range(1, n):
-            for k in range(j + 1, n):
-                self.upper[(j, k)] = (at[f"R{j}_{k}"], at[f"S{j}_{k}"])
-        if any(self.coords(m) != {t: 1} for t, m in enumerate(mats)):
-            raise ValueError("a basis matrix does not read back as its unit vector")
-
-    def coords(self, m: dict):
-        """The coordinates of the sparse matrix m (position t for basis
-        matrix t), or None when the basis does not rebuild m."""
-        c, diagonal = {}, []
-        for (a, b), e in m.items():
+    def read(m: dict) -> dict:
+        c, diagonal_entries = {}, []
+        for (a, b), (x, y) in m.items():
             if a == b:
-                diagonal.append((a, e.im))
+                diagonal_entries.append((a, y))
             elif a < b:
-                if (slots := self.upper.get((a, b))) is None:
-                    return None
-                (t_re, t_im), (x, y, d) = slots, e  # e = (x + y i) / d
                 if x:
-                    c[t_re] = Fraction(x, d)
+                    c[upper[a, b][0]] = x
                 if y:
-                    c[t_im] = Fraction(y, d)
-        if diagonal:
-            diagonal.sort()
-            run, ends = 0, [a for a, _ in diagonal[1:]] + [len(self.diagonal)]
-            for (a, y), end in zip(diagonal, ends):
-                run += y
-                if run:
-                    c.update((self.diagonal[j], run) for j in range(a, end))
-        rebuilt = {}
-        for t, x in c.items():
-            for entry, e in self.mats[t].items():
-                rebuilt[entry] = rebuilt.get(entry, G_ZERO) + e.scale(x)
-        return c if {entry: e for entry, e in rebuilt.items() if e} == m else None
+                    c[upper[a, b][1]] = y
+        diagonal_entries.sort()
+        run, ends = 0, [a for a, _ in diagonal_entries[1:]] + [n - 1]
+        for (a, y), end in zip(diagonal_entries, ends):
+            run += y
+            if run:
+                c.update((diagonal[j], run) for j in range(a, end))
+        return c
+
+    if any(read(m) != {t: 1} for t, m in enumerate(ints)):
+        raise AssertionError("a basis matrix does not read back as its unit vector")
+    structure = {}
+    for i, js in enumerate(index_partners([{a for entry in m for a in entry} for m in mats])):
+        for j in js:
+            if c := read(_commutator(ints[i], ints[j])):
+                structure[i, j] = {k: Fraction(v) for k, v in c.items()}
+    return structure
 
 
 def _trace_form(mats: list, n: int) -> list:
@@ -227,8 +237,8 @@ def build_su1n(N: int) -> Su1nModel:
     use them without copying.  matrices holds the basis matrices as
     _basis_matrices builds them, sparse maps {(row, col): GScalar}.
 
-    The table reads only the pairs of basis matrices that share an index
-    (index_partners).  The restricted-root spaces of ad H0 are written:
+    The table is _structure's, proved there to satisfy Jacobi for every
+    N, and stored by LieAlgebra.written.  The root spaces of ad H0 are written:
     t = +-2: D0 -+ Q1; t = +-1: P_k +- R1_k and Q_k +- S1_k (k = 2 .. N);
     t = 0: H0 = P1 and m = {D0 + 2 D1, D_j (j >= 2), R_jk, S_jk (2 <= j < k)}.
     AssertionError, naming the check, unless [H0, x] = t x for each
@@ -247,8 +257,7 @@ def build_su1n(N: int) -> Su1nModel:
     if not all(_check_su1n(m) for m in mats):
         raise AssertionError("basis matrix leaves su(1,N)")
     n, dim = N + 1, len(mats)
-    partners = index_partners([{a for entry in m for a in entry} for m in mats])
-    algebra = LieAlgebra.read(_EntryReader(mats, labels), mats, _comm, labels, partners)
+    algebra = LieAlgebra.written(labels, _structure(mats, labels))
 
     h0_index = N  # label P1
     H0 = MappingProxyType(algebra.basis_vector(h0_index))

@@ -63,7 +63,9 @@ su1n_model did before it wrote them down: each root space the kernel
 of ad H0 - t, and m the intersection of the zero root space with k.
 full_structure_oracle reads the su(1, N) table from every pair of basis
 matrices, as build_su1n did before it read only the pairs that share an
-index.
+index, with the GScalar commutator _comm and the EntryReader that
+rebuilds each read matrix and compares it, as build_su1n did before it
+formed and read its commutators in Gaussian integers.
 DenseSeries is a nu series as a padded list of order + 1 coefficients,
 with the series operations the package had before it stored only the
 nonzero powers, and nu_series builds the package's series from such a
@@ -91,7 +93,7 @@ from ballquant.linalg import Frame, bilinear, combine, nullspace, solve_in_span,
 from ballquant.linalg import transpose, vec_add, vec_scale
 from ballquant.retract_pde import XiFn
 from ballquant.scalars import G_ZERO, GScalar
-from ballquant.su1n_model import RootDatum, _EntryReader, _basis_matrices, _comm
+from ballquant.su1n_model import RootDatum, _basis_matrices
 
 
 def dense(v: dict, n: int) -> list:
@@ -230,6 +232,72 @@ def flatten(m: dict, n: int) -> dict:
     flat = {i * n + j: e.re for (i, j), e in m.items()}
     flat.update({n * n + i * n + j: e.im for (i, j), e in m.items()})
     return {t: x for t, x in flat.items() if x}
+
+
+def _comm(a: dict, b: dict) -> dict:
+    """ab - ba for sparse matrices (row, col) -> GScalar, zeros dropped."""
+    out = {}
+    for (i, k), x in a.items():
+        for (l, j), y in b.items():
+            if k == l:
+                out[(i, j)] = out.get((i, j), G_ZERO) + x * y
+            if j == i:
+                out[(l, k)] = out.get((l, k), G_ZERO) - y * x
+    return {e: x for e, x in out.items() if x}
+
+
+class EntryReader:
+    """Exact coordinates of an su(1, N) matrix against the basis of
+    _basis_matrices, read off its entries, for ``structure_in``.
+
+    Entry (0, k) gives the coefficients of P_k (real part) and Q_k
+    (imaginary part), entry (j, k), 1 <= j < k, those of R_jk and S_jk,
+    and the coefficient of D_j is the running sum of Im X_aa over a <= j.
+    coords rebuilds the matrix from them and compares, so a matrix
+    outside the span reads as None, as in a Frame.  The constructor reads
+    each basis matrix back as its unit vector (ValueError otherwise), so
+    the basis is independent.
+    """
+
+    def __init__(self, mats: list, labels: list):
+        at = {label: t for t, label in enumerate(labels)}
+        n = 1 + sum(label.startswith("D") for label in labels)
+        self.mats = mats
+        self.diagonal = [at[f"D{j}"] for j in range(n - 1)]
+        self.upper = {(0, k): (at[f"P{k}"], at[f"Q{k}"]) for k in range(1, n)}
+        for j in range(1, n):
+            for k in range(j + 1, n):
+                self.upper[(j, k)] = (at[f"R{j}_{k}"], at[f"S{j}_{k}"])
+        if any(self.coords(m) != {t: 1} for t, m in enumerate(mats)):
+            raise ValueError("a basis matrix does not read back as its unit vector")
+
+    def coords(self, m: dict):
+        """The coordinates of the sparse matrix m (position t for basis
+        matrix t), or None when the basis does not rebuild m."""
+        c, diagonal = {}, []
+        for (a, b), e in m.items():
+            if a == b:
+                diagonal.append((a, e.im))
+            elif a < b:
+                if (slots := self.upper.get((a, b))) is None:
+                    return None
+                (t_re, t_im), (x, y, d) = slots, e  # e = (x + y i) / d
+                if x:
+                    c[t_re] = F(x, d)
+                if y:
+                    c[t_im] = F(y, d)
+        if diagonal:
+            diagonal.sort()
+            run, ends = 0, [a for a, _ in diagonal[1:]] + [len(self.diagonal)]
+            for (a, y), end in zip(diagonal, ends):
+                run += y
+                if run:
+                    c.update((self.diagonal[j], run) for j in range(a, end))
+        rebuilt = {}
+        for t, x in c.items():
+            for entry, e in self.mats[t].items():
+                rebuilt[entry] = rebuilt.get(entry, G_ZERO) + e.scale(x)
+        return c if {entry: e for entry, e in rebuilt.items() if e} == m else None
 
 
 def realified_structure_oracle(mats: list, n: int) -> dict:
@@ -859,4 +927,4 @@ def full_structure_oracle(N: int):
     """The su(1, N) algebra read from the commutator of every pair of
     basis matrices, zero or not."""
     mats, labels, _ = _basis_matrices(N)
-    return LieAlgebra.read(_EntryReader(mats, labels), mats, _comm, labels)
+    return LieAlgebra.written(labels, structure_in(EntryReader(mats, labels), mats, _comm))

@@ -196,6 +196,8 @@ def test_subalgebra_extraction():
     assert sub.dim == 2
     assert sub.bracket({0: F(1)}, {1: F(1)}) == {1: F(2)}
     assert embedding == s.basis
+    with pytest.raises(ValueError, match="label count"):
+        subalgebra(g, s, labels=["H", "X", "Y"])
 
 
 def test_json_roundtrip():

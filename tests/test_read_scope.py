@@ -1,13 +1,12 @@
-"""Only three constructions may build a LieAlgebra without the Jacobi sweep.
+"""Only three functions may build a LieAlgebra without the Jacobi sweep.
 
-``LieAlgebra.read`` skips the sweep because its bracket already satisfies
-Jacobi: the matrix commutator in ``build_su1n`` and the bracket of a
-parent algebra in ``lie_core.subalgebra``.  ``LieAlgebra.written`` skips
-it because its table is a direct sum of blocks, which satisfies Jacobi by
-construction: the block algebras that ``psd_builder.build_psd`` writes
-for a spec with no cross actions.  Nothing at run time can check either
-precondition, so every module of the package is parsed and each ``.read``
-or ``.written`` attribute must lie inside a function allowed for it.
+``LieAlgebra.written`` skips the sweep, and its caller proves Jacobi in
+its own docstring: ``psd_builder.build_psd`` for a direct sum of blocks
+(a spec with no cross actions), ``su1n_model.build_su1n`` for the matrix
+commutator its table is read from, and ``lie_core.subalgebra`` for the
+bracket of a parent algebra.  Nothing at run time can check any such
+proof, so every module of the package is parsed and each ``.written``
+attribute must lie inside one of those functions.
 """
 from __future__ import annotations
 
@@ -16,8 +15,9 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ballquant"
 ALLOWED = {
-    "read": {("su1n_model.py", "build_su1n"), ("lie_core.py", "subalgebra")},
-    "written": {("psd_builder.py", "build_psd")},
+    ("psd_builder.py", "build_psd"),
+    ("su1n_model.py", "build_su1n"),
+    ("lie_core.py", "subalgebra"),
 }
 
 
@@ -48,24 +48,19 @@ def package_sites(attr: str) -> set:
     }
 
 
-def test_the_guard_sees_every_read_attribute():
+def test_the_guard_sees_every_written_attribute():
     tree = ast.parse(
-        "read = LieAlgebra.read\n"
+        "written = LieAlgebra.written\n"
         "def build_su1n(N):\n"
-        "    return LieAlgebra.read(frame, mats, lambda a, b: a, labels)\n"
+        "    return LieAlgebra.written(labels, _structure(mats, labels))\n"
         "def build_psd(spec):\n"
         "    return LieAlgebra.written(labels, structure)\n"
         "def other():\n"
         "    def inner():\n"
-        "        return g.read, g.written\n"
+        "        return g.written\n"
     )
-    assert attribute_sites(tree, "read") == [None, "build_su1n", "inner"]
-    assert attribute_sites(tree, "written") == ["build_psd", "inner"]
+    assert attribute_sites(tree, "written") == [None, "build_su1n", "build_psd", "inner"]
 
 
-def test_sweep_free_construction_stays_in_build_su1n_and_subalgebra():
-    assert package_sites("read") == ALLOWED["read"]
-
-
-def test_written_construction_stays_in_build_psd():
-    assert package_sites("written") == ALLOWED["written"]
+def test_sweep_free_construction_stays_in_its_three_proved_callers():
+    assert package_sites("written") == ALLOWED

@@ -23,11 +23,10 @@ from types import MappingProxyType
 
 import pytest
 
-from ballquant.lie_core import LieAlgebra, jacobi_report, span_subspace
+from ballquant.lie_core import LieAlgebra, jacobi_report, span_subspace, structure_in
 from ballquant.scalars import GScalar
 from ballquant.su1n_model import (
     _S_SUBMODELS,
-    _EntryReader,
     _basis_matrices,
     _check_su1n,
     _trace_form,
@@ -44,7 +43,8 @@ from ballquant.linalg import Frame, vec_add, vec_scale
 
 from oracles import adapted_s_basis_oracle, beta_sigma_gram, gmat_mul, leading_principal_minors
 from oracles import flatten, normalizer, rational_sqrt, realified_structure_oracle, rref_oracle
-from oracles import dense_matrices, full_structure_oracle, nullspace_roots_oracle, sparse
+from oracles import EntryReader, dense_matrices, full_structure_oracle, nullspace_roots_oracle
+from oracles import sparse
 
 
 def test_dimensions():
@@ -307,7 +307,7 @@ def test_dual_basis_coordinates():
     assert frame.coords(corner) is None
 
 
-@pytest.mark.parametrize("N", range(1, 9))
+@pytest.mark.parametrize("N", [*range(1, 9), 12])
 def test_entry_reader_table_is_the_realified_table(N):
     """The structure constants read off the commutator entries are the
     ones a Frame over the realified basis reads, Fractions in both."""
@@ -319,8 +319,9 @@ def test_entry_reader_table_is_the_realified_table(N):
 
 
 def test_entry_reader_refuses_what_its_basis_does_not_rebuild():
+    """The oracle reader rebuilds what it reads and compares."""
     mats, labels, _ = _basis_matrices(2)
-    reader = _EntryReader(mats, labels)
+    reader = EntryReader(mats, labels)
     one, two, im = GScalar.of(1), GScalar.of(2), GScalar.of(0, 1)
     at = {label: t for t, label in enumerate(labels)}
     combo = {(0, 0): im, (1, 1): -im, (1, 2): two, (2, 1): -two}
@@ -329,10 +330,29 @@ def test_entry_reader_refuses_what_its_basis_does_not_rebuild():
     for fault in ({(0, 0): im}, {(1, 2): one, (2, 1): one}):
         assert reader.coords(fault) is None
         with pytest.raises(ValueError, match="^the bracket of vectors 0 and 1 leaves the span$"):
-            LieAlgebra.read(reader, mats[:2], lambda a, b: fault, labels[:2])
+            structure_in(reader, mats[:2], lambda a, b: fault)
     # a repeated matrix reads back as the first copy: dependent rows
     with pytest.raises(ValueError, match="^a basis matrix does not read back as its unit vector$"):
-        _EntryReader(mats[:1] + mats[:1] + mats[2:], labels)
+        EntryReader(mats[:1] + mats[:1] + mats[2:], labels)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_build_refuses_a_repeated_missing_or_extra_basis_matrix(N, monkeypatch):
+    """build_su1n reads each basis matrix back once and counts them: a
+    repeated matrix reads back as the first copy, and a missing or an
+    extra matrix leaves the count off (N + 1)^2 - 1."""
+    mats, labels, signs = _basis_matrices(N)
+    count = r"^the basis count is not \(N \+ 1\)\^2 - 1$"
+    faults = [
+        ("^a basis matrix does not read back as its unit vector$", mats[:1] + mats[:1] + mats[2:]),
+        (count, mats[:-1]),
+        (count, mats + mats[:1]),
+    ]
+    for message, basis in faults:
+        planted = (basis, labels, signs)
+        monkeypatch.setattr(su1n_model, "_basis_matrices", lambda N, planted=planted: planted)
+        with pytest.raises(AssertionError, match=message):
+            build_su1n.__wrapped__(N)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -389,7 +409,7 @@ def test_structure_constants_match_dense_commutators(N):
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
 def test_jacobi_sweep_passes_on_the_built_table(N):
     """build_su1n no longer sweeps its table: the table is certified by
-    how it is read (LieAlgebra.read).  The sweep stays the oracle."""
+    how it is formed and read (_structure).  The sweep stays the oracle."""
     g = build_su1n(N).algebra
     assert jacobi_report(g.dim, g.structure).ok
 
@@ -573,7 +593,7 @@ def test_written_roots_are_the_solved_ones(N):
         assert [dict(x) for x in got.basis] == [dict(x) for x in want.basis], name
 
 
-@pytest.mark.parametrize("N", range(1, 9))
+@pytest.mark.parametrize("N", [*range(1, 9), 12])
 def test_pruned_structure_table_is_the_full_read(N):
     """Reading only the pairs that share an index gives the table of every
     pair, in the same insertion order, with the same rows."""
@@ -596,23 +616,23 @@ def test_build_su1n_solves_no_nullspace(N, monkeypatch):
 
 def test_build_forms_only_the_commutators_of_index_sharing_pairs(monkeypatch):
     """At N = 10, 2424 of the 7140 pairs of basis matrices share a row or
-    column index, and those are the commutators build_su1n forms."""
+    column index, and those are the commutators build_su1n forms, in
+    Gaussian integers."""
     mats = _basis_matrices(10)[0]
-    where = {id(m): t for t, m in enumerate(mats)}
-    formed, comm = [], su1n_model._comm
+    where = {tuple((e, (x, y)) for e, (x, y, _) in m.items()): t for t, m in enumerate(mats)}
+    formed, commutator = [], su1n_model._commutator
 
     def counted(a, b):
-        formed.append((a, b))
-        return comm(a, b)
+        formed.append((where[tuple(a.items())], where[tuple(b.items())]))
+        return commutator(a, b)
 
-    monkeypatch.setattr(su1n_model, "_basis_matrices", lambda N: (mats, *_basis_matrices(N)[1:]))
-    monkeypatch.setattr(su1n_model, "_comm", counted)
+    monkeypatch.setattr(su1n_model, "_commutator", counted)
     build_su1n.__wrapped__(10)
     sets = [{a for entry in m for a in entry} for m in mats]
     pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
     sharing = [(i, j) for i, j in pairs if sets[i] & sets[j]]
     assert len(pairs) == 7140 and len(sharing) == 2424
-    assert [(where[id(a)], where[id(b)]) for a, b in formed] == sharing
+    assert formed == sharing
 
 
 def plant(monkeypatch, fault):
