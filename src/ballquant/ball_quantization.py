@@ -239,7 +239,7 @@ def apply_field(field: list, f: CoefFn) -> CoefFn:
     acc = {}
     for w, comp in enumerate(field):
         if comp.terms:
-            accumulate(acc, comp.mul_items(f.diff_coord(w)))
+            comp.mul_into(acc, f.diff_coord(w))
     return CoefFn(f.nv, acc)
 
 
@@ -377,8 +377,8 @@ def _orbit_moments(chart: BallChart, alpha: Fraction | None) -> list:
         for r, (re, im) in cols[b].items():
             sign = (-1) ** ((b == 0) + (r == 0))
             xre, xim = xs[a].setdefault(r, ({}, {}))
-            accumulate(xre, zab.mul_items(im, sign))
-            accumulate(xim, zab.mul_items(re, sign))
+            zab.mul_into(xre, im, sign)
+            zab.mul_into(xim, re, sign)
     xs = [{c: (CoefFn(nv, re), CoefFn(nv, im)) for c, (re, im) in x.items()} for x in xs]
     W = {}
     roots = [0] + [1] * nv + [2] + [0] * len(chart.m_basis) + [-1] * nv + [-2]
@@ -417,10 +417,10 @@ def _cmul(acc: tuple, x: tuple, y: tuple) -> None:
     """Add the product of the complex x and y, pairs (re, im) of CoefFns,
     into acc, a pair of term dicts."""
     (xr, xi), (yr, yi) = x, y
-    accumulate(acc[0], xr.mul_items(yr))
-    accumulate(acc[0], xi.mul_items(yi, -1))
-    accumulate(acc[1], xr.mul_items(yi))
-    accumulate(acc[1], xi.mul_items(yr))
+    xr.mul_into(acc[0], yr)
+    xi.mul_into(acc[0], yi, -1)
+    xr.mul_into(acc[1], yi)
+    xi.mul_into(acc[1], yr)
 
 
 def _gaussian(model: Su1nModel, x) -> tuple:

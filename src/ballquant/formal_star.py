@@ -13,10 +13,10 @@ tuples (p, k, alpha power, z power).  A product adds two keys and a
 derivative step along a v or z coordinate subtracts that coordinate's
 unit.  The top bit of each field below p is a guard: an exponent that
 would reach it (128) raises OverflowError, never wraps into the next
-field; a product checks it once, on the largest fields of its operands.
-Tuple keys are read and written only at the boundary: CoefFn.of packs
-them and CoefFn.decoded unpacks them, for the JSON codec, the a-check of
-integrate_exact_gradient and radial_reduce.
+field; a product checks it once, on the largest fields of its operands,
+before it writes a term.  Tuple keys are read and written only at the
+boundary: CoefFn.of packs them and CoefFn.decoded unpacks them, for the
+JSON codec, the a-check of integrate_exact_gradient and radial_reduce.
 
 For a constant antisymmetric matrix Lambda on these coordinates the
 transvection operators
@@ -34,11 +34,12 @@ operator).
 
 Each CoefFn keeps its exponent caps (CoefFn.caps, taken once per
 function and read off its largest fields): the largest exponent of each
-v and z coordinate and whether any term has p != 0.  A cap is exact for
-its coordinate, so the walk takes a directed pair as often as the caps
-of the derivatives it steps from allow, and no step lands on a zero
-derivative.  Most directed pairs have a zero cap on one side, so the
-walk tests f's cap, once for the row, then each partner's.  The sizes
+v and z coordinate and whether any term has p != 0; a derivative folds
+them in the loop that builds its terms (CoefFn.diff_coord).  A cap is
+exact for its coordinate, so the walk takes a directed pair as often as
+the caps of the derivatives it steps from allow, and no step lands on a
+zero derivative.  Most directed pairs have a zero cap on one side, so
+the walk tests f's cap, once for the row, then each partner's.  The sizes
 that have a multiset run from 0 to a last one, past which every C_m
 vanishes.  Each step lowers a polynomial cap on one side, so a
 partner's walk ends by itself there, at most at the joint degree.
@@ -81,14 +82,17 @@ vanishes counts: the series land the bare walk sum delta^m C_m there.
 
 CoefFn takes its ring arithmetic (sums with cancellation, scaling,
 products by adding exponents) from the SparseSum core of scalars and adds
-only the rules of its own axes: derivatives and antiderivatives.  Star
-products are truncated series in the deformation parameter, a NuSeries
-keeping only its nonzero powers, so it costs what it holds whatever its
-order; the JSON codec alone reads its dense form (NuSeries.coeffs).
+only the rules of its own axes: derivatives and antiderivatives.  Each
+product is summed, scaled, straight into a caller's term dict
+(SparseSum.mul_into).  Star products are truncated series in the
+deformation parameter, a NuSeries keeping only its nonzero powers, so it
+costs what it holds whatever its order; the JSON codec alone reads its
+dense form (NuSeries.coeffs).
 Every series is summed in place in a NuSum, and NuSum.land is the one
 point in the package where a series term past the order is dropped,
 clearing the exact flag if it is nonzero: the star products and the
-series product all land there through _transvection_series, as do
+series product all land there through _transvection_series (which stops
+forming a partner's past-order products once its sum is inexact), as do
 series sums, retract_pde and verify_qmm.  (retract_pde's XiFn.expand_nu
 cuts the binomial series of a half power at the order by design, with
 no flag.)
@@ -191,15 +195,25 @@ class CoefFn(SparseSum, Record, frozen=True):
             raise ValueError(f"functions of {self.nv} and {other.nv} v coordinates do not combine")
         return other
 
-    def mul_items(self, other: CoefFn, c=None):
-        """The items of c * self * other, each key the sum of two; the
-        largest fields of the operands are checked once, so no sum of keys
-        carries past a guard bit."""
+    def mul_into(self, out: dict, other: CoefFn, c=1) -> dict:
+        """SparseSum.mul_into, each key the sum of two: the largest fields
+        of the operands are checked once, before out is written, so no sum
+        of keys carries past a guard bit."""
         if (self._top + other._top) & key_layout(self.nv).guards:
             raise OverflowError("a product exponent does not fit a key field")
-        left = self.terms.items() if c is None else [(k, v * c) for k, v in self.terms.items()]
         right = other.terms.items()
-        return ((k1 + k2, c1 * c2) for k1, c1 in left for k2, c2 in right)
+        for k1, c1 in self.terms.items():
+            if c != 1:
+                c1 = c1 * c
+            for k2, c2 in right:
+                key = k1 + k2
+                s = out.get(key)
+                s = c1 * c2 if s is None else s + c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return out
 
     @classmethod
     def of(cls, nv: int, items) -> CoefFn:
@@ -252,14 +266,23 @@ class CoefFn(SparseSum, Record, frozen=True):
     def diff_coord(self, coord: int) -> CoefFn:
         """One derivative along chart coordinate coord: the factor is p
         for a, else the exponent in the coordinate's field, which the key
-        loses one unit of."""
-        shift = key_layout(self.nv).shifts[coord]
-        items = self.terms.items()
-        if not coord:
-            return CoefFn(self.nv, {k: c * p for k, c in items if (p := k >> shift)})
-        one = 1 << shift
-        out = {k - one: c if e == 1 else c * e for k, c in items if (e := k >> shift & _MASK)}
-        return CoefFn(self.nv, out)
+        loses one unit of.  Its largest fields (_top) fold as it is built."""
+        layout = key_layout(self.nv)
+        shift, low, guards = layout.shifts[coord], layout.low, layout.guards
+        one, mask = (1 << shift, _MASK) if coord else (0, -1)
+        out, top, weighted = {}, 0, 0
+        for k, c in self.terms.items():
+            if e := k >> shift & mask:
+                k = k - one if coord else k  # along a, the key int is shared
+                out[k] = c if e == 1 else c * e
+                r = k & low
+                weighted = weighted or r != k
+                keep = ((top | guards) - r) & guards
+                keep -= keep >> (FIELD_BITS - 1)
+                top = top & keep | r & ~keep
+        d = CoefFn(self.nv, out)
+        d.__dict__["_top"] = top | weighted << layout.top
+        return d
 
     @kept
     def _derivatives(self) -> dict:
@@ -292,7 +315,8 @@ class CoefFn(SparseSum, Record, frozen=True):
         there is at least k one to one onto nonzero terms.  Taken on first
         use and kept."""
         top, layout = self._top, key_layout(self.nv)
-        return (maxsize if top >> layout.top else 0, *[top >> s & _MASK for s in layout.shifts[1:]])
+        fields = (top & layout.low).to_bytes(layout.nv + 2, "big")  # a byte each: v, alpha, z
+        return (maxsize if top >> layout.top else 0, *fields[:-2], fields[-1])
 
     def step(self, index: int, parent: CoefFn, coord: int) -> CoefFn:
         """d^index self, given parent = d^(index - unit) self for the unit
@@ -466,7 +490,7 @@ def c_operator(f: CoefFn, g: CoefFn, P: PoissonStructure, m: int, weight=None) -
     scale = _ratio(factorial(m) if weight is None else weight, factorial(m) * P.delta**m)
     total: dict = {}
     for _, df, dg, wt in terms[m] if m < len(terms) else ():
-        accumulate(total, df.mul_items(dg, wt * scale))
+        df.mul_into(total, dg, wt * scale)
     return CoefFn(P.nv, total)
 
 
@@ -593,7 +617,7 @@ def _transvection_series(
     weight / (m! delta^m), taken once per m and call.  Past the order a
     C_m only has to be seen nonzero by land, which drops it, and its terms
     can cancel, so they are summed first, as the bare walk sum
-    delta^m C_m.
+    delta^m C_m, while the partner's sum is still exact.
     """
     outs = [NuSum(P.nv, order) for _ in Gs] if into is None else into
     if len(outs) != len(Gs) or any(out.order != order for out in outs):
@@ -610,11 +634,13 @@ def _transvection_series(
             for m in range(first, len(terms), step):
                 t = i + j + m
                 past = t > order
+                if past and not out.exact:
+                    break
                 if not past and m not in scales:
                     scales[m] = _ratio(weight, factorial(m) * P.delta**m)
                 dst = {} if past else out.terms[t]
                 for _, d, e, wt in terms[m]:
-                    accumulate(dst, d.mul_items(e, wt if past else wt * scales[m]))
+                    d.mul_into(dst, e, wt if past else wt * scales[m])
                 if past:
                     out.land(t, dst.items())
     return outs

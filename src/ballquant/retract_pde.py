@@ -24,7 +24,8 @@ when mu_X and all its NuSums are.
 apply_operator differentiates each stored coefficient of its argument
 once per key that its exponent caps (CoefFn.caps) allow, since a key
 past a cap gives zero, and skips a key that leaves no derivative.  It
-lands every product in one NuSum too; its exact flag is the one that
+sums each product within the order straight into one NuSum, lands one
+past it only while that NuSum is exact, and so gives the exact flag that
 resizing both sides to the order and multiplying would give.
 
 After a partial Fourier transform in z the operator for sigma(v0),
@@ -61,7 +62,7 @@ from math import factorial
 from operator import add, le
 from types import MappingProxyType
 
-from .scalars import GScalar, SparseSum, accumulate, collect, frac_str, keyed, parse_frac, shaped
+from .scalars import GScalar, SparseSum, collect, frac_str, keyed, parse_frac, shaped
 from .scalars import Record, resolve_truncation_order
 
 
@@ -117,7 +118,7 @@ class XiFn(SparseSum, Record, frozen=True):
         for key, c in self.terms.items():
             target = target_odd if key[3] % 2 else target_even
             d = (key[3] - target) // 2
-            items += _binomial_terms(key, c, Fraction(d), target, d + 1)
+            items += _binomial_terms(key, c, 2 * d, target, d + 1)
         return XiFn(collect(items))
 
     def is_zero(self) -> bool:
@@ -131,26 +132,26 @@ class XiFn(SparseSum, Record, frozen=True):
             _, _, _, h, j = key
             if j <= order:
                 count = (order - j) // 2 + 1 if h else 1
-                items += _binomial_terms(key, c, Fraction(h, 2), 0, count)
+                items += _binomial_terms(key, c, h, 0, count)
         return XiFn(collect(items))
 
 
 @lru_cache(maxsize=256)
-def _binomial_row(e: Fraction, count: int) -> tuple:
-    """The signed coefficients b_t = (-1)^t binom(e, t) for t < count, by
-    b_{t+1} = b_t (t - e) / (t + 1)."""
-    row, b = [], Fraction(1)
+def _binomial_row(e2: int, count: int) -> tuple:
+    """The signed coefficients b_t = (-1)^t binom(e, t), e = e2 / 2, for
+    t < count, by b_{t+1} = b_t (t - e) / (t + 1), keyed by the int e2."""
+    row, b, e = [], Fraction(1), Fraction(e2, 2)
     for t in range(count):
         row.append(b)
         b = b * (t - e) / (t + 1)
     return tuple(row)
 
 
-def _binomial_terms(key: tuple, c: GScalar, e: Fraction, h: int, count: int) -> list:
-    """The first count terms of c (1 - nu^2 xi^2)^e times the monomial of
-    key, with its half power replaced by h."""
+def _binomial_terms(key: tuple, c: GScalar, e2: int, h: int, count: int) -> list:
+    """The first count terms of c (1 - nu^2 xi^2)^(e2/2) times the
+    monomial of key, with its half power replaced by h."""
     k, m, n, _, j = key
-    row = _binomial_row(e, count)
+    row = _binomial_row(e2, count)
     return [((k, m, n + 2 * t, h, j + 2 * t), c.scale(b)) for t, b in enumerate(row)]
 
 
@@ -337,7 +338,10 @@ def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSer
         ]
         for i, f in series.terms.items() if dthetas else ():
             for j, d in dthetas:
-                out.land(i + j, f.mul_items(d))
+                if i + j <= order:
+                    f.mul_into(out.terms[i + j], d)
+                elif out.exact:
+                    out.land(i + j, f.mul_into({}, d).items())
     return out.series()
 
 
@@ -403,8 +407,8 @@ def radial_pde_residual(theta: XiFn, n: int, order: int | None = None):
     for path, (c_wv, c_om) in _radial_table(n).items():
         if path:
             derivs[path] = _STEPS[path[-1]](derivs[path[:-1]])
-        accumulate(wv, c_wv.mul_items(derivs[path]))
-        accumulate(om, c_om.mul_items(derivs[path]))
+        c_wv.mul_into(wv, derivs[path])
+        c_om.mul_into(om, derivs[path])
     wv, om = XiFn(wv), XiFn(om)
     if order is not None:
         return wv.expand_nu(order), om.expand_nu(order)

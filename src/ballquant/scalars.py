@@ -13,10 +13,10 @@ SparseSum is the ring arithmetic shared by the chart functions of
 formal_star and the radial coefficients of retract_pde: a finite sum of
 monomials keyed by their exponents (a tuple, or one packed int for the
 chart functions), added with cancellation and multiplied by adding
-exponents.  accumulate adds items into one term
-dict in place, so a long sum of products (an operator applied to a
-series, a transvection contraction) fills one dict instead of copying
-the partial sum once per summand.
+exponents.  SparseSum.mul_into sums a product straight into one term
+dict, so a long sum of products (an operator applied to a series, a
+transvection contraction) fills one dict instead of copying the partial
+sum once per summand; accumulate does the same for (key, value) items.
 
 resolve_truncation_order checks the nu truncation order that every
 series check takes, 12 when the call passes none; it lives here so that
@@ -346,7 +346,7 @@ class SparseSum:
     """A finite sum of monomials: terms maps an exponent key to a nonzero
     coefficient.  Subclasses say how to build an instance from terms
     (_new) and how exponents combine under multiplication (_key_mul, or
-    their own mul_items)."""
+    their own mul_into)."""
 
     terms: dict
 
@@ -367,13 +367,13 @@ class SparseSum:
     def scale(self, c):
         return self._new({key: v * c for key, v in self.terms.items()} if c else {})
 
-    def mul_items(self, other, c=None):
-        """The (key, coefficient) items of c * self * other, like terms not
-        yet collected; pass them to accumulate to add the product in place."""
-        key_mul = self._key_mul
-        left = self.terms.items() if c is None else [(k, v * c) for k, v in self.terms.items()]
-        right = other.terms.items()
-        return ((key_mul(k1, k2), c1 * c2) for k1, c1 in left for k2, c2 in right)
+    def mul_into(self, out: dict, other, c=1) -> dict:
+        """Sum c * self * other into the term dict out, in place, as
+        accumulate sums items, and return it; out is neither operand's
+        terms, and each pair of terms lands at the product of its keys."""
+        left = self.terms.items() if c == 1 else [(k, v * c) for k, v in self.terms.items()]
+        key_mul, right = self._key_mul, other.terms.items()
+        return accumulate(out, ((key_mul(k1, k2), c1 * c2) for k1, c1 in left for k2, c2 in right))
 
     def mul(self, other):
-        return self._new(collect(self.mul_items(other)))
+        return self._new(self.mul_into({}, other))

@@ -1,7 +1,8 @@
 """Property tests: Gaussian rational products against the four-product
 formula, the integer Gaussian rational kernel against Fraction pairs
 (arithmetic, one canonical form, refusal of ints and tuples), ring
-laws of the shared sparse core, the Leibniz rule of the Poisson
+laws of the shared sparse core, its in-place product (mul_into) and
+the caps a derivative folds as it is built, the Leibniz rule of the Poisson
 bracket, the associativity of the Moyal product, the Jacobi identity
 of the star commutator, the nu series operations and codec against the
 padded-list oracle, the integer-scaled star commutator against the
@@ -54,7 +55,7 @@ from ballquant.linalg import Frame, bilinear, combine, nullspace, rank_sparse, r
 from ballquant.linalg import split_symplectic
 from ballquant.psd_builder import PsdSpec, build_psd, psd_spec_from_json, psd_spec_to_json
 from ballquant.retract_pde import XiFn, xifn_from_json, xifn_to_json
-from ballquant.scalars import LITERAL_LENGTH, GScalar, frac_str, parse_frac
+from ballquant.scalars import LITERAL_LENGTH, GScalar, collect, frac_str, parse_frac
 
 from oracles import dense, identity_matrix, mat_mul, nullspace_oracle, rref_oracle, sparse
 from oracles import degree as total_degree
@@ -459,6 +460,94 @@ def test_a_product_raises_when_an_exponent_passes_its_key_field(case):
             f.mul(g)
     else:
         assert f.mul(g).decoded() == tuple_mul(ft, gt)
+
+
+def fold_fns(nv: int):
+    """Chart functions whose terms are weighted (p != 0, either sign) or
+    not, with exponents near 0 and at FIELD_MAX, so that some
+    derivatives are empty and some keep a field at its largest value."""
+    e = st.one_of(st.integers(0, 2), st.just(FIELD_MAX), st.integers(0, FIELD_MAX))
+    p = st.one_of(st.just(0), st.integers(-300, 300))
+    key = st.tuples(p, st.tuples(*[e] * nv), e, e)
+    coef = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    return st.lists(st.tuples(key, coef), max_size=4).map(lambda items: CoefFn.of(nv, items))
+
+
+@CODEC
+@given(st.integers(0, 6).flatmap(fold_fns))
+@example(CoefFn.zero(2))
+@example(CoefFn.of(2, [((0, (FIELD_MAX, 1), FIELD_MAX, 0), 1), ((0, (0, 0), 0, 2), F(-1, 2))]))
+@example(CoefFn.of(1, [((-5, (0,), 1, FIELD_MAX), 3), ((0, (2,), 0, 0), 1)]))
+def test_a_derivative_folds_its_caps_as_it_is_built(f):
+    """diff_coord takes the largest fields (_top) of each derivative in
+    the loop that builds it: they and the caps read off them are those of
+    a fresh function of the same terms, and the caps are the tuple
+    reference's, for every coordinate."""
+    nv = f.nv
+    for c in range(nv + 2):
+        d = f.diff_coord(c)
+        assert "_top" in vars(d)
+        fresh = CoefFn(nv, dict(d.terms))
+        assert d._top == fresh._top
+        assert d.caps == fresh.caps == tuple_caps(d.decoded(), nv)
+
+
+scales = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-3, 3), st.integers(1, 4)))
+
+
+@CODEC
+@given(
+    st.integers(0, 4).flatmap(lambda nv: st.tuples(*[st.one_of(chart_fns(nv), fold_fns(nv))] * 3)),
+    scales,
+    st.data(),
+)
+def test_a_product_sums_in_place(fns, c, data):
+    """mul_into sums c f g into a term dict as collect sums the pairwise
+    products onto it, which the tuple reference gives too, and drops
+    every key that cancels; a product past a key field raises
+    OverflowError before the dict is touched."""
+    f, g, h = fns
+    pairs = [(k1 + k2, c1 * c * c2) for k1, c1 in f.terms.items() for k2, c2 in g.terms.items()]
+    over = any(
+        a + b > FIELD_MAX
+        for _, k1, s1, q1 in f.decoded()
+        for _, k2, s2, q2 in g.decoded()
+        for a, b in zip((*k1, s1, q1), (*k2, s2, q2))
+    )
+    want = {} if over else collect(pairs)
+    cancel = {k for k in sorted(want) if data.draw(st.booleans())}
+    start = dict(h.terms) | {k: -want[k] for k in cancel}
+    out = dict(start)
+    if over:
+        with pytest.raises(OverflowError, match="does not fit a key field"):
+            f.mul_into(out, g, c)
+        assert out == start
+        return
+    assert f.mul_into(out, g, c) is out
+    assert out == collect(pairs, start)
+    assert all(out.values()) and not cancel & out.keys()
+    product = ((key, c * v) for key, v in tuple_mul(f.decoded(), g.decoded()).items())
+    assert CoefFn(f.nv, out).decoded() == collect(product, CoefFn(f.nv, start).decoded())
+
+
+@PROPERTY
+@given(xi_fns, xi_fns, xi_fns, st.one_of(st.just(1), gscalars.filter(bool)), st.data())
+def test_an_xifn_product_sums_in_place(f, g, h, c, data):
+    """The shared mul_into on tuple keys: c f g summed onto a term dict as
+    collect sums the pairwise products, keys that cancel dropped; c is 1
+    or a Gaussian rational, the ring of XiFn's coefficients."""
+    pairs = [
+        (XiFn._key_mul(k1, k2), c1 * c2 if c == 1 else c1 * c2 * c)
+        for k1, c1 in f.terms.items()
+        for k2, c2 in g.terms.items()
+    ]
+    want = collect(pairs)
+    cancel = {k for k in sorted(want) if data.draw(st.booleans())}
+    start = dict(h.terms) | {k: -want[k] for k in cancel}
+    out = dict(start)
+    assert f.mul_into(out, g, c) is out
+    assert out == collect(pairs, start)
+    assert all(out.values()) and not cancel & out.keys()
 
 
 @CODEC

@@ -550,7 +550,7 @@ def test_binomial_terms_follow_the_oracle(e2):
             ((1, 2, 3 + 2 * t, 1, 4 + 2 * t), c.scale(binom_oracle(e, t) * (-1) ** t))
             for t in range(count)
         ]
-        assert _binomial_terms(key, c, e, 1, count) == want
+        assert _binomial_terms(key, c, e2, 1, count) == want
 
 
 def test_binom_oracle_matches_sympy():
