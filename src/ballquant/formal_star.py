@@ -269,7 +269,7 @@ class CoefFn(SparseSum, Record, frozen=True):
         loses one unit of.  Its largest fields (_top) fold as it is built."""
         layout = key_layout(self.nv)
         shift, low, guards = layout.shifts[coord], layout.low, layout.guards
-        one, mask = (1 << shift, _MASK) if coord else (0, -1)
+        one, mask = 1 << shift, _MASK if coord else -1
         out, top, weighted = {}, 0, 0
         for k, c in self.terms.items():
             if e := k >> shift & mask:

@@ -442,6 +442,17 @@ def test_packed_arithmetic_matches_the_tuple_reference(case):
         assert f.step(2 * units[c], None, c) is f.step(2 * units[c], once, c)
 
 
+def passes_a_field(ft: dict, gt: dict) -> bool:
+    """Whether some pair of terms of two tuple-keyed chart functions adds
+    two exponents past FIELD_MAX in one field."""
+    return any(
+        a + b > FIELD_MAX
+        for _, k1, s1, q1 in ft
+        for _, k2, s2, q2 in gt
+        for a, b in zip((*k1, s1, q1), (*k2, s2, q2))
+    )
+
+
 @CODEC
 @given(st.integers(0, 6).flatmap(lambda nv: st.tuples(*[chart_fns(nv, FIELD_MAX)] * 2)))
 def test_a_product_raises_when_an_exponent_passes_its_key_field(case):
@@ -449,13 +460,7 @@ def test_a_product_raises_when_an_exponent_passes_its_key_field(case):
     two exponents past FIELD_MAX in one field, and is never wrapped."""
     f, g = case
     ft, gt = f.decoded(), g.decoded()
-    over = any(
-        a + b > FIELD_MAX
-        for _, k1, s1, q1 in ft
-        for _, k2, s2, q2 in gt
-        for a, b in zip((*k1, s1, q1), (*k2, s2, q2))
-    )
-    if over:
+    if passes_a_field(ft, gt):
         with pytest.raises(OverflowError, match="does not fit a key field"):
             f.mul(g)
     else:
@@ -508,12 +513,7 @@ def test_a_product_sums_in_place(fns, c, data):
     OverflowError before the dict is touched."""
     f, g, h = fns
     pairs = [(k1 + k2, c1 * c * c2) for k1, c1 in f.terms.items() for k2, c2 in g.terms.items()]
-    over = any(
-        a + b > FIELD_MAX
-        for _, k1, s1, q1 in f.decoded()
-        for _, k2, s2, q2 in g.decoded()
-        for a, b in zip((*k1, s1, q1), (*k2, s2, q2))
-    )
+    over = passes_a_field(f.decoded(), g.decoded())
     want = {} if over else collect(pairs)
     cancel = {k for k in sorted(want) if data.draw(st.booleans())}
     start = dict(h.terms) | {k: -want[k] for k in cancel}
