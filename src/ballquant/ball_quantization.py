@@ -51,10 +51,10 @@ from .formal_star import CoefFn, NuSeries, NuSum, PoissonStructure, half_commuta
 from .formal_star import series_to_json
 from .linalg import Frame, bilinear, split_symplectic
 from .linalg import solve_in_span  # noqa: F401, callers read it here
-from .scalars import G_ZERO, Record, accumulate, collect, exact, frac_str, kept
+from .scalars import Record, accumulate, collect, exact, frac_str, kept
 from .scalars import resolve_truncation_order
 from .scalars import TRUNCATION_ENV, TruncationOrderError  # noqa: F401, callers read them here
-from .su1n_model import Su1nModel, adapted_s_basis, build_su1n
+from .su1n_model import Su1nModel, adapted_s_basis, build_su1n, gaussian, trace_form
 
 CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
 CALIBRATED_INNER_SCALE = Fraction(1, 2)
@@ -143,7 +143,8 @@ def build_chart(N: int) -> BallChart:
     basis = (H, *fs, E, *m_basis, *sigma)
     frame = Frame(basis)
     scale = -CALIBRATED_INNER_SCALE / model.beta_H0
-    gram = [[scale * model.beta_form(u, sw) for sw in sigma[:nv]] for u in fs]
+    read = [gaussian(model.matrices, x) for x in (*fs, *sigma[:nv])]  # each matrix once
+    gram = [[scale * trace_form(N + 1, u, sw) for sw in read[nv:]] for u in read[:nv]]
     return BallChart(model, H, list(fs), E, nv, omega, gram, m_basis, basis, frame)
 
 
@@ -354,15 +355,15 @@ def _orbit_moments(chart: BallChart, alpha: Fraction | None) -> list:
     not a root), n = exp(v + z E) is one series (_exp_apply), and since n
     is J-unitary, J = diag(-1, 1, .., 1), (n^-1)_br = J_bb J_rr conj(n_rb):
     the rows are read off the columns.  Every factor is a Gaussian-integer
-    multiple: the basis matrices (_gaussian), 4 q^2 Z for alpha = p / q
+    multiple: the basis matrices (su1n_model.gaussian), 4 q^2 Z for alpha = p / q
     (q = 1 when alpha is the formal variable) and the exponential; a
     complex entry is a pair (re, im) of int CoefFns, and each term is
     divided back into Q once.
     """
     model, nv = chart.model, chart.nv
     layout = key_layout(nv)
-    gens = [(layout.units[1 + i], *_gaussian(model, f)) for i, f in enumerate(chart.fs)]
-    gens.append((layout.units[nv + 1], *_gaussian(model, chart.E)))
+    gens = [(layout.units[1 + i], *gaussian(model.matrices, f)) for i, f in enumerate(chart.fs)]
+    gens.append((layout.units[nv + 1], *gaussian(model.matrices, chart.E)))
     S, cols = _exp_apply(nv, model.N + 1, gens)
     if alpha is None:
         q, p = 1, {layout.pack(0, (0,) * nv, 1, 0): 1}
@@ -384,7 +385,7 @@ def _orbit_moments(chart: BallChart, alpha: Fraction | None) -> list:
     roots = [0] + [1] * nv + [2] + [0] * len(chart.m_basis) + [-1] * nv + [-2]
     moments = []
     for x, root in zip(chart.basis, roots):
-        d, entries = _gaussian(model, x)
+        d, entries = gaussian(model.matrices, x)
         acc = {}
         # Re tr(Z n^-1 X n) = Re tr(W X), the sum of Re(X_rc W_cr)
         for (r, c), (gr, gi) in entries.items():
@@ -421,19 +422,6 @@ def _cmul(acc: tuple, x: tuple, y: tuple) -> None:
     xi.mul_into(acc[0], yi, -1)
     xr.mul_into(acc[1], yi)
     xi.mul_into(acc[1], yr)
-
-
-def _gaussian(model: Su1nModel, x) -> tuple:
-    """(d, {(row, col): (re, im)}): the least d > 0 that makes d X
-    Gaussian-integral, and the entries of d X, for the matrix X of the
-    algebra vector x, summed off the model's sparse basis matrices."""
-    acc = {}
-    for t, c in x.items():
-        for e, g in model.matrices[t].items():
-            acc[e] = acc.get(e, G_ZERO) + g.scale(c)
-    acc = {e: g for e, g in acc.items() if g}
-    d = lcm(*(g[2] for g in acc.values()))
-    return d, {e: (a * (d // q), b * (d // q)) for e, (a, b, q) in acc.items()}
 
 
 def _exp_apply(nv: int, n: int, gens: list) -> tuple:
@@ -514,15 +502,15 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     {mu_X, mu_Y} = mu_[X,Y] on the nu^0 moments, the classical limit.
 
     The check runs in Z and reports in Q.  D is the common denominator
-    of the moments' coefficients and L = lcm(top! delta^top, the
-    denominators of the brackets read), so that the int weight L keeps
-    every scale L / (m! delta^m) of an odd m <= top an int and every
-    left-side factor L D c an int.  top is order + 1, or twice the
-    largest sum of v and z caps (CoefFn.caps) of a lifted coefficient
-    when less: every pair of P steps along a v or z on one side, so no
-    partner's walk is longer.  Each pair lands L D^2 times its residual,
-    with int coefficients only, in its NuSum, and only a failing residual
-    is divided back by L D^2.
+    of the moments' coefficients, and each row has its own int weight
+    L = lcm(top! delta^top, the denominators of the row's brackets, read
+    as it is walked): L keeps every scale L / (m! delta^m) of an odd
+    m <= top and every left-side factor L D c of the row an int.  top is
+    order + 1, or twice the largest sum of v and z caps (CoefFn.caps) of
+    a lifted coefficient when less: every pair of P steps along a v or z
+    on one side, so no partner's walk is longer.  Each pair lands L D^2
+    times its residual, with int coefficients only, in its NuSum, and
+    only a failing residual is divided back by its row's L D^2.
 
     Each moment is lifted once (_in_z): scaled by D into fresh int
     coefficients, one per stored power, and truncated to the order when
@@ -547,18 +535,18 @@ def verify_qmm(table: QmmTable, order: int | None = None, pairs: str = "all") ->
     else:
         raise ValueError("pairs must be 'all' or 's'")
     P = table.P
-    brackets = [[chart.bracket(i, j) for j in range(i + 1, n)] for i in range(n)]
-    dens = (c.denominator for row in brackets for b in row for c in b.values())
     stored = [f for s in table.moments for f in s.terms.values()]
     D = lcm(*(c.denominator for f in stored for c in f.terms.values()))
     lifted = [_in_z(s, D, order) for s in table.moments]
     caps = (sum(f.caps[1:]) for s in lifted for f in s.terms.values())
     top = min(order + 1, 2 * max(caps, default=0))
-    L = lcm(factorial(top) * P.delta**top, *dens)
-    LD = L * D
+    weight = factorial(top) * P.delta**top
     failures = []
     exact = True
-    for i, row in enumerate(brackets[:-1]):
+    for i in range(n - 1):
+        row = [chart.bracket(i, j) for j in range(i + 1, n)]
+        L = lcm(weight, *(c.denominator for b in row for c in b.values()))
+        LD = L * D
         sums = [NuSum(nv, order) for _ in row]
         half_commutator(lifted[i], lifted[i + 1 : n], P, order, sums, L)
         for j, bracket, res in zip(range(i + 1, n), row, sums):

@@ -22,7 +22,7 @@ from .scalars import DEFAULT_TRUNCATION, parse_frac
 SERIES = ("qmm", "retract")  # the verify suites that truncate series
 # The largest N a command takes, refused above before any build (README,
 # "Limits"), each command staying below 250 MB at its ceiling: at 30 verify
-# --suite qmm and --suite retract peak near 144 and 158 MB, and at 12 the
+# --suite qmm and --suite retract peak near 132 and 152 MB, and at 12 the
 # cocycle suite, whose cost grows faster in N (h2 --su1n too), near 225 MB.
 N_CEILING = 30
 COHOMOLOGY_CEILING = 12

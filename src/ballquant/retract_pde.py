@@ -164,12 +164,14 @@ def xifn_to_json(f: XiFn) -> dict:
 
 
 def xifn_from_json(data: dict) -> XiFn:
-    """Sum the listed terms; every exponent must be an int, the nu power >= 0."""
+    """Sum the listed terms [k, m, n, h, j, re, im]: int exponents, the nu power >= 0."""
     items = []
     (terms,) = keyed(data, "an XiFn", "terms")
     for term in shaped(terms, list, "terms"):
-        *key, re, im = shaped(term, list, "a term")
-        if len(key) != 5 or any(type(e) is not int for e in key) or key[4] < 0:
+        if len(shaped(term, list, "a term")) != 7:
+            raise ValueError(f"an XiFn term must have 7 items, got {term!r}")
+        *key, re, im = term
+        if any(type(e) is not int for e in key) or key[4] < 0:
             raise ValueError(f"XiFn exponents must be five ints, the nu power >= 0, got {key!r}")
         items.append((tuple(key), GScalar(parse_frac(re), parse_frac(im))))
     return XiFn(collect(items))

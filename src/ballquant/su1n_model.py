@@ -9,7 +9,7 @@ H0 = E_01 + E_10, whose adjoint action has rational eigenvalues
 (+-2, +-1, 0).  The structure constants are read off the entries of the
 commutators, in Gaussian integers, of the pairs of basis matrices that
 share an index (_structure, index_partners), and the Killing form is the
-trace form 2(N + 1) Re tr(XY) on those matrices (_trace_form).  The
+trace form 2(N + 1) Re tr(XY) of the matrices it pairs (trace_form).  The
 restricted-root decomposition is written down and checked (build_su1n),
 and the adapted chart basis of s is taken from it and checked
 (adapted_s_basis).
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
 from .lie_core import CheckReport, LieAlgebra, Subspace, span_subspace, subalgebra
-from .linalg import Frame, bilinear, combine, dense, nullspace, split_symplectic, vec_add
-from .linalg import vec_scale, zeros
+from .linalg import Frame, combine, dense, nullspace, split_symplectic, vec_add, vec_scale
 from .scalars import G_ZERO, GScalar, Record, frac_str, kept
 
 
@@ -147,26 +146,35 @@ def _structure(mats: list, labels: list) -> dict:
     return structure
 
 
-def _trace_form(mats: list, n: int) -> list:
-    """The Killing form 2n Re tr(XY) of su(1, n - 1) on the basis
-    matrices, as dense rows.  tr(XY) sums X_ab Y_ba, so an entry (a, b)
-    of one matrix meets only the matrices holding an entry (b, a).
-    AssertionError when a trace is not real."""
-    holding = {}
-    for j, m in enumerate(mats):
-        for entry, y in m.items():
-            holding.setdefault(entry, []).append((j, y))
-    form = [zeros(len(mats)) for _ in mats]
-    for i, m in enumerate(mats):
-        traces = {}
-        for (a, b), x in m.items():
-            for j, y in holding.get((b, a), ()):
-                traces[j] = traces.get(j, G_ZERO) + x * y
-        for j, tr in traces.items():
-            if tr.im:
-                raise AssertionError(f"the trace of basis matrices {i} and {j} is not real")
-            form[i][j] = 2 * n * tr.re
-    return form
+def gaussian(matrices: tuple, x: dict) -> tuple:
+    """(d, {(row, col): (re, im)}): the least d > 0 that makes d X
+    Gaussian-integral, and the entries of d X, for the matrix X of the
+    algebra vector x, summed in ints off the sparse basis matrices."""
+    D = lcm(*(c.denominator * g[2] for t, c in x.items() for g in matrices[t].values()))
+    acc = {}
+    for t, c in x.items():
+        for e, (a, b, q) in matrices[t].items():
+            k = c.numerator * (D // (c.denominator * q))
+            re, im = acc.get(e, (0, 0))
+            acc[e] = re + k * a, im + k * b
+    g = gcd(D, *(v for pair in acc.values() for v in pair))
+    return D // g, {e: (re // g, im // g) for e, (re, im) in acc.items() if re or im}
+
+
+def trace_form(n: int, X: tuple, Y: tuple) -> Fraction:
+    """The Killing form 2n Re tr(XY) of su(1, n - 1), X and Y as gaussian
+    reads them, summed in ints and divided once.  Every value is real: the
+    basis matrices lie in su(1, N) (_check_su1n, in build_su1n), so
+    X^* = -J X J and conj tr(XY) = tr(Y^* X^*) = tr(J Y X J) = tr(XY).
+    AssertionError when a trace is not real (matrices off su(1, N))."""
+    (dx, xs), (dy, ys) = X, Y
+    re = im = 0
+    for (a, b), (p, q) in xs.items():
+        r, s = ys.get((b, a), (0, 0))
+        re, im = re + p * r - q * s, im + p * s + q * r
+    if im:
+        raise AssertionError("the trace of two algebra matrices is not real")
+    return Fraction(2 * n * re, dx * dy)
 
 
 class RootDatum(Record, frozen=True):
@@ -194,7 +202,6 @@ class Su1nModel(Record, frozen=True, eq=False):
     s_space: Subspace
     roots: tuple
     H0: MappingProxyType
-    beta: tuple
     beta_H0: Fraction
     matrices: tuple
 
@@ -202,7 +209,8 @@ class Su1nModel(Record, frozen=True, eq=False):
         return {j: self.sigma_diagonal[j] * xj for j, xj in x.items()}
 
     def beta_form(self, x: dict, y: dict) -> Fraction:
-        return bilinear(self.beta, x, y)
+        """The Killing form of x and y, read off their matrices (trace_form)."""
+        return trace_form(self.N + 1, gaussian(self.matrices, x), gaussian(self.matrices, y))
 
     def beta_sigma(self, x: dict, y: dict) -> Fraction:
         return -self.beta_form(x, self.apply_sigma(y))
@@ -232,10 +240,11 @@ def build_su1n(N: int) -> Su1nModel:
     """Construct the su(1, N) model; results are cached.  The model and
     its root data are frozen, their sequences (labels, subspace bases,
     roots) are tuples, every vector (the subspace bases, H0 and each
-    H_lambda) is a read-only map, and the structure table, beta,
-    sigma_diagonal and matrices are read-only at every level, so callers
-    use them without copying.  matrices holds the basis matrices as
-    _basis_matrices builds them, sparse maps {(row, col): GScalar}.
+    H_lambda) is a read-only map, and the structure table, sigma_diagonal
+    and matrices are read-only at every level, so callers use them without
+    copying.  matrices holds the basis matrices as _basis_matrices builds
+    them, sparse maps {(row, col): GScalar}, and beta_form reads the Killing
+    form off them: only its value beta_H0 on H0 is stored.
 
     The table is _structure's, proved there to satisfy Jacobi for every
     N, and stored by LieAlgebra.written.  The root spaces of ad H0 are written:
@@ -259,10 +268,8 @@ def build_su1n(N: int) -> Su1nModel:
     n, dim = N + 1, len(mats)
     algebra = LieAlgebra.written(labels, _structure(mats, labels))
 
-    h0_index = N  # label P1
-    H0 = MappingProxyType(algebra.basis_vector(h0_index))
-    beta = _trace_form(mats, n)
-    beta_H0 = beta[h0_index][h0_index]
+    H0 = MappingProxyType(algebra.basis_vector(N))  # label P1
+    beta_H0 = trace_form(n, gaussian(mats, H0), gaussian(mats, H0))
 
     k_space = span_subspace(algebra, [algebra.basis_vector(i) for i in range(dim) if signs[i] == 1])
     p_space = span_subspace(algebra, [algebra.basis_vector(i) for i in range(dim) if signs[i] == -1])
@@ -299,7 +306,6 @@ def build_su1n(N: int) -> Su1nModel:
         s_space=s_space,
         roots=tuple(roots),
         H0=H0,
-        beta=tuple(map(tuple, beta)),
         beta_H0=beta_H0,
         matrices=tuple(map(MappingProxyType, mats)),
     )
@@ -372,12 +378,13 @@ def verify_sigma_pairing(model: Su1nModel) -> CheckReport:
 def verify_m_orthocomplement(model: Su1nModel) -> CheckReport:
     """Check [m, X] = orthocomplement of X inside its short root space.
 
-    Orthogonality is with respect to the positive form -beta(., sigma .).
-    Checked on the echelon basis and on a few fixed combinations.
+    Orthogonality is with respect to the positive form -beta(sigma ., .),
+    each matrix read once, on the echelon basis and a few fixed combinations.
     """
     failures = []
     checked = 0
     basis = next((r.space.basis for r in model.roots if r.lambda_of_H[0] == 1), ())
+    basis_read = [gaussian(model.matrices, b) for b in basis]
     samples = list(basis)
     if len(basis) >= 2:
         samples += [vec_add(basis[0], basis[1]), combine({0: Fraction(2), 1: Fraction(-3)}, basis)]
@@ -386,7 +393,8 @@ def verify_m_orthocomplement(model: Su1nModel) -> CheckReport:
         bracket_span = span_subspace(
             model.algebra, [model.algebra.bracket(y, x) for y in model.m_space.basis]
         )
-        row = [model.beta_sigma(x, b) for b in basis]
+        sx = gaussian(model.matrices, model.apply_sigma(x))
+        row = [-trace_form(model.N + 1, sx, b) for b in basis_read]
         ortho_vecs = [combine(c, basis) for c in nullspace([row], len(basis))]
         ortho = span_subspace(model.algebra, ortho_vecs)
         if bracket_span != ortho:

@@ -48,7 +48,7 @@ from ballquant.formal_star import half_commutator, moyal, star_commutator
 from ballquant.lie_core import structure_in
 from ballquant.linalg import Frame, solve_in_span, vec_add, vec_scale
 from ballquant.scalars import G_ZERO
-from ballquant.su1n_model import build_su1n, model_to_json
+from ballquant.su1n_model import build_su1n, gaussian, model_to_json
 
 from oracles import field_bracket_oracle, leading_principal_minors, poisson_covariance_failures
 from oracles import integration_moments_oracle, solve_zeta, substitute_alpha
@@ -296,9 +296,9 @@ def test_the_one_series_and_its_conjugate_rows_invert_on_e0_and_e1(N):
     chart = build_chart(N)
     nv = chart.nv
     assert all(not chart.bracket(1 + i, nv + 1) for i in range(nv))
-    units, gaussian = key_layout(nv).units, ball_quantization._gaussian
-    gens = [(units[1 + i], *gaussian(chart.model, f)) for i, f in enumerate(chart.fs)]
-    gens.append((units[nv + 1], *gaussian(chart.model, chart.E)))
+    units, read = key_layout(nv).units, lambda x: gaussian(chart.model.matrices, x)
+    gens = [(units[1 + i], *read(f)) for i, f in enumerate(chart.fs)]
+    gens.append((units[nv + 1], *read(chart.E)))
     S, cols = ball_quantization._exp_apply(nv, N + 1, gens)
     for b, k in product((0, 1), repeat=2):
         acc = ({}, {})

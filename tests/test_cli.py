@@ -200,6 +200,11 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
             '--theta-json must look like {"terms": [[k, m, n, h, j, re, im]]}: '
             "XiFn exponents must be five ints, the nu power >= 0, got [0, 0, 0, 1, -1]",
         ),
+        (
+            ["retract-residual", "--n", "2", "--theta-json", '{"terms":[[0,0,0,0,0,"1","0",5]]}'],
+            '--theta-json must look like {"terms": [[k, m, n, h, j, re, im]]}: '
+            "an XiFn term must have 7 items, got [0, 0, 0, 0, 0, '1', '0', 5]",
+        ),
     ],
     ids=[
         "verify-N", "export-N", "qmm-export-N", "h2-su1n", "alpha-zero-denominator",
@@ -213,6 +218,7 @@ ADD_CONST = QMM + ["--mutate", "add-nu-const"]
         "h2-su1n-and-blocks-only", "order-su1n", "order-cocycle", "order-su1n-past-ceiling",
         "retract-N1", "theta-float",
         "theta-bool-exponent", "theta-short-term", "theta-negative-nu", "theta-reason",
+        "theta-long-term",
     ],
 )
 def test_bad_option_is_a_usage_error(capsys, argv, source):

@@ -7,13 +7,15 @@ bracket, the associativity of the Moyal product, the Jacobi identity
 of the star commutator, the nu series operations and codec against the
 padded-list oracle, the integer-scaled star commutator against the
 Fraction one, the coordinates a linalg Frame reads against
-the dense rref oracle, the elimination's independence of the order,
-scale and repetition of its rows, the linalg change-of-basis helpers
-(combine, bilinear, split_symplectic) against dense matrix products,
-the refusal of floats and bools where a number must be exact, and the
-importers on mutated exports and on index keys that to_json never
-writes.  The drawn vectors are dense lists; the package reads and
-returns them as sparse maps, which must match the dense values exactly.
+the dense rref oracle, the Killing form that Su1nModel.beta_form reads
+off the basis matrices against the structure table's, the elimination's
+independence of the order, scale and repetition of its rows, the linalg
+change-of-basis helpers (combine, bilinear, split_symplectic) against
+dense matrix products, the refusal of floats and bools where a number
+must be exact, and the importers on mutated exports and on index keys
+that to_json never writes.  The drawn vectors are dense lists (sparse
+maps for the Killing form); the package reads and returns them as
+sparse maps, which must match the dense values exactly.
 
 Examples are drawn deterministically (derandomize=True), so a failure
 reproduces on every run.
@@ -56,6 +58,7 @@ from ballquant.linalg import split_symplectic
 from ballquant.psd_builder import PsdSpec, build_psd, psd_spec_from_json, psd_spec_to_json
 from ballquant.retract_pde import XiFn, xifn_from_json, xifn_to_json
 from ballquant.scalars import LITERAL_LENGTH, GScalar, collect, frac_str, parse_frac
+from ballquant.su1n_model import build_su1n
 
 from oracles import dense, identity_matrix, mat_mul, nullspace_oracle, rref_oracle, sparse
 from oracles import degree as total_degree
@@ -678,6 +681,28 @@ def frame_cases(draw):
     vec = st.lists(entries, min_size=n, max_size=n)
     coords = st.lists(entries, min_size=4, max_size=4)
     return draw(st.lists(vec, max_size=4)), draw(vec), draw(coords)
+
+
+@lru_cache(maxsize=None)
+def killing_oracle(N: int) -> tuple:
+    """su(1, N) and its Killing form tr(ad e_i ad e_j), contracted from the
+    structure table, as dense rows."""
+    model = build_su1n(N)
+    return model, model.algebra.killing_form()
+
+
+@PROPERTY
+@given(st.data())
+def test_beta_form_is_the_killing_form_of_the_table_on_sparse_vectors(data):
+    """beta_form, read off the matrices of x and y, is x^T K y with K the
+    Killing form of the structure table, and symmetric in x and y."""
+    model, K = killing_oracle(data.draw(st.integers(1, 4)))
+    vectors = st.dictionaries(
+        st.integers(0, model.algebra.dim - 1), rationals.filter(bool), max_size=4
+    )
+    x, y = data.draw(vectors), data.draw(vectors)
+    want = sum((a * K[i][j] * b for i, a in x.items() for j, b in y.items()), F(0))
+    assert model.beta_form(x, y) == want == model.beta_form(y, x)
 
 
 def _rank(rows) -> int:

@@ -49,7 +49,24 @@ def test_fields_are_the_class_annotations_in_order():
     assert NuSeries._fields == ("nv", "order", "terms", "exact")
     assert PsdSpec._fields == ("r", "n", "cross_actions")
     assert QmmReport._fields == ("ok", "order", "exact", "checked", "failures")
-    assert Su1nModel._fields[:2] == ("N", "algebra") and len(Su1nModel._fields) == 14
+    assert Su1nModel._fields[:2] == ("N", "algebra") and len(Su1nModel._fields) == 13
+
+
+def test_no_field_of_the_model_or_the_chart_is_a_dense_square_table():
+    """The model and the chart hold sparse vectors and maps: no field of
+    them, or of a record they hold, is a dense dim x dim table."""
+    chart = build_chart(6)
+    dim = chart.model.algebra.dim
+    rows = lambda v, n: isinstance(v, (list, tuple)) and len(v) == n
+    records, seen = [chart], 0
+    while records:
+        record = records.pop()
+        for name, value in record._items():
+            seen += 1
+            assert not (rows(value, dim) and all(rows(r, dim) for r in value)), name
+            inner = value if isinstance(value, (list, tuple)) else (value,)
+            records += [v for v in inner if isinstance(v, Record)]
+    assert seen > len(BallChart._fields) + len(Su1nModel._fields)
 
 
 def test_construction_by_position_or_keyword():

@@ -29,7 +29,6 @@ from ballquant.su1n_model import (
     _S_SUBMODELS,
     _basis_matrices,
     _check_su1n,
-    _trace_form,
     adapted_s_basis,
     build_su1n,
     iwasawa_project,
@@ -263,33 +262,43 @@ def test_adapted_basis_is_checked_once_per_model_and_read_only():
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_killing_form_closed_form(N):
     """B(X, Y) = 2(N+1) tr(XY) on su(1, N), checked on the basis matrices
-    independently of the structure constants beta is computed from."""
+    independently of the structure constants, on every basis pair."""
     model = build_su1n(N)
     mats = dense_matrices(model)
     assert [dict(m) for m in model.matrices] == _basis_matrices(N)[0]
+    units = [model.algebra.basis_vector(i) for i in range(model.algebra.dim)]
     for i, mi in enumerate(mats):
         for j, mj in enumerate(mats):
             prod = gmat_mul(mi, mj)
             assert sum((prod[a][a].im for a in range(N + 1)), F(0)) == 0
             re_tr = sum((prod[a][a].re for a in range(N + 1)), F(0))
-            assert model.beta[i][j] == 2 * (N + 1) * re_tr
+            got = model.beta_form(units[i], units[j])
+            assert type(got) is F and got == 2 * (N + 1) * re_tr
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
 def test_beta_is_the_killing_form_of_the_structure_table(N):
-    """beta, the trace form 2(N+1) Re tr(XY) on the basis matrices, is
-    tr(ad e_i ad e_j) contracted from the structure rows, entry by
-    entry and with the same value type."""
+    """beta_form, the trace form 2(N+1) Re tr(XY) on the basis matrices,
+    is tr(ad e_i ad e_j) contracted from the structure rows, on every
+    basis pair and with the same value type."""
     model = build_su1n(N)
     killing = model.algebra.killing_form()
-    for row, want in zip(model.beta, killing):
-        assert [(type(x), x) for x in row] == [(type(y), y) for y in want]
+    units = [model.algebra.basis_vector(i) for i in range(model.algebra.dim)]
+    for x, want in zip(units, killing):
+        row = [model.beta_form(x, y) for y in units]
+        assert [(type(v), v) for v in row] == [(type(w), w) for w in want]
 
 
 def test_trace_form_refuses_a_trace_that_is_not_real():
+    """A model whose matrices leave su(1, N), made by replace, meets a
+    trace that is not real through the one reader of its matrices."""
+    model = build_su1n(1)
     one, im = GScalar.of(1), GScalar.of(0, 1)
-    with pytest.raises(AssertionError, match="^the trace of basis matrices 0 and 1 is not real$"):
-        _trace_form([{(0, 0): im}, {(0, 0): one}], 2)
+    planted = (MappingProxyType({(0, 0): im}), MappingProxyType({(0, 0): one}))
+    planted = model.replace(matrices=planted + model.matrices[2:])
+    assert planted.beta_form({0: F(1)}, {0: F(1)}) == -4
+    with pytest.raises(AssertionError, match="^the trace of two algebra matrices is not real$"):
+        planted.beta_form({0: F(1)}, {1: F(1)})
 
 
 def test_dual_basis_coordinates():
@@ -478,8 +487,6 @@ def test_cached_model_arrays_are_read_only():
     model = build_su1n(2)
     fresh = build_su1n.__wrapped__(2)
     writes = [
-        (model.beta, 0, ()),
-        (model.beta[0], 0, F(7)),
         (model.sigma_diagonal, 0, F(-1)),
         (model.matrices, 0, ()),
         (model.matrices[0], 0, ()),
@@ -508,7 +515,6 @@ def test_cached_model_arrays_are_read_only():
     with pytest.raises(AttributeError):
         sub.H = ()
     again = build_su1n(2)
-    assert again.beta == fresh.beta
     assert again.sigma_diagonal == fresh.sigma_diagonal
     assert again.matrices == fresh.matrices
     assert model_to_json(again) == model_to_json(fresh)
