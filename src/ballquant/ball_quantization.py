@@ -8,9 +8,10 @@ so that the whole group law is rational.
 build_chart assembles the adapted basis of the whole algebra once, in
 table order (H, f, E, m, sigma f, sigma E), as read-only vectors, with
 one Frame over it; every coordinate read on the chart and in the
-moment table, which shares both, goes through that frame.  Brackets of
-basis vectors that share a matrix index are read in integers against its
-dual once per pair and kept; the others are zero (BallChart.bracket).
+moment table, which shares both, goes through that frame.  The bracket
+of two basis vectors whose matrices share an index is read off their
+Gaussian-integer commutator (never the model's stored table) once per
+pair and kept; the others are zero (BallChart.bracket).
 
 On this chart every basis element X of the subalgebra spanned by the
 solvable part and the compact centralizer m has a fundamental vector
@@ -54,7 +55,8 @@ from .linalg import solve_in_span  # noqa: F401, callers read it here
 from .scalars import Record, accumulate, collect, exact, frac_str, kept
 from .scalars import resolve_truncation_order
 from .scalars import TRUNCATION_ENV, TruncationOrderError  # noqa: F401, callers read them here
-from .su1n_model import Su1nModel, adapted_s_basis, build_su1n, gaussian, trace_form
+from .su1n_model import Su1nModel, _commutator, adapted_s_basis, build_su1n, coordinates, gaussian
+from .su1n_model import trace_form
 
 CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
 CALIBRATED_INNER_SCALE = Fraction(1, 2)
@@ -78,33 +80,25 @@ class BallChart(Record, frozen=True):
         return {}
 
     @kept
-    def _touched(self) -> list:
-        """For each basis vector, the matrix indices of the basis matrices
-        it combines, as the bits of one int."""
-        mats = self.model.matrices
-        return [sum({1 << a for t in x for e in mats[t] for a in e}) for x in self.basis]
-
-    @kept
-    def _integers(self) -> tuple:
-        """The basis vectors times the lcm S of their denominators, the lcm
-        R of the model's structure constant denominators, and the frame's
-        dual times the lcm q of its denominators, with S and q; ValueError
-        unless the frame spans g, so that its dual reads every vector."""
-        structure, dual = self.model.algebra.structure, self.frame.dual
+    def _reads(self) -> tuple:
+        """The gaussian read (d, entries) of each basis vector, the indices
+        of its entries as the bits of one int, and q and the frame's dual
+        times q, the lcm of its denominators; ValueError unless the frame
+        spans g, so that its dual reads every vector."""
+        dual = self.frame.dual
         if len(dual) != self.model.algebra.dim:
             raise ValueError("the chart frame does not span the algebra")
-        S = lcm(*(x.denominator for v in self.basis for x in v.values()))
-        vecs = [[(a, int(x * S)) for a, x in v.items()] for v in self.basis]
-        R = lcm(*(c.denominator for coeffs in structure.values() for c in coeffs.values()))
+        reads = [gaussian(self.model.matrices, x) for x in self.basis]
+        touched = [sum({1 << a for e in entries for a in e}) for _, entries in reads]
         q = lcm(*(d.denominator for m in dual.values() for _, d in m))
-        return S, vecs, R, q, {p: [(k, int(d * q)) for k, d in m] for p, m in dual.items()}
+        return reads, touched, q, {p: [(k, int(d * q)) for k, d in m] for p, m in dual.items()}
 
     def bracket(self, i: int, j: int) -> MappingProxyType:
         """The read-only frame coordinates of [basis[i], basis[j]], i < j,
         read on first use (_read) and kept; a chart made by replace starts
         with none, and zero brackets share one empty mapping.  A pair whose
-        vectors share no matrix index is zero, neither read nor kept."""
-        if not self._touched[i] & self._touched[j]:
+        matrices share no index is zero, neither read nor kept."""
+        if not self._reads[1][i] & self._reads[1][j]:
             return _NO_TERMS
         if (i, j) not in self._brackets:
             read = self._read(i, j)
@@ -112,16 +106,14 @@ class BallChart(Record, frozen=True):
         return self._brackets[(i, j)]
 
     def _read(self, i: int, j: int) -> dict:
-        """x_a y_b c_ab^l over the model's rows, then over the dual rows of
-        the l's, summed in integers (_integers) and divided once."""
-        S, vecs, R, q, dual = self._integers
-        rows = self.model.algebra.rows
-        pairs = ((rows[a].get(b, _NO_TERMS), xa * yb) for a, xa in vecs[i] for b, yb in vecs[j])
-        sums = collect(
-            (l, x * c.numerator * (R // c.denominator)) for row, x in pairs for l, c in row.items()
-        )
-        read = collect((k, v * d) for l, v in sums.items() for k, d in dual[l])
-        return {k: Fraction(v, S * S * R * q) for k, v in read.items()}
+        """The commutator of the two read matrices, formed in Gaussian
+        integers, read in model coordinates (coordinates) and then against
+        the dual rows, summed in ints and divided once by d_i d_j q."""
+        reads, _, q, dual = self._reads
+        (di, x), (dj, y) = reads[i], reads[j]
+        c = coordinates(self.model.N + 1, _commutator(x, y))
+        read = collect((k, v * d) for l, v in c.items() for k, d in dual[l])
+        return {k: Fraction(v, di * dj * q) for k, v in read.items()}
 
 
 def build_chart(N: int) -> BallChart:

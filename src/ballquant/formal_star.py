@@ -73,12 +73,13 @@ The walk is carried in integers.  PoissonStructure keeps the common
 denominator delta of its entries, its directed pairs carry the ints
 delta * Lambda^{uw}, and a multiset of m pairs carries the int weight
 m! prod (delta Lambda^{uw})^c / c!, so C_m = delta^-m sum weight d^u f d^w g.
-Each reader divides once per term: c_operator and the series (once per
-m and call) by m! delta^m / weight for (weight / m!) C_m, the retract
-operator by m! delta^m.  A weight that m! delta^m divides keeps that
-scale an int, so verify_qmm checks the moment identity in Z and divides only a failing
-residual back into Q.  Past the truncation order only whether C_m
-vanishes counts: the series land the bare walk sum delta^m C_m there.
+Each reader divides once per term: c_operator by delta^m for C_m, the
+series (once per m and call) by m! delta^m / weight for (weight / m!) C_m,
+the retract operator by m! delta^m.  A weight that m! delta^m divides
+keeps that scale an int, so verify_qmm checks the moment identity in Z
+and divides only a failing residual back into Q.  Past the truncation
+order only whether C_m vanishes counts: the series land the bare walk
+sum delta^m C_m there.
 
 CoefFn takes its ring arithmetic (sums with cancellation, scaling,
 products by adding exponents) from the SparseSum core of scalars and adds
@@ -479,15 +480,13 @@ def _extend(walk, start, size, u, w, df, weight, row):
             going = again
 
 
-def c_operator(f: CoefFn, g: CoefFn, P: PoissonStructure, m: int, weight=None) -> CoefFn:
-    """(weight / m!) C_m(f, g), the m-th transvection for the constant
-    structure P, with an int weight; the weight defaults to m!, which
-    gives C_m(f, g) itself.  It is read off the walk of f against the one
-    partner g up to size m: each term's integer walk weight is scaled
-    once, by weight / (m! delta^m), an int when that is whole, so int
-    coefficients give int coefficients."""
+def c_operator(f: CoefFn, g: CoefFn, P: PoissonStructure, m: int) -> CoefFn:
+    """C_m(f, g), the m-th transvection for the constant structure P.  It
+    is read off the walk of f against the one partner g up to size m:
+    each term's integer walk weight is scaled once, by 1 / delta^m, an
+    int when delta is 1, so int coefficients then give int coefficients."""
     terms, = transvection_terms(f, [g], P, m)
-    scale = _ratio(factorial(m) if weight is None else weight, factorial(m) * P.delta**m)
+    scale = _ratio(1, P.delta**m)
     total: dict = {}
     for _, df, dg, wt in terms[m] if m < len(terms) else ():
         df.mul_into(total, dg, wt * scale)

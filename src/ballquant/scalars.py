@@ -1,13 +1,13 @@
 """Exact scalar types and the sparse sums built on them.
 
 Rational scalars are plain ``fractions.Fraction``.  Gaussian rationals
-(GScalar) carry the complex matrix entries of the pseudo-unitary model
-before everything is realified into rational structure constants, and
-the coefficients of the radial calculus.  A GScalar is one integer
-triple (a, b, d) for (a + b i) / d, with d > 0 and gcd(a, b, d) = 1:
-each sum or product is a few int operations and one gcd, equal values
-are equal triples and zero has one form, and re and im read the parts
-back as exact Fractions.  Both kinds are falsy exactly when zero.
+(GScalar) are the coefficients of the radial calculus; the matrix
+entries of the pseudo-unitary model are Gaussian integers, int pairs
+(su1n_model).  A GScalar is one integer triple (a, b, d) for
+(a + b i) / d, with d > 0 and gcd(a, b, d) = 1: each sum or product is a
+few int operations and one gcd, equal values are equal triples and zero
+has one form, and re and im read the parts back as exact Fractions.
+Both kinds are falsy exactly when zero.
 
 SparseSum is the ring arithmetic shared by the chart functions of
 formal_star and the radial coefficients of retract_pde: a finite sum of
@@ -272,10 +272,6 @@ class GScalar(tuple):
         (a, b, d), (c, e, f) = self, other
         return _normal(a * c - b * e, a * e + b * c, d * f)
 
-    def conj(self) -> "GScalar":
-        a, b, d = self
-        return _new(GScalar, (a, -b, d))
-
     def scale(self, c) -> "GScalar":
         """The product with an int or a Fraction; a unit factor returns
         self."""
@@ -318,9 +314,6 @@ def _normal(a: int, b: int, d: int) -> GScalar:
     if g != 1:
         a, b, d = a // g, b // g, d // g
     return _new(GScalar, (a, b, d))
-
-
-G_ZERO = GScalar.of(0, 0)
 
 
 def accumulate(out: dict, items) -> dict:

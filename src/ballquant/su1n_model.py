@@ -6,10 +6,11 @@ X^* J + J X = 0 for J = diag(-1, 1, ..., 1).  The Cartan involution is
 conjugation by J; its +1 eigenspace k is the maximal compact part and
 the -1 eigenspace p contains the restricted-root generator
 H0 = E_01 + E_10, whose adjoint action has rational eigenvalues
-(+-2, +-1, 0).  The structure constants are read off the entries of the
-commutators, in Gaussian integers, of the pairs of basis matrices that
-share an index (_structure, index_partners), and the Killing form is the
-trace form 2(N + 1) Re tr(XY) of the matrices it pairs (trace_form).  The
+(+-2, +-1, 0).  The basis matrices are sparse Gaussian-integer maps,
+and the structure constants are read off the entries (coordinates) of
+the commutators, in Gaussian integers, of the pairs of them that share
+an index (_structure, index_partners); the Killing form is the trace
+form 2(N + 1) Re tr(XY) of the matrices it pairs (trace_form).  The
 restricted-root decomposition is written down and checked (build_su1n),
 and the adapted chart basis of s is taken from it and checked
 (adapted_s_basis).
@@ -24,7 +25,7 @@ from weakref import WeakKeyDictionary
 
 from .lie_core import CheckReport, LieAlgebra, Subspace, span_subspace, subalgebra
 from .linalg import Frame, combine, dense, nullspace, split_symplectic, vec_add, vec_scale
-from .scalars import G_ZERO, GScalar, Record, frac_str, kept
+from .scalars import Record, frac_str, kept
 
 
 def index_partners(sets: list) -> list:
@@ -39,19 +40,21 @@ def index_partners(sets: list) -> list:
 
 
 def _check_su1n(m: dict) -> bool:
-    """Trace free with X^* J + J X = 0 for J = diag(-1, 1, ..., 1)."""
-    if sum((e for (i, j), e in m.items() if i == j), G_ZERO):
+    """Trace free with X^* J + J X = 0 for J = diag(-1, 1, ..., 1), X a
+    Gaussian-integer matrix: entry (i, j) is J_jj conj(X_ji) + J_ii X_ij."""
+    if any(sum(e[p] for (i, j), e in m.items() if i == j) for p in (0, 1)):
         return False
     sign = lambda i: -1 if i == 0 else 1
     return not any(
-        m.get((j, i), G_ZERO).conj().scale(sign(j)) + m.get((i, j), G_ZERO).scale(sign(i))
+        sign(j) * x + sign(i) * u or sign(i) * v - sign(j) * y
         for i, j in set(m) | {(j, i) for i, j in m}
+        for (x, y), (u, v) in [(m.get((j, i), (0, 0)), m.get((i, j), (0, 0)))]
     )
 
 
 def _basis_matrices(N: int):
-    one = GScalar.of(1)
-    im = GScalar.of(0, 1)
+    """The basis matrices {(row, col): (re, im)}, their labels and Cartan signs."""
+    one, im = (1, 0), (0, 1)
     mats, labels, signs = [], [], []
 
     def add(label, sign, m):
@@ -60,14 +63,14 @@ def _basis_matrices(N: int):
         signs.append(Fraction(sign))
 
     for j in range(N):
-        add(f"D{j}", 1, {(j, j): im, (j + 1, j + 1): -im})
+        add(f"D{j}", 1, {(j, j): im, (j + 1, j + 1): (0, -1)})
     for k in range(1, N + 1):
         add(f"P{k}", -1, {(0, k): one, (k, 0): one})
     for k in range(1, N + 1):
-        add(f"Q{k}", -1, {(0, k): im, (k, 0): -im})
+        add(f"Q{k}", -1, {(0, k): im, (k, 0): (0, -1)})
     for j in range(1, N + 1):
         for k in range(j + 1, N + 1):
-            add(f"R{j}_{k}", 1, {(j, k): one, (k, j): -one})
+            add(f"R{j}_{k}", 1, {(j, k): one, (k, j): (-1, 0)})
             add(f"S{j}_{k}", 1, {(j, k): im, (k, j): im})
     return mats, labels, signs
 
@@ -87,17 +90,49 @@ def _commutator(a: dict, b: dict) -> dict:
     return out
 
 
-def _structure(mats: list, labels: list) -> dict:
+@lru_cache(maxsize=None)
+def _slots(n: int) -> tuple:
+    """The positions of the basis matrices of su(1, n - 1) that coordinates
+    reads: those of D_j by j, and the pair (P_k, Q_k) or (R_jk, S_jk) by
+    the entry (j, k) it sits at, j < k."""
+    at = {label: t for t, label in enumerate(_basis_matrices(n - 1)[1])}
+    slot = lambda j, k: (at[f"P{k}"], at[f"Q{k}"]) if j == 0 else (at[f"R{j}_{k}"], at[f"S{j}_{k}"])
+    upper = {(j, k): slot(j, k) for j in range(n) for k in range(j + 1, n)}
+    return [at[f"D{j}"] for j in range(n - 1)], upper
+
+
+def coordinates(n: int, m: dict) -> dict:
+    """The int coordinates against _basis_matrices of an n x n
+    Gaussian-integer matrix m in su(1, n - 1), read off its entries: P_k
+    and Q_k (real and imaginary part) from entry (0, k), R_jk and S_jk from
+    entry (j, k), 1 <= j < k, and D_j from the running sum of Im m_aa over
+    a <= j (_structure proves the read)."""
+    diagonal, upper = _slots(n)
+    c, diagonal_entries = {}, []
+    for (a, b), (x, y) in m.items():
+        if a == b:
+            diagonal_entries.append((a, y))
+        elif a < b:
+            if x:
+                c[upper[a, b][0]] = x
+            if y:
+                c[upper[a, b][1]] = y
+    diagonal_entries.sort()
+    run, ends = 0, [a for a, _ in diagonal_entries[1:]] + [n - 1]
+    for (a, y), end in zip(diagonal_entries, ends):
+        run += y
+        if run:
+            c.update((diagonal[j], run) for j in range(a, end))
+    return c
+
+
+def _structure(mats: list) -> dict:
     """The structure table of su(1, N) on the basis matrices mats, formed
     and read in Gaussian integers, each constant a Fraction at the end.
 
-    Each basis entry, a unit, is held as an int pair (re, im) (an entry
-    that is no Gaussian integer raises AssertionError).  The commutator
-    of each pair that shares an index (index_partners) is formed in ints;
-    any other pair commutes.  Its coordinates are read off its entries:
-    P_k and Q_k (real and imaginary part) from entry (0, k), R_jk and S_jk
-    from entry (j, k), 1 <= j < k, and D_j from the running sum of Im X_aa
-    over a <= j.
+    The commutator of each pair that shares an index (index_partners) is
+    formed in ints; any other pair commutes.  Its coordinates are read off
+    its entries (coordinates).
 
     The read is linear.  Each basis matrix reads back as its unit vector,
     and there are (N + 1)^2 - 1 of them, the dimension of su(1, N), each
@@ -110,38 +145,12 @@ def _structure(mats: list, labels: list) -> dict:
     n = isqrt(len(mats) + 1)
     if n * n - 1 != len(mats):
         raise AssertionError("the basis count is not (N + 1)^2 - 1")
-    if any(d != 1 for m in mats for _, _, d in m.values()):
-        raise AssertionError("a basis matrix entry is not a Gaussian integer")
-    ints = [{entry: (x, y) for entry, (x, y, _) in m.items()} for m in mats]
-    at = {label: t for t, label in enumerate(labels)}
-    diagonal = [at[f"D{j}"] for j in range(n - 1)]
-    slot = lambda j, k: (at[f"P{k}"], at[f"Q{k}"]) if j == 0 else (at[f"R{j}_{k}"], at[f"S{j}_{k}"])
-    upper = {(j, k): slot(j, k) for j in range(n) for k in range(j + 1, n)}
-
-    def read(m: dict) -> dict:
-        c, diagonal_entries = {}, []
-        for (a, b), (x, y) in m.items():
-            if a == b:
-                diagonal_entries.append((a, y))
-            elif a < b:
-                if x:
-                    c[upper[a, b][0]] = x
-                if y:
-                    c[upper[a, b][1]] = y
-        diagonal_entries.sort()
-        run, ends = 0, [a for a, _ in diagonal_entries[1:]] + [n - 1]
-        for (a, y), end in zip(diagonal_entries, ends):
-            run += y
-            if run:
-                c.update((diagonal[j], run) for j in range(a, end))
-        return c
-
-    if any(read(m) != {t: 1} for t, m in enumerate(ints)):
+    if any(coordinates(n, m) != {t: 1} for t, m in enumerate(mats)):
         raise AssertionError("a basis matrix does not read back as its unit vector")
     structure = {}
     for i, js in enumerate(index_partners([{a for entry in m for a in entry} for m in mats])):
         for j in js:
-            if c := read(_commutator(ints[i], ints[j])):
+            if c := coordinates(n, _commutator(mats[i], mats[j])):
                 structure[i, j] = {k: Fraction(v) for k, v in c.items()}
     return structure
 
@@ -150,11 +159,11 @@ def gaussian(matrices: tuple, x: dict) -> tuple:
     """(d, {(row, col): (re, im)}): the least d > 0 that makes d X
     Gaussian-integral, and the entries of d X, for the matrix X of the
     algebra vector x, summed in ints off the sparse basis matrices."""
-    D = lcm(*(c.denominator * g[2] for t, c in x.items() for g in matrices[t].values()))
+    D = lcm(*(c.denominator for c in x.values()))
     acc = {}
     for t, c in x.items():
-        for e, (a, b, q) in matrices[t].items():
-            k = c.numerator * (D // (c.denominator * q))
+        k = c.numerator * (D // c.denominator)
+        for e, (a, b) in matrices[t].items():
             re, im = acc.get(e, (0, 0))
             acc[e] = re + k * a, im + k * b
     g = gcd(D, *(v for pair in acc.values() for v in pair))
@@ -243,8 +252,10 @@ def build_su1n(N: int) -> Su1nModel:
     H_lambda) is a read-only map, and the structure table, sigma_diagonal
     and matrices are read-only at every level, so callers use them without
     copying.  matrices holds the basis matrices as _basis_matrices builds
-    them, sparse maps {(row, col): GScalar}, and beta_form reads the Killing
-    form off them: only its value beta_H0 on H0 is stored.
+    them, sparse Gaussian-integer maps {(row, col): (re, im)}, and
+    beta_form reads the Killing form off them: only its value beta_H0 on
+    H0 is stored.  The table is read off their commutators by the
+    module-level coordinates, which the chart's brackets read too.
 
     The table is _structure's, proved there to satisfy Jacobi for every
     N, and stored by LieAlgebra.written.  The root spaces of ad H0 are written:
@@ -266,7 +277,7 @@ def build_su1n(N: int) -> Su1nModel:
     if not all(_check_su1n(m) for m in mats):
         raise AssertionError("basis matrix leaves su(1,N)")
     n, dim = N + 1, len(mats)
-    algebra = LieAlgebra.written(labels, _structure(mats, labels))
+    algebra = LieAlgebra.written(labels, _structure(mats))
 
     H0 = MappingProxyType(algebra.basis_vector(N))  # label P1
     beta_H0 = trace_form(n, gaussian(mats, H0), gaussian(mats, H0))

@@ -65,7 +65,11 @@ full_structure_oracle reads the su(1, N) table from every pair of basis
 matrices, as build_su1n did before it read only the pairs that share an
 index, with the GScalar commutator _comm and the EntryReader that
 rebuilds each read matrix and compares it, as build_su1n did before it
-formed and read its commutators in Gaussian integers.
+formed and read its commutators in Gaussian integers.  The package
+holds its basis matrices as int pairs (re, im); gscalar_matrices turns
+them into GScalar matrices, so that dense_matrices, flatten, _comm,
+EntryReader and realified_structure_oracle keep their own GScalar
+arithmetic.
 DenseSeries is a nu series as a padded list of order + 1 coefficients,
 with the series operations the package had before it stored only the
 nonzero powers, and nu_series builds the package's series from such a
@@ -92,8 +96,17 @@ from ballquant.lie_core import LieAlgebra, Subspace, structure_in, subspace_inte
 from ballquant.linalg import Frame, bilinear, combine, nullspace, solve_in_span, split_symplectic
 from ballquant.linalg import transpose, vec_add, vec_scale
 from ballquant.retract_pde import XiFn
-from ballquant.scalars import G_ZERO, GScalar
+from ballquant.scalars import GScalar
 from ballquant.su1n_model import RootDatum, _basis_matrices
+
+G_ZERO = GScalar.of(0, 0)
+
+
+def gscalar_matrices(mats) -> list:
+    """Sparse Gaussian-integer matrices {(row, col): (re, im)}, as the
+    package holds them, as sparse GScalar matrices, so that the oracles
+    below do their own Gaussian-rational arithmetic."""
+    return [{e: GScalar.of(re, im) for e, (re, im) in m.items()} for m in mats]
 
 
 def dense(v: dict, n: int) -> list:
@@ -202,9 +215,10 @@ def gmat_mul(a, b):
 
 def dense_matrices(model) -> list:
     """The model's sparse basis matrices written out as dense lists of
-    rows, for gmat_mul."""
+    GScalar rows, for gmat_mul."""
     n = model.N + 1
-    return [[[m.get((a, b), G_ZERO) for b in range(n)] for a in range(n)] for m in model.matrices]
+    mats = gscalar_matrices(model.matrices)
+    return [[[m.get((a, b), G_ZERO) for b in range(n)] for a in range(n)] for m in mats]
 
 
 def rebuild_oracle(matrices, structure) -> list:
@@ -927,4 +941,5 @@ def full_structure_oracle(N: int):
     """The su(1, N) algebra read from the commutator of every pair of
     basis matrices, zero or not."""
     mats, labels, _ = _basis_matrices(N)
+    mats = gscalar_matrices(mats)
     return LieAlgebra.written(labels, structure_in(EntryReader(mats, labels), mats, _comm))

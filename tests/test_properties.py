@@ -8,7 +8,9 @@ of the star commutator, the nu series operations and codec against the
 padded-list oracle, the integer-scaled star commutator against the
 Fraction one, the coordinates a linalg Frame reads against
 the dense rref oracle, the Killing form that Su1nModel.beta_form reads
-off the basis matrices against the structure table's, the elimination's
+off the basis matrices against the structure table's, the su(1, N)
+membership check of a Gaussian-integer matrix against its GScalar
+definition, the elimination's
 independence of the order, scale and repetition of its rows, the linalg
 change-of-basis helpers (combine, bilinear, split_symplectic) against
 dense matrix products, the refusal of floats and bools where a number
@@ -58,7 +60,7 @@ from ballquant.linalg import split_symplectic
 from ballquant.psd_builder import PsdSpec, build_psd, psd_spec_from_json, psd_spec_to_json
 from ballquant.retract_pde import XiFn, xifn_from_json, xifn_to_json
 from ballquant.scalars import LITERAL_LENGTH, GScalar, collect, frac_str, parse_frac
-from ballquant.su1n_model import build_su1n
+from ballquant.su1n_model import _check_su1n, build_su1n
 
 from oracles import dense, identity_matrix, mat_mul, nullspace_oracle, rref_oracle, sparse
 from oracles import degree as total_degree
@@ -266,7 +268,6 @@ def test_gscalar_kernel_follows_fraction_pairs(p, q, n, c):
         (x - y, (a - e, b - f)),
         (-x, (-a, -b)),
         (x * y, (a * e - b * f, a * f + b * e)),
-        (x.conj(), (a, -b)),
         (x.scale(n), (a * n, b * n)),
         (x.scale(c), (a * c, b * c)),
     ]
@@ -703,6 +704,53 @@ def test_beta_form_is_the_killing_form_of_the_table_on_sparse_vectors(data):
     x, y = data.draw(vectors), data.draw(vectors)
     want = sum((a * K[i][j] * b for i, a in x.items() for j, b in y.items()), F(0))
     assert model.beta_form(x, y) == want == model.beta_form(y, x)
+
+
+@st.composite
+def gaussian_integer_matrices(draw) -> tuple:
+    """(n, m): a sparse n x n Gaussian-integer matrix {(row, col): (re, im)},
+    n from 2 to 4, its entries drawn from [-2, 2]^2.  Half the draws are
+    folded into su(1, n - 1), X - J X^* J with the trace cleared on the
+    last diagonal entry, and then may have one entry nudged, so that both
+    answers and near misses are drawn."""
+    n = draw(st.integers(2, 4))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    entries = st.tuples(small, small)
+    m = draw(st.dictionaries(cells, entries, max_size=2 * n))
+    if draw(st.booleans()):
+        sign = lambda i: -1 if i == 0 else 1
+        keys = set(m) | {(j, i) for i, j in m}
+        zero = (0, 0)
+        m = {
+            (i, j): (
+                m.get((i, j), zero)[0] - sign(i) * sign(j) * m.get((j, i), zero)[0],
+                m.get((i, j), zero)[1] + sign(i) * sign(j) * m.get((j, i), zero)[1],
+            )
+            for i, j in keys
+        }
+        trace = sum(m.get((i, i), zero)[1] for i in range(n))
+        m[n - 1, n - 1] = (0, m.get((n - 1, n - 1), zero)[1] - trace)
+        for cell, entry in draw(st.dictionaries(cells, entries, max_size=1)).items():
+            m[cell] = tuple(a + b for a, b in zip(m.get(cell, zero), entry))
+    return n, m
+
+
+@PROPERTY
+@given(gaussian_integer_matrices())
+def test_check_su1n_is_the_gscalar_definition(case):
+    """_check_su1n, in int pairs, says what the GScalar definition says:
+    trace 0 and X^* J + J X = 0 for J = diag(-1, 1, ..., 1)."""
+    n, m = case
+    zero, sign = GScalar.of(), lambda i: -1 if i == 0 else 1
+    x = {e: GScalar.of(re, im) for e, (re, im) in m.items()}
+    star = {(j, i): GScalar(e.re, -e.im) for (i, j), e in x.items()}
+    trace = sum((x.get((i, i), zero) for i in range(n)), zero)
+    form = [
+        star.get((i, j), zero).scale(sign(j)) + x.get((i, j), zero).scale(sign(i))
+        for i in range(n)
+        for j in range(n)
+    ]
+    assert _check_su1n(m) == (not trace and not any(form))
 
 
 def _rank(rows) -> int:

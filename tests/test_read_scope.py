@@ -9,6 +9,10 @@ proof, so every module of the package is parsed and each ``.written``
 attribute must lie inside one of those functions: in su1n_model and
 lie_core only build_su1n and subalgebra, and in every other module only
 build_psd.
+
+The chart reads its brackets off its basis matrices, never off the
+model's stored structure table, so that the qmm path does not need that
+table: ball_quantization reads no ``.rows`` or ``.structure`` attribute.
 """
 from __future__ import annotations
 
@@ -73,3 +77,9 @@ def test_sweep_free_construction_stays_in_build_su1n_and_subalgebra():
 def test_written_construction_stays_in_build_psd():
     sites = package_sites("written")
     assert {site for site in sites if site[0] not in INHERITED_MODULES} == BLOCK_SUM
+
+
+def test_the_chart_module_reads_no_stored_table():
+    path = PACKAGE / "ball_quantization.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert attribute_sites(tree, "rows") == attribute_sites(tree, "structure") == []

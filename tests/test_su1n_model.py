@@ -42,7 +42,8 @@ from ballquant.linalg import Frame, vec_add, vec_scale
 
 from oracles import adapted_s_basis_oracle, beta_sigma_gram, gmat_mul, leading_principal_minors
 from oracles import flatten, normalizer, rational_sqrt, realified_structure_oracle, rref_oracle
-from oracles import EntryReader, dense_matrices, full_structure_oracle, nullspace_roots_oracle
+from oracles import EntryReader, dense_matrices, full_structure_oracle, gscalar_matrices
+from oracles import nullspace_roots_oracle
 from oracles import sparse
 
 
@@ -293,7 +294,7 @@ def test_trace_form_refuses_a_trace_that_is_not_real():
     """A model whose matrices leave su(1, N), made by replace, meets a
     trace that is not real through the one reader of its matrices."""
     model = build_su1n(1)
-    one, im = GScalar.of(1), GScalar.of(0, 1)
+    one, im = (1, 0), (0, 1)
     planted = (MappingProxyType({(0, 0): im}), MappingProxyType({(0, 0): one}))
     planted = model.replace(matrices=planted + model.matrices[2:])
     assert planted.beta_form({0: F(1)}, {0: F(1)}) == -4
@@ -302,7 +303,7 @@ def test_trace_form_refuses_a_trace_that_is_not_real():
 
 
 def test_dual_basis_coordinates():
-    mats, _, _ = _basis_matrices(2)
+    mats = gscalar_matrices(_basis_matrices(2)[0])
     flat = [flatten(m, 3) for m in mats]
     frame = Frame(flat)
     for k, v in enumerate(flat):
@@ -320,7 +321,7 @@ def test_dual_basis_coordinates():
 def test_entry_reader_table_is_the_realified_table(N):
     """The structure constants read off the commutator entries are the
     ones a Frame over the realified basis reads, Fractions in both."""
-    mats, _, _ = _basis_matrices(N)
+    mats = gscalar_matrices(_basis_matrices(N)[0])
     got = build_su1n(N).algebra.structure
     want = realified_structure_oracle(mats, N + 1)
     assert dict(got) == want
@@ -330,6 +331,7 @@ def test_entry_reader_table_is_the_realified_table(N):
 def test_entry_reader_refuses_what_its_basis_does_not_rebuild():
     """The oracle reader rebuilds what it reads and compares."""
     mats, labels, _ = _basis_matrices(2)
+    mats = gscalar_matrices(mats)
     reader = EntryReader(mats, labels)
     one, two, im = GScalar.of(1), GScalar.of(2), GScalar.of(0, 1)
     at = {label: t for t, label in enumerate(labels)}
@@ -490,7 +492,7 @@ def test_cached_model_arrays_are_read_only():
         (model.sigma_diagonal, 0, F(-1)),
         (model.matrices, 0, ()),
         (model.matrices[0], 0, ()),
-        (model.matrices[0], (0, 0), GScalar.of(7)),
+        (model.matrices[0], (0, 0), (7, 0)),
     ]
     spaces = [model.k_space, model.p_space, model.a_space, model.n_space, model.m_space]
     spaces += [model.s_space] + [r.space for r in model.roots]
@@ -576,7 +578,7 @@ def test_build_su1n_refuses_a_bool_or_a_non_int(N):
 
 
 def test_check_su1n_refuses_a_traced_or_non_pseudo_unitary_matrix():
-    one, im = GScalar.of(1), GScalar.of(0, 1)
+    one, im = (1, 0), (0, 1)
     assert _check_su1n({(0, 1): one, (1, 0): one})
     assert not _check_su1n({(0, 0): im})  # trace i
     assert not _check_su1n({(1, 2): one, (2, 1): one})  # X^* J + J X = 2 E_12 + 2 E_21
@@ -625,7 +627,7 @@ def test_build_forms_only_the_commutators_of_index_sharing_pairs(monkeypatch):
     column index, and those are the commutators build_su1n forms, in
     Gaussian integers."""
     mats = _basis_matrices(10)[0]
-    where = {tuple((e, (x, y)) for e, (x, y, _) in m.items()): t for t, m in enumerate(mats)}
+    where = {tuple(m.items()): t for t, m in enumerate(mats)}
     formed, commutator = [], su1n_model._commutator
 
     def counted(a, b):
