@@ -8,10 +8,10 @@ so that the whole group law is rational.
 build_chart assembles the adapted basis of the whole algebra once, in
 table order (H, f, E, m, sigma f, sigma E), as read-only vectors, with
 one Frame over it; every coordinate read on the chart and in the
-moment table, which shares both, goes through that frame.  The bracket
-of two basis vectors whose matrices share an index is read off their
-Gaussian-integer commutator (never the model's stored table) once per
-pair and kept; the others are zero (BallChart.bracket).
+moment table, which shares both, goes through that frame.  The chart
+reads each basis vector's Gaussian-integer matrix once (BallChart._reads),
+and its gram, the orbit moments and its brackets (never the model's
+stored table) are all read off those matrices.
 
 On this chart every basis element X of the subalgebra spanned by the
 solvable part and the compact centralizer m has a fundamental vector
@@ -70,7 +70,6 @@ class BallChart(Record, frozen=True):
     E: MappingProxyType
     nv: int
     omega: list
-    gram: list
     m_basis: list
     basis: tuple
     frame: Frame
@@ -81,10 +80,10 @@ class BallChart(Record, frozen=True):
 
     @kept
     def _reads(self) -> tuple:
-        """The gaussian read (d, entries) of each basis vector, the indices
-        of its entries as the bits of one int, and q and the frame's dual
-        times q, the lcm of its denominators; ValueError unless the frame
-        spans g, so that its dual reads every vector."""
+        """The gaussian read (d, entries) of each basis vector, in basis order,
+        the indices of its entries as the bits of one int, and q and the
+        frame's dual times q, the lcm of its denominators; ValueError unless
+        the frame spans g, so that its dual reads every vector."""
         dual = self.frame.dual
         if len(dual) != self.model.algebra.dim:
             raise ValueError("the chart frame does not span the algebra")
@@ -92,6 +91,15 @@ class BallChart(Record, frozen=True):
         touched = [sum({1 << a for e in entries for a in e}) for _, entries in reads]
         q = lcm(*(d.denominator for m in dual.values() for _, d in m))
         return reads, touched, q, {p: [(k, int(d * q)) for k, d in m] for p, m in dual.items()}
+
+    @kept
+    def gram(self) -> list:
+        """(f_i|f_j), -beta(f_i, sigma f_j) / beta(H0, H0) times the scale
+        CALIBRATED_INNER_SCALE, off the reads of the basis's f and sigma f."""
+        reads, nv = self._reads[0], self.nv
+        fs, sfs = reads[1 : 1 + nv], reads[-1 - nv : -1]
+        scale = -CALIBRATED_INNER_SCALE / self.model.beta_H0
+        return [[scale * trace_form(self.model.N + 1, u, sw) for sw in sfs] for u in fs]
 
     def bracket(self, i: int, j: int) -> MappingProxyType:
         """The read-only frame coordinates of [basis[i], basis[j]], i < j,
@@ -122,22 +130,15 @@ def build_chart(N: int) -> BallChart:
     basis is the adapted basis of the whole algebra in qmm_labels order,
     (H, f, E, m, sigma f, sigma E), a tuple of read-only vectors: the
     model's own where it has them (H, m_basis), the checked ones that
-    adapted_s_basis keeps for the model (f, E), and the chart's own.
-    H, fs, E and m_basis are its entries, and frame reads coordinates
-    against it; gram is (f_i|f_j) at the scale CALIBRATED_INNER_SCALE.
+    adapted_s_basis keeps for the model (f, E), and the chart's own, with
+    one Frame over it; the chart reads everything else on first use.
     """
     model = build_su1n(N)
     H, fs, E = adapted_s_basis(model)
-    nv = len(fs)
-    omega = split_symplectic(nv)
-    m_basis = list(model.m_space.basis)
+    nv, m_basis = len(fs), list(model.m_space.basis)
     sigma = [MappingProxyType(model.apply_sigma(x)) for x in (*fs, E)]
     basis = (H, *fs, E, *m_basis, *sigma)
-    frame = Frame(basis)
-    scale = -CALIBRATED_INNER_SCALE / model.beta_H0
-    read = [gaussian(model.matrices, x) for x in (*fs, *sigma[:nv])]  # each matrix once
-    gram = [[scale * trace_form(N + 1, u, sw) for sw in read[nv:]] for u in read[:nv]]
-    return BallChart(model, H, list(fs), E, nv, omega, gram, m_basis, basis, frame)
+    return BallChart(model, H, list(fs), E, nv, split_symplectic(nv), m_basis, basis, Frame(basis))
 
 
 def _within(coords, what: str, *blocks: range):
@@ -347,16 +348,15 @@ def _orbit_moments(chart: BallChart, alpha: Fraction | None) -> list:
     not a root), n = exp(v + z E) is one series (_exp_apply), and since n
     is J-unitary, J = diag(-1, 1, .., 1), (n^-1)_br = J_bb J_rr conj(n_rb):
     the rows are read off the columns.  Every factor is a Gaussian-integer
-    multiple: the basis matrices (su1n_model.gaussian), 4 q^2 Z for alpha = p / q
-    (q = 1 when alpha is the formal variable) and the exponential; a
-    complex entry is a pair (re, im) of int CoefFns, and each term is
-    divided back into Q once.
+    multiple: the chart's read of each basis matrix (BallChart._reads, f
+    and E at 1 .. nv + 1), 4 q^2 Z for alpha = p / q (q = 1 when alpha is
+    the formal variable) and the exponential; a complex entry is a pair
+    (re, im) of int CoefFns, and each term is divided back into Q once.
     """
-    model, nv = chart.model, chart.nv
+    reads, nv = chart._reads[0], chart.nv
     layout = key_layout(nv)
-    gens = [(layout.units[1 + i], *gaussian(model.matrices, f)) for i, f in enumerate(chart.fs)]
-    gens.append((layout.units[nv + 1], *gaussian(model.matrices, chart.E)))
-    S, cols = _exp_apply(nv, model.N + 1, gens)
+    gens = [(layout.units[k], *reads[k]) for k in range(1, nv + 2)]  # f and E
+    S, cols = _exp_apply(nv, chart.model.N + 1, gens)
     if alpha is None:
         q, p = 1, {layout.pack(0, (0,) * nv, 1, 0): 1}
     else:
@@ -376,8 +376,7 @@ def _orbit_moments(chart: BallChart, alpha: Fraction | None) -> list:
     W = {}
     roots = [0] + [1] * nv + [2] + [0] * len(chart.m_basis) + [-1] * nv + [-2]
     moments = []
-    for x, root in zip(chart.basis, roots):
-        d, entries = gaussian(model.matrices, x)
+    for (d, entries), root in zip(reads, roots):
         acc = {}
         # Re tr(Z n^-1 X n) = Re tr(W X), the sum of Re(X_rc W_cr)
         for (r, c), (gr, gi) in entries.items():

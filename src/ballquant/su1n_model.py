@@ -280,7 +280,8 @@ def build_su1n(N: int) -> Su1nModel:
     algebra = LieAlgebra.written(labels, _structure(mats))
 
     H0 = MappingProxyType(algebra.basis_vector(N))  # label P1
-    beta_H0 = trace_form(n, gaussian(mats, H0), gaussian(mats, H0))
+    h0 = gaussian(mats, H0)
+    beta_H0 = trace_form(n, h0, h0)
 
     k_space = span_subspace(algebra, [algebra.basis_vector(i) for i in range(dim) if signs[i] == 1])
     p_space = span_subspace(algebra, [algebra.basis_vector(i) for i in range(dim) if signs[i] == -1])

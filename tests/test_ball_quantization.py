@@ -1017,6 +1017,52 @@ def test_replaced_chart_reads_its_own_structure():
     assert all(chart.bracket(i, j) is c for (i, j), c in zip(pairs, table))
 
 
+@pytest.mark.parametrize("N", range(1, 5))
+def test_each_basis_matrix_is_read_once_per_chart(N, monkeypatch):
+    """Building the table, reading every bracket, verifying it and its
+    two mutations on both pair sets and exporting it read each chart
+    basis vector's matrix once."""
+    calls = []
+    read = ball_quantization.gaussian
+    monkeypatch.setattr(ball_quantization, "gaussian", lambda *a: calls.append(a) or read(*a))
+    table = build_qmm(N)
+    chart = table.chart
+    for i, j in combinations(range(len(chart.basis)), 2):
+        chart.bracket(i, j)
+    for t in (table, mutate_drop_nu2(table), mutate_add_nu_const(table, "E", 1)):
+        for pairs in ("all", "s"):
+            verify_qmm(t, 2, pairs)
+    qmm_table_to_json(table)
+    assert len(calls) == len(chart.basis)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_gram_is_the_identity_on_v1_and_a_quarter_on_v2(N):
+    """(f_i|f_j) at the calibrated scale is diag(I, I / 4), each block of
+    size N - 1."""
+    chart, k = build_chart(N), N - 1
+    want = [[F(int(i == j), 4 if i >= k else 1) for j in range(2 * k)] for i in range(2 * k)]
+    assert chart.gram == want
+
+
+def test_a_replaced_chart_reads_its_own_gram():
+    """gram is read off the chart's own basis: doubling f1 and sigma f1
+    scales (f1|f1) by 4, where a gram kept from the old chart reads 1."""
+    chart = build_chart(2)
+    basis = list(chart.basis)
+    for k in (1, 2 + chart.nv + len(chart.m_basis)):  # f1 and sigma f1
+        basis[k] = vec_scale(basis[k], 2)
+    doubled = chart.replace(basis=tuple(basis))
+    assert chart.gram[0][0] == 1 and doubled.gram[0][0] == 4
+
+
+def test_verifying_a_table_reads_no_gram():
+    table = build_qmm(3)
+    assert verify_qmm(table, 2).ok
+    assert "gram" not in vars(table.chart)
+    assert qmm_table_to_json(table)["gram"] and "gram" in vars(table.chart)
+
+
 @pytest.mark.parametrize("N", range(1, 6))
 def test_chart_brackets_do_not_read_the_stored_table(N):
     """The chart reads each bracket off its basis matrices: on a model

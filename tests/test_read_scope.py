@@ -13,6 +13,9 @@ build_psd.
 The chart reads its brackets off its basis matrices, never off the
 model's stored structure table, so that the qmm path does not need that
 table: ball_quantization reads no ``.rows`` or ``.structure`` attribute.
+It turns a chart vector into its matrix (su1n_model.gaussian) at one
+call site, the chart's kept read, which its gram, brackets and orbit
+moments all read.
 """
 from __future__ import annotations
 
@@ -43,6 +46,26 @@ def attribute_sites(tree, attr: str) -> list:
             visit(child, function)
 
     visit(tree, None)
+    return sites
+
+
+def call_sites(tree, name: str) -> list:
+    """The enclosing class and function names of each call of name, plain
+    or as an attribute, in a module tree, in source order."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                sites.append(scope)
+            visit(child, scope)
+
+    visit(tree, ())
     return sites
 
 
@@ -83,3 +106,21 @@ def test_the_chart_module_reads_no_stored_table():
     path = PACKAGE / "ball_quantization.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert attribute_sites(tree, "rows") == attribute_sites(tree, "structure") == []
+
+
+def test_the_guard_sees_every_call():
+    tree = ast.parse(
+        "read = gaussian(m, x)\n"
+        "class Chart:\n"
+        "    def reads(self):\n"
+        "        return [su1n_model.gaussian(m, x) for x in f(gaussian(m, y))]\n"
+        "def other():\n"
+        "    return gaussian\n"
+    )
+    assert call_sites(tree, "gaussian") == [(), ("Chart", "reads"), ("Chart", "reads")]
+
+
+def test_the_chart_module_reads_each_matrix_at_one_site():
+    path = PACKAGE / "ball_quantization.py"
+    sites = call_sites(ast.parse(path.read_text(), filename=str(path)), "gaussian")
+    assert len(sites) == 1 and sites[0][0] == "BallChart", sites

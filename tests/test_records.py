@@ -50,6 +50,8 @@ def test_fields_are_the_class_annotations_in_order():
     assert PsdSpec._fields == ("r", "n", "cross_actions")
     assert QmmReport._fields == ("ok", "order", "exact", "checked", "failures")
     assert Su1nModel._fields[:2] == ("N", "algebra") and len(Su1nModel._fields) == 13
+    fields = ("model", "H", "fs", "E", "nv", "omega", "m_basis", "basis", "frame")
+    assert BallChart._fields == fields
 
 
 def test_no_field_of_the_model_or_the_chart_is_a_dense_square_table():
