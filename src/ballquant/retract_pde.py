@@ -58,6 +58,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 from operator import add, le
 from types import MappingProxyType
@@ -185,33 +186,32 @@ class ClosureReport(Record):
 
 
 def check_reduction_closure(model: Su1nModel) -> ClosureReport:
-    """Check the subspace geometry behind the radial reduction.
-
-    W = s + m + (root space of the negative short root) must be stable
-    under the adjoint action of the solvable part, and W + [W, W] must
-    fill the whole algebra.
+    """Check that W = s + m + g_(-1) is stable under ad s and W + [W, W] = g,
+    off the root grading build_su1n certifies: g is the direct sum of the root
+    spaces g_t of ad H0, and by Jacobi [g_a, g_b] lies in g_(a+b).  failures
+    names the failed premises (dim W is the sum of the dim g_t with t >= -1,
+    g_(-2) is a line, all dim g_t sum to dim g; s lies in a + g_1 + g_2) and
+    the (t, k) of each basis vector k of a g_t, t >= -1, outside W.  With
+    none, W is the sum of those g_t, so [s, W] lies in W, and only
+    [g_(-1), g_(-1)] of [W, W] leaves W, into the line g_(-2): W + [W, W] = g
+    exactly when a bracket of two g_(-1) basis vectors is nonzero.  They are
+    read until one is; dim_filled is dim W + 1 then, else dim W.
     """
     from .lie_core import span_subspace
 
     algebra = model.algebra
-    w_vecs = model.s_space.basis + model.m_space.basis
-    for r in model.roots:
-        if r.lambda_of_H[0] == -1:
-            w_vecs += r.space.basis
-    w = span_subspace(algebra, w_vecs)
-    failures = []
-    for i, z in enumerate(model.s_space.basis):
-        for j, x in enumerate(w.basis):
-            if not w.contains(algebra.bracket(z, x)):
-                failures.append((i, j))
-    brackets = [
-        algebra.bracket(x, y)
-        for a, x in enumerate(w.basis)
-        for y in w.basis[a + 1 :]
-    ]
-    filled = span_subspace(algebra, [*w.basis, *brackets])
-    ok = not failures and filled.dim == algebra.dim
-    return ClosureReport(ok, w.dim, filled.dim, failures)
+    spaces = {r.lambda_of_H[0]: r.space.basis for r in model.roots}
+    lower, graded = spaces.get(-1, ()), {t: b for t, b in spaces.items() if t >= -1}
+    w = span_subspace(algebra, [*model.s_space.basis, *model.m_space.basis, *lower])
+    upper = span_subspace(algebra, [*model.a_space.basis, *spaces.get(1, ()), *spaces.get(2, ())])
+    failures = [(t, k) for t, b in graded.items() for k, x in enumerate(b) if not w.contains(x)]
+    dims = [w.dim, len(spaces.get(-2, ())), sum(map(len, spaces.values()))]
+    if dims != [sum(map(len, graded.values())), 1, algebra.dim]:
+        failures.append("the dimensions of W, g_(-2) and g are not those of the root grading")
+    if not all(map(upper.contains, model.s_space.basis)):
+        failures.append("s leaves a + g_1 + g_2")
+    filled = not failures and any(algebra.bracket(x, y) for x, y in combinations(lower, 2))
+    return ClosureReport(filled, w.dim, w.dim + filled, failures)
 
 
 def m_invariance_residuals(chart: BallChart, f: CoefFn) -> list:

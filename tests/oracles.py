@@ -77,6 +77,10 @@ list.
 oracle_wv0 and oracle_om0 are the nu^0 parts of the radial operator,
 the (w|v) and Omega(w, v) parts, transcribed by hand from the displayed
 coefficient groups.
+reduction_closure_oracle checks the reduction geometry as
+retract_pde.check_reduction_closure did before it read it off the root
+grading: every bracket of s with W and of W with W, and a rank over
+them.
 """
 from __future__ import annotations
 
@@ -92,10 +96,11 @@ from ballquant.ball_quantization import resolve_truncation_order
 from ballquant.ce_cohomology import zero_two_cochain
 from ballquant.formal_star import CoefFn, NuSeries, NuSum, c_operator, coef_to_json
 from ballquant.formal_star import key_layout, transvection_terms
-from ballquant.lie_core import LieAlgebra, Subspace, structure_in, subspace_intersection
+from ballquant.lie_core import LieAlgebra, Subspace, span_subspace, structure_in
+from ballquant.lie_core import subspace_intersection
 from ballquant.linalg import Frame, bilinear, combine, nullspace, solve_in_span, split_symplectic
 from ballquant.linalg import transpose, vec_add, vec_scale
-from ballquant.retract_pde import XiFn
+from ballquant.retract_pde import ClosureReport, XiFn
 from ballquant.scalars import GScalar
 from ballquant.su1n_model import RootDatum, _basis_matrices
 
@@ -943,3 +948,28 @@ def full_structure_oracle(N: int):
     mats, labels, _ = _basis_matrices(N)
     mats = gscalar_matrices(mats)
     return LieAlgebra.written(labels, structure_in(EntryReader(mats, labels), mats, _comm))
+
+
+def reduction_closure_oracle(model) -> ClosureReport:
+    """W = s + m + (root space of the negative short root) must be stable
+    under the adjoint action of the solvable part, and W + [W, W] must
+    fill the whole algebra: every bracket formed, and a rank over them."""
+    algebra = model.algebra
+    w_vecs = model.s_space.basis + model.m_space.basis
+    for r in model.roots:
+        if r.lambda_of_H[0] == -1:
+            w_vecs += r.space.basis
+    w = span_subspace(algebra, w_vecs)
+    failures = []
+    for i, z in enumerate(model.s_space.basis):
+        for j, x in enumerate(w.basis):
+            if not w.contains(algebra.bracket(z, x)):
+                failures.append((i, j))
+    brackets = [
+        algebra.bracket(x, y)
+        for a, x in enumerate(w.basis)
+        for y in w.basis[a + 1 :]
+    ]
+    filled = span_subspace(algebra, [*w.basis, *brackets])
+    ok = not failures and filled.dim == algebra.dim
+    return ClosureReport(ok, w.dim, filled.dim, failures)

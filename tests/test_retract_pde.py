@@ -40,7 +40,7 @@ from ballquant.retract_pde import (
     xifn_to_json,
 )
 from ballquant.scalars import GScalar
-from ballquant.lie_core import Subspace
+from ballquant.lie_core import LieAlgebra, Subspace
 from ballquant.su1n_model import build_su1n, model_to_json
 
 from oracles import (
@@ -50,6 +50,7 @@ from oracles import (
     oracle_om0,
     oracle_wv0,
     radial_pde_residual_oracle,
+    reduction_closure_oracle,
     retract_exact_oracle,
 )
 
@@ -163,6 +164,10 @@ def test_xifn_from_json_refuses_a_scalar_in_place_of_a_container(payload, messag
         xifn_from_json(payload)
 
 
+# The failure check_reduction_closure reports when a dimension premise fails.
+DIMENSIONS = "the dimensions of W, g_(-2) and g are not those of the root grading"
+
+
 def test_reduction_closure_dimensions():
     """W = s + m + (negative short root space) is ad_s stable and W + [W, W]
     fills the algebra: dimensions 7 -> 8 for N = 2 and 14 -> 15 for N = 3."""
@@ -170,14 +175,101 @@ def test_reduction_closure_dimensions():
     assert rep2.ok and rep2.dim_w == 7 and rep2.dim_filled == 8
     rep3 = check_reduction_closure(build_su1n(3))
     assert rep3.ok and rep3.dim_w == 14 and rep3.dim_filled == 15
+    rep1 = check_reduction_closure(build_su1n(1))
+    assert (rep1.ok, rep1.dim_w, rep1.dim_filled) == (False, 2, 2)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_reduction_closure_matches_the_sweep(N):
+    """The check read off the root grading gives the verdict and the
+    dimensions of the sweep over every bracket of s x W and W x W; at
+    N = 1, g_(-1) = 0 and nothing reaches g_(-2)."""
+    model = build_su1n(N)
+    rep, ref = check_reduction_closure(model), reduction_closure_oracle(model)
+    assert (rep.ok, rep.dim_w, rep.dim_filled) == (ref.ok, ref.dim_w, ref.dim_filled)
+    assert rep.failures == []
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+def test_reduction_closure_reads_at_most_the_short_root_brackets(N, monkeypatch):
+    """The check reads brackets of g_(-1) only, at most dim g_(-1) of
+    them, where the sweep read 49, 175, 901 and 4345."""
+    model = build_su1n(N)
+    calls = []
+    bracket = LieAlgebra.bracket
+    monkeypatch.setattr(LieAlgebra, "bracket", lambda *a: calls.append(a) or bracket(*a))
+    assert check_reduction_closure(model).ok
+    assert 0 < len(calls) <= 2 * (N - 1)
+
+
+def _root_bases(model) -> dict:
+    return {r.lambda_of_H[0]: r.space.basis for r in model.roots}
+
+
+def _with_root_spaces(model, bases: dict):
+    """model with the root space of each value t in bases spanned by bases[t]."""
+    planted = lambda r: r.replace(space=Subspace(model.algebra, bases[r.lambda_of_H[0]]))
+    roots = tuple(planted(r) if r.lambda_of_H[0] in bases else r for r in model.roots)
+    return model.replace(roots=roots)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_reduction_closure_fails_on_a_commuting_half_of_the_short_roots(N):
+    """With g_(-1) cut to the first half of its echelon basis, which the
+    split-half pairing makes commute, no bracket of W reaches g_(-2), and
+    the root dimensions no longer fill g."""
+    model = build_su1n(N)
+    half = _with_root_spaces(model, {-1: _root_bases(model)[-1][: N - 1]})
+    rep, ref = check_reduction_closure(half), reduction_closure_oracle(half)
+    assert not rep.ok and not ref.ok
+    assert rep.dim_filled == rep.dim_w == ref.dim_w
+    assert rep.failures == [DIMENSIONS]
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_reduction_closure_fails_when_s_holds_a_short_root_vector(N):
+    """An s that holds a g_(-1) vector moves W under ad s: [x, y] of two
+    paired g_(-1) vectors lies in g_(-2)."""
+    model = build_su1n(N)
+    lower = _root_bases(model)[-1]
+    leaky = model.replace(s_space=Subspace(model.algebra, [*model.s_space.basis, lower[0]]))
+    rep, ref = check_reduction_closure(leaky), reduction_closure_oracle(leaky)
+    assert not rep.ok and not ref.ok and ref.failures
+    assert rep.failures == ["s leaves a + g_1 + g_2"]
+
+
+def _m_holds_the_top_line(model):
+    top = _root_bases(model)[-2]
+    return model.replace(m_space=Subspace(model.algebra, [*model.m_space.basis, *top]))
+
+
+def _top_plane(model):
+    bases = _root_bases(model)
+    lower, top = bases[-1], bases[-2]
+    return _with_root_spaces(model, {-1: lower[1:], -2: [*top, lower[0]]})
+
+
+@pytest.mark.parametrize("N, plant", [(2, _m_holds_the_top_line), (3, _top_plane)])
+def test_reduction_closure_refuses_root_data_off_the_grading(N, plant):
+    """The sweep sees only W and passes both plants: an m that holds the
+    g_(-2) line, which makes W all of g, and root data that move a g_(-1)
+    vector into g_(-2), after which W still fills g.  The check refuses
+    a W larger than the g_t with t >= -1 and a g_(-2) that is no line."""
+    planted = plant(build_su1n(N))
+    rep, ref = check_reduction_closure(planted), reduction_closure_oracle(planted)
+    assert ref.ok and ref.dim_filled == planted.algebra.dim
+    assert not rep.ok and rep.dim_filled == rep.dim_w
+    assert rep.failures == [DIMENSIONS]
 
 
 def test_reduction_closure_fails_without_m():
-    """[n_1, n_-1] lands in a + m, so W without m is not ad_s stable."""
+    """[n_1, n_-1] lands in a + m, so W without m is not ad_s stable: the
+    g_0 vector of m, the first of g_0's echelon basis, lies outside W."""
     model = build_su1n(2)
     fresh = model_to_json(model)
     rep = check_reduction_closure(model.replace(m_space=Subspace(model.algebra, [])))
     assert not rep.ok and rep.failures and rep.dim_w == 6
+    assert rep.failures == [(0, 0), DIMENSIONS]
     assert model_to_json(build_su1n(2)) == fresh
     assert check_reduction_closure(build_su1n(2)).ok
 
