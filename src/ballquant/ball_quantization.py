@@ -55,8 +55,7 @@ from .linalg import solve_in_span  # noqa: F401, callers read it here
 from .scalars import Record, accumulate, collect, exact, frac_str, kept
 from .scalars import resolve_truncation_order
 from .scalars import TRUNCATION_ENV, TruncationOrderError  # noqa: F401, callers read them here
-from .su1n_model import Su1nModel, _commutator, adapted_s_basis, build_su1n, coordinates, gaussian
-from .su1n_model import trace_form
+from .su1n_model import Su1nModel, adapted_s_basis, bracket_read, build_su1n, gaussian, trace_form
 
 CALIBRATED_AZ_WEIGHT = Fraction(1, 2)
 CALIBRATED_INNER_SCALE = Fraction(1, 2)
@@ -85,7 +84,7 @@ class BallChart(Record, frozen=True):
         frame's dual times q, the lcm of its denominators; ValueError unless
         the frame spans g, so that its dual reads every vector."""
         dual = self.frame.dual
-        if len(dual) != self.model.algebra.dim:
+        if len(dual) != len(self.model.matrices):
             raise ValueError("the chart frame does not span the algebra")
         reads = [gaussian(self.model.matrices, x) for x in self.basis]
         touched = [sum({1 << a for e in entries for a in e}) for _, entries in reads]
@@ -114,14 +113,12 @@ class BallChart(Record, frozen=True):
         return self._brackets[(i, j)]
 
     def _read(self, i: int, j: int) -> dict:
-        """The commutator of the two read matrices, formed in Gaussian
-        integers, read in model coordinates (coordinates) and then against
-        the dual rows, summed in ints and divided once by d_i d_j q."""
+        """The model's int read of the bracket of the two read matrices
+        (bracket_read), then against the dual rows, divided once by d q."""
         reads, _, q, dual = self._reads
-        (di, x), (dj, y) = reads[i], reads[j]
-        c = coordinates(self.model.N + 1, _commutator(x, y))
-        read = collect((k, v * d) for l, v in c.items() for k, d in dual[l])
-        return {k: Fraction(v, di * dj * q) for k, v in read.items()}
+        d, c = bracket_read(self.model.N + 1, reads[i], reads[j])
+        read = collect((k, v * e) for l, v in c.items() for k, e in dual[l])
+        return {k: Fraction(v, d * q) for k, v in read.items()}
 
 
 def build_chart(N: int) -> BallChart:

@@ -21,9 +21,11 @@ from .scalars import DEFAULT_TRUNCATION, parse_frac
 
 SERIES = ("qmm", "retract")  # the verify suites that truncate series
 # The largest N a command takes, refused above before any build (README,
-# "Limits"), each command staying below 250 MB at its ceiling: at 30 verify
-# --suite qmm and --suite retract peak near 132 and 152 MB, and at 12 the
-# cocycle suite, whose cost grows faster in N (h2 --su1n too), near 225 MB.
+# "Limits").  At 30 the costliest command is su1n-export, the one that
+# builds and writes the structure table, near 254 MB; of the suites, which
+# build no table, --suite retract peaks near 106 MB and --suite qmm near
+# 86 MB.  At 12 the cocycle suite, whose cost grows faster in N (h2 --su1n
+# too), peaks near 225 MB.
 N_CEILING = 30
 COHOMOLOGY_CEILING = 12
 # The largest sum of the --blocks dimensions that build-psd and h2 take,
@@ -34,9 +36,9 @@ COHOMOLOGY_CEILING = 12
 BLOCKS_CEILING = 250
 # The largest --order, refused above in the same way.  qmm does not grow
 # with it, a failing pair reporting only its residual's nonzero powers
-# (186 MB at N_CEILING at 1000 and 2000 alike), but retract-residual does
-# (17 MB at 1000, 143 MB at 10000), and at N_CEILING the retract suite,
-# through its operators' keys and terms, peaks near 231 MB at 7, 277 at 8.
+# (87 MB at N_CEILING at 1000), but retract-residual does (17 MB at 1000,
+# 143 MB at 10000), and at N_CEILING the retract suite, through its
+# operators' keys and terms, peaks near 142 MB at 7, 178 at 8, 254 at 12.
 ORDER_CEILING = 1000
 RETRACT_ORDER_CEILING = 7
 # verify options that only some suites read, with those suites

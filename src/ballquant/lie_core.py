@@ -144,7 +144,7 @@ class LieAlgebra(Record, frozen=True, eq=False):
         Precondition: the table satisfies Jacobi, and the caller proves
         it in its own docstring.  Nothing at run time can check that
         without the sweep; a test keeps the callers to ``build_psd``,
-        ``build_su1n`` and ``subalgebra``.
+        ``Su1nModel.algebra`` and ``subalgebra``.
         """
         algebra = cls.__new__(cls)
         algebra._store(len(labels), labels, structure)
@@ -225,17 +225,16 @@ class LieAlgebra(Record, frozen=True, eq=False):
 
 
 class Subspace(Record, frozen=True):
-    """Subspace of a LieAlgebra with a canonical echelon basis: a tuple
-    of read-only vectors, which a cached subspace hands out as it is.
+    """Span of sparse vectors with a canonical echelon basis: a tuple of
+    read-only vectors, which a cached subspace hands out as it is.
     The record is frozen; two subspaces are equal when their bases are."""
 
-    algebra: LieAlgebra
     basis: tuple
     dim: int
 
-    def __init__(self, algebra: LieAlgebra, vectors: list):
+    def __init__(self, vectors: list):
         basis = tuple(MappingProxyType(r) for r in rref(vectors)[0])
-        Record.__init__(self, algebra, basis, len(basis))
+        Record.__init__(self, basis, len(basis))
 
     @kept
     def frame(self) -> Frame:
@@ -251,8 +250,8 @@ class Subspace(Record, frozen=True):
         return hash(tuple(frozenset(r.items()) for r in self.basis))
 
 
-def span_subspace(algebra: LieAlgebra, vectors: list) -> Subspace:
-    return Subspace(algebra, vectors)
+def span_subspace(vectors: list) -> Subspace:
+    return Subspace(vectors)
 
 
 def centralizer(algebra: LieAlgebra, sub: Subspace) -> Subspace:
@@ -260,15 +259,16 @@ def centralizer(algebra: LieAlgebra, sub: Subspace) -> Subspace:
     ad s for s in sub, since row k of ad s reads the coefficient of e_k
     in [s, x]."""
     rows = [row for s in sub.basis for row in algebra.ad(s)]
-    return Subspace(algebra, nullspace(rows, algebra.dim))
+    return Subspace(nullspace(rows, algebra.dim))
 
 
 def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same algebra: the kernel of
-    the functionals that vanish on either of them."""
-    dim = s1.algebra.dim
-    annihilators = nullspace(s1.basis, dim) + nullspace(s2.basis, dim)
-    return Subspace(s1.algebra, nullspace(annihilators, dim))
+    """Intersection of two subspaces: the kernel of the functionals that
+    vanish on either of them, in Q^m, m one past the largest index of
+    either basis (every other coordinate is zero on both)."""
+    m = 1 + max((k for v in s1.basis + s2.basis for k in v), default=-1)
+    annihilators = nullspace(s1.basis, m) + nullspace(s2.basis, m)
+    return Subspace(nullspace(annihilators, m))
 
 
 def structure_in(frame: Frame, vectors: list, bracket) -> dict:

@@ -199,18 +199,17 @@ def check_reduction_closure(model: Su1nModel) -> ClosureReport:
     """
     from .lie_core import span_subspace
 
-    algebra = model.algebra
     spaces = {r.lambda_of_H[0]: r.space.basis for r in model.roots}
     lower, graded = spaces.get(-1, ()), {t: b for t, b in spaces.items() if t >= -1}
-    w = span_subspace(algebra, [*model.s_space.basis, *model.m_space.basis, *lower])
-    upper = span_subspace(algebra, [*model.a_space.basis, *spaces.get(1, ()), *spaces.get(2, ())])
+    w = span_subspace([*model.s_space.basis, *model.m_space.basis, *lower])
+    upper = span_subspace([*model.a_space.basis, *spaces.get(1, ()), *spaces.get(2, ())])
     failures = [(t, k) for t, b in graded.items() for k, x in enumerate(b) if not w.contains(x)]
     dims = [w.dim, len(spaces.get(-2, ())), sum(map(len, spaces.values()))]
-    if dims != [sum(map(len, graded.values())), 1, algebra.dim]:
+    if dims != [sum(map(len, graded.values())), 1, len(model.matrices)]:
         failures.append("the dimensions of W, g_(-2) and g are not those of the root grading")
     if not all(map(upper.contains, model.s_space.basis)):
         failures.append("s leaves a + g_1 + g_2")
-    filled = not failures and any(algebra.bracket(x, y) for x, y in combinations(lower, 2))
+    filled = not failures and any(model.bracket(x, y) for x, y in combinations(lower, 2))
     return ClosureReport(filled, w.dim, w.dim + filled, failures)
 
 

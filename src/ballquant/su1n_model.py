@@ -6,14 +6,15 @@ X^* J + J X = 0 for J = diag(-1, 1, ..., 1).  The Cartan involution is
 conjugation by J; its +1 eigenspace k is the maximal compact part and
 the -1 eigenspace p contains the restricted-root generator
 H0 = E_01 + E_10, whose adjoint action has rational eigenvalues
-(+-2, +-1, 0).  The basis matrices are sparse Gaussian-integer maps,
-and the structure constants are read off the entries (coordinates) of
-the commutators, in Gaussian integers, of the pairs of them that share
-an index (_structure, index_partners); the Killing form is the trace
-form 2(N + 1) Re tr(XY) of the matrices it pairs (trace_form).  The
-restricted-root decomposition is written down and checked (build_su1n),
-and the adapted chart basis of s is taken from it and checked
-(adapted_s_basis).
+(+-2, +-1, 0).  The basis matrices are sparse Gaussian-integer maps.
+Every bracket, the model's and the chart's, is read off the entries
+(coordinates) of the commutator of its arguments' matrices, formed in
+Gaussian integers (bracket_read), and the Killing form is the trace form
+2(N + 1) Re tr(XY) (trace_form).  The structure table (_structure) is
+built on the first read of Su1nModel.algebra, by h2 --su1n, the cocycle
+suite (s_submodel), su1n-export and match_iwasawa only.  The root
+decomposition of ad H0 is written down and checked (build_su1n), and the
+adapted chart basis of s is taken from it and checked (adapted_s_basis).
 """
 from __future__ import annotations
 
@@ -106,7 +107,7 @@ def coordinates(n: int, m: dict) -> dict:
     Gaussian-integer matrix m in su(1, n - 1), read off its entries: P_k
     and Q_k (real and imaginary part) from entry (0, k), R_jk and S_jk from
     entry (j, k), 1 <= j < k, and D_j from the running sum of Im m_aa over
-    a <= j (_structure proves the read)."""
+    a <= j (build_su1n certifies the read)."""
     diagonal, upper = _slots(n)
     c, diagonal_entries = {}, []
     for (a, b), (x, y) in m.items():
@@ -126,27 +127,25 @@ def coordinates(n: int, m: dict) -> dict:
     return c
 
 
+def bracket_read(n: int, X: tuple, Y: tuple) -> tuple:
+    """(d, c): the int coordinates c of d [X, Y] for X and Y as gaussian reads
+    them, d the product of their d's, read off the commutator's entries."""
+    (dx, x), (dy, y) = X, Y
+    return dx * dy, coordinates(n, _commutator(x, y))
+
+
 def _structure(mats: list) -> dict:
     """The structure table of su(1, N) on the basis matrices mats, formed
     and read in Gaussian integers, each constant a Fraction at the end.
 
     The commutator of each pair that shares an index (index_partners) is
     formed in ints; any other pair commutes.  Its coordinates are read off
-    its entries (coordinates).
-
-    The read is linear.  Each basis matrix reads back as its unit vector,
-    and there are (N + 1)^2 - 1 of them, the dimension of su(1, N), each
-    in su(1, N) (_check_su1n, in build_su1n); AssertionError otherwise.
-    So they are a basis of su(1, N) and the read is its coordinate map.
-    su(1, N) is closed under commutators, so every commutator is read
-    exactly, e_k -> mats[k] carries the table to the commutator, and the
-    table, a matrix algebra's, satisfies Jacobi.
+    its entries (coordinates), the coordinate map of su(1, N) by the
+    certificate of build_su1n.  su(1, N) is closed under commutators, so
+    every commutator is read exactly, e_k -> mats[k] carries the table to
+    the commutator, and the table, a matrix algebra's, satisfies Jacobi.
     """
     n = isqrt(len(mats) + 1)
-    if n * n - 1 != len(mats):
-        raise AssertionError("the basis count is not (N + 1)^2 - 1")
-    if any(coordinates(n, m) != {t: 1} for t, m in enumerate(mats)):
-        raise AssertionError("a basis matrix does not read back as its unit vector")
     structure = {}
     for i, js in enumerate(index_partners([{a for entry in m for a in entry} for m in mats])):
         for j in js:
@@ -201,7 +200,6 @@ class RootDatum(Record, frozen=True):
 
 class Su1nModel(Record, frozen=True, eq=False):
     N: int
-    algebra: LieAlgebra
     sigma_diagonal: tuple
     k_space: Subspace
     p_space: Subspace
@@ -213,6 +211,16 @@ class Su1nModel(Record, frozen=True, eq=False):
     H0: MappingProxyType
     beta_H0: Fraction
     matrices: tuple
+
+    def bracket(self, x: dict, y: dict) -> dict:
+        """[x, y], read off the matrices of x and y (bracket_read) and divided once."""
+        d, c = bracket_read(self.N + 1, gaussian(self.matrices, x), gaussian(self.matrices, y))
+        return {k: Fraction(v, d) for k, v in c.items()}
+
+    @kept
+    def algebra(self) -> LieAlgebra:
+        """The structure table, built on first read (_structure proves Jacobi)."""
+        return LieAlgebra.written(_basis_matrices(self.N)[1], _structure(self.matrices))
 
     def apply_sigma(self, x: dict) -> dict:
         return {j: self.sigma_diagonal[j] * xj for j, xj in x.items()}
@@ -247,24 +255,26 @@ def _written_roots(at: dict, N: int) -> tuple:
 @lru_cache(maxsize=None)
 def build_su1n(N: int) -> Su1nModel:
     """Construct the su(1, N) model; results are cached.  The model and
-    its root data are frozen, their sequences (labels, subspace bases,
-    roots) are tuples, every vector (the subspace bases, H0 and each
-    H_lambda) is a read-only map, and the structure table, sigma_diagonal
-    and matrices are read-only at every level, so callers use them without
-    copying.  matrices holds the basis matrices as _basis_matrices builds
-    them, sparse Gaussian-integer maps {(row, col): (re, im)}, and
-    beta_form reads the Killing form off them: only its value beta_H0 on
-    H0 is stored.  The table is read off their commutators by the
-    module-level coordinates, which the chart's brackets read too.
+    its root data are frozen, their sequences (subspace bases, roots) are
+    tuples, every vector (the subspace bases, H0 and each H_lambda) is a
+    read-only map, and sigma_diagonal and matrices are read-only at every
+    level, so callers use them without copying.  matrices holds the basis
+    matrices as _basis_matrices builds them, sparse Gaussian-integer maps
+    {(row, col): (re, im)}; every bracket and Killing form is read off
+    them, and no structure table is built here (Su1nModel.algebra).
 
-    The table is _structure's, proved there to satisfy Jacobi for every
-    N, and stored by LieAlgebra.written.  The root spaces of ad H0 are written:
+    The certificate: each basis matrix lies in su(1, N) (_check_su1n),
+    there are (N + 1)^2 - 1 = dim su(1, N) of them, and each reads back as
+    its unit vector; AssertionError otherwise.  The read is linear, so
+    they are a basis and coordinates is the coordinate map of su(1, N):
+    every bracket (Su1nModel.bracket, the chart's, _structure) rests on it.
+    The root spaces of ad H0 are written:
     t = +-2: D0 -+ Q1; t = +-1: P_k +- R1_k and Q_k +- S1_k (k = 2 .. N);
     t = 0: H0 = P1 and m = {D0 + 2 D1, D_j (j >= 2), R_jk, S_jk (2 <= j < k)}.
-    AssertionError, naming the check, unless [H0, x] = t x for each
-    written x, each written space (the five and m) has full rank, the
-    dimensions sum to dim g and every m vector lies in k.  Eigenvectors
-    of distinct eigenvalues are independent, so written eigenspaces that
+    AssertionError, naming the check, unless each written space (the five
+    and m) has full rank, the dimensions sum to dim g, every m vector lies
+    in k and [H0, x] = t x for each written x.  Eigenvectors of
+    distinct eigenvalues are independent, so written eigenspaces that
     fill g are the whole eigenspaces.  g_0 is sigma-stable and holds a in
     p: an x of g_0 in k is c H0 + y with y in the span of m, and c H0 =
     x - y lies in k and in p, so c = 0 and m = g_0 intersected with k.
@@ -277,22 +287,23 @@ def build_su1n(N: int) -> Su1nModel:
     if not all(_check_su1n(m) for m in mats):
         raise AssertionError("basis matrix leaves su(1,N)")
     n, dim = N + 1, len(mats)
-    algebra = LieAlgebra.written(labels, _structure(mats))
+    if n * n - 1 != dim:
+        raise AssertionError("the basis count is not (N + 1)^2 - 1")
+    if any(coordinates(n, m) != {t: 1} for t, m in enumerate(mats)):
+        raise AssertionError("a basis matrix does not read back as its unit vector")
 
-    H0 = MappingProxyType(algebra.basis_vector(N))  # label P1
+    H0 = MappingProxyType({N: Fraction(1)})  # label P1
     h0 = gaussian(mats, H0)
     beta_H0 = trace_form(n, h0, h0)
 
-    k_space = span_subspace(algebra, [algebra.basis_vector(i) for i in range(dim) if signs[i] == 1])
-    p_space = span_subspace(algebra, [algebra.basis_vector(i) for i in range(dim) if signs[i] == -1])
-    a_space = span_subspace(algebra, [H0])
+    units = lambda c: [{i: Fraction(1)} for i in range(dim) if signs[i] == c]
+    k_space, p_space = span_subspace(units(1)), span_subspace(units(-1))
+    a_space = span_subspace([H0])
 
     written, m = _written_roots({label: t for t, label in enumerate(labels)}, N)
     written[0] = [H0, *m]
-    if any(algebra.bracket(H0, x) != vec_scale(x, t) for t, xs in written.items() for x in xs):
-        raise AssertionError("a written root vector is not an eigenvector of ad H0")
-    spaces = {t: span_subspace(algebra, written[t]) for t in (2, 1, 0, -1, -2)}
-    m_space = span_subspace(algebra, m)  # independent inside the written space of t = 0
+    spaces = {t: span_subspace(written[t]) for t in (2, 1, 0, -1, -2)}
+    m_space = span_subspace(m)  # independent inside the written space of t = 0
     if any(spaces[t].dim != len(written[t]) for t in spaces):
         raise AssertionError("a written root space is not of full rank")
     if sum(space.dim for space in spaces.values()) != dim:
@@ -302,25 +313,15 @@ def build_su1n(N: int) -> Su1nModel:
     coroot = lambda t: MappingProxyType(vec_scale(H0, Fraction(t) / beta_H0))
     roots = [RootDatum((Fraction(t),), sp, coroot(t)) for t, sp in spaces.items() if sp.dim]
 
-    n_vecs = [x for r in roots if r.lambda_of_H[0] > 0 for x in r.space.basis]
-    n_space = span_subspace(algebra, n_vecs)
-    s_space = span_subspace(algebra, a_space.basis + n_space.basis)
-
-    return Su1nModel(
-        N=N,
-        algebra=algebra,
-        sigma_diagonal=tuple(signs),
-        k_space=k_space,
-        p_space=p_space,
-        a_space=a_space,
-        n_space=n_space,
-        m_space=m_space,
-        s_space=s_space,
-        roots=tuple(roots),
-        H0=H0,
-        beta_H0=beta_H0,
-        matrices=tuple(map(MappingProxyType, mats)),
+    n_space = span_subspace([x for r in roots if r.lambda_of_H[0] > 0 for x in r.space.basis])
+    model = Su1nModel(
+        N=N, sigma_diagonal=tuple(signs), k_space=k_space, p_space=p_space, a_space=a_space,
+        n_space=n_space, m_space=m_space, s_space=span_subspace(a_space.basis + n_space.basis),
+        roots=tuple(roots), H0=H0, beta_H0=beta_H0, matrices=tuple(map(MappingProxyType, mats)),
     )
+    if any(model.bracket(H0, x) != vec_scale(x, t) for t, xs in written.items() for x in xs):
+        raise AssertionError("a written root vector is not an eigenvector of ad H0")
+    return model
 
 
 # model -> its checked chart basis, keyed weakly as _S_SUBMODELS is.
@@ -347,16 +348,16 @@ def adapted_s_basis(model: Su1nModel) -> tuple:
     if model in _ADAPTED:
         return _ADAPTED[model]
     space = {r.lambda_of_H[0]: r.space.basis for r in model.roots}
-    short = space.get(1, ())  # N = 1 has no short roots, and then no f
+    short, top = space.get(1, ()), space.get(2, ())  # N = 1 has no short roots, and then no f
+    if len(top) != 1 or len(short) != 2 * (model.N - 1):
+        raise AssertionError("root space dimensions are not 1 and 2(N - 1)")
     scales = [1] * (len(short) // 2) + [Fraction(-1, 2)] * (len(short) // 2)
     fs = tuple(MappingProxyType(vec_scale(x, c)) for x, c in zip(short, scales))
-    E = MappingProxyType(dict(space[2][0]))
-    if len(space[2]) != 1 or len(fs) != 2 * (model.N - 1):
-        raise AssertionError("root space dimensions are not 1 and 2(N - 1)")
+    E = MappingProxyType(dict(top[0]))
     if model.beta_sigma(E, E) != 2 * model.beta_H0:
         raise AssertionError("top root vector is not normalized to 2 beta(H, H)")
     top_line, what = Frame([E]), "short-root bracket left the top root line"
-    bform = lambda x, y: top_line.require(model.algebra.bracket(x, y), what).get(0, Fraction(0))
+    bform = lambda x, y: top_line.require(model.bracket(x, y), what).get(0, Fraction(0))
     if [[bform(fi, fj) for fj in fs] for fi in fs] != split_symplectic(len(fs)):
         raise AssertionError("symplectic normal form check failed")
     out = _ADAPTED[model] = model.H0, fs, E
@@ -378,7 +379,7 @@ def verify_sigma_pairing(model: Su1nModel) -> CheckReport:
             checked += 1
             sx = model.apply_sigma(x)
             val = model.beta_form(x, sx)
-            got = model.algebra.bracket(x, sx)
+            got = model.bracket(x, sx)
             want = vec_scale(r.H_lambda, val)
             if got != want:
                 failures.append(("pairing", r.lambda_of_H[0], x))
@@ -402,13 +403,11 @@ def verify_m_orthocomplement(model: Su1nModel) -> CheckReport:
         samples += [vec_add(basis[0], basis[1]), combine({0: Fraction(2), 1: Fraction(-3)}, basis)]
     for x in samples:
         checked += 1
-        bracket_span = span_subspace(
-            model.algebra, [model.algebra.bracket(y, x) for y in model.m_space.basis]
-        )
+        bracket_span = span_subspace([model.bracket(y, x) for y in model.m_space.basis])
         sx = gaussian(model.matrices, model.apply_sigma(x))
         row = [-trace_form(model.N + 1, sx, b) for b in basis_read]
         ortho_vecs = [combine(c, basis) for c in nullspace([row], len(basis))]
-        ortho = span_subspace(model.algebra, ortho_vecs)
+        ortho = span_subspace(ortho_vecs)
         if bracket_span != ortho:
             failures.append(("orthocomplement", x))
     return CheckReport(not failures, checked, failures)

@@ -763,7 +763,7 @@ def normalizer(algebra, sub):
         for a in annihilators:
             row = {i: sum(a.get(k, 0) * v for k, v in x.items()) for i, x in enumerate(images)}
             rows.append({i: v for i, v in row.items() if v})
-    return Subspace(algebra, nullspace(rows, dim))
+    return Subspace(nullspace(rows, dim))
 
 
 def pullback_cochain(c, images: list):
@@ -930,15 +930,15 @@ def nullspace_roots_oracle(model) -> tuple:
     roots = []
     for t in map(F, (2, 1, 0, -1, -2)):
         shifted = [vec_add(row, {i: -t}) for i, row in enumerate(ad_h0)]
-        space = Subspace(algebra, nullspace(shifted, algebra.dim))
+        space = Subspace(nullspace(shifted, algebra.dim))
         if space.dim:
             roots.append(RootDatum((t,), space, MappingProxyType(vec_scale(H0, t / model.beta_H0))))
     zero = next(r.space for r in roots if r.lambda_of_H[0] == 0)
-    k = Subspace(algebra, nullspace(sigma(1), algebra.dim))
-    a = Subspace(algebra, [H0])
-    n = Subspace(algebra, [x for r in roots if r.lambda_of_H[0] > 0 for x in r.space.basis])
-    spaces = {"k": k, "p": Subspace(algebra, nullspace(sigma(-1), algebra.dim)), "a": a, "n": n}
-    spaces.update(s=Subspace(algebra, a.basis + n.basis), m=subspace_intersection(zero, k))
+    k = Subspace(nullspace(sigma(1), algebra.dim))
+    a = Subspace([H0])
+    n = Subspace([x for r in roots if r.lambda_of_H[0] > 0 for x in r.space.basis])
+    spaces = {"k": k, "p": Subspace(nullspace(sigma(-1), algebra.dim)), "a": a, "n": n}
+    spaces.update(s=Subspace(a.basis + n.basis), m=subspace_intersection(zero, k))
     return tuple(roots), spaces
 
 
@@ -959,7 +959,7 @@ def reduction_closure_oracle(model) -> ClosureReport:
     for r in model.roots:
         if r.lambda_of_H[0] == -1:
             w_vecs += r.space.basis
-    w = span_subspace(algebra, w_vecs)
+    w = span_subspace(w_vecs)
     failures = []
     for i, z in enumerate(model.s_space.basis):
         for j, x in enumerate(w.basis):
@@ -970,6 +970,6 @@ def reduction_closure_oracle(model) -> ClosureReport:
         for a, x in enumerate(w.basis)
         for y in w.basis[a + 1 :]
     ]
-    filled = span_subspace(algebra, [*w.basis, *brackets])
+    filled = span_subspace([*w.basis, *brackets])
     ok = not failures and filled.dim == algebra.dim
     return ClosureReport(ok, w.dim, filled.dim, failures)

@@ -89,7 +89,7 @@ def test_is_cocycle_in_degrees_zero_and_one(spec):
     g = build_psd(spec).algebra
     rng = random.Random(g.dim)
     assert is_cocycle(g, Cochain(0, g.dim, F(rng.randint(1, 9))))
-    derived = Subspace(g, list(g.structure.values())).basis
+    derived = Subspace(list(g.structure.values())).basis
     closed = [dense(v, g.dim) for v in nullspace(derived, g.dim)]
     assert closed and derived
     samples = closed + [[F(rng.randint(-3, 3)) for _ in range(g.dim)] for _ in range(6)]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ballquant import ball_quantization, ce_cohomology, psd_builder, retract_pde
+from ballquant import ball_quantization, ce_cohomology, psd_builder, retract_pde, su1n_model
 from ballquant.ce_cohomology import Cochain
 from ballquant.cli import BLOCKS_CEILING, COHOMOLOGY_CEILING, N_CEILING, ORDER_CEILING
 from ballquant.cli import RETRACT_ORDER_CEILING, main
@@ -688,3 +688,20 @@ def test_verify_cocycle_reports_a_wrong_primitive(capsys, monkeypatch):
     cocycle = ["verify", "--suite", "cocycle", "--N", "2"]
     payload = assert_failed_suite(capsys, cocycle, "primitive_ok")
     assert payload["h2"] == 0 and payload["invariant_dim"] == 1
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_a_model_with_an_empty_stored_table_prints_the_same_reports(N, capsys, monkeypatch):
+    """The su1n, qmm and retract suites and qmm-export read every bracket
+    off the basis matrices: on a fresh model whose kept structure table is
+    planted empty they print the bytes, with the exit codes, of the real
+    model."""
+    commands = [["verify", "--suite", suite, "--N", str(N)] for suite in ("su1n", "qmm", "retract")]
+    commands.append(["qmm-export", "--N", str(N)])
+    want = [run(capsys, argv) for argv in commands]
+    blank = su1n_model.build_su1n.__wrapped__(N)
+    vars(blank)["algebra"] = LieAlgebra.written(su1n_model.build_su1n(N).algebra.labels, {})
+    for module in (su1n_model, ball_quantization):
+        monkeypatch.setattr(module, "build_su1n", lambda n: blank)
+    assert [run(capsys, argv) for argv in commands] == want
+    assert blank in su1n_model._ADAPTED and blank.algebra.structure == {}

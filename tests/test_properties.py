@@ -706,6 +706,21 @@ def test_beta_form_is_the_killing_form_of_the_table_on_sparse_vectors(data):
     assert model.beta_form(x, y) == want == model.beta_form(y, x)
 
 
+@PROPERTY
+@given(st.data())
+def test_model_bracket_is_the_table_bracket_on_sparse_vectors(data):
+    """Su1nModel.bracket, read off the matrices of x and y, is the bracket
+    of the stored structure table, and antisymmetric."""
+    model = build_su1n(data.draw(st.integers(1, 4)))
+    vectors = st.dictionaries(
+        st.integers(0, model.algebra.dim - 1), rationals.filter(bool), max_size=4
+    )
+    x, y = data.draw(vectors), data.draw(vectors)
+    got = model.bracket(x, y)
+    assert got == model.algebra.bracket(x, y)
+    assert model.bracket(y, x) == {k: -v for k, v in got.items()}
+
+
 @st.composite
 def gaussian_integer_matrices(draw) -> tuple:
     """(n, m): a sparse n x n Gaussian-integer matrix {(row, col): (re, im)},

@@ -2,30 +2,35 @@
 
 ``LieAlgebra.written`` skips the sweep, and its caller proves Jacobi in
 its own docstring: ``psd_builder.build_psd`` for a direct sum of blocks
-(a spec with no cross actions), ``su1n_model.build_su1n`` for the matrix
-commutator its table is read from, and ``lie_core.subalgebra`` for the
-bracket of a parent algebra.  Nothing at run time can check any such
-proof, so every module of the package is parsed and each ``.written``
-attribute must lie inside one of those functions: in su1n_model and
-lie_core only build_su1n and subalgebra, and in every other module only
-build_psd.
+(a spec with no cross actions), ``su1n_model.Su1nModel.algebra`` for the
+matrix commutator its table is read from, and ``lie_core.subalgebra``
+for the bracket of a parent algebra.  Nothing at run time can check any
+such proof, so every module of the package is parsed and each
+``.written`` attribute must lie inside one of those functions: in
+su1n_model and lie_core only Su1nModel.algebra and subalgebra, and in
+every other module only build_psd.
 
-The chart reads its brackets off its basis matrices, never off the
-model's stored structure table, so that the qmm path does not need that
-table: ball_quantization reads no ``.rows`` or ``.structure`` attribute.
-It turns a chart vector into its matrix (su1n_model.gaussian) at one
-call site, the chart's kept read, which its gram, brackets and orbit
-moments all read.
+The chart and the retract module read their brackets off the basis
+matrices, never off the model's stored structure table, so that the
+qmm and retract paths do not build that table: neither reads an
+``.algebra`` attribute, and ball_quantization reads no ``.rows`` or
+``.structure`` either.  The chart reads each bracket through the
+model's int read (su1n_model.bracket_read) and forms no commutator of
+its own.  It turns a chart vector into its matrix (su1n_model.gaussian)
+at one call site, the chart's kept read, which its gram, brackets and
+orbit moments all read.
 """
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ballquant"
 # Callers whose bracket already satisfies Jacobi: a matrix commutator and
 # the bracket of a parent algebra.
-INHERITED = {("su1n_model.py", "build_su1n"), ("lie_core.py", "subalgebra")}
+INHERITED = {("su1n_model.py", "algebra"), ("lie_core.py", "subalgebra")}
 INHERITED_MODULES = {module for module, _ in INHERITED}
 # The caller whose table is a direct sum of blocks.
 BLOCK_SUM = {("psd_builder.py", "build_psd")}
@@ -92,9 +97,13 @@ def test_the_guard_sees_every_written_attribute():
     assert attribute_sites(tree, "written") == [None, "build_su1n", "build_psd", "inner"]
 
 
-def test_sweep_free_construction_stays_in_build_su1n_and_subalgebra():
+def test_sweep_free_construction_stays_in_the_model_table_and_subalgebra():
     sites = package_sites("written")
     assert {site for site in sites if site[0] in INHERITED_MODULES} == INHERITED
+    path = PACKAGE / "su1n_model.py"
+    assert call_sites(ast.parse(path.read_text(), filename=str(path)), "written") == [
+        ("Su1nModel", "algebra")
+    ]
 
 
 def test_written_construction_stays_in_build_psd():
@@ -106,6 +115,42 @@ def test_the_chart_module_reads_no_stored_table():
     path = PACKAGE / "ball_quantization.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert attribute_sites(tree, "rows") == attribute_sites(tree, "structure") == []
+
+
+@pytest.mark.parametrize("module", ["ball_quantization.py", "retract_pde.py"])
+def test_the_chart_and_retract_modules_read_no_model_algebra(module):
+    path = PACKAGE / module
+    assert attribute_sites(ast.parse(path.read_text(), filename=str(path)), "algebra") == []
+
+
+def names(tree) -> set:
+    """Every name a module tree mentions: plain names, attribute names and
+    imported names (with their aliases)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out |= {node.name, node.asname}
+    return out - {None}
+
+
+def test_the_guard_sees_every_name():
+    tree = ast.parse(
+        "from .su1n_model import _commutator as c\n"
+        "import ballquant.su1n_model as sm\n"
+        "def read(x):\n"
+        "    return sm.coordinates(n, c(x, y))\n"
+    )
+    assert {"_commutator", "c", "ballquant.su1n_model", "sm", "coordinates", "x"} <= names(tree)
+
+
+def test_the_chart_module_forms_no_commutator_of_its_own():
+    path = PACKAGE / "ball_quantization.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not names(tree) & {"_commutator", "coordinates"}
 
 
 def test_the_guard_sees_every_call():

@@ -49,7 +49,7 @@ def test_fields_are_the_class_annotations_in_order():
     assert NuSeries._fields == ("nv", "order", "terms", "exact")
     assert PsdSpec._fields == ("r", "n", "cross_actions")
     assert QmmReport._fields == ("ok", "order", "exact", "checked", "failures")
-    assert Su1nModel._fields[:2] == ("N", "algebra") and len(Su1nModel._fields) == 13
+    assert Su1nModel._fields[:2] == ("N", "sigma_diagonal") and len(Su1nModel._fields) == 12
     fields = ("model", "H", "fs", "E", "nv", "omega", "m_basis", "basis", "frame")
     assert BallChart._fields == fields
 
@@ -150,7 +150,7 @@ def test_plain_records_take_assignment():
 def test_model_keeps_identity_eq_and_hash():
     model = build_su1n(2)
     copy = model.replace()
-    assert model == model and copy != model and copy.algebra is model.algebra
+    assert model == model and copy != model and copy.matrices is model.matrices
     assert hash(model) == object.__hash__(model) and {model: 1}[model] == 1
     cache = weakref.WeakKeyDictionary({copy: 1})
     assert len(cache) == 1
@@ -168,7 +168,7 @@ def test_replace_builds_a_changed_copy():
     assert f.replace(terms={}) == CoefFn(2) and f.replace().terms is f.terms
     model = build_su1n(2)
     doubled = model.replace(beta_H0=2 * model.beta_H0)
-    assert doubled.beta_H0 == 2 * model.beta_H0 and doubled.algebra is model.algebra
+    assert doubled.beta_H0 == 2 * model.beta_H0 and doubled.matrices is model.matrices
     with pytest.raises(TypeError):
         p.replace(z=1)
 

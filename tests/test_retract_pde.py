@@ -41,7 +41,7 @@ from ballquant.retract_pde import (
 )
 from ballquant.scalars import GScalar
 from ballquant.lie_core import LieAlgebra, Subspace
-from ballquant.su1n_model import build_su1n, model_to_json
+from ballquant.su1n_model import Su1nModel, build_su1n, model_to_json
 
 from oracles import (
     apply_operator_oracle,
@@ -193,13 +193,15 @@ def test_reduction_closure_matches_the_sweep(N):
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
 def test_reduction_closure_reads_at_most_the_short_root_brackets(N, monkeypatch):
     """The check reads brackets of g_(-1) only, at most dim g_(-1) of
-    them, where the sweep read 49, 175, 901 and 4345."""
+    them, where the sweep read 49, 175, 901 and 4345, and every one off
+    the model's matrices (Su1nModel.bracket), none off a stored table."""
     model = build_su1n(N)
-    calls = []
-    bracket = LieAlgebra.bracket
-    monkeypatch.setattr(LieAlgebra, "bracket", lambda *a: calls.append(a) or bracket(*a))
+    calls, table_calls = [], []
+    bracket, table_bracket = Su1nModel.bracket, LieAlgebra.bracket
+    monkeypatch.setattr(Su1nModel, "bracket", lambda *a: calls.append(a) or bracket(*a))
+    monkeypatch.setattr(LieAlgebra, "bracket", lambda *a: table_calls.append(a) or table_bracket(*a))
     assert check_reduction_closure(model).ok
-    assert 0 < len(calls) <= 2 * (N - 1)
+    assert 0 < len(calls) <= 2 * (N - 1) and table_calls == []
 
 
 def _root_bases(model) -> dict:
@@ -208,7 +210,7 @@ def _root_bases(model) -> dict:
 
 def _with_root_spaces(model, bases: dict):
     """model with the root space of each value t in bases spanned by bases[t]."""
-    planted = lambda r: r.replace(space=Subspace(model.algebra, bases[r.lambda_of_H[0]]))
+    planted = lambda r: r.replace(space=Subspace(bases[r.lambda_of_H[0]]))
     roots = tuple(planted(r) if r.lambda_of_H[0] in bases else r for r in model.roots)
     return model.replace(roots=roots)
 
@@ -232,7 +234,7 @@ def test_reduction_closure_fails_when_s_holds_a_short_root_vector(N):
     paired g_(-1) vectors lies in g_(-2)."""
     model = build_su1n(N)
     lower = _root_bases(model)[-1]
-    leaky = model.replace(s_space=Subspace(model.algebra, [*model.s_space.basis, lower[0]]))
+    leaky = model.replace(s_space=Subspace([*model.s_space.basis, lower[0]]))
     rep, ref = check_reduction_closure(leaky), reduction_closure_oracle(leaky)
     assert not rep.ok and not ref.ok and ref.failures
     assert rep.failures == ["s leaves a + g_1 + g_2"]
@@ -240,7 +242,7 @@ def test_reduction_closure_fails_when_s_holds_a_short_root_vector(N):
 
 def _m_holds_the_top_line(model):
     top = _root_bases(model)[-2]
-    return model.replace(m_space=Subspace(model.algebra, [*model.m_space.basis, *top]))
+    return model.replace(m_space=Subspace([*model.m_space.basis, *top]))
 
 
 def _top_plane(model):
@@ -267,7 +269,7 @@ def test_reduction_closure_fails_without_m():
     g_0 vector of m, the first of g_0's echelon basis, lies outside W."""
     model = build_su1n(2)
     fresh = model_to_json(model)
-    rep = check_reduction_closure(model.replace(m_space=Subspace(model.algebra, [])))
+    rep = check_reduction_closure(model.replace(m_space=Subspace([])))
     assert not rep.ok and rep.failures and rep.dim_w == 6
     assert rep.failures == [(0, 0), DIMENSIONS]
     assert model_to_json(build_su1n(2)) == fresh

@@ -37,7 +37,9 @@ from ballquant.su1n_model import (
     verify_m_orthocomplement,
     verify_sigma_pairing,
 )
-from ballquant import lie_core, linalg, su1n_model
+from ballquant import ball_quantization, lie_core, linalg, su1n_model
+from ballquant.ball_quantization import build_qmm, qmm_table_to_json, verify_qmm
+from ballquant.retract_pde import check_reduction_closure, k_basis, retract_operator
 from ballquant.linalg import Frame, vec_add, vec_scale
 
 from oracles import adapted_s_basis_oracle, beta_sigma_gram, gmat_mul, leading_principal_minors
@@ -141,7 +143,7 @@ def test_normalizer_of_n_is_s_plus_m():
     for n, expected_dim in ((2, 5), (3, 10)):
         model = build_su1n(n)
         nz = normalizer(model.algebra, model.n_space)
-        sm = span_subspace(model.algebra, model.s_space.basis + model.m_space.basis)
+        sm = span_subspace(model.s_space.basis + model.m_space.basis)
         assert nz == sm
         assert nz.dim == expected_dim
 
@@ -186,7 +188,7 @@ def test_s_is_spanned_by_projected_k_brackets():
             for y in model.k_space.basis:
                 xs, _ = iwasawa_project(model, g.bracket(x, y))
                 vecs.append(xs)
-        assert span_subspace(g, vecs) == model.s_space
+        assert span_subspace(vecs) == model.s_space
 
 
 def test_json_exports():
@@ -245,6 +247,15 @@ def test_adapted_basis_checks_each_planted_fault(monkeypatch):
         adapted_s_basis(model.replace())
     monkeypatch.undo()
     assert adapted_s_basis(model)[0] is model.H0
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_adapted_basis_checks_the_root_dimensions_before_it_reads_the_top_root(N):
+    """Root data without the top root are refused by the named check."""
+    model = build_su1n(N)
+    planted = model.replace(roots=tuple(r for r in model.roots if r.lambda_of_H[0] != 2))
+    with pytest.raises(AssertionError, match=r"^root space dimensions are not 1 and 2\(N - 1\)$"):
+        adapted_s_basis(planted)
 
 
 def test_adapted_basis_is_checked_once_per_model_and_read_only():
@@ -364,6 +375,48 @@ def test_build_refuses_a_repeated_missing_or_extra_basis_matrix(N, monkeypatch):
         monkeypatch.setattr(su1n_model, "_basis_matrices", lambda N, planted=planted: planted)
         with pytest.raises(AssertionError, match=message):
             build_su1n.__wrapped__(N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_build_refuses_a_basis_matrix_that_reads_back_scaled(N, monkeypatch):
+    """Twice the last basis matrix lies in su(1, N) and keeps the count,
+    but reads back as twice its unit vector: the certificate refuses it."""
+    mats, labels, signs = _basis_matrices(N)
+    doubled = {e: (2 * x, 2 * y) for e, (x, y) in mats[-1].items()}
+    planted = (mats[:-1] + [doubled], labels, signs)
+    monkeypatch.setattr(su1n_model, "_basis_matrices", lambda N: planted)
+    with pytest.raises(AssertionError, match="^a basis matrix does not read back as its unit vector$"):
+        build_su1n.__wrapped__(N)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_model_bracket_is_the_table_bracket_on_every_basis_pair(N):
+    """Su1nModel.bracket, read off the basis matrices, gives the stored
+    table's bracket on every pair of basis vectors."""
+    model = build_su1n(N)
+    g = model.algebra
+    units = [g.basis_vector(i) for i in range(g.dim)]
+    for i, x in enumerate(units):
+        for y in units[i:]:
+            assert model.bracket(x, y) == g.bracket(x, y), (i, y)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_the_structure_table_is_built_only_when_the_algebra_is_read(N, monkeypatch):
+    """No build, check or export of the su1n, qmm and retract paths forms
+    the structure table (_structure); the first read of model.algebra
+    forms it once, and later reads keep it."""
+    calls, structure = [], su1n_model._structure
+    monkeypatch.setattr(su1n_model, "_structure", lambda mats: calls.append(N) or structure(mats))
+    model = build_su1n.__wrapped__(N)
+    monkeypatch.setattr(ball_quantization, "build_su1n", lambda n: model)
+    table = build_qmm(N)
+    assert table.chart.model is model and verify_qmm(table, 2).ok
+    assert verify_sigma_pairing(model).ok and verify_m_orthocomplement(model).ok
+    assert check_reduction_closure(model).ok == (N > 1)
+    ops = [retract_operator(table, x, order=4) for x in k_basis(table.chart)[1]]
+    assert qmm_table_to_json(table) and len(ops) == N * N and calls == []
+    assert model.algebra is model.algebra and calls == [N]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -624,8 +677,8 @@ def test_build_su1n_solves_no_nullspace(N, monkeypatch):
 
 def test_build_forms_only_the_commutators_of_index_sharing_pairs(monkeypatch):
     """At N = 10, 2424 of the 7140 pairs of basis matrices share a row or
-    column index, and those are the commutators build_su1n forms, in
-    Gaussian integers."""
+    column index, and those are the commutators the stored table forms,
+    in Gaussian integers, on the first read of model.algebra."""
     mats = _basis_matrices(10)[0]
     where = {tuple(m.items()): t for t, m in enumerate(mats)}
     formed, commutator = [], su1n_model._commutator
@@ -634,8 +687,9 @@ def test_build_forms_only_the_commutators_of_index_sharing_pairs(monkeypatch):
         formed.append((where[tuple(a.items())], where[tuple(b.items())]))
         return commutator(a, b)
 
+    model = build_su1n.__wrapped__(10)
     monkeypatch.setattr(su1n_model, "_commutator", counted)
-    build_su1n.__wrapped__(10)
+    model.algebra
     sets = [{a for entry in m for a in entry} for m in mats]
     pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
     sharing = [(i, j) for i, j in pairs if sets[i] & sets[j]]
