@@ -23,7 +23,7 @@ from math import comb
 from weakref import WeakKeyDictionary
 
 from .lie_core import LieAlgebra, bracket_triples
-from .linalg import Frame, bilinear, dense, nullspace, rank_sparse, transpose
+from .linalg import bilinear, nullspace, rank_sparse, solve_in_span, transpose
 from .scalars import Record, collect, decimal_index, frac_str, keyed, parse_frac, shaped
 
 
@@ -237,8 +237,7 @@ def coboundary_primitive_roots(model: Su1nModel, c: Cochain) -> Cochain:
     values = collect(
         (1 + k, bilinear(c.data, sub.H, x) / t) for k, (t, x) in enumerate(roots)
     )
-    alpha = Frame(transpose(adapted, g.dim)).coords(values)
-    return Cochain(1, g.dim, dense(alpha, g.dim))
+    return Cochain(1, g.dim, solve_in_span(transpose(adapted, g.dim), values))
 
 
 def invariant_cocycle_space(model: Su1nModel):

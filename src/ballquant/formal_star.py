@@ -75,9 +75,11 @@ delta * Lambda^{uw}, and a multiset of m pairs carries the int weight
 m! prod (delta Lambda^{uw})^c / c!, so C_m = delta^-m sum weight d^u f d^w g.
 Each reader divides once per term: c_operator by delta^m for C_m, the
 series (once per m and call) by m! delta^m / weight for (weight / m!) C_m,
-the retract operator by m! delta^m.  A weight that m! delta^m divides
-keeps that scale an int, so verify_qmm checks the moment identity in Z
-and divides only a failing residual back into Q.  Past the truncation
+and the retract operator, whose terms of each size m it scales by the int
+S / (m! delta^m) with S = top! delta^top, by S times the common
+denominator of mu_X.  A weight that m! delta^m divides keeps that scale
+an int, so verify_qmm checks the moment identity in Z and divides only a
+failing residual back into Q.  Past the truncation
 order only whether C_m vanishes counts: the series land the bare walk
 sum delta^m C_m there.
 

@@ -16,12 +16,15 @@ by leading column and stores each row that survives under its new
 leading column.  The rank is the number of pivots.  Back substitution
 over the table, divided by the pivots, gives the reduced row echelon
 form ``rref``; it is unique, so its rows are canonical subspace bases
-and ``nullspace`` reads the kernel off it.  Coordinates against a
-basis, inverses included, come from a ``Frame``, which reduces the basis
-once and reads every later vector off its dual; ``Frame.require`` is the
-read for vectors that must lie in the span, and raises ValueError with
-the caller's message when one does not.  ``solve_linear`` goes through
-``rref``.
+and ``nullspace`` reads the kernel off it.  Coordinates against a basis
+are read one of two ways.  One read, ``solve_in_span``, is forward
+elimination alone: the target is reduced against the pivot table of
+[B | I], with no back substitution and no dual.  Many reads against the
+same basis, inverses included, go through a ``Frame``, which
+back-substitutes the basis once, in integers, and reads every later
+vector off its dual; ``Frame.require`` is the read for vectors that
+must lie in the span, and raises ValueError with the caller's message
+when one does not.  ``solve_linear`` goes through ``rref``.
 The change-of-basis steps the rest of the package shares live here too:
 ``combine`` sums coefficients times vectors, ``bilinear`` evaluates a
 bilinear form on two vectors, ``transpose`` reads vectors as the columns
@@ -101,10 +104,25 @@ def _primitive(row: dict) -> dict:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
+def _lifted(row: dict) -> dict:
+    """A nonzero vector of Fractions scaled to coprime integers."""
+    denom = lcm(*(x.denominator for x in row.values()))
+    return _primitive({j: x.numerator * (denom // x.denominator) for j, x in row.items()})
+
+
 def _combine(row: dict, pv: int, coef: int, pivot: dict) -> dict:
-    """Primitive integer row pv * row - coef * pivot, zeros dropped."""
-    new = {j: row.get(j, 0) * pv - coef * pivot.get(j, 0) for j in row.keys() | pivot.keys()}
-    return _primitive({j: v for j, v in new.items() if v})
+    """Primitive integer row pv * row - coef * pivot, zeros dropped: row
+    is copied, scaled by pv over gcd(pv, coef), and the pivot's entries,
+    scaled by coef over that gcd, are taken off the copy in place."""
+    g = gcd(pv, coef)
+    pv, coef = pv // g, coef // g
+    new = {j: v * pv for j, v in row.items()}
+    for j, p in pivot.items():
+        if v := new.get(j, 0) - coef * p:
+            new[j] = v
+        else:
+            del new[j]
+    return _primitive(new)
 
 
 def _echelon(rows) -> dict[int, dict[int, int]]:
@@ -120,14 +138,26 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
     """
     table: dict[int, dict] = {}
     for row in rows:
-        row = _sparse(row)
-        if row:
-            denom = lcm(*(x.denominator for x in row.values()))
-            row = _primitive({j: x.numerator * (denom // x.denominator) for j, x in row.items()})
+        if row := _sparse(row):
+            row = _lifted(row)
         while row and (pivot := table.get(lead := min(row))):
             row = _combine(row, pivot[lead], row[lead], pivot)
         if row:
             table[lead] = row
+    return table
+
+
+def _reduced(rows) -> dict[int, dict[int, int]]:
+    """The pivot table of _echelon, back-substituted in integers: last
+    pivot first, each row clears the later pivot columns it holds with
+    the rows already reduced, so a pivot column is zero in every row but
+    its own."""
+    table = _echelon(rows)
+    for lead in sorted(table, reverse=True):
+        row = table[lead]
+        for p in [j for j in row if j > lead and j in table]:
+            row = _combine(row, table[p][p], row[p], table[p])
+        table[lead] = row
     return table
 
 
@@ -142,13 +172,8 @@ def rref(rows) -> tuple[list[Vec], list[int]]:
     unique, so subspace bases and everything printed from them do not
     depend on the order the elimination took its pivots in.
     """
-    table = _echelon(rows)
+    table = _reduced(rows)
     pivots = sorted(table)
-    for lead in reversed(pivots):
-        row = table[lead]
-        for p in [j for j in row if j > lead and j in table]:
-            row = _combine(row, table[p][p], row[p], table[p])
-        table[lead] = row
     return [{j: Fraction(v, table[p][p]) for j, v in table[p].items()} for p in pivots], pivots
 
 
@@ -189,8 +214,10 @@ class Frame(Record, frozen=True, eq=False):
     R = M B is the reduced form of B.  A vector v in the span is the sum
     of v[p] R_p over the pivot columns p, and its coordinates are the
     sum of v[p] M_p.  ``dual`` maps each pivot column p to the sparse
-    M_p, read-only, so coords walks v's entries.  Dependent rows put a
-    pivot inside the identity block and raise ValueError.
+    M_p, read-only, so coords walks v's entries; it is read straight off
+    the integer rows of the reduction, one Fraction per entry of the
+    identity block and none for the B block.  Dependent rows put a pivot
+    inside the identity block and raise ValueError.
     """
 
     basis: tuple
@@ -199,12 +226,12 @@ class Frame(Record, frozen=True, eq=False):
     def __init__(self, basis):
         rows = list(basis)
         width = 1 + max((j for r in rows for j in r), default=-1)
-        red, pivots = rref([{**r, width + k: 1} for k, r in enumerate(rows)])
-        if pivots and pivots[-1] >= width:
+        table = _reduced([{**r, width + k: 1} for k, r in enumerate(rows)])
+        if table and max(table) >= width:
             raise ValueError("basis rows are linearly dependent")
         dual = {
-            p: tuple((j - width, x) for j, x in row.items() if j >= width)
-            for row, p in zip(red, pivots)
+            p: tuple((j - width, Fraction(v, row[p])) for j, v in row.items() if j >= width)
+            for p, row in sorted(table.items())
         }
         Record.__init__(self, tuple(tuple(r.items()) for r in rows), MappingProxyType(dual))
 
@@ -226,10 +253,30 @@ class Frame(Record, frozen=True, eq=False):
 
 def solve_in_span(basis, target: Vec):
     """Coordinates of the vector target in the span of the basis vectors,
-    written out as a list, or None; the basis must be linearly
-    independent."""
-    coords = Frame(basis).coords(target)
-    return None if coords is None else dense(coords, len(basis))
+    written out as a list, or None when it lies outside; linearly
+    dependent basis vectors raise ValueError, as a Frame does.
+
+    One read needs no Frame.  [B | I] is reduced forward, and the row
+    [target | 0 | 1] is reduced against that pivot table.  Its marker
+    column, past the identity block, carries the scale s that the
+    fraction-free steps put on the target.  A leading column of B with
+    no pivot leaves the target outside the span.  Otherwise the B block
+    cancels, so s target + sum_k y_k B_k = 0 with y_k at column
+    width + k, and c_k = -y_k / s: one division per coordinate.
+    """
+    rows = list(basis)
+    n = len(rows)
+    width = 1 + max((j for r in (*rows, target) for j in r), default=-1)
+    table = _echelon([{**r, width + k: 1} for k, r in enumerate(rows)])
+    if table and max(table) >= width:
+        raise ValueError("basis rows are linearly dependent")
+    row = _lifted({**target, width + n: Fraction(1)})
+    while (lead := min(row)) < width:
+        if (pivot := table.get(lead)) is None:
+            return None
+        row = _combine(row, pivot[lead], row[lead], pivot)
+    scale = row[width + n]
+    return [Fraction(-row.get(width + k, 0), scale) for k in range(n)]
 
 
 def mat_inverse(a: Mat) -> Mat:

@@ -14,19 +14,24 @@ r^2 = (v|v); radial_reduce rewrites them in that form.
 retract_operator takes the one-sided transvection walk of formal_star
 once per stored power of mu_X, for every size up to the first odd order
 past the truncation, each derivative of mu_X derived from its parent by
-one step.  It lands every odd size, that last one included, in the NuSum
-of the derivative multi-index each term puts on the argument, packed as
-the walk packs it; at the end each key is unpacked once and its NuSum's
-dicts, as they landed, are its series.  As for every series of
-formal_star, land is the one point where a term past the order is
-dropped, clearing that NuSum's exact flag, and the operator is exact
-when mu_X and all its NuSums are.
+one step.  The operator is carried in Z: mu_X is lifted by the common
+denominator D of its coefficients, and the walk term of odd size m, with
+its int weight, is scaled by the int S / (m! delta^m), where
+S = top! delta^top and top is the walk limit of nu^0, the largest.  It
+lands every odd size, that last one included, in the NuSum of the
+derivative multi-index each term puts on the argument, packed as the
+walk packs it; at the end each key is unpacked once and each
+coefficient of its NuSum's dicts, as they landed, is divided once, by
+S D, into its series.  As for every series of formal_star, land is the
+one point where a term past the order is dropped, clearing that NuSum's
+exact flag, and the operator is exact when mu_X and all its NuSums are.
 apply_operator differentiates each stored coefficient of its argument
 once per key that its exponent caps (CoefFn.caps) allow, since a key
 past a cap gives zero, and skips a key that leaves no derivative.  It
-sums each product within the order straight into one NuSum, lands one
-past it only while that NuSum is exact, and so gives the exact flag that
-resizing both sides to the order and multiplying would give.
+sums each product within the order straight into one NuSum and forms
+none past it: a product of nonzero chart functions is nonzero, so one
+that falls past the order only clears the exact flag, which is the flag
+that resizing both sides to the order and multiplying would give.
 
 After a partial Fourier transform in z the operator for sigma(v0),
 applied to a radial symbol theta(a, r, xi), closes on coefficients
@@ -59,7 +64,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 from operator import add, le
 from types import MappingProxyType
 
@@ -230,7 +235,7 @@ def radial_reduce(chart: BallChart, f: CoefFn) -> dict:
     """
     from .ball_quantization import inner_square
     from .formal_star import CoefFn
-    from .linalg import Frame
+    from .linalg import solve_in_span
 
     for r in m_invariance_residuals(chart, f):
         if not r.is_zero():
@@ -253,12 +258,13 @@ def radial_reduce(chart: BallChart, f: CoefFn) -> dict:
         powers = [pw.decoded() for pw in powers]
         monos = {k for pw in powers for (_, k, _, _) in pw} | set(vterms)
         index = {k: r for r, k in enumerate(sorted(monos))}
-        frame = Frame([{index[k]: c for (_, k, _, _), c in pw.items()} for pw in powers])
-        sol = frame.require(
-            {index[k]: c for k, c in vterms.items()}, "not a polynomial in the squared radius"
+        sol = solve_in_span(
+            [{index[k]: c for (_, k, _, _), c in pw.items()} for pw in powers],
+            {index[k]: c for k, c in vterms.items()},
         )
-        for s, c in sol.items():
-            out[(p, s, q)] = c
+        if sol is None:
+            raise ValueError("not a polynomial in the squared radius")
+        out.update(((p, s, q), c) for s, c in enumerate(sol) if c)
     return out
 
 
@@ -290,50 +296,64 @@ def retract_operator(table: QmmTable, x: dict, order: int | None = None) -> dict
     dropped no term, not even from a key that lies wholly past the
     truncation and so is absent from the result.
     """
-    from .formal_star import NuSum, key_layout, transvection_terms
+    from .formal_star import CoefFn, NuSeries, NuSum, key_layout, transvection_terms
 
     order = resolve_truncation_order(order)
     coords = table.frame.require(x, "vector lies outside the moment table")
-    nv = table.chart.nv
+    nv, delta = table.chart.nv, table.P.delta
     mu = NuSum(nv, 2)
     for k, c in coords.items():
         mu.add(table.moments[k], c)
+    mu = mu.series()
+    D = lcm(*(c.denominator for f in mu.terms.values() for c in f.terms.values()))
+    top = (order + 2) | 1  # the largest walk limit, that of nu^0
+    S = factorial(top) * delta**top
     buckets = defaultdict(lambda: NuSum(nv, order))
-    for i, f in mu.series().terms.items():
+    for i, f in mu.terms.items():
+        f = CoefFn(nv, {k: c.numerator * (D // c.denominator) for k, c in f.terms.items()})
         past = (order - i + 2) | 1  # the first odd m with i + m - 1 > order
         terms, = transvection_terms(f, None, table.P, past, odd=True)
         for m in range(1, len(terms), 2):
-            den = factorial(m) * table.P.delta**m
-            for w, d, _, weight in terms[m]:
-                scale = Fraction(weight, den)
-                buckets[w].land(i + m - 1, ((k, v * scale) for k, v in d.terms.items()))
+            scale = S // (factorial(m) * delta**m)
+            for w, dw, _, weight in terms[m]:
+                wt = weight * scale
+                buckets[w].land(i + m - 1, [(k, v * wt) for k, v in dw.terms.items()])
     exact = mu.exact and all(s.exact for s in buckets.values())
-    for s in buckets.values():
-        s.exact = exact
-    index = key_layout(nv).index
-    series = ((index(w), s.series()) for w, s in buckets.items())
-    return {key: s for key, s in series if not s.is_zero()}
+    index, SD = key_layout(nv).index, S * D
+    out = {}
+    for w, s in buckets.items():
+        terms = {
+            t: CoefFn(nv, {k: Fraction(v, SD) for k, v in d.items()})
+            for t, d in sorted(s.terms.items()) if d
+        }
+        if terms:
+            out[index(w)] = NuSeries(nv, order, terms, exact)
+    return out
 
 
 def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSeries:
     """Apply a differential operator from retract_operator to a series.
 
+    One pass over the operator's keys checks each key's nv, folds its
+    series into the exact flag and differentiates theta within the caps.
     exact is what resizing both sides to the order and multiplying would
-    give: it needs exact inputs with nothing past the order, and landing
-    clears it when a product of nonzero coefficients, itself nonzero
-    because chart functions form an integral domain, falls past the
-    order.  An empty operator gives the exact zero series.
+    give: it needs exact inputs with nothing past the order, and it is
+    cleared, with no product formed, when a product of nonzero
+    coefficients, itself nonzero because chart functions form an
+    integral domain, falls past the order.  An empty operator gives the
+    exact zero series.
     """
     from .formal_star import NuSum
 
     order = resolve_truncation_order(order)
     nv = theta.nv
-    if other := {s.nv for s in op.values()} - {nv}:
-        raise ValueError(f"an operator on {min(other)} v coordinates and a series on {nv} differ")
-    exact = all(s.exact and max(s.terms, default=0) <= order for s in (theta, *op.values()))
-    out = NuSum(nv, order, exact or not op)
+    exact = theta.exact and max(theta.terms, default=0) <= order
+    out = NuSum(nv, order)
     thetas = [(j, c, c.caps) for j, c in theta.terms.items()]
     for key, series in op.items():
+        if series.nv != nv:
+            raise ValueError(f"an operator on {series.nv} v coordinates and a series on {nv} differ")
+        exact = exact and series.exact and max(series.terms, default=0) <= order
         dthetas = [
             (j, d) for j, c, caps in thetas if all(map(le, key, caps)) and (d := c.diff(key)).terms
         ]
@@ -341,8 +361,9 @@ def apply_operator(op: dict, theta: NuSeries, order: int | None = None) -> NuSer
             for j, d in dthetas:
                 if i + j <= order:
                     f.mul_into(out.terms[i + j], d)
-                elif out.exact:
-                    out.land(i + j, f.mul_into({}, d).items())
+                else:
+                    exact = False
+    out.exact = exact or not op
     return out.series()
 
 

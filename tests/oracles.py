@@ -20,7 +20,10 @@ pair_walk_oracle is the capped walk of one operand pair, as the package
 walked each pair before it walked a coefficient against a whole row.
 apply_operator_oracle applies a retract operator through whole-series
 resize, product and sum, as the package did before it accumulated the
-products in place; retract_exact_oracle is the retract operator's exact
+products in place; retract_operator_oracle is the retract operator as
+the package walked it in Fractions, one Fraction scale per walk term,
+before it carried the operator in Z and divided each output term once;
+retract_exact_oracle is the retract operator's exact
 flag by the rule it had before every walked term landed in a NuSum; and
 binom_oracle is the binomial coefficient as a full falling-factorial
 product.  radial_pde_residual_oracle evaluates
@@ -84,6 +87,7 @@ them.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -631,6 +635,33 @@ def apply_operator_oracle(op: dict, theta: NuSeries, order=None) -> NuSeries:
         dtheta = nu_series([c.diff(key) for c in base.coeffs], base.exact)
         out = out.add(series.resize(order).mul(dtheta))
     return out
+
+
+def retract_operator_oracle(table, x: dict, order=None) -> dict:
+    """(1/(2 nu)) [mu_x, - ]_star as a differential operator, each odd walk
+    term of size m scaled by the Fraction weight / (m! delta^m) as it
+    lands in the NuSum of its key; the series share one exact flag."""
+    order = resolve_truncation_order(order)
+    coords = table.frame.require(x, "vector lies outside the moment table")
+    nv = table.chart.nv
+    mu = NuSum(nv, 2)
+    for k, c in coords.items():
+        mu.add(table.moments[k], c)
+    buckets = defaultdict(lambda: NuSum(nv, order))
+    for i, f in mu.series().terms.items():
+        past = (order - i + 2) | 1
+        terms, = transvection_terms(f, None, table.P, past, odd=True)
+        for m in range(1, len(terms), 2):
+            den = factorial(m) * table.P.delta**m
+            for w, d, _, weight in terms[m]:
+                scale = F(weight, den)
+                buckets[w].land(i + m - 1, ((k, v * scale) for k, v in d.terms.items()))
+    exact = mu.exact and all(s.exact for s in buckets.values())
+    for s in buckets.values():
+        s.exact = exact
+    index = key_layout(nv).index
+    series = ((index(w), s.series()) for w, s in buckets.items())
+    return {key: s for key, s in series if not s.is_zero()}
 
 
 def retract_exact_oracle(table, x: dict, order: int) -> bool:

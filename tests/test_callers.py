@@ -42,7 +42,6 @@ ALLOWLIST = {
     "lie_core.centralizer": BENCHMARK,
     "lie_core.subspace_intersection": BENCHMARK,
     "linalg.solve_linear": BENCHMARK,
-    "linalg.solve_in_span": BENCHMARK,
     "psd_builder.psd_spec_from_json": EXPORT,
     "psd_builder.match_iwasawa": BENCHMARK,
     "retract_pde.radial_reduce": BENCHMARK,

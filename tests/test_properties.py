@@ -55,7 +55,7 @@ from ballquant.formal_star import (
     star_commutator,
 )
 from ballquant.lie_core import LieAlgebra
-from ballquant.linalg import Frame, bilinear, combine, nullspace, rank_sparse, rref
+from ballquant.linalg import Frame, bilinear, combine, nullspace, rank_sparse, rref, solve_in_span
 from ballquant.linalg import split_symplectic
 from ballquant.psd_builder import PsdSpec, build_psd, psd_spec_from_json, psd_spec_to_json
 from ballquant.retract_pde import XiFn, xifn_from_json, xifn_to_json
@@ -790,6 +790,42 @@ def test_frame_matches_rref_oracle(case):
         assert all(got.values())
         got = dense(got, len(basis))
         assert [sum((g * b[t] for g, b in zip(got, basis)), F(0)) for t in range(len(v))] == v
+
+
+@st.composite
+def span_cases(draw):
+    """Up to 4 sparse basis rows in up to 5 columns and a target: a
+    combination of the rows (inside the span), a free vector that may
+    reach two columns past the basis (often outside), or zero."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4))
+    kind = draw(st.sampled_from(["inside", "free", "zero"]))
+    if kind == "inside":
+        coords = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        target = [sum((c * r[t] for c, r in zip(coords, rows)), F(0)) for t in range(n)]
+    elif kind == "free":
+        target = draw(st.lists(entries, min_size=n, max_size=n + 2))
+    else:
+        target = []
+    return [sparse(r) for r in rows], sparse(target), n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(span_cases())
+def test_solve_in_span_is_the_frame_read(case):
+    """solve_in_span, forward elimination alone, gives the dense Frame
+    coordinates of the target, or None where the Frame rebuilds no
+    target; a dependent basis raises the Frame's ValueError."""
+    rows, target, n = case
+    if _rank([dense(r, n) for r in rows]) < len(rows):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            solve_in_span(rows, target)
+        return
+    want = Frame(rows).coords(target)
+    got = solve_in_span(rows, target)
+    assert got == (None if want is None else dense(want, len(rows)))
+    if not target:
+        assert got == [F(0)] * len(rows)
 
 
 @st.composite

@@ -52,6 +52,7 @@ from oracles import (
     radial_pde_residual_oracle,
     reduction_closure_oracle,
     retract_exact_oracle,
+    retract_operator_oracle,
 )
 
 
@@ -436,6 +437,24 @@ def test_retract_operator_exact_flag_follows_the_walk_rule(N):
             assert op and {s.exact for s in op.values()} == {want}
             flags.add(want)
     assert flags == {True, False}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_retract_operator_matches_the_fraction_oracle(N):
+    """The operator carried in Z and divided once per term is the one the
+    Fraction walk gives, for every k-basis vector at orders 0 to 8: the
+    same keys, the same coefficients at every power and the same exact
+    flags, both of which occur from N = 2 on."""
+    table = build_qmm(N)
+    flags = set()
+    for K in range(9):
+        for x in k_basis(table.chart)[1]:
+            got, want = retract_operator(table, x, K), retract_operator_oracle(table, x, K)
+            assert got.keys() == want.keys()
+            for key, series in got.items():
+                assert series == want[key]
+                flags.add(series.exact)
+    assert flags == {True, False} or N == 1
 
 
 def test_apply_operator_is_the_half_commutator():
