@@ -22,9 +22,9 @@ from .scalars import DEFAULT_TRUNCATION, parse_frac
 SERIES = ("qmm", "retract")  # the verify suites that truncate series
 # The largest N a command takes, refused above before any build (README,
 # "Limits").  At 30 the costliest command is su1n-export, the one that
-# builds and writes the structure table, near 254 MB; of the suites, which
-# build no table, --suite retract peaks near 106 MB and --suite qmm near
-# 86 MB.  At 12 the cocycle suite, whose cost grows faster in N (h2 --su1n
+# builds and writes the structure table, near 142 MB; of the suites, which
+# build no table, --suite qmm peaks near 86 MB and --suite retract near
+# 58 MB.  At 12 the cocycle suite, whose cost grows faster in N (h2 --su1n
 # too), peaks near 225 MB.
 N_CEILING = 30
 COHOMOLOGY_CEILING = 12
@@ -37,8 +37,8 @@ BLOCKS_CEILING = 250
 # The largest --order, refused above in the same way.  qmm does not grow
 # with it, a failing pair reporting only its residual's nonzero powers
 # (87 MB at N_CEILING at 1000), but retract-residual does (17 MB at 1000,
-# 143 MB at 10000), and at N_CEILING the retract suite, through its
-# operators' keys and terms, peaks near 142 MB at 7, 178 at 8, 254 at 12.
+# 143 MB at 10000), and at N_CEILING the retract suite, which holds one
+# operator at a time, peaks near 75 MB at 7 and 128 MB at 12.
 ORDER_CEILING = 1000
 RETRACT_ORDER_CEILING = 7
 # verify options that only some suites read, with those suites
@@ -209,25 +209,21 @@ def _suite_retract(args) -> tuple:
     from .su1n_model import build_su1n
 
     order = args.order
-    model = build_su1n(args.N)
-    closure = check_reduction_closure(model)
+    closure = check_reduction_closure(build_su1n(args.N))
     table = build_qmm(args.N, args.alpha_q)
     chart = table.chart
-    one = NuSeries.from_coef(CoefFn.const(chart.nv, parse_frac("1")), order)
-    # k_basis lists the m generators first, so their operators lead ops
-    ops = [retract_operator(table, x, order=order) for x in k_basis(chart)[1]]
-    dim = chart.nv + 2
-    zero = (0,) * dim
-    constants_ok = all(zero not in op and apply_operator(op, one, order).is_zero() for op in ops)
-    # each m operator is its fundamental field, key for key, exactly
-    fields_ok = all(
-        op == {
-            tuple(int(i == c) for i in range(dim)): NuSeries.from_coef(comp, order)
-            for c, comp in enumerate(fundamental_field(chart, y))
-            if comp.terms
-        }
-        for y, op in zip(chart.m_basis, ops)
-    )
+    one = NuSeries.from_coef(CoefFn.const(chart.nv, 1), order)
+    units = [tuple(int(i == c) for i in range(chart.nv + 2)) for c in range(chart.nv + 2)]
+    constants_ok = fields_ok = True
+    # each operator is checked and dropped before the next is built; k_basis
+    # lists the m generators first, and each m operator is its fundamental
+    # field, key for key, exactly
+    for n, x in enumerate(k_basis(chart)[1]):
+        op = retract_operator(table, x, order=order)
+        constants_ok = constants_ok and apply_operator(op, one, order).is_zero()
+        if fields_ok and n < len(chart.m_basis):
+            field = zip(units, fundamental_field(chart, x))
+            fields_ok = op == {w: NuSeries.from_coef(f, order) for w, f in field if f.terms}
     ok = closure.ok and constants_ok and fields_ok
     return ok, {
         "suite": "retract",

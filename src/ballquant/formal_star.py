@@ -571,8 +571,8 @@ class NuSum:
     not stored, and a nonzero one clears exact.
     """
 
-    def __init__(self, nv: int, order: int, exact: bool = True):
-        self.nv, self.order, self.exact, self.terms = nv, order, exact, defaultdict(dict)
+    def __init__(self, nv: int, order: int):
+        self.nv, self.order, self.exact, self.terms = nv, order, True, defaultdict(dict)
 
     def land(self, t: int, items) -> None:
         if t <= self.order:

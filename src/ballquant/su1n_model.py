@@ -25,7 +25,7 @@ from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
 from .lie_core import CheckReport, LieAlgebra, Subspace, span_subspace, subalgebra
-from .linalg import Frame, combine, dense, nullspace, split_symplectic, vec_add, vec_scale
+from .linalg import Frame, combine, nullspace, split_symplectic, vec_add, vec_scale
 from .scalars import Record, frac_str, kept
 
 
@@ -473,8 +473,10 @@ def model_to_json(model: Su1nModel) -> dict:
     def strs(row):
         return [frac_str(c) for c in row]
 
+    zero = frac_str(Fraction(0))
+
     def vec_json(v):
-        return strs(dense(v, model.algebra.dim))
+        return [frac_str(v[j]) if j in v else zero for j in range(model.algebra.dim)]
 
     def basis_json(space):
         return [vec_json(v) for v in space.basis]

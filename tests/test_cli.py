@@ -12,6 +12,7 @@ import io
 import json
 import random
 import time
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -677,6 +678,50 @@ def test_verify_retract_reports_an_extra_key_on_an_m_operator(capsys, monkeypatc
     monkeypatch.setattr(retract_pde, "retract_operator", planted)
     payload = assert_failed_suite(capsys, RETRACT, "m_fields_match")
     assert payload["constants_annihilated"] is True
+
+
+@pytest.mark.parametrize("label, fields_ok", [("m1", False), ("kf1", True), ("kE", True)])
+def test_verify_retract_reports_a_zero_key_on_any_operator(capsys, monkeypatch, label, fields_ok):
+    """A planted zero-order key on one operator fails the constants check,
+    which every operator gets: applying the operator to 1 reads that key.
+    Only on an m operator does it fail the field comparison too."""
+    real = retract_pde.retract_operator
+    hits = []
+
+    def planted(table, x, order=None):
+        op = real(table, x, order=order)
+        labels, vecs = retract_pde.k_basis(table.chart)
+        if x != vecs[labels.index(label)]:
+            return op
+        hits.append(x)
+        zero, one = (0,) * (table.chart.nv + 2), CoefFn.const(table.chart.nv, F(1))
+        return {**op, zero: NuSeries.from_coef(one, order)}
+
+    monkeypatch.setattr(retract_pde, "retract_operator", planted)
+    payload = assert_failed_suite(capsys, RETRACT, "constants_annihilated")
+    assert payload["m_fields_match"] is fields_ok and len(hits) == 1
+
+
+def test_verify_retract_keeps_one_operator_at_a_time(capsys, monkeypatch):
+    """Each operator is checked and dropped before the next is built: when
+    an operator is built, at most one earlier operator is still alive."""
+    real = retract_pde.retract_operator
+
+    class Op(dict):
+        pass
+
+    built, alive_at_build = [], []
+
+    def tracked(table, x, order=None):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        op = Op(real(table, x, order=order))
+        built.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(retract_pde, "retract_operator", tracked)
+    code, out = run(capsys, ["verify", "--suite", "retract", "--N", "3", "--order", "2"])
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert len(alive_at_build) == 9 and max(alive_at_build) <= 1
 
 
 def test_verify_cocycle_reports_a_wrong_primitive(capsys, monkeypatch):
